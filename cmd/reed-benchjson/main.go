@@ -21,8 +21,9 @@
 // Every benchmark in the baseline must appear in the current run (a
 // rename or deletion fails the ratchet rather than silently dropping
 // coverage) and is checked metric by metric: time- and allocation-style
-// units (ns/op, B/op, allocs/op) may not grow by more than the
-// tolerance, throughput-style units (MB/s and custom *MBps* /
+// units (ns/op, B/op, allocs/op and custom *_s_* delays in seconds) may
+// not grow by more than the tolerance, throughput-style units (MB/s and
+// custom *MBps* /
 // *speedup* metrics) may not shrink by more than it. Any regression is
 // printed and the exit status is non-zero, so CI fails loudly instead
 // of letting performance drift.
@@ -138,6 +139,9 @@ func metricDirection(unit string) int {
 	}
 	if strings.Contains(unit, "MBps") || strings.Contains(unit, "speedup") {
 		return +1
+	}
+	if strings.Contains(unit, "_s_") { // a delay in seconds, e.g. lazy_s_500users
+		return -1
 	}
 	return 0
 }

@@ -252,6 +252,8 @@ func TestMetricDirection(t *testing.T) {
 		"agg_MBps_4shard":   +1,
 		"pipe_MBps_basic":   +1,
 		"speedup_basic":     +1,
+		"lazy_s_500users":   -1,
+		"active_s_20pct":    -1,
 		"peak_MB_basic":     0,
 		"overhead_pct_stub": 0,
 	}

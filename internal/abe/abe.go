@@ -5,22 +5,34 @@
 // the Go standard library).
 //
 // Construction. An authority holds a master secret from which it derives
-// one discrete-log key pair per attribute in a fixed 2048-bit MODP group
-// (RFC 3526): x_a = PRF(master, a), y_a = g^x_a. Users receive the
-// private scalars for their attributes ("private access key"); the
-// public y_a values are published for encryptors. Encryption under an
-// access tree:
+// one X25519 key pair (crypto/ecdh, RFC 7748) per attribute: the private
+// scalar is the 32-byte x_a = HMAC-SHA256(master, "reed-abe-attr" ‖ a),
+// clamped by X25519 itself, and y_a = X25519(x_a, 9) is its public key.
+// Users receive the private scalars for their attributes ("private access
+// key"); the public y_a values are published for encryptors. Encryption
+// under an access tree:
 //
 //  1. draw a random secret s and share it down the tree — OR replicates,
 //     AND is an n-of-n Shamir split, k-of-n is a Shamir split;
-//  2. draw one ephemeral k, publish c1 = g^k, and wrap each leaf's share
-//     with a mask derived from the hashed-ElGamal agreement y_a^k;
-//  3. encrypt the payload with AES-256-GCM under H(s).
+//  2. draw one ephemeral key pair (k, c1 = X25519(k, 9)), publish c1, and
+//     XOR each leaf's share with the hashed-ElGamal mask
+//     SHA-256("reed-abe-leaf" ‖ idx ‖ c1 ‖ y_a ‖ X25519(k, y_a));
+//  3. encrypt the payload with AES-256-GCM under H(s), with the
+//     marshaled policy as associated data.
 //
-// Decryption recovers leaf shares for held attributes via c1^x_a,
+// Decryption recovers leaf shares for held attributes via X25519(x_a, c1),
 // recombines up the tree (Lagrange interpolation at threshold gates),
 // and opens the payload. Decryption succeeds iff the user's attributes
 // satisfy the tree.
+//
+// Security level and binding. Curve25519 gives ≈ 128-bit security. The
+// mask binds the leaf's preorder position and the exact bytes of both
+// public keys next to the shared secret, so a wrapped share cannot be
+// moved to another slot, ciphertext or attribute, and the several
+// encodings X25519 accepts for one point do not share a mask. The policy
+// and the attribute *names* are not in the mask; the GCM tag over the
+// marshaled policy authenticates them. A low-order ephemeral key makes
+// every agreement zero and is rejected as ErrCorrupt.
 //
 // Fidelity to CP-ABE: (a) policy expressiveness is the same access-tree
 // language; (b) only satisfying attribute sets decrypt, and colluding
@@ -28,15 +40,15 @@
 // fresh s and k) — though unlike true CP-ABE, two users *can* pool their
 // attribute scalars within one ciphertext, which is harmless in REED
 // where every attribute is a unique user identity; (c) the cost model
-// matches what Experiment A.4 measures: encryption is one group
-// exponentiation per leaf (linear in the number of authorized users),
-// decryption of an OR-of-identities policy is a single exponentiation
-// (constant).
+// matches what Experiment A.4 measures: encryption is one scalar
+// multiplication per leaf (linear in the number of authorized users),
+// decryption of an OR-of-identities policy is a single one (constant).
 package abe
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -44,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"repro/internal/binenc"
 	"repro/internal/policy"
@@ -55,36 +66,10 @@ var (
 	// ErrNotAuthorized is returned when the private key's attributes do
 	// not satisfy the ciphertext policy.
 	ErrNotAuthorized = errors.New("abe: attributes do not satisfy policy")
-	// ErrCorrupt is returned for malformed or tampered ciphertexts.
+	// ErrCorrupt is returned for malformed or tampered ciphertexts, and
+	// for encoded keys whose group elements are not X25519-sized.
 	ErrCorrupt = errors.New("abe: corrupt ciphertext")
 )
-
-// groupP is the 2048-bit MODP prime from RFC 3526 §3; groupG is its
-// generator. The group order is (p-1)/2 (p is a safe prime).
-var (
-	groupP = mustHex(
-		"FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-			"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-			"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-			"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-			"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-			"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-			"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-			"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-			"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-			"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-			"15728E5A8AACAA68FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF")
-	groupG = big.NewInt(2)
-	groupQ = new(big.Int).Rsh(new(big.Int).Sub(groupP, big.NewInt(1)), 1)
-)
-
-func mustHex(s string) *big.Int {
-	v, ok := new(big.Int).SetString(s, 16)
-	if !ok {
-		panic("abe: bad group constant")
-	}
-	return v
-}
 
 // Authority issues attribute keys. It holds the master secret.
 type Authority struct {
@@ -105,32 +90,26 @@ func NewAuthority(randSrc io.Reader) (*Authority, error) {
 }
 
 // attributeScalar derives the private scalar for an attribute:
-// x_a = PRF(master, a) reduced into [1, q).
-func (a *Authority) attributeScalar(attr string) *big.Int {
+// x_a = PRF(master, a). X25519 clamps it, so it is never zero.
+func (a *Authority) attributeScalar(attr string) *ecdh.PrivateKey {
 	mac := hmac.New(sha256.New, a.master)
 	mac.Write([]byte("reed-abe-attr"))
 	mac.Write([]byte(attr))
-	sum := mac.Sum(nil)
-	// Expand to 64 bytes so the mod-q reduction bias is negligible.
-	mac.Reset()
-	mac.Write([]byte("reed-abe-attr2"))
-	mac.Write([]byte(attr))
-	sum = append(sum, mac.Sum(nil)...)
-	x := new(big.Int).SetBytes(sum)
-	x.Mod(x, new(big.Int).Sub(groupQ, big.NewInt(1)))
-	return x.Add(x, big.NewInt(1)) // never zero
+	x, err := ecdh.X25519().NewPrivateKey(mac.Sum(nil))
+	if err != nil {
+		// Only a FIPS-140-only runtime refuses a 32-byte X25519 seed,
+		// and nothing in this package can work there.
+		panic("abe: attribute scalar: " + err.Error())
+	}
+	return x
 }
 
-// AttributePublicKey returns y_a = g^x_a, the value encryptors use.
-func (a *Authority) AttributePublicKey(attr string) *big.Int {
-	return new(big.Int).Exp(groupG, a.attributeScalar(attr), groupP)
-}
-
-// PublicKeys bundles the public keys for a set of attributes.
+// PublicKeys bundles the public keys y_a = X25519(x_a, 9) for a set of
+// attributes.
 func (a *Authority) PublicKeys(attrs []string) PublicKeys {
-	pk := PublicKeys{Keys: make(map[string]*big.Int, len(attrs))}
+	pk := PublicKeys{Keys: make(map[string]*ecdh.PublicKey, len(attrs))}
 	for _, attr := range attrs {
-		pk.Keys[attr] = a.AttributePublicKey(attr)
+		pk.Keys[attr] = a.attributeScalar(attr).PublicKey()
 	}
 	return pk
 }
@@ -138,7 +117,7 @@ func (a *Authority) PublicKeys(attrs []string) PublicKeys {
 // IssueKey returns the private access key for a user holding the given
 // attributes. In REED's usage attrs is the singleton {user identity}.
 func (a *Authority) IssueKey(holder string, attrs []string) *PrivateKey {
-	k := &PrivateKey{Holder: holder, Scalars: make(map[string]*big.Int, len(attrs))}
+	k := &PrivateKey{Holder: holder, Scalars: make(map[string]*ecdh.PrivateKey, len(attrs))}
 	for _, attr := range attrs {
 		k.Scalars[attr] = a.attributeScalar(attr)
 	}
@@ -147,14 +126,14 @@ func (a *Authority) IssueKey(holder string, attrs []string) *PrivateKey {
 
 // PublicKeys carries per-attribute public keys for encryption.
 type PublicKeys struct {
-	Keys map[string]*big.Int
+	Keys map[string]*ecdh.PublicKey
 }
 
 // PublicKeys returns the subset for the requested attributes, making a
 // published key bundle usable wherever an authority is (it satisfies the
 // client's PublicKeyDirectory without holding the master secret).
 func (p PublicKeys) PublicKeys(attrs []string) PublicKeys {
-	out := PublicKeys{Keys: make(map[string]*big.Int, len(attrs))}
+	out := PublicKeys{Keys: make(map[string]*ecdh.PublicKey, len(attrs))}
 	for _, a := range attrs {
 		if k, ok := p.Keys[a]; ok {
 			out.Keys[a] = k
@@ -166,7 +145,7 @@ func (p PublicKeys) PublicKeys(attrs []string) PublicKeys {
 // PrivateKey is a user's private access key.
 type PrivateKey struct {
 	Holder  string
-	Scalars map[string]*big.Int
+	Scalars map[string]*ecdh.PrivateKey
 }
 
 // Attributes returns the attribute names this key holds.
@@ -178,12 +157,12 @@ func (k *PrivateKey) Attributes() map[string]bool {
 	return out
 }
 
-// Ciphertext is an ABE ciphertext: the policy, the ephemeral group
-// element, the wrapped leaf shares (in policy-preorder), and the GCM-
+// Ciphertext is an ABE ciphertext: the policy, the ephemeral public
+// key, the wrapped leaf shares (in policy-preorder), and the GCM-
 // protected body.
 type Ciphertext struct {
 	Policy    *policy.Node
-	Ephemeral *big.Int // c1 = g^k
+	Ephemeral *ecdh.PublicKey // c1 = X25519(k, 9)
 	Wrapped   [][shamir.SecretSize]byte
 	Nonce     []byte
 	Body      []byte
@@ -199,38 +178,43 @@ func Encrypt(pub PublicKeys, pol *policy.Node, plaintext []byte, randSrc io.Read
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
-	for _, attr := range pol.Leaves() {
-		if pub.Keys[attr] == nil {
-			return nil, fmt.Errorf("abe: missing public key for attribute %q", attr)
-		}
-	}
 
 	secret, err := shamir.GenerateSecret(randSrc)
 	if err != nil {
 		return nil, err
 	}
 
-	// Share the secret down the tree; leaf shares in preorder.
-	var leafShares [][shamir.SecretSize]byte
-	if err := shareDown(pol, secret, randSrc, &leafShares); err != nil {
+	// Share the secret down the tree; leaf shares in preorder, wrapped
+	// in place below.
+	var wrapped [][shamir.SecretSize]byte
+	if err := shareDown(pol, secret, randSrc, &wrapped); err != nil {
 		return nil, err
 	}
 
-	// One ephemeral exponent for the whole ciphertext.
-	k, err := rand.Int(randSrc, new(big.Int).Sub(groupQ, big.NewInt(1)))
+	// One ephemeral key pair for the whole ciphertext. The seed is read
+	// here, not by ecdh's GenerateKey, which consumes a random number of
+	// bytes and would make a fixed randSrc irreproducible.
+	seed := make([]byte, 32)
+	if _, err := io.ReadFull(randSrc, seed); err != nil {
+		return nil, fmt.Errorf("abe: ephemeral: %w", err)
+	}
+	k, err := ecdh.X25519().NewPrivateKey(seed)
 	if err != nil {
 		return nil, fmt.Errorf("abe: ephemeral: %w", err)
 	}
-	k.Add(k, big.NewInt(1))
-	c1 := new(big.Int).Exp(groupG, k, groupP)
+	c1 := k.PublicKey()
 
-	// Wrap each leaf share under y_a^k.
-	leaves := pol.Leaves()
-	wrapped := make([][shamir.SecretSize]byte, len(leaves))
-	for i, attr := range leaves {
-		agreed := new(big.Int).Exp(pub.Keys[attr], k, groupP)
-		mask := leafMask(agreed, i)
-		wrapped[i] = leafShares[i]
+	// Wrap each leaf share under X25519(k, y_a).
+	for i, attr := range pol.Leaves() {
+		y := pub.Keys[attr]
+		if y == nil {
+			return nil, fmt.Errorf("abe: missing public key for attribute %q", attr)
+		}
+		agreed, err := k.ECDH(y)
+		if err != nil {
+			return nil, fmt.Errorf("abe: public key for attribute %q: %w", attr, err)
+		}
+		mask := leafMask(agreed, i, c1, y)
 		for j := range wrapped[i] {
 			wrapped[i][j] ^= mask[j]
 		}
@@ -325,8 +309,11 @@ func recoverUp(n *policy.Node, key *PrivateKey, ct *Ciphertext, leafIdx *int) ([
 		if !held {
 			return zero, false
 		}
-		agreed := new(big.Int).Exp(ct.Ephemeral, x, groupP)
-		mask := leafMask(agreed, idx)
+		agreed, err := x.ECDH(ct.Ephemeral)
+		if err != nil {
+			return zero, false // low-order ephemeral key
+		}
+		mask := leafMask(agreed, idx, ct.Ephemeral, x.PublicKey())
 		share := ct.Wrapped[idx]
 		for j := range share {
 			share[j] ^= mask[j]
@@ -353,17 +340,19 @@ func recoverUp(n *policy.Node, key *PrivateKey, ct *Ciphertext, leafIdx *int) ([
 	return combined, true
 }
 
-// leafMask derives the XOR mask for leaf idx from the agreed group
-// element.
-func leafMask(agreed *big.Int, idx int) [shamir.SecretSize]byte {
+// leafMask derives the XOR mask for leaf idx from the X25519 agreement
+// and the two public keys of the exchange.
+func leafMask(agreed []byte, idx int, ephemeral, attr *ecdh.PublicKey) [shamir.SecretSize]byte {
 	h := sha256.New()
 	h.Write([]byte("reed-abe-leaf"))
 	var ib [4]byte
 	binary.BigEndian.PutUint32(ib[:], uint32(idx))
 	h.Write(ib[:])
-	h.Write(agreed.Bytes())
+	h.Write(ephemeral.Bytes())
+	h.Write(attr.Bytes())
+	h.Write(agreed)
 	var out [shamir.SecretSize]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -412,6 +401,10 @@ func UnmarshalCiphertext(b []byte) (*Ciphertext, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: ephemeral: %v", ErrCorrupt, err)
 	}
+	ephemeral, err := ecdh.X25519().NewPublicKey(ephBytes)
+	if err != nil {
+		return nil, fmt.Errorf("%w: ephemeral: %v", ErrCorrupt, err)
+	}
 	count, err := r.Uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("%w: share count: %v", ErrCorrupt, err)
@@ -440,7 +433,7 @@ func UnmarshalCiphertext(b []byte) (*Ciphertext, error) {
 	}
 	return &Ciphertext{
 		Policy:    pol,
-		Ephemeral: new(big.Int).SetBytes(ephBytes),
+		Ephemeral: ephemeral,
 		Wrapped:   wrapped,
 		Nonce:     nonce,
 		Body:      body,

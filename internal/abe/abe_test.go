@@ -2,6 +2,8 @@ package abe
 
 import (
 	"bytes"
+	"crypto/ecdh"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -269,6 +271,42 @@ func TestTamperedShareRejected(t *testing.T) {
 	}
 }
 
+// TestLowOrderEphemeralRejected: an ephemeral key of low order makes
+// every agreement the all-zero string, so anyone could unwrap every
+// share; decryption must refuse it, also after a marshal round trip.
+func TestLowOrderEphemeralRejected(t *testing.T) {
+	auth := newTestAuthority(t)
+	pol := policy.OrOfUsers([]string{"alice"})
+	ct, err := Encrypt(auth.PublicKeys(pol.Leaves()), pol, []byte("x"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice := auth.IssueKey("alice", []string{"alice"})
+	for name, point := range map[string]string{
+		"zero":    "0000000000000000000000000000000000000000000000000000000000000000",
+		"one":     "0100000000000000000000000000000000000000000000000000000000000000",
+		"order 8": "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+	} {
+		raw, err := hex.DecodeString(point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct.Ephemeral, err = ecdh.X25519().NewPublicKey(raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decrypt(alice, ct); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error = %v, want ErrCorrupt", name, err)
+		}
+		decoded, err := UnmarshalCiphertext(ct.Marshal())
+		if err == nil {
+			_, err = Decrypt(alice, decoded)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s after round trip: error = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 func TestFreshSecretPerCiphertext(t *testing.T) {
 	auth := newTestAuthority(t)
 	pol := policy.OrOfUsers([]string{"alice"})
@@ -284,8 +322,8 @@ func TestFreshSecretPerCiphertext(t *testing.T) {
 	if bytes.Equal(c1.Body, c2.Body) {
 		t.Fatal("two encryptions produced identical bodies")
 	}
-	if c1.Ephemeral.Cmp(c2.Ephemeral) == 0 {
-		t.Fatal("two encryptions reused the ephemeral element")
+	if c1.Ephemeral.Equal(c2.Ephemeral) {
+		t.Fatal("two encryptions reused the ephemeral key")
 	}
 }
 
@@ -310,23 +348,28 @@ func TestEncryptionCostGrowsWithUsers(t *testing.T) {
 	}
 }
 
-func BenchmarkEncrypt100Users(b *testing.B) { benchEncrypt(b, 100) }
-func BenchmarkEncrypt500Users(b *testing.B) { benchEncrypt(b, 500) }
-
-func benchEncrypt(b *testing.B, n int) {
-	auth := newTestAuthority(b)
-	users := make([]string, n)
-	for i := range users {
-		users[i] = fmt.Sprintf("user-%04d", i)
-	}
-	pol := policy.OrOfUsers(users)
-	pub := auth.PublicKeys(pol.Leaves())
-	payload := make([]byte, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encrypt(pub, pol, payload, nil); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkEncrypt seals under an OR-of-identities policy from an
+// already-resolved bundle; us/leaf is the per-authorized-user cost that
+// Experiment A.4's rekey delay is linear in.
+func BenchmarkEncrypt(b *testing.B) {
+	for _, n := range []int{1, 10, 100, 500} {
+		b.Run(fmt.Sprintf("leaves=%d", n), func(b *testing.B) {
+			auth := newTestAuthority(b)
+			users := make([]string, n)
+			for i := range users {
+				users[i] = fmt.Sprintf("user-%04d", i)
+			}
+			pol := policy.OrOfUsers(users)
+			pub := auth.PublicKeys(pol.Leaves())
+			payload := make([]byte, 256)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Encrypt(pub, pol, payload, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(n), "us/leaf")
+		})
 	}
 }
 

@@ -1,9 +1,9 @@
 package abe
 
 import (
+	"crypto/ecdh"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 
 	"repro/internal/binenc"
@@ -43,7 +43,7 @@ func (p PublicKeys) Marshal() []byte {
 	}
 	sort.Strings(attrs)
 
-	w := binenc.NewWriter(300 * (len(attrs) + 1))
+	w := binenc.NewWriter(64 * (len(attrs) + 1))
 	w.Uvarint(uint64(len(attrs)))
 	for _, a := range attrs {
 		w.String(a)
@@ -62,7 +62,7 @@ func UnmarshalPublicKeys(b []byte) (PublicKeys, error) {
 	if count > 1<<20 {
 		return PublicKeys{}, errors.New("abe: unmarshal public keys: too many attributes")
 	}
-	p := PublicKeys{Keys: make(map[string]*big.Int, count)}
+	p := PublicKeys{Keys: make(map[string]*ecdh.PublicKey, count)}
 	for i := uint64(0); i < count; i++ {
 		attr, err := r.ReadString()
 		if err != nil {
@@ -72,7 +72,9 @@ func UnmarshalPublicKeys(b []byte) (PublicKeys, error) {
 		if err != nil {
 			return PublicKeys{}, fmt.Errorf("abe: unmarshal public key %d: %w", i, err)
 		}
-		p.Keys[attr] = new(big.Int).SetBytes(kb)
+		if p.Keys[attr], err = ecdh.X25519().NewPublicKey(kb); err != nil {
+			return PublicKeys{}, fmt.Errorf("%w: public key %d: %v", ErrCorrupt, i, err)
+		}
 	}
 	if !r.Done() {
 		return PublicKeys{}, errors.New("abe: unmarshal public keys: trailing bytes")
@@ -112,7 +114,7 @@ func UnmarshalPrivateKey(b []byte) (*PrivateKey, error) {
 	if count > 1<<20 {
 		return nil, errors.New("abe: unmarshal key: too many attributes")
 	}
-	k := &PrivateKey{Holder: holder, Scalars: make(map[string]*big.Int, count)}
+	k := &PrivateKey{Holder: holder, Scalars: make(map[string]*ecdh.PrivateKey, count)}
 	for i := uint64(0); i < count; i++ {
 		attr, err := r.ReadString()
 		if err != nil {
@@ -122,7 +124,9 @@ func UnmarshalPrivateKey(b []byte) (*PrivateKey, error) {
 		if err != nil {
 			return nil, fmt.Errorf("abe: unmarshal key scalar %d: %w", i, err)
 		}
-		k.Scalars[attr] = new(big.Int).SetBytes(scalar)
+		if k.Scalars[attr], err = ecdh.X25519().NewPrivateKey(scalar); err != nil {
+			return nil, fmt.Errorf("%w: key scalar %d: %v", ErrCorrupt, i, err)
+		}
 	}
 	if !r.Done() {
 		return nil, errors.New("abe: unmarshal key: trailing bytes")

@@ -16,7 +16,7 @@ func TestAuthorityMarshalRoundTrip(t *testing.T) {
 	// The restored authority must issue identical attribute keys.
 	k1 := a1.IssueKey("u", []string{"attr"})
 	k2 := a2.IssueKey("u", []string{"attr"})
-	if k1.Scalars["attr"].Cmp(k2.Scalars["attr"]) != 0 {
+	if !k1.Scalars["attr"].Equal(k2.Scalars["attr"]) {
 		t.Fatal("restored authority issues different keys")
 	}
 	// And a key from the restored authority must decrypt ciphertexts
@@ -57,7 +57,7 @@ func TestPrivateKeyMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("restored key = %+v", k2)
 	}
 	for attr, s := range k1.Scalars {
-		if k2.Scalars[attr].Cmp(s) != 0 {
+		if !k2.Scalars[attr].Equal(s) {
 			t.Fatalf("scalar for %q differs", attr)
 		}
 	}

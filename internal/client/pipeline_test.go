@@ -118,6 +118,19 @@ func (c *cancelAfterReader) Read(p []byte) (int, error) {
 
 // waitGoroutines polls until the goroutine count settles at or below
 // the baseline (plus tolerance), failing the test otherwise.
+// goroutineBaseline counts goroutines once every server has answered an
+// RPC on c's connections. A server starts a connection's handler and
+// writer goroutines when its accept loop gets to the connection, which
+// can be after the client's dial returned; counted before that, they
+// look like a leak later.
+func goroutineBaseline(t *testing.T, c *Client) int {
+	t.Helper()
+	if _, err := c.ClusterMetricsBySource(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return runtime.NumGoroutine()
+}
+
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -160,7 +173,7 @@ func TestUploadCancellation(t *testing.T) {
 	data := randomFile(t, fileSize, 7)
 	pol := policy.OrOfUsers([]string{"cancel-up"})
 
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline(t, c)
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	src := &cancelAfterReader{r: bytes.NewReader(data), n: fileSize / 4, cancel: cancel}
@@ -213,7 +226,7 @@ func TestUploadCancelWhileReaderBlocked(t *testing.T) {
 		stalled: make(chan struct{}),
 		unblock: make(chan struct{}),
 	}
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline(t, c)
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -268,7 +281,7 @@ func TestDownloadCancellation(t *testing.T) {
 	// A separate client downloads: cancellation retires its in-flight
 	// connections, so the uploader's stay usable.
 	down := newUserSegmented(t, cluster, "cancel-down", segBytes, chunkSize)
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline(t, down)
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &cancelAfterWriter{cancel: cancel}

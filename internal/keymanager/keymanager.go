@@ -13,7 +13,6 @@ package keymanager
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -137,8 +136,11 @@ func NewServer(key *oprf.ServerKey, opts ...ServerOption) *Server {
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.shutdown {
+		// Shutdown ran before this loop stored ln, so it never saw the
+		// listener: close it here and report the same clean stop.
 		s.mu.Unlock()
-		return errors.New("keymanager: server already shut down")
+		ln.Close()
+		return net.ErrClosed
 	}
 	s.ln = ln
 	s.mu.Unlock()

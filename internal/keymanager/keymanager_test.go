@@ -264,6 +264,24 @@ func TestServeReturnsErrClosedAfterShutdown(t *testing.T) {
 	}
 }
 
+// TestServeAfterShutdownClosesListener: a Serve that starts after
+// Shutdown closes the listener it was handed and reports the same clean
+// stop.
+func TestServeAfterShutdownClosesListener(t *testing.T) {
+	srv := NewServer(serverKey(t))
+	srv.Shutdown()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after Serve returned: Accept error = %v", err)
+	}
+}
+
 // TestConcurrentBatchesOneConnection issues key-generation batches from
 // several goroutines over one client connection. The mux tags each
 // batch with a request ID, so responses returning out of order must

@@ -28,6 +28,7 @@ import (
 	"math/big"
 
 	"repro/internal/binenc"
+	"repro/internal/rsacrt"
 )
 
 // DefaultBits is the default RSA modulus size for derivation keys.
@@ -128,10 +129,12 @@ func (o *Owner) Current() State {
 }
 
 // Wind advances to the next state using the private derivation key and
-// returns it. This is the owner-side rekeying operation.
+// returns it. This is the owner-side rekeying operation. The
+// exponentiation runs in CRT form (internal/rsacrt), full-width for a
+// key without CRT values.
 func (o *Owner) Wind() State {
 	v := new(big.Int).SetBytes(o.current.Value)
-	next := new(big.Int).Exp(v, o.priv.D, o.priv.N)
+	next := rsacrt.Exp(o.priv, v)
 	o.current = State{
 		Version: o.current.Version + 1,
 		Value:   padToModulus(next, o.priv.N),

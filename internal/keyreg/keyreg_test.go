@@ -2,7 +2,9 @@ package keyreg
 
 import (
 	"bytes"
+	"crypto/rsa"
 	"errors"
+	"math/big"
 	"sync"
 	"testing"
 )
@@ -48,6 +50,33 @@ func TestWindIncrementsVersion(t *testing.T) {
 // TestUnwindRecoversEarlierStates is the core key-regression property:
 // a member holding state i derives states i-1, ..., 1 with the public
 // key only, and they match what the owner produced.
+// TestWindCRTMatchesFullExponent winds the same chain three ways — CRT,
+// the textbook st^d mod N, and an owner stripped of its CRT values (the
+// full-width fallback) — and all three must agree at every step, with
+// each state unwinding to its predecessor.
+func TestWindCRTMatchesFullExponent(t *testing.T) {
+	o := newOwner(t)
+	stripped := &Owner{
+		priv:    &rsa.PrivateKey{PublicKey: o.priv.PublicKey, D: o.priv.D},
+		current: o.Current(),
+	}
+	for i := 0; i < 32; i++ {
+		prev := o.Current()
+		want := new(big.Int).Exp(new(big.Int).SetBytes(prev.Value), o.priv.D, o.priv.N)
+		got := o.Wind()
+		if !bytes.Equal(got.Value, padToModulus(want, o.priv.N)) {
+			t.Fatalf("step %d: CRT wind differs from full exponentiation", i)
+		}
+		if fallback := stripped.Wind(); !bytes.Equal(fallback.Value, got.Value) || fallback.Version != got.Version {
+			t.Fatalf("step %d: full-width fallback differs from CRT wind", i)
+		}
+		back, err := Unwind(o.Public(), got, prev.Version)
+		if err != nil || !bytes.Equal(back.Value, prev.Value) {
+			t.Fatalf("step %d: wound state does not unwind to its predecessor: %v", i, err)
+		}
+	}
+}
+
 func TestUnwindRecoversEarlierStates(t *testing.T) {
 	o := newOwner(t)
 	pub := o.Public()

@@ -3,25 +3,9 @@ package oprf
 import (
 	"bytes"
 	"crypto/rsa"
-	"math/big"
 	"testing"
 	"time"
 )
-
-// TestCRTMatchesFullExponent checks Garner recombination against the
-// textbook full-width exponentiation for many FDH images, including the
-// branch where m1 < m2.
-func TestCRTMatchesFullExponent(t *testing.T) {
-	k := serverKey(t)
-	n := k.priv.N
-	for i := 0; i < 64; i++ {
-		x := fdh([]byte{byte(i)}, n)
-		want := new(big.Int).Exp(x, k.priv.D, n)
-		if got := k.exp(x); got.Cmp(want) != 0 {
-			t.Fatalf("CRT result differs from full exponentiation for input %d", i)
-		}
-	}
-}
 
 // TestEvaluateFallbackWithoutPrecomputed exercises the full-width
 // safety net used when the private key lacks CRT values.

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"repro/internal/rsacrt"
 )
 
 // DefaultBits is the paper's RSA modulus size for the key manager.
@@ -75,9 +77,9 @@ func (k *ServerKey) PublicParams() PublicParams {
 // Evaluate computes the blind signature y = x^d mod N on a blinded
 // element. This is the only operation the key manager performs per
 // request, and the computational bottleneck of MLE key generation
-// (Experiment A.1). The exponentiation runs in CRT form — two
-// half-size exponentiations recombined with Garner's formula — which
-// is ~3-4x faster than a full-width x^d mod N. Timing side channels
+// (Experiment A.1). The exponentiation runs in CRT form
+// (internal/rsacrt), which is ~3-4x faster than a full-width x^d mod N,
+// the path kept for keys without CRT values. Timing side channels
 // are not a concern here: the input is already blinded by the client,
 // so the server's timing reveals nothing about the fingerprint.
 func (k *ServerKey) Evaluate(blinded []byte) ([]byte, error) {
@@ -85,27 +87,7 @@ func (k *ServerKey) Evaluate(blinded []byte) ([]byte, error) {
 	if x.Cmp(k.priv.N) >= 0 {
 		return nil, ErrBadElement
 	}
-	return padToModulus(k.exp(x), k.priv.N), nil
-}
-
-// exp computes x^d mod N, via the CRT when the private key carries the
-// standard two-prime precomputed values (rsa.GenerateKey always
-// populates them; the full-width path is a safety net for exotic keys).
-func (k *ServerKey) exp(x *big.Int) *big.Int {
-	pre := &k.priv.Precomputed
-	if len(k.priv.Primes) != 2 || pre.Dp == nil || pre.Dq == nil || pre.Qinv == nil {
-		return new(big.Int).Exp(x, k.priv.D, k.priv.N)
-	}
-	p, q := k.priv.Primes[0], k.priv.Primes[1]
-	// m1 = x^(d mod p-1) mod p, m2 = x^(d mod q-1) mod q.
-	m1 := new(big.Int).Exp(x, pre.Dp, p)
-	m2 := new(big.Int).Exp(x, pre.Dq, q)
-	// Garner: h = qInv * (m1 - m2) mod p; y = m2 + h*q.
-	h := new(big.Int).Sub(m1, m2)
-	h.Mul(h, pre.Qinv)
-	h.Mod(h, p) // Euclidean Mod: in [0, p) even when m1 < m2
-	y := h.Mul(h, q)
-	return y.Add(y, m2)
+	return padToModulus(rsacrt.Exp(k.priv, x), k.priv.N), nil
 }
 
 // PublicParams identifies the key manager's RSA public key.

@@ -51,6 +51,30 @@ func TestServeReturnsErrClosedAfterShutdown(t *testing.T) {
 	}
 }
 
+// TestServeAfterShutdownClosesListener is the ordering the test above
+// hits only when Shutdown wins the race to the server's mutex: Serve is
+// handed a listener the shutdown never saw, and must close it and report
+// the same clean stop.
+func TestServeAfterShutdownClosesListener(t *testing.T) {
+	srv, err := New(ctx, store.NewMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after Serve returned: Accept error = %v", err)
+	}
+}
+
 // TestOneConnectionMixedPlanes drives every RPC plane — chunk puts and
 // gets, blob puts/gets/deletes, listing, stats — from many goroutines
 // over a single multiplexed connection. Every response must match its

@@ -17,7 +17,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -130,8 +129,11 @@ func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, e
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.shutdown {
+		// Shutdown ran before this loop stored ln, so it never saw the
+		// listener: close it here and report the same clean stop.
 		s.mu.Unlock()
-		return errors.New("server: already shut down")
+		ln.Close()
+		return net.ErrClosed
 	}
 	s.ln = ln
 	s.mu.Unlock()

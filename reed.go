@@ -270,7 +270,9 @@ func UnmarshalAuthority(b []byte) (*Authority, error) {
 }
 
 // UnmarshalAccessKey restores a user's access key from
-// AccessKey.Marshal output.
+// AccessKey.Marshal output. Keys hold 32-byte X25519 scalars; a key
+// issued by the earlier 2048-bit MODP kernel is refused, and the
+// authority — whose master-secret format did not change — re-issues it.
 func UnmarshalAccessKey(b []byte) (*AccessKey, error) {
 	return abe.UnmarshalPrivateKey(b)
 }
@@ -282,7 +284,8 @@ func UnmarshalOwner(b []byte) (*Owner, error) {
 }
 
 // UnmarshalPublicKeyBundle restores a bundle from
-// PublicKeyBundle.Marshal output.
+// PublicKeyBundle.Marshal output. A bundle published by the earlier
+// MODP kernel is refused and must be published again.
 func UnmarshalPublicKeyBundle(b []byte) (PublicKeyBundle, error) {
 	return abe.UnmarshalPublicKeys(b)
 }

@@ -4,9 +4,10 @@
 #
 # Re-runs the archived benchmark suites (pipeline streaming upload, mux
 # pipelining, sharded PUT saturation, OPRF keygen, two-phase warm
-# upload) and ratchets each
+# upload, Figure 8 rekey delay) and ratchets each
 # against its committed BENCH_*.json via `reed-benchjson -compare`: any
-# direction-classified metric (ns/op up, MB/s or *MBps* down) drifting
+# direction-classified metric (ns/op or *_s_* delay up, MB/s or *MBps*
+# down) drifting
 # past the tolerance exits non-zero and names the offender.
 #
 # De-flaking: every suite runs three times (-count=3) and the BEST value
@@ -55,5 +56,6 @@ ratchet mux      BENCH_mux.json      BenchmarkMuxedGets       3x    ./internal/s
 ratchet shard    BENCH_shard.json    BenchmarkShardedPut      1x    .
 ratchet oprf     BENCH_oprf.json     BenchmarkKeygenPerChunk  1000x ./internal/oprf/
 ratchet warm     BENCH_warm.json     BenchmarkWarmUpload      1x    .
+ratchet rekey    BENCH_rekey.json    'BenchmarkFig8(aRekeyUsers|bRekeyRatio)' 1x .
 
 echo "bench-ratchet: all suites within tolerance"
