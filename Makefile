@@ -4,7 +4,7 @@ GO ?= go
 # install the same thing.
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: check vet vet-bench vet-reed vet-reed-test fuzz-smoke tools staticcheck build test race chaos crash-recovery fmt-check vuln cover bench-smoke bench-mux bench-json bench-ratchet admin-smoke clean
+.PHONY: check vet vet-bench vet-reed vet-reed-test fuzz-smoke tools staticcheck build test race chaos crash-recovery fmt-check vuln cover bench-smoke bench-mux bench-json bench-ratchet admin-smoke loc clean
 
 # check is the CI gate: vet, project-specific static analysis, build
 # everything, race-enabled tests.
@@ -24,11 +24,10 @@ vet-bench:
 # vet-reed runs the project's own static-analysis suite (tools/reed-vet):
 # key-material hygiene, context-first APIs, lock-scope discipline, metric
 # naming, retry-path error classification, buffer-pool lifecycle,
-# durability-before-ack ordering, idempotency-table agreement, and
-# secret zeroization. See DESIGN.md "Static analysis". Exits non-zero
-# on any diagnostic. The suite then self-hosts: the analyzers run over
-# their own module too, so the tool is held to the invariants it
-# enforces. Set VET_SARIF=<repo-relative path> to also write a SARIF
+# durability-before-ack ordering, and secret zeroization. See DESIGN.md
+# "Static analysis". Exits non-zero on any diagnostic. The suite then
+# self-hosts: the analyzers run over their own module too, so the tool
+# is held to the invariants it enforces. Set VET_SARIF=<repo-relative path> to also write a SARIF
 # 2.1.0 log for the main-module run (CI uploads it as an artifact).
 VET_SARIF ?=
 vet-reed:
@@ -160,6 +159,13 @@ bench-ratchet:
 # from the outside. CI runs this; it needs only curl and go.
 admin-smoke:
 	@sh scripts/admin_smoke.sh
+
+# loc prints non-blank, non-comment Go line counts for production code,
+# tests and tools/reed-vet (testdata excluded). Run it on the parent
+# commit and on a change to see whether the change is net-negative; CI
+# appends the table to the job summary.
+loc:
+	@sh scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

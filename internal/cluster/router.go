@@ -4,34 +4,26 @@
 //
 // Two routing planes share one consistent-hash ring (internal/ring):
 //
-//   - chunk plane — PutChunks, GetChunks, DerefChunks, Challenge route
-//     each fingerprint to its ring owner, so a chunk deduplicates
-//     globally (every client sends a given fingerprint to the same
-//     shard) and per-shard dedup accounting sums to the single-node
-//     totals;
-//   - file plane — PutBlob, GetBlob, DeleteBlob route by a hash of the
+//   - chunk plane — the *Chunks calls and Challenge route each
+//     fingerprint to its ring owner, so a chunk deduplicates globally
+//     (every client sends a given fingerprint to the same shard) and
+//     per-shard dedup accounting sums to the single-node totals;
+//   - file plane — the *Blob and *File calls route by a hash of the
 //     object name, so a file's recipe and stub file co-locate on one
 //     "home" shard while different files spread across the cluster.
 //
 // Batched calls are partitioned by owner, issued concurrently per
-// shard, and reassembled in the caller's order, so the pipeline above
-// sees exactly the single-connection semantics it always had. Fault
-// handling splits by idempotency: reads ride the transport's
-// transparent redial/re-issue machinery, chunk-batch puts are re-sent
-// here under the retry policy (re-PUT is dedup-safe; see
-// internal/dedup), and the reference-counted mutations fail fast when
-// a shard is marked down — the caller must decide, not a blind replay.
-//
-// A shard is marked down after DownAfter consecutive transport
-// failures and marked up again by any successful call (application
-// errors from a live shard count as successes — the shard answered).
-// Idempotent calls always try, which is also what heals the mark.
+// shard, and reassembled in the caller's order (scatter), so the
+// pipeline above sees single-connection semantics. Fault handling is
+// not decided per method: call reads each request's retry class from
+// the proto table.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,15 +39,17 @@ import (
 	"repro/internal/server"
 )
 
-// DefaultDownAfter is how many consecutive transport failures mark a
-// shard down for non-idempotent operations.
-const DefaultDownAfter = 3
+const (
+	// downAfter is how many consecutive transport failures mark a shard
+	// down; any answer, even an application error, marks it up again.
+	downAfter = 3
+	// fpBatch bounds the fingerprints in one GetChunks, HasChunks,
+	// RefChunks or DerefChunks RPC (128 KiB of a 64 MiB frame).
+	fpBatch = 4096
+)
 
-// DefaultGetBatchChunks bounds one GetChunks RPC's fingerprint count.
-const DefaultGetBatchChunks = 4096
-
-// ErrShardDown wraps errors returned when a non-idempotent operation is
-// refused because its target shard is marked down.
+// ErrShardDown wraps errors returned when a request that the transport
+// may not replay is refused because its target shard is marked down.
 var ErrShardDown = errors.New("cluster: shard down")
 
 // Config configures a Router.
@@ -73,9 +67,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// BatchBytes caps one PutChunks batch's payload (default 4 MB).
 	BatchBytes int
-	// GetBatchChunks caps one GetChunks RPC's fingerprint count
-	// (default DefaultGetBatchChunks).
-	GetBatchChunks int
 	// VirtualNodes and RingSeed configure the placement ring; zero
 	// values use the ring package defaults.
 	VirtualNodes int
@@ -83,19 +74,15 @@ type Config struct {
 	// OnBatchRetry, when set, is called once per re-sent chunk batch
 	// (the client wires its RetryStats counter here).
 	OnBatchRetry func()
-	// DownAfter overrides DefaultDownAfter.
-	DownAfter int
 }
 
 // ShardHealth is one shard's routing-plane health view.
 type ShardHealth struct {
-	// Addr is the shard's address.
 	Addr string
-	// ConsecutiveFailures counts transport failures since the last
-	// successful call.
+	// ConsecutiveFailures counts transport failures since the last answer.
 	ConsecutiveFailures int
-	// Down reports whether non-idempotent operations currently fail
-	// fast against this shard.
+	// Down reports whether requests the transport may not replay
+	// currently fail fast against this shard.
 	Down bool
 }
 
@@ -105,35 +92,20 @@ type Router struct {
 	cfg   Config
 	ring  *ring.Ring
 	conns []*server.Client
-	// fails[s] counts consecutive transport failures against shard s;
-	// crossing cfg.DownAfter marks the shard down.
+	// fails[s] counts shard s's consecutive transport failures.
 	fails []atomic.Int64
 }
 
-// Dial connects to every shard. ctx bounds the initial handshakes, not
-// the router's lifetime. Placement is fixed at construction: the same
-// shard list (in any order), virtual-node count, and seed yield the
-// same chunk→shard mapping on every client.
+// Dial connects to every shard; ctx bounds the dials, not the router's
+// lifetime. Placement is fixed here: the same shard list (in any order),
+// virtual-node count and seed give every client the same mapping.
 func Dial(ctx context.Context, cfg Config) (*Router, error) {
-	var ringOpts []ring.Option
-	if cfg.VirtualNodes > 0 {
-		ringOpts = append(ringOpts, ring.WithVirtualNodes(cfg.VirtualNodes))
-	}
-	if cfg.RingSeed != 0 {
-		ringOpts = append(ringOpts, ring.WithSeed(cfg.RingSeed))
-	}
-	rg, err := ring.New(cfg.Shards, ringOpts...)
+	rg, err := ring.New(cfg.Shards, ring.WithVirtualNodes(cfg.VirtualNodes), ring.WithSeed(cfg.RingSeed))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.BatchBytes <= 0 {
 		cfg.BatchBytes = 4 << 20
-	}
-	if cfg.GetBatchChunks <= 0 {
-		cfg.GetBatchChunks = DefaultGetBatchChunks
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = DefaultDownAfter
 	}
 	r := &Router{cfg: cfg, ring: rg, fails: make([]atomic.Int64, len(cfg.Shards))}
 	for _, addr := range cfg.Shards {
@@ -167,46 +139,63 @@ func (r *Router) Addrs() []string { return r.ring.Members() }
 // Owner returns the shard index owning a chunk fingerprint.
 func (r *Router) Owner(fp fingerprint.Fingerprint) int { return r.ring.Owner(fp) }
 
-// Home returns the shard index holding an object name's file-plane
-// blobs (its recipe and stub file land together).
+// Home returns the shard index holding an object name's blobs.
 func (r *Router) Home(name string) int { return r.ring.OwnerKey([]byte(name)) }
 
-// rpc derives the context one shard RPC runs under.
-func (r *Router) rpc(ctx context.Context) (context.Context, context.CancelFunc) {
-	if r.cfg.CallTimeout > 0 {
-		return context.WithTimeout(ctx, r.cfg.CallTimeout)
-	}
-	return ctx, func() {}
-}
-
-// observe feeds one call outcome into shard health. Application errors
-// (proto.RemoteError) mean the shard answered — it is up; context
-// errors say nothing about the shard and are ignored.
-func (r *Router) observe(s int, err error) {
-	if err == nil {
-		r.fails[s].Store(0)
-		return
-	}
+// answered reports whether err is an application error from a live
+// shard: the shard is up and a re-send would get the same answer.
+func answered(err error) bool {
 	var re *proto.RemoteError
-	if errors.As(err, &re) {
-		r.fails[s].Store(0)
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	r.fails[s].Add(1)
+	return errors.As(err, &re)
 }
 
-// downErr returns a fail-fast error when shard s is marked down, nil
-// otherwise. Only non-idempotent entry points consult it — reads keep
-// probing (and heal the mark on success).
-func (r *Router) downErr(s int) error {
-	if n := r.fails[s].Load(); n >= int64(r.cfg.DownAfter) {
-		return fmt.Errorf("%w: shard %d (%s) after %d consecutive transport failures",
-			ErrShardDown, s, r.cfg.Shards[s], n)
+// call runs one RPC of request type typ against shard s, and is the one
+// place the routing plane applies typ's retry class: only
+// ReplayByTransport requests are let through to a shard marked down
+// (which is what heals the mark), and only ResendByRouter requests are
+// re-sent after a transport failure. Every attempt runs under
+// CallTimeout and feeds shard health; context errors say nothing about
+// the shard. fn takes the connection first so method expressions fit.
+func call[R any](ctx context.Context, r *Router, typ proto.MsgType, s int, fn func(*server.Client, context.Context) (R, error)) (R, error) {
+	var out R
+	attempt := func(ctx context.Context) (err error) {
+		if r.cfg.CallTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, r.cfg.CallTimeout)
+			defer cancel()
+		}
+		out, err = fn(r.conns[s], ctx)
+		switch {
+		case err == nil || answered(err):
+			r.fails[s].Store(0)
+		case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+			r.fails[s].Add(1)
+		}
+		return err
 	}
-	return nil
+	var err error
+	switch class, n := typ.Retry(), r.fails[s].Load(); {
+	case class != proto.ReplayByTransport && n >= downAfter:
+		err = fmt.Errorf("%w after %d consecutive transport failures", ErrShardDown, n)
+	case class == proto.ResendByRouter:
+		sent := 0
+		err = retry.Do(ctx, r.cfg.Retry, func(ctx context.Context) error {
+			if sent++; sent > 1 && r.cfg.OnBatchRetry != nil {
+				r.cfg.OnBatchRetry()
+			}
+			err := attempt(ctx)
+			if answered(err) {
+				return retry.Permanent(err)
+			}
+			return err
+		})
+	default:
+		err = attempt(ctx)
+	}
+	if err != nil {
+		return out, fmt.Errorf("cluster: %v on shard %d (%s): %w", typ, s, r.cfg.Shards[s], err)
+	}
+	return out, nil
 }
 
 // Health returns every shard's routing-plane health, in index order.
@@ -214,29 +203,20 @@ func (r *Router) Health() []ShardHealth {
 	out := make([]ShardHealth, len(r.conns))
 	for s := range r.conns {
 		n := r.fails[s].Load()
-		out[s] = ShardHealth{
-			Addr:                r.cfg.Shards[s],
-			ConsecutiveFailures: int(n),
-			Down:                n >= int64(r.cfg.DownAfter),
-		}
+		out[s] = ShardHealth{Addr: r.cfg.Shards[s], ConsecutiveFailures: int(n), Down: n >= downAfter}
 	}
 	return out
 }
 
 // Reconnects sums connection re-establishments across all shards.
-func (r *Router) Reconnects() uint64 {
-	var n uint64
-	for _, conn := range r.conns {
-		n += conn.Reconnects()
-	}
-	return n
-}
+func (r *Router) Reconnects() uint64 { return r.sum((*server.Client).Reconnects) }
 
 // Retries sums transparently re-issued RPCs across all shards.
-func (r *Router) Retries() uint64 {
-	var n uint64
+func (r *Router) Retries() uint64 { return r.sum((*server.Client).Retries) }
+
+func (r *Router) sum(counter func(*server.Client) uint64) (n uint64) {
 	for _, conn := range r.conns {
-		n += conn.Retries()
+		n += counter(conn)
 	}
 	return n
 }
@@ -257,561 +237,214 @@ func (r *Router) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// splitBatches groups uploads so each batch stays under maxBytes
-// (always at least one chunk per batch).
-func splitBatches(chunks []proto.ChunkUpload, maxBytes int) [][]proto.ChunkUpload {
-	var (
-		out   [][]proto.ChunkUpload
-		cur   []proto.ChunkUpload
-		bytes int
-	)
-	for _, c := range chunks {
-		if len(cur) > 0 && bytes+len(c.Data) > maxBytes {
-			out = append(out, cur)
-			cur, bytes = nil, 0
-		}
-		cur = append(cur, c)
-		bytes += len(c.Data)
-	}
-	if len(cur) > 0 {
-		out = append(out, cur)
-	}
-	return out
-}
-
 // --- chunk plane ---
 
-// PutChunks uploads a batch of trimmed packages, each to its owning
-// shard, and returns per-chunk duplicate flags in input order.
-//
-// This is the router-owned retry layer: PutChunks is not re-issued by
-// the transport (a replay inflates refcounts), so a batch that dies
-// with its connection is re-sent here under Config.Retry. Re-PUT
-// converges byte-identically — the store detects the duplicate
-// fingerprint and only bumps a refcount — so a flapping shard costs
-// over-retention at worst, never corruption. Application errors from a
-// healthy shard are permanent, and a shard marked down fails the call
-// immediately.
-func (r *Router) PutChunks(ctx context.Context, chunks []proto.ChunkUpload) ([]bool, error) {
-	if len(chunks) == 0 {
+// oneFP describes an item of the fingerprint-list requests to scatter.
+func oneFP(fp fingerprint.Fingerprint) (fingerprint.Fingerprint, int) { return fp, 1 }
+
+// cut returns how many leading items form the next sub-batch: as many
+// as keep the summed weight within limit, and always at least one.
+func cut[T any](items []T, weigh func(T) (fingerprint.Fingerprint, int), limit int) int {
+	for n := range items {
+		_, w := weigh(items[n])
+		if limit -= w; limit < 0 && n > 0 {
+			return n
+		}
+	}
+	return len(items)
+}
+
+// scatter is the chunk plane's one fan-out. weigh gives each item's
+// fingerprint and weight: scatter buckets items by the fingerprint's
+// ring owner and runs one goroutine per shard that has any, which sends
+// its bucket in sub-batches of at most limit total weight through call,
+// so typ's retry class governs every RPC. Results land at the positions
+// their items had in the caller's slice. Buckets are filled once and
+// sub-batches alias them: no payload is copied.
+func scatter[T, R any](ctx context.Context, r *Router, typ proto.MsgType, items []T,
+	weigh func(T) (fingerprint.Fingerprint, int), limit int,
+	send func(*server.Client, context.Context, []T) ([]R, error)) ([]R, error) {
+	if len(items) == 0 {
 		return nil, nil
 	}
-	type slot struct {
-		idx int // position in the caller's batch
-		up  proto.ChunkUpload
+	bucket := make([][]T, len(r.conns))
+	pos := make([][]int, len(r.conns)) // pos[s][i] is bucket[s][i]'s index in items
+	for i, it := range items {
+		fp, _ := weigh(it)
+		s := r.ring.Owner(fp)
+		bucket[s] = append(bucket[s], it)
+		pos[s] = append(pos[s], i)
 	}
-	perShard := make([][]slot, len(r.conns))
-	for i, up := range chunks {
-		s := r.ring.Owner(up.FP)
-		perShard[s] = append(perShard[s], slot{idx: i, up: up})
-	}
-
-	policy := r.cfg.Retry
-	callerHook := policy.OnRetry
-	policy.OnRetry = func(attempt int, err error, delay time.Duration) {
-		if r.cfg.OnBatchRetry != nil {
-			r.cfg.OnBatchRetry()
-		}
-		if callerHook != nil {
-			callerHook(attempt, err, delay)
-		}
-	}
-
-	flags := make([]bool, len(chunks))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	out := make([]R, len(items))
+	errs := make([]error, len(r.conns))
+	var wg sync.WaitGroup
 	for s := range r.conns {
-		if len(perShard[s]) == 0 {
+		if len(bucket[s]) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			fail := func(err error) {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-			if err := r.downErr(s); err != nil {
-				fail(fmt.Errorf("cluster: upload to shard %d: %w", s, err))
-				return
-			}
-			slots := perShard[s]
-			ups := make([]proto.ChunkUpload, len(slots))
-			for i, sl := range slots {
-				ups[i] = sl.up
-			}
-			done := 0
-			for _, batch := range splitBatches(ups, r.cfg.BatchBytes) {
-				var dups []bool
-				err := retry.Do(ctx, policy, func(ctx context.Context) error {
-					rctx, cancel := r.rpc(ctx)
-					defer cancel()
-					var err error
-					dups, err = r.conns[s].PutChunks(rctx, batch)
-					r.observe(s, err)
-					if err == nil {
-						return nil
-					}
-					var re *proto.RemoteError
-					if errors.As(err, &re) {
-						return retry.Permanent(err)
-					}
-					return err
+			for rest, at := bucket[s], pos[s]; len(rest) > 0 && errs[s] == nil; {
+				n := cut(rest, weigh, limit)
+				var got []R
+				got, errs[s] = call(ctx, r, typ, s, func(c *server.Client, ctx context.Context) ([]R, error) {
+					return send(c, ctx, rest[:n])
 				})
-				if err != nil {
-					fail(fmt.Errorf("cluster: upload to shard %d (%s): %w", s, r.cfg.Shards[s], err))
-					return
+				for i, v := range got {
+					out[at[i]] = v
 				}
-				for i, d := range dups {
-					flags[slots[done+i].idx] = d
-				}
-				done += len(batch)
+				rest, at = rest[n:], at[n:]
 			}
 		}(s)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	return flags, nil
+	return out, nil
+}
+
+// PutChunks uploads trimmed packages, each to its owning shard in
+// sub-batches of at most Config.BatchBytes, and returns per-chunk
+// duplicate flags in input order. A sub-batch that dies with its
+// connection is re-sent: the store detects the duplicate fingerprint
+// and only bumps a refcount, so a flapping shard costs over-retention
+// at worst, never corruption.
+func (r *Router) PutChunks(ctx context.Context, chunks []proto.ChunkUpload) ([]bool, error) {
+	weigh := func(c proto.ChunkUpload) (fingerprint.Fingerprint, int) { return c.FP, len(c.Data) }
+	return scatter(ctx, r, proto.MsgPutChunksReq, chunks, weigh, r.cfg.BatchBytes, (*server.Client).PutChunks)
 }
 
 // GetChunks fetches trimmed packages by fingerprint from their owning
-// shards, concurrently, returning them in input order. Reads are
-// re-issued transparently by the transport after connection faults.
+// shards, returning them in input order.
 func (r *Router) GetChunks(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
-	if len(fps) == 0 {
-		return nil, nil
-	}
-	type want struct {
-		idx int
-		fp  fingerprint.Fingerprint
-	}
-	perShard := make([][]want, len(r.conns))
-	for i, fp := range fps {
-		s := r.ring.Owner(fp)
-		perShard[s] = append(perShard[s], want{idx: i, fp: fp})
-	}
-
-	out := make([][]byte, len(fps))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for s := range r.conns {
-		if len(perShard[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			wants := perShard[s]
-			batch := r.cfg.GetBatchChunks
-			for start := 0; start < len(wants); start += batch {
-				end := start + batch
-				if end > len(wants) {
-					end = len(wants)
-				}
-				fps := make([]fingerprint.Fingerprint, 0, end-start)
-				for _, w := range wants[start:end] {
-					fps = append(fps, w.fp)
-				}
-				rctx, cancel := r.rpc(ctx)
-				datas, err := r.conns[s].GetChunks(rctx, fps)
-				cancel()
-				r.observe(s, err)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("cluster: download from shard %d (%s): %w", s, r.cfg.Shards[s], err)
-					}
-					mu.Unlock()
-					return
-				}
-				for i, w := range wants[start:end] {
-					out[w.idx] = datas[i]
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return scatter(ctx, r, proto.MsgGetChunksReq, fps, oneFP, fpBatch, (*server.Client).GetChunks)
 }
 
-// DerefChunks drops one reference from each fingerprint on its owning
-// shard, returning the total number freed. Refcount mutations are never
-// auto-re-issued, and a shard marked down fails the call immediately.
-func (r *Router) DerefChunks(ctx context.Context, fps []fingerprint.Fingerprint) (uint64, error) {
-	if len(fps) == 0 {
-		return 0, nil
-	}
-	perShard := make([][]fingerprint.Fingerprint, len(r.conns))
-	for _, fp := range fps {
-		s := r.ring.Owner(fp)
-		perShard[s] = append(perShard[s], fp)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		freed    uint64
-	)
-	for s := range r.conns {
-		if len(perShard[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			fail := func(err error) {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-			if err := r.downErr(s); err != nil {
-				fail(fmt.Errorf("cluster: deref on shard %d: %w", s, err))
-				return
-			}
-			rctx, cancel := r.rpc(ctx)
-			n, err := r.conns[s].DerefChunks(rctx, perShard[s])
-			cancel()
-			r.observe(s, err)
-			if err != nil {
-				fail(fmt.Errorf("cluster: deref on shard %d (%s): %w", s, r.cfg.Shards[s], err))
-				return
-			}
-			mu.Lock()
-			freed += n
-			mu.Unlock()
-		}(s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return freed, nil
-}
-
-// HasChunks reports which fingerprints are already stored, asking each
-// fingerprint's owning shard concurrently and reassembling the flags
-// in input order. Read-only with no refcount effect: re-issued
-// transparently by the transport after connection faults.
+// HasChunks reports which fingerprints are already stored, in input
+// order. Read-only with no refcount effect.
 func (r *Router) HasChunks(ctx context.Context, fps []fingerprint.Fingerprint) ([]bool, error) {
-	if len(fps) == 0 {
-		return nil, nil
-	}
-	type want struct {
-		idx int
-		fp  fingerprint.Fingerprint
-	}
-	perShard := make([][]want, len(r.conns))
-	for i, fp := range fps {
-		s := r.ring.Owner(fp)
-		perShard[s] = append(perShard[s], want{idx: i, fp: fp})
-	}
-
-	out := make([]bool, len(fps))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for s := range r.conns {
-		if len(perShard[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			wants := perShard[s]
-			batch := r.cfg.GetBatchChunks
-			for start := 0; start < len(wants); start += batch {
-				end := start + batch
-				if end > len(wants) {
-					end = len(wants)
-				}
-				fps := make([]fingerprint.Fingerprint, 0, end-start)
-				for _, w := range wants[start:end] {
-					fps = append(fps, w.fp)
-				}
-				rctx, cancel := r.rpc(ctx)
-				present, err := r.conns[s].HasChunks(rctx, fps)
-				cancel()
-				r.observe(s, err)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("cluster: lookup on shard %d (%s): %w", s, r.cfg.Shards[s], err)
-					}
-					mu.Unlock()
-					return
-				}
-				for i, w := range wants[start:end] {
-					out[w.idx] = present[i]
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return scatter(ctx, r, proto.MsgHasChunksReq, fps, oneFP, fpBatch, (*server.Client).HasChunks)
 }
 
 // RefChunks adds one reference to each fingerprint on its owning shard
-// without re-sending bytes, returning per-fingerprint presence flags
-// in input order.
-//
-// Retry semantics match PutChunks, because the failure algebra is the
-// same: a replayed ref can only over-retain (an extra refcount until a
-// matching deref), never corrupt, so batches that die with their
-// connection are re-sent here under Config.Retry. Application errors
-// are permanent and a shard marked down fails the call immediately.
+// without re-sending bytes, returning presence flags in input order.
+// The failure algebra is PutChunks': a replayed ref can only
+// over-retain, so sub-batches that die with their connection are re-sent.
 func (r *Router) RefChunks(ctx context.Context, fps []fingerprint.Fingerprint) ([]bool, error) {
-	if len(fps) == 0 {
-		return nil, nil
-	}
-	type want struct {
-		idx int
-		fp  fingerprint.Fingerprint
-	}
-	perShard := make([][]want, len(r.conns))
-	for i, fp := range fps {
-		s := r.ring.Owner(fp)
-		perShard[s] = append(perShard[s], want{idx: i, fp: fp})
-	}
+	return scatter(ctx, r, proto.MsgRefChunksReq, fps, oneFP, fpBatch, (*server.Client).RefChunks)
+}
 
-	policy := r.cfg.Retry
-	callerHook := policy.OnRetry
-	policy.OnRetry = func(attempt int, err error, delay time.Duration) {
-		if r.cfg.OnBatchRetry != nil {
-			r.cfg.OnBatchRetry()
-		}
-		if callerHook != nil {
-			callerHook(attempt, err, delay)
-		}
+// DerefChunks drops one reference from each fingerprint on its owning
+// shard, returning the total number freed. Never re-sent: a failed call
+// may have dropped the references of some sub-batches and not others.
+func (r *Router) DerefChunks(ctx context.Context, fps []fingerprint.Fingerprint) (uint64, error) {
+	var freed atomic.Uint64
+	_, err := scatter(ctx, r, proto.MsgDerefChunksReq, fps, oneFP, fpBatch,
+		func(c *server.Client, ctx context.Context, fps []fingerprint.Fingerprint) ([]struct{}, error) {
+			n, err := c.DerefChunks(ctx, fps)
+			freed.Add(n)
+			return nil, err
+		})
+	if err != nil {
+		return 0, err
 	}
-
-	out := make([]bool, len(fps))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for s := range r.conns {
-		if len(perShard[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			fail := func(err error) {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-			if err := r.downErr(s); err != nil {
-				fail(fmt.Errorf("cluster: ref on shard %d: %w", s, err))
-				return
-			}
-			wants := perShard[s]
-			batch := r.cfg.GetBatchChunks
-			for start := 0; start < len(wants); start += batch {
-				end := start + batch
-				if end > len(wants) {
-					end = len(wants)
-				}
-				fps := make([]fingerprint.Fingerprint, 0, end-start)
-				for _, w := range wants[start:end] {
-					fps = append(fps, w.fp)
-				}
-				var found []bool
-				err := retry.Do(ctx, policy, func(ctx context.Context) error {
-					rctx, cancel := r.rpc(ctx)
-					defer cancel()
-					var err error
-					found, err = r.conns[s].RefChunks(rctx, fps)
-					r.observe(s, err)
-					if err == nil {
-						return nil
-					}
-					var re *proto.RemoteError
-					if errors.As(err, &re) {
-						return retry.Permanent(err)
-					}
-					return err
-				})
-				if err != nil {
-					fail(fmt.Errorf("cluster: ref on shard %d (%s): %w", s, r.cfg.Shards[s], err))
-					return
-				}
-				for i, w := range wants[start:end] {
-					out[w.idx] = found[i]
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return freed.Load(), nil
 }
 
 // Challenge asks a chunk's owning shard to prove possession of it.
 func (r *Router) Challenge(ctx context.Context, fp fingerprint.Fingerprint, nonce []byte) ([]byte, error) {
-	s := r.ring.Owner(fp)
-	rctx, cancel := r.rpc(ctx)
-	defer cancel()
-	resp, err := r.conns[s].Challenge(rctx, fp, nonce)
-	r.observe(s, err)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: challenge on shard %d (%s): %w", s, r.cfg.Shards[s], err)
-	}
-	return resp, nil
+	return call(ctx, r, proto.MsgChallengeReq, r.Owner(fp), func(c *server.Client, ctx context.Context) ([]byte, error) {
+		return c.Challenge(ctx, fp, nonce)
+	})
 }
 
 // --- file plane ---
 
-// PutBlob stores a blob on the name's home shard. Blob puts are
-// verbatim overwrites (idempotent), so the transport re-issues them
-// transparently after connection faults.
+// PutBlob stores a blob on the name's home shard (a verbatim overwrite).
 func (r *Router) PutBlob(ctx context.Context, ns, name string, data []byte) error {
-	s := r.Home(name)
-	rctx, cancel := r.rpc(ctx)
-	defer cancel()
-	err := r.conns[s].PutBlob(rctx, ns, name, data)
-	r.observe(s, err)
+	_, err := call(ctx, r, proto.MsgPutBlobReq, r.Home(name), func(c *server.Client, ctx context.Context) (struct{}, error) {
+		return struct{}{}, c.PutBlob(ctx, ns, name, data)
+	})
 	return err
 }
 
 // GetBlob fetches a blob from the name's home shard.
 func (r *Router) GetBlob(ctx context.Context, ns, name string) ([]byte, error) {
-	s := r.Home(name)
-	rctx, cancel := r.rpc(ctx)
-	defer cancel()
-	data, err := r.conns[s].GetBlob(rctx, ns, name)
-	r.observe(s, err)
-	return data, err
+	return call(ctx, r, proto.MsgGetBlobReq, r.Home(name), func(c *server.Client, ctx context.Context) ([]byte, error) {
+		return c.GetBlob(ctx, ns, name)
+	})
 }
 
-// DeleteBlob removes a blob from the name's home shard. Deletions are
-// never auto-re-issued, and a shard marked down fails the call
-// immediately.
+// DeleteBlob removes a blob from the name's home shard. Never re-sent:
+// a replay would turn success into a spurious not-found.
 func (r *Router) DeleteBlob(ctx context.Context, ns, name string) error {
-	s := r.Home(name)
-	if err := r.downErr(s); err != nil {
-		return fmt.Errorf("cluster: delete blob on shard %d: %w", s, err)
-	}
-	rctx, cancel := r.rpc(ctx)
-	defer cancel()
-	err := r.conns[s].DeleteBlob(rctx, ns, name)
-	r.observe(s, err)
+	_, err := call(ctx, r, proto.MsgDeleteBlobReq, r.Home(name), func(c *server.Client, ctx context.Context) (struct{}, error) {
+		return struct{}{}, c.DeleteBlob(ctx, ns, name)
+	})
 	return err
 }
 
 // CheckFile asks the whole-file index on the key's home shard whether
-// (hash, size, policy) is already stored. The home shard is fixed by
-// the key's routing name under the same placement rule as recipe
-// names, so every client's lookups and registrations for one file meet
-// on one shard. Read-only: re-issued transparently.
+// (hash, size, policy) is already stored. The key's routing name fixes
+// the home shard by the same rule as recipe names, so every client's
+// lookups and registrations for one file meet on one shard.
 func (r *Router) CheckFile(ctx context.Context, key fileindex.Key) (string, bool, error) {
-	s := r.Home(key.RoutingName())
-	rctx, cancel := r.rpc(ctx)
-	defer cancel()
-	name, found, err := r.conns[s].CheckFile(rctx, key)
-	r.observe(s, err)
-	if err != nil {
-		return "", false, fmt.Errorf("cluster: check file on shard %d (%s): %w", s, r.cfg.Shards[s], err)
-	}
-	return name, found, nil
+	var found bool
+	name, err := call(ctx, r, proto.MsgCheckFileReq, r.Home(key.RoutingName()), func(c *server.Client, ctx context.Context) (name string, err error) {
+		name, found, err = c.CheckFile(ctx, key)
+		return name, err
+	})
+	return name, found, err
 }
 
 // RegisterFile records a whole-file index entry on the key's home
-// shard. An idempotent upsert like PutBlob: re-issued transparently
-// after connection faults.
+// shard (an upsert: like PutBlob, a replay converges).
 func (r *Router) RegisterFile(ctx context.Context, key fileindex.Key, name string) error {
-	s := r.Home(key.RoutingName())
-	rctx, cancel := r.rpc(ctx)
-	defer cancel()
-	err := r.conns[s].RegisterFile(rctx, key, name)
-	r.observe(s, err)
-	if err != nil {
-		return fmt.Errorf("cluster: register file on shard %d (%s): %w", s, r.cfg.Shards[s], err)
-	}
-	return nil
+	_, err := call(ctx, r, proto.MsgRegisterFileReq, r.Home(key.RoutingName()), func(c *server.Client, ctx context.Context) (struct{}, error) {
+		return struct{}{}, c.RegisterFile(ctx, key, name)
+	})
+	return err
 }
 
-// ListBlobs lists a namespace across every shard, deduplicated and
-// sorted.
+// ListBlobs lists a namespace across every shard, deduplicated, sorted.
 func (r *Router) ListBlobs(ctx context.Context, ns string) ([]string, error) {
-	seen := make(map[string]bool)
-	for s, conn := range r.conns {
-		rctx, cancel := r.rpc(ctx)
-		names, err := conn.ListBlobs(rctx, ns)
-		cancel()
-		r.observe(s, err)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: list shard %d (%s): %w", s, r.cfg.Shards[s], err)
-		}
-		for _, n := range names {
-			seen[n] = true
-		}
+	lists, err := all(ctx, r, proto.MsgListBlobsReq, func(c *server.Client, ctx context.Context) ([]string, error) {
+		return c.ListBlobs(ctx, ns)
+	})
+	if err != nil {
+		return nil, err
 	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
+	var out []string
+	for _, names := range lists {
+		out = append(out, names...)
 	}
 	sort.Strings(out)
-	return out, nil
+	return slices.Compact(out), nil
 }
 
 // --- operational plane ---
 
-// Stats fetches every shard's dedup statistics, in index order.
-func (r *Router) Stats(ctx context.Context) ([]proto.Stats, error) {
-	out := make([]proto.Stats, 0, len(r.conns))
-	for s, conn := range r.conns {
-		rctx, cancel := r.rpc(ctx)
-		st, err := conn.Stats(rctx)
-		cancel()
-		r.observe(s, err)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: stats from shard %d (%s): %w", s, r.cfg.Shards[s], err)
+// all asks every shard in turn and returns the answers in index order.
+func all[R any](ctx context.Context, r *Router, typ proto.MsgType, ask func(*server.Client, context.Context) (R, error)) ([]R, error) {
+	out := make([]R, len(r.conns))
+	for s := range r.conns {
+		var err error
+		if out[s], err = call(ctx, r, typ, s, ask); err != nil {
+			return nil, err
 		}
-		out = append(out, st)
 	}
 	return out, nil
+}
+
+// Stats fetches every shard's dedup statistics, in index order.
+func (r *Router) Stats(ctx context.Context) ([]proto.Stats, error) {
+	return all(ctx, r, proto.MsgStatsReq, (*server.Client).Stats)
 }
 
 // ShardMetrics fetches every shard's metrics snapshot, in index order
 // (empty snapshots from uninstrumented shards).
 func (r *Router) ShardMetrics(ctx context.Context) ([]metrics.Snapshot, error) {
-	out := make([]metrics.Snapshot, 0, len(r.conns))
-	for s, conn := range r.conns {
-		rctx, cancel := r.rpc(ctx)
-		snap, err := conn.Metrics(rctx)
-		cancel()
-		r.observe(s, err)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: metrics from shard %d (%s): %w", s, r.cfg.Shards[s], err)
-		}
-		out = append(out, snap)
-	}
-	return out, nil
+	return all(ctx, r, proto.MsgMetricsReq, (*server.Client).Metrics)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -208,12 +209,12 @@ func TestFilePlaneCoLocationAndList(t *testing.T) {
 }
 
 // A dead shard must transition to down after consecutive transport
-// failures, after which non-idempotent operations fail fast with
-// ErrShardDown instead of burning their retry budget.
+// failures, after which every request the transport may not replay
+// fails fast with ErrShardDown instead of burning its retry budget.
 func TestFailFastOnDownShard(t *testing.T) {
 	fast := retry.Policy{InitialDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, MaxAttempts: 2}
 	srv, addr := testenv.StartServer(t)
-	r, err := Dial(ctx, Config{Shards: []string{addr}, Retry: fast, DownAfter: 2})
+	r, err := Dial(ctx, Config{Shards: []string{addr}, Retry: fast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +231,8 @@ func TestFailFastOnDownShard(t *testing.T) {
 
 	_ = srv.Shutdown()
 
-	// Idempotent reads keep probing; each failed probe counts.
-	for i := 0; i < 2; i++ {
+	// Reads keep probing; each failed probe counts.
+	for i := 0; i < downAfter; i++ {
 		if _, err := r.GetBlob(ctx, store.NSRecipes, "/x"); err == nil {
 			t.Fatal("read from dead shard succeeded")
 		}
@@ -241,7 +242,7 @@ func TestFailFastOnDownShard(t *testing.T) {
 		t.Fatalf("shard not marked down after %d transport failures: %+v", h.ConsecutiveFailures, h)
 	}
 
-	// Non-idempotent operations now fail fast.
+	// Refcount and deletion mutations now fail fast.
 	chunks := randomChunks(t, 1, 3)
 	if _, err := r.PutChunks(ctx, chunks); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("PutChunks to down shard: %v, want ErrShardDown", err)
@@ -255,7 +256,7 @@ func TestFailFastOnDownShard(t *testing.T) {
 	// Reads are still attempted — they are what heals the mark — and
 	// report the transport error, not ErrShardDown.
 	if _, err := r.GetBlob(ctx, store.NSRecipes, "/x"); errors.Is(err, ErrShardDown) {
-		t.Fatalf("idempotent read refused on down shard: %v", err)
+		t.Fatalf("read refused on down shard: %v", err)
 	}
 }
 
@@ -268,37 +269,35 @@ func TestDialRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestSplitBatches(t *testing.T) {
-	mk := func(sizes ...int) []proto.ChunkUpload {
-		out := make([]proto.ChunkUpload, len(sizes))
-		for i, s := range sizes {
-			out[i] = proto.ChunkUpload{Data: make([]byte, s)}
-		}
-		return out
-	}
+func TestCut(t *testing.T) {
+	size := func(n int) (fingerprint.Fingerprint, int) { return fingerprint.Fingerprint{}, n }
 	tests := []struct {
-		name     string
-		give     []proto.ChunkUpload
-		maxBytes int
-		want     []int // batch lengths
+		name  string
+		give  []int // item weights
+		limit int
+		want  []int // sub-batch lengths
 	}{
 		{"empty", nil, 100, nil},
-		{"one small", mk(10), 100, []int{1}},
-		{"fits in one", mk(30, 30, 30), 100, []int{3}},
-		{"splits", mk(60, 60, 60), 100, []int{1, 1, 1}},
-		{"pairs", mk(40, 40, 40, 40), 100, []int{2, 2}},
-		{"oversized alone", mk(200, 10), 100, []int{1, 1}},
+		{"one small", []int{10}, 100, []int{1}},
+		{"fits in one", []int{30, 30, 30}, 100, []int{3}},
+		{"exactly full", []int{50, 50, 1}, 100, []int{2, 1}},
+		{"splits", []int{60, 60, 60}, 100, []int{1, 1, 1}},
+		{"pairs", []int{40, 40, 40, 40}, 100, []int{2, 2}},
+		{"oversized alone", []int{200, 10}, 100, []int{1, 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := splitBatches(tt.give, tt.maxBytes)
-			if len(got) != len(tt.want) {
-				t.Fatalf("batch count = %d, want %d", len(got), len(tt.want))
-			}
-			for i := range tt.want {
-				if len(got[i]) != tt.want[i] {
-					t.Fatalf("batch %d length = %d, want %d", i, len(got[i]), tt.want[i])
+			var got []int
+			for rest := tt.give; len(rest) > 0; {
+				n := cut(rest, size, tt.limit)
+				if n < 1 {
+					t.Fatalf("cut(%v) = %d: no progress", rest, n)
 				}
+				got = append(got, n)
+				rest = rest[n:]
+			}
+			if !slices.Equal(got, tt.want) {
+				t.Fatalf("sub-batch lengths = %v, want %v", got, tt.want)
 			}
 		})
 	}

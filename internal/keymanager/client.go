@@ -188,7 +188,7 @@ func (c *Client) Params() oprf.PublicParams { return c.params }
 // Metrics fetches the key manager's metrics snapshot (empty when it
 // runs uninstrumented). Read-only: re-issued transparently.
 func (c *Client) Metrics(ctx context.Context) (metrics.Snapshot, error) {
-	payload, err := c.call(ctx, proto.MsgMetricsReq, nil, proto.MsgMetricsResp)
+	payload, err := c.call(ctx, proto.MsgMetricsReq, nil)
 	if err != nil {
 		return metrics.Snapshot{}, err
 	}
@@ -200,7 +200,7 @@ func (c *Client) Metrics(ctx context.Context) (metrics.Snapshot, error) {
 func (c *Client) Instrument(in *rpcmux.Instruments) { c.mux.Instrument(in) }
 
 func (c *Client) fetchParams(ctx context.Context) error {
-	payload, err := c.call(ctx, proto.MsgKMParamsReq, nil, proto.MsgKMParamsResp)
+	payload, err := c.call(ctx, proto.MsgKMParamsReq, nil)
 	if err != nil {
 		return err
 	}
@@ -213,15 +213,16 @@ func (c *Client) fetchParams(ctx context.Context) error {
 }
 
 // call performs one RPC over the multiplexed connection. Concurrent
-// calls overlap their round trips. Every key-manager RPC is idempotent
-// — parameter fetches are reads and OPRF evaluations are deterministic
-// functions of the blinded input — so all calls are re-issued
-// transparently after a connection fault. Cancelling a call waiting
+// calls overlap their round trips. Every key-manager RPC is classed
+// ReplayByTransport in the proto table — parameter fetches are reads
+// and OPRF evaluations are deterministic functions of the blinded
+// input — so all calls are re-issued transparently after a connection
+// fault. Cancelling a call waiting
 // for its response abandons just that call; cancellation that
 // interrupts the request frame write retires the connection and the
 // next call redials.
-func (c *Client) call(ctx context.Context, typ proto.MsgType, payload []byte, want proto.MsgType) ([]byte, error) {
-	resp, err := c.mux.Call(ctx, typ, payload, want, true)
+func (c *Client) call(ctx context.Context, typ proto.MsgType, payload []byte) ([]byte, error) {
+	resp, err := c.mux.Call(ctx, typ, payload)
 	if err != nil {
 		var re *proto.RemoteError
 		if errors.As(err, &re) {
@@ -288,7 +289,7 @@ func (c *Client) generateBatch(ctx context.Context, fps []fingerprint.Fingerprin
 	buf := proto.GetBuffer()
 	enc := proto.AppendBlobList((*buf)[:0], blinded)
 	*buf = enc
-	payload, err := c.call(ctx, proto.MsgKeyGenReq, enc, proto.MsgKeyGenResp)
+	payload, err := c.call(ctx, proto.MsgKeyGenReq, enc)
 	proto.PutBuffer(buf)
 	if err != nil {
 		return fmt.Errorf("keymanager: keygen rpc: %w", err)

@@ -94,44 +94,84 @@ const (
 	MsgRefChunksResp
 )
 
-// msgTypeNames is the static name table behind MsgType.String. A
-// package-level array keeps String allocation-free on the error and
-// trace paths that format message types.
-var msgTypeNames = [...]string{
-	MsgError:            "Error",
-	MsgKMParamsReq:      "KMParamsReq",
-	MsgKMParamsResp:     "KMParamsResp",
-	MsgKeyGenReq:        "KeyGenReq",
-	MsgKeyGenResp:       "KeyGenResp",
-	MsgPutChunksReq:     "PutChunksReq",
-	MsgPutChunksResp:    "PutChunksResp",
-	MsgGetChunksReq:     "GetChunksReq",
-	MsgGetChunksResp:    "GetChunksResp",
-	MsgPutBlobReq:       "PutBlobReq",
-	MsgPutBlobResp:      "PutBlobResp",
-	MsgGetBlobReq:       "GetBlobReq",
-	MsgGetBlobResp:      "GetBlobResp",
-	MsgStatsReq:         "StatsReq",
-	MsgStatsResp:        "StatsResp",
-	MsgListBlobsReq:     "ListBlobsReq",
-	MsgListBlobsResp:    "ListBlobsResp",
-	MsgDerefChunksReq:   "DerefChunksReq",
-	MsgDerefChunksResp:  "DerefChunksResp",
-	MsgDeleteBlobReq:    "DeleteBlobReq",
-	MsgDeleteBlobResp:   "DeleteBlobResp",
-	MsgChallengeReq:     "ChallengeReq",
-	MsgChallengeResp:    "ChallengeResp",
-	MsgMetricsReq:       "MetricsReq",
-	MsgMetricsResp:      "MetricsResp",
-	MsgCheckFileReq:     "CheckFileReq",
-	MsgCheckFileResp:    "CheckFileResp",
-	MsgRegisterFileReq:  "RegisterFileReq",
-	MsgRegisterFileResp: "RegisterFileResp",
-	MsgHasChunksReq:     "HasChunksReq",
-	MsgHasChunksResp:    "HasChunksResp",
-	MsgRefChunksReq:     "RefChunksReq",
-	MsgRefChunksResp:    "RefChunksResp",
+// RetryClass says who, if anyone, may send a request again after a
+// transport fault once the first delivery may already have executed.
+// The zero value marks a MsgType that is not a request.
+type RetryClass uint8
+
+const (
+	// ReplayByTransport: reads, and whole-object overwrites whose replay
+	// converges to the same state (blobs, whole-file index entries).
+	// rpcmux re-issues them transparently and the router never refuses
+	// them, which is also what heals a shard's down mark.
+	ReplayByTransport RetryClass = iota + 1
+	// ResendByRouter: refcount increments. A replay can only
+	// over-retain, never lose data, so the transport does not re-issue
+	// them but cluster.Router re-sends the batch under its retry policy.
+	ResendByRouter
+	// NeverReplay: refcount decrements and deletions. A replay loses
+	// data or flips success to not-found, so no layer re-sends one that
+	// may have executed; the caller decides.
+	NeverReplay
+)
+
+// msgTypes is the one per-MsgType table: the name behind String and
+// OpNames, and each request's retry class — the only place that policy
+// is written down; rpcmux and cluster read it through Retry. A
+// duplicate index does not compile, and TestMsgTypeTable checks that
+// no request is missing a class. A package-level array keeps String
+// allocation-free on the error and trace paths.
+var msgTypes = [...]struct {
+	name  string
+	retry RetryClass
+}{
+	MsgError:            {name: "Error"},
+	MsgKMParamsReq:      {"KMParamsReq", ReplayByTransport},
+	MsgKMParamsResp:     {name: "KMParamsResp"},
+	MsgKeyGenReq:        {"KeyGenReq", ReplayByTransport},
+	MsgKeyGenResp:       {name: "KeyGenResp"},
+	MsgPutChunksReq:     {"PutChunksReq", ResendByRouter},
+	MsgPutChunksResp:    {name: "PutChunksResp"},
+	MsgGetChunksReq:     {"GetChunksReq", ReplayByTransport},
+	MsgGetChunksResp:    {name: "GetChunksResp"},
+	MsgPutBlobReq:       {"PutBlobReq", ReplayByTransport},
+	MsgPutBlobResp:      {name: "PutBlobResp"},
+	MsgGetBlobReq:       {"GetBlobReq", ReplayByTransport},
+	MsgGetBlobResp:      {name: "GetBlobResp"},
+	MsgStatsReq:         {"StatsReq", ReplayByTransport},
+	MsgStatsResp:        {name: "StatsResp"},
+	MsgListBlobsReq:     {"ListBlobsReq", ReplayByTransport},
+	MsgListBlobsResp:    {name: "ListBlobsResp"},
+	MsgDerefChunksReq:   {"DerefChunksReq", NeverReplay},
+	MsgDerefChunksResp:  {name: "DerefChunksResp"},
+	MsgDeleteBlobReq:    {"DeleteBlobReq", NeverReplay},
+	MsgDeleteBlobResp:   {name: "DeleteBlobResp"},
+	MsgChallengeReq:     {"ChallengeReq", ReplayByTransport},
+	MsgChallengeResp:    {name: "ChallengeResp"},
+	MsgMetricsReq:       {"MetricsReq", ReplayByTransport},
+	MsgMetricsResp:      {name: "MetricsResp"},
+	MsgCheckFileReq:     {"CheckFileReq", ReplayByTransport},
+	MsgCheckFileResp:    {name: "CheckFileResp"},
+	MsgRegisterFileReq:  {"RegisterFileReq", ReplayByTransport},
+	MsgRegisterFileResp: {name: "RegisterFileResp"},
+	MsgHasChunksReq:     {"HasChunksReq", ReplayByTransport},
+	MsgHasChunksResp:    {name: "HasChunksResp"},
+	MsgRefChunksReq:     {"RefChunksReq", ResendByRouter},
+	MsgRefChunksResp:    {name: "RefChunksResp"},
 }
+
+// Retry returns t's retry class: zero for responses, MsgError and
+// unknown types, which no layer may therefore replay.
+func (t MsgType) Retry() RetryClass {
+	if int(t) < len(msgTypes) {
+		return msgTypes[t].retry
+	}
+	return 0
+}
+
+// Response returns the type answering request t: by the numbering
+// above, every response directly follows its request.
+func (t MsgType) Response() MsgType { return t + 1 }
 
 // OpNames returns operation labels indexed by request MsgType — the
 // request name with its "Req" suffix trimmed ("PutChunks", "KeyGen").
@@ -139,10 +179,10 @@ var msgTypeNames = [...]string{
 // drops observations for non-request types. The slice is freshly
 // allocated; callers may blank entries they do not serve.
 func OpNames() []string {
-	names := make([]string, len(msgTypeNames))
-	for t, n := range msgTypeNames {
-		if strings.HasSuffix(n, "Req") {
-			names[t] = strings.TrimSuffix(n, "Req")
+	names := make([]string, len(msgTypes))
+	for t, m := range msgTypes {
+		if m.retry != 0 {
+			names[t] = strings.TrimSuffix(m.name, "Req")
 		}
 	}
 	return names
@@ -150,10 +190,8 @@ func OpNames() []string {
 
 // String implements fmt.Stringer for diagnostics.
 func (t MsgType) String() string {
-	if int(t) < len(msgTypeNames) {
-		if n := msgTypeNames[t]; n != "" {
-			return n
-		}
+	if int(t) < len(msgTypes) && msgTypes[t].name != "" {
+		return msgTypes[t].name
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -228,12 +229,66 @@ func TestMsgTypeString(t *testing.T) {
 	if MsgType(0).String() != "MsgType(0)" {
 		t.Fatalf("String = %q", MsgType(0).String())
 	}
-	// Every defined type must have a table entry (catches new types
-	// added without a name — ChallengeReq/Resp were once missing).
-	for typ := MsgError; typ <= MsgChallengeResp; typ++ {
-		if s := typ.String(); len(s) > 7 && s[:7] == "MsgType" {
-			t.Fatalf("type %d has no name", typ)
+}
+
+// TestMsgTypeTable walks the one per-MsgType table. The literal below
+// pins the wire value of every message type: a frame's type byte is
+// part of the wire format, so a constant inserted or reordered in the
+// const block fails here. The walk then checks what a switch-based
+// classification needed an analyzer for: every request carries a retry
+// class (the expected one), nothing else does, and each request is
+// answered by the same-named response at typ+1 (what rpcmux waits for).
+func TestMsgTypeTable(t *testing.T) {
+	wire := map[MsgType]string{
+		1: "Error",
+		2: "KMParamsReq", 3: "KMParamsResp",
+		4: "KeyGenReq", 5: "KeyGenResp",
+		6: "PutChunksReq", 7: "PutChunksResp",
+		8: "GetChunksReq", 9: "GetChunksResp",
+		10: "PutBlobReq", 11: "PutBlobResp",
+		12: "GetBlobReq", 13: "GetBlobResp",
+		14: "StatsReq", 15: "StatsResp",
+		16: "ListBlobsReq", 17: "ListBlobsResp",
+		18: "DerefChunksReq", 19: "DerefChunksResp",
+		20: "DeleteBlobReq", 21: "DeleteBlobResp",
+		22: "ChallengeReq", 23: "ChallengeResp",
+		24: "MetricsReq", 25: "MetricsResp",
+		26: "CheckFileReq", 27: "CheckFileResp",
+		28: "RegisterFileReq", 29: "RegisterFileResp",
+		30: "HasChunksReq", 31: "HasChunksResp",
+		32: "RefChunksReq", 33: "RefChunksResp",
+	}
+	// The requests a second delivery can hurt; every other request
+	// must be freely replayable, so a new request type has to be
+	// classified here before it can be anything else.
+	hurtByReplay := map[MsgType]RetryClass{
+		MsgPutChunksReq: ResendByRouter, MsgRefChunksReq: ResendByRouter, // over-retain
+		MsgDerefChunksReq: NeverReplay, MsgDeleteBlobReq: NeverReplay, // lose data, or success turns not-found
+	}
+	if len(msgTypes) != len(wire)+1 {
+		t.Fatalf("table has %d slots, want %d pinned types plus the unused zero slot", len(msgTypes), len(wire))
+	}
+	for typ, name := range wire {
+		if got := typ.String(); got != name {
+			t.Errorf("MsgType(%d) = %q, want %q", typ, got, name)
 		}
+		op, isReq := strings.CutSuffix(name, "Req")
+		var want RetryClass // not a request: no class
+		if isReq {
+			want = ReplayByTransport
+			if c, ok := hurtByReplay[typ]; ok {
+				want = c
+			}
+		}
+		if class := typ.Retry(); class != want {
+			t.Errorf("%s has retry class %d, want %d", name, class, want)
+		}
+		if isReq && typ.Response().String() != op+"Resp" {
+			t.Errorf("%s is answered by %v at typ+1, want %sResp", name, typ.Response(), op)
+		}
+	}
+	if class := MsgType(200).Retry(); class != 0 {
+		t.Errorf("unknown type has retry class %d, want 0", class)
 	}
 }
 

@@ -20,11 +20,11 @@ type DialFunc func() (net.Conn, error)
 // Redialer keeps one multiplexed connection alive across transport
 // faults. A Call that fails at the connection level (peer reset, dead
 // socket, poisoned stream) retires the current Conn; the next attempt
-// redials with capped-jitter backoff and, when the call is idempotent,
-// re-issues the request transparently. Non-idempotent calls are never
-// re-issued — their failure is surfaced to the caller, but the retired
-// connection is still replaced so the caller's own retry (or the next
-// call) finds a fresh link.
+// redials with capped-jitter backoff and, when the request's class in
+// the proto table is ReplayByTransport, re-issues it transparently.
+// Requests of any other class are never re-issued — their failure is
+// surfaced to the caller, but the retired connection is still replaced
+// so the caller's own retry (or the next call) finds a fresh link.
 //
 // Remote errors (proto.RemoteError) are application responses carried
 // over a healthy connection: they are returned as-is and never retried
@@ -142,26 +142,28 @@ func (r *Redialer) retire(conn *Conn) {
 	_ = conn.Close()
 }
 
-// Call performs one RPC with transparent reconnection. When idempotent
-// is true the call is re-issued (with backoff) after connection-level
-// failures; otherwise the first transport failure is returned, though
-// the dead connection is still retired so later calls recover. Context
-// cancellation always stops the loop promptly.
-func (r *Redialer) Call(ctx context.Context, typ proto.MsgType, payload []byte, want proto.MsgType, idempotent bool) ([]byte, error) {
+// Call performs one RPC with transparent reconnection. The request's
+// retry class (proto.MsgType.Retry) decides what happens after a
+// connection-level failure: ReplayByTransport calls are re-issued with
+// backoff; any other class gets the first transport failure back,
+// though the dead connection is still retired so later calls recover.
+// Context cancellation always stops the loop promptly.
+func (r *Redialer) Call(ctx context.Context, typ proto.MsgType, payload []byte) ([]byte, error) {
 	inst := r.inst.Load()
 	if inst == nil {
-		return r.call(ctx, typ, payload, want, idempotent)
+		return r.call(ctx, typ, payload)
 	}
 	inst.Inflight.Inc()
 	start := time.Now()
-	resp, err := r.call(ctx, typ, payload, want, idempotent)
+	resp, err := r.call(ctx, typ, payload)
 	inst.Inflight.Dec()
 	inst.Ops.Observe(int(typ), time.Since(start), err != nil)
 	return resp, err
 }
 
 // call is the uninstrumented redial/re-issue loop behind Call.
-func (r *Redialer) call(ctx context.Context, typ proto.MsgType, payload []byte, want proto.MsgType, idempotent bool) ([]byte, error) {
+func (r *Redialer) call(ctx context.Context, typ proto.MsgType, payload []byte) ([]byte, error) {
+	replay := typ.Retry() == proto.ReplayByTransport
 	var resp []byte
 	p := r.policy
 	inner := p.OnRetry
@@ -179,7 +181,7 @@ func (r *Redialer) call(ctx context.Context, typ proto.MsgType, payload []byte, 
 			}
 			return err // dial failure: transient, retry
 		}
-		resp, err = conn.Call(ctx, typ, payload, want)
+		resp, err = conn.Call(ctx, typ, payload, typ.Response())
 		if err == nil {
 			return nil
 		}
@@ -193,10 +195,10 @@ func (r *Redialer) call(ctx context.Context, typ proto.MsgType, payload []byte, 
 			return retry.Permanent(err)
 		}
 		// Connection-level failure: replace the link either way, but
-		// only re-issue when the request cannot have executed remotely —
-		// either the RPC is idempotent, or the frame never hit the wire.
+		// only re-issue when a second delivery is harmless — the class
+		// allows replay, or the frame never hit the wire.
 		r.retire(conn)
-		if !idempotent && !errors.Is(err, ErrNotIssued) {
+		if !replay && !errors.Is(err, ErrNotIssued) {
 			return retry.Permanent(err)
 		}
 		return err

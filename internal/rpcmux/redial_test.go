@@ -15,8 +15,9 @@ import (
 	"repro/internal/retry"
 )
 
-// echoServer answers every frame with MsgStatsResp echoing the payload,
-// except that scripted connections are killed (closed without a
+// echoServer answers every request with its paired response type
+// echoing the payload, and counts deliveries per payload, except that
+// scripted connections are killed (closed without a
 // response) when a scripted request number arrives — simulating a peer
 // crash mid-conversation.
 type echoServer struct {
@@ -26,6 +27,7 @@ type echoServer struct {
 	conns     int
 	killAt    map[int]int // conn index -> kill on arrival of this request number (1-based)
 	connsSeen []net.Conn
+	delivered map[string]int // payload -> times a frame carrying it arrived
 }
 
 func newEchoServer(t *testing.T) *echoServer {
@@ -34,7 +36,7 @@ func newEchoServer(t *testing.T) *echoServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &echoServer{ln: ln, killAt: make(map[int]int)}
+	s := &echoServer{ln: ln, killAt: make(map[int]int), delivered: make(map[string]int)}
 	go s.acceptLoop()
 	t.Cleanup(s.stop)
 	return s
@@ -59,6 +61,13 @@ func (s *echoServer) kill(conn, reqNum int) {
 	s.mu.Unlock()
 }
 
+// deliveries reports how many frames carrying payload have arrived.
+func (s *echoServer) deliveries(payload string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.delivered[payload]
+}
+
 func (s *echoServer) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
@@ -78,18 +87,19 @@ func (s *echoServer) serve(conn net.Conn, idx int) {
 	defer conn.Close()
 	served := 0
 	for {
-		_, id, payload, err := proto.ReadFrame(conn)
+		typ, id, payload, err := proto.ReadFrame(conn)
 		if err != nil {
 			return
 		}
 		served++
 		s.mu.Lock()
 		killAt := s.killAt[idx]
+		s.delivered[string(payload)]++
 		s.mu.Unlock()
 		if killAt > 0 && served >= killAt {
 			return // deferred Close: the peer crashed mid-conversation
 		}
-		if err := proto.WriteFrame(conn, proto.MsgStatsResp, id, payload); err != nil {
+		if err := proto.WriteFrame(conn, typ.Response(), id, payload); err != nil {
 			return
 		}
 	}
@@ -126,54 +136,91 @@ func newTestRedialer(t *testing.T, s *echoServer) *Redialer {
 	return r
 }
 
-func TestRedialerReissuesIdempotentCallAfterPeerCrash(t *testing.T) {
-	s := newEchoServer(t)
-	s.kill(0, 2) // first connection dies when the second request arrives
-	r := newTestRedialer(t, s)
+// requestOfEachClass is one request type per retry class in the proto
+// table, with whether the transport may replay it.
+var requestOfEachClass = []struct {
+	typ    proto.MsgType
+	replay bool
+}{
+	{proto.MsgGetChunksReq, true},
+	{proto.MsgPutChunksReq, false},
+	{proto.MsgDerefChunksReq, false},
+}
 
-	ctx := context.Background()
-	if _, err := r.Call(ctx, proto.MsgStatsReq, []byte("one"), proto.MsgStatsResp, true); err != nil {
-		t.Fatalf("first call: %v", err)
-	}
-	got, err := r.Call(ctx, proto.MsgStatsReq, []byte("two"), proto.MsgStatsResp, true)
-	if err != nil {
-		t.Fatalf("call across peer crash: %v", err)
-	}
-	if string(got) != "two" {
-		t.Fatalf("payload = %q, want %q", got, "two")
-	}
-	if n := r.Reconnects(); n != 1 {
-		t.Fatalf("Reconnects() = %d, want 1", n)
-	}
-	if n := r.Retries(); n < 1 {
-		t.Fatalf("Retries() = %d, want >= 1", n)
+// The peer crashes with the second request delivered but unanswered:
+// it may have executed. Only a ReplayByTransport request is sent again;
+// the other classes fail, and the redialer still recovers for the next
+// call.
+func TestRedialerReplaysByClassAfterPeerCrash(t *testing.T) {
+	for _, tc := range requestOfEachClass {
+		t.Run(tc.typ.String(), func(t *testing.T) {
+			s := newEchoServer(t)
+			s.kill(0, 2)
+			r := newTestRedialer(t, s)
+
+			ctx := context.Background()
+			if _, err := r.Call(ctx, tc.typ, []byte("one")); err != nil {
+				t.Fatalf("first call: %v", err)
+			}
+			got, err := r.Call(ctx, tc.typ, []byte("two"))
+			if tc.replay {
+				if err != nil || string(got) != "two" {
+					t.Fatalf("call across peer crash = %q, %v", got, err)
+				}
+				if n := s.deliveries("two"); n != 2 {
+					t.Fatalf("request delivered %d times, want 2 (original + replay)", n)
+				}
+				if n := r.Retries(); n < 1 {
+					t.Fatalf("Retries() = %d, want >= 1", n)
+				}
+			} else {
+				if err == nil {
+					t.Fatal("request silently re-issued after peer crash")
+				}
+				if n := s.deliveries("two"); n != 1 {
+					t.Fatalf("request delivered %d times, want 1", n)
+				}
+				got, err := r.Call(ctx, tc.typ, []byte("three"))
+				if err != nil || string(got) != "three" {
+					t.Fatalf("call after recovery = %q, %v", got, err)
+				}
+			}
+			if n := r.Reconnects(); n != 1 {
+				t.Fatalf("Reconnects() = %d, want 1", n)
+			}
+		})
 	}
 }
 
-func TestRedialerDoesNotReissueNonIdempotentCall(t *testing.T) {
-	s := newEchoServer(t)
-	s.kill(0, 2)
-	r := newTestRedialer(t, s)
+// A call that finds its connection already dead never writes its frame
+// (ErrNotIssued), so the peer cannot have executed it and it is
+// re-issued on a fresh connection whatever its class.
+func TestRedialerReissuesUnissuedFrameOfAnyClass(t *testing.T) {
+	for _, tc := range requestOfEachClass {
+		t.Run(tc.typ.String(), func(t *testing.T) {
+			s := newEchoServer(t)
+			r := newTestRedialer(t, s)
 
-	ctx := context.Background()
-	if _, err := r.Call(ctx, proto.MsgStatsReq, []byte("one"), proto.MsgStatsResp, false); err != nil {
-		t.Fatalf("first call: %v", err)
-	}
-	// The in-flight frame was delivered before the crash: the peer may
-	// have executed it, so the call must fail rather than re-issue.
-	if _, err := r.Call(ctx, proto.MsgStatsReq, []byte("two"), proto.MsgStatsResp, false); err == nil {
-		t.Fatal("non-idempotent call silently re-issued after peer crash")
-	}
-	// But the redialer recovers: the next call finds a fresh connection.
-	got, err := r.Call(ctx, proto.MsgStatsReq, []byte("three"), proto.MsgStatsResp, false)
-	if err != nil {
-		t.Fatalf("call after recovery: %v", err)
-	}
-	if string(got) != "three" {
-		t.Fatalf("payload = %q, want %q", got, "three")
-	}
-	if n := r.Reconnects(); n != 1 {
-		t.Fatalf("Reconnects() = %d, want 1", n)
+			ctx := context.Background()
+			if _, err := r.Call(ctx, tc.typ, []byte("one")); err != nil {
+				t.Fatalf("first call: %v", err)
+			}
+			s.mu.Lock()
+			_ = s.connsSeen[0].Close()
+			s.mu.Unlock()
+			<-r.conn.done // the client side has noticed the cut
+
+			got, err := r.Call(ctx, tc.typ, []byte("two"))
+			if err != nil || string(got) != "two" {
+				t.Fatalf("call on dead connection = %q, %v", got, err)
+			}
+			if n := s.deliveries("two"); n != 1 {
+				t.Fatalf("request delivered %d times, want 1", n)
+			}
+			if n := r.Reconnects(); n != 1 {
+				t.Fatalf("Reconnects() = %d, want 1", n)
+			}
+		})
 	}
 }
 
@@ -196,7 +243,7 @@ func TestRedialerRetriesDialFailures(t *testing.T) {
 	r := NewRedialer(first, dial, 0, 0, testPolicy())
 	defer r.Close()
 
-	got, err := r.Call(context.Background(), proto.MsgStatsReq, []byte("x"), proto.MsgStatsResp, true)
+	got, err := r.Call(context.Background(), proto.MsgStatsReq, []byte("x"))
 	if err != nil {
 		t.Fatalf("call across down window: %v", err)
 	}
@@ -220,7 +267,7 @@ func TestRedialerGivesUpAfterAttemptCap(t *testing.T) {
 	defer r.Close()
 
 	start := time.Now()
-	_, err = r.Call(context.Background(), proto.MsgStatsReq, nil, proto.MsgStatsResp, true)
+	_, err = r.Call(context.Background(), proto.MsgStatsReq, nil)
 	if err == nil {
 		t.Fatal("call against a permanently down peer succeeded")
 	}
@@ -255,7 +302,7 @@ func TestChaosRedialRacesClose(t *testing.T) {
 				default:
 				}
 				payload := []byte(fmt.Sprintf("w%d-%d", w, i))
-				got, err := r.Call(context.Background(), proto.MsgStatsReq, payload, proto.MsgStatsResp, true)
+				got, err := r.Call(context.Background(), proto.MsgStatsReq, payload)
 				if err != nil {
 					// With every connection scripted to die after two
 					// requests, a call can burn through the policy's
@@ -291,7 +338,7 @@ func TestChaosRedialRacesClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := r.Call(context.Background(), proto.MsgStatsReq, nil, proto.MsgStatsResp, true); !errors.Is(err, ErrClosed) {
+	if _, err := r.Call(context.Background(), proto.MsgStatsReq, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after Close returned %v, want ErrClosed", err)
 	}
 }

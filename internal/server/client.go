@@ -33,12 +33,14 @@ var ErrConnClosed = rpcmux.ErrClosed
 //
 // The connection heals itself: when it dies mid-session (peer reset,
 // transient network fault) the client redials with capped-jitter
-// backoff, and idempotent RPCs — all reads, plus blob puts, which are
-// verbatim overwrites — are re-issued transparently. Chunk puts and the
-// reference-counted mutations (DerefChunks, DeleteBlob) are never
-// auto-re-issued once their frame may have reached the server; their
-// callers own the retry decision (see internal/client's segment retry
-// and DESIGN.md on idempotency).
+// backoff, and requests whose class in the proto table is
+// ReplayByTransport — all reads, plus blob and file-index puts, which
+// are verbatim overwrites — are re-issued transparently. Chunk puts and
+// refs (ResendByRouter) and the reference-dropping mutations
+// DerefChunks and DeleteBlob (NeverReplay) are never auto-re-issued
+// once their frame may have reached the server; cluster.Router re-sends
+// the former and the caller decides about the latter. No method here
+// states its class: the transport looks it up from the request type.
 //
 // Every RPC takes a context. Cancelling a call that is waiting for its
 // response abandons just that call; cancellation that interrupts an
@@ -86,8 +88,8 @@ func (c *Client) Reconnects() uint64 { return c.mux.Reconnects() }
 // transport fault.
 func (c *Client) Retries() uint64 { return c.mux.Retries() }
 
-func (c *Client) call(ctx context.Context, typ proto.MsgType, payload []byte, want proto.MsgType, idempotent bool) ([]byte, error) {
-	resp, err := c.mux.Call(ctx, typ, payload, want, idempotent)
+func (c *Client) call(ctx context.Context, typ proto.MsgType, payload []byte) ([]byte, error) {
+	resp, err := c.mux.Call(ctx, typ, payload)
 	if err != nil {
 		var re *proto.RemoteError
 		if errors.As(err, &re) {
@@ -101,13 +103,13 @@ func (c *Client) call(ctx context.Context, typ proto.MsgType, payload []byte, wa
 // PutChunks uploads a batch of trimmed packages and returns per-chunk
 // duplicate flags. It is not auto-re-issued after a mid-flight
 // connection fault: re-PUT is dedup-safe for the stored bytes, but it
-// inflates reference counts (see internal/dedup), so the upload
-// pipeline owns that retry.
+// inflates reference counts (see internal/dedup), so the cluster
+// router owns that retry.
 func (c *Client) PutChunks(ctx context.Context, chunks []proto.ChunkUpload) ([]bool, error) {
 	if len(chunks) == 0 {
 		return nil, nil
 	}
-	payload, err := c.call(ctx, proto.MsgPutChunksReq, proto.EncodePutChunksReq(chunks), proto.MsgPutChunksResp, false)
+	payload, err := c.call(ctx, proto.MsgPutChunksReq, proto.EncodePutChunksReq(chunks))
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +129,7 @@ func (c *Client) GetChunks(ctx context.Context, fps []fingerprint.Fingerprint) (
 	if len(fps) == 0 {
 		return nil, nil
 	}
-	payload, err := c.call(ctx, proto.MsgGetChunksReq, proto.EncodeGetChunksReq(fps), proto.MsgGetChunksResp, true)
+	payload, err := c.call(ctx, proto.MsgGetChunksReq, proto.EncodeGetChunksReq(fps))
 	if err != nil {
 		return nil, err
 	}
@@ -146,13 +148,13 @@ func (c *Client) GetChunks(ctx context.Context, fps []fingerprint.Fingerprint) (
 // connection fault converges to the same state; the call is re-issued
 // transparently.
 func (c *Client) PutBlob(ctx context.Context, ns, name string, data []byte) error {
-	_, err := c.call(ctx, proto.MsgPutBlobReq, proto.EncodeBlobReq(ns, name, data), proto.MsgPutBlobResp, true)
+	_, err := c.call(ctx, proto.MsgPutBlobReq, proto.EncodeBlobReq(ns, name, data))
 	return err
 }
 
 // GetBlob fetches a blob. Read-only: re-issued transparently.
 func (c *Client) GetBlob(ctx context.Context, ns, name string) ([]byte, error) {
-	return c.call(ctx, proto.MsgGetBlobReq, proto.EncodeBlobReq(ns, name, nil), proto.MsgGetBlobResp, true)
+	return c.call(ctx, proto.MsgGetBlobReq, proto.EncodeBlobReq(ns, name, nil))
 }
 
 // DerefChunks drops one reference from each listed chunk, returning how
@@ -162,7 +164,7 @@ func (c *Client) DerefChunks(ctx context.Context, fps []fingerprint.Fingerprint)
 	if len(fps) == 0 {
 		return 0, nil
 	}
-	payload, err := c.call(ctx, proto.MsgDerefChunksReq, proto.EncodeGetChunksReq(fps), proto.MsgDerefChunksResp, false)
+	payload, err := c.call(ctx, proto.MsgDerefChunksReq, proto.EncodeGetChunksReq(fps))
 	if err != nil {
 		return 0, err
 	}
@@ -173,7 +175,7 @@ func (c *Client) DerefChunks(ctx context.Context, fps []fingerprint.Fingerprint)
 // spurious not-found error, so the call is never auto-re-issued once it
 // may have executed.
 func (c *Client) DeleteBlob(ctx context.Context, ns, name string) error {
-	_, err := c.call(ctx, proto.MsgDeleteBlobReq, proto.EncodeBlobReq(ns, name, nil), proto.MsgDeleteBlobResp, false)
+	_, err := c.call(ctx, proto.MsgDeleteBlobReq, proto.EncodeBlobReq(ns, name, nil))
 	return err
 }
 
@@ -181,7 +183,7 @@ func (c *Client) DeleteBlob(ctx context.Context, ns, name string) error {
 // already stored, returning the owning recipe's remote name on a hit.
 // Read-only: re-issued transparently after connection faults.
 func (c *Client) CheckFile(ctx context.Context, key fileindex.Key) (string, bool, error) {
-	payload, err := c.call(ctx, proto.MsgCheckFileReq, proto.EncodeCheckFileReq(key), proto.MsgCheckFileResp, true)
+	payload, err := c.call(ctx, proto.MsgCheckFileReq, proto.EncodeCheckFileReq(key))
 	if err != nil {
 		return "", false, err
 	}
@@ -193,7 +195,7 @@ func (c *Client) CheckFile(ctx context.Context, key fileindex.Key) (string, bool
 // replay converges to the same state — so the transport re-issues it
 // transparently after connection faults.
 func (c *Client) RegisterFile(ctx context.Context, key fileindex.Key, name string) error {
-	_, err := c.call(ctx, proto.MsgRegisterFileReq, proto.EncodeRegisterFileReq(key, name), proto.MsgRegisterFileResp, true)
+	_, err := c.call(ctx, proto.MsgRegisterFileReq, proto.EncodeRegisterFileReq(key, name))
 	return err
 }
 
@@ -204,7 +206,7 @@ func (c *Client) HasChunks(ctx context.Context, fps []fingerprint.Fingerprint) (
 	if len(fps) == 0 {
 		return nil, nil
 	}
-	payload, err := c.call(ctx, proto.MsgHasChunksReq, proto.EncodeGetChunksReq(fps), proto.MsgHasChunksResp, true)
+	payload, err := c.call(ctx, proto.MsgHasChunksReq, proto.EncodeGetChunksReq(fps))
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +229,7 @@ func (c *Client) RefChunks(ctx context.Context, fps []fingerprint.Fingerprint) (
 	if len(fps) == 0 {
 		return nil, nil
 	}
-	payload, err := c.call(ctx, proto.MsgRefChunksReq, proto.EncodeGetChunksReq(fps), proto.MsgRefChunksResp, false)
+	payload, err := c.call(ctx, proto.MsgRefChunksReq, proto.EncodeGetChunksReq(fps))
 	if err != nil {
 		return nil, err
 	}
@@ -244,13 +246,13 @@ func (c *Client) RefChunks(ctx context.Context, fps []fingerprint.Fingerprint) (
 // Challenge asks the server to prove possession of a chunk: it returns
 // H(nonce || stored bytes). Read-only: re-issued transparently.
 func (c *Client) Challenge(ctx context.Context, fp fingerprint.Fingerprint, nonce []byte) ([]byte, error) {
-	return c.call(ctx, proto.MsgChallengeReq, proto.EncodeChallengeReq(fp, nonce), proto.MsgChallengeResp, true)
+	return c.call(ctx, proto.MsgChallengeReq, proto.EncodeChallengeReq(fp, nonce))
 }
 
 // ListBlobs lists the blob names in a namespace. Read-only: re-issued
 // transparently.
 func (c *Client) ListBlobs(ctx context.Context, ns string) ([]string, error) {
-	payload, err := c.call(ctx, proto.MsgListBlobsReq, proto.EncodeListBlobsReq(ns), proto.MsgListBlobsResp, true)
+	payload, err := c.call(ctx, proto.MsgListBlobsReq, proto.EncodeListBlobsReq(ns))
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +262,7 @@ func (c *Client) ListBlobs(ctx context.Context, ns string) ([]string, error) {
 // Stats fetches the server's dedup statistics. Read-only: re-issued
 // transparently.
 func (c *Client) Stats(ctx context.Context) (proto.Stats, error) {
-	payload, err := c.call(ctx, proto.MsgStatsReq, nil, proto.MsgStatsResp, true)
+	payload, err := c.call(ctx, proto.MsgStatsReq, nil)
 	if err != nil {
 		return proto.Stats{}, err
 	}
@@ -270,7 +272,7 @@ func (c *Client) Stats(ctx context.Context) (proto.Stats, error) {
 // Metrics fetches the server's metrics snapshot (empty when the server
 // runs uninstrumented). Read-only: re-issued transparently.
 func (c *Client) Metrics(ctx context.Context) (metrics.Snapshot, error) {
-	payload, err := c.call(ctx, proto.MsgMetricsReq, nil, proto.MsgMetricsResp, true)
+	payload, err := c.call(ctx, proto.MsgMetricsReq, nil)
 	if err != nil {
 		return metrics.Snapshot{}, err
 	}

@@ -39,11 +39,11 @@ type Pass struct {
 	Report func(Diagnostic)
 	// Facts is the analyzer's cross-package fact store for this run.
 	// The runner visits packages in dependency order (imports first),
-	// so a pass over internal/cluster can read facts that the passes
-	// over internal/proto and internal/server exported — the mechanism
-	// behind the interprocedural analyzers (idemtable's canonical
-	// table, client request summaries). Nil only when a Pass is built
-	// by hand outside the runner.
+	// so a pass over internal/rpcmux can read facts that the pass over
+	// internal/proto exported — the mechanism behind the
+	// interprocedural analyzers (bufpool's and zeroize's per-function
+	// summaries). Nil only when a Pass is built by hand outside the
+	// runner.
 	Facts *Facts
 }
 

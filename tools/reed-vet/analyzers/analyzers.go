@@ -7,7 +7,6 @@ import (
 	"reedvet/analyzers/ctxrule"
 	"reedvet/analyzers/durack"
 	"reedvet/analyzers/errclass"
-	"reedvet/analyzers/idemtable"
 	"reedvet/analyzers/keyhygiene"
 	"reedvet/analyzers/lockguard"
 	"reedvet/analyzers/metricname"
@@ -24,7 +23,6 @@ func All() []*analysis.Analyzer {
 		errclass.Analyzer,
 		bufpool.Analyzer,
 		durack.Analyzer,
-		idemtable.Analyzer,
 		zeroize.Analyzer,
 	}
 }

@@ -1,5 +1,5 @@
 // Package flow is the lightweight interprocedural dataflow layer under
-// the v2 analyzers (bufpool, durack, idemtable, zeroize). It has three
+// the v2 analyzers (bufpool, durack, zeroize). It has three
 // parts:
 //
 //   - Index: the package's call graph substrate — a map from function

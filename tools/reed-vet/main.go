@@ -1,10 +1,9 @@
 // Command reed-vet runs REED's project-specific static-analysis suite
-// over a Go module: nine analyzers enforcing the invariants the
+// over a Go module: eight analyzers enforcing the invariants the
 // compiler cannot see (key hygiene, context discipline, lock
 // discipline, metric naming, error classification, buffer-pool
-// lifecycle, durability acknowledgment ordering, idempotency-table
-// agreement, secret zeroization). See DESIGN.md "Static analysis" for
-// the catalog.
+// lifecycle, durability acknowledgment ordering, secret zeroization).
+// See DESIGN.md "Static analysis" for the catalog.
 //
 // Usage:
 //
