@@ -23,8 +23,8 @@ vet-bench:
 
 # vet-reed runs the project's own static-analysis suite (tools/reed-vet):
 # key-material hygiene, context-first APIs, lock-scope discipline, metric
-# naming, retry-path error classification, buffer-pool lifecycle,
-# durability-before-ack ordering, and secret zeroization. See DESIGN.md
+# naming, retry-path error classification, buffer-pool lifecycle, and
+# secret zeroization. See DESIGN.md
 # "Static analysis". Exits non-zero on any diagnostic. The suite then
 # self-hosts: the analyzers run over their own module too, so the tool
 # is held to the invariants it enforces. Set VET_SARIF=<repo-relative path> to also write a SARIF
@@ -82,11 +82,15 @@ race:
 # the Serve/Shutdown ordering: whether Shutdown or the Serve goroutine
 # reaches the server's mutex first is the scheduler's choice, so only
 # many repetitions visit both orders (Tier-1 once failed 6 % of runs
-# here).
+# here). The third repeats the two experiment tests that used to assert
+# wall-clock orderings and failed about one -race run in ten on a shared
+# two-core box; they assert on counters now, and twenty repetitions keep
+# it that way.
 CHAOS_COUNT ?= 2
 chaos:
 	$(GO) test -race -run 'Chaos|Fault' -count=$(CHAOS_COUNT) ./...
 	$(GO) test -race -run 'TestServe.*Shutdown' -count=500 ./internal/server ./internal/keymanager
+	$(GO) test -race -run 'TestAblations$$|TestFig6Shape$$' -count=20 ./internal/experiments
 
 # crash-recovery boots a real deployment on disk backends, uploads a
 # corpus with duplicate content, SIGKILLs the storage servers (once at

@@ -6,9 +6,11 @@
 //
 //	go test -run NONE -bench=BenchmarkStreamingUpload . | reed-benchjson -o BENCH_pipeline.json
 //
-// Every benchmark line becomes one record with its name, iteration
-// count, and all reported value/unit pairs (ns/op, MB/s, B/op,
-// allocs/op, and any custom b.ReportMetric units). Context lines
+// Every benchmark line becomes one record with its name, the GOMAXPROCS
+// it ran at (the `-N` suffix go test appends to the name, split off into
+// its own field), iteration count, and all reported value/unit pairs
+// (ns/op, MB/s, B/op, allocs/op, and any custom b.ReportMetric units).
+// Context lines
 // (goos, goarch, pkg, cpu) are carried through as metadata. Input that
 // contains no benchmark lines is an error — it usually means the
 // -bench pattern matched nothing.
@@ -20,7 +22,9 @@
 //
 // Every benchmark in the baseline must appear in the current run (a
 // rename or deletion fails the ratchet rather than silently dropping
-// coverage) and is checked metric by metric: time- and allocation-style
+// coverage; names match without the `-N` suffix, so a baseline recorded
+// on one core count ratchets a run on another, with a note) and is
+// checked metric by metric: time- and allocation-style
 // units (ns/op, B/op, allocs/op and custom *_s_* delays in seconds) may
 // not grow by more than the tolerance, throughput-style units (MB/s and
 // custom *MBps* /
@@ -56,7 +60,10 @@ func main() {
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name       string             `json:"name"`
+	Name string `json:"name"`
+	// GOMAXPROCS is the `-N` suffix go test printed after the name (1
+	// when it printed none).
+	GOMAXPROCS int                `json:"gomaxprocs"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -127,6 +134,19 @@ func loadReport(path string) (*Report, error) {
 	return &r, nil
 }
 
+// splitProcs splits the name go test prints into the benchmark's own
+// name and its GOMAXPROCS: go test appends "-N" unless N is 1. (A
+// sub-benchmark whose own name ends in "-<digits>" run at GOMAXPROCS=1
+// is indistinguishable; benchstat reads it the same way.)
+func splitProcs(printed string) (name string, procs int) {
+	if i := strings.LastIndexByte(printed, '-'); i > 0 {
+		if n, err := strconv.Atoi(printed[i+1:]); err == nil && n > 0 {
+			return printed[:i], n
+		}
+	}
+	return printed, 1
+}
+
 // metricDirection classifies a unit: -1 means lower is better (times,
 // allocations), +1 means higher is better (throughput, speedups), 0
 // means unratcheted (counts, sizes, and units we cannot classify).
@@ -156,10 +176,11 @@ func mergeBestOf(r *Report) *Report {
 	merged := &Report{GoOS: r.GoOS, GoArch: r.GoArch, Pkg: r.Pkg, CPU: r.CPU, Benchmarks: []Result{}}
 	index := make(map[string]int)
 	for _, b := range r.Benchmarks {
-		i, seen := index[b.Name]
+		key := b.Name + "-" + strconv.Itoa(b.GOMAXPROCS) // -cpu 1,2 repeats stay apart
+		i, seen := index[key]
 		if !seen {
-			index[b.Name] = len(merged.Benchmarks)
-			cp := Result{Name: b.Name, Iterations: b.Iterations, Metrics: make(map[string]float64, len(b.Metrics))}
+			index[key] = len(merged.Benchmarks)
+			cp := Result{Name: b.Name, GOMAXPROCS: b.GOMAXPROCS, Iterations: b.Iterations, Metrics: make(map[string]float64, len(b.Metrics))}
 			for unit, v := range b.Metrics {
 				cp.Metrics[unit] = v
 			}
@@ -212,6 +233,9 @@ func compare(out io.Writer, baseline, current *Report, tolerance float64, summar
 			continue
 		}
 		seen[cur.Name] = true
+		if old.GOMAXPROCS != cur.GOMAXPROCS {
+			fmt.Fprintf(out, "note: %s baseline ran at GOMAXPROCS=%d, this run at %d\n", cur.Name, old.GOMAXPROCS, cur.GOMAXPROCS)
+		}
 		units := make([]string, 0, len(old.Metrics))
 		for unit := range old.Metrics {
 			units = append(units, unit)
@@ -330,7 +354,8 @@ func parse(in io.Reader) (*Report, error) {
 //
 //	BenchmarkName/sub-8   10   123456 ns/op   120.5 MB/s   64 B/op   2 allocs/op
 //
-// i.e. name, iteration count, then value/unit pairs.
+// i.e. name with its GOMAXPROCS suffix, iteration count, then
+// value/unit pairs.
 func parseBenchLine(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
@@ -340,7 +365,8 @@ func parseBenchLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	res := Result{Name: fields[0], Iterations: iters, Metrics: make(map[string]float64)}
+	name, procs := splitProcs(fields[0])
+	res := Result{Name: name, GOMAXPROCS: procs, Iterations: iters, Metrics: make(map[string]float64)}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

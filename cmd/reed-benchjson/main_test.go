@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +33,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 2", len(r.Benchmarks))
 	}
 	up := r.Benchmarks[0]
-	if up.Name != "BenchmarkStreamingUpload/seg=1MiB-8" || up.Iterations != 10 {
+	if up.Name != "BenchmarkStreamingUpload/seg=1MiB" || up.GOMAXPROCS != 8 || up.Iterations != 10 {
 		t.Fatalf("first result = %+v", up)
 	}
 	if up.Metrics["ns/op"] != 123456789 || up.Metrics["MB/s"] != 120.50 {
@@ -138,6 +139,42 @@ func TestCompareFailsWhenBaselineBenchmarkMissing(t *testing.T) {
 	}
 }
 
+// TestCompareMatchesAcrossGOMAXPROCS: go test names a benchmark
+// "Name-N" unless N is 1, so the same benchmark has a different printed
+// name on every core count. The ratchet matches on the name without the
+// suffix, whichever side has it.
+func TestCompareMatchesAcrossGOMAXPROCS(t *testing.T) {
+	for printed, want := range map[string]Result{
+		"BenchmarkFig8aRekeyUsers-2":    {Name: "BenchmarkFig8aRekeyUsers", GOMAXPROCS: 2},
+		"BenchmarkWarmUpload":           {Name: "BenchmarkWarmUpload", GOMAXPROCS: 1},
+		"BenchmarkMuxedGets/inflight=8": {Name: "BenchmarkMuxedGets/inflight=8", GOMAXPROCS: 1},
+		"BenchmarkX/a-b-16":             {Name: "BenchmarkX/a-b", GOMAXPROCS: 16},
+		"BenchmarkX/trailing-":          {Name: "BenchmarkX/trailing-", GOMAXPROCS: 1},
+	} {
+		if name, procs := splitProcs(printed); name != want.Name || procs != want.GOMAXPROCS {
+			t.Errorf("splitProcs(%q) = %q, %d; want %q, %d", printed, name, procs, want.Name, want.GOMAXPROCS)
+		}
+	}
+
+	oneCPU := strings.ReplaceAll(sample, "-8 ", " ")
+	baselineOn1 := filepath.Join(t.TempDir(), "one.json")
+	if err := run(strings.NewReader(oneCPU), io.Discard, []string{"-o", baselineOn1}); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct{ baseline, current string }{
+		"baseline on 8, run on 1": {writeBaseline(t), oneCPU},
+		"baseline on 1, run on 8": {baselineOn1, sample},
+	} {
+		var out bytes.Buffer
+		if err := run(strings.NewReader(tc.current), &out, []string{"-compare", tc.baseline}); err != nil {
+			t.Errorf("%s: %v\n%s", name, err, out.String())
+		}
+		if !strings.Contains(out.String(), "note: BenchmarkStreamingUpload/seg=1MiB baseline ran at GOMAXPROCS=") {
+			t.Errorf("%s: no note about the differing core count:\n%s", name, out.String())
+		}
+	}
+}
+
 func TestCompareFailsOnMissingBaselineFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nope", "BENCH_gone.json")
 	var out bytes.Buffer
@@ -225,9 +262,9 @@ func TestSummaryTableWritten(t *testing.T) {
 	got := string(b)
 	for _, want := range []string{
 		"| benchmark | metric |",
-		"| BenchmarkStreamingUpload/seg=1MiB-8 | MB/s |",
+		"| BenchmarkStreamingUpload/seg=1MiB | MB/s |",
 		"**REGRESSION**",
-		"| BenchmarkMuxedGets/inflight=8-8 | ns/op |",
+		"| BenchmarkMuxedGets/inflight=8 | ns/op |",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("summary missing %q:\n%s", want, got)

@@ -10,19 +10,19 @@
 //
 // # Durability
 //
-// All index, refcount, and container mutations are journaled to an
-// append-only WAL (internal/wal) before they are acknowledged:
-// mutating operations buffer records under the store lock and Commit
-// writes them as one durable segment — the storage server calls Commit
-// at the end of every chunk RPC batch, so an acknowledged upload
+// The store is a wal.State: every index, refcount and container
+// mutation is one record handed to a wal.Journal under the store lock,
+// and Commit makes the buffered records durable as one segment — the
+// storage server's dispatch commits after every handler that dirtied
+// the store and before it forms the reply, so an acknowledged upload
 // survives kill -9. New-chunk records carry the chunk bytes themselves
 // (data journaling), because the open container exists only in memory
-// until it is sealed. The WAL is periodically checkpointed into a
-// sorted snapshot blob (written atomically via the backend's Put
-// contract) and truncated; recovery loads the snapshot, replays the
-// WAL tail with torn-tail tolerance, sweeps orphaned container blobs,
-// and scrubs every sealed container's packfile index against the
-// recovered fingerprint index. See DESIGN.md §9.
+// until it is sealed. Buffering, segment writes, the checkpoint
+// snapshot's envelope, log truncation and the snapshot-then-replay
+// order of recovery are the journal's; this package supplies the record
+// and snapshot body encodings (recovery.go) and, after the journal has
+// rebuilt the index, sweeps orphaned container blobs and scrubs every
+// sealed container's packfile index against it. See DESIGN.md §9.
 package dedup
 
 import (
@@ -41,21 +41,9 @@ import (
 // DefaultContainerSize is the paper's container/batch size: 4 MB.
 const DefaultContainerSize = 4 << 20
 
-// indexBlobName is where the checkpoint snapshot lives in the backend.
-const indexBlobName = "dedup-index"
-
-// walPrefix names WAL segment blobs inside store.NSWAL.
-const walPrefix = "w"
-
 // readCacheContainers bounds the container read cache; restores read
 // containers mostly sequentially, so a handful suffices.
 const readCacheContainers = 8
-
-// autoCommitBytes caps how many framed-but-uncommitted WAL bytes may
-// buffer in memory before a mutation forces a segment write, bounding
-// both memory and the worst-case loss window for callers that never
-// Commit (the experiment drivers).
-const autoCommitBytes = 1 << 20
 
 // ErrUnknownChunk is returned by Get for fingerprints never stored.
 var ErrUnknownChunk = errors.New("dedup: unknown chunk")
@@ -95,7 +83,7 @@ func (s Stats) SavingsRatio() float64 {
 //
 // Two locks split the hot paths so concurrent server handlers
 // parallelize. s.mu guards the mutable dedup state (index, refs, open
-// container, accounting, WAL buffer); cacheMu guards the sealed-container
+// container, accounting, journal); cacheMu guards the sealed-container
 // read cache and the singleflight table. Get never holds s.mu across a
 // backend container fetch — it snapshots the chunk's location under s.mu,
 // fetches the (immutable) sealed container under cacheMu/singleflight,
@@ -118,14 +106,9 @@ type Store struct {
 	// compaction decisions.
 	containers map[uint64]containerInfo
 
-	// Write-ahead logging (see recovery.go). pending holds framed
-	// records not yet written as a segment; walBytes counts segment
-	// bytes since the last checkpoint.
-	log             *wal.Log
-	pending         []byte
-	walBytes        int64
-	checkpointEvery int64
-	replaying       bool
+	// journal makes the state above durable (see recovery.go). It is
+	// nil while Open replays: replay paths never journal.
+	journal *wal.Journal
 
 	cacheMu   sync.Mutex
 	readCache map[uint64][]byte
@@ -161,17 +144,22 @@ func Open(ctx context.Context, backend store.Backend, containerSize int) (*Store
 	s := &Store{
 		backend:       backend,
 		containerSize: containerSize,
-		// Checkpoint cadence: a few containers' worth of WAL amortizes
-		// snapshot writes while keeping replay short.
-		checkpointEvery: int64(containerSize) * 4,
-		index:           make(map[fingerprint.Fingerprint]Location),
-		refs:            make(map[fingerprint.Fingerprint]uint32),
-		current:         make([]byte, 0, containerSize),
-		readCache:       make(map[uint64][]byte),
-		inflight:        make(map[uint64]*fetchCall),
-		containers:      make(map[uint64]containerInfo),
+		index:         make(map[fingerprint.Fingerprint]Location),
+		refs:          make(map[fingerprint.Fingerprint]uint32),
+		current:       make([]byte, 0, containerSize),
+		readCache:     make(map[uint64][]byte),
+		inflight:      make(map[uint64]*fetchCall),
+		containers:    make(map[uint64]containerInfo),
 	}
-	if err := s.recover(ctx); err != nil {
+	// Nothing below takes s.mu: the store is not shared until Open returns.
+	var err error
+	if s.journal, err = wal.OpenJournal(ctx, backend, journalSpec(containerSize), (*state)(s)); err != nil {
+		return nil, err
+	}
+	if err := s.sweepOrphans(ctx); err != nil {
+		return nil, err
+	}
+	if err := s.scrub(ctx); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -199,27 +187,26 @@ func (s *Store) Put(ctx context.Context, fp fingerprint.Fingerprint, data []byte
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if _, ok := s.index[fp]; ok {
+	_, dup := s.index[fp]
+	if dup {
 		s.applyRef(fp)
-		s.logRef(fp)
-		//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-		return true, s.maybeAutoCommitLocked(ctx)
-	}
-
-	if len(s.current)+len(data) > s.containerSize && len(s.current) > 0 {
-		if err := s.sealLocked(ctx); err != nil {
-			return false, err
+		s.journal.Record(encodeFPRec(recRef, fp))
+	} else {
+		if len(s.current)+len(data) > s.containerSize && len(s.current) > 0 {
+			if err := s.sealLocked(ctx); err != nil {
+				return false, err
+			}
 		}
+		loc := Location{
+			Container: s.currentID,
+			Offset:    uint32(len(s.current)),
+			Length:    uint32(len(data)),
+		}
+		s.applyPut(fp, loc, data)
+		s.journal.Record(encodeChunkRec(recPut, fp, loc, data))
 	}
-	loc := Location{
-		Container: s.currentID,
-		Offset:    uint32(len(s.current)),
-		Length:    uint32(len(data)),
-	}
-	s.applyPut(fp, loc, data)
-	s.logPut(fp, loc, data)
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return false, s.maybeAutoCommitLocked(ctx)
+	return dup, s.journal.AutoCommit(ctx)
 }
 
 // Ref adds one reference to an already-stored chunk without carrying
@@ -237,9 +224,9 @@ func (s *Store) Ref(ctx context.Context, fp fingerprint.Fingerprint) (bool, erro
 		return false, nil
 	}
 	s.applyRef(fp)
-	s.logRef(fp)
+	s.journal.Record(encodeFPRec(recRef, fp))
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return true, s.maybeAutoCommitLocked(ctx)
+	return true, s.journal.AutoCommit(ctx)
 }
 
 // applyRef applies a duplicate-put to in-memory state; shared by the
@@ -273,42 +260,7 @@ func (s *Store) Commit(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return s.commitLocked(ctx)
-}
-
-// maybeAutoCommitLocked flushes the pending WAL buffer once it grows
-// past autoCommitBytes.
-func (s *Store) maybeAutoCommitLocked(ctx context.Context) error {
-	if len(s.pending) < autoCommitBytes {
-		return nil
-	}
-	return s.commitLocked(ctx)
-}
-
-// commitLocked writes buffered records as one segment and checkpoints
-// when the log has grown enough. On failure the buffer is retained, so
-// a retried Commit re-attempts the same segment.
-func (s *Store) commitLocked(ctx context.Context) error {
-	if err := s.flushPendingLocked(ctx); err != nil {
-		return err
-	}
-	if s.walBytes >= s.checkpointEvery {
-		return s.checkpointLocked(ctx)
-	}
-	return nil
-}
-
-// flushPendingLocked writes the pending buffer as one WAL segment.
-func (s *Store) flushPendingLocked(ctx context.Context) error {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	if err := s.log.Append(ctx, s.pending); err != nil {
-		return fmt.Errorf("dedup: commit: %w", err)
-	}
-	s.walBytes += int64(len(s.pending))
-	s.pending = s.pending[:0]
-	return nil
+	return s.journal.Commit(ctx)
 }
 
 // ContainerCount returns how many containers currently hold data: the
@@ -598,7 +550,7 @@ func (s *Store) sealLocked(ctx context.Context) error {
 	if err := s.backend.Put(ctx, store.NSContainers, name, w.Finish()); err != nil {
 		return fmt.Errorf("dedup: seal container: %w", err)
 	}
-	s.logSeal(s.currentID, uint64(len(s.current)))
+	s.journal.Record(encodeSealRec(s.currentID, uint64(len(s.current))))
 	s.applySeal(s.currentID, uint64(len(s.current)))
 	return nil
 }
@@ -625,7 +577,7 @@ func (s *Store) Flush(ctx context.Context) error {
 		return err
 	}
 	//reed-vet:ignore lockguard — checkpointing must see a quiescent index; the write belongs in this critical section.
-	return s.checkpointLocked(ctx)
+	return s.journal.Checkpoint(ctx)
 }
 
 // Close flushes and releases the store.

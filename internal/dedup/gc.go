@@ -49,27 +49,27 @@ func (s *Store) Deref(ctx context.Context, fp fingerprint.Fingerprint) (uint32, 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//reed-vet:ignore lockguard — compaction rewrites containers under the index lock by design.
-	left, err := s.derefLocked(ctx, fp)
+	left, err := s.derefLocked(ctx, fp, false)
 	if err != nil {
 		return 0, err
 	}
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return left, s.maybeAutoCommitLocked(ctx)
+	return left, s.journal.AutoCommit(ctx)
 }
 
-// derefLocked implements Deref; it is also the replay path for DEREF
-// records (s.replaying true). Replay applies the same in-memory
-// transitions — including the deterministic open-container squeeze —
-// but never journals and never compacts sealed containers: a live
-// compaction's effects are expressed by the MOVE/SEAL/DROP records
-// that follow the DEREF in the log.
-func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint) (uint32, error) {
+// derefLocked implements Deref; with replay set it is also how a DEREF
+// record is re-applied. Replay makes the same in-memory transitions —
+// including the deterministic open-container squeeze — but never
+// journals and never compacts sealed containers: a live compaction's
+// effects are expressed by the MOVE/SEAL/DROP records that follow the
+// DEREF in the log.
+func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint, replay bool) (uint32, error) {
 	loc, ok := s.index[fp]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownChunk, fp.Short())
 	}
-	if !s.replaying {
-		s.logDeref(fp)
+	if !replay {
+		s.journal.Record(encodeFPRec(recDeref, fp))
 	}
 	refs := s.refs[fp]
 	if refs > 1 {
@@ -98,7 +98,7 @@ func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint) (ui
 	info.Live -= uint64(loc.Length)
 	info.Dead += uint64(loc.Length)
 	s.containers[loc.Container] = info
-	if total := info.Live + info.Dead; total > 0 && !s.replaying &&
+	if total := info.Live + info.Dead; total > 0 && !replay &&
 		float64(info.Dead)/float64(total) >= compactionThreshold {
 		if err := s.compactLocked(ctx, loc.Container); err != nil {
 			return 0, err
@@ -190,17 +190,17 @@ func (s *Store) compactLocked(ctx context.Context, id uint64) error {
 			Offset:    uint32(len(s.current)),
 			Length:    m.loc.Length,
 		}
-		s.logMove(m.fp, newLoc, data)
+		s.journal.Record(encodeChunkRec(recMove, m.fp, newLoc, data))
 		s.applyMove(m.fp, newLoc, data)
 	}
 
-	s.logDrop(id)
+	s.journal.Record(encodeDropRec(id))
 	s.applyDrop(id)
 	s.cacheInvalidate(id)
 
 	// The WAL must hold the committed moves before the only other copy
 	// of those chunks disappears.
-	if err := s.flushPendingLocked(ctx); err != nil {
+	if err := s.journal.Sync(ctx); err != nil {
 		return err
 	}
 	if err := s.backend.Delete(ctx, store.NSContainers, containerName(id)); err != nil {

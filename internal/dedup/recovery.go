@@ -1,11 +1,12 @@
 package dedup
 
-// Write-ahead logging and crash recovery.
+// The store as a wal.State, and what recovery checks afterwards.
 //
 // Every mutation of the dedup state is expressed as one WAL record;
-// recovery is "snapshot + replay": load the last checkpoint snapshot,
-// re-apply the records journaled after it, then verify the result
-// against the containers actually present in the backend. For replay
+// recovery is "snapshot + replay": the journal (wal.OpenJournal) loads
+// the last checkpoint snapshot and re-applies the records journaled
+// after it, then the store verifies the result against the containers
+// actually present in the backend. For replay
 // to land on byte-identical state, every in-memory rearrangement is
 // either deterministic (the open-container squeeze repacks in offset
 // order) or explicitly journaled (compaction MOVE records carry the
@@ -29,14 +30,11 @@ package dedup
 //     deleting the old container blob, so the only copy of a moved
 //     chunk is never exclusively in a lost buffer;
 //   - the checkpoint snapshot is one atomic backend Put, and the WAL
-//     is truncated only after it lands.
+//     is truncated only after it lands (wal.Journal.Checkpoint).
 
 import (
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"repro/internal/binenc"
@@ -60,57 +58,40 @@ const (
 // the pre-WAL index blob (version 2); older snapshots are not readable.
 const snapshotVersion = 3
 
-// log helpers frame one record each into the pending buffer. They are
-// no-ops during replay: replay re-applies history, it must not re-write
-// it.
-
-func (s *Store) logRecord(payload []byte) {
-	if s.replaying {
-		return
+// journalSpec is the dedup store's journal: segments "w…" in NSWAL,
+// snapshot "dedup-index". Checkpoint cadence: a few containers' worth
+// of WAL amortizes snapshot writes while keeping replay short.
+func journalSpec(containerSize int) wal.Spec {
+	return wal.Spec{
+		Owner:           "dedup",
+		Namespace:       store.NSWAL,
+		Prefix:          "w",
+		Blob:            "dedup-index",
+		Version:         snapshotVersion,
+		CheckpointEvery: int64(containerSize) * 4,
 	}
-	s.pending = wal.AppendRecord(s.pending, payload)
 }
 
-func (s *Store) logPut(fp fingerprint.Fingerprint, loc Location, data []byte) {
-	s.logRecord(encodeChunkRec(recPut, fp, loc, data))
-}
-
-func (s *Store) logMove(fp fingerprint.Fingerprint, loc Location, data []byte) {
-	s.logRecord(encodeChunkRec(recMove, fp, loc, data))
-}
-
-func (s *Store) logRef(fp fingerprint.Fingerprint) {
-	s.logRecord(encodeFPRec(recRef, fp))
-}
-
-func (s *Store) logDeref(fp fingerprint.Fingerprint) {
-	s.logRecord(encodeFPRec(recDeref, fp))
-}
-
-func (s *Store) logSeal(id, live uint64) {
-	w := binenc.NewWriter(17)
-	w.Uint8(recSeal)
-	w.Uint64(id)
-	w.Uint64(live)
-	s.logRecord(w.Bytes())
-}
-
-func (s *Store) logDrop(id uint64) {
-	w := binenc.NewWriter(9)
-	w.Uint8(recDrop)
-	w.Uint64(id)
-	s.logRecord(w.Bytes())
-}
+// state is *Store as the journal sees it: the three wal.State methods
+// (Apply, EncodeSnapshot, DecodeSnapshot below), kept off Store's
+// exported surface because they assume s.mu is held.
+type state Store
 
 func encodeChunkRec(kind uint8, fp fingerprint.Fingerprint, loc Location, data []byte) []byte {
 	w := binenc.NewWriter(1 + fingerprint.Size + 16 + 5 + len(data))
 	w.Uint8(kind)
+	writeEntry(w, fp, loc)
+	w.WriteBytes(data)
+	return w.Bytes()
+}
+
+// writeEntry writes a fingerprint and its location: the common prefix
+// of chunk records and snapshot index entries (readEntry reads it).
+func writeEntry(w *binenc.Writer, fp fingerprint.Fingerprint, loc Location) {
 	w.Raw(fp[:])
 	w.Uint64(loc.Container)
 	w.Uint32(loc.Offset)
 	w.Uint32(loc.Length)
-	w.WriteBytes(data)
-	return w.Bytes()
 }
 
 func encodeFPRec(kind uint8, fp fingerprint.Fingerprint) []byte {
@@ -120,11 +101,27 @@ func encodeFPRec(kind uint8, fp fingerprint.Fingerprint) []byte {
 	return w.Bytes()
 }
 
-// applyRecord replays one WAL record against in-memory state,
-// validating that the record matches the state replay has rebuilt so
-// far — any mismatch means the log and snapshot disagree, and recovery
-// must fail rather than fabricate a plausible-looking store.
-func (s *Store) applyRecord(ctx context.Context, rec []byte) error {
+func encodeSealRec(id, live uint64) []byte {
+	w := binenc.NewWriter(17)
+	w.Uint8(recSeal)
+	w.Uint64(id)
+	w.Uint64(live)
+	return w.Bytes()
+}
+
+func encodeDropRec(id uint64) []byte {
+	w := binenc.NewWriter(9)
+	w.Uint8(recDrop)
+	w.Uint64(id)
+	return w.Bytes()
+}
+
+// Apply replays one WAL record against in-memory state, validating that
+// the record matches the state replay has rebuilt so far — any mismatch
+// means the log and snapshot disagree, and recovery must fail rather
+// than fabricate a plausible-looking store.
+func (st *state) Apply(ctx context.Context, rec []byte) error {
+	s := (*Store)(st)
 	r := binenc.NewReader(rec)
 	kind, err := r.Uint8()
 	if err != nil {
@@ -132,22 +129,8 @@ func (s *Store) applyRecord(ctx context.Context, rec []byte) error {
 	}
 	switch kind {
 	case recPut, recMove:
-		raw, err := r.ReadRaw(fingerprint.Size)
+		fp, loc, err := readEntry(r)
 		if err != nil {
-			return fmt.Errorf("dedup: replay: %w", err)
-		}
-		fp, err := fingerprint.FromSlice(raw)
-		if err != nil {
-			return err
-		}
-		var loc Location
-		if loc.Container, err = r.Uint64(); err != nil {
-			return fmt.Errorf("dedup: replay: %w", err)
-		}
-		if loc.Offset, err = r.Uint32(); err != nil {
-			return fmt.Errorf("dedup: replay: %w", err)
-		}
-		if loc.Length, err = r.Uint32(); err != nil {
 			return fmt.Errorf("dedup: replay: %w", err)
 		}
 		data, err := r.ReadBytes()
@@ -173,7 +156,7 @@ func (s *Store) applyRecord(ctx context.Context, rec []byte) error {
 	case recRef:
 		fp, err := readFP(r)
 		if err != nil {
-			return err
+			return fmt.Errorf("dedup: replay: %w", err)
 		}
 		if _, ok := s.index[fp]; !ok {
 			return fmt.Errorf("dedup: replay: REF of unknown chunk %s", fp.Short())
@@ -182,18 +165,14 @@ func (s *Store) applyRecord(ctx context.Context, rec []byte) error {
 	case recDeref:
 		fp, err := readFP(r)
 		if err != nil {
-			return err
+			return fmt.Errorf("dedup: replay: %w", err)
 		}
-		if _, err := s.derefLocked(ctx, fp); err != nil {
+		if _, err := s.derefLocked(ctx, fp, true); err != nil {
 			return fmt.Errorf("dedup: replay: %w", err)
 		}
 	case recSeal:
-		id, err := r.Uint64()
-		if err != nil {
-			return fmt.Errorf("dedup: replay: %w", err)
-		}
-		live, err := r.Uint64()
-		if err != nil {
+		var id, live uint64
+		if err := readUint64s(r, &id, &live); err != nil {
 			return fmt.Errorf("dedup: replay: %w", err)
 		}
 		if id != s.currentID {
@@ -228,54 +207,43 @@ func (s *Store) applyRecord(ctx context.Context, rec []byte) error {
 func readFP(r *binenc.Reader) (fingerprint.Fingerprint, error) {
 	raw, err := r.ReadRaw(fingerprint.Size)
 	if err != nil {
-		return fingerprint.Fingerprint{}, fmt.Errorf("dedup: replay: %w", err)
+		return fingerprint.Fingerprint{}, err
 	}
 	return fingerprint.FromSlice(raw)
 }
 
-// recover rebuilds state at Open: snapshot, WAL replay, orphan sweep,
-// container scrub. It runs before the store is published, so no
-// locking is needed; derefLocked still expects s.mu, and taking it
-// uncontended keeps the invariants simple.
-func (s *Store) recover(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	//reed-vet:ignore lockguard — recover runs before Open publishes the store; s.mu is uncontended.
-	walFrom, err := s.loadSnapshot(ctx)
-	if err != nil {
-		return err
+// readUint64s fills each field in order.
+func readUint64s(r *binenc.Reader, fields ...*uint64) (err error) {
+	for _, f := range fields {
+		if *f, err = r.Uint64(); err != nil {
+			return err
+		}
 	}
-	if s.log, err = wal.Open(ctx, s.backend, store.NSWAL, walPrefix); err != nil {
-		return fmt.Errorf("dedup: open wal: %w", err)
-	}
-	s.log.Advance(walFrom)
-
-	s.replaying = true
-	//reed-vet:ignore lockguard — recover runs before Open publishes the store; s.mu is uncontended.
-	err = s.log.Replay(ctx, walFrom, func(rec []byte) error {
-		return s.applyRecord(ctx, rec)
-	})
-	s.replaying = false
-	if err != nil {
-		return err
-	}
-	// Replayed-but-not-checkpointed history counts toward the next
-	// checkpoint: a crash loop must not defer checkpointing forever.
-	s.walBytes = 0
-
-	if err := s.sweepOrphansLocked(ctx); err != nil {
-		return err
-	}
-	//reed-vet:ignore lockguard — recover runs before Open publishes the store; s.mu is uncontended.
-	return s.scrubLocked(ctx)
+	return nil
 }
 
-// sweepOrphansLocked deletes container blobs the recovered state does
+// readEntry reads what writeEntry wrote.
+func readEntry(r *binenc.Reader) (fingerprint.Fingerprint, Location, error) {
+	var loc Location
+	fp, err := readFP(r)
+	if err != nil {
+		return fp, loc, err
+	}
+	if loc.Container, err = r.Uint64(); err != nil {
+		return fp, loc, err
+	}
+	if loc.Offset, err = r.Uint32(); err != nil {
+		return fp, loc, err
+	}
+	loc.Length, err = r.Uint32()
+	return fp, loc, err
+}
+
+// sweepOrphans deletes container blobs the recovered state does
 // not own: a container sealed-but-not-committed before the crash, or
 // one whose committed compaction did not get to delete it. Either way
 // the recovered index holds no locations in it.
-func (s *Store) sweepOrphansLocked(ctx context.Context) error {
+func (s *Store) sweepOrphans(ctx context.Context) error {
 	names, err := s.backend.List(ctx, store.NSContainers)
 	if err != nil {
 		return fmt.Errorf("dedup: list containers: %w", err)
@@ -294,12 +262,12 @@ func (s *Store) sweepOrphansLocked(ctx context.Context) error {
 	return nil
 }
 
-// scrubLocked cross-checks the recovered index against each sealed
+// scrub cross-checks the recovered index against each sealed
 // container's own packfile index, using ranged reads (footer + index
 // section) so no container body is transferred. Every recovered
 // location must exist in its container with matching offset and
 // length, and the per-container live-byte accounting must agree.
-func (s *Store) scrubLocked(ctx context.Context) error {
+func (s *Store) scrub(ctx context.Context) error {
 	byContainer := make(map[uint64]map[fingerprint.Fingerprint]Location)
 	for fp, loc := range s.index {
 		if loc.Container == s.currentID {
@@ -347,39 +315,26 @@ func (s *Store) scrubLocked(ctx context.Context) error {
 	return nil
 }
 
-// checkpointLocked folds all state into one snapshot blob (a single
-// atomic backend Put), then truncates the WAL below the recorded
-// position. A crash between the two leaves stale segments that the
-// next recovery skips (replay starts at the snapshot's position).
-func (s *Store) checkpointLocked(ctx context.Context) error {
-	if err := s.flushPendingLocked(ctx); err != nil {
-		return err
+// snapshotScalars lists the fixed-width fields that open a snapshot
+// body, in encoding order — one list, so EncodeSnapshot and
+// DecodeSnapshot cannot disagree on it.
+func (s *Store) snapshotScalars() []*uint64 {
+	return []*uint64{
+		&s.currentID,
+		&s.stats.TotalPuts, &s.stats.DedupedPuts,
+		&s.stats.LogicalBytes, &s.stats.PhysicalBytes,
+		&s.stats.FreedChunks, &s.stats.FreedBytes,
+		&s.stats.CompactedContainers, &s.openDead,
 	}
-	if err := s.backend.Put(ctx, store.NSMeta, indexBlobName, s.encodeSnapshotLocked()); err != nil {
-		return fmt.Errorf("dedup: write snapshot: %w", err)
-	}
-	s.walBytes = 0
-	if err := s.log.TruncateBefore(ctx, s.log.Next()); err != nil {
-		return fmt.Errorf("dedup: truncate wal: %w", err)
-	}
-	return nil
 }
 
-// encodeSnapshotLocked serializes the complete store state, sorted for
-// determinism, with a trailing CRC-32.
-func (s *Store) encodeSnapshotLocked() []byte {
-	w := binenc.NewWriter(len(s.index)*(fingerprint.Size+20) + len(s.current) + 256)
-	w.Uint8(snapshotVersion)
-	w.Uint64(s.log.Next()) // replay position: records before this are folded in
-	w.Uint64(s.currentID)
-	w.Uint64(s.stats.TotalPuts)
-	w.Uint64(s.stats.DedupedPuts)
-	w.Uint64(s.stats.LogicalBytes)
-	w.Uint64(s.stats.PhysicalBytes)
-	w.Uint64(s.stats.FreedChunks)
-	w.Uint64(s.stats.FreedBytes)
-	w.Uint64(s.stats.CompactedContainers)
-	w.Uint64(s.openDead)
+// EncodeSnapshot writes the complete store state, sorted for
+// determinism, as the body of the journal's checkpoint blob.
+func (st *state) EncodeSnapshot(w *binenc.Writer) {
+	s := (*Store)(st)
+	for _, field := range s.snapshotScalars() {
+		w.Uint64(*field)
+	}
 
 	fps := make([]fingerprint.Fingerprint, 0, len(s.index))
 	for fp := range s.index {
@@ -388,11 +343,7 @@ func (s *Store) encodeSnapshotLocked() []byte {
 	sort.Slice(fps, func(i, j int) bool { return string(fps[i][:]) < string(fps[j][:]) })
 	w.Uvarint(uint64(len(fps)))
 	for _, fp := range fps {
-		loc := s.index[fp]
-		w.Raw(fp[:])
-		w.Uint64(loc.Container)
-		w.Uint32(loc.Offset)
-		w.Uint32(loc.Length)
+		writeEntry(w, fp, s.index[fp])
 		w.Uint32(s.refs[fp])
 	}
 
@@ -410,116 +361,50 @@ func (s *Store) encodeSnapshotLocked() []byte {
 	}
 
 	w.WriteBytes(s.current)
-
-	blob := w.Bytes()
-	return binary.BigEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
 }
 
-// loadSnapshot restores the last checkpoint, returning the WAL replay
-// position (0 when no snapshot exists — a fresh store, or one that
-// crashed before its first checkpoint).
-func (s *Store) loadSnapshot(ctx context.Context) (uint64, error) {
-	blob, err := s.backend.Get(ctx, store.NSMeta, indexBlobName)
-	if errors.Is(err, store.ErrNotFound) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("dedup: load snapshot: %w", err)
-	}
-	if len(blob) < 5 {
-		return 0, errors.New("dedup: snapshot too short")
-	}
-	body, tail := blob[:len(blob)-4], blob[len(blob)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tail) {
-		return 0, errors.New("dedup: snapshot checksum mismatch")
-	}
-
-	r := binenc.NewReader(body)
-	version, err := r.Uint8()
-	if err != nil {
-		return 0, fmt.Errorf("dedup: parse snapshot: %w", err)
-	}
-	if version != snapshotVersion {
-		return 0, fmt.Errorf("dedup: unsupported snapshot version %d (want %d)", version, snapshotVersion)
-	}
-	walFrom, err := r.Uint64()
-	if err != nil {
-		return 0, fmt.Errorf("dedup: parse snapshot: %w", err)
-	}
-	if s.currentID, err = r.Uint64(); err != nil {
-		return 0, fmt.Errorf("dedup: parse snapshot: %w", err)
-	}
-	for _, field := range []*uint64{
-		&s.stats.TotalPuts, &s.stats.DedupedPuts,
-		&s.stats.LogicalBytes, &s.stats.PhysicalBytes,
-		&s.stats.FreedChunks, &s.stats.FreedBytes,
-		&s.stats.CompactedContainers, &s.openDead,
-	} {
-		if *field, err = r.Uint64(); err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot: %w", err)
-		}
+// DecodeSnapshot restores the state EncodeSnapshot wrote.
+func (st *state) DecodeSnapshot(r *binenc.Reader) error {
+	s := (*Store)(st)
+	if err := readUint64s(r, s.snapshotScalars()...); err != nil {
+		return err
 	}
 
 	count, err := r.Uvarint()
 	if err != nil {
-		return 0, fmt.Errorf("dedup: parse snapshot: %w", err)
+		return err
 	}
 	s.index = make(map[fingerprint.Fingerprint]Location, count)
 	s.refs = make(map[fingerprint.Fingerprint]uint32, count)
 	for i := uint64(0); i < count; i++ {
-		raw, err := r.ReadRaw(fingerprint.Size)
+		fp, loc, err := readEntry(r)
 		if err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot entry %d: %w", i, err)
+			return fmt.Errorf("entry %d: %w", i, err)
 		}
-		fp, err := fingerprint.FromSlice(raw)
-		if err != nil {
-			return 0, err
-		}
-		var loc Location
-		if loc.Container, err = r.Uint64(); err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot entry %d: %w", i, err)
-		}
-		if loc.Offset, err = r.Uint32(); err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot entry %d: %w", i, err)
-		}
-		if loc.Length, err = r.Uint32(); err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot entry %d: %w", i, err)
-		}
-		refs, err := r.Uint32()
-		if err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot entry %d: %w", i, err)
+		if s.refs[fp], err = r.Uint32(); err != nil {
+			return fmt.Errorf("entry %d: %w", i, err)
 		}
 		s.index[fp] = loc
-		s.refs[fp] = refs
 	}
 
 	ccount, err := r.Uvarint()
 	if err != nil {
-		return 0, fmt.Errorf("dedup: parse snapshot: %w", err)
+		return err
 	}
 	s.containers = make(map[uint64]containerInfo, ccount)
 	for i := uint64(0); i < ccount; i++ {
-		id, err := r.Uint64()
-		if err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot container %d: %w", i, err)
-		}
+		var id uint64
 		var info containerInfo
-		if info.Live, err = r.Uint64(); err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot container %d: %w", i, err)
-		}
-		if info.Dead, err = r.Uint64(); err != nil {
-			return 0, fmt.Errorf("dedup: parse snapshot container %d: %w", i, err)
+		if err := readUint64s(r, &id, &info.Live, &info.Dead); err != nil {
+			return fmt.Errorf("container %d: %w", i, err)
 		}
 		s.containers[id] = info
 	}
 
 	open, err := r.ReadBytes()
 	if err != nil {
-		return 0, fmt.Errorf("dedup: parse snapshot: %w", err)
+		return err
 	}
 	s.current = append(s.current[:0], open...)
-	if !r.Done() {
-		return 0, errors.New("dedup: trailing bytes in snapshot")
-	}
-	return walFrom, nil
+	return nil
 }

@@ -61,6 +61,10 @@ func AblationBatching(o Options) ([]AblationBatchingPoint, error) {
 type AblationCachePoint struct {
 	CacheEnabled bool
 	SecondUpMBps float64
+	// SecondUpEvaluations is how many OPRF evaluations the key manager
+	// served during the second upload: the work the cache exists to
+	// avoid, counted rather than timed.
+	SecondUpEvaluations uint64
 }
 
 // AblationKeyCache uploads a file twice with the cache on and with it
@@ -96,13 +100,17 @@ func AblationKeyCache(o Options) ([]AblationCachePoint, error) {
 			c.Close()
 			return nil, err
 		}
+		evalsBefore := cluster.KMEvaluations()
 		second, err := timeUpload(c, "/ab-cache/"+user+"/2", data, pol)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
 		c.Close()
-		out = append(out, AblationCachePoint{CacheEnabled: enabled, SecondUpMBps: second})
+		out = append(out, AblationCachePoint{
+			CacheEnabled: enabled, SecondUpMBps: second,
+			SecondUpEvaluations: cluster.KMEvaluations() - evalsBefore,
+		})
 	}
 	return out, nil
 }

@@ -85,18 +85,24 @@ func TestFig6Shape(t *testing.T) {
 	if len(points) != 2*len(PaperChunkSizesKB) {
 		t.Fatalf("points = %d", len(points))
 	}
-	// Paper shape: basic is faster than enhanced at the same chunk
-	// size (enhanced pays an extra AES pass).
-	speeds := make(map[string]map[int]float64)
+	// Every (scheme, chunk size) pair is measured exactly once. The
+	// paper's shape — basic faster than enhanced, which pays an extra
+	// AES pass — is a wall-clock ordering of two ~10 ms runs; this pure
+	// CPU experiment produces no counter to assert it on, so it is left
+	// to EXPERIMENTS.md and reed-perf's core.encrypt_s_per_GB.
+	seen := make(map[EncryptionPoint]bool)
 	for _, p := range points {
-		if speeds[p.Scheme] == nil {
-			speeds[p.Scheme] = make(map[int]float64)
+		if p.MBps <= 0 {
+			t.Errorf("degenerate point %+v", p)
 		}
-		speeds[p.Scheme][p.ChunkKB] = p.MBps
+		seen[EncryptionPoint{ChunkKB: p.ChunkKB, Scheme: p.Scheme}] = true
 	}
-	if speeds["basic"][8] <= speeds["enhanced"][8] {
-		t.Errorf("basic (%.0f MB/s) not faster than enhanced (%.0f MB/s) at 8KB",
-			speeds["basic"][8], speeds["enhanced"][8])
+	for _, kb := range PaperChunkSizesKB {
+		for _, scheme := range []string{"basic", "enhanced"} {
+			if !seen[EncryptionPoint{ChunkKB: kb, Scheme: scheme}] {
+				t.Errorf("no point for %s at %d KB", scheme, kb)
+			}
+		}
 	}
 }
 
@@ -253,17 +259,18 @@ func TestAblations(t *testing.T) {
 	if len(cache) != 2 {
 		t.Fatalf("cache points = %d", len(cache))
 	}
-	var withCache, withoutCache float64
+	// What the cache buys is counted, not timed: with it the second
+	// upload asks the key manager for nothing, without it for every
+	// chunk again. (Which of the two is faster on the wall clock is
+	// reed-perf's question; on a loaded two-core box it flipped.)
 	for _, p := range cache {
-		if p.CacheEnabled {
-			withCache = p.SecondUpMBps
-		} else {
-			withoutCache = p.SecondUpMBps
+		if p.SecondUpMBps <= 0 {
+			t.Errorf("cache ablation: degenerate point %+v", p)
 		}
-	}
-	if withCache <= withoutCache {
-		t.Errorf("cache ablation: cached second upload (%.1f) not faster than uncached (%.1f)",
-			withCache, withoutCache)
+		if p.CacheEnabled != (p.SecondUpEvaluations == 0) {
+			t.Errorf("cache ablation: cache enabled = %v but the second upload cost %d key-manager evaluations",
+				p.CacheEnabled, p.SecondUpEvaluations)
+		}
 	}
 
 	threads, err := AblationThreads(o, []int{1, 2})

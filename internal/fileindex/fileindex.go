@@ -17,25 +17,22 @@
 //
 // # Durability
 //
-// Same contract as the dedup index (internal/dedup, DESIGN.md §9):
-// every registration is journaled to an append-only WAL before it is
-// acknowledged — the server commits the batch at the end of the RPC —
-// and the WAL is periodically checkpointed into one atomic snapshot
-// blob and truncated. Recovery loads the snapshot and replays the WAL
-// tail with torn-tail tolerance, so an acknowledged registration
-// survives kill -9. The WAL lives in its own namespace
-// (store.NSFileWAL) because a wal.Log rejects foreign blobs in its
-// namespace.
+// Same contract and same machinery as the dedup index (internal/dedup,
+// DESIGN.md §9): the index is a wal.State — one record kind, one
+// registration — behind a wal.Journal, which owns buffering, segment
+// writes, the checkpoint snapshot and recovery. The server's dispatch
+// commits the journal after a RegisterFile handler and before it forms
+// the reply, so an acknowledged registration survives kill -9. The WAL
+// lives in its own namespace (store.NSFileWAL) because a wal.Log
+// rejects foreign blobs in its namespace.
 package fileindex
 
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"sync"
 
@@ -47,29 +44,24 @@ import (
 // HashSize is the whole-file hash length (SHA-256).
 const HashSize = 32
 
-// walPrefix names WAL segment blobs inside store.NSFileWAL.
-const walPrefix = "f"
-
-// snapshotBlobName is where the checkpoint snapshot lives in NSMeta.
-const snapshotBlobName = "file-index"
-
-// snapshotVersion guards the checkpoint encoding.
-const snapshotVersion = 1
+// journalSpec is the index's journal: segments "f…" in NSFileWAL,
+// snapshot "file-index", version 1. Registrations are tiny (~100
+// bytes), so checkpointing every 1 MiB of WAL keeps the replay tail
+// short without checkpointing on every batch.
+var journalSpec = wal.Spec{
+	Owner:           "fileindex",
+	Namespace:       store.NSFileWAL,
+	Prefix:          "f",
+	Blob:            "file-index",
+	Version:         1,
+	CheckpointEvery: 1 << 20,
+}
 
 // recRegister is the only WAL record kind: one registration.
 const recRegister = 1
 
 // maxEntries bounds decoded snapshots (and with it recovery memory).
 const maxEntries = 1 << 26
-
-// checkpointEvery is how many journaled WAL bytes trigger a checkpoint
-// at the next commit. Registrations are tiny (~100 bytes), so this
-// keeps the replay tail short without checkpointing on every batch.
-const checkpointEvery = 1 << 20
-
-// autoCommitBytes caps framed-but-uncommitted record bytes buffered in
-// memory, mirroring the dedup store's bound.
-const autoCommitBytes = 1 << 20
 
 // Key identifies one whole file within one policy's sharing domain.
 type Key struct {
@@ -94,35 +86,43 @@ func (k Key) RoutingName() string {
 	return "fileindex/" + hex.EncodeToString(k.Hash[:8]) + "/" + hex.EncodeToString(k.Policy[:8])
 }
 
-func (k Key) encode(w *binenc.Writer) {
+// encodeEntry writes one (key, name) pair: the body of a WAL record and
+// the unit of the snapshot.
+func encodeEntry(w *binenc.Writer, k Key, name string) {
 	w.Raw(k.Hash[:])
 	w.Uint64(k.Size)
 	w.Raw(k.Policy[:])
+	w.String(name)
 }
 
-func decodeKey(r *binenc.Reader) (Key, error) {
-	var k Key
+// decodeEntry reads what encodeEntry wrote and refuses an empty name.
+func decodeEntry(r *binenc.Reader) (k Key, name string, err error) {
 	raw, err := r.ReadRaw(HashSize)
 	if err != nil {
-		return Key{}, fmt.Errorf("fileindex: key hash: %w", err)
+		return Key{}, "", fmt.Errorf("fileindex: key hash: %w", err)
 	}
 	copy(k.Hash[:], raw)
 	if k.Size, err = r.Uint64(); err != nil {
-		return Key{}, fmt.Errorf("fileindex: key size: %w", err)
+		return Key{}, "", fmt.Errorf("fileindex: key size: %w", err)
 	}
 	if raw, err = r.ReadRaw(HashSize); err != nil {
-		return Key{}, fmt.Errorf("fileindex: key policy: %w", err)
+		return Key{}, "", fmt.Errorf("fileindex: key policy: %w", err)
 	}
 	copy(k.Policy[:], raw)
-	return k, nil
+	if name, err = r.ReadString(); err != nil {
+		return Key{}, "", fmt.Errorf("fileindex: name: %w", err)
+	}
+	if name == "" {
+		return Key{}, "", errors.New("fileindex: empty name")
+	}
+	return k, name, nil
 }
 
 // EncodeRecord frames one registration as a WAL record payload.
 func EncodeRecord(key Key, name string) []byte {
 	w := binenc.NewWriter(1 + 2*HashSize + 8 + 4 + len(name))
 	w.Uint8(recRegister)
-	key.encode(w)
-	w.String(name)
+	encodeEntry(w, key, name)
 	return w.Bytes()
 }
 
@@ -138,16 +138,9 @@ func DecodeRecord(rec []byte) (Key, string, error) {
 	if kind != recRegister {
 		return Key{}, "", fmt.Errorf("fileindex: unknown record kind %d", kind)
 	}
-	key, err := decodeKey(r)
+	key, name, err := decodeEntry(r)
 	if err != nil {
 		return Key{}, "", err
-	}
-	name, err := r.ReadString()
-	if err != nil {
-		return Key{}, "", fmt.Errorf("fileindex: record name: %w", err)
-	}
-	if name == "" {
-		return Key{}, "", errors.New("fileindex: empty name in record")
 	}
 	if !r.Done() {
 		return Key{}, "", errors.New("fileindex: trailing bytes in record")
@@ -156,43 +149,24 @@ func DecodeRecord(rec []byte) (Key, string, error) {
 }
 
 // Index is the whole-file fingerprint index of one storage shard. It is
-// safe for concurrent use.
+// safe for concurrent use. The journal's backend writes happen under
+// mu on purpose: records must commit in the order they were applied,
+// and a checkpoint must see a quiescent map.
 type Index struct {
 	mu      sync.Mutex
-	backend store.Backend
 	entries map[Key]string
-	log     *wal.Log
-	// pending buffers framed-but-uncommitted records; walBytes counts
-	// segment bytes since the last checkpoint.
-	pending  []byte
-	walBytes int64
+	journal *wal.Journal
 }
 
 // Open recovers the index from the backend: snapshot, then WAL replay
 // (torn final segment tolerated — its registrations were never
 // acknowledged).
 func Open(ctx context.Context, backend store.Backend) (*Index, error) {
-	ix := &Index{backend: backend, entries: make(map[Key]string)}
-	walFrom, err := ix.loadSnapshot(ctx)
-	if err != nil {
+	ix := &Index{entries: make(map[Key]string)}
+	var err error
+	if ix.journal, err = wal.OpenJournal(ctx, backend, journalSpec, (*state)(ix)); err != nil {
 		return nil, err
 	}
-	if ix.log, err = wal.Open(ctx, backend, store.NSFileWAL, walPrefix); err != nil {
-		return nil, fmt.Errorf("fileindex: open wal: %w", err)
-	}
-	ix.log.Advance(walFrom)
-	err = ix.log.Replay(ctx, walFrom, func(rec []byte) error {
-		key, name, err := DecodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		ix.entries[key] = name
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ix.walBytes = 0
 	return ix, nil
 }
 
@@ -217,12 +191,8 @@ func (ix *Index) Register(ctx context.Context, key Key, name string) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.entries[key] = name
-	ix.pending = wal.AppendRecord(ix.pending, EncodeRecord(key, name))
-	if int64(len(ix.pending)) < autoCommitBytes {
-		return nil
-	}
-	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return ix.commitLocked(ctx)
+	ix.journal.Record(EncodeRecord(key, name))
+	return ix.journal.AutoCommit(ctx)
 }
 
 // Commit makes every registration journaled so far durable by writing
@@ -232,41 +202,14 @@ func (ix *Index) Register(ctx context.Context, key Key, name string) error {
 func (ix *Index) Commit(ctx context.Context) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return ix.commitLocked(ctx)
-}
-
-func (ix *Index) commitLocked(ctx context.Context) error {
-	if err := ix.flushPendingLocked(ctx); err != nil {
-		return err
-	}
-	if ix.walBytes >= checkpointEvery {
-		return ix.checkpointLocked(ctx)
-	}
-	return nil
-}
-
-func (ix *Index) flushPendingLocked(ctx context.Context) error {
-	if len(ix.pending) == 0 {
-		return nil
-	}
-	if err := ix.log.Append(ctx, ix.pending); err != nil {
-		return fmt.Errorf("fileindex: append wal: %w", err)
-	}
-	ix.walBytes += int64(len(ix.pending))
-	ix.pending = nil
-	return nil
+	return ix.journal.Commit(ctx)
 }
 
 // Flush commits pending records and checkpoints unconditionally.
 func (ix *Index) Flush(ctx context.Context) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if err := ix.flushPendingLocked(ctx); err != nil {
-		return err
-	}
-	//reed-vet:ignore lockguard — checkpointing must see a quiescent index; the write belongs in this critical section.
-	return ix.checkpointLocked(ctx)
+	return ix.journal.Checkpoint(ctx)
 }
 
 // Len reports how many whole-file entries the index holds.
@@ -276,26 +219,25 @@ func (ix *Index) Len() int {
 	return len(ix.entries)
 }
 
-// checkpointLocked folds the entries into one snapshot blob (a single
-// atomic backend Put), then truncates the WAL below the recorded
-// position. A crash between the two leaves stale segments the next
-// recovery skips.
-func (ix *Index) checkpointLocked(ctx context.Context) error {
-	if err := ix.backend.Put(ctx, store.NSMeta, snapshotBlobName, ix.encodeSnapshotLocked()); err != nil {
-		return fmt.Errorf("fileindex: write snapshot: %w", err)
+// state is *Index as the journal sees it: the three wal.State methods,
+// kept off Index's exported surface because they assume ix.mu is held
+// (or that Open has not yet published the index).
+type state Index
+
+// Apply re-applies one journaled registration.
+func (st *state) Apply(_ context.Context, rec []byte) error {
+	key, name, err := DecodeRecord(rec)
+	if err != nil {
+		return err
 	}
-	ix.walBytes = 0
-	if err := ix.log.TruncateBefore(ctx, ix.log.Next()); err != nil {
-		return fmt.Errorf("fileindex: truncate wal: %w", err)
-	}
+	st.entries[key] = name
 	return nil
 }
 
-// encodeSnapshotLocked serializes the entries, sorted for determinism,
-// with a trailing CRC-32.
-func (ix *Index) encodeSnapshotLocked() []byte {
-	keys := make([]Key, 0, len(ix.entries))
-	for k := range ix.entries {
+// EncodeSnapshot writes the entries, sorted for determinism.
+func (st *state) EncodeSnapshot(w *binenc.Writer) {
+	keys := make([]Key, 0, len(st.entries))
+	for k := range st.entries {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -307,83 +249,31 @@ func (ix *Index) encodeSnapshotLocked() []byte {
 		}
 		return bytes.Compare(keys[i].Policy[:], keys[j].Policy[:]) < 0
 	})
-	w := binenc.NewWriter(32 + len(keys)*(2*HashSize+8+32))
-	w.Uint8(snapshotVersion)
-	w.Uint64(ix.log.Next())
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
-		k.encode(w)
-		w.String(ix.entries[k])
+		encodeEntry(w, k, st.entries[k])
 	}
-	blob := w.Bytes()
-	return binary.BigEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
 }
 
-// loadSnapshot restores the last checkpoint, returning the WAL replay
-// position (0 when no snapshot exists).
-func (ix *Index) loadSnapshot(ctx context.Context) (uint64, error) {
-	blob, err := ix.backend.Get(ctx, store.NSMeta, snapshotBlobName)
-	if errors.Is(err, store.ErrNotFound) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("fileindex: load snapshot: %w", err)
-	}
-	entries, walFrom, err := DecodeSnapshot(blob)
-	if err != nil {
-		return 0, err
-	}
-	ix.entries = entries
-	return walFrom, nil
-}
-
-// DecodeSnapshot parses a checkpoint blob into its entry map and WAL
-// replay position. Exported alongside DecodeRecord as a fuzzed decode
-// boundary.
-func DecodeSnapshot(blob []byte) (map[Key]string, uint64, error) {
-	if len(blob) < 5 {
-		return nil, 0, errors.New("fileindex: snapshot too short")
-	}
-	body, tail := blob[:len(blob)-4], blob[len(blob)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tail) {
-		return nil, 0, errors.New("fileindex: snapshot checksum mismatch")
-	}
-	r := binenc.NewReader(body)
-	version, err := r.Uint8()
-	if err != nil {
-		return nil, 0, fmt.Errorf("fileindex: parse snapshot: %w", err)
-	}
-	if version != snapshotVersion {
-		return nil, 0, fmt.Errorf("fileindex: unsupported snapshot version %d (want %d)", version, snapshotVersion)
-	}
-	walFrom, err := r.Uint64()
-	if err != nil {
-		return nil, 0, fmt.Errorf("fileindex: parse snapshot: %w", err)
-	}
+// DecodeSnapshot replaces the entries with the ones EncodeSnapshot
+// wrote. With wal.DecodeSnapshot around it, it is the other fuzzed
+// decode boundary.
+func (st *state) DecodeSnapshot(r *binenc.Reader) error {
 	count, err := r.Uvarint()
 	if err != nil {
-		return nil, 0, fmt.Errorf("fileindex: parse snapshot: %w", err)
+		return err
 	}
 	if count > maxEntries {
-		return nil, 0, fmt.Errorf("fileindex: snapshot entry count %d exceeds limit", count)
+		return fmt.Errorf("entry count %d exceeds limit", count)
 	}
 	entries := make(map[Key]string, count)
 	for i := uint64(0); i < count; i++ {
-		key, err := decodeKey(r)
+		key, name, err := decodeEntry(r)
 		if err != nil {
-			return nil, 0, err
-		}
-		name, err := r.ReadString()
-		if err != nil {
-			return nil, 0, fmt.Errorf("fileindex: snapshot entry %d name: %w", i, err)
-		}
-		if name == "" {
-			return nil, 0, fmt.Errorf("fileindex: snapshot entry %d has empty name", i)
+			return fmt.Errorf("entry %d: %w", i, err)
 		}
 		entries[key] = name
 	}
-	if !r.Done() {
-		return nil, 0, errors.New("fileindex: trailing bytes in snapshot")
-	}
-	return entries, walFrom, nil
+	st.entries = entries
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 var ctx = context.Background()
@@ -20,6 +21,14 @@ func testKey(seed byte) Key {
 	}
 	k.Size = uint64(seed) * 1000
 	return k
+}
+
+// decodeSnapshot runs a checkpoint blob through the journal's envelope
+// check and the index's body decode, as Open does.
+func decodeSnapshot(blob []byte) (map[Key]string, error) {
+	var ix Index
+	_, err := wal.DecodeSnapshot(journalSpec, blob, (*state)(&ix))
+	return ix.entries, err
 }
 
 func cloneBackend(t *testing.T, b store.Backend) *store.Memory {
@@ -234,19 +243,19 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err := ix.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := backend.Get(ctx, store.NSMeta, snapshotBlobName)
+	blob, err := backend.Get(ctx, store.NSMeta, journalSpec.Blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeSnapshot(blob); err != nil {
+	if _, err := decodeSnapshot(blob); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/2] ^= 0x40
-	if _, _, err := DecodeSnapshot(flipped); err == nil {
+	if _, err := decodeSnapshot(flipped); err == nil {
 		t.Fatal("bit-flipped snapshot accepted")
 	}
-	if _, _, err := DecodeSnapshot(blob[:3]); err == nil {
+	if _, err := decodeSnapshot(blob[:3]); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 }

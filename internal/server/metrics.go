@@ -74,10 +74,6 @@ func (s *Server) dispatchTimed(ctx context.Context, typ proto.MsgType, payload [
 
 // metricsResp serves MsgMetricsReq: the registry snapshot as JSON (an
 // empty snapshot when uninstrumented, so the RPC always succeeds).
-func (s *Server) metricsResp() (proto.MsgType, []byte) {
-	payload, err := proto.EncodeMetricsResp(s.reg.Snapshot())
-	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
-	}
-	return proto.MsgMetricsResp, payload
+func (s *Server) metricsResp(context.Context, []byte) ([]byte, error) {
+	return proto.EncodeMetricsResp(s.reg.Snapshot())
 }

@@ -17,6 +17,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -47,8 +48,11 @@ type Server struct {
 	chunks  *dedup.Store
 	// files is the whole-file fingerprint index behind the two-phase
 	// upload's CheckFile/RegisterFile RPCs (see internal/fileindex).
-	files   *fileindex.Index
-	workers int
+	files *fileindex.Index
+	// journals lists the WAL-backed stores by journalID (slot noJournal
+	// is nil): what dispatch commits and Flush checkpoints.
+	journals [numJournals]journal
+	workers  int
 
 	// baseCtx is the lifecycle root for request handling: it parents
 	// every dispatched request and is canceled by Shutdown once the
@@ -108,6 +112,7 @@ func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, e
 		backend:   backend,
 		chunks:    chunks,
 		files:     files,
+		journals:  [numJournals]journal{chunksJournal: chunks, filesJournal: files},
 		workers:   DefaultWorkers,
 		conns:     make(map[net.Conn]struct{}),
 		stubSizes: make(map[string]int),
@@ -169,7 +174,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Shutdown stops the server and flushes the dedup store. The final
+// Shutdown stops the server and flushes its journals. The final
 // flush runs under the lifecycle context, which is canceled only after
 // the flush finishes (or fails).
 func (s *Server) Shutdown() error {
@@ -183,10 +188,7 @@ func (s *Server) Shutdown() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	err := s.chunks.Flush(s.baseCtx)
-	if ferr := s.files.Flush(s.baseCtx); ferr != nil && err == nil {
-		err = ferr
-	}
+	err := s.Flush(s.baseCtx)
 	s.cancelBase()
 	return err
 }
@@ -277,45 +279,86 @@ func (s *Server) handleConn(conn net.Conn) {
 	<-writerDone
 }
 
-func (s *Server) dispatch(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
-	switch typ {
-	case proto.MsgPutChunksReq:
-		return s.putChunks(ctx, payload)
-	case proto.MsgGetChunksReq:
-		return s.getChunks(ctx, payload)
-	case proto.MsgPutBlobReq:
-		return s.putBlob(ctx, payload)
-	case proto.MsgGetBlobReq:
-		return s.getBlob(ctx, payload)
-	case proto.MsgListBlobsReq:
-		return s.listBlobs(ctx, payload)
-	case proto.MsgDerefChunksReq:
-		return s.derefChunks(ctx, payload)
-	case proto.MsgDeleteBlobReq:
-		return s.deleteBlob(ctx, payload)
-	case proto.MsgChallengeReq:
-		return s.challenge(ctx, payload)
-	case proto.MsgCheckFileReq:
-		return s.checkFile(ctx, payload)
-	case proto.MsgRegisterFileReq:
-		return s.registerFile(ctx, payload)
-	case proto.MsgHasChunksReq:
-		return s.hasChunks(ctx, payload)
-	case proto.MsgRefChunksReq:
-		return s.refChunks(ctx, payload)
-	case proto.MsgStatsReq:
-		return proto.MsgStatsResp, proto.EncodeStats(s.Stats())
-	case proto.MsgMetricsReq:
-		return s.metricsResp()
-	default:
-		return proto.MsgError, proto.EncodeError("server: unexpected message " + typ.String())
-	}
+// journalID names a WAL-backed store a handler may dirty.
+type journalID uint8
+
+const (
+	noJournal journalID = iota
+	chunksJournal
+	filesJournal
+	numJournals
+)
+
+// journal is what the server needs of a WAL-backed store: Commit makes
+// the mutations journaled so far durable, Flush also checkpoints.
+type journal interface {
+	Commit(ctx context.Context) error
+	Flush(ctx context.Context) error
 }
 
-func (s *Server) putChunks(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
-	chunks, err := proto.DecodePutChunksReq(payload)
+// handlers is the one per-MsgType table of what the server serves: the
+// function that turns a request payload into a response payload, and
+// the journal it dirties. Handlers never commit and never pick a
+// response type — dispatch does both, in that order, so a reply is a
+// durability receipt by construction. A duplicate index does not
+// compile; TestHandlerTable checks the table against proto's.
+var handlers = [...]struct {
+	run     func(*Server, context.Context, []byte) ([]byte, error)
+	dirties journalID
+}{
+	proto.MsgPutChunksReq:    {(*Server).putChunks, chunksJournal},
+	proto.MsgGetChunksReq:    {run: (*Server).getChunks},
+	proto.MsgPutBlobReq:      {run: (*Server).putBlob},
+	proto.MsgGetBlobReq:      {run: (*Server).getBlob},
+	proto.MsgStatsReq:        {run: (*Server).stats},
+	proto.MsgListBlobsReq:    {run: (*Server).listBlobs},
+	proto.MsgDerefChunksReq:  {(*Server).derefChunks, chunksJournal},
+	proto.MsgDeleteBlobReq:   {run: (*Server).deleteBlob},
+	proto.MsgChallengeReq:    {run: (*Server).challenge},
+	proto.MsgMetricsReq:      {run: (*Server).metricsResp},
+	proto.MsgCheckFileReq:    {run: (*Server).checkFile},
+	proto.MsgRegisterFileReq: {(*Server).registerFile, filesJournal},
+	proto.MsgHasChunksReq:    {run: (*Server).hasChunks},
+	proto.MsgRefChunksReq:    {(*Server).refChunks, chunksJournal},
+}
+
+// dispatch answers one request. It is the commit point: a handler's
+// payload becomes a reply only after the journal the handler dirtied
+// has committed, so whatever the client is told landed survives kill -9
+// — and a handler that failed midway commits nothing here, its records
+// ride along with the next commit, which is harmless because nobody was
+// told they landed. (Blob handlers write through to the backend, whose
+// Put is itself durable, and dirty no journal.) It is also the only
+// place a response type is chosen and an error becomes MsgError.
+func (s *Server) dispatch(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
+	resp, err := s.handle(ctx, typ, payload)
 	if err != nil {
 		return proto.MsgError, proto.EncodeError(err.Error())
+	}
+	return typ.Response(), resp
+}
+
+func (s *Server) handle(ctx context.Context, typ proto.MsgType, payload []byte) ([]byte, error) {
+	if int(typ) >= len(handlers) || handlers[typ].run == nil {
+		return nil, errors.New("server: unexpected message " + typ.String())
+	}
+	h := handlers[typ]
+	resp, err := h.run(s, ctx, payload)
+	if err != nil {
+		return nil, err
+	}
+	if j := s.journals[h.dirties]; j != nil {
+		if err := j.Commit(ctx); err != nil {
+			return nil, fmt.Errorf("commit after %s: %w", typ, err)
+		}
+	}
+	return resp, nil
+}
+
+func (s *Server) putChunks(ctx context.Context, payload []byte) ([]byte, error) {
+	chunks, err := proto.DecodePutChunksReq(payload)
+	if err != nil {
+		return nil, err
 	}
 	dups := make([]bool, len(chunks))
 	for i, c := range chunks {
@@ -326,50 +369,45 @@ func (s *Server) putChunks(ctx context.Context, payload []byte) (proto.MsgType, 
 		// honest-but-curious model doesn't require this check; a
 		// deployed system does.)
 		if fingerprint.New(c.Data) != c.FP {
-			return proto.MsgError, proto.EncodeError(fmt.Sprintf(
-				"put chunk %d: fingerprint mismatch (possible poisoning attempt)", i))
+			return nil, fmt.Errorf("put chunk %d: fingerprint mismatch (possible poisoning attempt)", i)
 		}
-		dup, err := s.chunks.Put(ctx, c.FP, c.Data)
-		if err != nil {
-			return proto.MsgError, proto.EncodeError(fmt.Sprintf("put chunk %d: %v", i, err))
+		if dups[i], err = s.chunks.Put(ctx, c.FP, c.Data); err != nil {
+			return nil, fmt.Errorf("put chunk %d: %w", i, err)
 		}
-		dups[i] = dup
 	}
-	// The response is the durability acknowledgment: once the client sees
-	// it, these chunks must survive kill -9, so the batch's WAL records
-	// are committed before replying.
-	if err := s.chunks.Commit(ctx); err != nil {
-		return proto.MsgError, proto.EncodeError(fmt.Sprintf("commit chunks: %v", err))
-	}
-	return proto.MsgPutChunksResp, proto.EncodePutChunksResp(dups)
+	return proto.EncodePutChunksResp(dups), nil
 }
 
-func (s *Server) getChunks(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
+func (s *Server) getChunks(ctx context.Context, payload []byte) ([]byte, error) {
 	fps, err := proto.DecodeGetChunksReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	datas := make([][]byte, len(fps))
 	for i, fp := range fps {
-		data, err := s.chunks.Get(ctx, fp)
-		if err != nil {
-			return proto.MsgError, proto.EncodeError(fmt.Sprintf("get chunk %s: %v", fp.Short(), err))
+		if datas[i], err = s.chunks.Get(ctx, fp); err != nil {
+			return nil, fmt.Errorf("get chunk %s: %w", fp.Short(), err)
 		}
-		datas[i] = data
 	}
-	return proto.MsgGetChunksResp, proto.EncodeBlobList(datas)
+	return proto.EncodeBlobList(datas), nil
 }
 
-func (s *Server) putBlob(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
-	ns, name, data, err := proto.DecodeBlobReq(payload)
-	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+// blobReq decodes a blob-plane request (MsgBlobReq wire shape) and
+// checks its namespace is one clients may touch.
+func blobReq(payload []byte) (ns, name string, data []byte, err error) {
+	if ns, name, data, err = proto.DecodeBlobReq(payload); err == nil && !allowedNamespaces[ns] {
+		err = errors.New("server: namespace not allowed: " + ns)
 	}
-	if !allowedNamespaces[ns] {
-		return proto.MsgError, proto.EncodeError("server: namespace not allowed: " + ns)
+	return ns, name, data, err
+}
+
+func (s *Server) putBlob(ctx context.Context, payload []byte) ([]byte, error) {
+	ns, name, data, err := blobReq(payload)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.backend.Put(ctx, ns, name, data); err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	if ns == store.NSStubs {
 		s.stubMu.Lock()
@@ -378,75 +416,60 @@ func (s *Server) putBlob(ctx context.Context, payload []byte) (proto.MsgType, []
 		s.stubBytes += uint64(len(data))
 		s.stubMu.Unlock()
 	}
-	return proto.MsgPutBlobResp, nil
+	return nil, nil
 }
 
-func (s *Server) getBlob(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
-	ns, name, _, err := proto.DecodeBlobReq(payload)
+func (s *Server) getBlob(ctx context.Context, payload []byte) ([]byte, error) {
+	ns, name, _, err := blobReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
-	if !allowedNamespaces[ns] {
-		return proto.MsgError, proto.EncodeError("server: namespace not allowed: " + ns)
-	}
-	data, err := s.backend.Get(ctx, ns, name)
-	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
-	}
-	return proto.MsgGetBlobResp, data
+	return s.backend.Get(ctx, ns, name)
 }
 
-func (s *Server) listBlobs(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
+func (s *Server) listBlobs(ctx context.Context, payload []byte) ([]byte, error) {
 	ns, err := proto.DecodeListBlobsReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	if !allowedNamespaces[ns] {
-		return proto.MsgError, proto.EncodeError("server: namespace not allowed: " + ns)
+		return nil, errors.New("server: namespace not allowed: " + ns)
 	}
 	names, err := s.backend.List(ctx, ns)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
-	return proto.MsgListBlobsResp, proto.EncodeListBlobsResp(names)
+	return proto.EncodeListBlobsResp(names), nil
 }
 
 // derefChunks drops one reference per listed fingerprint (MsgGetChunksReq
 // wire shape) and reports how many chunks were freed outright.
-func (s *Server) derefChunks(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
+func (s *Server) derefChunks(ctx context.Context, payload []byte) ([]byte, error) {
 	fps, err := proto.DecodeGetChunksReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	var freed uint64
 	for i, fp := range fps {
 		left, err := s.chunks.Deref(ctx, fp)
 		if err != nil {
-			return proto.MsgError, proto.EncodeError(fmt.Sprintf("deref chunk %d: %v", i, err))
+			return nil, fmt.Errorf("deref chunk %d: %w", i, err)
 		}
 		if left == 0 {
 			freed++
 		}
 	}
-	// Same durability contract as putChunks: acknowledged derefs must not
-	// resurrect after a crash.
-	if err := s.chunks.Commit(ctx); err != nil {
-		return proto.MsgError, proto.EncodeError(fmt.Sprintf("commit derefs: %v", err))
-	}
-	return proto.MsgDerefChunksResp, proto.EncodeDerefChunksResp(freed)
+	return proto.EncodeDerefChunksResp(freed), nil
 }
 
 // deleteBlob removes a blob (MsgBlobReq wire shape, data ignored).
-func (s *Server) deleteBlob(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
-	ns, name, _, err := proto.DecodeBlobReq(payload)
+func (s *Server) deleteBlob(ctx context.Context, payload []byte) ([]byte, error) {
+	ns, name, _, err := blobReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
-	}
-	if !allowedNamespaces[ns] {
-		return proto.MsgError, proto.EncodeError("server: namespace not allowed: " + ns)
+		return nil, err
 	}
 	if err := s.backend.Delete(ctx, ns, name); err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	if ns == store.NSStubs {
 		s.stubMu.Lock()
@@ -454,94 +477,88 @@ func (s *Server) deleteBlob(ctx context.Context, payload []byte) (proto.MsgType,
 		delete(s.stubSizes, name)
 		s.stubMu.Unlock()
 	}
-	return proto.MsgDeleteBlobResp, nil
+	return nil, nil
 }
 
 // challenge answers a remote-data-checking probe: H(nonce || chunk).
 // Possession of the exact stored bytes is required; the nonce prevents
 // precomputation and replay.
-func (s *Server) challenge(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
+func (s *Server) challenge(ctx context.Context, payload []byte) ([]byte, error) {
 	fp, nonce, err := proto.DecodeChallengeReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	data, err := s.chunks.Get(ctx, fp)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(fmt.Sprintf("challenge %s: %v", fp.Short(), err))
+		return nil, fmt.Errorf("challenge %s: %w", fp.Short(), err)
 	}
 	digest := audit.Response(nonce, data)
-	return proto.MsgChallengeResp, digest[:]
+	return digest[:], nil
 }
 
 // checkFile answers the two-phase upload's whole-file pre-check: does
 // the index map (hash, size, policy) to a stored recipe? Read-only and
 // advisory — the client verifies any hit against the recipe's own
 // FileHash before cloning, so a stale answer is harmless.
-func (s *Server) checkFile(_ context.Context, payload []byte) (proto.MsgType, []byte) {
+func (s *Server) checkFile(_ context.Context, payload []byte) ([]byte, error) {
 	key, err := proto.DecodeCheckFileReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	name, found := s.files.Lookup(key)
-	return proto.MsgCheckFileResp, proto.EncodeCheckFileResp(name, found)
+	return proto.EncodeCheckFileResp(name, found), nil
 }
 
 // registerFile records a whole-file index entry. An upsert — replaying
-// it after a connection fault converges to the same state — and the
-// response is the durability acknowledgment, so the index commits
-// before replying (same contract as putChunks).
-func (s *Server) registerFile(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
+// it after a connection fault converges to the same state.
+func (s *Server) registerFile(ctx context.Context, payload []byte) ([]byte, error) {
 	key, name, err := proto.DecodeRegisterFileReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	if err := s.files.Register(ctx, key, name); err != nil {
-		return proto.MsgError, proto.EncodeError(fmt.Sprintf("register file: %v", err))
+		return nil, fmt.Errorf("register file: %w", err)
 	}
-	if err := s.files.Commit(ctx); err != nil {
-		return proto.MsgError, proto.EncodeError(fmt.Sprintf("commit file index: %v", err))
-	}
-	return proto.MsgRegisterFileResp, nil
+	return nil, nil
 }
 
 // hasChunks answers the batched negative lookup (MsgGetChunksReq wire
 // shape in, MsgPutChunksResp shape out): one presence flag per
 // fingerprint, no refcount or accounting effect.
-func (s *Server) hasChunks(_ context.Context, payload []byte) (proto.MsgType, []byte) {
+func (s *Server) hasChunks(_ context.Context, payload []byte) ([]byte, error) {
 	fps, err := proto.DecodeGetChunksReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	present := make([]bool, len(fps))
 	for i, fp := range fps {
 		present[i] = s.chunks.Has(fp)
 	}
-	return proto.MsgHasChunksResp, proto.EncodePutChunksResp(present)
+	return proto.EncodePutChunksResp(present), nil
 }
 
 // refChunks adds one reference per listed fingerprint without the
 // bytes — the data-free duplicate put behind clone and filtered warm
 // uploads. Flags report which fingerprints were present (a false means
 // the chunk vanished since the client's lookup; the client must send
-// its bytes). Refcounts are the delete path's ground truth, so the
-// batch commits before the reply, like putChunks.
-func (s *Server) refChunks(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
+// its bytes). Refcounts are the delete path's ground truth, which is
+// why this handler dirties the chunk journal like putChunks.
+func (s *Server) refChunks(ctx context.Context, payload []byte) ([]byte, error) {
 	fps, err := proto.DecodeGetChunksReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return nil, err
 	}
 	found := make([]bool, len(fps))
 	for i, fp := range fps {
-		ok, err := s.chunks.Ref(ctx, fp)
-		if err != nil {
-			return proto.MsgError, proto.EncodeError(fmt.Sprintf("ref chunk %d: %v", i, err))
+		if found[i], err = s.chunks.Ref(ctx, fp); err != nil {
+			return nil, fmt.Errorf("ref chunk %d: %w", i, err)
 		}
-		found[i] = ok
 	}
-	if err := s.chunks.Commit(ctx); err != nil {
-		return proto.MsgError, proto.EncodeError(fmt.Sprintf("commit refs: %v", err))
-	}
-	return proto.MsgRefChunksResp, proto.EncodePutChunksResp(found)
+	return proto.EncodePutChunksResp(found), nil
+}
+
+func (s *Server) stats(context.Context, []byte) ([]byte, error) {
+	return proto.EncodeStats(s.Stats()), nil
 }
 
 // HasChunk reports whether the fingerprint is stored (test helper).
@@ -556,12 +573,14 @@ func (s *Server) FileIndexLen() int {
 }
 
 // Flush seals the open container and checkpoints the dedup and
-// whole-file indexes without stopping the server.
+// whole-file indexes without stopping the server. Every journal is
+// flushed even if an earlier one fails.
 func (s *Server) Flush(ctx context.Context) error {
-	if err := s.chunks.Flush(ctx); err != nil {
-		return err
+	var errs []error
+	for _, j := range s.journals[1:] {
+		errs = append(errs, j.Flush(ctx))
 	}
-	return s.files.Flush(ctx)
+	return errors.Join(errs...)
 }
 
 // Backend exposes the underlying blob store (fault-injection tests and

@@ -1,5 +1,9 @@
-// Package wal implements the dedup store's write-ahead log as a
-// sequence of immutable segment blobs over a store.Backend.
+// Package wal implements REED's write-ahead logging over a
+// store.Backend: Log, a sequence of immutable segment blobs, and
+// Journal (journal.go), the one WAL + checkpoint lifecycle that hosts
+// both of the storage server's durable indexes — the dedup index and
+// the whole-file index — as wal.State implementations. Nothing outside
+// this package appends, replays or truncates a Log directly.
 //
 // Each segment is one atomic backend Put holding a batch of records,
 // each framed as [length u32 | CRC-32 u32 | payload]. Segment names

@@ -5,7 +5,6 @@ import (
 	"reedvet/analysis"
 	"reedvet/analyzers/bufpool"
 	"reedvet/analyzers/ctxrule"
-	"reedvet/analyzers/durack"
 	"reedvet/analyzers/errclass"
 	"reedvet/analyzers/keyhygiene"
 	"reedvet/analyzers/lockguard"
@@ -22,7 +21,6 @@ func All() []*analysis.Analyzer {
 		metricname.Analyzer,
 		errclass.Analyzer,
 		bufpool.Analyzer,
-		durack.Analyzer,
 		zeroize.Analyzer,
 	}
 }

@@ -1,12 +1,11 @@
 // Package flow is the lightweight interprocedural dataflow layer under
-// the v2 analyzers (bufpool, durack, zeroize). It has three
-// parts:
+// the v2 analyzers (bufpool, zeroize). It has three parts:
 //
 //   - Index: the package's call graph substrate — a map from function
 //     objects to their declarations, so analyzers can walk into callees.
 //   - Summarizer: memoized bottom-up computation of per-function
 //     transfer summaries ("does this helper Put its buffer parameter?",
-//     "does this helper Commit the store?"), with cycle cut-off.
+//     "does this helper wipe its key parameter?"), with cycle cut-off.
 //   - Walker: a generic all-paths traversal of one function body that
 //     threads analyzer-defined state through every statement in source
 //     order, forking at branches and reporting each path's terminal
@@ -303,21 +302,6 @@ func isPanic(x ast.Expr) bool {
 	}
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	return ok && id.Name == "panic" && id.Obj == nil
-}
-
-// ReceiverOf returns the named receiver type of a method, unwrapping
-// pointers, or nil for plain functions.
-func ReceiverOf(fn *types.Func) *types.Named {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
 }
 
 // ParamIndex returns which parameter of fn's signature the object v

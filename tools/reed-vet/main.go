@@ -1,8 +1,8 @@
 // Command reed-vet runs REED's project-specific static-analysis suite
-// over a Go module: eight analyzers enforcing the invariants the
+// over a Go module: seven analyzers enforcing the invariants the
 // compiler cannot see (key hygiene, context discipline, lock
 // discipline, metric naming, error classification, buffer-pool
-// lifecycle, durability acknowledgment ordering, secret zeroization).
+// lifecycle, secret zeroization).
 // See DESIGN.md "Static analysis" for the catalog.
 //
 // Usage:

@@ -28,12 +28,12 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry pins the suite composition: exactly the eight
+// TestAnalyzerRegistry pins the suite composition: exactly the seven
 // documented analyzers, resolvable by name.
 func TestAnalyzerRegistry(t *testing.T) {
 	wantNames := []string{
 		"keyhygiene", "ctxrule", "lockguard", "metricname", "errclass",
-		"bufpool", "durack", "zeroize",
+		"bufpool", "zeroize",
 	}
 	all := analyzers.All()
 	if len(all) != len(wantNames) {
