@@ -25,6 +25,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -199,16 +200,24 @@ func VerifyConvergent(msg, key []byte) bool {
 // the package head into the tail cheaply: the result cannot be predicted
 // without the entire head.
 func SelfXOR(data []byte) [TailSize]byte {
+	// A whole piece is four 64-bit lanes. XOR is bytewise, so the byte
+	// order the lanes are loaded in cancels out as long as they are
+	// stored the same way.
+	var a0, a1, a2, a3 uint64
+	for ; len(data) >= TailSize; data = data[TailSize:] {
+		a0 ^= binary.LittleEndian.Uint64(data[0:8])
+		a1 ^= binary.LittleEndian.Uint64(data[8:16])
+		a2 ^= binary.LittleEndian.Uint64(data[16:24])
+		a3 ^= binary.LittleEndian.Uint64(data[24:32])
+	}
 	var acc [TailSize]byte
-	for off := 0; off < len(data); off += TailSize {
-		end := off + TailSize
-		if end > len(data) {
-			end = len(data)
-		}
-		piece := data[off:end]
-		for i := range piece {
-			acc[i] ^= piece[i]
-		}
+	binary.LittleEndian.PutUint64(acc[0:8], a0)
+	binary.LittleEndian.PutUint64(acc[8:16], a1)
+	binary.LittleEndian.PutUint64(acc[16:24], a2)
+	binary.LittleEndian.PutUint64(acc[24:32], a3)
+	// The ragged tail: a final piece shorter than TailSize.
+	for i, b := range data {
+		acc[i] ^= b
 	}
 	return acc
 }

@@ -160,6 +160,27 @@ func TestXORBytes(t *testing.T) {
 	}
 }
 
+// selfXORRef is the byte-at-a-time fold SelfXOR is tested against.
+func selfXORRef(data []byte) [TailSize]byte {
+	var acc [TailSize]byte
+	for i, b := range data {
+		acc[i%TailSize] ^= b
+	}
+	return acc
+}
+
+// raggedLens end before, on and after a piece boundary, with no whole
+// piece, one, and many.
+var raggedLens = []int{0, 1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 95, 100, 2048 + 17, 8191, 8192 + 64, 16384 + 63}
+
+func patterned(n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*131 + i>>8)
+	}
+	return data
+}
+
 func TestSelfXOR(t *testing.T) {
 	// XOR of two identical pieces cancels out.
 	piece := bytes.Repeat([]byte{0x5A}, TailSize)
@@ -177,19 +198,27 @@ func TestSelfXOR(t *testing.T) {
 	if got := SelfXOR(nil); got != [TailSize]byte{} {
 		t.Fatalf("SelfXOR(nil) = %x, want zero", got)
 	}
+	// Ragged tails, at every alignment of the slice within its array.
+	for _, n := range raggedLens {
+		for shift := 0; shift < 8; shift++ {
+			data := patterned(n + shift)[shift:]
+			if got, want := SelfXOR(data), selfXORRef(data); got != want {
+				t.Fatalf("SelfXOR of %d bytes at offset %d = %x, want %x", n, shift, got, want)
+			}
+		}
+	}
 }
 
 func TestSelfXORSensitiveToEveryByte(t *testing.T) {
-	data := make([]byte, 100)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	base := SelfXOR(data)
-	for i := range data {
-		mutated := append([]byte(nil), data...)
-		mutated[i] ^= 0x80
-		if SelfXOR(mutated) == base {
-			t.Fatalf("SelfXOR unchanged after flipping byte %d", i)
+	for _, n := range []int{31, 33, 100, 2048 + 17} {
+		data := patterned(n)
+		base := SelfXOR(data)
+		for i := range data {
+			mutated := append([]byte(nil), data...)
+			mutated[i] ^= 0x80
+			if SelfXOR(mutated) == base {
+				t.Fatalf("SelfXOR of %d bytes unchanged after flipping byte %d", n, i)
+			}
 		}
 	}
 }
@@ -226,5 +255,16 @@ func BenchmarkRevert8KB(b *testing.B) {
 		if _, _, err := Revert(pkg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var benchSelfXOR [TailSize]byte
+
+func BenchmarkSelfXOR8KB(b *testing.B) {
+	// The enhanced scheme folds C1 || K_M: an 8 KB chunk plus the key.
+	data := patterned(8192 + KeySize)
+	b.SetBytes(int64(len(data)))
+	for i := 0; i < b.N; i++ {
+		benchSelfXOR = SelfXOR(data)
 	}
 }

@@ -46,3 +46,20 @@ func FuzzAONTRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSelfXORMatchesReference: the word-wise fold must equal the
+// byte-at-a-time one for every length and every slice alignment.
+func FuzzSelfXORMatchesReference(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0xFF, 0x01}, uint8(1))
+	f.Add(patterned(33), uint8(3))
+	f.Add(patterned(8191), uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, skip uint8) {
+		if n := int(skip % 8); n <= len(data) {
+			data = data[n:]
+		}
+		if got, want := SelfXOR(data), selfXORRef(data); got != want {
+			t.Fatalf("SelfXOR of %d bytes = %x, want %x", len(data), got, want)
+		}
+	})
+}

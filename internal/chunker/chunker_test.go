@@ -274,23 +274,34 @@ func TestBuildTablesRejectsTinyPolynomial(t *testing.T) {
 	}
 }
 
+// BenchmarkRabinChunking prints MB/s for the chunker on random data
+// (cuts every 8 KB or so), on zeros (no window ever matches, so every
+// chunk is scanned to MaxSize) and, for comparison, for the
+// byte-at-a-time reference on the same random data.
 func BenchmarkRabinChunking(b *testing.B) {
-	data := randomData(b, 8<<20, 42)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := NewRabin(bytes.NewReader(data), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := c.Next(); errors.Is(err, io.EOF) {
-				break
-			} else if err != nil {
-				b.Fatal(err)
+	random := randomData(b, 8<<20, 42)
+	run := func(name string, data []byte, open func(io.Reader) (Chunker, error)) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				c, err := open(bytes.NewReader(data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := c.Next(); errors.Is(err, io.EOF) {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
+	inPlace := func(r io.Reader) (Chunker, error) { return NewRabin(r, Options{}) }
+	run("random", random, inPlace)
+	run("zeros", make([]byte, 8<<20), inPlace)
+	run("reference", random, func(r io.Reader) (Chunker, error) { return newRefRabin(r, Options{}) })
 }
 
 // TestRabinReassemblyProperty: for arbitrary inputs, the chunk stream
