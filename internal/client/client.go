@@ -513,7 +513,9 @@ type UploadResult struct {
 
 // encChunk carries one chunk through the upload pipeline. After the
 // encrypt stage drops the plaintext, size remembers its length for the
-// recipe.
+// recipe. A chunk whose encryption result came from the key cache has
+// fpTrim and pkg.Stub but no pkg.Trimmed, and keeps data and key until
+// the cluster has confirmed it stores the package.
 type encChunk struct {
 	data    []byte
 	size    int

@@ -203,7 +203,7 @@ func (c *Client) Upload(ctx context.Context, path string, r io.Reader, pol *poli
 	// so the pre-check costs one extra read pass on a miss. Audit-book
 	// uploads always take the pipeline — tickets need the ciphertext
 	// stream the clone never produces.
-	if !c.cfg.DisableTwoPhase && c.cfg.AuditTickets == 0 {
+	if c.skipsKnownWork() {
 		if rs, ok := r.(io.ReadSeeker); ok {
 			res, done, err := c.tryFastUpload(ctx, name, rs, pol)
 			if err != nil {
@@ -240,7 +240,7 @@ func (c *Client) UploadPrechunked(ctx context.Context, path string, rawChunks []
 	name := c.remoteName(path)
 	// The chunks are all in memory, so the whole-file pre-check costs
 	// one hash pass. Same audit-book carve-out as Upload.
-	if !c.cfg.DisableTwoPhase && c.cfg.AuditTickets == 0 {
+	if c.skipsKnownWork() {
 		h := sha256.New()
 		var size int64
 		for _, data := range rawChunks {
@@ -437,7 +437,12 @@ func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, po
 
 	// Stage 3: CAONT-encrypt on the worker pool. The ciphertext is
 	// force-charged and the plaintext released right after, so the gate
-	// tracks live bytes without the stage ever blocking on itself.
+	// tracks live bytes without the stage ever blocking on itself. A
+	// chunk this client has encrypted before (knownResult) skips the
+	// transform: it leaves the stage with its trimmed package's name and
+	// its stub from the cache, and with its plaintext and key still held
+	// and charged, in case the cluster turns out not to store it
+	// (uploadSegment).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -446,16 +451,12 @@ func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, po
 			stageStart := time.Now()
 			err := c.parallelEach(pctx, len(seg.chunks), func(i int) error {
 				ch := &seg.chunks[i]
-				pkg, err := c.codec.Encrypt(ch.data, ch.key)
-				if err != nil {
+				if c.knownResult(ch) {
+					return nil
+				}
+				if err := c.encryptChunk(gate, ch); err != nil {
 					return fmt.Errorf("chunk %d: %w", i, err)
 				}
-				ch.pkg = pkg
-				ch.fpTrim = fingerprint.New(pkg.Trimmed)
-				gate.force(int64(len(pkg.Trimmed)))
-				ch.data = nil
-				ch.key = nil
-				gate.release(int64(ch.size))
 				return nil
 			})
 			if err != nil {
@@ -491,7 +492,7 @@ func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, po
 	}
 	for seg := range encrypted {
 		stageStart := time.Now()
-		st, err := c.uploadSegment(pctx, seg)
+		st, err := c.uploadSegment(pctx, gate, seg)
 		if err != nil {
 			fail.fail(err)
 			break
@@ -513,8 +514,10 @@ func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, po
 			if resv != nil {
 				resv.offer(audit.ChunkData{FP: ch.fpTrim, Data: ch.pkg.Trimmed})
 			}
-			released += int64(len(ch.pkg.Trimmed))
-			ch.pkg.Trimmed = nil
+			// A known chunk the cluster did store still holds its
+			// plaintext; every other chunk holds its trimmed package.
+			released += int64(len(ch.pkg.Trimmed) + len(ch.data))
+			ch.pkg.Trimmed, ch.data, ch.key = nil, nil, nil
 		}
 		gate.release(released)
 	}
@@ -595,6 +598,56 @@ type segStats struct {
 	skippedBytes int64
 }
 
+// skipsKnownWork reports whether uploads may skip work whose result the
+// cluster or this client already holds: the whole-file clone and the
+// cached encryption results. Both need the two-phase protocol, and an
+// audit book needs the ciphertext stream neither produces.
+func (c *Client) skipsKnownWork() bool {
+	return !c.cfg.DisableTwoPhase && c.cfg.AuditTickets == 0
+}
+
+// keepsResults reports whether encryption results are kept beside the
+// MLE keys and reused: there is a key cache, and nothing needs the
+// ciphertext of a chunk the cluster already stores.
+func (c *Client) keepsResults() bool {
+	return c.cache != nil && c.skipsKnownWork()
+}
+
+// knownResult fills ch's trimmed-package name and stub from the key
+// cache, if this client has encrypted the same chunk under the same key
+// before. Encryption is deterministic in the chunk, the MLE key, the
+// scheme and the stub size, and the last two are fixed per client.
+func (c *Client) knownResult(ch *encChunk) bool {
+	if !c.keepsResults() {
+		return false
+	}
+	fpTrim, stub, ok := c.cache.Result(ch.fpPlain)
+	if ok {
+		ch.fpTrim, ch.pkg.Stub = fpTrim, stub
+	}
+	return ok
+}
+
+// encryptChunk runs the CAONT transform on ch and moves the gate's
+// charge from its plaintext to its trimmed package. The result is
+// remembered beside the chunk's MLE key for knownResult.
+func (c *Client) encryptChunk(gate *byteGate, ch *encChunk) error {
+	pkg, err := c.codec.Encrypt(ch.data, ch.key)
+	if err != nil {
+		return err
+	}
+	ch.pkg = pkg
+	ch.fpTrim = fingerprint.New(pkg.Trimmed)
+	if c.keepsResults() {
+		c.cache.PutResult(ch.fpPlain, ch.fpTrim, pkg.Stub)
+	}
+	gate.force(int64(len(pkg.Trimmed)))
+	ch.data = nil
+	ch.key = nil
+	gate.release(int64(ch.size))
+	return nil
+}
+
 // uploadSegment hands one segment's trimmed packages to the cluster
 // router, which partitions them by ring owner, stripes each shard's
 // share in parallel UploadBuffer-sized batches, and re-sends batches
@@ -607,28 +660,54 @@ type segStats struct {
 // dedup accounting is identical either way. Re-sent batches land in
 // the client-level counter via the router's OnBatchRetry hook, so
 // RetryStats deltas and the metrics registry read the same number.
-func (c *Client) uploadSegment(ctx context.Context, seg *segment) (segStats, error) {
-	ups := make([]proto.ChunkUpload, len(seg.chunks))
-	for i := range seg.chunks {
-		ups[i] = proto.ChunkUpload{
-			FP:   seg.chunks[i].fpTrim,
-			Data: seg.chunks[i].pkg.Trimmed,
-		}
-	}
-	var st segStats
+//
+// The lookup runs on names alone, so a chunk that skipped the encrypt
+// stage (knownResult) costs nothing more when the cluster stores it.
+// The cluster, not the cache, is the authority: any such chunk that
+// comes back not stored — deleted since, RefChunks lost a race, the
+// filter failed open — is encrypted here, on the worker pool, and must
+// produce the name the cache gave; anything else is a hard error.
+func (c *Client) uploadSegment(ctx context.Context, gate *byteGate, seg *segment) (segStats, error) {
+	var (
+		st   segStats
+		skip = make([]bool, len(seg.chunks))
+	)
 	if !c.cfg.DisableTwoPhase {
-		ups, st = c.filterKnownChunks(ctx, ups)
+		skip, st = c.filterKnownChunks(ctx, seg.chunks)
 		if err := ctx.Err(); err != nil {
 			return segStats{}, err
+		}
+	}
+	var late []*encChunk
+	for i := range seg.chunks {
+		if ch := &seg.chunks[i]; !skip[i] && ch.data != nil {
+			late = append(late, ch)
+		}
+	}
+	err := c.parallelEach(ctx, len(late), func(i int) error {
+		cached := late[i].fpTrim
+		if err := c.encryptChunk(gate, late[i]); err != nil {
+			return err
+		}
+		if late[i].fpTrim != cached {
+			return errors.New("client: cached encryption result does not match the chunk")
+		}
+		return nil
+	})
+	if err != nil {
+		return segStats{}, err
+	}
+	ups := make([]proto.ChunkUpload, 0, len(seg.chunks)-st.skipped)
+	var sent int64
+	for i := range seg.chunks {
+		if !skip[i] {
+			ups = append(ups, proto.ChunkUpload{FP: seg.chunks[i].fpTrim, Data: seg.chunks[i].pkg.Trimmed})
+			sent += int64(len(seg.chunks[i].pkg.Trimmed))
 		}
 	}
 	flags, err := c.router.PutChunks(ctx, ups)
 	if err != nil {
 		return segStats{}, fmt.Errorf("client: upload chunks: %w", err)
-	}
-	var sent int64
-	for i := range ups {
-		sent += int64(len(ups[i].Data))
 	}
 	c.wireBytes.Add(uint64(sent))
 	st.dups = st.skipped
@@ -644,20 +723,24 @@ func (c *Client) uploadSegment(ctx context.Context, seg *segment) (segStats, err
 // it asks the cluster which trimmed packages it already stores
 // (HasChunks, read-only) and converts the confirmed hits into
 // data-free reference bumps (RefChunks), so only missing chunks ride
-// the PutChunks path. Within-segment duplicates are referenced once
+// the PutChunks path; skip[i] reports that chunk i is referenced and
+// needs no bytes sent. Within-segment duplicates are referenced once
 // per occurrence, exactly as repeated PUTs would be. Fail-open by
-// design: on any transport error the full set is sent and PutChunks
+// design: on any transport error nothing is skipped and PutChunks
 // re-derives the answer from the bytes — a lost filter answer costs
 // wire traffic, and a lost RefChunks ack at worst over-retains a
-// reference, the same algebra as a re-sent PUT batch.
-func (c *Client) filterKnownChunks(ctx context.Context, ups []proto.ChunkUpload) ([]proto.ChunkUpload, segStats) {
-	fps := make([]fingerprint.Fingerprint, len(ups))
-	for i := range ups {
-		fps[i] = ups[i].FP
+// reference, the same algebra as a re-sent PUT batch. Skipped bytes are
+// counted from the chunk's size, not from a package that may never have
+// been built.
+func (c *Client) filterKnownChunks(ctx context.Context, chunks []encChunk) (skip []bool, st segStats) {
+	skip = make([]bool, len(chunks))
+	fps := make([]fingerprint.Fingerprint, len(chunks))
+	for i := range chunks {
+		fps[i] = chunks[i].fpTrim
 	}
 	present, err := c.router.HasChunks(ctx, fps)
 	if err != nil {
-		return ups, segStats{}
+		return skip, segStats{}
 	}
 	var hitIdx []int
 	for i, p := range present {
@@ -666,7 +749,7 @@ func (c *Client) filterKnownChunks(ctx context.Context, ups []proto.ChunkUpload)
 		}
 	}
 	if len(hitIdx) == 0 {
-		return ups, segStats{}
+		return skip, segStats{}
 	}
 	hitFPs := make([]fingerprint.Fingerprint, len(hitIdx))
 	for j, i := range hitIdx {
@@ -674,28 +757,17 @@ func (c *Client) filterKnownChunks(ctx context.Context, ups []proto.ChunkUpload)
 	}
 	found, err := c.router.RefChunks(ctx, hitFPs)
 	if err != nil {
-		return ups, segStats{}
+		return skip, segStats{}
 	}
-	var st segStats
-	skip := make([]bool, len(ups))
 	for j, i := range hitIdx {
 		if found[j] {
 			skip[i] = true
 			st.skipped++
-			st.skippedBytes += int64(len(ups[i].Data))
-		}
-	}
-	if st.skipped == 0 {
-		return ups, segStats{}
-	}
-	rest := ups[:0]
-	for i := range ups {
-		if !skip[i] {
-			rest = append(rest, ups[i])
+			st.skippedBytes += int64(chunks[i].size + core.PackageOverhead - c.cfg.StubSize)
 		}
 	}
 	c.skippedBytes.Add(uint64(st.skippedBytes))
-	return rest, st
+	return skip, st
 }
 
 // auditReservoir keeps a uniform sample of at most k ciphertext chunks

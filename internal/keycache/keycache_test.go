@@ -140,6 +140,8 @@ func TestConcurrentAccess(t *testing.T) {
 				id := fp(fmt.Sprintf("%d-%d", g, i%50))
 				c.Put(id, make([]byte, 32))
 				c.Get(id)
+				c.PutResult(id, id, make([]byte, 64))
+				c.Result(id)
 			}
 		}(g)
 	}
@@ -162,8 +164,9 @@ func BenchmarkGetHit(b *testing.B) {
 }
 
 // TestRandomOpsNeverExceedCapacity drives the cache with random
-// put/get/clear sequences and checks the byte bound and hit coherence
-// after every operation.
+// put/get/result/clear sequences and checks the byte bound, the
+// accounting, hit coherence and that a result is stored only beside a
+// key, after every operation.
 func TestRandomOpsNeverExceedCapacity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -178,6 +181,12 @@ func TestRandomOpsNeverExceedCapacity(t *testing.T) {
 			case 9:
 				c.Clear()
 				live = make(map[fingerprint.Fingerprint][]byte)
+			case 7, 8:
+				id := fp(fmt.Sprintf("%d-%d", seed, rng.Intn(40)))
+				_, held := c.entries[id]
+				if stored := c.PutResult(id, id, make([]byte, 32+rng.Intn(64))); stored != held {
+					t.Fatalf("seed %d step %d: PutResult = %v with key cached = %v", seed, step, stored, held)
+				}
 			default:
 				id := fp(fmt.Sprintf("%d-%d", seed, rng.Intn(40)))
 				key := make([]byte, 16+rng.Intn(48))
@@ -192,6 +201,13 @@ func TestRandomOpsNeverExceedCapacity(t *testing.T) {
 			}
 			if used := c.Used(); used > capacity {
 				t.Fatalf("seed %d step %d: used %d exceeds capacity %d", seed, step, used, capacity)
+			}
+			var sum int64
+			for _, el := range c.entries {
+				sum += c.cost(el.Value.(*entry))
+			}
+			if sum != c.Used() {
+				t.Fatalf("seed %d step %d: used %d, entries account %d", seed, step, c.Used(), sum)
 			}
 		}
 		return true
@@ -241,5 +257,105 @@ func TestZeroizeOnDrop(t *testing.T) {
 	}
 	if !bytes.Equal(evictee, make([]byte, 32)) {
 		t.Fatal("eviction did not zeroize the dropped key")
+	}
+}
+
+// TestResultLivesWithItsKey: a result is refused without a key, comes
+// back as a copy, survives a refresh with the same key and is dropped
+// (and wiped) by a refresh with another.
+func TestResultLivesWithItsKey(t *testing.T) {
+	c, _ := New(DefaultCapacity)
+	stub := bytes.Repeat([]byte{0xC3}, 64)
+	if c.PutResult(fp("a"), fp("trim-a"), stub) {
+		t.Fatal("PutResult stored a result for a fingerprint with no key")
+	}
+	if _, _, ok := c.Result(fp("a")); ok {
+		t.Fatal("Result found something in an empty cache")
+	}
+
+	key := bytes.Repeat([]byte{0x11}, 32)
+	c.Put(fp("a"), key)
+	if _, _, ok := c.Result(fp("a")); ok {
+		t.Fatal("Result reported one before PutResult")
+	}
+	if !c.PutResult(fp("a"), fp("trim-a"), stub) {
+		t.Fatal("PutResult refused a result beside its key")
+	}
+	stub[0] = 0 // the cache copied it
+	gotTrim, gotStub, ok := c.Result(fp("a"))
+	if !ok || gotTrim != fp("trim-a") || !bytes.Equal(gotStub, bytes.Repeat([]byte{0xC3}, 64)) {
+		t.Fatalf("Result = %x, %d stub bytes, %v", gotTrim, len(gotStub), ok)
+	}
+	interior := c.entries[fp("a")].Value.(*entry).stub
+	if &gotStub[0] == &interior[0] {
+		t.Fatal("Result returned the interior buffer, not a copy")
+	}
+
+	c.Put(fp("a"), key)
+	if _, _, ok := c.Result(fp("a")); !ok {
+		t.Fatal("refreshing with the same key dropped the result")
+	}
+	c.Put(fp("a"), bytes.Repeat([]byte{0x22}, 32))
+	if _, _, ok := c.Result(fp("a")); ok {
+		t.Fatal("a result outlived the key it was computed under")
+	}
+	if !bytes.Equal(interior, make([]byte, 64)) {
+		t.Fatal("replacing the key did not zeroize the stub")
+	}
+	if want := int64(32 + 32 + entryOverhead); c.Used() != want {
+		t.Fatalf("Used = %d after the result was dropped, want %d", c.Used(), want)
+	}
+}
+
+// TestResultAccounting: the result's bytes count against the capacity,
+// and Result moves neither the hit/miss counters nor the LRU order.
+func TestResultAccounting(t *testing.T) {
+	const withResult = 32 + 32 + entryOverhead + 32 + 64
+	c, _ := New(2 * withResult)
+	key := make([]byte, 32)
+	c.Put(fp("a"), key)
+	c.Put(fp("b"), key)
+	c.PutResult(fp("a"), fp("trim-a"), make([]byte, 64))
+	c.PutResult(fp("b"), fp("trim-b"), make([]byte, 64))
+	if c.Used() != 2*withResult {
+		t.Fatalf("Used = %d, want %d", c.Used(), 2*withResult)
+	}
+
+	hits, misses := c.Stats()
+	c.Result(fp("a")) // oldest entry: a lookup must not promote it
+	c.Result(fp("missing"))
+	if h, m := c.Stats(); h != hits || m != misses {
+		t.Fatalf("Result moved Stats from %d/%d to %d/%d", hits, misses, h, m)
+	}
+	c.Put(fp("c"), key)
+	if _, ok := c.Get(fp("a")); ok {
+		t.Fatal("Result promoted its entry: the oldest one was not the one evicted")
+	}
+	if _, ok := c.Get(fp("b")); !ok {
+		t.Fatal("the newer entry was evicted")
+	}
+}
+
+// TestZeroizeResultOnDrop: stubs leaving the cache by eviction or Clear
+// are zeroized in place, like keys.
+func TestZeroizeResultOnDrop(t *testing.T) {
+	const withResult = 32 + 32 + entryOverhead + 32 + 64
+	c, _ := New(withResult)
+	key := bytes.Repeat([]byte{0xAA}, 32)
+	stub := bytes.Repeat([]byte{0xBB}, 64)
+	for _, drop := range []func(){
+		c.Clear,
+		func() { c.Put(fp("other"), key) }, // evicts: capacity is one entry
+	} {
+		c.Put(fp("a"), key)
+		c.PutResult(fp("a"), fp("trim-a"), stub)
+		interior := c.entries[fp("a")].Value.(*entry).stub
+		drop()
+		if _, _, ok := c.Result(fp("a")); ok {
+			t.Fatal("result still cached after its entry was dropped")
+		}
+		if !bytes.Equal(interior, make([]byte, 64)) {
+			t.Fatal("dropping the entry did not zeroize the stub")
+		}
 	}
 }
