@@ -5,6 +5,16 @@
 // fingerprinting by random polynomials. The variable-size chunker honors
 // minimum, maximum, and average chunk size parameters; the paper's
 // defaults are 2 KB minimum, 16 KB maximum, and an 8 KB average.
+//
+// Where Rabin cuts is an at-rest format: every stored chunk is named by
+// the hash of its bytes, so a boundary that moves ends deduplication
+// against everything stored before. testdata/*.cuts pins the cut offsets
+// of seeded streams (go test -update rewrites them, deliberately), and
+// the scan in rabin.go — in place over a MaxSize look-ahead, no byte
+// hashed before MinSize less one window, two digests per loop — is held
+// to the byte-at-a-time loop it replaced (rabin_ref_test.go) by a
+// differential test and FuzzRabinMatchesReference. Lookup tables are
+// built once per polynomial and shared.
 package chunker
 
 import (

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -116,7 +117,7 @@ func TestCutOffsetsKnownAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fx.file, err)
 		}
-		if got := cutOffsets(split); !equalInts(got, streamed) {
+		if got := cutOffsets(split); !slices.Equal(got, streamed) {
 			t.Errorf("%s: Split and the streaming chunker disagree", fx.file)
 		}
 		if *update {
@@ -125,20 +126,8 @@ func TestCutOffsetsKnownAnswer(t *testing.T) {
 			}
 			continue
 		}
-		if want := readCuts(t, fx.file); !equalInts(streamed, want) {
+		if want := readCuts(t, fx.file); !slices.Equal(streamed, want) {
 			t.Errorf("%s: %d cuts differ from the %d in the committed fixture", fx.file, len(streamed), len(want))
 		}
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,8 @@
 package chunker
 
 import (
-	"errors"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -50,26 +50,6 @@ var fuzzGeometries = []Options{
 	{Polynomial: 0x3abc9bff07d9e5},
 }
 
-func cutsOf(t *testing.T, c Chunker) []int {
-	t.Helper()
-	var offs []int
-	off := 0
-	for {
-		chunk, err := c.Next()
-		if errors.Is(err, io.EOF) {
-			return offs
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if len(chunk) == 0 {
-			t.Fatal("Next returned an empty chunk")
-		}
-		off += len(chunk)
-		offs = append(offs, off)
-	}
-}
-
 // checkMatchesReference: the in-place scan, fed through an unevenReader,
 // must cut data exactly where the byte-at-a-time reference
 // (rabin_ref_test.go) cuts.
@@ -79,12 +59,12 @@ func checkMatchesReference(t *testing.T, data []byte, opts Options, sizes []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cutsOf(t, ref)
+	want := cutOffsets(collect(t, ref))
 	c, err := NewRabin(&unevenReader{data: data, sizes: sizes, eofWith: eofWith}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cutsOf(t, c); !equalInts(got, want) {
+	if got := cutOffsets(collect(t, c)); !slices.Equal(got, want) {
 		t.Fatalf("geometry %+v, reads %v: %d cuts, reference made %d (first difference at cut %d)",
 			opts, sizes, len(got), len(want), firstDifference(got, want))
 	}

@@ -117,16 +117,16 @@ func (c *Rabin) fill() error {
 // one window short of it, and the byte leaving the window is read back
 // from data.
 func (c *Rabin) cut(data []byte) int {
-	min := c.opts.MinSize
-	if len(data) <= min {
+	minSize := c.opts.MinSize
+	if len(data) <= minSize {
 		return len(data)
 	}
 	t, mask := c.tables, c.mask
-	a := t.window(data[min-windowSize : min])
+	a := t.window(data[minSize-windowSize : minSize])
 	if a&mask == mask {
-		return min
+		return minSize
 	}
-	pos := min
+	pos := minSize
 
 	// One digest is a chain of dependent loads (xor, shift, table load,
 	// xor), so the loop is bound by latency, not by work. Two adjacent

@@ -668,12 +668,10 @@ func (c *Client) encryptChunk(gate *byteGate, ch *encChunk) error {
 // filter failed open — is encrypted here, on the worker pool, and must
 // produce the name the cache gave; anything else is a hard error.
 func (c *Client) uploadSegment(ctx context.Context, gate *byteGate, seg *segment) (segStats, error) {
-	var (
-		st   segStats
-		skip = make([]bool, len(seg.chunks))
-	)
+	var st segStats
+	skip := make([]bool, len(seg.chunks))
 	if !c.cfg.DisableTwoPhase {
-		skip, st = c.filterKnownChunks(ctx, seg.chunks)
+		st = c.filterKnownChunks(ctx, seg.chunks, skip)
 		if err := ctx.Err(); err != nil {
 			return segStats{}, err
 		}
@@ -723,24 +721,23 @@ func (c *Client) uploadSegment(ctx context.Context, gate *byteGate, seg *segment
 // it asks the cluster which trimmed packages it already stores
 // (HasChunks, read-only) and converts the confirmed hits into
 // data-free reference bumps (RefChunks), so only missing chunks ride
-// the PutChunks path; skip[i] reports that chunk i is referenced and
-// needs no bytes sent. Within-segment duplicates are referenced once
-// per occurrence, exactly as repeated PUTs would be. Fail-open by
-// design: on any transport error nothing is skipped and PutChunks
+// the PutChunks path; skip[i] is set for every chunk that is now
+// referenced and needs no bytes sent. Within-segment duplicates are
+// referenced once per occurrence, exactly as repeated PUTs would be.
+// Fail-open by design: on any transport error nothing is skipped and PutChunks
 // re-derives the answer from the bytes — a lost filter answer costs
 // wire traffic, and a lost RefChunks ack at worst over-retains a
 // reference, the same algebra as a re-sent PUT batch. Skipped bytes are
 // counted from the chunk's size, not from a package that may never have
 // been built.
-func (c *Client) filterKnownChunks(ctx context.Context, chunks []encChunk) (skip []bool, st segStats) {
-	skip = make([]bool, len(chunks))
+func (c *Client) filterKnownChunks(ctx context.Context, chunks []encChunk, skip []bool) segStats {
 	fps := make([]fingerprint.Fingerprint, len(chunks))
 	for i := range chunks {
 		fps[i] = chunks[i].fpTrim
 	}
 	present, err := c.router.HasChunks(ctx, fps)
 	if err != nil {
-		return skip, segStats{}
+		return segStats{}
 	}
 	var hitIdx []int
 	for i, p := range present {
@@ -749,7 +746,7 @@ func (c *Client) filterKnownChunks(ctx context.Context, chunks []encChunk) (skip
 		}
 	}
 	if len(hitIdx) == 0 {
-		return skip, segStats{}
+		return segStats{}
 	}
 	hitFPs := make([]fingerprint.Fingerprint, len(hitIdx))
 	for j, i := range hitIdx {
@@ -757,8 +754,9 @@ func (c *Client) filterKnownChunks(ctx context.Context, chunks []encChunk) (skip
 	}
 	found, err := c.router.RefChunks(ctx, hitFPs)
 	if err != nil {
-		return skip, segStats{}
+		return segStats{}
 	}
+	var st segStats
 	for j, i := range hitIdx {
 		if found[j] {
 			skip[i] = true
@@ -767,7 +765,7 @@ func (c *Client) filterKnownChunks(ctx context.Context, chunks []encChunk) (skip
 		}
 	}
 	c.skippedBytes.Add(uint64(st.skippedBytes))
-	return skip, st
+	return st
 }
 
 // auditReservoir keeps a uniform sample of at most k ciphertext chunks

@@ -143,15 +143,12 @@ func (c *Cache) PutResult(fp, fpTrim fingerprint.Fingerprint, stub []byte) bool 
 func (c *Cache) Result(fp fingerprint.Fingerprint) (fpTrim fingerprint.Fingerprint, stub []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.entries[fp]
-	if !found {
-		return fingerprint.Fingerprint{}, nil, false
+	if el, found := c.entries[fp]; found {
+		if e, _ := el.Value.(*entry); e.stub != nil {
+			return e.fpTrim, append([]byte(nil), e.stub...), true
+		}
 	}
-	e, _ := el.Value.(*entry)
-	if e.stub == nil {
-		return fingerprint.Fingerprint{}, nil, false
-	}
-	return e.fpTrim, append([]byte(nil), e.stub...), true
+	return fingerprint.Fingerprint{}, nil, false
 }
 
 // cost returns the accounted size of an entry.
