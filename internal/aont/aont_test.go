@@ -206,6 +206,14 @@ func TestSelfXOR(t *testing.T) {
 				t.Fatalf("SelfXOR of %d bytes at offset %d = %x, want %x", n, shift, got, want)
 			}
 		}
+		// Two parts, split on, before and after a piece boundary.
+		data := patterned(n)
+		for _, cut := range []int{0, 1, 31, 32, 33, n / 2, n} {
+			cut = min(cut, n)
+			if got, want := SelfXORParts(data[:cut], data[cut:]), selfXORRef(data); got != want {
+				t.Fatalf("SelfXORParts of %d bytes split at %d = %x, want %x", n, cut, got, want)
+			}
+		}
 	}
 }
 

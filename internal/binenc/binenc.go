@@ -129,11 +129,16 @@ func (r *Reader) Uint64() (uint64, error) {
 	return v, nil
 }
 
-// Uvarint reads a varint-encoded unsigned integer.
+// Uvarint reads a varint-encoded unsigned integer. Only the shortest
+// encoding is accepted — the one Writer.Uvarint produces — so every
+// decoded message re-encodes to the bytes it came from.
 func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		return 0, ErrTruncated
+	}
+	if n > 1 && r.buf[r.off+n-1] == 0 {
+		return 0, fmt.Errorf("binenc: varint padded to %d bytes", n)
 	}
 	r.off += n
 	return v, nil

@@ -127,6 +127,23 @@ func TestBytesLengthLimit(t *testing.T) {
 	}
 }
 
+// TestPaddedUvarintRejected: 0xA1 0x00 decodes to 33 like 0x21 does, but
+// only the shortest form is a valid encoding, so decoded bytes always
+// re-encode to themselves.
+func TestPaddedUvarintRejected(t *testing.T) {
+	if v, err := NewReader([]byte{0x21}).Uvarint(); err != nil || v != 33 {
+		t.Fatalf("Uvarint(21) = %d, %v", v, err)
+	}
+	if v, err := NewReader([]byte{0x00}).Uvarint(); err != nil || v != 0 {
+		t.Fatalf("Uvarint(00) = %d, %v", v, err)
+	}
+	for _, padded := range [][]byte{{0xA1, 0x00}, {0x80, 0x00}, {0xA1, 0x80, 0x00}} {
+		if _, err := NewReader(padded).Uvarint(); err == nil {
+			t.Fatalf("Uvarint(%x) accepted a padded encoding", padded)
+		}
+	}
+}
+
 func TestInvalidBool(t *testing.T) {
 	r := NewReader([]byte{7})
 	if _, err := r.Bool(); err == nil {

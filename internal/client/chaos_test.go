@@ -149,7 +149,7 @@ func TestChaosUploadSurvivesKeyManagerFault(t *testing.T) {
 func TestChaosDownloadSurvivesReadCut(t *testing.T) {
 	cluster := startCluster(t)
 	healthy := newUser(t, cluster, "alice", core.SchemeBasic)
-	data := randomFile(t, 256<<10, 73)
+	data := randomFile(t, 4<<20, 73)
 	pol := policy.OrOfUsers([]string{"alice"})
 	if _, err := healthy.Upload(ctx, "/chaos/readcut", bytes.NewReader(data), pol); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,9 @@ func TestChaosDownloadSurvivesReadCut(t *testing.T) {
 
 	plan := netem.NewPlan(44)
 	// Both data-server connections die partway through their response
-	// streams (each serves ~128 KiB of this file).
+	// streams. Each serves ~2 MiB of this file in one GetChunks reply,
+	// more than a server's write buffer holds, so the cut lands inside a
+	// vectored write of the chunks.
 	plan.OnDial(1, netem.Fault{CutAfterReadBytes: 32 << 10})
 	plan.OnDial(2, netem.Fault{CutAfterReadBytes: 32 << 10})
 	reader := newChaosUser(t, cluster, "alice", plan)

@@ -157,7 +157,10 @@ func (c *Client) downloadStream(ctx context.Context, name string, open func(*rec
 		plain := make([][]byte, n)
 		err := c.parallelEach(pctx, n, func(i int) error {
 			idx := fw.lo + i
-			chunk, err := c.codec.Decrypt(core.Package{Trimmed: fw.trimmed[i], Stub: stubs[idx]})
+			// Each trimmed package is this window's own slice of a reply
+			// frame, distinct from every other even when the recipe repeats
+			// a chunk, so the chunk is reverted over it in place.
+			chunk, err := c.codec.Open(fw.trimmed[i][:0], core.Package{Trimmed: fw.trimmed[i], Stub: stubs[idx]})
 			if err != nil {
 				return fmt.Errorf("chunk %d: %w", idx, err)
 			}

@@ -263,24 +263,67 @@ func TestBasicSchemeLeaksUnderMLEKeyCompromise(t *testing.T) {
 	}
 }
 
+// TestCustomStubSize round-trips both schemes at stub sizes around the
+// package overhead: the tail alone (32), a tail and part of the key or
+// canary (48), exactly the overhead (64), and stubs that also withhold
+// chunk bytes (100 and up), where an in-place Open writes the chunk on
+// past the trimmed package into the stub. Decrypt must leave its input
+// as it found it.
 func TestCustomStubSize(t *testing.T) {
-	for _, stub := range []int{32, 64, 128, 256} {
-		c := mustCodec(t, SchemeEnhanced, WithStubSize(stub))
-		chunk := make([]byte, 8192)
-		pkg, err := c.Encrypt(chunk, testKey("k"))
-		if err != nil {
-			t.Fatal(err)
+	for _, scheme := range []Scheme{SchemeBasic, SchemeEnhanced} {
+		for _, stub := range []int{32, 48, 64, 100, 128, 256} {
+			c := mustCodec(t, scheme, WithStubSize(stub))
+			chunk := make([]byte, 8191)
+			rand.New(rand.NewSource(int64(stub))).Read(chunk)
+			pkg, err := c.Encrypt(chunk, testKey("k"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pkg.Stub) != stub {
+				t.Fatalf("stub size = %d, want %d", len(pkg.Stub), stub)
+			}
+			before := append(append([]byte(nil), pkg.Trimmed...), pkg.Stub...)
+			got, err := c.Decrypt(pkg)
+			if err != nil {
+				t.Fatalf("%v stub %d: Decrypt: %v", scheme, stub, err)
+			}
+			if !bytes.Equal(got, chunk) {
+				t.Fatalf("%v stub %d: Decrypt round trip mismatch", scheme, stub)
+			}
+			if !bytes.Equal(append(append([]byte(nil), pkg.Trimmed...), pkg.Stub...), before) {
+				t.Fatalf("%v stub %d: Decrypt changed its input", scheme, stub)
+			}
+
+			got, err = c.Open(pkg.Trimmed[:0], pkg)
+			if err != nil {
+				t.Fatalf("%v stub %d: Open in place: %v", scheme, stub, err)
+			}
+			if !bytes.Equal(got, chunk) {
+				t.Fatalf("%v stub %d: Open in place round trip mismatch", scheme, stub)
+			}
+			if &got[0] != &pkg.Trimmed[0] {
+				t.Fatalf("%v stub %d: Open in place moved the chunk", scheme, stub)
+			}
 		}
-		if len(pkg.Stub) != stub {
-			t.Fatalf("stub size = %d, want %d", len(pkg.Stub), stub)
-		}
-		got, err := c.Decrypt(pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, chunk) {
-			t.Fatal("round trip mismatch with custom stub size")
-		}
+	}
+}
+
+// TestOpenAppends checks the dst contract: the chunk is appended after
+// dst's bytes, which stay as they were.
+func TestOpenAppends(t *testing.T) {
+	c := mustCodec(t, SchemeEnhanced)
+	chunk := bytes.Repeat([]byte("append"), 700)
+	pkg, err := c.Encrypt(chunk, testKey("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("prefix")
+	got, err := c.Open(append([]byte(nil), prefix...), pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(prefix, chunk...)) {
+		t.Fatal("Open did not append the chunk after dst")
 	}
 }
 

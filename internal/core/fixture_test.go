@@ -85,7 +85,9 @@ func TestEncryptKnownAnswer(t *testing.T) {
 }
 
 // TestFixturesKeepOpening reads only the committed bytes: Decrypt must
-// keep opening packages written before any later change.
+// keep opening packages written before any later change, and so must
+// Open in place, as the download path calls it — over a trimmed package
+// that sits inside a larger buffer whose bytes past it stay untouched.
 func TestFixturesKeepOpening(t *testing.T) {
 	for _, fx := range packageFixtures() {
 		raw, err := os.ReadFile(filepath.Join("testdata", fx.file))
@@ -93,13 +95,32 @@ func TestFixturesKeepOpening(t *testing.T) {
 			t.Fatal(err)
 		}
 		cut := len(raw) - DefaultStubSize
-		chunk, err := mustCodec(t, fx.scheme).Decrypt(Package{Trimmed: raw[:cut], Stub: raw[cut:]})
+		codec := mustCodec(t, fx.scheme)
+		chunk, err := codec.Decrypt(Package{Trimmed: raw[:cut], Stub: raw[cut:]})
 		if err != nil {
 			t.Errorf("%s: Decrypt: %v", fx.file, err)
 			continue
 		}
 		if !bytes.Equal(chunk, fx.chunk) {
 			t.Errorf("%s: Decrypt returned different bytes", fx.file)
+		}
+
+		sentinel := bytes.Repeat([]byte{0xA5}, 64)
+		buf := append(append([]byte(nil), raw[:cut]...), sentinel...)
+		trimmed := buf[:cut]
+		chunk, err = codec.Open(trimmed[:0], Package{Trimmed: trimmed, Stub: raw[cut:]})
+		if err != nil {
+			t.Errorf("%s: Open in place: %v", fx.file, err)
+			continue
+		}
+		if !bytes.Equal(chunk, fx.chunk) {
+			t.Errorf("%s: Open in place returned different bytes", fx.file)
+		}
+		if &chunk[0] != &buf[0] {
+			t.Errorf("%s: Open in place did not revert into the trimmed package", fx.file)
+		}
+		if !bytes.Equal(buf[cut:], sentinel) {
+			t.Errorf("%s: Open in place wrote past the trimmed package", fx.file)
 		}
 	}
 }

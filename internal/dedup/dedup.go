@@ -313,10 +313,14 @@ func (s *Store) Has(fp fingerprint.Fingerprint) bool {
 // Get returns the stored chunk for fp. The backend fetch of a sealed
 // container happens outside s.mu, so concurrent Gets (and Puts) overlap.
 //
-// The returned slice must be treated as read-only: for a sealed
-// container it aliases the immutable cached container body (or a
-// dedicated point-read buffer), so the response path hands it straight
-// to frame assembly without another copy.
+// The returned slice must be treated as read-only, and stays valid for
+// as long as the caller holds it: it is a sub-slice of an immutable
+// sealed container body (cached or being fetched), a dedicated
+// point-read buffer, or a fresh copy of open-container bytes. Nothing
+// writes a sealed body after it is decoded — eviction and compaction
+// only drop the cache's reference — so the server's GetChunks reply
+// hands these slices to its connection writer, which sends them after
+// the handler has returned, without another copy.
 func (s *Store) Get(ctx context.Context, fp fingerprint.Fingerprint) ([]byte, error) {
 	// A retry means a compaction deleted the container between our index
 	// read and the backend fetch; the chunk has moved, so re-reading the

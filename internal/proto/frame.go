@@ -53,16 +53,18 @@ func AppendFrame(dst []byte, t MsgType, id uint64, payload []byte) ([]byte, erro
 	return append(dst, payload...), nil
 }
 
-// WriteFrameVectored writes one frame as a vectored write: the header
-// and payload go out in a single writev(2) when w is a *net.TCPConn
-// (net.Buffers falls back to sequential writes otherwise), so large
-// payloads are never copied into an intermediate buffer.
-func WriteFrameVectored(w io.Writer, t MsgType, id uint64, payload []byte) error {
+// WriteFrameVectored writes one frame, its payload the concatenation of
+// the given parts, as a vectored write: the header and every part go out
+// in writev(2) calls when w is a *net.TCPConn (net.Buffers falls back to
+// sequential writes otherwise), so large payloads — or a reply gathered
+// from many stored chunks — are never copied into an intermediate
+// buffer.
+func WriteFrameVectored(w io.Writer, t MsgType, id uint64, payload ...[]byte) error {
 	var header [FrameHeaderSize]byte
-	if err := PutFrameHeader(header[:], t, id, len(payload)); err != nil {
+	if err := PutFrameHeader(header[:], t, id, payloadSize(payload)); err != nil {
 		return err
 	}
-	bufs := net.Buffers{header[:], payload}
+	bufs := append(append(make(net.Buffers, 0, 1+len(payload)), header[:]), payload...)
 	if _, err := bufs.WriteTo(w); err != nil {
 		return err
 	}
@@ -78,6 +80,27 @@ func AppendBlobList(dst []byte, items [][]byte) []byte {
 		dst = append(dst, it...)
 	}
 	return dst
+}
+
+// BlobListParts is EncodeBlobList as a gather list for WriteFrame or
+// WriteFrameVectored: the same bytes, with every item referenced rather
+// than copied. The count and the length prefixes live in one small
+// fresh buffer, so no part is pooled; the items must not change until
+// the parts are written.
+func BlobListParts(items [][]byte) net.Buffers {
+	prefixes := make([]byte, 0, binary.MaxVarintLen32*(len(items)+1))
+	prefixes = binary.AppendUvarint(prefixes, uint64(len(items)))
+	if len(items) == 0 {
+		return net.Buffers{prefixes}
+	}
+	parts := make(net.Buffers, 0, 2*len(items))
+	start := 0
+	for _, it := range items {
+		prefixes = binary.AppendUvarint(prefixes, uint64(len(it)))
+		parts = append(parts, prefixes[start:], it)
+		start = len(prefixes)
+	}
+	return parts
 }
 
 // BlobListSize returns the encoded size of a blob list, for presizing

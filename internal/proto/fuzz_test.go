@@ -56,8 +56,24 @@ func FuzzDecodeBlobReq(f *testing.F) {
 
 func FuzzDecodeBlobList(f *testing.F) {
 	f.Add(EncodeBlobList([][]byte{[]byte("a"), []byte("b")}))
+	f.Add(EncodeBlobList([][]byte{nil, bytes.Repeat([]byte("z"), 300), []byte("c")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeBlobList(data, 64)
+		items, err := DecodeBlobList(data, 64)
+		if err != nil {
+			return
+		}
+		again, err := DecodeBlobList(EncodeBlobList(items), len(items))
+		if err != nil || len(again) != len(items) {
+			t.Fatalf("re-encode round trip failed: %d items, err %v", len(again), err)
+		}
+		for i := range items {
+			if !bytes.Equal(again[i], items[i]) {
+				t.Fatalf("item %d changed in the round trip", i)
+			}
+			if cap(items[i]) != len(items[i]) {
+				t.Fatalf("item %d has capacity %d past its %d bytes", i, cap(items[i]), len(items[i]))
+			}
+		}
 	})
 }
 

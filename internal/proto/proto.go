@@ -215,24 +215,33 @@ func (e *RemoteError) Error() string { return "remote: " + e.Message }
 // type byte plus the 8-byte request ID.
 const frameOverhead = 1 + 8
 
-// WriteFrame writes one frame tagged with the given request ID.
-// Responses carry the ID of the request that caused them; unsolicited
-// frames use ID 0.
-func WriteFrame(w io.Writer, t MsgType, id uint64, payload []byte) error {
-	if len(payload)+frameOverhead > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
+// WriteFrame writes one frame tagged with the given request ID, its
+// payload the concatenation of the given parts: one Write for the header
+// and one per part. Responses carry the ID of the request that caused
+// them; unsolicited frames use ID 0.
+func WriteFrame(w io.Writer, t MsgType, id uint64, payload ...[]byte) error {
 	var header [4 + frameOverhead]byte
-	binary.BigEndian.PutUint32(header[:4], uint32(len(payload)+frameOverhead))
-	header[4] = byte(t)
-	binary.BigEndian.PutUint64(header[5:], id)
+	if err := PutFrameHeader(header[:], t, id, payloadSize(payload)); err != nil {
+		return err
+	}
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("proto: write header: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("proto: write payload: %w", err)
+	for _, part := range payload {
+		if _, err := w.Write(part); err != nil {
+			return fmt.Errorf("proto: write payload: %w", err)
+		}
 	}
 	return nil
+}
+
+// payloadSize is the length of the payload parts laid end to end.
+func payloadSize(parts [][]byte) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
 }
 
 // ReadFrame reads one frame, returning its type, request ID, and
@@ -289,6 +298,9 @@ func EncodeBlobList(items [][]byte) []byte {
 }
 
 // DecodeBlobList decodes EncodeBlobList output. maxItems bounds the list.
+// The items alias b, which the caller must own — a payload fresh from
+// ReadFrame is — and each is capacity-capped at its own end, so an
+// append to one item can never write into the next.
 func DecodeBlobList(b []byte, maxItems int) ([][]byte, error) {
 	r := binenc.NewReader(b)
 	count, err := r.Uvarint()
@@ -300,11 +312,11 @@ func DecodeBlobList(b []byte, maxItems int) ([][]byte, error) {
 	}
 	items := make([][]byte, 0, count)
 	for i := uint64(0); i < count; i++ {
-		it, err := r.ReadBytesCopy()
+		it, err := r.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("%w: list item %d: %v", ErrBadMessage, i, err)
 		}
-		items = append(items, it)
+		items = append(items, it[:len(it):len(it)])
 	}
 	if !r.Done() {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadMessage)

@@ -123,6 +123,27 @@ func TestBlobListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlobListItemsAliasPayload: decoded items are views of the payload,
+// not copies, and each is capacity-capped, so appending to one item
+// reallocates it rather than overwriting the next.
+func TestBlobListItemsAliasPayload(t *testing.T) {
+	payload := EncodeBlobList([][]byte{[]byte("first"), []byte("second")})
+	got, err := DecodeBlobList(payload, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if start := len(payload) - len("second"); &got[1][0] != &payload[start] {
+		t.Fatal("item 1 does not alias the payload")
+	}
+	grown := append(got[0], "XXXXXXXX"...)
+	if !bytes.Equal(got[1], []byte("second")) {
+		t.Fatalf("appending to item 0 overwrote item 1: %q", got[1])
+	}
+	if !bytes.Equal(grown, []byte("firstXXXXXXXX")) {
+		t.Fatalf("grown item 0 = %q", grown)
+	}
+}
+
 func TestBlobListLimit(t *testing.T) {
 	items := [][]byte{{1}, {2}, {3}}
 	if _, err := DecodeBlobList(EncodeBlobList(items), 2); !errors.Is(err, ErrBadMessage) {

@@ -122,6 +122,11 @@ func Unmarshal(b []byte) (*Recipe, error) {
 	if count > maxChunks {
 		return nil, fmt.Errorf("%w: %d chunks exceeds limit", ErrBadRecipe, count)
 	}
+	// Each reference is a fingerprint and a 4-byte size; a count the
+	// remaining bytes cannot hold must fail before it sizes an allocation.
+	if count > uint64(rd.Remaining()/(fingerprint.Size+4)) {
+		return nil, fmt.Errorf("%w: %d chunks in %d bytes", ErrBadRecipe, count, rd.Remaining())
+	}
 	r.Chunks = make([]ChunkRef, 0, count)
 	for i := uint64(0); i < count; i++ {
 		raw, err := rd.ReadRaw(fingerprint.Size)

@@ -1,7 +1,9 @@
 package recipe
 
 import (
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -79,6 +81,24 @@ func TestUnmarshalErrors(t *testing.T) {
 				t.Fatalf("error = %v, want ErrBadRecipe", err)
 			}
 		})
+	}
+}
+
+// TestUnmarshalCountPastBytes: a chunk count the input cannot hold is
+// rejected before it sizes an allocation — the decoder sees recipe bytes
+// fetched from a server.
+func TestUnmarshalCountPastBytes(t *testing.T) {
+	empty := (&Recipe{Path: "/x", Scheme: 1, KeyVersion: 1}).Marshal()
+	claim := append(empty[:len(empty)-1:len(empty)-1], binary.AppendUvarint(nil, 1<<20)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(claim)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadRecipe) {
+		t.Fatalf("error = %v, want ErrBadRecipe", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a %d-byte recipe allocated %d bytes", len(claim), grew)
 	}
 }
 

@@ -124,23 +124,32 @@ func (c *Client) PutChunks(ctx context.Context, chunks []proto.ChunkUpload) ([]b
 }
 
 // GetChunks fetches a batch of trimmed packages by fingerprint, in
-// order. Read-only: re-issued transparently after connection faults.
+// order. A server may answer with only the leading chunks of a batch
+// whose bytes would overflow one reply frame; the rest are asked for
+// again until every chunk has arrived. The returned slices alias the
+// reply frames, which belong to the caller. Read-only: re-issued
+// transparently after connection faults.
 func (c *Client) GetChunks(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
 	if len(fps) == 0 {
 		return nil, nil
 	}
-	payload, err := c.call(ctx, proto.MsgGetChunksReq, proto.EncodeGetChunksReq(fps))
-	if err != nil {
-		return nil, err
+	out := make([][]byte, 0, len(fps))
+	for len(out) < len(fps) {
+		rest := fps[len(out):]
+		payload, err := c.call(ctx, proto.MsgGetChunksReq, proto.EncodeGetChunksReq(rest))
+		if err != nil {
+			return nil, err
+		}
+		datas, err := proto.DecodeBlobList(payload, len(rest))
+		if err != nil {
+			return nil, err
+		}
+		if len(datas) == 0 {
+			return nil, errors.New("server client: empty chunk reply")
+		}
+		out = append(out, datas...)
 	}
-	datas, err := proto.DecodeBlobList(payload, len(fps))
-	if err != nil {
-		return nil, err
-	}
-	if len(datas) != len(fps) {
-		return nil, errors.New("server client: chunk count mismatch")
-	}
-	return datas, nil
+	return out, nil
 }
 
 // PutBlob stores a blob (recipe, stub file, or key state). Blob puts

@@ -11,13 +11,12 @@ import (
 
 // mustDispatch sends one request through dispatch and fails unless the
 // answer is the request's own response type.
-func mustDispatch(t *testing.T, srv *Server, typ proto.MsgType, payload []byte) []byte {
+func mustDispatch(t *testing.T, srv *Server, typ proto.MsgType, payload []byte) {
 	t.Helper()
 	respType, resp := srv.dispatch(ctx, typ, payload)
 	if respType != typ.Response() {
 		t.Fatalf("%v answered %v: %s", typ, respType, resp)
 	}
-	return resp
 }
 
 // TestAckIsDurable is the contract the handler table exists for: once a

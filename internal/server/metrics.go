@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net"
 	"time"
 
 	"repro/internal/metrics"
@@ -60,7 +61,7 @@ func (s *Server) MetricsSnapshot() metrics.Snapshot { return s.reg.Snapshot() }
 // dispatchTimed wraps dispatch with per-op accounting. With no registry
 // attached it is a plain tail call — instrumentation must cost nothing
 // when disabled.
-func (s *Server) dispatchTimed(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
+func (s *Server) dispatchTimed(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, net.Buffers) {
 	if s.ops == nil {
 		return s.dispatch(ctx, typ, payload)
 	}

@@ -25,13 +25,19 @@ func startServer(t testing.TB) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, serveTest(t, srv)
+}
+
+// serveTest serves srv on a loopback port until the test ends.
+func serveTest(t testing.TB, srv *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = srv.Shutdown() })
-	return srv, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 func dialTest(t testing.TB, addr string) *Client {
