@@ -78,26 +78,65 @@ func TestTransformInPlaceRoundTrip(t *testing.T) {
 		t.Fatal("package leaks plaintext prefix")
 	}
 
-	gotMsg, gotKey, err := RevertInPlace(pkg)
+	// Revert over the head itself.
+	head := pkg[:len(msg)]
+	gotKey, err := RevertParts(head, nil, head, pkg[len(msg):])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotMsg, msg) {
+	if !bytes.Equal(head, msg) {
 		t.Fatal("in-place round trip lost the message")
 	}
-	if !bytes.Equal(gotKey, key) {
+	if !bytes.Equal(gotKey[:], key) {
 		t.Fatal("in-place round trip lost the key")
-	}
-	// The returned message must alias the package head.
-	if &gotMsg[0] != &pkg[0] {
-		t.Fatal("RevertInPlace copied instead of aliasing")
 	}
 
 	if err := TransformInPlace(make([]byte, TailSize-1), key); err == nil {
 		t.Fatal("short package expected error")
 	}
-	if _, _, err := RevertInPlace(make([]byte, TailSize-1)); err == nil {
-		t.Fatal("short package expected error")
+	if _, err := RevertParts(nil, nil, make([]byte, TailSize), make([]byte, TailSize-1)); err == nil {
+		t.Fatal("tail split across the parts expected error")
+	}
+}
+
+// TestRevertPartsAtEverySplit: reverting a package given as two parts
+// into a message written as two parts recovers the message and key for
+// every cut of either — in place, with the message written over the
+// package buffer, and into a separate buffer, leaving the package
+// untouched. These are the shapes a trimmed package and its stub take.
+func TestRevertPartsAtEverySplit(t *testing.T) {
+	key, msg := testKeyMsg()
+	msg = msg[:3*TailSize+5]
+	pkg, err := TransformWithKey(msg, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]byte(nil), pkg...)
+	for cut := 0; cut <= len(msg); cut++ {
+		for _, n := range []int{0, 1, cut / 2, cut, cut + 1, len(msg)} {
+			n = min(n, len(msg))
+			// In place: first aliases the package's start and runs on
+			// into the second part when n > cut.
+			buf := append([]byte(nil), pkg...)
+			rest := make([]byte, len(msg)-n)
+			gotKey, err := RevertParts(buf[:n], rest, buf[:cut], buf[cut:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := append(buf[:n:n], rest...); !bytes.Equal(got, msg) || !bytes.Equal(gotKey[:], key) {
+				t.Fatalf("in place, split at %d, message cut at %d: lost message or key", cut, n)
+			}
+			out := make([]byte, len(msg))
+			if _, err := RevertParts(out[:n], out[n:], pkg[:cut], pkg[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, msg) || !bytes.Equal(pkg, orig) {
+				t.Fatalf("separate output, split at %d, message cut at %d: lost the message or wrote the package", cut, n)
+			}
+		}
+	}
+	if _, err := RevertParts(make([]byte, len(msg)-1), nil, pkg[:len(msg)], pkg[len(msg):]); err == nil {
+		t.Fatal("short output expected error")
 	}
 }
 
