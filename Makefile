@@ -82,7 +82,7 @@ race:
 # the Serve/Shutdown ordering: whether Shutdown or the Serve goroutine
 # reaches the server's mutex first is the scheduler's choice, so only
 # many repetitions visit both orders (Tier-1 once failed 6 % of runs
-# here). The third repeats the two experiment tests that used to assert
+# here). The third repeats the experiment tests that used to assert
 # wall-clock orderings and failed about one -race run in ten on a shared
 # two-core box; they assert on counters now, and twenty repetitions keep
 # it that way.
@@ -90,7 +90,7 @@ CHAOS_COUNT ?= 2
 chaos:
 	$(GO) test -race -run 'Chaos|Fault' -count=$(CHAOS_COUNT) ./...
 	$(GO) test -race -run 'TestServe.*Shutdown' -count=500 ./internal/server ./internal/keymanager
-	$(GO) test -race -run 'TestAblations$$|TestFig6Shape$$' -count=20 ./internal/experiments
+	$(GO) test -race -run 'TestAblations$$|TestFig5bShape$$|TestFig6Shape$$|TestFig7cShape$$' -count=20 ./internal/experiments
 
 # crash-recovery boots a real deployment on disk backends, uploads a
 # corpus with duplicate content, SIGKILLs the storage servers (once at

@@ -59,6 +59,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/recipe"
 	"repro/internal/retry"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -156,14 +157,6 @@ type Config struct {
 	// later with Audit. The streaming pipeline reservoir-samples the
 	// ticket chunks so audit generation stays O(segment) too.
 	AuditTickets int
-
-	// DisableTwoPhase turns off the two-phase upload protocol (see
-	// fastpath.go): no whole-file pre-check with recipe cloning, no
-	// warm-upload chunk filtering, no whole-file registration. Every
-	// upload then chunks, keys, encrypts, and sends all of its bytes —
-	// the paper's baseline behavior, and the cold side of the warm
-	// upload experiment.
-	DisableTwoPhase bool
 
 	// ObfuscatePaths hides file pathnames from the cloud: every remote
 	// object is addressed by a salted hash of its path instead of the
@@ -559,50 +552,16 @@ type RekeyResult struct {
 // until the next update (old versions remain derivable via key
 // regression). Requires the Owner (private derivation key).
 func (c *Client) Rekey(ctx context.Context, path string, newPol *policy.Node, active bool) (*RekeyResult, error) {
-	start := time.Now()
-	path = c.remoteName(path)
-	if c.cfg.Owner == nil {
-		return nil, ErrNoOwner
-	}
-	if err := newPol.Validate(); err != nil {
-		return nil, err
-	}
-
-	// Retrieve and decrypt the current key state (CP-ABE decryption
-	// with the original policy).
-	oldState, derivPub, err := c.fetchKeyState(ctx, path)
+	res, oldVersions, err := c.rekey(ctx, []string{path}, newPol, active)
 	if err != nil {
 		return nil, err
 	}
-
-	// Derive the new key state (key regression wind).
-	newState := c.cfg.Owner.Wind()
-
-	// Encrypt the new state via CP-ABE under the new policy and upload
-	// it with its metadata.
-	stateBlob, err := c.sealKeyState(newState, newPol)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.putBlob(ctx, c.keyConn, store.NSKeyStates, path, stateBlob); err != nil {
-		return nil, fmt.Errorf("client: upload key state: %w", err)
-	}
-
-	result := &RekeyResult{OldVersion: oldState.Version, NewVersion: newState.Version}
-	if !active {
-		result.Elapsed = time.Since(start)
-		return result, nil
-	}
-
-	// Active revocation: download the stubs, re-encrypt them with the
-	// new file key, and upload them again.
-	stubBytes, err := c.reencryptStubs(ctx, path, oldState, derivPub, newState)
-	if err != nil {
-		return nil, err
-	}
-	result.StubBytes = int64(stubBytes)
-	result.Elapsed = time.Since(start)
-	return result, nil
+	return &RekeyResult{
+		OldVersion: oldVersions[0],
+		NewVersion: res.NewVersion,
+		StubBytes:  res.StubBytes,
+		Elapsed:    res.Elapsed,
+	}, nil
 }
 
 // List returns the remote names of all stored files, sorted. Recipes
@@ -690,6 +649,71 @@ func (c *Client) sealKeyState(state keyreg.State, pol *policy.Node) ([]byte, err
 	return w.Bytes(), nil
 }
 
+// getRecipe fetches and decodes the recipe stored under name.
+func (c *Client) getRecipe(ctx context.Context, name string) (*recipe.Recipe, error) {
+	blob, err := c.router.GetBlob(ctx, store.NSRecipes, name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: recipe: %w", ErrNotFound, err)
+	}
+	return recipe.Unmarshal(blob)
+}
+
+// openStubs fetches and opens the stub file of the file rec describes.
+// state is the file's stored key state and pub the public derivation key
+// beside it. After a lazy revocation the stored state is newer than the
+// one that sealed the stubs; key regression lets any authorized user
+// unwind to rec.KeyVersion.
+func (c *Client) openStubs(ctx context.Context, name string, rec *recipe.Recipe, state keyreg.State, pub keyreg.Public) ([][]byte, error) {
+	if state.Version != rec.KeyVersion {
+		var err error
+		if state, err = keyreg.Unwind(pub, state, rec.KeyVersion); err != nil {
+			return nil, fmt.Errorf("client: unwind key state: %w", err)
+		}
+	}
+	fileKey := state.Key() //reed:secret — transient file-key copy
+	defer core.Wipe(fileKey[:])
+	blob, err := c.router.GetBlob(ctx, store.NSStubs, name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: stub file: %w", ErrNotFound, err)
+	}
+	return openStubFile(blob, fileKey[:], name, c.cfg.StubSize, len(rec.Chunks))
+}
+
+// publishFile writes a new file's metadata under rec.Path: the stubs
+// sealed under the owner's current key state, the recipe stamped with
+// that state's version, then the key state sealed under pol. Every
+// reader fetches the key state first, so it goes last: until it lands a
+// new name does not exist for anyone, and once it lands the stub file
+// and recipe it unlocks are already stored. Overwriting an existing name
+// is not atomic. The whole-file index entry is registered last, and
+// best-effort: it is an advisory shortcut, so a failed registration
+// costs later uploads their clone, never this upload.
+func (c *Client) publishFile(ctx context.Context, rec *recipe.Recipe, stubs [][]byte, pol *policy.Node) error {
+	state := c.cfg.Owner.Current()
+	rec.KeyVersion = state.Version
+	fileKey := state.Key() //reed:secret — transient file-key copy
+	defer core.Wipe(fileKey[:])
+	stubFile, err := c.sealStubs(stubs, fileKey[:], rec.Path)
+	if err != nil {
+		return err
+	}
+	stateBlob, err := c.sealKeyState(state, pol)
+	if err != nil {
+		return err
+	}
+	if err := c.router.PutBlob(ctx, store.NSStubs, rec.Path, stubFile); err != nil {
+		return fmt.Errorf("client: upload stub file: %w", err)
+	}
+	if err := c.router.PutBlob(ctx, store.NSRecipes, rec.Path, rec.Marshal()); err != nil {
+		return fmt.Errorf("client: upload recipe: %w", err)
+	}
+	if err := c.putBlob(ctx, c.keyConn, store.NSKeyStates, rec.Path, stateBlob); err != nil {
+		return fmt.Errorf("client: upload key state: %w", err)
+	}
+	_ = c.router.RegisterFile(ctx, wholeFileKey(rec.FileHash, rec.Size, pol), rec.Path)
+	return nil
+}
+
 // remoteName maps a logical path to its remote object name: the path
 // itself, or a salted hash of it when pathname obfuscation is on
 // (Section IV-D). The mapping is deterministic so any client holding
@@ -772,9 +796,15 @@ func (c *Client) parallelEach(ctx context.Context, n int, fn func(int) error) er
 	return firstErr
 }
 
-// sealStubs encrypts concatenated stubs with AES-256-GCM under the file
-// key, binding the file path as associated data.
-func sealStubs(stubs [][]byte, fileKey []byte, path string) ([]byte, error) {
+// sealStubs checks every stub's size and encrypts the concatenated
+// stubs with AES-256-GCM under the file key, binding the file path as
+// associated data.
+func (c *Client) sealStubs(stubs [][]byte, fileKey []byte, path string) ([]byte, error) {
+	for i, s := range stubs {
+		if len(s) != c.cfg.StubSize {
+			return nil, fmt.Errorf("client: chunk %d stub size %d, want %d", i, len(s), c.cfg.StubSize)
+		}
+	}
 	plain := bytes.Join(stubs, nil)
 	aead, err := stubAEAD(fileKey)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -400,17 +402,15 @@ func TestFixedChunking(t *testing.T) {
 func TestKeyCacheSpeedsSecondUpload(t *testing.T) {
 	cluster := startCluster(t)
 	c := newUser(t, cluster, "alice", core.SchemeEnhanced)
-	// This test exercises the MLE key cache on a duplicate upload; the
-	// whole-file fast path would skip key generation entirely.
-	c.cfg.DisableTwoPhase = true
 	data := randomFile(t, 128<<10, 10)
-	pol := policy.OrOfUsers([]string{"alice"})
 
-	if _, err := c.Upload(ctx, "/c1", bytes.NewReader(data), pol); err != nil {
+	if _, err := c.Upload(ctx, "/c1", bytes.NewReader(data), policy.OrOfUsers([]string{"alice"})); err != nil {
 		t.Fatal(err)
 	}
+	// The duplicate goes under a second policy, so it misses the
+	// per-policy whole-file index and reaches key generation.
 	evalsAfterFirst := cluster.KMEvaluations()
-	if _, err := c.Upload(ctx, "/c2", bytes.NewReader(data), pol); err != nil {
+	if _, err := c.Upload(ctx, "/c2", bytes.NewReader(data), policy.OrOfUsers([]string{"alice", "bob"})); err != nil {
 		t.Fatal(err)
 	}
 	if cluster.KMEvaluations() != evalsAfterFirst {
@@ -425,18 +425,16 @@ func TestKeyCacheSpeedsSecondUpload(t *testing.T) {
 func TestClearKeyCache(t *testing.T) {
 	cluster := startCluster(t)
 	c := newUser(t, cluster, "alice", core.SchemeEnhanced)
-	// Same carve-out as TestKeyCacheSpeedsSecondUpload: the clone path
-	// would bypass the key manager with or without a cache.
-	c.cfg.DisableTwoPhase = true
 	data := randomFile(t, 64<<10, 11)
-	pol := policy.OrOfUsers([]string{"alice"})
 
-	if _, err := c.Upload(ctx, "/cc1", bytes.NewReader(data), pol); err != nil {
+	if _, err := c.Upload(ctx, "/cc1", bytes.NewReader(data), policy.OrOfUsers([]string{"alice"})); err != nil {
 		t.Fatal(err)
 	}
+	// Second policy, as in TestKeyCacheSpeedsSecondUpload: the clone
+	// would bypass the key manager with or without a cache.
 	c.ClearKeyCache()
 	evals := cluster.KMEvaluations()
-	if _, err := c.Upload(ctx, "/cc2", bytes.NewReader(data), pol); err != nil {
+	if _, err := c.Upload(ctx, "/cc2", bytes.NewReader(data), policy.OrOfUsers([]string{"alice", "bob"})); err != nil {
 		t.Fatal(err)
 	}
 	if cluster.KMEvaluations() == evals {
@@ -460,6 +458,38 @@ func TestTamperedChunkDetected(t *testing.T) {
 	corruptAll(t, cluster)
 	if _, err := c.Download(ctx, "/tamper"); err == nil {
 		t.Fatal("download of tampered data succeeded")
+	}
+}
+
+// TestTamperedRecipeSizeBounded: the recipe is not authenticated, so a
+// chunk size rewritten to 1 GiB must fail the download at that chunk,
+// without Download first allocating what the recipe claims.
+func TestTamperedRecipeSizeBounded(t *testing.T) {
+	cluster := startCluster(t)
+	c := knownUser(t, cluster, "alice", func(cfg *Config) { cfg.SegmentBytes = 8 << 20 })
+	data := randomFile(t, 64<<10, 16)
+	if _, err := c.Upload(ctx, "/tamper-size", bytes.NewReader(data), policy.OrOfUsers([]string{"alice"})); err != nil {
+		t.Fatal(err)
+	}
+	rec := fetchRecipe(t, c, "/tamper-size")
+	const claimed = 1 << 30
+	rec.Size += claimed - uint64(rec.Chunks[0].Size)
+	rec.Chunks[0].Size = claimed
+	if err := rec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.router.PutBlob(ctx, store.NSRecipes, "/tamper-size", rec.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Download(ctx, "/tamper-size")
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "recipe says 1073741824") {
+		t.Fatalf("download of a recipe claiming a 1 GiB chunk: err = %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("the failed download allocated %d MiB", alloc>>20)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/fingerprint"
-	"repro/internal/recipe"
 	"repro/internal/store"
 )
 
@@ -43,11 +42,7 @@ func (c *Client) Delete(ctx context.Context, path string) (*DeleteResult, error)
 		return nil, err
 	}
 
-	recBytes, err := c.router.GetBlob(ctx, store.NSRecipes, path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: recipe: %w", ErrNotFound, err)
-	}
-	rec, err := recipe.Unmarshal(recBytes)
+	rec, err := c.getRecipe(ctx, path)
 	if err != nil {
 		return nil, err
 	}

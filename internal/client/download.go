@@ -10,9 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fingerprint"
-	"repro/internal/keyreg"
 	"repro/internal/recipe"
-	"repro/internal/store"
 )
 
 // DownloadResult summarizes a download.
@@ -52,12 +50,14 @@ func (c *Client) DownloadTo(ctx context.Context, path string, w io.Writer) (*Dow
 }
 
 // Download retrieves and reassembles the file stored under path. It is
-// a thin wrapper over the streaming path that collects into a buffer
-// pre-sized from the recipe; prefer DownloadTo for large files.
+// a thin wrapper over the streaming path that collects into a buffer;
+// prefer DownloadTo for large files. The recipe's sizes are checked only
+// as each chunk is decrypted, so the buffer is pre-sized to at most one
+// segment and grows with verified chunks.
 func (c *Client) Download(ctx context.Context, path string) ([]byte, error) {
 	var buf bytes.Buffer
 	_, err := c.downloadStream(ctx, c.remoteName(path), func(rec *recipe.Recipe) (io.Writer, error) {
-		buf.Grow(int(rec.Size))
+		buf.Grow(int(min(rec.Size, uint64(c.cfg.SegmentBytes))))
 		return &buf, nil
 	})
 	if err != nil {
@@ -73,42 +73,18 @@ func (c *Client) Download(ctx context.Context, path string) ([]byte, error) {
 func (c *Client) downloadStream(ctx context.Context, name string, open func(*recipe.Recipe) (io.Writer, error)) (*DownloadResult, error) {
 	start := time.Now()
 	retryBefore := c.retrySnapshot()
-	// Key state → file key. After a lazy revocation the stored state is
-	// newer than the one that sealed this file's stubs; key regression
-	// lets any authorized user unwind to the file's version using the
-	// public derivation key stored beside the state.
 	state, derivPub, err := c.fetchKeyState(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-
-	recBytes, err := c.router.GetBlob(ctx, store.NSRecipes, name)
-	if err != nil {
-		return nil, fmt.Errorf("%w: recipe: %w", ErrNotFound, err)
-	}
-	rec, err := recipe.Unmarshal(recBytes)
+	rec, err := c.getRecipe(ctx, name)
 	if err != nil {
 		return nil, err
 	}
 	if rec.Scheme != uint8(c.cfg.Scheme) {
 		return nil, fmt.Errorf("client: file uses scheme %d, client configured for %v", rec.Scheme, c.cfg.Scheme)
 	}
-
-	fileState := state
-	if rec.KeyVersion != state.Version {
-		fileState, err = keyreg.Unwind(derivPub, state, rec.KeyVersion)
-		if err != nil {
-			return nil, fmt.Errorf("client: unwind key state: %w", err)
-		}
-	}
-	fileKey := fileState.Key() //reed:secret — transient file-key copy
-	defer core.Wipe(fileKey[:])
-
-	stubFile, err := c.router.GetBlob(ctx, store.NSStubs, name)
-	if err != nil {
-		return nil, fmt.Errorf("%w: stub file: %w", ErrNotFound, err)
-	}
-	stubs, err := openStubFile(stubFile, fileKey[:], name, c.cfg.StubSize, len(rec.Chunks))
+	stubs, err := c.openStubs(ctx, name, rec, state, derivPub)
 	if err != nil {
 		return nil, err
 	}

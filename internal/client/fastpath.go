@@ -4,21 +4,17 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fileindex"
 	"repro/internal/fingerprint"
-	"repro/internal/keyreg"
 	"repro/internal/policy"
-	"repro/internal/recipe"
-	"repro/internal/store"
 )
 
 // The whole-file half of the two-phase upload protocol. Before
-// chunking anything, the client hashes the file linearly and asks the
-// cluster's whole-file index whether an identical file — same SHA-256,
+// chunking anything, an upload whose source can be hashed up front (a
+// seekable reader, or chunks already in memory: chunkSource.fileHash)
+// hashes the file linearly and asks the cluster's whole-file index whether an identical file — same SHA-256,
 // same size, same protection policy — is already stored. On a hit the
 // upload collapses to a recipe clone: the client fetches the source
 // file's recipe and stub file, takes one fresh reference on every
@@ -40,52 +36,14 @@ import (
 // entry (source overwritten or deleted) costs a round trip and a
 // fallback to the full pipeline, never a wrong file.
 
-// policyFingerprint canonicalizes a protection policy into the
-// whole-file index's policy dimension. Keying the index per policy
-// means a pre-check can only hit files the caller could have uploaded
-// identically, and the CheckFile oracle never reveals that some
-// *other* policy's user stored a given file (DESIGN.md §11).
-func policyFingerprint(pol *policy.Node) [fileindex.HashSize]byte {
-	return sha256.Sum256(pol.Marshal())
-}
-
 // wholeFileKey builds the index key for a file's content hash and size
-// under pol.
+// under pol, whose canonical encoding is hashed into the policy
+// dimension. Keying the index per policy means a pre-check can only hit
+// files the caller could have uploaded identically, and the CheckFile
+// oracle never reveals that some *other* policy's user stored a given
+// file (DESIGN.md §11).
 func wholeFileKey(hash [sha256.Size]byte, size uint64, pol *policy.Node) fileindex.Key {
-	return fileindex.Key{Hash: hash, Size: size, Policy: policyFingerprint(pol)}
-}
-
-// tryFastUpload attempts the whole-file fast path on a seekable
-// source: hash the stream linearly, ask the index, and clone on a hit.
-// Returns (result, true, nil) when the clone completed. A false second
-// return means the caller must run the full pipeline; the reader has
-// been repositioned at its starting offset. Errors are returned only
-// for failures that doom the full pipeline too: hashing or seeking the
-// source failed, or the context was cancelled.
-func (c *Client) tryFastUpload(ctx context.Context, name string, rs io.ReadSeeker, pol *policy.Node) (*UploadResult, bool, error) {
-	start, err := rs.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil, false, fmt.Errorf("client: fast path: seek: %w", err)
-	}
-	h := sha256.New()
-	size, err := io.Copy(h, rs)
-	if err != nil {
-		return nil, false, fmt.Errorf("client: fast path: hash: %w", err)
-	}
-	var hash [sha256.Size]byte
-	h.Sum(hash[:0])
-
-	res, err := c.checkAndClone(ctx, name, wholeFileKey(hash, uint64(size), pol), pol)
-	if err != nil {
-		return nil, false, err
-	}
-	if res != nil {
-		return res, true, nil
-	}
-	if _, err := rs.Seek(start, io.SeekStart); err != nil {
-		return nil, false, fmt.Errorf("client: fast path: rewind: %w", err)
-	}
-	return nil, false, nil
+	return fileindex.Key{Hash: hash, Size: size, Policy: sha256.Sum256(pol.Marshal())}
 }
 
 // checkAndClone runs the whole-file pre-check and, on a hit, clones
@@ -97,16 +55,12 @@ func (c *Client) tryFastUpload(ctx context.Context, name string, rs io.ReadSeeke
 // upload_wholefile_hits is exactly the number of uploads that skipped
 // the pipeline.
 func (c *Client) checkAndClone(ctx context.Context, name string, key fileindex.Key, pol *policy.Node) (*UploadResult, error) {
+	var res *UploadResult
 	srcName, found, err := c.router.CheckFile(ctx, key)
-	if err != nil || !found {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		c.wholeFileMisses.Inc()
-		return nil, nil
+	if err == nil && found {
+		res, _ = c.cloneFromRecipe(ctx, name, key, srcName, pol)
 	}
-	res, err := c.cloneFromRecipe(ctx, name, key, srcName, pol)
-	if err != nil {
+	if res == nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -129,11 +83,7 @@ func (c *Client) cloneFromRecipe(ctx context.Context, name string, key fileindex
 	start := time.Now()
 	retryBefore := c.retrySnapshot()
 
-	recBytes, err := c.router.GetBlob(ctx, store.NSRecipes, srcName)
-	if err != nil {
-		return nil, fmt.Errorf("client: clone: recipe %q: %w", srcName, err)
-	}
-	rec, err := recipe.Unmarshal(recBytes)
+	rec, err := c.getRecipe(ctx, srcName)
 	if err != nil {
 		return nil, fmt.Errorf("client: clone: %w", err)
 	}
@@ -155,22 +105,7 @@ func (c *Client) cloneFromRecipe(ctx context.Context, name string, key fileindex
 	if err != nil {
 		return nil, fmt.Errorf("client: clone: %w", err)
 	}
-	fileState := srcState
-	if srcState.Version != rec.KeyVersion {
-		// Lazy revocation: the key state may have wound past the version
-		// the stub file is still sealed under.
-		fileState, err = keyreg.Unwind(srcPub, srcState, rec.KeyVersion)
-		if err != nil {
-			return nil, fmt.Errorf("client: clone: unwind key state: %w", err)
-		}
-	}
-	srcKey := fileState.Key() //reed:secret — transient file-key copy
-	defer core.Wipe(srcKey[:])
-	stubBlob, err := c.router.GetBlob(ctx, store.NSStubs, srcName)
-	if err != nil {
-		return nil, fmt.Errorf("client: clone: stub file %q: %w", srcName, err)
-	}
-	stubs, err := openStubFile(stubBlob, srcKey[:], srcName, c.cfg.StubSize, len(rec.Chunks))
+	stubs, err := c.openStubs(ctx, srcName, rec, srcState, srcPub)
 	if err != nil {
 		return nil, fmt.Errorf("client: clone: %w", err)
 	}
@@ -187,80 +122,40 @@ func (c *Client) cloneFromRecipe(ctx context.Context, name string, key fileindex
 	if err != nil {
 		return nil, fmt.Errorf("client: clone: ref chunks: %w", err)
 	}
-	missing := 0
-	for _, ok := range found {
-		if !ok {
-			missing++
+	taken := fps[:0]
+	for i, ok := range found {
+		if ok {
+			taken = append(taken, fps[i])
 		}
 	}
-	if missing > 0 {
+	if missing := len(fps) - len(taken); missing > 0 {
 		// A concurrent delete freed some of the source's chunks between
 		// the index hit and the ref. Compensate the references we did
 		// take, best-effort: a failure here over-retains (the same
 		// algebra as a re-sent PUT batch), never dangles data.
-		taken := make([]fingerprint.Fingerprint, 0, len(fps)-missing)
-		for i, ok := range found {
-			if ok {
-				taken = append(taken, fps[i])
-			}
-		}
 		if len(taken) > 0 {
 			_, _ = c.router.DerefChunks(ctx, taken)
 		}
 		return nil, fmt.Errorf("client: clone: %d source chunks no longer stored", missing)
 	}
 
-	// Mint a fresh file key: the clone's stubs seal under this client's
-	// current key-regression state, bound to the clone's own name, so
-	// rekey and delete treat the clone exactly like a fresh upload.
-	state := c.cfg.Owner.Current()
-	newKey := state.Key() //reed:secret — transient file-key copy
-	defer core.Wipe(newKey[:])
-	stubFile, err := c.sealStubsChecked(stubs, newKey[:], name)
-	if err != nil {
+	// Publish the same recipe under the clone's name and a fresh file
+	// key: the clone's stubs seal under this client's current
+	// key-regression state, bound to the clone's own name, so rekey and
+	// delete treat the clone exactly like a fresh upload.
+	rec.Path = name
+	if err := c.publishFile(ctx, rec, stubs, pol); err != nil {
 		return nil, err
 	}
-	stateBlob, err := c.sealKeyState(state, pol)
-	if err != nil {
-		return nil, err
-	}
-	newRec := &recipe.Recipe{
-		Path:       name,
-		Size:       rec.Size,
-		Scheme:     rec.Scheme,
-		KeyVersion: state.Version,
-		FileHash:   rec.FileHash,
-		Chunks:     rec.Chunks,
-	}
-	if err := c.router.PutBlob(ctx, store.NSStubs, name, stubFile); err != nil {
-		return nil, fmt.Errorf("client: upload stub file: %w", err)
-	}
-	if err := c.router.PutBlob(ctx, store.NSRecipes, name, newRec.Marshal()); err != nil {
-		return nil, fmt.Errorf("client: upload recipe: %w", err)
-	}
-	if err := c.putBlob(ctx, c.keyConn, store.NSKeyStates, name, stateBlob); err != nil {
-		return nil, fmt.Errorf("client: upload key state: %w", err)
-	}
-	c.registerWholeFile(ctx, key, name)
-
 	return &UploadResult{
 		Chunks:          len(rec.Chunks),
 		LogicalBytes:    int64(rec.Size),
 		DuplicateChunks: len(rec.Chunks),
-		KeyVersion:      state.Version,
+		KeyVersion:      rec.KeyVersion,
 		WholeFileHit:    true,
 		SkippedChunks:   len(rec.Chunks),
 		SkippedBytes:    int64(rec.Size),
 		Retry:           c.retryDelta(retryBefore),
 		Elapsed:         time.Since(start),
 	}, nil
-}
-
-// registerWholeFile records the (hash, size, policy) → recipe-name
-// entry after a fully landed upload. Best-effort by design: the entry
-// is an advisory shortcut, so a failed or cancelled registration costs
-// future warm uploads their fast path, never correctness — it cannot
-// fail the upload that tried it.
-func (c *Client) registerWholeFile(ctx context.Context, key fileindex.Key, name string) {
-	_ = c.router.RegisterFile(ctx, key, name)
 }

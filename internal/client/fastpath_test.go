@@ -188,30 +188,6 @@ func TestFastPathPolicyIsolation(t *testing.T) {
 	}
 }
 
-// TestFastPathDisabled: the opt-out must restore the baseline pipeline
-// wholesale — no hit, no filtering, full duplicate detection via PUT.
-func TestFastPathDisabled(t *testing.T) {
-	cluster := startCluster(t)
-	c := newUser(t, cluster, "alice", core.SchemeEnhanced)
-	c.cfg.DisableTwoPhase = true
-	data := randomFile(t, 128<<10, 76)
-	pol := policy.OrOfUsers([]string{"alice"})
-
-	if _, err := c.Upload(ctx, "/off/a", bytes.NewReader(data), pol); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Upload(ctx, "/off/b", bytes.NewReader(data), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WholeFileHit || res.SkippedChunks != 0 || res.SkippedBytes != 0 {
-		t.Fatalf("two-phase artifacts with the protocol disabled: %+v", res)
-	}
-	if res.DuplicateChunks != res.Chunks {
-		t.Fatalf("baseline dedup broken: %d of %d dups", res.DuplicateChunks, res.Chunks)
-	}
-}
-
 // TestFastPathStaleEntryFallsBack: overwriting a registered file makes
 // its index entry stale; a later identical upload of the *old* bytes
 // must detect the mismatch against the recipe's FileHash and fall back
@@ -226,13 +202,11 @@ func TestFastPathStaleEntryFallsBack(t *testing.T) {
 	if _, err := c.Upload(ctx, "/stale/f", bytes.NewReader(v1), pol); err != nil {
 		t.Fatal(err)
 	}
-	// Overwrite in place with DisableTwoPhase so no fresh v2 entry is
-	// registered; the v1 entry now points at a recipe holding v2.
-	c.cfg.DisableTwoPhase = true
+	// Overwrite in place. v2's registration adds its own entry and
+	// leaves v1's, which now points at a recipe holding v2.
 	if _, err := c.Upload(ctx, "/stale/f", bytes.NewReader(v2), pol); err != nil {
 		t.Fatal(err)
 	}
-	c.cfg.DisableTwoPhase = false
 
 	res, err := c.Upload(ctx, "/stale/copy", bytes.NewReader(v1), pol)
 	if err != nil {
@@ -250,8 +224,10 @@ func TestFastPathStaleEntryFallsBack(t *testing.T) {
 	}
 }
 
-// TestPrechunkedFastPath: the pre-chunked entry point shares the
-// whole-file pre-check.
+// TestPrechunkedFastPath: both entry points share one whole-file
+// pre-check, so a file stored through either is cloned by the other. A
+// reader that cannot seek skips the pre-check, and its chunks are still
+// all found stored.
 func TestPrechunkedFastPath(t *testing.T) {
 	cluster := startCluster(t)
 	c := newUser(t, cluster, "alice", core.SchemeEnhanced)
@@ -271,15 +247,33 @@ func TestPrechunkedFastPath(t *testing.T) {
 	if !res.WholeFileHit {
 		t.Fatal("pre-chunked re-upload did not take the fast path")
 	}
-	var want []byte
-	for _, ch := range chunks {
-		want = append(want, ch...)
-	}
-	got, err := c.Download(ctx, "/pc/b")
-	if err != nil {
+	want := bytes.Join(chunks, nil)
+	if res, err = c.Upload(ctx, "/pc/c", bytes.NewReader(want), pol); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("pre-chunked clone downloads wrong bytes")
+	if !res.WholeFileHit {
+		t.Fatal("seekable upload did not clone the pre-chunked file")
+	}
+
+	other := randomFile(t, 48<<10, 82)
+	if _, err := c.Upload(ctx, "/pc/d", bytes.NewReader(other), pol); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = c.UploadPrechunked(ctx, "/pc/e", [][]byte{other[:20<<10], other[20<<10:]}, pol); err != nil {
+		t.Fatal(err)
+	}
+	if !res.WholeFileHit {
+		t.Fatal("pre-chunked upload did not clone the file Upload stored")
+	}
+	if res, err = c.Upload(ctx, "/pc/f", streamOf(other), pol); err != nil {
+		t.Fatal(err)
+	}
+	if res.WholeFileHit || res.SkippedChunks != res.Chunks {
+		t.Fatalf("non-seekable warm upload: clone = %v, skipped %d of %d chunks; want no clone, all skipped",
+			res.WholeFileHit, res.SkippedChunks, res.Chunks)
+	}
+
+	for path, data := range map[string][]byte{"/pc/b": want, "/pc/c": want, "/pc/e": other, "/pc/f": other} {
+		mustDownload(t, c, path, data)
 	}
 }

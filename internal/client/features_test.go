@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -208,6 +209,25 @@ func TestRekeyGroupValidation(t *testing.T) {
 	}
 	if _, err := alice.RekeyGroup(ctx, []string{"/absent"}, pol, false); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	// A path named twice is refused before anything is written: the
+	// file's key version does not move.
+	if _, err := alice.Upload(ctx, "/dup", bytes.NewReader(randomFile(t, 16<<10, 69)), pol); err != nil {
+		t.Fatal(err)
+	}
+	before, err := alice.DownloadTo(ctx, "/dup", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.RekeyGroup(ctx, []string{"/dup", "/dup"}, pol, true); err == nil {
+		t.Fatal("repeated path accepted")
+	}
+	after, err := alice.DownloadTo(ctx, "/dup", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.KeyVersion != before.KeyVersion {
+		t.Fatalf("refused group rekey moved the key version %d -> %d", before.KeyVersion, after.KeyVersion)
 	}
 }
 

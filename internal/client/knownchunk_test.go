@@ -269,18 +269,16 @@ func TestKnownChunksFallback(t *testing.T) {
 	}
 }
 
-// TestKnownChunksBypass: an audit book, the two-phase protocol switched
-// off and a disabled key cache each keep every chunk on the encrypt
-// path. A deliberately wrong result planted in the cache would fail the
+// TestKnownChunksBypass: an audit book and a disabled key cache each
+// keep every chunk on the encrypt path. A deliberately wrong result planted in the cache would fail the
 // upload (or corrupt the stub file) if it were ever consulted.
 func TestKnownChunksBypass(t *testing.T) {
 	cluster := startCluster(t)
 	pol := policy.OrOfUsers([]string{"alice"})
 	data := randomFile(t, 64<<10, 96)
 	for name, mutate := range map[string]func(*Config){
-		"audit book":    func(cfg *Config) { cfg.AuditTickets = 4 },
-		"two-phase off": func(cfg *Config) { cfg.DisableTwoPhase = true },
-		"no key cache":  func(cfg *Config) { cfg.CacheCapacity = -1 },
+		"audit book":   func(cfg *Config) { cfg.AuditTickets = 4 },
+		"no key cache": func(cfg *Config) { cfg.CacheCapacity = -1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := knownUser(t, cluster, "alice", mutate)

@@ -14,13 +14,11 @@ import (
 	"repro/internal/audit"
 	"repro/internal/chunker"
 	"repro/internal/core"
-	"repro/internal/fileindex"
 	"repro/internal/fingerprint"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/recipe"
-	"repro/internal/store"
 )
 
 // The streaming upload engine. The input is cut into pipeline segments
@@ -124,13 +122,17 @@ func (g *byteGate) peakBytes() int64 {
 
 // chunkSource yields the upload's chunks one at a time. next returns
 // io.EOF after the last chunk; the returned slice must be owned by the
-// callee (not reused for the following chunk).
+// callee (not reused for the following chunk). fileHash reports the
+// linear SHA-256 and size of the whole file before the first next, or
+// ok = false when the source cannot be read twice.
 type chunkSource interface {
 	next() ([]byte, error)
+	fileHash() (hash [sha256.Size]byte, size uint64, ok bool, err error)
 }
 
 // readerSource chunks an io.Reader with the configured chunker.
 type readerSource struct {
+	r  io.Reader
 	ck chunker.Chunker
 }
 
@@ -147,7 +149,31 @@ func (c *Client) newReaderSource(r io.Reader) (*readerSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &readerSource{ck: ck}, nil
+	return &readerSource{r: r, ck: ck}, nil
+}
+
+// fileHash hashes a seekable reader to its end and rewinds it to where
+// it started, so a miss costs one extra read pass. Any other reader can
+// be read only once and is not hashed.
+func (s *readerSource) fileHash() (hash [sha256.Size]byte, size uint64, ok bool, err error) {
+	rs, ok := s.r.(io.ReadSeeker)
+	if !ok {
+		return hash, 0, false, nil
+	}
+	start, err := rs.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return hash, 0, false, fmt.Errorf("client: fast path: seek: %w", err)
+	}
+	h := sha256.New()
+	n, err := io.Copy(h, rs)
+	if err != nil {
+		return hash, 0, false, fmt.Errorf("client: fast path: hash: %w", err)
+	}
+	if _, err := rs.Seek(start, io.SeekStart); err != nil {
+		return hash, 0, false, fmt.Errorf("client: fast path: rewind: %w", err)
+	}
+	h.Sum(hash[:0])
+	return hash, uint64(n), true, nil
 }
 
 func (s *readerSource) next() ([]byte, error) {
@@ -177,6 +203,17 @@ func (s *sliceSource) next() ([]byte, error) {
 	return data, nil
 }
 
+// fileHash hashes the chunks, which are all in memory already.
+func (s *sliceSource) fileHash() (hash [sha256.Size]byte, size uint64, ok bool, err error) {
+	h := sha256.New()
+	for _, data := range s.chunks {
+		h.Write(data)
+		size += uint64(len(data))
+	}
+	h.Sum(hash[:0])
+	return hash, size, true, nil
+}
+
 // segment is one pipeline unit: up to a quarter of Config.SegmentBytes
 // of chunks.
 type segment struct {
@@ -192,33 +229,11 @@ type segment struct {
 // file behind, even while r blocks in Read; a Read that never returns
 // strands only its reading goroutine, not the Upload call.
 func (c *Client) Upload(ctx context.Context, path string, r io.Reader, pol *policy.Node) (*UploadResult, error) {
-	if c.cfg.Owner == nil {
-		return nil, ErrNoOwner
-	}
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
-	name := c.remoteName(path)
-	// Whole-file fast path: seekable sources can be hashed and rewound,
-	// so the pre-check costs one extra read pass on a miss. Audit-book
-	// uploads always take the pipeline — tickets need the ciphertext
-	// stream the clone never produces.
-	if c.skipsKnownWork() {
-		if rs, ok := r.(io.ReadSeeker); ok {
-			res, done, err := c.tryFastUpload(ctx, name, rs, pol)
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				return res, nil
-			}
-		}
-	}
 	src, err := c.newReaderSource(r)
 	if err != nil {
 		return nil, err
 	}
-	return c.runUpload(ctx, name, src, pol)
+	return c.upload(ctx, path, src, pol)
 }
 
 // UploadPrechunked uploads a file whose chunk boundaries the caller
@@ -226,38 +241,12 @@ func (c *Client) Upload(ctx context.Context, path string, r io.Reader, pol *poli
 // chunking time is excluded as in the paper's Experiment B.2). Chunks
 // must be non-empty.
 func (c *Client) UploadPrechunked(ctx context.Context, path string, rawChunks [][]byte, pol *policy.Node) (*UploadResult, error) {
-	if c.cfg.Owner == nil {
-		return nil, ErrNoOwner
-	}
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
 	for i, data := range rawChunks {
 		if len(data) == 0 {
 			return nil, fmt.Errorf("client: pre-chunked upload: empty chunk %d", i)
 		}
 	}
-	name := c.remoteName(path)
-	// The chunks are all in memory, so the whole-file pre-check costs
-	// one hash pass. Same audit-book carve-out as Upload.
-	if c.skipsKnownWork() {
-		h := sha256.New()
-		var size int64
-		for _, data := range rawChunks {
-			h.Write(data)
-			size += int64(len(data))
-		}
-		var hash [sha256.Size]byte
-		h.Sum(hash[:0])
-		res, err := c.checkAndClone(ctx, name, wholeFileKey(hash, uint64(size), pol), pol)
-		if err != nil {
-			return nil, err
-		}
-		if res != nil {
-			return res, nil
-		}
-	}
-	return c.runUpload(ctx, name, &sliceSource{chunks: rawChunks}, pol)
+	return c.upload(ctx, path, &sliceSource{chunks: rawChunks}, pol)
 }
 
 // pipeFail records the pipeline's first error and cancels everything
@@ -287,14 +276,33 @@ func sendSeg(ctx context.Context, ch chan<- *segment, s *segment) bool {
 	}
 }
 
-// runUpload drives the four-stage pipeline and, once every segment has
-// uploaded, finalizes the file: stub file, recipe, and key state.
-func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, pol *policy.Node) (*UploadResult, error) {
-	start := time.Now()
-	state := c.cfg.Owner.Current()
-	fileKey := state.Key() //reed:secret — transient file-key copy
-	defer core.Wipe(fileKey[:])
+// upload is the one upload path. A source that can be hashed up front
+// first tries the whole-file clone (fastpath.go). Everything else, and
+// every miss, runs the four-stage pipeline and, once every segment has
+// uploaded, publishes the file. Audit-book uploads always take the
+// pipeline: tickets need the ciphertext stream the clone never produces.
+func (c *Client) upload(ctx context.Context, path string, src chunkSource, pol *policy.Node) (*UploadResult, error) {
+	if c.cfg.Owner == nil {
+		return nil, ErrNoOwner
+	}
+	if err := pol.Validate(); err != nil {
+		return nil, err
+	}
+	name := c.remoteName(path)
+	if c.cfg.AuditTickets == 0 {
+		hash, size, ok, err := src.fileHash()
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			res, err := c.checkAndClone(ctx, name, wholeFileKey(hash, size, pol), pol)
+			if res != nil || err != nil {
+				return res, err
+			}
+		}
+	}
 
+	start := time.Now()
 	segBytes := int64(c.cfg.SegmentBytes)
 	gate := newByteGate(2 * segBytes)
 	gate.gauge = c.bytesInFlight
@@ -474,11 +482,7 @@ func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, po
 	// then accumulate the file-level state — recipe refs and stubs in
 	// segment order, plus a reservoir sample of ciphertext chunks for
 	// the audit book.
-	rec := &recipe.Recipe{
-		Path:       name,
-		Scheme:     uint8(c.cfg.Scheme),
-		KeyVersion: state.Version,
-	}
+	rec := &recipe.Recipe{Path: name, Scheme: uint8(c.cfg.Scheme)}
 	var (
 		stubs    [][]byte
 		logical  int64
@@ -535,25 +539,8 @@ func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, po
 	// to a downloader before this point.
 	rec.Size = uint64(logical)
 	lin.Sum(rec.FileHash[:0])
-	stubFile, err := c.sealStubsChecked(stubs, fileKey[:], name)
-	if err != nil {
+	if err := c.publishFile(ctx, rec, stubs, pol); err != nil {
 		return nil, err
-	}
-	stateBlob, err := c.sealKeyState(state, pol)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.router.PutBlob(ctx, store.NSStubs, name, stubFile); err != nil {
-		return nil, fmt.Errorf("client: upload stub file: %w", err)
-	}
-	if err := c.router.PutBlob(ctx, store.NSRecipes, name, rec.Marshal()); err != nil {
-		return nil, fmt.Errorf("client: upload recipe: %w", err)
-	}
-	if err := c.putBlob(ctx, c.keyConn, store.NSKeyStates, name, stateBlob); err != nil {
-		return nil, fmt.Errorf("client: upload key state: %w", err)
-	}
-	if !c.cfg.DisableTwoPhase {
-		c.registerWholeFile(ctx, fileindex.Key{Hash: rec.FileHash, Size: rec.Size, Policy: policyFingerprint(pol)}, name)
 	}
 
 	retryStats := c.retryDelta(retryBefore)
@@ -563,7 +550,7 @@ func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, po
 		DuplicateChunks: stats.dups,
 		Segments:        segments,
 		PeakBuffered:    gate.peakBytes(),
-		KeyVersion:      state.Version,
+		KeyVersion:      rec.KeyVersion,
 		SkippedChunks:   stats.skipped,
 		SkippedBytes:    stats.skippedBytes,
 		Retry:           retryStats,
@@ -579,16 +566,6 @@ func (c *Client) runUpload(ctx context.Context, name string, src chunkSource, po
 	return result, nil
 }
 
-// sealStubsChecked validates stub sizes before sealing the stub file.
-func (c *Client) sealStubsChecked(stubs [][]byte, fileKey []byte, name string) ([]byte, error) {
-	for i, s := range stubs {
-		if len(s) != c.cfg.StubSize {
-			return nil, fmt.Errorf("client: chunk %d stub size %d, want %d", i, len(s), c.cfg.StubSize)
-		}
-	}
-	return sealStubs(stubs, fileKey, name)
-}
-
 // segStats is one segment's upload accounting: duplicates the shards
 // already had (including filtered ones), plus the chunks and trimmed
 // bytes the two-phase filter kept off the wire entirely.
@@ -598,19 +575,11 @@ type segStats struct {
 	skippedBytes int64
 }
 
-// skipsKnownWork reports whether uploads may skip work whose result the
-// cluster or this client already holds: the whole-file clone and the
-// cached encryption results. Both need the two-phase protocol, and an
-// audit book needs the ciphertext stream neither produces.
-func (c *Client) skipsKnownWork() bool {
-	return !c.cfg.DisableTwoPhase && c.cfg.AuditTickets == 0
-}
-
 // keepsResults reports whether encryption results are kept beside the
-// MLE keys and reused: there is a key cache, and nothing needs the
+// MLE keys and reused: there is a key cache, and no audit book needs the
 // ciphertext of a chunk the cluster already stores.
 func (c *Client) keepsResults() bool {
-	return c.cache != nil && c.skipsKnownWork()
+	return c.cache != nil && c.cfg.AuditTickets == 0
 }
 
 // knownResult fills ch's trimmed-package name and stub from the key
@@ -652,8 +621,8 @@ func (c *Client) encryptChunk(gate *byteGate, ch *encChunk) error {
 // router, which partitions them by ring owner, stripes each shard's
 // share in parallel UploadBuffer-sized batches, and re-sends batches
 // that die with their connection under Config.Retry (re-PUT is
-// dedup-safe; see internal/cluster and internal/dedup). With the
-// two-phase protocol on, a batched negative lookup first filters out
+// dedup-safe; see internal/cluster and internal/dedup). A batched
+// negative lookup first filters out
 // chunks the cluster already stores, so warm uploads send only the
 // genuinely new bytes. Filtered chunks count as duplicates — they are
 // exactly the chunks a full re-PUT would have reported as dups — so
@@ -668,13 +637,10 @@ func (c *Client) encryptChunk(gate *byteGate, ch *encChunk) error {
 // filter failed open — is encrypted here, on the worker pool, and must
 // produce the name the cache gave; anything else is a hard error.
 func (c *Client) uploadSegment(ctx context.Context, gate *byteGate, seg *segment) (segStats, error) {
-	var st segStats
 	skip := make([]bool, len(seg.chunks))
-	if !c.cfg.DisableTwoPhase {
-		st = c.filterKnownChunks(ctx, seg.chunks, skip)
-		if err := ctx.Err(); err != nil {
-			return segStats{}, err
-		}
+	st := c.filterKnownChunks(ctx, seg.chunks, skip)
+	if err := ctx.Err(); err != nil {
+		return segStats{}, err
 	}
 	var late []*encChunk
 	for i := range seg.chunks {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/keyreg"
 	"repro/internal/policy"
-	"repro/internal/recipe"
 	"repro/internal/store"
 )
 
@@ -36,42 +35,54 @@ type GroupRekeyResult struct {
 // Rekey: lazy revocation replaces only the key states; active
 // revocation also re-encrypts each file's stub file.
 func (c *Client) RekeyGroup(ctx context.Context, paths []string, newPol *policy.Node, active bool) (*GroupRekeyResult, error) {
+	res, _, err := c.rekey(ctx, paths, newPol, active)
+	return res, err
+}
+
+// rekey is Rekey and RekeyGroup. It checks everything it can before the
+// first write: the arguments, that no file is named twice (a repeat
+// would fail only after its first occurrence was rewritten), and that
+// every file's key state decrypts. Then it winds the chain once, seals
+// the new state under newPol once, and replaces each file's key state,
+// re-sealing its stub file too under active revocation. It also returns
+// each file's key-state version before the rekey.
+func (c *Client) rekey(ctx context.Context, paths []string, newPol *policy.Node, active bool) (*GroupRekeyResult, []uint64, error) {
 	start := time.Now()
 	if c.cfg.Owner == nil {
-		return nil, ErrNoOwner
+		return nil, nil, ErrNoOwner
 	}
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("client: rekey group: no paths")
+		return nil, nil, fmt.Errorf("client: rekey: no paths")
 	}
 	if err := newPol.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	names := make([]string, len(paths))
+	seen := make(map[string]bool, len(paths))
 	for i, p := range paths {
 		names[i] = c.remoteName(p)
+		if seen[names[i]] {
+			return nil, nil, fmt.Errorf("client: rekey: %q named twice", p)
+		}
+		seen[names[i]] = true
 	}
 
-	// Decrypt every file's current key state first (and fail early if
-	// any file is inaccessible) so a partial failure cannot strand a
-	// file whose state was already replaced.
 	oldStates := make([]keyreg.State, len(names))
 	derivPubs := make([]keyreg.Public, len(names))
+	oldVersions := make([]uint64, len(names))
 	for i, name := range names {
-		state, pub, err := c.fetchKeyState(ctx, name)
-		if err != nil {
-			return nil, fmt.Errorf("client: rekey group %q: %w", paths[i], err)
+		var err error
+		if oldStates[i], derivPubs[i], err = c.fetchKeyState(ctx, name); err != nil {
+			return nil, nil, fmt.Errorf("client: rekey %q: %w", paths[i], err)
 		}
-		oldStates[i] = state
-		derivPubs[i] = pub
+		oldVersions[i] = oldStates[i].Version
 	}
 
-	// One wind, one policy encryption, shared by all files.
 	newState := c.cfg.Owner.Wind()
 	stateBlob, err := c.sealKeyState(newState, newPol)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
 	result := &GroupRekeyResult{
 		Files:             len(names),
 		NewVersion:        newState.Version,
@@ -79,54 +90,36 @@ func (c *Client) RekeyGroup(ctx context.Context, paths []string, newPol *policy.
 	}
 	for i, name := range names {
 		if err := c.putBlob(ctx, c.keyConn, store.NSKeyStates, name, stateBlob); err != nil {
-			return nil, fmt.Errorf("client: rekey group %q: upload key state: %w", paths[i], err)
+			return nil, nil, fmt.Errorf("client: rekey %q: upload key state: %w", paths[i], err)
 		}
 		if !active {
 			continue
 		}
 		stubBytes, err := c.reencryptStubs(ctx, name, oldStates[i], derivPubs[i], newState)
 		if err != nil {
-			return nil, fmt.Errorf("client: rekey group %q: %w", paths[i], err)
+			return nil, nil, fmt.Errorf("client: rekey %q: %w", paths[i], err)
 		}
 		result.StubBytes += int64(stubBytes)
 	}
 	result.Elapsed = time.Since(start)
-	return result, nil
+	return result, oldVersions, nil
 }
 
-// reencryptStubs downloads a file's stub file, re-encrypts it under the
-// new state's file key, uploads it, and bumps the recipe's key version.
-// It returns the re-encrypted stub file size.
+// reencryptStubs re-seals a file's stub file under the new state's file
+// key and bumps the recipe's key version to match. It returns the
+// re-encrypted stub file size.
 func (c *Client) reencryptStubs(ctx context.Context, name string, oldState keyreg.State, derivPub keyreg.Public, newState keyreg.State) (int, error) {
-	recBytes, err := c.router.GetBlob(ctx, store.NSRecipes, name)
-	if err != nil {
-		return 0, fmt.Errorf("%w: recipe: %w", ErrNotFound, err)
-	}
-	rec, err := recipe.Unmarshal(recBytes)
+	rec, err := c.getRecipe(ctx, name)
 	if err != nil {
 		return 0, err
 	}
-	stubFile, err := c.router.GetBlob(ctx, store.NSStubs, name)
-	if err != nil {
-		return 0, fmt.Errorf("%w: stub file: %w", ErrNotFound, err)
-	}
-
-	fileState := oldState
-	if rec.KeyVersion != oldState.Version {
-		fileState, err = keyreg.Unwind(derivPub, oldState, rec.KeyVersion)
-		if err != nil {
-			return 0, fmt.Errorf("client: unwind key state: %w", err)
-		}
-	}
-	oldKey := fileState.Key() //reed:secret — transient file-key copy
-	defer core.Wipe(oldKey[:])
-	stubs, err := openStubFile(stubFile, oldKey[:], name, c.cfg.StubSize, len(rec.Chunks))
+	stubs, err := c.openStubs(ctx, name, rec, oldState, derivPub)
 	if err != nil {
 		return 0, err
 	}
 	newKey := newState.Key() //reed:secret — transient file-key copy
 	defer core.Wipe(newKey[:])
-	reStubFile, err := sealStubs(stubs, newKey[:], name)
+	reStubFile, err := c.sealStubs(stubs, newKey[:], name)
 	if err != nil {
 		return 0, err
 	}

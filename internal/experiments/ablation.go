@@ -22,6 +22,10 @@ type AblationBatchingPoint struct {
 	Batched   bool
 	BatchSize int
 	MBps      float64
+	// Chunks and Requests count the keys generated and the key-manager
+	// requests that carried them (see KeyGenPoint).
+	Chunks   int
+	Requests int
 }
 
 // AblationBatching measures MLE key generation with batch sizes 1 (no
@@ -51,6 +55,8 @@ func AblationBatching(o Options) ([]AblationBatchingPoint, error) {
 			Batched:   batch > 1,
 			BatchSize: batch,
 			MBps:      p.MBps,
+			Chunks:    p.Chunks,
+			Requests:  p.Requests,
 		})
 	}
 	return out, nil
@@ -87,21 +93,20 @@ func AblationKeyCache(o Options) ([]AblationCachePoint, error) {
 		c, err := newClient(cluster, o, clientParams{
 			user: user, scheme: core.SchemeEnhanced, avgKB: 8,
 			batch: keymanager.DefaultBatchSize, cache: enabled, workers: 2,
-			// The second upload must exercise key generation, not the
-			// whole-file fast path.
-			noTwoPhase: true,
 		})
 		if err != nil {
 			return nil, err
 		}
 		data := uniqueData(o.FileBytes, o.Seed+int64(len(out))*31)
-		pol := policy.OrOfUsers([]string{user})
-		if _, err := timeUpload(c, "/ab-cache/"+user+"/1", data, pol); err != nil {
+		if _, err := timeUpload(c, "/ab-cache/"+user+"/1", data, policy.OrOfUsers([]string{user})); err != nil {
 			c.Close()
 			return nil, err
 		}
+		// The second copy goes under a second policy: the whole-file index
+		// is keyed per policy, so it misses and the upload reaches key
+		// generation.
 		evalsBefore := cluster.KMEvaluations()
-		second, err := timeUpload(c, "/ab-cache/"+user+"/2", data, pol)
+		second, err := timeUpload(c, "/ab-cache/"+user+"/2", data, policy.OrOfUsers([]string{user, user + "-peer"}))
 		if err != nil {
 			c.Close()
 			return nil, err

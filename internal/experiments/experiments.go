@@ -127,10 +127,6 @@ type clientParams struct {
 	stubSize int
 	segBytes int  // pipeline segment budget (0 = default 64 MB)
 	ownLink  bool // give this client its own emulated NIC
-	// noTwoPhase disables the two-phase upload protocol, for
-	// experiments that measure the chunk pipeline on duplicate data
-	// (which the whole-file fast path would otherwise skip).
-	noTwoPhase bool
 	// metrics instruments the client (the warm-upload experiment reads
 	// wire-byte counters off the registry).
 	metrics *metrics.Registry
@@ -142,21 +138,20 @@ func newClient(cluster *testenv.Cluster, o Options, p clientParams) (*client.Cli
 		return nil, err
 	}
 	cfg := client.Config{
-		UserID:          p.user,
-		Scheme:          p.scheme,
-		DataServers:     cluster.DataAddrs,
-		KeyStoreServer:  cluster.KeyAddr,
-		KeyManager:      cluster.KMAddr,
-		Chunking:        chunkOpts(maxInt(p.avgKB, 2)),
-		KeyGenBatch:     p.batch,
-		Workers:         p.workers,
-		StubSize:        p.stubSize,
-		SegmentBytes:    p.segBytes,
-		PrivateKey:      cluster.Authority.IssueKey(p.user, []string{p.user}),
-		Directory:       cluster.Authority,
-		Owner:           owner,
-		DisableTwoPhase: p.noTwoPhase,
-		Metrics:         p.metrics,
+		UserID:         p.user,
+		Scheme:         p.scheme,
+		DataServers:    cluster.DataAddrs,
+		KeyStoreServer: cluster.KeyAddr,
+		KeyManager:     cluster.KMAddr,
+		Chunking:       chunkOpts(maxInt(p.avgKB, 2)),
+		KeyGenBatch:    p.batch,
+		Workers:        p.workers,
+		StubSize:       p.stubSize,
+		SegmentBytes:   p.segBytes,
+		PrivateKey:     cluster.Authority.IssueKey(p.user, []string{p.user}),
+		Directory:      cluster.Authority,
+		Owner:          owner,
+		Metrics:        p.metrics,
 	}
 	if !p.cache {
 		cfg.CacheCapacity = -1

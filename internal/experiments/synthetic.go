@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chunker"
@@ -11,8 +12,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fingerprint"
 	"repro/internal/keymanager"
+	"repro/internal/metrics"
 	"repro/internal/mle"
 	"repro/internal/policy"
+	"repro/internal/proto"
 	"repro/internal/testenv"
 )
 
@@ -31,6 +34,11 @@ type KeyGenPoint struct {
 	// Chunks is how many chunks (and hence OPRF evaluations) were
 	// needed.
 	Chunks int
+	// Requests is how many key-generation requests the key manager
+	// served for them: one per batch of at most BatchSize chunks. It is
+	// the count behind the batching curve, read off the key manager's
+	// per-op dispatch counter.
+	Requests int
 }
 
 // Fig5aKeyGenVsChunkSize reproduces Figure 5(a): key generation speed
@@ -109,16 +117,26 @@ func keyGenRun(cluster *testenv.Cluster, o Options, avgKB, batch, fileBytes int)
 	}
 	defer km.Close()
 
+	requestsBefore := keyGenRequests(cluster)
 	start := time.Now()
 	if _, err := km.GenerateKeys(context.Background(), fps); err != nil {
 		return KeyGenPoint{}, err
 	}
+	elapsed := time.Since(start)
 	return KeyGenPoint{
 		ChunkKB:   avgKB,
 		BatchSize: batch,
-		MBps:      mbps(fileBytes, time.Since(start)),
+		MBps:      mbps(fileBytes, elapsed),
 		Chunks:    len(chunks),
+		Requests:  int(keyGenRequests(cluster) - requestsBefore),
 	}, nil
+}
+
+// keyGenRequests reads how many key-generation requests the cluster's
+// key manager has served.
+func keyGenRequests(cluster *testenv.Cluster) uint64 {
+	name := metrics.Label("dispatch_total", "op", proto.OpNames()[proto.MsgKeyGenReq])
+	return cluster.KM().MetricsSnapshot().Counters[name]
 }
 
 // --- Experiment A.2: encryption performance (Figure 6) ---
@@ -271,6 +289,12 @@ type MultiClientPoint struct {
 	Clients      int
 	FirstUpMBps  float64 // aggregate, unique data
 	SecondUpMBps float64 // aggregate, identical re-upload
+	// SecondUpHits counts second-round uploads the whole-file index
+	// turned into clones, and SecondUpEvaluations the OPRF evaluations
+	// the key manager served during that round: the work the re-upload
+	// skips, counted rather than timed.
+	SecondUpHits        int
+	SecondUpEvaluations uint64
 }
 
 // Fig7cMultiClient reproduces Figure 7(c): aggregate upload speed versus
@@ -313,10 +337,15 @@ func Fig7cMultiClient(o Options, clientCounts []int) ([]MultiClientPoint, error)
 
 		point := MultiClientPoint{Clients: n}
 		for round := 0; round < 2; round++ {
+			var hits atomic.Int32
+			evalsBefore := cluster.KMEvaluations()
 			start := time.Now()
 			err := parallel(n, func(i int) error {
 				path := fmt.Sprintf("/fig7c/%d/%d/%d", n, i, round)
-				_, err := timeUpload(clients[i].c, path, clients[i].data, clients[i].pol)
+				_, res, err := timeUploadResult(clients[i].c, path, clients[i].data, clients[i].pol)
+				if err == nil && res.WholeFileHit {
+					hits.Add(1)
+				}
 				return err
 			})
 			if err != nil {
@@ -325,9 +354,11 @@ func Fig7cMultiClient(o Options, clientCounts []int) ([]MultiClientPoint, error)
 			aggregate := mbps(o.FileBytes*n, time.Since(start))
 			if round == 0 {
 				point.FirstUpMBps = aggregate
-			} else {
-				point.SecondUpMBps = aggregate
+				continue
 			}
+			point.SecondUpMBps = aggregate
+			point.SecondUpHits = int(hits.Load())
+			point.SecondUpEvaluations = cluster.KMEvaluations() - evalsBefore
 		}
 		for _, tc := range clients {
 			tc.c.Close()
