@@ -1,0 +1,78 @@
+package keyreg
+
+import (
+	"bytes"
+	"encoding/hex"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the key-regression known answers in testdata/ (a break: stored key states stop unwinding to the file keys they sealed)")
+
+// fixtureOwnerFile is a committed owner (Owner.Marshal) at version 1.
+// -update writes a fresh one only when the file is missing; the winds are
+// rewritten against whatever owner is committed.
+const fixtureOwnerFile = "owner.bin"
+
+func fixtureOwner(t *testing.T) *Owner {
+	t.Helper()
+	path := filepath.Join("testdata", fixtureOwnerFile)
+	b, err := os.ReadFile(path)
+	if os.IsNotExist(err) && *update {
+		b = newOwner(t).Marshal()
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	o, err := UnmarshalOwner(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(o.Marshal(), b) {
+		t.Fatal("owner does not round-trip through Marshal")
+	}
+	return o
+}
+
+// TestWindKnownAnswer pins the committed owner's states after three
+// winds (one State.Marshal per line, versions 1 to 4), and that Unwind
+// with the public key alone walks the newest back to every earlier one.
+// A byte that moves here strands every stored key state.
+func TestWindKnownAnswer(t *testing.T) {
+	o := fixtureOwner(t)
+	states := []State{o.Current()}
+	for i := 0; i < 3; i++ {
+		states = append(states, o.Wind())
+	}
+	var b strings.Builder
+	for _, st := range states {
+		b.WriteString(hex.EncodeToString(st.Marshal()))
+		b.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", "winds.hex")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if want, err := os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if b.String() != string(want) {
+		t.Error("winds.hex: states differ from the committed fixture")
+	}
+
+	newest := states[len(states)-1]
+	for _, want := range states {
+		got, err := Unwind(o.Public(), newest, want.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Errorf("Unwind to version %d differs from the wound state", want.Version)
+		}
+	}
+}
