@@ -98,7 +98,12 @@ func UnmarshalState(b []byte) (State, error) {
 // rekeying step.
 type Owner struct {
 	priv    *rsa.PrivateKey
+	crt     *rsacrt.Key // priv prepared for Wind
 	current State
+}
+
+func ownerFrom(priv *rsa.PrivateKey, current State) *Owner {
+	return &Owner{priv: priv, crt: rsacrt.New(priv), current: current}
 }
 
 // NewOwner generates a fresh derivation key pair and the initial key
@@ -118,9 +123,7 @@ func NewOwner(bits int, randSrc io.Reader) (*Owner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("keyreg: initial state: %w", err)
 	}
-	o := &Owner{priv: priv}
-	o.current = State{Version: 1, Value: padToModulus(st, priv.N)}
-	return o, nil
+	return ownerFrom(priv, State{Version: 1, Value: padToModulus(st, priv.N)}), nil
 }
 
 // Current returns the newest state.
@@ -130,11 +133,11 @@ func (o *Owner) Current() State {
 
 // Wind advances to the next state using the private derivation key and
 // returns it. This is the owner-side rekeying operation. The
-// exponentiation runs in CRT form (internal/rsacrt), full-width for a
-// key without CRT values.
+// exponentiation runs in CRT form (internal/rsacrt), on its Montgomery
+// kernel for 1024-bit keys and full-width for a key without CRT values.
 func (o *Owner) Wind() State {
 	v := new(big.Int).SetBytes(o.current.Value)
-	next := rsacrt.Exp(o.priv, v)
+	next := o.crt.Exp(v)
 	o.current = State{
 		Version: o.current.Version + 1,
 		Value:   padToModulus(next, o.priv.N),

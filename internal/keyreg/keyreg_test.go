@@ -3,8 +3,12 @@ package keyreg
 import (
 	"bytes"
 	"crypto/rsa"
+	"encoding/hex"
 	"errors"
 	"math/big"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -56,10 +60,7 @@ func TestWindIncrementsVersion(t *testing.T) {
 // each state unwinding to its predecessor.
 func TestWindCRTMatchesFullExponent(t *testing.T) {
 	o := newOwner(t)
-	stripped := &Owner{
-		priv:    &rsa.PrivateKey{PublicKey: o.priv.PublicKey, D: o.priv.D},
-		current: o.Current(),
-	}
+	stripped := ownerFrom(&rsa.PrivateKey{PublicKey: o.priv.PublicKey, D: o.priv.D}, o.Current())
 	for i := 0; i < 32; i++ {
 		prev := o.Current()
 		want := new(big.Int).Exp(new(big.Int).SetBytes(prev.Value), o.priv.D, o.priv.N)
@@ -218,6 +219,28 @@ func TestCurrentReturnsCopy(t *testing.T) {
 	s.Value[0] ^= 0xFF
 	if bytes.Equal(s.Value, o.Current().Value) {
 		t.Fatal("Current() exposed internal state slice")
+	}
+}
+
+// TestWindFixtureOnMathBig winds the committed owner on the math/big
+// path — its key stripped of the CRT values the Montgomery kernel needs
+// — and must reproduce the same committed states as TestWindKnownAnswer.
+func TestWindFixtureOnMathBig(t *testing.T) {
+	o := fixtureOwner(t)
+	o = ownerFrom(&rsa.PrivateKey{PublicKey: o.priv.PublicKey, D: o.priv.D}, o.Current())
+	want, err := os.ReadFile(filepath.Join("testdata", "winds.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(want))
+	for i, line := range lines {
+		st := o.Current()
+		if i > 0 {
+			st = o.Wind()
+		}
+		if got := hex.EncodeToString(st.Marshal()); got != line {
+			t.Fatalf("version %d differs from the committed fixture", st.Version)
+		}
 	}
 }
 

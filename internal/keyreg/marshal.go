@@ -45,5 +45,5 @@ func UnmarshalOwner(b []byte) (*Owner, error) {
 	if version == 0 || len(value) == 0 {
 		return nil, ErrBadState
 	}
-	return &Owner{priv: priv, current: State{Version: version, Value: value}}, nil
+	return ownerFrom(priv, State{Version: version, Value: value}), nil
 }

@@ -11,11 +11,11 @@ import (
 // safety net used when the private key lacks CRT values.
 func TestEvaluateFallbackWithoutPrecomputed(t *testing.T) {
 	k := serverKey(t)
-	stripped := &ServerKey{priv: &rsa.PrivateKey{
+	stripped := newServerKey(&rsa.PrivateKey{
 		PublicKey: k.priv.PublicKey,
 		D:         k.priv.D,
 		// Primes and Precomputed deliberately absent.
-	}}
+	})
 	p := k.PublicParams()
 	blinded, u, err := Blind(p, []byte("fallback"), nil)
 	if err != nil {

@@ -2,6 +2,7 @@ package oprf
 
 import (
 	"bytes"
+	"crypto/rsa"
 	"errors"
 	"math/big"
 	"sync"
@@ -215,6 +216,24 @@ func TestFDHUniformish(t *testing.T) {
 		}
 		seen[s] = true
 	}
+}
+
+// TestEvaluateFixtureOnMathBig evaluates the known-answer elements on the
+// math/big path — the committed key stripped of the CRT values the
+// Montgomery kernel needs — and must write the same committed bytes as
+// TestEvaluateKnownAnswer.
+func TestEvaluateFixtureOnMathBig(t *testing.T) {
+	k := fixtureKey(t)
+	k = newServerKey(&rsa.PrivateKey{PublicKey: k.priv.PublicKey, D: k.priv.D})
+	var got [][]byte
+	for _, x := range fixtureElements(k.PublicParams().N) {
+		y, err := k.Evaluate(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, y)
+	}
+	checkLines(t, "evaluate.hex", got)
 }
 
 func BenchmarkEvaluate(b *testing.B) {

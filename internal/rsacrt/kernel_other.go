@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package rsacrt
+
+// useKernel is false: the Montgomery kernel is amd64 assembly, and New
+// leaves every key on math/big.
+var useKernel = false
+
+func montMul512(z, x, y, m *[8]uint64, k0 uint64) {
+	panic("rsacrt: no Montgomery kernel on this architecture")
+}

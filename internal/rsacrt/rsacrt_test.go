@@ -1,33 +1,216 @@
 package rsacrt
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"math/big"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 )
+
+// paths runs f once on the Montgomery kernel (when this machine has it)
+// and once on the forced math/big fallback.
+func paths(t *testing.T, f func(t *testing.T)) {
+	t.Run("kernel", func(t *testing.T) {
+		if !useKernel {
+			t.Skip("CPU lacks BMI2/ADX")
+		}
+		f(t)
+	})
+	t.Run("fallback", func(t *testing.T) {
+		forceFallback(t)
+		f(t)
+	})
+}
 
 // TestExpMatchesFullExponent checks Garner recombination, and the
 // full-width path taken by a key stripped of its CRT values, against the
 // textbook x^d mod N for many inputs, including the branch where
-// m1 < m2.
+// m1 < m2, on both the kernel and the math/big path.
 func TestExpMatchesFullExponent(t *testing.T) {
 	priv, err := rsa.GenerateKey(rand.Reader, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped := &rsa.PrivateKey{PublicKey: priv.PublicKey, D: priv.D}
-	for i := 0; i < 64; i++ {
-		h := sha256.Sum256([]byte{byte(i)})
-		x := new(big.Int).SetBytes(h[:])
-		x.Exp(x, big.NewInt(5), priv.N) // spread over [0, N)
-		want := new(big.Int).Exp(x, priv.D, priv.N)
-		if got := Exp(priv, x); got.Cmp(want) != 0 {
-			t.Fatalf("CRT result differs from full exponentiation for input %d", i)
+	paths(t, func(t *testing.T) {
+		k := New(priv)
+		if KernelEnabled(k) != useKernel {
+			t.Fatalf("kernel prepared = %v, want %v", KernelEnabled(k), useKernel)
 		}
-		if got := Exp(stripped, x); got.Cmp(want) != 0 {
-			t.Fatalf("full-width fallback differs from full exponentiation for input %d", i)
+		stripped := New(&rsa.PrivateKey{PublicKey: priv.PublicKey, D: priv.D})
+		nm1 := new(big.Int).Sub(priv.N, big.NewInt(1))
+		inputs := []*big.Int{big.NewInt(0), big.NewInt(1), nm1, priv.Primes[0], priv.Primes[1]}
+		for i := 0; i < 64; i++ {
+			h := sha256.Sum256([]byte{byte(i)})
+			x := new(big.Int).SetBytes(h[:])
+			inputs = append(inputs, x.Exp(x, big.NewInt(5), priv.N)) // spread over [0, N)
 		}
+		for i, x := range inputs {
+			want := new(big.Int).Exp(x, priv.D, priv.N)
+			if got := k.Exp(x); got.Cmp(want) != 0 {
+				t.Fatalf("CRT result differs from full exponentiation for input %d", i)
+			}
+			if got := stripped.Exp(x); got.Cmp(want) != 0 {
+				t.Fatalf("full-width fallback differs from full exponentiation for input %d", i)
+			}
+		}
+	})
+}
+
+// TestKernelOnlyFor512BitPrimes pins the dispatch rule: a 2048-bit key
+// (1024-bit primes) and a key without CRT values stay on math/big.
+func TestKernelOnlyFor512BitPrimes(t *testing.T) {
+	priv, err := rsa.GenerateKey(rand.Reader, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if KernelEnabled(New(priv)) {
+		t.Fatal("2048-bit key prepared for the 512-bit kernel")
+	}
+	if KernelEnabled(New(&rsa.PrivateKey{PublicKey: priv.PublicKey, D: priv.D})) {
+		t.Fatal("key without CRT values prepared for the kernel")
+	}
+	x := big.NewInt(12345)
+	if got, want := New(priv).Exp(x), new(big.Int).Exp(x, priv.D, priv.N); got.Cmp(want) != 0 {
+		t.Fatal("2048-bit CRT result differs from full exponentiation")
+	}
+}
+
+// testPrimes are committed 512-bit primes: a random one, the largest
+// below 2⁵¹² and the smallest above 2⁵¹¹, whose limbs stress the
+// kernel's carries and final subtraction from both ends.
+func testPrimes() []*big.Int {
+	random, _ := new(big.Int).SetString("dc6dffd2d2e31ed2c92af4689f15c07f76d16e226e45829d4f967feb4a1720128b7b529491f7f1218ae3c87ad40dffd781020a7307065a98947f8a46fb1bbceb", 16)
+	top := new(big.Int).Lsh(big.NewInt(1), 512)
+	bottom := new(big.Int).Lsh(big.NewInt(1), 511)
+	return []*big.Int{
+		random,
+		top.Sub(top, big.NewInt(569)),
+		bottom.Add(bottom, big.NewInt(111)),
+	}
+}
+
+// checkPrimeExp compares the kernel's x^e mod p with big.Int.Exp.
+func checkPrimeExp(t *testing.T, p, x, e *big.Int) {
+	t.Helper()
+	want := new(big.Int).Exp(x, e, p)
+	if got := newPrime(p, e).exp(x); got.Cmp(want) != 0 {
+		t.Fatalf("kernel %x^%x mod %x = %x, want %x", x, e, p, got, want)
+	}
+}
+
+// TestPrimeExpEdges runs the kernel's exponentiation over the edge
+// inputs x ∈ {0, 1, p-1, p, p+1, a multiple-of-p-plus-7} (inputs ≥ p are
+// reduced first) and exponents 0, 1, 2, all-ones and ones with leading
+// zero digits.
+func TestPrimeExpEdges(t *testing.T) {
+	if !useKernel {
+		t.Skip("CPU lacks BMI2/ADX")
+	}
+	allOnes := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 512), big.NewInt(1))
+	exps := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(0xf0f1), allOnes,
+		new(big.Int).Rsh(allOnes, 13), // leading zero digits, then all ones
+		new(big.Int).Lsh(big.NewInt(1), 300),
+	}
+	for _, p := range testPrimes() {
+		pm1 := new(big.Int).Sub(p, big.NewInt(1))
+		xs := []*big.Int{
+			big.NewInt(0), big.NewInt(1), big.NewInt(2), pm1, new(big.Int).Set(p),
+			new(big.Int).Add(p, big.NewInt(1)),
+			new(big.Int).Add(new(big.Int).Mul(p, big.NewInt(1<<40)), big.NewInt(7)),
+		}
+		exps := append(exps, new(big.Int).Sub(p, big.NewInt(2)), pm1)
+		for _, x := range xs {
+			for _, e := range exps {
+				checkPrimeExp(t, p, x, e)
+			}
+		}
+	}
+}
+
+// FuzzExpMatchesBig checks fuzz-chosen bases and exponents over the
+// committed primes against big.Int.Exp.
+func FuzzExpMatchesBig(f *testing.F) {
+	f.Add([]byte{2}, []byte{3}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xff}, 64), uint8(1))
+	f.Add(bytes.Repeat([]byte{0xff}, 80), []byte{0, 0, 0, 1}, uint8(2))
+	f.Add([]byte{}, []byte{}, uint8(0))
+	primes := testPrimes()
+	f.Fuzz(func(t *testing.T, xb, eb []byte, which uint8) {
+		if !useKernel {
+			t.Skip("CPU lacks BMI2/ADX")
+		}
+		if len(xb) > 128 {
+			xb = xb[:128]
+		}
+		if len(eb) > 64 {
+			eb = eb[:64]
+		}
+		p := primes[int(which)%len(primes)]
+		checkPrimeExp(t, p, new(big.Int).SetBytes(xb), new(big.Int).SetBytes(eb))
+	})
+}
+
+// TestGeneratedAssemblyIsCurrent re-runs gen.go and diffs its output
+// against the committed montmul_amd64.s.
+func TestGeneratedAssemblyIsCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the generator with the go command")
+	}
+	gotool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go command not found")
+	}
+	out := filepath.Join(t.TempDir(), "montmul_amd64.s")
+	cmd := exec.Command(gotool, "run", "gen.go", "-out", out)
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go run gen.go: %v\n%s", err, msg)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("montmul_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("montmul_amd64.s differs from gen.go's output; run go generate ./internal/rsacrt")
+	}
+}
+
+func benchKey(b *testing.B) (*rsa.PrivateKey, *big.Int) {
+	priv, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := sha256.Sum256([]byte("bench"))
+	x := new(big.Int).SetBytes(h[:])
+	return priv, x.Exp(x, big.NewInt(5), priv.N)
+}
+
+// BenchmarkExp is one RSA-1024 private operation, the key manager's
+// per-chunk work; BenchmarkExpFallback is the same on math/big.
+func BenchmarkExp(b *testing.B) {
+	priv, x := benchKey(b)
+	k := New(priv)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Exp(x)
+	}
+}
+
+func BenchmarkExpFallback(b *testing.B) {
+	forceFallback(b)
+	priv, x := benchKey(b)
+	k := New(priv)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Exp(x)
 	}
 }

@@ -16,7 +16,7 @@
 // A value is considered secret when its identifier names key material
 // (mleKey, fileKey, hashKey, …; or the bare names key/stub/secret
 // inside the key-handling packages), when its type is a known secret
-// type (mle.Key, oprf.ServerKey, abe.PrivateKey), or when its
+// type (mle.Key, oprf.ServerKey, rsacrt.Key, abe.PrivateKey), or when its
 // declaration carries a "//reed:secret" marker comment.
 package keyhygiene
 
@@ -53,12 +53,14 @@ var sensitivePkgs = []string{
 	"internal/aont", "internal/mle", "internal/core", "internal/keycache",
 	"internal/keymanager", "internal/oprf", "internal/client",
 	"internal/keyreg", "internal/abe", "internal/shamir", "internal/baseline",
+	"internal/rsacrt",
 }
 
 // secretTypes are named types whose values are always secret.
 var secretTypes = []struct{ pkg, name string }{
 	{"internal/mle", "Key"},
 	{"internal/oprf", "ServerKey"},
+	{"internal/rsacrt", "Key"},
 	{"internal/abe", "PrivateKey"},
 }
 
