@@ -8,7 +8,12 @@
 //
 // Usage:
 //
-//	reed-keymanager -listen :9002 -bits 1024 -rate 10000
+//	reed-keymanager -listen :9002 -key km.key -bits 1024 -rate 10000
+//
+// -key names the file holding the OPRF key (PKCS#1, the key manager's
+// root secret): it is loaded if it exists, else generated and written
+// with mode 0600. Without -key every start mints a fresh key, and no
+// upload after a restart deduplicates against chunks stored before it.
 package main
 
 import (
@@ -33,14 +38,21 @@ func main() {
 func run() error {
 	var (
 		listen    = flag.String("listen", ":9002", "address to listen on")
-		bits      = flag.Int("bits", 1024, "RSA modulus size for the OPRF key")
+		keyFile   = flag.String("key", "", "OPRF key file: loaded if it exists, else generated and written with mode 0600 (empty = a fresh key per start)")
+		bits      = flag.Int("bits", 1024, "RSA modulus size for a generated OPRF key")
 		rate      = flag.Float64("rate", 0, "per-client key generations per second (0 = unlimited)")
 		adminAddr = flag.String("admin", "", "admin HTTP address for /metrics, /healthz, /debug/pprof (e.g. 127.0.0.1:9091; empty = disabled)")
 	)
 	flag.Parse()
 
 	reg := reed.NewMetricsRegistry()
-	srv, err := reed.NewKeyManagerServer(*bits, *rate, reed.WithKeyManagerMetrics(reg))
+	var srv *reed.KeyManagerServer
+	var err error
+	if *keyFile != "" {
+		srv, err = reed.OpenKeyManagerServer(*keyFile, *bits, *rate, reed.WithKeyManagerMetrics(reg))
+	} else {
+		srv, err = reed.NewKeyManagerServer(*bits, *rate, reed.WithKeyManagerMetrics(reg))
+	}
 	if err != nil {
 		return err
 	}

@@ -101,9 +101,12 @@ package reed
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/url"
+	"os"
 
 	"repro/internal/abe"
 	"repro/internal/admin"
@@ -395,18 +398,72 @@ func NewStorageServer(backend Backend, opts ...StorageServerOption) (*StorageSer
 // NewKeyManagerServer builds a key manager with a fresh OPRF key of the
 // given RSA modulus size (0 selects the paper's 1024 bits). Rate
 // limiting, when positive, caps per-client key generations per second.
+// The key lives only as long as the process: see OpenKeyManagerServer.
 func NewKeyManagerServer(rsaBits int, rateLimit float64, opts ...KeyManagerOption) (*KeyManagerServer, error) {
-	if rsaBits <= 0 {
-		rsaBits = oprf.DefaultBits
-	}
-	key, err := oprf.GenerateServerKey(rsaBits, nil)
+	key, err := oprf.GenerateServerKey(keyManagerBits(rsaBits), nil)
 	if err != nil {
 		return nil, fmt.Errorf("reed: key manager key: %w", err)
 	}
+	return newKeyManagerServer(key, rateLimit, opts), nil
+}
+
+// OpenKeyManagerServer is NewKeyManagerServer with a persistent OPRF key:
+// it loads the PKCS#1 key in keyFile, or, when the file does not exist,
+// generates one of rsaBits and writes it there with mode 0600. A key
+// manager restarted on the same file derives the same MLE keys, so new
+// uploads keep deduplicating against chunks stored before the restart.
+// The file is the key manager's root secret.
+func OpenKeyManagerServer(keyFile string, rsaBits int, rateLimit float64, opts ...KeyManagerOption) (*KeyManagerServer, error) {
+	der, err := os.ReadFile(keyFile)
+	if errors.Is(err, fs.ErrNotExist) {
+		return createKeyManagerServer(keyFile, rsaBits, rateLimit, opts)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reed: key manager key: %w", err)
+	}
+	key, err := oprf.UnmarshalServerKey(der)
+	if err != nil {
+		return nil, fmt.Errorf("reed: key manager key %s: %w", keyFile, err)
+	}
+	return newKeyManagerServer(key, rateLimit, opts), nil
+}
+
+func createKeyManagerServer(keyFile string, rsaBits int, rateLimit float64, opts []KeyManagerOption) (*KeyManagerServer, error) {
+	key, err := oprf.GenerateServerKey(keyManagerBits(rsaBits), nil)
+	if err != nil {
+		return nil, fmt.Errorf("reed: key manager key: %w", err)
+	}
+	// O_EXCL: never overwrite a key another process just wrote.
+	f, err := os.OpenFile(keyFile, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	if err != nil {
+		return nil, fmt.Errorf("reed: key manager key: %w", err)
+	}
+	_, err = f.Write(oprf.MarshalServerKey(key))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(keyFile)
+		return nil, fmt.Errorf("reed: key manager key: %w", err)
+	}
+	return newKeyManagerServer(key, rateLimit, opts), nil
+}
+
+func keyManagerBits(rsaBits int) int {
+	if rsaBits <= 0 {
+		return oprf.DefaultBits
+	}
+	return rsaBits
+}
+
+func newKeyManagerServer(key *oprf.ServerKey, rateLimit float64, opts []KeyManagerOption) *KeyManagerServer {
 	if rateLimit > 0 {
 		opts = append(opts, keymanager.WithRateLimit(rateLimit, rateLimit))
 	}
-	return keymanager.NewServer(key, opts...), nil
+	return keymanager.NewServer(key, opts...)
 }
 
 // NewMetricsRegistry creates an empty metrics registry.

@@ -2,8 +2,11 @@ package reed_test
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 
 	reed "repro"
@@ -124,6 +127,53 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if _, err := bob.Download(ctx, "/shared.dat"); err == nil {
 		t.Fatal("bob still reads after revocation")
+	}
+}
+
+// TestKeyManagerRestartKeepsDeduplicating restarts the key manager on
+// the same key file. A fresh client, with no cached MLE keys, then
+// re-uploads a file through a non-seekable reader, so no whole-file clone
+// can happen: every chunk must be found already stored. With a key
+// minted per start none would be.
+func TestKeyManagerRestartKeepsDeduplicating(t *testing.T) {
+	dataAddrs, keyAddr, _, authority := startDeployment(t)
+	keyFile := filepath.Join(t.TempDir(), "km.key")
+	startKM := func() (*reed.KeyManagerServer, string) {
+		km, err := reed.OpenKeyManagerServer(keyFile, 1024, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = km.Serve(ln) }()
+		t.Cleanup(km.Shutdown)
+		return km, ln.Addr().String()
+	}
+
+	data := make([]byte, 200<<10)
+	rand.New(rand.NewSource(7)).Read(data)
+	upload := func(c *reed.Client, path string) *reed.UploadResult {
+		res, err := c.Upload(ctx, path, struct{ io.Reader }{bytes.NewReader(data)}, reed.PolicyForUsers("alice"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	km, kmAddr := startKM()
+	upload(newPublicClient(t, "alice", dataAddrs, keyAddr, kmAddr, authority), "/before.dat")
+	km.Shutdown()
+	if fi, err := os.Stat(keyFile); err != nil || fi.Mode().Perm() != 0o600 {
+		t.Fatalf("key file: %v, mode %v", err, fi.Mode())
+	}
+
+	_, kmAddr = startKM()
+	res := upload(newPublicClient(t, "alice", dataAddrs, keyAddr, kmAddr, authority), "/after.dat")
+	if res.WholeFileHit || res.Chunks == 0 || res.SkippedChunks != res.Chunks {
+		t.Fatalf("after restart: whole-file hit %v, skipped %d of %d chunks; want every chunk skipped without a clone",
+			res.WholeFileHit, res.SkippedChunks, res.Chunks)
 	}
 }
 
