@@ -87,7 +87,8 @@ type batchSizeOption int
 func (o batchSizeOption) applyClient(c *clientConfig) { c.batchSize = int(o) }
 
 // WithBatchSize sets how many per-chunk requests are packed into one
-// network round trip (default 256, the paper's setting).
+// network round trip (default DefaultBatchSize, 1024; the paper uses
+// 256).
 func WithBatchSize(n int) ClientOption { return batchSizeOption(n) }
 
 type cacheOption struct{ cache *keycache.Cache }
