@@ -61,7 +61,8 @@ func benchOptions(b *testing.B) experiments.Options {
 }
 
 // BenchmarkFig5aKeyGenChunkSize reproduces Figure 5(a): MLE key
-// generation speed versus average chunk size, batch fixed at 256.
+// generation speed versus average chunk size, batch fixed at the
+// client's default (1024; the paper's is 256).
 func BenchmarkFig5aKeyGenChunkSize(b *testing.B) {
 	o := benchOptions(b)
 	for i := 0; i < b.N; i++ {

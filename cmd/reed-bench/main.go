@@ -107,7 +107,7 @@ func header(title string) {
 }
 
 func runFig5a(o experiments.Options, _ experiments.TraceOptions) error {
-	header("Figure 5(a): MLE key generation speed vs average chunk size (batch=256)")
+	header("Figure 5(a): MLE key generation speed vs average chunk size (batch=1024)")
 	points, err := experiments.Fig5aKeyGenVsChunkSize(o)
 	if err != nil {
 		return err

@@ -42,7 +42,8 @@ type KeyGenPoint struct {
 }
 
 // Fig5aKeyGenVsChunkSize reproduces Figure 5(a): key generation speed
-// versus average chunk size with the batch fixed at 256.
+// versus average chunk size with the batch fixed at the client's default,
+// keymanager.DefaultBatchSize (the paper's is 256).
 func Fig5aKeyGenVsChunkSize(o Options) ([]KeyGenPoint, error) {
 	o, err := o.WithDefaults()
 	if err != nil {

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fingerprint"
 	"repro/internal/keycache"
@@ -59,12 +57,6 @@ func TLSDialer(cfg *tls.Config) Dialer {
 type Client struct {
 	mux    *rpcmux.Redialer
 	params oprf.PublicParams
-
-	// blinder precomputes blinding factors in the background so the
-	// per-chunk blinding on the upload hot path is a single modular
-	// multiplication. Created after the parameter fetch; nil only if
-	// construction failed (Blind then falls back to inline generation).
-	blinder *oprf.Blinder
 
 	batchSize int
 	cache     *keycache.Cache
@@ -151,29 +143,11 @@ func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, erro
 		c.mux.Close()
 		return nil, err
 	}
-	// Pool blinding factors; the refill goroutine does its work while
-	// GenerateKeys waits on the network. Depth is capped well below the
-	// batch size: a huge pool is pure overproduction for short sessions
-	// (each unused factor costs ~30 µs of CPU that competes with the
-	// upload on small machines), while a modest one still hides the
-	// per-batch round trip.
-	depth := 2 * cfg.batchSize
-	if depth > 256 {
-		depth = 256
-	}
-	if bl, err := oprf.NewBlinder(c.params, depth, nil); err == nil {
-		c.blinder = bl
-	}
 	return c, nil
 }
 
 // Close closes the connection.
-func (c *Client) Close() error {
-	if c.blinder != nil {
-		c.blinder.Close()
-	}
-	return c.mux.Close()
-}
+func (c *Client) Close() error { return c.mux.Close() }
 
 // Reconnects reports how many times the connection has been
 // re-established after a fault.
@@ -272,17 +246,28 @@ func (c *Client) GenerateKeys(ctx context.Context, fps []fingerprint.Fingerprint
 	return keys, nil
 }
 
-// generateBatch resolves one batch of cache misses.
+// generateBatch resolves one batch of cache misses. The batch is blinded
+// in one contiguous part per core, each part an oprf.BlindBatch with one
+// modular inversion.
 func (c *Client) generateBatch(ctx context.Context, fps []fingerprint.Fingerprint, keys [][]byte, idx []int) error {
 	blinded := make([][]byte, len(idx))
 	unblinders := make([]*oprf.Unblinder, len(idx))
-	for i, j := range idx {
-		b, u, err := c.blind(fps[j][:])
+	procs := runtime.GOMAXPROCS(0)
+	err := fanOut(len(idx), (len(idx)+procs-1)/procs, func(lo, hi int) error {
+		in := make([][]byte, hi-lo)
+		for i := range in {
+			in[i] = fps[idx[lo+i]][:]
+		}
+		b, u, err := oprf.BlindBatch(c.params, in, nil)
 		if err != nil {
 			return fmt.Errorf("keymanager: blind: %w", err)
 		}
-		blinded[i] = b
-		unblinders[i] = u
+		copy(blinded[lo:], b)
+		copy(unblinders[lo:], u)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Encode the batch into a pooled buffer: the request frame is
@@ -313,58 +298,19 @@ func (c *Client) generateBatch(ctx context.Context, fps []fingerprint.Fingerprin
 	return nil
 }
 
-// blind produces one blinded element, preferring the precompute pool.
-func (c *Client) blind(fp []byte) ([]byte, *oprf.Unblinder, error) {
-	if c.blinder != nil {
-		return c.blinder.Blind(fp)
-	}
-	return oprf.Blind(c.params, fp, nil)
-}
-
-// finalizeBatch unblinds and verifies a batch of responses, fanning out
-// across cores when there are enough of them to pay for the goroutines.
-// Each finalize is an independent verification exponentiation.
+// finalizeBatch unblinds and verifies a batch of responses; each
+// finalize is an independent verification exponentiation.
 func (c *Client) finalizeBatch(unblinders []*oprf.Unblinder, responses [][]byte, keys [][]byte, idx []int) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	if workers <= 1 || len(idx) < 16 {
-		for i, j := range idx {
+	return fanOut(len(idx), 1, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
 			key, err := oprf.Finalize(c.params, unblinders[i], responses[i])
 			if err != nil {
 				return fmt.Errorf("keymanager: finalize: %w", err)
 			}
-			keys[j] = key
+			keys[idx[i]] = key
 		}
 		return nil
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstE  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(idx) {
-					return
-				}
-				key, err := oprf.Finalize(c.params, unblinders[i], responses[i])
-				if err != nil {
-					errOnce.Do(func() { firstE = fmt.Errorf("keymanager: finalize: %w", err) })
-					return
-				}
-				keys[idx[i]] = key
-			}
-		}()
-	}
-	wg.Wait()
-	return firstE
+	})
 }
 
 // DeriveKey implements mle.KeyDeriver for single-chunk callers (the

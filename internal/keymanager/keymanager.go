@@ -324,31 +324,40 @@ func (s *Server) dispatch(typ proto.MsgType, payload []byte, limiter *ratelimit.
 	}
 }
 
-// minParallelBatch is the smallest key-gen batch worth fanning out
-// across cores; below it goroutine overhead beats the RSA savings.
-const minParallelBatch = 16
-
-// evaluateBatch runs the OPRF over a decoded batch. Large batches on a
-// multi-core host fan out across GOMAXPROCS goroutines — each
-// evaluation is an independent modular exponentiation, so the batch
-// parallelizes perfectly; single-core hosts keep the serial path.
+// evaluateBatch runs the OPRF over a decoded batch; each evaluation is
+// an independent modular exponentiation.
 func (s *Server) evaluateBatch(blinded [][]byte) ([][]byte, error) {
 	responses := make([][]byte, len(blinded))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(blinded) {
-		workers = len(blinded)
-	}
-	if workers <= 1 || len(blinded) < minParallelBatch {
-		for i, b := range blinded {
-			resp, err := s.key.Evaluate(b)
+	err := fanOut(len(blinded), 1, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			resp, err := s.key.Evaluate(blinded[i])
 			if err != nil {
-				return nil, fmt.Errorf("evaluate %d: %w", i, err)
+				return fmt.Errorf("evaluate %d: %w", i, err)
 			}
 			responses[i] = resp
 		}
-		return responses, nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return responses, nil
+}
 
+// minParallelBatch is the smallest batch fanOut spreads across cores;
+// below it goroutine overhead beats the RSA savings.
+const minParallelBatch = 16
+
+// fanOut calls f over [0, n) in parts [lo, hi) of at most part items,
+// and returns the first error. Up to GOMAXPROCS goroutines claim the
+// parts in order, so a worker that is held up leaves its share to the
+// others. A batch below minParallelBatch, or a single core, runs as one
+// part on the caller's goroutine. A worker stops at its first error.
+func fanOut(n, part int, f func(lo, hi int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 || n < minParallelBatch {
+		return f(0, n)
+	}
 	var (
 		next    atomic.Int64
 		wg      sync.WaitGroup
@@ -360,24 +369,19 @@ func (s *Server) evaluateBatch(blinded [][]byte) ([][]byte, error) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(blinded) {
+				lo := int(next.Add(int64(part))) - part
+				if lo >= n {
 					return
 				}
-				resp, err := s.key.Evaluate(blinded[i])
-				if err != nil {
-					errOnce.Do(func() { firstE = fmt.Errorf("evaluate %d: %w", i, err) })
+				if err := f(lo, min(lo+part, n)); err != nil {
+					errOnce.Do(func() { firstE = err })
 					return
 				}
-				responses[i] = resp
 			}
 		}()
 	}
 	wg.Wait()
-	if firstE != nil {
-		return nil, firstE
-	}
-	return responses, nil
+	return firstE
 }
 
 // limiterFor returns the per-remote-host limiter, creating it on first

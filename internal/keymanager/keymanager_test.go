@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,18 +66,22 @@ func TestGenerateKeysMatchesDirectDerivation(t *testing.T) {
 	}
 	defer client.Close()
 
-	ids := fps(10)
-	keys, err := client.GenerateKeys(ctx, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fp := range ids {
-		want, err := serverKey(t).Derive(fp[:])
+	// Ten stay on one goroutine; a batch of 3 × minParallelBatch is
+	// blinded, evaluated and finalized in parts across cores.
+	for _, n := range []int{10, 3 * minParallelBatch} {
+		ids := fps(n)
+		keys, err := client.GenerateKeys(ctx, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(keys[i], want) {
-			t.Fatalf("key %d does not match direct derivation", i)
+		for i, fp := range ids {
+			want, err := serverKey(t).Derive(fp[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(keys[i], want) {
+				t.Fatalf("batch of %d: key %d does not match direct derivation", n, i)
+			}
 		}
 	}
 }
@@ -327,4 +333,43 @@ func TestConcurrentBatchesOneConnection(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestFanOutCoversEachIndexOnce runs fanOut at several core counts, part
+// sizes and batch sizes around minParallelBatch: every index must be
+// visited exactly once, and a part's error must come back.
+func TestFanOutCoversEachIndexOnce(t *testing.T) {
+	saved := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(saved) })
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, minParallelBatch - 1, minParallelBatch, 1000} {
+			for _, part := range []int{1, 7, (n + procs - 1) / max(procs, 1)} {
+				visits := make([]atomic.Int32, n)
+				err := fanOut(n, max(part, 1), func(lo, hi int) error {
+					for i := lo; i < hi; i++ {
+						visits[i].Add(1)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range visits {
+					if v := visits[i].Load(); v != 1 {
+						t.Fatalf("GOMAXPROCS %d, n %d, part %d: index %d visited %d times", procs, n, part, i, v)
+					}
+				}
+			}
+		}
+		boom := errors.New("boom")
+		if err := fanOut(100, 3, func(lo, hi int) error {
+			if lo <= 50 && 50 < hi {
+				return boom
+			}
+			return nil
+		}); !errors.Is(err, boom) {
+			t.Fatalf("GOMAXPROCS %d: error = %v, want the part's error", procs, err)
+		}
+	}
 }

@@ -41,8 +41,10 @@ func fixtureOwner(t *testing.T) *Owner {
 
 // TestWindKnownAnswer pins the committed owner's states after three
 // winds (one State.Marshal per line, versions 1 to 4), and that Unwind
-// with the public key alone walks the newest back to every earlier one.
-// A byte that moves here strands every stored key state.
+// with the public key alone walks the newest back to every earlier one,
+// both on the prepared key (the Montgomery kernel where it applies) and
+// on a struct literal (math/big). A byte that moves here strands every
+// stored key state.
 func TestWindKnownAnswer(t *testing.T) {
 	o := fixtureOwner(t)
 	states := []State{o.Current()}
@@ -66,13 +68,16 @@ func TestWindKnownAnswer(t *testing.T) {
 	}
 
 	newest := states[len(states)-1]
-	for _, want := range states {
-		got, err := Unwind(o.Public(), newest, want.Version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Errorf("Unwind to version %d differs from the wound state", want.Version)
+	prepared := o.Public()
+	for _, pub := range []Public{prepared, {N: prepared.N, E: prepared.E}} {
+		for _, want := range states {
+			got, err := Unwind(pub, newest, want.Version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Marshal(), want.Marshal()) {
+				t.Errorf("Unwind to version %d differs from the wound state (prepared key: %v)", want.Version, pub.pub != nil)
+			}
 		}
 	}
 }

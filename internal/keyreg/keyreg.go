@@ -98,12 +98,14 @@ func UnmarshalState(b []byte) (State, error) {
 // rekeying step.
 type Owner struct {
 	priv    *rsa.PrivateKey
-	crt     *rsacrt.Key // priv prepared for Wind
+	crt     *rsacrt.Key    // priv prepared for Wind
+	pub     *rsacrt.Public // the public half prepared for Unwind
 	current State
 }
 
 func ownerFrom(priv *rsa.PrivateKey, current State) *Owner {
-	return &Owner{priv: priv, crt: rsacrt.New(priv), current: current}
+	pub := rsacrt.NewPublic(priv.N, big.NewInt(int64(priv.E)))
+	return &Owner{priv: priv, crt: rsacrt.New(priv), pub: pub, current: current}
 }
 
 // NewOwner generates a fresh derivation key pair and the initial key
@@ -148,21 +150,33 @@ func (o *Owner) Wind() State {
 // Public returns the public derivation key members use to unwind.
 func (o *Owner) Public() Public {
 	return Public{
-		N: new(big.Int).Set(o.priv.N),
-		E: big.NewInt(int64(o.priv.E)),
+		N:   new(big.Int).Set(o.priv.N),
+		E:   big.NewInt(int64(o.priv.E)),
+		pub: o.pub,
 	}
 }
 
 // Public is the public derivation key.
+//
+// Owner.Public and UnmarshalPublic also prepare it for Unwind
+// (rsacrt.NewPublic), which runs on the Montgomery kernel for 1024-bit
+// keys. A Public written as a struct literal carries no prepared key and
+// unwinds on math/big, to the same states.
 type Public struct {
 	N *big.Int
 	E *big.Int
+
+	pub *rsacrt.Public // nil in a struct literal
 }
 
-// Validate checks the key is plausible.
+// Validate checks the key is plausible: N and E odd, E at least 3. With
+// E = 1 every state would unwind to itself.
 func (p Public) Validate() error {
 	if p.N == nil || p.E == nil || p.N.Sign() <= 0 || p.E.Sign() <= 0 {
 		return errors.New("keyreg: invalid public derivation key")
+	}
+	if p.N.Bit(0) == 0 || p.E.Bit(0) == 0 || p.E.Cmp(big.NewInt(3)) < 0 {
+		return errors.New("keyreg: public derivation key needs an odd modulus and an odd exponent of at least 3")
 	}
 	return nil
 }
@@ -187,12 +201,18 @@ func UnmarshalPublic(b []byte) (Public, error) {
 		return Public{}, fmt.Errorf("keyreg: unmarshal public: %w", err)
 	}
 	p := Public{N: new(big.Int).SetBytes(nb), E: new(big.Int).SetBytes(eb)}
-	return p, p.Validate()
+	if err := p.Validate(); err != nil {
+		return p, err
+	}
+	p.pub = rsacrt.NewPublic(p.N, p.E)
+	return p, nil
 }
 
 // Unwind derives the state at the target version from a newer (or equal)
 // state using only the public derivation key. It returns ErrFutureState
-// if target exceeds the supplied state's version.
+// if target exceeds the supplied state's version, and ErrBadState for a
+// state value that is not an element of Z_N (longer than the modulus, or
+// not below N).
 func Unwind(p Public, from State, target uint64) (State, error) {
 	if err := p.Validate(); err != nil {
 		return State{}, err
@@ -204,8 +224,15 @@ func Unwind(p Public, from State, target uint64) (State, error) {
 		return State{}, fmt.Errorf("%w: have version %d, want %d", ErrFutureState, from.Version, target)
 	}
 	v := new(big.Int).SetBytes(from.Value)
+	if len(from.Value) > (p.N.BitLen()+7)/8 || v.Cmp(p.N) >= 0 {
+		return State{}, fmt.Errorf("%w: value outside Z_N", ErrBadState)
+	}
+	pub := p.pub
+	if pub == nil {
+		pub = &rsacrt.Public{N: p.N, E: p.E}
+	}
 	for ver := from.Version; ver > target; ver-- {
-		v.Exp(v, p.E, p.N)
+		v = pub.Exp(v)
 	}
 	return State{Version: target, Value: padToModulus(v, p.N)}, nil
 }

@@ -207,6 +207,43 @@ func TestUnmarshalPublicErrors(t *testing.T) {
 	}
 }
 
+// TestUnmarshalPublicRefusesDegenerateKeys: public derivation keys
+// arrive in key-store blobs. An even N or E is not an RSA key, and with
+// E = 1 every state unwinds to itself.
+func TestUnmarshalPublicRefusesDegenerateKeys(t *testing.T) {
+	p := cachedOwner(t).Public()
+	for _, c := range []struct {
+		name string
+		n, e *big.Int
+	}{
+		{"even modulus", new(big.Int).Sub(p.N, big.NewInt(1)), p.E},
+		{"exponent 1", p.N, big.NewInt(1)},
+		{"even exponent", p.N, big.NewInt(65536)},
+	} {
+		if _, err := UnmarshalPublic(Public{N: c.n, E: c.e}.Marshal()); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestUnwindRefusesValueOutsideModulus: a key state wider than the
+// modulus used to panic in padToModulus, and a value >= N was unwound
+// without complaint. Both are malformed states.
+func TestUnwindRefusesValueOutsideModulus(t *testing.T) {
+	o := cachedOwner(t)
+	cur := o.Current()
+	pub := o.Public()
+	wide := State{Version: cur.Version + 1, Value: append(bytes.Repeat([]byte{0xa5}, 8), cur.Value...)}
+	n := State{Version: cur.Version + 1, Value: padToModulus(pub.N, pub.N)}
+	for _, st := range []State{wide, n} {
+		for _, target := range []uint64{st.Version, cur.Version} {
+			if _, err := Unwind(pub, st, target); !errors.Is(err, ErrBadState) {
+				t.Fatalf("%d-byte state to version %d: error = %v, want ErrBadState", len(st.Value), target, err)
+			}
+		}
+	}
+}
+
 func TestNewOwnerTooSmall(t *testing.T) {
 	if _, err := NewOwner(128, nil); err == nil {
 		t.Fatal("tiny modulus expected error")

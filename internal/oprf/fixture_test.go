@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -155,33 +156,61 @@ func TestEvaluateKnownAnswer(t *testing.T) {
 // TestBlindFinalizeKnownAnswer pins the client side: Blind under a fixed
 // random stream, then Finalize of the key manager's answers. Each line
 // is the blinded element followed by the MLE key, which must also equal
-// Derive's.
+// Derive's. The same lines must come out on the prepared parameters (the
+// Montgomery kernel where it applies), on a struct literal (math/big),
+// and from one BlindBatch of all sixteen fingerprints, which reads the
+// stream exactly as sixteen Blinds do.
 func TestBlindFinalizeKnownAnswer(t *testing.T) {
 	k := fixtureKey(t)
-	p := k.PublicParams()
-	stream := &fixtureStream{label: "reed oprf fixture blinding"}
-	var got [][]byte
-	for _, fp := range fixtureFingerprints() {
-		blinded, u, err := Blind(p, fp, stream)
-		if err != nil {
-			t.Fatal(err)
+	prepared := k.PublicParams()
+	literal := PublicParams{N: prepared.N, E: prepared.E}
+	blindEach := func(p PublicParams, fps [][]byte, stream io.Reader) ([][]byte, []*Unblinder, error) {
+		var blinded [][]byte
+		var us []*Unblinder
+		for _, fp := range fps {
+			b, u, err := Blind(p, fp, stream)
+			if err != nil {
+				return nil, nil, err
+			}
+			blinded, us = append(blinded, b), append(us, u)
 		}
-		y, err := k.Evaluate(blinded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, err := Finalize(p, u, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := k.Derive(fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(key, direct) {
-			t.Fatal("blinded protocol output differs from direct derivation")
-		}
-		got = append(got, append(blinded, key...))
+		return blinded, us, nil
 	}
-	checkLines(t, "blind_finalize.hex", got)
+	for _, c := range []struct {
+		name  string
+		p     PublicParams
+		blind func(PublicParams, [][]byte, io.Reader) ([][]byte, []*Unblinder, error)
+	}{
+		{"prepared", prepared, blindEach},
+		{"literal", literal, blindEach},
+		{"batch", prepared, BlindBatch},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fps := fixtureFingerprints()
+			blinded, us, err := c.blind(c.p, fps, &fixtureStream{label: "reed oprf fixture blinding"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [][]byte
+			for i, fp := range fps {
+				y, err := k.Evaluate(blinded[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				key, err := Finalize(c.p, us[i], y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				direct, err := k.Derive(fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(key, direct) {
+					t.Fatal("blinded protocol output differs from direct derivation")
+				}
+				got = append(got, append(blinded[i], key...))
+			}
+			checkLines(t, "blind_finalize.hex", got)
+		})
+	}
 }

@@ -50,10 +50,12 @@ var (
 type ServerKey struct {
 	priv *rsa.PrivateKey
 	crt  *rsacrt.Key
+	pub  *rsacrt.Public // the public half, prepared once for PublicParams
 }
 
 func newServerKey(priv *rsa.PrivateKey) *ServerKey {
-	return &ServerKey{priv: priv, crt: rsacrt.New(priv)}
+	e := big.NewInt(int64(priv.E))
+	return &ServerKey{priv: priv, crt: rsacrt.New(priv), pub: rsacrt.NewPublic(priv.N, e)}
 }
 
 // GenerateServerKey creates a fresh server key with the given modulus
@@ -72,11 +74,13 @@ func GenerateServerKey(bits int, randSrc io.Reader) (*ServerKey, error) {
 	return newServerKey(priv), nil
 }
 
-// PublicParams returns the parameters clients need.
+// PublicParams returns the parameters clients need, prepared for the
+// client's arithmetic.
 func (k *ServerKey) PublicParams() PublicParams {
 	return PublicParams{
-		N: new(big.Int).Set(k.priv.N),
-		E: big.NewInt(int64(k.priv.E)),
+		N:   new(big.Int).Set(k.priv.N),
+		E:   big.NewInt(int64(k.priv.E)),
+		pub: k.pub,
 	}
 }
 
@@ -96,12 +100,23 @@ func (k *ServerKey) Evaluate(blinded []byte) ([]byte, error) {
 }
 
 // PublicParams identifies the key manager's RSA public key.
+//
+// ServerKey.PublicParams and UnmarshalPublicParams also prepare the key
+// for the client's arithmetic (rsacrt.NewPublic), which runs on the
+// Montgomery kernel for the paper's 1024-bit keys. A PublicParams
+// written as a struct literal carries no prepared key: it computes the
+// same values on math/big.
 type PublicParams struct {
 	N *big.Int
 	E *big.Int
+
+	pub *rsacrt.Public // nil in a struct literal
 }
 
-// Validate checks the parameters are plausible.
+// Validate checks the parameters are plausible: N odd and at least 512
+// bits, E odd and at least 3. E = 1 would make the key manager's answer
+// the blinded element itself, so every "server-aided" key could be
+// computed offline; an even E is not an RSA exponent.
 func (p PublicParams) Validate() error {
 	if p.N == nil || p.E == nil || p.N.Sign() <= 0 || p.E.Sign() <= 0 {
 		return errors.New("oprf: invalid public params")
@@ -109,7 +124,22 @@ func (p PublicParams) Validate() error {
 	if p.N.BitLen() < 512 {
 		return fmt.Errorf("oprf: modulus too small (%d bits)", p.N.BitLen())
 	}
+	if p.N.Bit(0) == 0 {
+		return errors.New("oprf: even modulus")
+	}
+	if p.E.Bit(0) == 0 || p.E.Cmp(big.NewInt(3)) < 0 {
+		return fmt.Errorf("oprf: public exponent %v is not odd and at least 3", p.E)
+	}
 	return nil
+}
+
+// arith returns the key prepared for the client's arithmetic; a struct
+// literal gets an unprepared one, which runs math/big.
+func (p PublicParams) arith() *rsacrt.Public {
+	if p.pub != nil {
+		return p.pub
+	}
+	return &rsacrt.Public{N: p.N, E: p.E}
 }
 
 // ModulusBytes returns the byte length of protocol elements.
@@ -149,7 +179,11 @@ func UnmarshalPublicParams(b []byte) (PublicParams, error) {
 		return p, errors.New("oprf: truncated exponent")
 	}
 	p.E = new(big.Int).SetBytes(b)
-	return p, p.Validate()
+	if err := p.Validate(); err != nil {
+		return p, err
+	}
+	p.pub = rsacrt.NewPublic(p.N, p.E)
+	return p, nil
 }
 
 // Unblinder holds the client-side state needed to finish one protocol
@@ -160,65 +194,123 @@ type Unblinder struct {
 }
 
 // Blind maps fp into the group via FDH and blinds it. It returns the
-// value to send to the key manager and the state needed by Finalize.
-// Hot paths should prefer a Blinder, which precomputes the expensive
-// per-run blinding material in the background.
+// value to send to the key manager and the state needed by Finalize. It
+// is BlindBatch of one.
 func Blind(p PublicParams, fp []byte, randSrc io.Reader) ([]byte, *Unblinder, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	f, err := newFactor(p, randSrc)
+	blinded, us, err := BlindBatch(p, [][]byte{fp}, randSrc)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, u := blindWith(p, fdh(fp, p.N), f)
-	return b, u, nil
+	return blinded[0], us[0], nil
 }
 
-// factor is one single-use blinding tuple: re = r^e mod N and
-// rInv = r^{-1} mod N for a fresh uniform r coprime to N. Computing it
-// (one random draw, one public-exponent exponentiation, one modular
-// inverse) is the expensive part of Blind; everything else is a modular
-// multiplication.
-type factor struct {
-	re   *big.Int
-	rInv *big.Int
-}
-
-// newFactor draws a fresh blinding factor. randSrc nil means
-// crypto/rand.Reader.
-func newFactor(p PublicParams, randSrc io.Reader) (*factor, error) {
+// BlindBatch blinds every fingerprint in fps, drawing one fresh blinding
+// factor r per fingerprint from randSrc (nil: crypto/rand.Reader), in
+// order. It returns the elements to send to the key manager and the
+// state Finalize needs for each.
+//
+// The factors are inverted together, with one modular inversion for the
+// batch (Montgomery's trick): prefix products r₀···rᵢ, one ModInverse
+// of the whole product, then one walk back that peels off each rᵢ⁻¹.
+// If the product shares a factor with N — some r hit a prime of the key
+// manager's modulus, which would also factor it — the batch falls back
+// to inverting each r on its own and redrawing any r without an inverse.
+// A batch of one therefore reads randSrc in the same order as a draw
+// that inverts each r as it goes; the committed blinding fixtures pin
+// that order.
+//
+// Each factor is used once: reuse across protocol runs would let the key
+// manager link the blinded elements.
+func BlindBatch(p PublicParams, fps [][]byte, randSrc io.Reader) ([][]byte, []*Unblinder, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if randSrc == nil {
 		randSrc = rand.Reader
 	}
+	pub := p.arith()
+	rs := make([]*big.Int, len(fps))
+	for i := range rs {
+		r, err := drawFactor(p.N, randSrc)
+		if err != nil {
+			return nil, nil, err
+		}
+		rs[i] = r
+	}
+	rInvs := invertBatch(pub, rs)
+	if rInvs == nil {
+		var err error
+		if rInvs, err = invertEach(p.N, rs, randSrc); err != nil {
+			return nil, nil, err
+		}
+	}
+	blinded := make([][]byte, len(fps))
+	us := make([]*Unblinder, len(fps))
+	for i, fp := range fps {
+		// x = m * r^e mod N.
+		m := fdh(fp, p.N)
+		blinded[i] = padToModulus(pub.Mul(m, pub.Exp(rs[i])), p.N)
+		us[i] = &Unblinder{rInv: rInvs[i], m: m}
+	}
+	return blinded, us, nil
+}
+
+// drawFactor draws a uniform nonzero r < N.
+func drawFactor(n *big.Int, randSrc io.Reader) (*big.Int, error) {
 	for {
-		r, err := rand.Int(randSrc, p.N)
+		r, err := rand.Int(randSrc, n)
 		if err != nil {
 			return nil, fmt.Errorf("oprf: blinding factor: %w", err)
 		}
-		if r.Sign() == 0 {
-			continue
+		if r.Sign() != 0 {
+			return r, nil
 		}
-		// ModInverse doubles as the coprimality check: it returns nil
-		// exactly when gcd(r, N) != 1 (in which case we just redraw —
-		// hitting a factor of N by chance would also have factored the
-		// key manager's modulus).
-		rInv := new(big.Int).ModInverse(r, p.N)
-		if rInv == nil {
-			continue
-		}
-		re := r.Exp(r, p.E, p.N) // r is dead after this; reuse it
-		return &factor{re: re, rInv: rInv}, nil
 	}
 }
 
-// blindWith blinds the FDH image m with a precomputed factor: x = m *
-// r^e mod N. The factor must be fresh — reusing one across protocol
-// runs would let the key manager link the two blinded elements.
-func blindWith(p PublicParams, m *big.Int, f *factor) ([]byte, *Unblinder) {
-	x := new(big.Int).Mul(m, f.re)
-	x.Mod(x, p.N)
-	return padToModulus(x, p.N), &Unblinder{rInv: f.rInv, m: m}
+// invertBatch returns rᵢ⁻¹ mod N for every rᵢ with one ModInverse, or
+// nil when their product has no inverse.
+func invertBatch(pub *rsacrt.Public, rs []*big.Int) []*big.Int {
+	if len(rs) == 0 {
+		return []*big.Int{}
+	}
+	prefix := make([]*big.Int, len(rs)) // prefix[i] = r₀···rᵢ mod N
+	prefix[0] = rs[0]
+	for i := 1; i < len(rs); i++ {
+		prefix[i] = pub.Mul(prefix[i-1], rs[i])
+	}
+	inv := new(big.Int).ModInverse(prefix[len(rs)-1], pub.N) // (r₀···rₙ₋₁)⁻¹
+	if inv == nil {
+		return nil
+	}
+	out := make([]*big.Int, len(rs))
+	for i := len(rs) - 1; i > 0; i-- {
+		// inv = (r₀···rᵢ)⁻¹, so rᵢ⁻¹ = inv·r₀···rᵢ₋₁.
+		out[i] = pub.Mul(inv, prefix[i-1])
+		inv = pub.Mul(inv, rs[i])
+	}
+	out[0] = inv
+	return out
+}
+
+// invertEach inverts every rs[i] on its own, replacing any r that has no
+// inverse with a fresh draw. ModInverse doubles as the coprimality
+// check: it returns nil exactly when gcd(r, N) != 1.
+func invertEach(n *big.Int, rs []*big.Int, randSrc io.Reader) ([]*big.Int, error) {
+	out := make([]*big.Int, len(rs))
+	for i := range rs {
+		for {
+			if out[i] = new(big.Int).ModInverse(rs[i], n); out[i] != nil {
+				break
+			}
+			r, err := drawFactor(n, randSrc)
+			if err != nil {
+				return nil, err
+			}
+			rs[i] = r
+		}
+	}
+	return out, nil
 }
 
 // Finalize unblinds the key manager's response, verifies it, and derives
@@ -231,12 +323,11 @@ func Finalize(p PublicParams, u *Unblinder, response []byte) ([]byte, error) {
 	if y.Cmp(p.N) >= 0 {
 		return nil, ErrBadElement
 	}
-	s := new(big.Int).Mul(y, u.rInv)
-	s.Mod(s, p.N)
+	pub := p.arith()
+	s := pub.Mul(y, u.rInv)
 
 	// Verify s^e == m: a malicious key manager cannot hand back garbage.
-	check := new(big.Int).Exp(s, p.E, p.N)
-	if check.Cmp(u.m) != 0 {
+	if pub.Exp(s).Cmp(u.m) != 0 {
 		return nil, ErrVerifyFailed
 	}
 

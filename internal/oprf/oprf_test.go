@@ -194,6 +194,30 @@ func TestUnmarshalPublicParamsErrors(t *testing.T) {
 	}
 }
 
+// TestUnmarshalPublicParamsRefusesDegenerateKeys: the parameters arrive
+// from the key manager. With E = 1 its answer is the blinded element
+// itself, Finalize's check passes, and every "server-aided" key is
+// SHA-256(FDH(fp)), computable offline; an even N or E is not an RSA key
+// (and Montgomery arithmetic needs N odd).
+func TestUnmarshalPublicParamsRefusesDegenerateKeys(t *testing.T) {
+	p := serverKey(t).PublicParams()
+	for _, c := range []struct {
+		name string
+		n, e *big.Int
+	}{
+		{"even modulus", new(big.Int).Sub(p.N, big.NewInt(1)), p.E},
+		{"exponent 1", p.N, big.NewInt(1)},
+		{"even exponent", p.N, big.NewInt(65536)},
+	} {
+		if _, err := UnmarshalPublicParams(PublicParams{N: c.n, E: c.e}.Marshal()); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if _, err := UnmarshalPublicParams(PublicParams{N: p.N, E: big.NewInt(3)}.Marshal()); err != nil {
+		t.Fatalf("exponent 3 refused: %v", err)
+	}
+}
+
 func TestGenerateServerKeyTooSmall(t *testing.T) {
 	if _, err := GenerateServerKey(256, nil); err == nil {
 		t.Fatal("256-bit modulus expected error")

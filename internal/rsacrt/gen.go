@@ -1,10 +1,11 @@
 //go:build ignore
 
-// gen.go writes montmul_amd64.s, the package's Montgomery kernel. Run it
-// with `go generate ./internal/rsacrt`; TestGeneratedAssemblyIsCurrent
-// fails when the committed file and this generator disagree.
+// gen.go writes montmul_amd64.s, the package's two Montgomery kernels.
+// Run it with `go generate ./internal/rsacrt`;
+// TestGeneratedAssemblyIsCurrent fails when the committed file and this
+// generator disagree.
 //
-// The kernel is one fully unrolled CIOS (coarsely integrated operand
+// montMul512 is one fully unrolled CIOS (coarsely integrated operand
 // scanning) Montgomery multiplication for 8 × 64-bit limbs:
 //
 //	for i := 0; i < 8; i++ {
@@ -22,6 +23,16 @@
 // t[0] becomes the next row's t[9]. The final subtraction is branch-free:
 // t is stored, t - m computed in the registers, and the stored limbs
 // restored with CMOV when it borrowed.
+//
+// montMul1024 is the same CIOS loop for 16 limbs, the public-key side's
+// 1024-bit modulus. Its 18-limb accumulator does not fit in registers, so
+// it lives in the frame, and each row streams through a two-register
+// window: MULX, load t[j+1], ADOX the low half into t[j], ADCX the high
+// half into t[j+1], store t[j]. A reduction row stores every limb one
+// place lower, which is the shift by 2⁶⁴, so no pass moves the
+// accumulator. The sixteen row pairs are one loop, not unrolled. The
+// final subtraction writes t - m to z, then restores t limb by limb with
+// CMOV when it borrowed.
 package main
 
 import (
@@ -68,6 +79,107 @@ func (e *emitter) row(i int, src string) {
 	e.op("ADOXQ %s, %s", lo, t(i, limbs))
 	e.op("ADCXQ %s, %s", lo, t(i, limbs+1))
 	e.op("ADOXQ %s, %s", lo, t(i, limbs+1))
+}
+
+// Registers of montMul1024: DX and AX as in montMul512, BX the high
+// half, CX and SI the accumulator window, DI and R8 the pointers to y
+// and m, R9 walks x, R10 holds k0 and R11 counts rows. The accumulator
+// t[k] is at 8k(SP).
+const (
+	wideLimbs = 16
+	wideHi    = "BX"
+	yPtr      = "DI"
+	mPtr      = "R8"
+	xPtr      = "R9"
+	k0Reg     = "R10"
+	rowCount  = "R11"
+)
+
+var slide = [2]string{"CX", "SI"}
+
+// wideRow adds DX * src into the frame accumulator t[0..17]. A reduction
+// row (shift) stores t[j] at t[j-1], dropping t[0], which the row has
+// made zero.
+func (e *emitter) wideRow(src string, shift bool) {
+	store := func(reg string, k int) {
+		if shift {
+			k--
+		}
+		if k >= 0 {
+			e.op("MOVQ %s, %d(SP)", reg, 8*k)
+		}
+	}
+	e.op("XORQ %s, %s", lo, lo) // clears CF and OF
+	e.op("MOVQ 0(SP), %s", slide[0])
+	for j := 0; j < wideLimbs; j++ {
+		cur, next := slide[j%2], slide[(j+1)%2]
+		e.op("MULXQ %d(%s), %s, %s", 8*j, src, lo, wideHi)
+		e.op("MOVQ %d(SP), %s", 8*(j+1), next)
+		e.op("ADOXQ %s, %s", lo, cur)
+		e.op("ADCXQ %s, %s", wideHi, next)
+		store(cur, j)
+	}
+	// t[16] is in slide[0]. t[17] is zero before a multiply row (t < 2m
+	// between rows) and whatever the multiply row left before a reduction.
+	top, carry := slide[0], slide[1]
+	if shift {
+		e.op("MOVQ %d(SP), %s", 8*(wideLimbs+1), carry)
+	} else {
+		e.op("MOVQ $0, %s", carry)
+	}
+	e.op("MOVQ $0, %s", lo) // MOV leaves the flags alone
+	e.op("ADOXQ %s, %s", lo, top)
+	e.op("ADCXQ %s, %s", lo, carry)
+	e.op("ADOXQ %s, %s", lo, carry)
+	store(top, wideLimbs)
+	store(carry, wideLimbs+1)
+}
+
+func (e *emitter) montMul1024() {
+	e.WriteString("// func montMul1024(z, x, y, m *[16]uint64, k0 uint64)\n")
+	e.WriteString(fmt.Sprintf("TEXT ·montMul1024(SB), NOSPLIT, $%d-40\n", 8*(wideLimbs+2)))
+	e.op("MOVQ x+8(FP), %s", xPtr)
+	e.op("MOVQ y+16(FP), %s", yPtr)
+	e.op("MOVQ m+24(FP), %s", mPtr)
+	e.op("MOVQ k0+32(FP), %s", k0Reg)
+	e.op("MOVQ $%d, %s", wideLimbs, rowCount)
+	e.op("XORQ %s, %s", lo, lo)
+	for k := 0; k <= wideLimbs; k++ {
+		e.op("MOVQ %s, %d(SP)", lo, 8*k)
+	}
+
+	e.WriteString("\nrow:\n")
+	e.WriteString("\t// t += x[i] * y\n")
+	e.op("MOVQ 0(%s), DX", xPtr)
+	e.wideRow(yPtr, false)
+	e.WriteString("\n\t// t = (t + q*m) / 2⁶⁴\n")
+	e.op("MOVQ 0(SP), DX")
+	e.op("IMULQ %s, DX", k0Reg)
+	e.wideRow(mPtr, true)
+	e.op("ADDQ $8, %s", xPtr)
+	e.op("DECQ %s", rowCount)
+	e.op("JNZ row")
+
+	// t < 2m: t[16] is 0 or 1.
+	e.WriteString("\n\t// z = t - m, then z = t where that borrowed.\n")
+	e.op("MOVQ z+0(FP), %s", yPtr)
+	for k := 0; k < wideLimbs; k++ {
+		e.op("MOVQ %d(SP), %s", 8*k, lo)
+		if k == 0 {
+			e.op("SUBQ 0(%s), %s", mPtr, lo)
+		} else {
+			e.op("SBBQ %d(%s), %s", 8*k, mPtr, lo)
+		}
+		e.op("MOVQ %s, %d(%s)", lo, 8*k, yPtr)
+	}
+	e.op("MOVQ %d(SP), %s", 8*wideLimbs, lo)
+	e.op("SBBQ $0, %s", lo)
+	for k := 0; k < wideLimbs; k++ {
+		e.op("MOVQ %d(%s), %s", 8*k, yPtr, lo)
+		e.op("CMOVQCS %d(SP), %s", 8*k, lo)
+		e.op("MOVQ %s, %d(%s)", lo, 8*k, yPtr)
+	}
+	e.op("RET")
 }
 
 func generate() []byte {
@@ -121,6 +233,8 @@ func generate() []byte {
 		e.op("MOVQ %s, %d(%s)", t(limbs, k), 8*k, lo)
 	}
 	e.op("RET")
+	e.WriteString("\n")
+	e.montMul1024()
 	return e.Bytes()
 }
 

@@ -2,10 +2,14 @@
 
 package rsacrt
 
-// useKernel is false: the Montgomery kernel is amd64 assembly, and New
-// leaves every key on math/big.
+// useKernel is false: the Montgomery kernels are amd64 assembly, and New
+// and NewPublic leave every key on math/big.
 var useKernel = false
 
 func montMul512(z, x, y, m *[8]uint64, k0 uint64) {
+	panic("rsacrt: no Montgomery kernel on this architecture")
+}
+
+func montMul1024(z, x, y, m *[16]uint64, k0 uint64) {
 	panic("rsacrt: no Montgomery kernel on this architecture")
 }

@@ -1,11 +1,15 @@
-// Package rsacrt computes the RSA private-key operation x^d mod N in
-// CRT form. The key manager's OPRF evaluation (internal/oprf) and the
+// Package rsacrt computes RSA's two operations for the paper's 1024-bit
+// keys. Key computes the private-key operation x^d mod N in CRT form:
+// the key manager's OPRF evaluation (internal/oprf) and the
 // key-regression wind (internal/keyreg) are both this one operation.
+// Public computes the public-key side, x^e mod N and x·y mod N: the
+// client's OPRF blinding and verification and key regression's unwind.
 //
-// For the paper's 1024-bit keys each CRT half is a 512-bit modular
-// exponentiation, and that runs on a hand-written Montgomery kernel
-// (montmul_amd64.s, emitted by gen.go) when the CPU has BMI2 and ADX.
-// Every other key, and every other CPU, takes math/big.
+// Each private CRT half is a 512-bit modular exponentiation, and that
+// runs on a hand-written Montgomery kernel (montMul512 in
+// montmul_amd64.s, emitted by gen.go) when the CPU has BMI2 and ADX; the
+// public side runs on a 1024-bit one (montMul1024, same file). Every
+// other key, and every other CPU, takes math/big.
 //
 // Timing. The exponents d mod (p-1) and d mod (q-1) are the key
 // manager's root secret; blinding the input hides the fingerprint from
@@ -25,8 +29,8 @@ package rsacrt
 import (
 	"crypto/rsa"
 	"crypto/subtle"
-	"encoding/binary"
 	"math/big"
+	"math/bits"
 )
 
 // Key is an RSA private key prepared for Exp. It is as secret as the
@@ -100,17 +104,11 @@ type prime struct {
 
 func newPrime(p, d *big.Int) *prime {
 	h := &prime{p: p}
-	h.m = toNat(p)
-	// Newton's iteration doubles the correct low bits of p⁻¹ mod 2⁶⁴ each
-	// step; p itself is correct to 3 bits for odd p.
-	inv := h.m[0]
-	for i := 0; i < 5; i++ {
-		inv *= 2 - h.m[0]*inv
-	}
-	h.k0 = -inv
+	setLimbs(h.m[:], p)
+	h.k0 = negInv(h.m[0])
 	r := new(big.Int).Lsh(big.NewInt(1), 512)
-	h.one = toNat(new(big.Int).Mod(r, p))
-	h.rr = toNat(r.Mod(r.Mul(r, r), p))
+	setLimbs(h.one[:], new(big.Int).Mod(r, p))
+	setLimbs(h.rr[:], r.Mod(r.Mul(r, r), p))
 	d.FillBytes(h.d[:])
 	return h
 }
@@ -119,7 +117,8 @@ func newPrime(p, d *big.Int) *prime {
 func (h *prime) exp(x *big.Int) *big.Int {
 	var table [1 << window]nat
 	table[0] = h.one
-	xm := toNat(new(big.Int).Mod(x, h.p))
+	var xm nat
+	setLimbs(xm[:], new(big.Int).Mod(x, h.p))
 	montMul512(&table[1], &xm, &h.rr, &h.m, h.k0) // x·R mod p
 	for i := 2; i < len(table); i++ {
 		montMul512(&table[i], &table[i-1], &table[1], &h.m, h.k0)
@@ -136,7 +135,7 @@ func (h *prime) exp(x *big.Int) *big.Int {
 	}
 	one := nat{1}
 	montMul512(&acc, &acc, &one, &h.m, h.k0) // leave Montgomery form
-	return fromNat(&acc)
+	return limbsInt(acc[:])
 }
 
 // digit returns the exponent's i-th 4-bit digit, most significant first.
@@ -164,20 +163,32 @@ func selectEntry(dst *nat, table *[1 << window]nat, idx int) {
 	*dst = r
 }
 
-func toNat(v *big.Int) nat {
-	var b [64]byte
-	v.FillBytes(b[:])
-	var n nat
-	for i := range n {
-		n[i] = binary.BigEndian.Uint64(b[64-8*(i+1):])
+// negInv returns -m⁻¹ mod 2⁶⁴ for odd m, the Montgomery constant k0.
+// Newton's iteration doubles the correct low bits of the inverse each
+// step; m itself is correct to 3 bits.
+func negInv(m uint64) uint64 {
+	inv := m
+	for i := 0; i < 5; i++ {
+		inv *= 2 - m*inv
 	}
-	return n
+	return -inv
 }
 
-func fromNat(n *nat) *big.Int {
-	var b [64]byte
-	for i := range n {
-		binary.BigEndian.PutUint64(b[64-8*(i+1):], n[i])
+// setLimbs writes v, which must be non-negative and fit, into dst as
+// little-endian 64-bit limbs. It reads v's words directly: a word is one
+// limb on 64-bit platforms and half of one on 32-bit ones.
+func setLimbs(dst []uint64, v *big.Int) {
+	clear(dst)
+	for i, w := range v.Bits() {
+		dst[i*bits.UintSize/64] |= uint64(w) << (i * bits.UintSize % 64)
 	}
-	return new(big.Int).SetBytes(b[:])
+}
+
+// limbsInt is the inverse of setLimbs.
+func limbsInt(src []uint64) *big.Int {
+	words := make([]big.Word, len(src)*64/bits.UintSize)
+	for i := range words {
+		words[i] = big.Word(src[i*bits.UintSize/64] >> (i * bits.UintSize % 64))
+	}
+	return new(big.Int).SetBits(words)
 }

@@ -156,6 +156,133 @@ func FuzzExpMatchesBig(f *testing.F) {
 	})
 }
 
+// testModuli are committed 1024-bit odd moduli: a random one, 2¹⁰²⁴-105
+// and 2¹⁰²³+1, whose limbs stress montMul1024's carries and final
+// subtraction from both ends.
+func testModuli() []*big.Int {
+	random, _ := new(big.Int).SetString("8d716d71f6bff29d25684c27b2020b48a39f7214d3f78842a96b3b7b08084d0d"+
+		"ed3dfe9feef93e2850422ce4bf12f5e422a256e65ae812289aa23b42e8d7fc5d"+
+		"835f4a4f24f80617355a64a4fe179b1e5b8a213beb8ff543333f6063abac7f4d"+
+		"370ba7c8a387740db9218103fc0f623ca421415df88029c74b682be9e3319223", 16)
+	top := new(big.Int).Lsh(big.NewInt(1), 1024)
+	bottom := new(big.Int).Lsh(big.NewInt(1), 1023)
+	return []*big.Int{
+		random,
+		top.Sub(top, big.NewInt(105)),
+		bottom.Add(bottom, big.NewInt(1)),
+	}
+}
+
+// publicExps are the public exponents the differential tests use.
+var publicExps = []int64{3, 65537}
+
+// checkPublic compares Exp and Mul on the kernel with big.Int.
+func checkPublic(t *testing.T, n, e, x, y *big.Int) {
+	t.Helper()
+	pub := NewPublic(n, e)
+	if want := new(big.Int).Exp(x, e, n); pub.Exp(x).Cmp(want) != 0 {
+		t.Fatalf("kernel %x^%v mod %x = %x, want %x", x, e, n, pub.Exp(x), want)
+	}
+	want := new(big.Int).Mul(x, y)
+	if want.Mod(want, n); pub.Mul(x, y).Cmp(want) != 0 {
+		t.Fatalf("kernel %x·%x mod %x = %x, want %x", x, y, n, pub.Mul(x, y), want)
+	}
+}
+
+// TestPublicEdges runs Exp and Mul over x, y ∈ {0, 1, 2, N-1} on every
+// committed modulus and exponent, plus e = 1 and e = 2⁶⁴-1, and inputs
+// N and 8N+3, which the kernel must reduce first.
+func TestPublicEdges(t *testing.T) {
+	if !useKernel {
+		t.Skip("CPU lacks BMI2/ADX")
+	}
+	exps := []*big.Int{big.NewInt(1), new(big.Int).SetUint64(1<<64 - 1)}
+	for _, e := range publicExps {
+		exps = append(exps, big.NewInt(e))
+	}
+	for _, n := range testModuli() {
+		nm1 := new(big.Int).Sub(n, big.NewInt(1))
+		xs := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), nm1, n,
+			new(big.Int).Add(new(big.Int).Lsh(n, 3), big.NewInt(3))}
+		for _, e := range exps {
+			if !PublicKernelEnabled(NewPublic(n, e)) {
+				t.Fatalf("%d-bit odd modulus not prepared for the kernel", n.BitLen())
+			}
+			for _, x := range xs {
+				for _, y := range xs {
+					checkPublic(t, n, e, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestPublicKernelOnlyForOdd1024BitModuli pins the dispatch rule, and
+// that every key it refuses still computes on math/big.
+func TestPublicKernelOnlyForOdd1024BitModuli(t *testing.T) {
+	odd := testModuli()[0]
+	e := big.NewInt(65537)
+	cases := []struct {
+		name   string
+		n, e   *big.Int
+		kernel bool
+	}{
+		{"odd 1024-bit", odd, e, useKernel},
+		{"even", new(big.Int).Sub(odd, big.NewInt(1)), e, false},
+		{"1023-bit", new(big.Int).Rsh(odd, 1), e, false},
+		{"1025-bit", new(big.Int).Add(new(big.Int).Lsh(odd, 1), big.NewInt(1)), e, false},
+		{"2048-bit", new(big.Int).Add(new(big.Int).Lsh(odd, 1024), big.NewInt(1)), e, false},
+		{"exponent over a word", odd, new(big.Int).Lsh(big.NewInt(1), 64), false},
+		{"zero exponent", odd, big.NewInt(0), false},
+	}
+	for _, c := range cases {
+		pub := NewPublic(c.n, c.e)
+		if PublicKernelEnabled(pub) != c.kernel {
+			t.Errorf("%s: kernel prepared = %v, want %v", c.name, PublicKernelEnabled(pub), c.kernel)
+		}
+		x := big.NewInt(123456789)
+		if want := new(big.Int).Exp(x, c.e, c.n); pub.Exp(x).Cmp(want) != 0 {
+			t.Errorf("%s: Exp differs from big.Int.Exp", c.name)
+		}
+	}
+	forceFallback(t)
+	if PublicKernelEnabled(NewPublic(odd, e)) {
+		t.Fatal("forceFallback did not reach NewPublic")
+	}
+}
+
+// TestLimbsRoundTrip checks the big.Int ↔ limb conversion on this
+// platform's word size, including values with leading zero limbs.
+func TestLimbsRoundTrip(t *testing.T) {
+	for _, v := range append(testModuli(), big.NewInt(0), big.NewInt(1), new(big.Int).Lsh(big.NewInt(0xabcdef), 500)) {
+		var w wide
+		setLimbs(w[:], v)
+		if got := limbsInt(w[:]); got.Cmp(v) != 0 {
+			t.Fatalf("limbs round trip of %x gave %x", v, got)
+		}
+	}
+}
+
+// FuzzPublicExpMatchesBig checks fuzz-chosen x and y over the committed
+// moduli and exponents against big.Int.
+func FuzzPublicExpMatchesBig(f *testing.F) {
+	f.Add([]byte{2}, []byte{3}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 128), bytes.Repeat([]byte{0xff}, 128), uint8(1))
+	f.Add(bytes.Repeat([]byte{0x80}, 128), []byte{1}, uint8(2))
+	f.Add([]byte{}, []byte{}, uint8(5))
+	moduli := testModuli()
+	f.Fuzz(func(t *testing.T, xb, yb []byte, which uint8) {
+		if !useKernel {
+			t.Skip("CPU lacks BMI2/ADX")
+		}
+		n := moduli[int(which)%len(moduli)]
+		e := big.NewInt(publicExps[int(which)/len(moduli)%len(publicExps)])
+		x := new(big.Int).SetBytes(xb)
+		y := new(big.Int).SetBytes(yb)
+		checkPublic(t, n, e, x.Mod(x, n), y.Mod(y, n))
+	})
+}
+
 // TestGeneratedAssemblyIsCurrent re-runs gen.go and diffs its output
 // against the committed montmul_amd64.s.
 func TestGeneratedAssemblyIsCurrent(t *testing.T) {
@@ -212,5 +339,27 @@ func BenchmarkExpFallback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Exp(x)
+	}
+}
+
+// BenchmarkPublicExp is one 1024-bit public-exponent operation (e =
+// 65537), the client's rᵉ or sᵉ per chunk; BenchmarkPublicExpFallback is
+// the same on math/big.
+func BenchmarkPublicExp(b *testing.B) {
+	priv, x := benchKey(b)
+	pub := NewPublic(priv.N, big.NewInt(int64(priv.E)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pub.Exp(x)
+	}
+}
+
+func BenchmarkPublicExpFallback(b *testing.B) {
+	forceFallback(b)
+	priv, x := benchKey(b)
+	pub := NewPublic(priv.N, big.NewInt(int64(priv.E)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pub.Exp(x)
 	}
 }
