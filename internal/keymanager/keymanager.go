@@ -324,18 +324,16 @@ func (s *Server) dispatch(typ proto.MsgType, payload []byte, limiter *ratelimit.
 	}
 }
 
-// evaluateBatch runs the OPRF over a decoded batch; each evaluation is
-// an independent modular exponentiation.
+// evaluateBatch runs the OPRF over a decoded batch, in parts of
+// evalPart elements spread across cores.
 func (s *Server) evaluateBatch(blinded [][]byte) ([][]byte, error) {
 	responses := make([][]byte, len(blinded))
-	err := fanOut(len(blinded), 1, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			resp, err := s.key.Evaluate(blinded[i])
-			if err != nil {
-				return fmt.Errorf("evaluate %d: %w", i, err)
-			}
-			responses[i] = resp
+	err := fanOut(len(blinded), evalPart, func(lo, hi int) error {
+		resp, err := s.key.EvaluateBatch(blinded[lo:hi])
+		if err != nil {
+			return fmt.Errorf("evaluate elements %d to %d: %w", lo, hi-1, err)
 		}
+		copy(responses[lo:], resp)
 		return nil
 	})
 	if err != nil {
@@ -343,6 +341,10 @@ func (s *Server) evaluateBatch(blinded [][]byte) ([][]byte, error) {
 	}
 	return responses, nil
 }
+
+// evalPart is the evaluations one fanOut part takes: the four whose CRT
+// halves fill internal/rsacrt's eight-lane kernel.
+const evalPart = 4
 
 // minParallelBatch is the smallest batch fanOut spreads across cores;
 // below it goroutine overhead beats the RSA savings.
@@ -352,7 +354,8 @@ const minParallelBatch = 16
 // and returns the first error. Up to GOMAXPROCS goroutines claim the
 // parts in order, so a worker that is held up leaves its share to the
 // others. A batch below minParallelBatch, or a single core, runs as one
-// part on the caller's goroutine. A worker stops at its first error.
+// part on the caller's goroutine. Once a part fails no worker claims
+// another.
 func fanOut(n, part int, f func(lo, hi int) error) error {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 || n < minParallelBatch {
@@ -360,6 +363,7 @@ func fanOut(n, part int, f func(lo, hi int) error) error {
 	}
 	var (
 		next    atomic.Int64
+		failed  atomic.Bool
 		wg      sync.WaitGroup
 		errOnce sync.Once
 		firstE  error
@@ -368,13 +372,14 @@ func fanOut(n, part int, f func(lo, hi int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				lo := int(next.Add(int64(part))) - part
 				if lo >= n {
 					return
 				}
 				if err := f(lo, min(lo+part, n)); err != nil {
 					errOnce.Do(func() { firstE = err })
+					failed.Store(true)
 					return
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/big"
 	"net"
 	"runtime"
 	"sync"
@@ -82,6 +83,34 @@ func TestGenerateKeysMatchesDirectDerivation(t *testing.T) {
 			if !bytes.Equal(keys[i], want) {
 				t.Fatalf("batch of %d: key %d does not match direct derivation", n, i)
 			}
+		}
+	}
+}
+
+// TestEvaluateBatchAnswersEveryPart evaluates batches that end on and
+// off the four-evaluation part boundary, one with an element outside
+// [0, N), which must fail the batch with oprf.ErrBadElement.
+func TestEvaluateBatchAnswersEveryPart(t *testing.T) {
+	k := serverKey(t)
+	srv := NewServer(k)
+	p := k.PublicParams()
+	for _, n := range []int{1, 4, 3 * minParallelBatch, 3*minParallelBatch + 3} {
+		blinded := make([][]byte, n)
+		for i := range blinded {
+			blinded[i] = new(big.Int).Sub(p.N, big.NewInt(int64(i+1))).Bytes()
+		}
+		got, err := srv.evaluateBatch(blinded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range blinded {
+			if want, _ := k.Evaluate(blinded[i]); !bytes.Equal(got[i], want) {
+				t.Fatalf("batch of %d: response %d differs from Evaluate", n, i)
+			}
+		}
+		blinded[n/2] = p.N.Bytes()
+		if _, err := srv.evaluateBatch(blinded); !errors.Is(err, oprf.ErrBadElement) {
+			t.Fatalf("batch of %d with N at %d: error = %v, want ErrBadElement", n, n/2, err)
 		}
 	}
 }
@@ -337,7 +366,8 @@ func TestConcurrentBatchesOneConnection(t *testing.T) {
 
 // TestFanOutCoversEachIndexOnce runs fanOut at several core counts, part
 // sizes and batch sizes around minParallelBatch: every index must be
-// visited exactly once, and a part's error must come back.
+// visited exactly once, a part's error must come back, and no part may
+// start after one has failed.
 func TestFanOutCoversEachIndexOnce(t *testing.T) {
 	saved := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(saved) })
@@ -371,5 +401,33 @@ func TestFanOutCoversEachIndexOnce(t *testing.T) {
 		}); !errors.Is(err, boom) {
 			t.Fatalf("GOMAXPROCS %d: error = %v, want the part's error", procs, err)
 		}
+	}
+
+	// Part 0 fails while part 1 is running. Once part 1 ends, after the
+	// failure is recorded, neither worker may start another part: on the
+	// client one bad response would otherwise still cost every other
+	// finalize.
+	runtime.GOMAXPROCS(2)
+	var calls atomic.Int32
+	running, failing := make(chan struct{}), make(chan struct{})
+	err := fanOut(100, 1, func(lo, hi int) error {
+		calls.Add(1)
+		switch lo {
+		case 0:
+			<-running
+			close(failing)
+			return errors.New("boom")
+		case 1:
+			close(running)
+			<-failing
+			time.Sleep(20 * time.Millisecond) // part 0's worker records the failure
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("part 0's error was lost")
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d parts ran; want 2, none started after part 0 failed", n)
 	}
 }

@@ -139,11 +139,13 @@ func TestDeriveKnownAnswer(t *testing.T) {
 }
 
 // TestEvaluateKnownAnswer pins the key manager's one operation, the
-// blind signature, including the edge elements 0, 1 and N-1.
+// blind signature, including the edge elements 0, 1 and N-1, one
+// Evaluate at a time and as one EvaluateBatch of all sixteen.
 func TestEvaluateKnownAnswer(t *testing.T) {
 	k := fixtureKey(t)
+	elems := fixtureElements(k.PublicParams().N)
 	var got [][]byte
-	for _, x := range fixtureElements(k.PublicParams().N) {
+	for _, x := range elems {
 		y, err := k.Evaluate(x)
 		if err != nil {
 			t.Fatal(err)
@@ -151,6 +153,14 @@ func TestEvaluateKnownAnswer(t *testing.T) {
 		got = append(got, y)
 	}
 	checkLines(t, "evaluate.hex", got)
+	if *update {
+		return
+	}
+	batch, err := k.EvaluateBatch(elems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLines(t, "evaluate.hex", batch)
 }
 
 // TestBlindFinalizeKnownAnswer pins the client side: Blind under a fixed

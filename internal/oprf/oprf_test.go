@@ -5,6 +5,7 @@ import (
 	"crypto/rsa"
 	"errors"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -143,6 +144,29 @@ func TestEvaluateRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestEvaluateBatchRejectsBeforeExponentiating puts N at index 5 of a
+// batch: EvaluateBatch must refuse the whole batch and name that index.
+func TestEvaluateBatchRejectsBeforeExponentiating(t *testing.T) {
+	k := serverKey(t)
+	n := k.PublicParams().N
+	batch := make([][]byte, 9)
+	for i := range batch {
+		batch[i] = big.NewInt(int64(i)).Bytes()
+	}
+	batch[5] = n.Bytes()
+	batch[7] = new(big.Int).Lsh(n, 1).Bytes()
+	out, err := k.EvaluateBatch(batch)
+	if !errors.Is(err, ErrBadElement) || out != nil {
+		t.Fatalf("EvaluateBatch = %d results, %v; want none and ErrBadElement", len(out), err)
+	}
+	if !strings.Contains(err.Error(), "element 5") {
+		t.Fatalf("error %q does not name element 5", err)
+	}
+	if out, err := k.EvaluateBatch(nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch: %d results, %v", len(out), err)
+	}
+}
+
 func TestFinalizeRejectsOutOfRange(t *testing.T) {
 	k := serverKey(t)
 	p := k.PublicParams()
@@ -270,6 +294,22 @@ func BenchmarkEvaluate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := k.Evaluate(blinded); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateBatch is BenchmarkEvaluate in a batch of 1024, the
+// key manager's request size; ns/op is per element.
+func BenchmarkEvaluateBatch(b *testing.B) {
+	k := serverKey(b)
+	blinded, _, err := BlindBatch(k.PublicParams(), batchFingerprints(1024), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(blinded) {
+		if _, err := k.EvaluateBatch(blinded[:min(len(blinded), b.N-i)]); err != nil {
 			b.Fatal(err)
 		}
 	}

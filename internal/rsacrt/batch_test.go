@@ -1,0 +1,160 @@
+package rsacrt
+
+import (
+	"bytes"
+	"crypto/rsa"
+	"crypto/sha256"
+	"math/big"
+	"testing"
+)
+
+// testKey is a 1024-bit RSA key built from two committed primes, the
+// random one and the largest below 2⁵¹², so every path runs the same
+// key and the lanes see a modulus whose limbs are all ones.
+func testKey(t testing.TB) *rsa.PrivateKey {
+	t.Helper()
+	primes := testPrimes()
+	p, q := primes[0], primes[1]
+	one := big.NewInt(1)
+	pm1, qm1 := new(big.Int).Sub(p, one), new(big.Int).Sub(q, one)
+	phi := new(big.Int).Mul(pm1, qm1)
+	priv := &rsa.PrivateKey{
+		PublicKey: rsa.PublicKey{N: new(big.Int).Mul(p, q), E: 65537},
+		D:         new(big.Int).ModInverse(big.NewInt(65537), phi),
+		Primes:    []*big.Int{p, q},
+	}
+	priv.Precompute()
+	if priv.Precomputed.Dp == nil {
+		t.Fatal("test key has no CRT values")
+	}
+	return priv
+}
+
+// checkBatch compares ExpBatch with big.Int.Exp on every element.
+func checkBatch(t *testing.T, k *Key, priv *rsa.PrivateKey, xs []*big.Int) {
+	t.Helper()
+	got := k.ExpBatch(xs)
+	if len(got) != len(xs) {
+		t.Fatalf("ExpBatch returned %d results for %d inputs", len(got), len(xs))
+	}
+	for i, x := range xs {
+		if want := new(big.Int).Exp(x, priv.D, priv.N); got[i].Cmp(want) != 0 {
+			t.Fatalf("batch of %d, element %d: %x^d = %x, want %x", len(xs), i, x, got[i], want)
+		}
+	}
+}
+
+// TestExpBatchLaneTails runs ExpBatch at sizes around the four
+// evaluations one ammX8 call holds, with the edge inputs 0, 1, p, q and
+// N-1 rotated through every lane position, and at the key manager's
+// batch size with the edges at its head and tail.
+func TestExpBatchLaneTails(t *testing.T) {
+	priv := testKey(t)
+	nm1 := new(big.Int).Sub(priv.N, big.NewInt(1))
+	edges := []*big.Int{big.NewInt(0), big.NewInt(1), priv.Primes[0], priv.Primes[1], nm1}
+	var spread []*big.Int // 16 values over [0, N)
+	for i := 0; i < 16; i++ {
+		h := sha256.Sum256([]byte{byte(i)})
+		x := new(big.Int).SetBytes(h[:])
+		spread = append(spread, x.Exp(x, big.NewInt(5), priv.N))
+	}
+	paths(t, func(t *testing.T) {
+		k := New(priv)
+		for _, n := range []int{0, 1, 3, 4, 5, 8, 9} {
+			for r := range edges {
+				xs := make([]*big.Int, n)
+				for i := range xs {
+					xs[i] = edges[(i+r)%len(edges)]
+				}
+				checkBatch(t, k, priv, xs)
+			}
+		}
+		xs := make([]*big.Int, 1024)
+		for i := range xs {
+			xs[i] = spread[i%len(spread)]
+		}
+		copy(xs, edges)
+		copy(xs[len(xs)-len(edges):], edges)
+		got := k.ExpBatch(xs)
+		want := make(map[*big.Int]*big.Int)
+		for i, x := range xs {
+			if want[x] == nil {
+				want[x] = new(big.Int).Exp(x, priv.D, priv.N)
+			}
+			if got[i].Cmp(want[x]) != 0 {
+				t.Fatalf("batch of 1024, element %d: %x^d = %x, want %x", i, x, got[i], want[x])
+			}
+		}
+	})
+}
+
+// TestPathsAgree runs the same inputs through ammX8, montMul512 and
+// math/big, whichever this machine has, and requires the same bytes
+// from each, one Exp at a time and as one ExpBatch.
+func TestPathsAgree(t *testing.T) {
+	priv := testKey(t)
+	var xs []*big.Int
+	for i := 0; i < 37; i++ {
+		h := sha256.Sum256([]byte{'a', byte(i)})
+		x := new(big.Int).SetBytes(bytes.Repeat(h[:], 4))
+		xs = append(xs, x.Mod(x, priv.N))
+	}
+	var ref []*big.Int
+	paths(t, func(t *testing.T) {
+		k := New(priv)
+		got := k.ExpBatch(xs)
+		for i, x := range xs {
+			if one := k.Exp(x); one.Cmp(got[i]) != 0 {
+				t.Fatalf("element %d: Exp and ExpBatch differ", i)
+			}
+		}
+		if ref == nil {
+			ref = got
+			return
+		}
+		for i := range xs {
+			if got[i].Cmp(ref[i]) != 0 {
+				t.Fatalf("element %d differs from the %s path", i, Paths()[0])
+			}
+		}
+	})
+	if want := new(big.Int).Exp(xs[0], priv.D, priv.N); ref[0].Cmp(want) != 0 {
+		t.Fatal("the paths agree on a wrong answer")
+	}
+}
+
+// TestKernelSelection logs which private-key kernels this machine runs,
+// so a CI log shows when a runner lacks IFMA and its test skipped, and
+// checks New prepares the test key for the fastest one.
+func TestKernelSelection(t *testing.T) {
+	t.Logf("private-key paths on this machine: %v (ammX8 %v, montMul512 %v)", Paths(), useIFMA, useKernel)
+	k := New(testKey(t))
+	if IFMAEnabled(k) != useIFMA || KernelEnabled(k) != useKernel {
+		t.Fatalf("prepared for ammX8 %v, a kernel %v; want %v, %v", IFMAEnabled(k), KernelEnabled(k), useIFMA, useKernel)
+	}
+	if useIFMA && k.p != nil {
+		t.Fatal("key prepared for both ammX8 and montMul512")
+	}
+}
+
+// FuzzExpBatchMatchesBig checks a fuzz-chosen batch of up to nine inputs
+// of any length, reduced mod N, against big.Int.Exp on the machine's
+// fastest path. raw is a sequence of length-prefixed big-endian inputs.
+func FuzzExpBatchMatchesBig(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 0, 128})
+	f.Add(append([]byte{255}, bytes.Repeat([]byte{0xff}, 255)...))
+	f.Add(bytes.Repeat([]byte{3, 1, 0, 1}, 9))
+	priv := testKey(f)
+	k := New(priv)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var xs []*big.Int
+		for len(xs) < 9 && len(raw) > 0 {
+			n := min(int(raw[0]), len(raw)-1)
+			x := new(big.Int).SetBytes(raw[1 : 1+n])
+			xs = append(xs, x.Mod(x, priv.N))
+			raw = raw[1+n:]
+		}
+		checkBatch(t, k, priv, xs)
+	})
+}

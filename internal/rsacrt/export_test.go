@@ -3,16 +3,52 @@ package rsacrt
 import "testing"
 
 // forceFallback makes New and NewPublic leave keys on math/big until the
-// test ends, so one test can run the same inputs through both paths.
+// test ends, so one test can run the same inputs through every path.
 func forceFallback(t testing.TB) {
+	forceMULX(t)
 	saved := useKernel
 	useKernel = false
 	t.Cleanup(func() { useKernel = saved })
 }
 
-// KernelEnabled reports whether New prepares 512-bit-prime keys for the
-// Montgomery kernel on this machine.
-func KernelEnabled(k *Key) bool { return k.p != nil }
+// forceMULX makes New prepare keys for montMul512, not ammX8, until the
+// test ends.
+func forceMULX(t testing.TB) {
+	saved := useIFMA
+	useIFMA = false
+	t.Cleanup(func() { useIFMA = saved })
+}
+
+// Paths names the private-key paths this machine runs, fastest first:
+// "ifma" (ammX8), "mulx" (montMul512) and "fallback" (math/big).
+func Paths() []string {
+	var out []string
+	if useIFMA {
+		out = append(out, "ifma")
+	}
+	if useKernel {
+		out = append(out, "mulx")
+	}
+	return append(out, "fallback")
+}
+
+// ForcePath makes New prepare keys for path, one of Paths, until the
+// test ends. "fallback" moves NewPublic to math/big too.
+func ForcePath(t testing.TB, path string) {
+	switch path {
+	case "mulx":
+		forceMULX(t)
+	case "fallback":
+		forceFallback(t)
+	}
+}
+
+// KernelEnabled reports whether New prepared k for a Montgomery kernel,
+// ammX8 or montMul512.
+func KernelEnabled(k *Key) bool { return k.lanes != nil || k.p != nil }
+
+// IFMAEnabled reports whether New prepared k for ammX8.
+func IFMAEnabled(k *Key) bool { return k.lanes != nil }
 
 // PublicKernelEnabled reports whether NewPublic prepared pub for the
 // 1024-bit kernel.

@@ -1,6 +1,6 @@
 //go:build ignore
 
-// gen.go writes montmul_amd64.s, the package's two Montgomery kernels.
+// gen.go writes montmul_amd64.s, the package's Montgomery kernels.
 // Run it with `go generate ./internal/rsacrt`;
 // TestGeneratedAssemblyIsCurrent fails when the committed file and this
 // generator disagree.
@@ -33,6 +33,32 @@
 // accumulator. The sixteen row pairs are one loop, not unrolled. The
 // final subtraction writes t - m to z, then restores t limb by limb with
 // CMOV when it borrowed.
+//
+// ammX8 is eight independent 520-bit Montgomery multiplications, one per
+// 64-bit lane of a zmm register, on AVX-512 IFMA: Gueron and Krasnov's
+// "almost Montgomery multiplication" in radix 2⁵². An operand is ten
+// 52-bit limbs; limb i of all eight lanes is one zmm (vec[i] in Go), so
+// each lane may carry its own modulus and k0. Per row:
+//
+//	t += x[i] * y        // VPMADD52LUQ into t[j], VPMADD52HUQ into t[j+1]
+//	q := lo52(t[0] * k0) // k0 = -m⁻¹ mod 2⁵²
+//	t += q * m           // t[0] is now 0 mod 2⁵²
+//	t[1] += t[0] >> 52; t >>= 52
+//
+// The limbs are not normalised between rows: a 64-bit container takes
+// the at most 40 52-bit halves a limb collects. IFMA reads only the low
+// 52 bits of its sources, which is exact for q and for inputs with
+// 52-bit limbs. The accumulator is eleven registers and the shift is a
+// renaming, as in montMul512. There is no final subtraction: for inputs
+// below 2m the result is below (4m² + Rm)/R < 2m because 4m < R = 2⁵²⁰,
+// so outputs feed back as inputs; one carry pass at the end normalises
+// every limb to 52 bits. y stays in ten registers and m is read from
+// memory by the reduction row.
+//
+// selectX8 copies, per lane, the table entry that lane's exponent digit
+// names. It loads all sixteen entries in full and keeps each lane's with
+// a VPCMPEQQ mask on a register move, so neither its instructions nor
+// its addresses depend on any digit.
 package main
 
 import (
@@ -182,6 +208,116 @@ func (e *emitter) montMul1024() {
 	e.op("RET")
 }
 
+// Registers of ammX8 and selectX8. Z10-Z15 are left alone: X15 is the
+// Go ABI's zero register.
+const (
+	x8Limbs = 10
+	zPtr    = "DI"
+	x8XPtr  = "SI"
+	x8MPtr  = "CX"
+	zK0     = "Z27"
+	zX      = "Z28"
+	zQ      = "Z29"
+	zTmp    = "Z30"
+	zMask   = "Z31"
+)
+
+// zy holds y, limb by limb; zAcc is the eleven-limb accumulator.
+var (
+	zy   = [x8Limbs]string{"Z0", "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9"}
+	zAcc = [x8Limbs + 1]string{"Z16", "Z17", "Z18", "Z19", "Z20", "Z21", "Z22", "Z23", "Z24", "Z25", "Z26"}
+)
+
+// tz names ammX8's accumulator limb k during row i.
+func tz(i, k int) string { return zAcc[(i+k)%len(zAcc)] }
+
+// madd52 adds the 104-bit products src·mul into the accumulator: the low
+// 52 bits of each into t[j], the high 52 into t[j+1].
+func (e *emitter) madd52(i int, src func(j int) string, mul string) {
+	for j := 0; j < x8Limbs; j++ {
+		e.op("VPMADD52LUQ %s, %s, %s", src(j), mul, tz(i, j))
+		e.op("VPMADD52HUQ %s, %s, %s", src(j), mul, tz(i, j+1))
+	}
+}
+
+func (e *emitter) ammX8() {
+	e.WriteString("// func ammX8(z, x, y, m *[10][8]uint64, k0 *[8]uint64)\n")
+	e.WriteString("TEXT ·ammX8(SB), NOSPLIT, $0-40\n")
+	e.op("MOVQ x+8(FP), %s", x8XPtr)
+	e.op("MOVQ y+16(FP), AX")
+	e.op("MOVQ m+24(FP), %s", x8MPtr)
+	e.op("MOVQ k0+32(FP), BX")
+	for j, r := range zy {
+		e.op("VMOVDQU64 %d(AX), %s", 64*j, r)
+	}
+	e.op("VMOVDQU64 (BX), %s", zK0)
+	for _, r := range zAcc {
+		e.op("VPXORQ %s, %s, %s", r, r, r)
+	}
+	for i := 0; i < x8Limbs; i++ {
+		e.WriteString(fmt.Sprintf("\n\t// Row %d: t += x[%d] * y; t = (t + q*m) / 2⁵².\n", i, i))
+		e.op("VMOVDQU64 %d(%s), %s", 64*i, x8XPtr, zX)
+		e.madd52(i, func(j int) string { return zy[j] }, zX)
+		e.op("VPXORQ %s, %s, %s", zQ, zQ, zQ)
+		e.op("VPMADD52LUQ %s, %s, %s", zK0, tz(i, 0), zQ)
+		e.madd52(i, func(j int) string { return fmt.Sprintf("%d(%s)", 64*j, x8MPtr) }, zQ)
+		e.op("VPSRLQ $52, %s, %s", tz(i, 0), zTmp)
+		e.op("VPADDQ %s, %s, %s", zTmp, tz(i, 1), tz(i, 1))
+		e.op("VPXORQ %s, %s, %s", tz(i, 0), tz(i, 0), tz(i, 0)) // the next row's t[10]
+	}
+
+	// The result is t(10, 0..9) and below 2⁵¹³, so limb 9 takes the last
+	// carry without overflowing 52 bits.
+	e.WriteString("\n\t// Carry every limb into the next; z = t.\n")
+	e.op("MOVQ z+0(FP), %s", zPtr)
+	e.op("MOVQ $0xfffffffffffff, AX")
+	e.op("VPBROADCASTQ AX, %s", zMask)
+	for k := 0; k < x8Limbs-1; k++ {
+		e.op("VPSRLQ $52, %s, %s", tz(x8Limbs, k), zTmp)
+		e.op("VPADDQ %s, %s, %s", zTmp, tz(x8Limbs, k+1), tz(x8Limbs, k+1))
+		e.op("VPANDQ %s, %s, %s", zMask, tz(x8Limbs, k), tz(x8Limbs, k))
+		e.op("VMOVDQU64 %s, %d(%s)", tz(x8Limbs, k), 64*k, zPtr)
+	}
+	e.op("VMOVDQU64 %s, %d(%s)", tz(x8Limbs, x8Limbs-1), 64*(x8Limbs-1), zPtr)
+	e.op("VZEROUPPER")
+	e.op("RET")
+}
+
+// selectX8 keeps the result in zy, the digits in zX and the entry
+// number under comparison in zQ; zMask holds 1 in every lane.
+func (e *emitter) selectX8() {
+	const entries = 16
+	e.WriteString("// func selectX8(dst *[10][8]uint64, table *[16][10][8]uint64, idx *[8]uint64)\n")
+	e.WriteString("TEXT ·selectX8(SB), NOSPLIT, $0-24\n")
+	e.op("MOVQ table+8(FP), %s", x8XPtr)
+	e.op("MOVQ idx+16(FP), AX")
+	e.op("VMOVDQU64 (AX), %s", zX)
+	e.op("MOVQ $1, AX")
+	e.op("VPBROADCASTQ AX, %s", zMask)
+	e.op("VPXORQ %s, %s, %s", zQ, zQ, zQ)
+	for _, r := range zy {
+		e.op("VPXORQ %s, %s, %s", r, r, r)
+	}
+	e.op("MOVQ $%d, BX", entries)
+	e.WriteString("\nentry:\n")
+	e.op("VPCMPEQQ %s, %s, K1", zQ, zX)
+	for l, r := range zy {
+		e.op("VMOVDQU64 %d(%s), %s", 64*l, x8XPtr, zTmp)
+		e.op("VMOVDQU64 %s, K1, %s", zTmp, r)
+	}
+	e.op("VPADDQ %s, %s, %s", zMask, zQ, zQ)
+	e.op("ADDQ $%d, %s", 64*x8Limbs, x8XPtr)
+	e.op("DECQ BX")
+	e.op("JNZ entry")
+
+	e.op("MOVQ dst+0(FP), %s", zPtr)
+	for l, r := range zy {
+		e.op("VMOVDQU64 %s, %d(%s)", r, 64*l, zPtr)
+	}
+	e.op("VZEROUPPER")
+	e.op("RET")
+}
+
 func generate() []byte {
 	var e emitter
 	e.WriteString("// Code generated by gen.go; DO NOT EDIT.\n\n")
@@ -196,6 +332,15 @@ func generate() []byte {
 	e.op("MOVL BX, ebx+12(FP)")
 	e.op("MOVL CX, ecx+16(FP)")
 	e.op("MOVL DX, edx+20(FP)")
+	e.op("RET")
+	e.WriteString("\n")
+
+	e.WriteString("// func xgetbv() (eax, edx uint32)\n")
+	e.WriteString("TEXT ·xgetbv(SB), NOSPLIT, $0-8\n")
+	e.op("MOVL $0, CX")
+	e.op("XGETBV")
+	e.op("MOVL AX, eax+0(FP)")
+	e.op("MOVL DX, edx+4(FP)")
 	e.op("RET")
 	e.WriteString("\n")
 
@@ -235,6 +380,10 @@ func generate() []byte {
 	e.op("RET")
 	e.WriteString("\n")
 	e.montMul1024()
+	e.WriteString("\n")
+	e.ammX8()
+	e.WriteString("\n")
+	e.selectX8()
 	return e.Bytes()
 }
 

@@ -13,15 +13,44 @@ func montMul512(z, x, y, m *[8]uint64, k0 uint64)
 //go:noescape
 func montMul1024(z, x, y, m *[16]uint64, k0 uint64)
 
+// ammX8 sets each lane l of z to x·y·2⁻⁵²⁰ mod m, almost: for x, y < 2m
+// it returns a value below 2m congruent to that, in 52-bit limbs. Lane l
+// has its own odd m < 2⁵¹⁸ and k0[l] = -m⁻¹ mod 2⁵². z may alias x or y.
+// It needs AVX512F and AVX512IFMA.
+//
+//go:noescape
+func ammX8(z, x, y, m *vec, k0 *[lanes]uint64)
+
+// selectX8 sets each lane l of dst to that lane of table[idx[l]], reading
+// every entry in full whatever the digits are.
+//
+//go:noescape
+func selectX8(dst *vec, table *[1 << window]vec, idx *[lanes]uint64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
-// useKernel reports whether New and NewPublic may prepare keys for the
-// kernels: CPUID leaf 7 must report BMI2 (EBX bit 8) and ADX (EBX bit 19).
-var useKernel = func() bool {
+func xgetbv() (eax, edx uint32)
+
+// useKernel reports whether New and NewPublic may prepare keys for
+// montMul512 and montMul1024: CPUID leaf 7 must report BMI2 (EBX bit 8)
+// and ADX (EBX bit 19). useIFMA reports whether New may prepare them for
+// ammX8: leaf 7 must report AVX512F (EBX bit 16) and AVX512IFMA (EBX bit
+// 21), and the OS must save the opmask and zmm state (OSXSAVE, leaf 1 ECX
+// bit 27, and XCR0 bits 1, 2 and 5-7).
+var useKernel, useIFMA = func() (mulx, ifma bool) {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	_, ebx, _, _ := cpuid(7, 0)
-	const bmi2, adx = 1 << 8, 1 << 19
-	return ebx&bmi2 != 0 && ebx&adx != 0
+	const bmi2, adx, avx512f, avx512ifma = 1 << 8, 1 << 19, 1 << 16, 1 << 21
+	mulx = ebx&bmi2 != 0 && ebx&adx != 0
+	if ebx&avx512f == 0 || ebx&avx512ifma == 0 {
+		return mulx, false
+	}
+	const osxsave, zmmState = 1 << 27, 0xe6
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 {
+		return mulx, false
+	}
+	xcr0, _ := xgetbv()
+	return mulx, xcr0&zmmState == zmmState
 }()

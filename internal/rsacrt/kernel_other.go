@@ -2,14 +2,22 @@
 
 package rsacrt
 
-// useKernel is false: the Montgomery kernels are amd64 assembly, and New
-// and NewPublic leave every key on math/big.
-var useKernel = false
+// useKernel and useIFMA are false: the Montgomery kernels are amd64
+// assembly, and New and NewPublic leave every key on math/big.
+var useKernel, useIFMA = false, false
 
 func montMul512(z, x, y, m *[8]uint64, k0 uint64) {
 	panic("rsacrt: no Montgomery kernel on this architecture")
 }
 
 func montMul1024(z, x, y, m *[16]uint64, k0 uint64) {
+	panic("rsacrt: no Montgomery kernel on this architecture")
+}
+
+func ammX8(z, x, y, m *vec, k0 *[lanes]uint64) {
+	panic("rsacrt: no Montgomery kernel on this architecture")
+}
+
+func selectX8(dst *vec, table *[1 << window]vec, idx *[lanes]uint64) {
 	panic("rsacrt: no Montgomery kernel on this architecture")
 }

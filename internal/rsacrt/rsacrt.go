@@ -6,22 +6,26 @@
 // client's OPRF blinding and verification and key regression's unwind.
 //
 // Each private CRT half is a 512-bit modular exponentiation, and that
-// runs on a hand-written Montgomery kernel (montMul512 in
-// montmul_amd64.s, emitted by gen.go) when the CPU has BMI2 and ADX; the
-// public side runs on a 1024-bit one (montMul1024, same file). Every
-// other key, and every other CPU, takes math/big.
+// runs on a hand-written Montgomery kernel in montmul_amd64.s, emitted by
+// gen.go: ammX8 when the CPU has AVX-512 IFMA, which runs eight halves,
+// four evaluations, at once (lanes.go); otherwise montMul512 when it has
+// BMI2 and ADX. The public side runs on a 1024-bit kernel (montMul1024,
+// same file) on BMI2 and ADX. Every other key, and every other CPU,
+// takes math/big.
 //
 // Timing. The exponents d mod (p-1) and d mod (q-1) are the key
 // manager's root secret; blinding the input hides the fingerprint from
 // the key manager but does nothing for the exponent. math/big's windowed
 // exponentiation lets each exponent digit choose which table entry is
 // read, an address a cache-timing observer on the same machine can see.
-// The kernel path does not: it runs a fixed 4-bit window over all 512
-// bits, multiplies on every window (digit 0 included), and reads every
-// table entry for every window, keeping the one it needs with a mask, so
-// its instruction stream and memory addresses are the same for every
-// exponent. The reductions x mod p and Garner's recombination stay in
-// math/big; their operands are the blinded input and the result.
+// The kernel paths do not: they run a fixed 4-bit window over all 512
+// bits, multiply on every window (digit 0 included), and read every
+// table entry for every window, keeping the one each half needs with a
+// mask, so their instruction stream and memory addresses are the same
+// for every exponent. The lanes of one ammX8 call hold the elements of
+// one ExpBatch, which the key manager fills from one request. The
+// reductions x mod p and Garner's recombination stay in math/big; their
+// operands are the blinded input and the result.
 package rsacrt
 
 //go:generate go run gen.go
@@ -36,48 +40,88 @@ import (
 // Key is an RSA private key prepared for Exp. It is as secret as the
 // key it was built from.
 type Key struct {
-	priv *rsa.PrivateKey
-	crt  bool   // priv carries the two-prime CRT values
-	p, q *prime // nil unless the Montgomery kernel applies
+	priv  *rsa.PrivateKey
+	crt   bool     // priv carries the two-prime CRT values
+	lanes *laneKey // nil unless ammX8 applies
+	p, q  *prime   // nil unless montMul512 applies and ammX8 does not
 }
 
-// New prepares priv for Exp. The kernel applies when the CPU supports
-// it, priv carries the standard two-prime CRT values (rsa.GenerateKey
-// and the x509 parsers always populate them) and both primes are exactly
-// 512 bits.
+// New prepares priv for Exp. A kernel applies when priv carries the
+// standard two-prime CRT values (rsa.GenerateKey and the x509 parsers
+// always populate them) and both primes are exactly 512 bits: ammX8 when
+// the CPU supports it, montMul512 when it supports only that.
 func New(priv *rsa.PrivateKey) *Key {
 	pre := &priv.Precomputed
 	k := &Key{priv: priv, crt: len(priv.Primes) == 2 && pre.Dp != nil && pre.Dq != nil && pre.Qinv != nil}
-	if useKernel && k.crt && priv.Primes[0].BitLen() == 512 && priv.Primes[1].BitLen() == 512 {
+	if !k.crt || priv.Primes[0].BitLen() != 512 || priv.Primes[1].BitLen() != 512 {
+		return k
+	}
+	switch {
+	case useIFMA:
+		k.lanes = newLaneKey(priv.Primes[0], priv.Primes[1], pre.Dp, pre.Dq)
+	case useKernel:
 		k.p, k.q = newPrime(priv.Primes[0], pre.Dp), newPrime(priv.Primes[1], pre.Dq)
 	}
 	return k
 }
 
-// Exp returns x^d mod N for 0 <= x < N: two half-size exponentiations
-// recombined with Garner's formula, ~3-4x faster than the full-width
-// exponentiation. The full-width path is a safety net for keys without
-// CRT values.
+// Exp returns x^d mod N for 0 <= x < N. It is ExpBatch of one.
 func (k *Key) Exp(x *big.Int) *big.Int {
+	return k.ExpBatch([]*big.Int{x})[0]
+}
+
+// ExpBatch returns x^d mod N for every 0 <= x < N in xs: per x, two
+// half-size exponentiations recombined with Garner's formula, ~3-4x
+// faster than the full-width exponentiation. On ammX8 one call runs the
+// halves of perVec inputs together. The full-width path is a safety net
+// for keys without CRT values.
+func (k *Key) ExpBatch(xs []*big.Int) []*big.Int {
 	priv := k.priv
+	out := make([]*big.Int, len(xs))
 	if !k.crt {
-		return new(big.Int).Exp(x, priv.D, priv.N)
+		for i, x := range xs {
+			out[i] = new(big.Int).Exp(x, priv.D, priv.N)
+		}
+		return out
 	}
 	pre := &priv.Precomputed
 	p, q := priv.Primes[0], priv.Primes[1]
-	// m1 = x^(d mod p-1) mod p, m2 = x^(d mod q-1) mod q.
-	var m1, m2 *big.Int
-	if k.p != nil {
-		m1, m2 = k.p.exp(x), k.q.exp(x)
-	} else {
-		m1 = new(big.Int).Exp(x, pre.Dp, p)
-		m2 = new(big.Int).Exp(x, pre.Dq, q)
+	if k.lanes != nil {
+		w := aligned64[laneScratch]()
+		for lo := 0; lo < len(xs); lo += perVec {
+			w.x = vec{} // lanes past the batch's end hold 0
+			group := xs[lo:min(lo+perVec, len(xs))]
+			for i, x := range group {
+				setLane(&w.x, 2*i, new(big.Int).Mod(x, p))
+				setLane(&w.x, 2*i+1, new(big.Int).Mod(x, q))
+			}
+			k.lanes.exp(w)
+			for i := range group {
+				out[lo+i] = k.garner(laneInt(&w.x, 2*i), laneInt(&w.x, 2*i+1))
+			}
+		}
+		return out
 	}
-	// Garner: h = qInv * (m1 - m2) mod p; y = m2 + h*q.
+	for i, x := range xs {
+		// m1 = x^(d mod p-1) mod p, m2 = x^(d mod q-1) mod q.
+		var m1, m2 *big.Int
+		if k.p != nil {
+			m1, m2 = k.p.exp(x), k.q.exp(x)
+		} else {
+			m1, m2 = new(big.Int).Exp(x, pre.Dp, p), new(big.Int).Exp(x, pre.Dq, q)
+		}
+		out[i] = k.garner(m1, m2)
+	}
+	return out
+}
+
+// garner recombines m1 = x^d mod p and m2 = x^d mod q into x^d mod N:
+// h = qInv * (m1 - m2) mod p; y = m2 + h*q.
+func (k *Key) garner(m1, m2 *big.Int) *big.Int {
 	h := new(big.Int).Sub(m1, m2)
-	h.Mul(h, pre.Qinv)
-	h.Mod(h, p) // Euclidean Mod: in [0, p) even when m1 < m2
-	y := h.Mul(h, q)
+	h.Mul(h, k.priv.Precomputed.Qinv)
+	h.Mod(h, k.priv.Primes[0]) // Euclidean Mod: in [0, p) even when m1 < m2
+	y := h.Mul(h, k.priv.Primes[1])
 	return y.Add(y, m2)
 }
 
@@ -125,12 +169,12 @@ func (h *prime) exp(x *big.Int) *big.Int {
 	}
 
 	var acc, entry nat
-	selectEntry(&acc, &table, h.digit(0))
+	selectEntry(&acc, &table, digit(&h.d, 0))
 	for i := 1; i < digits; i++ {
 		for s := 0; s < window; s++ {
 			montMul512(&acc, &acc, &acc, &h.m, h.k0)
 		}
-		selectEntry(&entry, &table, h.digit(i))
+		selectEntry(&entry, &table, digit(&h.d, i))
 		montMul512(&acc, &acc, &entry, &h.m, h.k0)
 	}
 	one := nat{1}
@@ -138,10 +182,10 @@ func (h *prime) exp(x *big.Int) *big.Int {
 	return limbsInt(acc[:])
 }
 
-// digit returns the exponent's i-th 4-bit digit, most significant first.
-// The position is public; only the value is secret.
-func (h *prime) digit(i int) int {
-	return int(h.d[i/2]>>(4-window*(i%2))) & (1<<window - 1)
+// digit returns the i-th 4-bit digit of the big-endian exponent d, most
+// significant first. The position is public; only the value is secret.
+func digit(d *[64]byte, i int) int {
+	return int(d[i/2]>>(4-window*(i%2))) & (1<<window - 1)
 }
 
 // selectEntry sets dst to table[idx] without letting idx choose which

@@ -12,19 +12,15 @@ import (
 	"testing"
 )
 
-// paths runs f once on the Montgomery kernel (when this machine has it)
-// and once on the forced math/big fallback.
+// paths runs f once on each private-key path this machine has: ammX8,
+// montMul512 and math/big.
 func paths(t *testing.T, f func(t *testing.T)) {
-	t.Run("kernel", func(t *testing.T) {
-		if !useKernel {
-			t.Skip("CPU lacks BMI2/ADX")
-		}
-		f(t)
-	})
-	t.Run("fallback", func(t *testing.T) {
-		forceFallback(t)
-		f(t)
-	})
+	for _, path := range Paths() {
+		t.Run(path, func(t *testing.T) {
+			ForcePath(t, path)
+			f(t)
+		})
+	}
 }
 
 // TestExpMatchesFullExponent checks Garner recombination, and the
@@ -38,8 +34,8 @@ func TestExpMatchesFullExponent(t *testing.T) {
 	}
 	paths(t, func(t *testing.T) {
 		k := New(priv)
-		if KernelEnabled(k) != useKernel {
-			t.Fatalf("kernel prepared = %v, want %v", KernelEnabled(k), useKernel)
+		if KernelEnabled(k) != useKernel || IFMAEnabled(k) != useIFMA {
+			t.Fatalf("kernel prepared = %v (IFMA %v), want %v (IFMA %v)", KernelEnabled(k), IFMAEnabled(k), useKernel, useIFMA)
 		}
 		stripped := New(&rsa.PrivateKey{PublicKey: priv.PublicKey, D: priv.D})
 		nm1 := new(big.Int).Sub(priv.N, big.NewInt(1))
@@ -94,12 +90,27 @@ func testPrimes() []*big.Int {
 	}
 }
 
-// checkPrimeExp compares the kernel's x^e mod p with big.Int.Exp.
+// checkPrimeExp compares the kernels' x^e mod p with big.Int.Exp:
+// montMul512's, and ammX8's with p in all eight lanes.
 func checkPrimeExp(t *testing.T, p, x, e *big.Int) {
 	t.Helper()
 	want := new(big.Int).Exp(x, e, p)
 	if got := newPrime(p, e).exp(x); got.Cmp(want) != 0 {
 		t.Fatalf("kernel %x^%x mod %x = %x, want %x", x, e, p, got, want)
+	}
+	if !useIFMA {
+		return
+	}
+	w := aligned64[laneScratch]()
+	xm := new(big.Int).Mod(x, p)
+	for l := 0; l < lanes; l++ {
+		setLane(&w.x, l, xm)
+	}
+	newLaneKey(p, p, e, e).exp(w)
+	for l := 0; l < lanes; l++ {
+		if got := laneInt(&w.x, l); got.Cmp(want) != 0 {
+			t.Fatalf("ammX8 lane %d: %x^%x mod %x = %x, want %x", l, x, e, p, got, want)
+		}
 	}
 }
 
@@ -361,5 +372,20 @@ func BenchmarkPublicExpFallback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pub.Exp(x)
+	}
+}
+
+// BenchmarkExpBatch is BenchmarkExp in a batch of 1024, the key
+// manager's request size; ns/op is per element.
+func BenchmarkExpBatch(b *testing.B) {
+	priv, x := benchKey(b)
+	k := New(priv)
+	xs := make([]*big.Int, 1024)
+	for i := range xs {
+		xs[i] = new(big.Int).Add(x, big.NewInt(int64(i)))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(xs) {
+		k.ExpBatch(xs[:min(len(xs), b.N-i)])
 	}
 }
