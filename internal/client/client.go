@@ -293,6 +293,7 @@ func New(ctx context.Context, cfg Config) (*Client, error) {
 	kmOpts := []keymanager.ClientOption{
 		keymanager.WithBatchSize(cfg.KeyGenBatch),
 		keymanager.WithRetryPolicy(cfg.Retry),
+		keymanager.WithCallTimeout(cfg.CallTimeout),
 	}
 	if cache != nil {
 		kmOpts = append(kmOpts, keymanager.WithCache(cache))
@@ -428,9 +429,11 @@ func (c *Client) retryDelta(before RetryStats) RetryStats {
 
 // --- per-call deadlines ---
 
-// rpc derives the context one network call runs under: the caller's
+// rpc derives the context one storage call runs under: the caller's
 // context, bounded by Config.CallTimeout when one is set. The returned
-// cancel must always be called.
+// cancel must always be called. Key-manager calls get the same bound
+// inside the key-manager client (keymanager.WithCallTimeout), once per
+// round trip.
 func (c *Client) rpc(ctx context.Context) (context.Context, context.CancelFunc) {
 	if c.cfg.CallTimeout > 0 {
 		return context.WithTimeout(ctx, c.cfg.CallTimeout)
@@ -454,12 +457,6 @@ func (c *Client) deleteBlob(ctx context.Context, conn *server.Client, ns, name s
 	rctx, cancel := c.rpc(ctx)
 	defer cancel()
 	return conn.DeleteBlob(rctx, ns, name)
-}
-
-func (c *Client) generateKeys(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
-	rctx, cancel := c.rpc(ctx)
-	defer cancel()
-	return c.km.GenerateKeys(rctx, fps)
 }
 
 // --- results ---

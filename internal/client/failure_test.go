@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"net"
 	"testing"
 	"time"
 
@@ -155,5 +156,64 @@ func TestDownloadAfterDataLoss(t *testing.T) {
 	}
 	if _, err := c.Download(ctx, "/lost"); err == nil {
 		t.Fatal("download succeeded after container loss")
+	}
+}
+
+// slowWriteConn delays every write by delay, so each request on the
+// connection takes at least that long.
+type slowWriteConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c slowWriteConn) Write(p []byte) (int, error) {
+	time.Sleep(c.delay)
+	return c.Conn.Write(p)
+}
+
+// TestCallTimeoutBoundsEachKeyManagerCall: CallTimeout bounds every
+// key-manager RPC, not a segment's whole key generation. Each round trip
+// to the key manager takes 0.6 × CallTimeout, and the one segment
+// uploaded needs three batches, so a deadline over all of them expires
+// on a healthy key manager.
+func TestCallTimeoutBoundsEachKeyManagerCall(t *testing.T) {
+	cluster := startCluster(t)
+	const timeout = 500 * time.Millisecond
+	dial := func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil || addr != cluster.KMAddr {
+			return conn, err
+		}
+		return slowWriteConn{Conn: conn, delay: timeout * 6 / 10}, nil
+	}
+	owner, err := keyreg.NewOwner(keyreg.DefaultBits, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(ctx, Config{
+		UserID:         "alice",
+		Scheme:         core.SchemeBasic,
+		DataServers:    cluster.DataAddrs,
+		KeyStoreServer: cluster.KeyAddr,
+		KeyManager:     cluster.KMAddr,
+		PrivateKey:     cluster.Authority.IssueKey("alice", []string{"alice"}),
+		Directory:      cluster.Authority,
+		Owner:          owner,
+		Dialer:         dial,
+		FixedChunkSize: 4 << 10,
+		KeyGenBatch:    4,
+		CallTimeout:    timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	data := randomFile(t, 12*4<<10, 71) // 12 chunks: three batches of four
+	res, err := c.Upload(ctx, "/f", bytes.NewReader(data), policy.OrOfUsers([]string{"alice"}))
+	if err != nil {
+		t.Fatalf("upload with %v per key-manager round trip and a %v CallTimeout: %v", timeout*6/10, timeout, err)
+	}
+	if res.Segments != 1 || res.Chunks != 12 {
+		t.Fatalf("upload split into %d segments of %d chunks, want 1 segment of 12", res.Segments, res.Chunks)
 	}
 }

@@ -81,9 +81,7 @@ func (c *Client) ClusterMetricsBySource(ctx context.Context) ([]SourceMetrics, e
 	if c.cfg.Metrics != nil {
 		out = append(out, SourceMetrics{Source: "client", Snapshot: c.cfg.Metrics.Snapshot()})
 	}
-	rctx, cancel := c.rpc(ctx)
-	s, err := c.km.Metrics(rctx)
-	cancel()
+	s, err := c.km.Metrics(ctx) // the key-manager client applies CallTimeout
 	if err != nil {
 		return nil, fmt.Errorf("client: key manager metrics: %w", err)
 	}

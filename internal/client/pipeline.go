@@ -428,7 +428,7 @@ func (c *Client) upload(ctx context.Context, path string, src chunkSource, pol *
 			for i := range seg.chunks {
 				fps[i] = seg.chunks[i].fpPlain
 			}
-			keys, err := c.generateKeys(pctx, fps)
+			keys, err := c.km.GenerateKeys(pctx, fps)
 			if err != nil {
 				fail.fail(fmt.Errorf("client: key generation: %w", err))
 				return

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"time"
 
 	"repro/internal/fingerprint"
 	"repro/internal/keycache"
@@ -58,8 +59,9 @@ type Client struct {
 	mux    *rpcmux.Redialer
 	params oprf.PublicParams
 
-	batchSize int
-	cache     *keycache.Cache
+	batchSize   int
+	cache       *keycache.Cache
+	callTimeout time.Duration
 }
 
 // ClientOption configures a Client.
@@ -68,10 +70,11 @@ type ClientOption interface {
 }
 
 type clientConfig struct {
-	batchSize int
-	cache     *keycache.Cache
-	dialer    Dialer
-	retry     retry.Policy
+	batchSize   int
+	cache       *keycache.Cache
+	dialer      Dialer
+	retry       retry.Policy
+	callTimeout time.Duration
 }
 
 type batchSizeOption int
@@ -106,6 +109,15 @@ func (o retryOption) applyClient(c *clientConfig) { c.retry = o.p }
 // mid-session connection faults (zero value: retry package defaults).
 func WithRetryPolicy(p retry.Policy) ClientOption { return retryOption{p: p} }
 
+type callTimeoutOption time.Duration
+
+func (o callTimeoutOption) applyClient(c *clientConfig) { c.callTimeout = time.Duration(o) }
+
+// WithCallTimeout bounds every RPC the client makes: each runs under its
+// caller's context plus this deadline, so a GenerateKeys of several
+// batches gets it once per round trip. Zero, the default, sets none.
+func WithCallTimeout(d time.Duration) ClientOption { return callTimeoutOption(d) }
+
 // Dial connects to the key manager at addr and fetches its public
 // parameters. ctx bounds the initial connection attempt and the
 // parameter fetch; it does not govern the connection's lifetime.
@@ -135,9 +147,10 @@ func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, erro
 	}
 	redial := func() (net.Conn, error) { return dial(addr) }
 	c := &Client{
-		mux:       rpcmux.NewRedialer(conn, redial, 256<<10, 256<<10, cfg.retry),
-		batchSize: cfg.batchSize,
-		cache:     cfg.cache,
+		mux:         rpcmux.NewRedialer(conn, redial, 256<<10, 256<<10, cfg.retry),
+		batchSize:   cfg.batchSize,
+		cache:       cfg.cache,
+		callTimeout: cfg.callTimeout,
 	}
 	if err := c.fetchParams(ctx); err != nil {
 		c.mux.Close()
@@ -195,8 +208,13 @@ func (c *Client) fetchParams(ctx context.Context) error {
 // fault. Cancelling a call waiting
 // for its response abandons just that call; cancellation that
 // interrupts the request frame write retires the connection and the
-// next call redials.
+// next call redials. The call timeout, if set, bounds each call.
 func (c *Client) call(ctx context.Context, typ proto.MsgType, payload []byte) ([]byte, error) {
+	if c.callTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.callTimeout)
+		defer cancel()
+	}
 	resp, err := c.mux.Call(ctx, typ, payload)
 	if err != nil {
 		var re *proto.RemoteError
@@ -298,20 +316,24 @@ func (c *Client) generateBatch(ctx context.Context, fps []fingerprint.Fingerprin
 	return nil
 }
 
-// finalizeBatch unblinds and verifies a batch of responses; each
-// finalize is an independent verification exponentiation.
+// finalizeBatch unblinds and verifies a batch of responses in parts of
+// finalizePart, each an oprf.FinalizeBatch.
 func (c *Client) finalizeBatch(unblinders []*oprf.Unblinder, responses [][]byte, keys [][]byte, idx []int) error {
-	return fanOut(len(idx), 1, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			key, err := oprf.Finalize(c.params, unblinders[i], responses[i])
-			if err != nil {
-				return fmt.Errorf("keymanager: finalize: %w", err)
-			}
-			keys[idx[i]] = key
+	return fanOut(len(idx), finalizePart, func(lo, hi int) error {
+		out, err := oprf.FinalizeBatch(c.params, unblinders[lo:hi], responses[lo:hi])
+		if err != nil {
+			return fmt.Errorf("keymanager: finalize elements %d to %d: %w", lo, hi-1, err)
+		}
+		for i, key := range out {
+			keys[idx[lo+i]] = key
 		}
 		return nil
 	})
 }
+
+// finalizePart is the responses one fanOut part of finalizeBatch takes:
+// the eight that fill internal/rsacrt's public-side batch kernel.
+const finalizePart = 8
 
 // DeriveKey implements mle.KeyDeriver for single-chunk callers (the
 // interface carries no context, so the call is not cancellable).

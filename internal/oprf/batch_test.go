@@ -3,9 +3,11 @@ package oprf
 import (
 	"bytes"
 	"crypto/rsa"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"strings"
 	"testing"
 )
 
@@ -160,6 +162,84 @@ func TestBlindBatchFallsBackWhenNotInvertible(t *testing.T) {
 	}
 }
 
+// TestFinalizeBatchMatchesFinalize finishes batches of several sizes,
+// on the prepared parameters and on a struct literal, with one
+// FinalizeBatch and with a Finalize per element, and checks both against
+// the direct derivation.
+func TestFinalizeBatchMatchesFinalize(t *testing.T) {
+	k := serverKey(t)
+	prepared := k.PublicParams()
+	for _, p := range []PublicParams{prepared, {N: prepared.N, E: prepared.E}} {
+		for _, n := range []int{0, 1, 7, 8, 9, 17} {
+			fps := batchFingerprints(n)
+			blinded, us, err := BlindBatch(p, fps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resps, err := k.EvaluateBatch(blinded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, err := FinalizeBatch(p, us, resps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) != n {
+				t.Fatalf("batch of %d returned %d keys", n, len(keys))
+			}
+			finishBatch(t, k, p, fps, blinded, us)
+			for i, fp := range fps {
+				direct, err := k.Derive(fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(keys[i], direct) {
+					t.Fatalf("batch of %d, element %d: FinalizeBatch differs from direct derivation", n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestFinalizeBatchRejectsBeforeExponentiating puts a tampered response
+// at index 2 and N at index 5 of a batch: FinalizeBatch must refuse it
+// for element 5's range before it verifies element 2. A nil unblinder
+// and a failed verification are named by index too.
+func TestFinalizeBatchRejectsBeforeExponentiating(t *testing.T) {
+	k := serverKey(t)
+	p := k.PublicParams()
+	blinded, us, err := BlindBatch(p, batchFingerprints(9), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resps, err := k.EvaluateBatch(blinded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resps[2][len(resps[2])-1] ^= 1
+	good := resps[5]
+	resps[5] = p.N.Bytes()
+	keys, err := FinalizeBatch(p, us, resps)
+	if !errors.Is(err, ErrBadElement) || keys != nil {
+		t.Fatalf("FinalizeBatch = %d keys, %v; want none and ErrBadElement", len(keys), err)
+	}
+	if !strings.Contains(err.Error(), "element 5") {
+		t.Fatalf("error %q does not name element 5", err)
+	}
+
+	resps[5] = good
+	if _, err := FinalizeBatch(p, us, resps); !errors.Is(err, ErrVerifyFailed) || !strings.Contains(err.Error(), "element 2") {
+		t.Fatalf("error %v; want ErrVerifyFailed naming element 2", err)
+	}
+	us[7] = nil
+	if _, err := FinalizeBatch(p, us, resps); err == nil || !strings.Contains(err.Error(), "element 7") {
+		t.Fatalf("error %v; want one naming the nil unblinder at element 7", err)
+	}
+	if _, err := FinalizeBatch(p, us[:3], resps); err == nil {
+		t.Fatal("FinalizeBatch accepted 3 unblinders for 9 responses")
+	}
+}
+
 func TestBlindBatchRejectsBadParams(t *testing.T) {
 	if _, _, err := BlindBatch(PublicParams{}, batchFingerprints(2), nil); err == nil {
 		t.Fatal("expected error for invalid params")
@@ -167,10 +247,11 @@ func TestBlindBatchRejectsBadParams(t *testing.T) {
 }
 
 // BenchmarkKeygenPerChunk measures end-to-end MLE keygen cost for one
-// 8 KiB chunk — blinding in batches of 1 024 (the client's default batch
-// size), CRT server evaluate, finalize — and reports it as MB/s of chunk
-// data keyed. This is the paper's Exp#1 bottleneck (12-14 MB/s on their
-// testbed); the committed BENCH_oprf baseline ratchets it.
+// 8 KiB chunk as the client and key manager run it, in batches of 1 024
+// (the client's default batch size): BlindBatch, EvaluateBatch,
+// FinalizeBatch. It reports MB/s of chunk data keyed. This is the
+// paper's Exp#1 bottleneck (12-14 MB/s on their testbed); the committed
+// BENCH_oprf baseline ratchets it.
 func BenchmarkKeygenPerChunk(b *testing.B) {
 	k := serverKey(b)
 	p := k.PublicParams()
@@ -191,14 +272,34 @@ func BenchmarkKeygenPerChunk(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := range blinded {
-			resp, err := k.Evaluate(blinded[i])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := Finalize(p, us[i], resp); err != nil {
-				b.Fatal(err)
-			}
+		resps, err := k.EvaluateBatch(blinded)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := FinalizeBatch(p, us, resps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFinalizeBatch is the client's finalize cost per chunk in a
+// batch of 1 024; ns/op is per element.
+func BenchmarkFinalizeBatch(b *testing.B) {
+	k := serverKey(b)
+	p := k.PublicParams()
+	blinded, us, err := BlindBatch(p, batchFingerprints(1024), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resps, err := k.EvaluateBatch(blinded)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for done := 0; done < b.N; done += len(us) {
+		n := min(len(us), b.N-done)
+		if _, err := FinalizeBatch(p, us[:n], resps[:n]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

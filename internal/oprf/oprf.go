@@ -228,17 +228,16 @@ func Blind(p PublicParams, fp []byte, randSrc io.Reader) ([]byte, *Unblinder, er
 // BlindBatch blinds every fingerprint in fps, drawing one fresh blinding
 // factor r per fingerprint from randSrc (nil: crypto/rand.Reader), in
 // order. It returns the elements to send to the key manager and the
-// state Finalize needs for each.
+// state Finalize needs for each. rᵉ and m·rᵉ run through rsacrt's batch
+// calls, eight elements at a time where the CPU allows.
 //
 // The factors are inverted together, with one modular inversion for the
-// batch (Montgomery's trick): prefix products r₀···rᵢ, one ModInverse
-// of the whole product, then one walk back that peels off each rᵢ⁻¹.
-// If the product shares a factor with N — some r hit a prime of the key
-// manager's modulus, which would also factor it — the batch falls back
-// to inverting each r on its own and redrawing any r without an inverse.
-// A batch of one therefore reads randSrc in the same order as a draw
-// that inverts each r as it goes; the committed blinding fixtures pin
-// that order.
+// batch (Montgomery's trick; see invertBatch). If the product shares a
+// factor with N — some r hit a prime of the key manager's modulus, which
+// would also factor it — the batch falls back to inverting each r on its
+// own and redrawing any r without an inverse. A batch of one therefore
+// reads randSrc in the same order as a draw that inverts each r as it
+// goes; the committed blinding fixtures pin that order.
 //
 // Each factor is used once: reuse across protocol runs would let the key
 // manager link the blinded elements.
@@ -265,13 +264,16 @@ func BlindBatch(p PublicParams, fps [][]byte, randSrc io.Reader) ([][]byte, []*U
 			return nil, nil, err
 		}
 	}
+	ms := make([]*big.Int, len(fps))
+	for i, fp := range fps {
+		ms[i] = fdh(fp, p.N)
+	}
+	xs := pub.MulBatch(ms, pub.ExpBatch(rs)) // x = m * r^e mod N
 	blinded := make([][]byte, len(fps))
 	us := make([]*Unblinder, len(fps))
-	for i, fp := range fps {
-		// x = m * r^e mod N.
-		m := fdh(fp, p.N)
-		blinded[i] = padToModulus(pub.Mul(m, pub.Exp(rs[i])), p.N)
-		us[i] = &Unblinder{rInv: rInvs[i], m: m}
+	for i, x := range xs {
+		blinded[i] = padToModulus(x, p.N)
+		us[i] = &Unblinder{rInv: rInvs[i], m: ms[i]}
 	}
 	return blinded, us, nil
 }
@@ -289,28 +291,64 @@ func drawFactor(n *big.Int, randSrc io.Reader) (*big.Int, error) {
 	}
 }
 
+// chains is how many interleaved chains invertBatch runs: one per lane
+// of rsacrt's batch kernel.
+const chains = 8
+
 // invertBatch returns rᵢ⁻¹ mod N for every rᵢ with one ModInverse, or
-// nil when their product has no inverse.
+// nil when their product has no inverse. It is Montgomery's trick run as
+// eight interleaved chains, element i in chain i mod 8, so each step of
+// the prefix products and of the walk back is one MulBatch over eight
+// elements; the eight chain products are inverted by the trick again,
+// as one chain.
 func invertBatch(pub *rsacrt.Public, rs []*big.Int) []*big.Int {
-	if len(rs) == 0 {
+	return invertChains(pub, rs, chains)
+}
+
+// invertChains is invertBatch over w interleaved chains.
+func invertChains(pub *rsacrt.Public, rs []*big.Int, w int) []*big.Int {
+	n := len(rs)
+	if n == 0 {
 		return []*big.Int{}
 	}
-	prefix := make([]*big.Int, len(rs)) // prefix[i] = r₀···rᵢ mod N
-	prefix[0] = rs[0]
-	for i := 1; i < len(rs); i++ {
-		prefix[i] = pub.Mul(prefix[i-1], rs[i])
+	w = min(w, n)
+	// prefix[i] = rᵢ·rᵢ₋w·rᵢ₋₂w··· mod N, chain i mod w up to element i.
+	prefix := make([]*big.Int, n)
+	copy(prefix, rs[:w])
+	for lo := w; lo < n; lo += w {
+		hi := min(lo+w, n)
+		copy(prefix[lo:hi], pub.MulBatch(prefix[lo-w:hi-w], rs[lo:hi]))
 	}
-	inv := new(big.Int).ModInverse(prefix[len(rs)-1], pub.N) // (r₀···rₙ₋₁)⁻¹
-	if inv == nil {
-		return nil
+
+	// inv[c] = (chain c's product)⁻¹. The last w prefixes are the w chain
+	// products, element n-w+k closing chain (n-w+k) mod w.
+	inv := make([]*big.Int, w)
+	if w == 1 {
+		if inv[0] = new(big.Int).ModInverse(prefix[n-1], pub.N); inv[0] == nil {
+			return nil
+		}
+	} else {
+		tops := invertChains(pub, prefix[n-w:], 1)
+		if tops == nil {
+			return nil
+		}
+		for k, v := range tops {
+			inv[(n-w+k)%w] = v
+		}
 	}
-	out := make([]*big.Int, len(rs))
-	for i := len(rs) - 1; i > 0; i-- {
-		// inv = (r₀···rᵢ)⁻¹, so rᵢ⁻¹ = inv·r₀···rᵢ₋₁.
-		out[i] = pub.Mul(inv, prefix[i-1])
-		inv = pub.Mul(inv, rs[i])
+
+	// Walk back one row of w elements at a time. For element i = lo+c,
+	// inv[c] = (prefix[i])⁻¹, so rᵢ⁻¹ = inv[c]·prefix[i-w], and
+	// inv[c]·rᵢ = (prefix[i-w])⁻¹ is the chain's next inverse. Both
+	// products of a row go in one MulBatch.
+	out := make([]*big.Int, n)
+	for lo := (n - 1) / w * w; lo > 0; lo -= w {
+		k := min(lo+w, n) - lo
+		prod := pub.MulBatch(append(inv[:k:k], inv[:k]...), append(prefix[lo-w:lo-w+k:lo-w+k], rs[lo:lo+k]...))
+		copy(out[lo:], prod[:k])
+		copy(inv, prod[k:])
 	}
-	out[0] = inv
+	copy(out, inv)
 	return out
 }
 
@@ -335,25 +373,49 @@ func invertEach(n *big.Int, rs []*big.Int, randSrc io.Reader) ([]*big.Int, error
 }
 
 // Finalize unblinds the key manager's response, verifies it, and derives
-// the MLE key.
+// the MLE key. It is FinalizeBatch of one.
 func Finalize(p PublicParams, u *Unblinder, response []byte) ([]byte, error) {
-	if u == nil {
-		return nil, errors.New("oprf: nil unblinder")
+	keys, err := FinalizeBatch(p, []*Unblinder{u}, [][]byte{response})
+	if err != nil {
+		return nil, err
 	}
-	y := new(big.Int).SetBytes(response)
-	if y.Cmp(p.N) >= 0 {
-		return nil, ErrBadElement
+	return keys[0], nil
+}
+
+// FinalizeBatch unblinds every response with its unblinder, verifies it,
+// and derives the MLE keys, in order. It checks every unblinder is set
+// and every response is below N before it exponentiates any, and names
+// the first that is not; a failed verification names its element too.
+// s = y·r⁻¹ and the check sᵉ == m run through rsacrt's batch calls.
+func FinalizeBatch(p PublicParams, us []*Unblinder, responses [][]byte) ([][]byte, error) {
+	if len(us) != len(responses) {
+		return nil, fmt.Errorf("oprf: %d unblinders for %d responses", len(us), len(responses))
+	}
+	ys := make([]*big.Int, len(us))
+	rInvs := make([]*big.Int, len(us))
+	for i, u := range us {
+		if u == nil {
+			return nil, fmt.Errorf("oprf: nil unblinder (element %d)", i)
+		}
+		ys[i] = new(big.Int).SetBytes(responses[i])
+		if ys[i].Cmp(p.N) >= 0 {
+			return nil, fmt.Errorf("%w (element %d)", ErrBadElement, i)
+		}
+		rInvs[i] = u.rInv
 	}
 	pub := p.arith()
-	s := pub.Mul(y, u.rInv)
+	ss := pub.MulBatch(ys, rInvs)
 
 	// Verify s^e == m: a malicious key manager cannot hand back garbage.
-	if pub.Exp(s).Cmp(u.m) != 0 {
-		return nil, ErrVerifyFailed
+	keys := make([][]byte, len(ss))
+	for i, se := range pub.ExpBatch(ss) {
+		if se.Cmp(us[i].m) != 0 {
+			return nil, fmt.Errorf("%w (element %d)", ErrVerifyFailed, i)
+		}
+		key := sha256.Sum256(padToModulus(ss[i], p.N))
+		keys[i] = key[:]
 	}
-
-	key := sha256.Sum256(padToModulus(s, p.N))
-	return key[:], nil
+	return keys, nil
 }
 
 // Derive computes the unblinded OPRF output directly with the server key,

@@ -123,9 +123,9 @@ func TestPathsAgree(t *testing.T) {
 	}
 }
 
-// TestKernelSelection logs which private-key kernels this machine runs,
-// so a CI log shows when a runner lacks IFMA and its test skipped, and
-// checks New prepares the test key for the fastest one.
+// TestKernelSelection logs which kernels this machine runs, so a CI log
+// shows when a runner lacks IFMA and its test skipped, and checks New
+// and NewPublic prepare the test keys for the fastest ones.
 func TestKernelSelection(t *testing.T) {
 	t.Logf("private-key paths on this machine: %v (ammX8 %v, montMul512 %v)", Paths(), useIFMA, useKernel)
 	k := New(testKey(t))
@@ -134,6 +134,18 @@ func TestKernelSelection(t *testing.T) {
 	}
 	if useIFMA && k.p != nil {
 		t.Fatal("key prepared for both ammX8 and montMul512")
+	}
+	pub := NewPublic(testModuli()[0], big.NewInt(65537))
+	t.Logf("public path on this machine: %s (ammX8w %v, montMul1024 %v)", PublicPath(pub), useIFMA && useKernel, useKernel)
+	want := "fallback"
+	switch {
+	case useIFMA && useKernel:
+		want = "ifma"
+	case useKernel:
+		want = "mulx"
+	}
+	if got := PublicPath(pub); got != want {
+		t.Fatalf("public key prepared for %s, want %s", got, want)
 	}
 }
 
@@ -156,5 +168,96 @@ func FuzzExpBatchMatchesBig(f *testing.F) {
 			raw = raw[1+n:]
 		}
 		checkBatch(t, k, priv, xs)
+	})
+}
+
+// checkPublicBatch compares ExpBatch and MulBatch with big.Int on every
+// element, caching big.Int's answers by input.
+func checkPublicBatch(t *testing.T, pub *Public, xs, ys []*big.Int) {
+	t.Helper()
+	n, e := pub.N, pub.E
+	exps, muls := pub.ExpBatch(xs), pub.MulBatch(xs, ys)
+	if len(exps) != len(xs) || len(muls) != len(xs) {
+		t.Fatalf("%d inputs gave %d powers and %d products", len(xs), len(exps), len(muls))
+	}
+	type pair struct{ x, y *big.Int }
+	wantExp := make(map[*big.Int]*big.Int)
+	wantMul := make(map[pair]*big.Int)
+	for i, x := range xs {
+		if wantExp[x] == nil {
+			wantExp[x] = new(big.Int).Exp(x, e, n)
+		}
+		if exps[i].Cmp(wantExp[x]) != 0 {
+			t.Fatalf("%s: batch of %d, element %d: %x^%v mod N = %x, want %x", PublicPath(pub), len(xs), i, x, e, exps[i], wantExp[x])
+		}
+		k := pair{x, ys[i]}
+		if wantMul[k] == nil {
+			v := new(big.Int).Mul(x, ys[i])
+			wantMul[k] = v.Mod(v, n)
+		}
+		if muls[i].Cmp(wantMul[k]) != 0 {
+			t.Fatalf("%s: batch of %d, element %d: %x·%x mod N = %x, want %x", PublicPath(pub), len(xs), i, x, ys[i], muls[i], wantMul[k])
+		}
+	}
+}
+
+// TestPublicBatchLaneTails runs ExpBatch and MulBatch at sizes around
+// the eight elements one ammX8w call holds and at the client's batch
+// size, with the values 0, 1, 2, N-1 and N rotated through every lane,
+// on every committed modulus and every path.
+func TestPublicBatchLaneTails(t *testing.T) {
+	paths(t, func(t *testing.T) {
+		for _, n := range testModuli() {
+			for _, e := range publicExps {
+				pub := NewPublic(n, big.NewInt(e))
+				if got, want := PublicPath(pub), Paths()[0]; got != want {
+					t.Fatalf("modulus prepared for %s, want %s", got, want)
+				}
+				edges := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(n, big.NewInt(1)), n}
+				for _, size := range []int{0, 1, 7, 8, 9, 1024} {
+					for r := range edges {
+						xs, ys := make([]*big.Int, size), make([]*big.Int, size)
+						for i := range xs {
+							xs[i] = edges[(i+r)%len(edges)]
+							ys[i] = edges[(i+r+2)%len(edges)]
+						}
+						checkPublicBatch(t, pub, xs, ys)
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzPublicExpBatchMatchesBig checks fuzz-chosen batches of up to 17
+// inputs of any length, reduced mod N, against big.Int on every path,
+// for every committed modulus and exponent. raw is a sequence of
+// length-prefixed big-endian inputs; MulBatch multiplies each input by
+// the next.
+func FuzzPublicExpBatchMatchesBig(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 2, 0, 128}, uint8(1))
+	f.Add(append([]byte{255}, bytes.Repeat([]byte{0xff}, 255)...), uint8(2))
+	f.Add(bytes.Repeat([]byte{3, 1, 0, 1}, 17), uint8(3))
+	f.Add(bytes.Repeat(append([]byte{128}, bytes.Repeat([]byte{0x80}, 128)...), 9), uint8(4))
+	moduli := testModuli()
+	f.Fuzz(func(t *testing.T, raw []byte, which uint8) {
+		n := moduli[int(which)%len(moduli)]
+		e := big.NewInt(publicExps[int(which)/len(moduli)%len(publicExps)])
+		var xs []*big.Int
+		for len(xs) < 17 && len(raw) > 0 {
+			k := min(int(raw[0]), len(raw)-1)
+			x := new(big.Int).SetBytes(raw[1 : 1+k])
+			xs = append(xs, x.Mod(x, n))
+			raw = raw[1+k:]
+		}
+		ys := make([]*big.Int, len(xs))
+		for i := range xs {
+			ys[i] = xs[(i+1)%len(xs)]
+		}
+		for _, path := range Paths() {
+			ForcePath(t, path) // each path only disables more than the last
+			checkPublicBatch(t, NewPublic(n, e), xs, ys)
+		}
 	})
 }

@@ -11,16 +11,17 @@ func forceFallback(t testing.TB) {
 	t.Cleanup(func() { useKernel = saved })
 }
 
-// forceMULX makes New prepare keys for montMul512, not ammX8, until the
-// test ends.
+// forceMULX makes New prepare keys for montMul512, not ammX8, and
+// NewPublic for montMul1024 alone, until the test ends.
 func forceMULX(t testing.TB) {
 	saved := useIFMA
 	useIFMA = false
 	t.Cleanup(func() { useIFMA = saved })
 }
 
-// Paths names the private-key paths this machine runs, fastest first:
-// "ifma" (ammX8), "mulx" (montMul512) and "fallback" (math/big).
+// Paths names the paths this machine runs, fastest first: "ifma" (ammX8,
+// and ammX8w for public batches), "mulx" (montMul512 and montMul1024)
+// and "fallback" (math/big).
 func Paths() []string {
 	var out []string
 	if useIFMA {
@@ -32,8 +33,8 @@ func Paths() []string {
 	return append(out, "fallback")
 }
 
-// ForcePath makes New prepare keys for path, one of Paths, until the
-// test ends. "fallback" moves NewPublic to math/big too.
+// ForcePath makes New and NewPublic prepare keys for path, one of Paths,
+// until the test ends.
 func ForcePath(t testing.TB, path string) {
 	switch path {
 	case "mulx":
@@ -53,3 +54,14 @@ func IFMAEnabled(k *Key) bool { return k.lanes != nil }
 // PublicKernelEnabled reports whether NewPublic prepared pub for the
 // 1024-bit kernel.
 func PublicKernelEnabled(pub *Public) bool { return pub.mont != nil }
+
+// PublicPath names the path NewPublic prepared pub for, as Paths does.
+func PublicPath(pub *Public) string {
+	switch {
+	case pub.mont == nil:
+		return "fallback"
+	case pub.mont.x8 == nil:
+		return "mulx"
+	}
+	return "ifma"
+}

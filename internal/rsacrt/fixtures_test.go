@@ -112,7 +112,9 @@ func (s *fixtureStream) Read(p []byte) (int, error) {
 
 // TestOPRFBlindFinalizeFixtureOnEveryPath replays blind_finalize.hex:
 // BlindBatch of oprf's sixteen fixture fingerprints under its stream,
-// one EvaluateBatch, and a Finalize of each answer.
+// one EvaluateBatch, then one FinalizeBatch of all sixteen answers, one
+// of the last nine (a full group of eight and a single) and a Finalize
+// of each.
 func TestOPRFBlindFinalizeFixtureOnEveryPath(t *testing.T) {
 	want := readHex(t, "../oprf/testdata/blind_finalize.hex")
 	fps := make([][]byte, len(want))
@@ -133,6 +135,14 @@ func TestOPRFBlindFinalizeFixtureOnEveryPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			all, err := oprf.FinalizeBatch(p, us, ys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail, err := oprf.FinalizeBatch(p, us[7:], ys[7:])
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range fps {
 				key, err := oprf.Finalize(p, us[i], ys[i])
 				if err != nil {
@@ -141,13 +151,17 @@ func TestOPRFBlindFinalizeFixtureOnEveryPath(t *testing.T) {
 				if got := append(blinded[i], key...); !bytes.Equal(got, want[i]) {
 					t.Fatalf("line %d differs from blind_finalize.hex", i)
 				}
+				if !bytes.Equal(all[i], key) || i >= 7 && !bytes.Equal(tail[i-7], key) {
+					t.Fatalf("line %d: FinalizeBatch differs from blind_finalize.hex", i)
+				}
 			}
 		})
 	}
 }
 
 // TestKeyregWindFixtureOnEveryPath replays winds.hex: three winds of the
-// committed owner, and an unwind of the newest state to every version.
+// committed owner, an unwind of the newest state to every version, and
+// every one-step unwind at once through Public.ExpBatch.
 func TestKeyregWindFixtureOnEveryPath(t *testing.T) {
 	want := readHex(t, "../keyreg/testdata/winds.hex")
 	b, err := os.ReadFile("../keyreg/testdata/owner.bin")
@@ -175,6 +189,20 @@ func TestKeyregWindFixtureOnEveryPath(t *testing.T) {
 				}
 				if !bytes.Equal(got.Marshal(), want[i]) {
 					t.Fatalf("unwind to version %d differs from winds.hex", st.Version)
+				}
+			}
+			pk := o.Public()
+			pub := rsacrt.NewPublic(pk.N, pk.E)
+			if got := rsacrt.PublicPath(pub); got != path {
+				t.Fatalf("public key prepared for %s, want %s", got, path)
+			}
+			var newer []*big.Int
+			for _, st := range states[1:] {
+				newer = append(newer, new(big.Int).SetBytes(st.Value))
+			}
+			for i, v := range pub.ExpBatch(newer) {
+				if !bytes.Equal(v.FillBytes(make([]byte, len(states[i].Value))), states[i].Value) {
+					t.Fatalf("ExpBatch's unwind of version %d differs from winds.hex", states[i+1].Version)
 				}
 			}
 		})

@@ -55,6 +55,14 @@
 // every limb to 52 bits. y stays in ten registers and m is read from
 // memory by the reduction row.
 //
+// ammX8w is the same loop widened to twenty limbs, R = 2¹⁰⁴⁰, for the
+// public side's 1024-bit modulus, with one modulus for all eight lanes:
+// m and k0 are read as broadcast operands, and as the 21-limb
+// accumulator takes 21 registers, each row reads y from memory. One
+// emitter, amm, writes both. spreadX8w and packX8w convert eight
+// values between 64-bit words and ammX8w's limbs, packX8w after one
+// branch-free subtraction per lane.
+//
 // selectX8 copies, per lane, the table entry that lane's exponent digit
 // names. It loads all sixteen entries in full and keeps each lane's with
 // a VPCMPEQQ mask on a register move, so neither its instructions nor
@@ -208,77 +216,128 @@ func (e *emitter) montMul1024() {
 	e.op("RET")
 }
 
-// Registers of ammX8 and selectX8. Z10-Z15 are left alone: X15 is the
+// Registers of the 8-lane kernels. Z10-Z15 are left alone: X15 is the
 // Go ABI's zero register.
 const (
-	x8Limbs = 10
-	zPtr    = "DI"
-	x8XPtr  = "SI"
-	x8MPtr  = "CX"
-	zK0     = "Z27"
-	zX      = "Z28"
-	zQ      = "Z29"
-	zTmp    = "Z30"
-	zMask   = "Z31"
+	zPtr   = "DI"
+	x8XPtr = "SI"
+	x8YPtr = "AX"
+	x8MPtr = "CX"
+	zK0    = "Z27"
+	zX     = "Z28"
+	zQ     = "Z29"
+	zTmp   = "Z30"
+	zMask  = "Z31"
 )
 
-// zy holds y, limb by limb; zAcc is the eleven-limb accumulator.
+// zy holds ammX8's y, limb by limb, and selectX8's result.
+var zy = [10]string{"Z0", "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9"}
+
+// amm describes one almost-Montgomery kernel over eight lanes of n
+// 52-bit limbs.
+type amm struct {
+	name, signature string
+	n               int
+	// acc is the n+1-limb accumulator.
+	acc []string
+	// y holds y in registers, loaded once; nil reads each limb of y from
+	// memory in every row.
+	y []string
+	// shared: m and k0 are one modulus for every lane, n words and a
+	// word, read as broadcast operands; otherwise each lane has its own,
+	// a vec of limbs and *[8]uint64.
+	shared bool
+}
+
+// ammX8 is the private side's kernel: the CRT halves of four
+// evaluations, each lane with its own 512-bit prime. ammX8w is the
+// public side's: eight elements under one 1024-bit modulus. Twenty limbs
+// of y do not fit beside a 21-limb accumulator, so ammX8w reads y from
+// memory; the modulus and k0 are broadcast from one copy.
 var (
-	zy   = [x8Limbs]string{"Z0", "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9"}
-	zAcc = [x8Limbs + 1]string{"Z16", "Z17", "Z18", "Z19", "Z20", "Z21", "Z22", "Z23", "Z24", "Z25", "Z26"}
+	ammX8 = amm{
+		name:      "ammX8",
+		signature: "z, x, y, m *[10][8]uint64, k0 *[8]uint64",
+		n:         10,
+		acc:       []string{"Z16", "Z17", "Z18", "Z19", "Z20", "Z21", "Z22", "Z23", "Z24", "Z25", "Z26"},
+		y:         zy[:],
+	}
+	ammX8w = amm{
+		name:      "ammX8w",
+		signature: "z, x, y *[20][8]uint64, m *[20]uint64, k0 uint64",
+		n:         20,
+		acc: []string{"Z0", "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9",
+			"Z16", "Z17", "Z18", "Z19", "Z20", "Z21", "Z22", "Z23", "Z24", "Z25", "Z26"},
+		shared: true,
+	}
 )
 
-// tz names ammX8's accumulator limb k during row i.
-func tz(i, k int) string { return zAcc[(i+k)%len(zAcc)] }
+// t names accumulator limb k during row i.
+func (a amm) t(i, k int) string { return a.acc[(i+k)%len(a.acc)] }
 
-// madd52 adds the 104-bit products src·mul into the accumulator: the low
-// 52 bits of each into t[j], the high 52 into t[j+1].
-func (e *emitter) madd52(i int, src func(j int) string, mul string) {
-	for j := 0; j < x8Limbs; j++ {
-		e.op("VPMADD52LUQ %s, %s, %s", src(j), mul, tz(i, j))
-		e.op("VPMADD52HUQ %s, %s, %s", src(j), mul, tz(i, j+1))
+// madd52 adds the 104-bit products src(j)·mul into the accumulator: the
+// low 52 bits of each into t[j], the high 52 into t[j+1]. suffix marks a
+// broadcast memory operand.
+func (e *emitter) madd52(a amm, i int, src func(j int) string, suffix, mul string) {
+	for j := 0; j < a.n; j++ {
+		e.op("VPMADD52LUQ%s %s, %s, %s", suffix, src(j), mul, a.t(i, j))
+		e.op("VPMADD52HUQ%s %s, %s, %s", suffix, src(j), mul, a.t(i, j+1))
 	}
 }
 
-func (e *emitter) ammX8() {
-	e.WriteString("// func ammX8(z, x, y, m *[10][8]uint64, k0 *[8]uint64)\n")
-	e.WriteString("TEXT ·ammX8(SB), NOSPLIT, $0-40\n")
+func (e *emitter) amm(a amm) {
+	e.WriteString(fmt.Sprintf("// func %s(%s)\n", a.name, a.signature))
+	e.WriteString(fmt.Sprintf("TEXT ·%s(SB), NOSPLIT, $0-40\n", a.name))
 	e.op("MOVQ x+8(FP), %s", x8XPtr)
-	e.op("MOVQ y+16(FP), AX")
+	e.op("MOVQ y+16(FP), %s", x8YPtr)
 	e.op("MOVQ m+24(FP), %s", x8MPtr)
-	e.op("MOVQ k0+32(FP), BX")
-	for j, r := range zy {
-		e.op("VMOVDQU64 %d(AX), %s", 64*j, r)
+	y := func(j int) string { return fmt.Sprintf("%d(%s)", 64*j, x8YPtr) }
+	m := func(j int) string { return fmt.Sprintf("%d(%s)", 64*j, x8MPtr) }
+	mSuffix := ""
+	if a.shared {
+		m = func(j int) string { return fmt.Sprintf("%d(%s)", 8*j, x8MPtr) }
+		mSuffix = ".BCST"
+		e.op("VPBROADCASTQ k0+32(FP), %s", zK0)
+	} else {
+		e.op("MOVQ k0+32(FP), BX")
 	}
-	e.op("VMOVDQU64 (BX), %s", zK0)
-	for _, r := range zAcc {
+	if a.y != nil {
+		for j, r := range a.y {
+			e.op("VMOVDQU64 %s, %s", y(j), r)
+		}
+		y = func(j int) string { return a.y[j] }
+	}
+	if !a.shared {
+		e.op("VMOVDQU64 (BX), %s", zK0)
+	}
+	for _, r := range a.acc {
 		e.op("VPXORQ %s, %s, %s", r, r, r)
 	}
-	for i := 0; i < x8Limbs; i++ {
+	for i := 0; i < a.n; i++ {
 		e.WriteString(fmt.Sprintf("\n\t// Row %d: t += x[%d] * y; t = (t + q*m) / 2⁵².\n", i, i))
 		e.op("VMOVDQU64 %d(%s), %s", 64*i, x8XPtr, zX)
-		e.madd52(i, func(j int) string { return zy[j] }, zX)
+		e.madd52(a, i, y, "", zX)
 		e.op("VPXORQ %s, %s, %s", zQ, zQ, zQ)
-		e.op("VPMADD52LUQ %s, %s, %s", zK0, tz(i, 0), zQ)
-		e.madd52(i, func(j int) string { return fmt.Sprintf("%d(%s)", 64*j, x8MPtr) }, zQ)
-		e.op("VPSRLQ $52, %s, %s", tz(i, 0), zTmp)
-		e.op("VPADDQ %s, %s, %s", zTmp, tz(i, 1), tz(i, 1))
-		e.op("VPXORQ %s, %s, %s", tz(i, 0), tz(i, 0), tz(i, 0)) // the next row's t[10]
+		e.op("VPMADD52LUQ %s, %s, %s", zK0, a.t(i, 0), zQ)
+		e.madd52(a, i, m, mSuffix, zQ)
+		e.op("VPSRLQ $52, %s, %s", a.t(i, 0), zTmp)
+		e.op("VPADDQ %s, %s, %s", zTmp, a.t(i, 1), a.t(i, 1))
+		e.op("VPXORQ %s, %s, %s", a.t(i, 0), a.t(i, 0), a.t(i, 0)) // the next row's t[n]
 	}
 
-	// The result is t(10, 0..9) and below 2⁵¹³, so limb 9 takes the last
-	// carry without overflowing 52 bits.
+	// The result is t(n, 0..n-1) and below 2m, which leaves limb n-1
+	// room for the last carry without overflowing 52 bits.
 	e.WriteString("\n\t// Carry every limb into the next; z = t.\n")
 	e.op("MOVQ z+0(FP), %s", zPtr)
 	e.op("MOVQ $0xfffffffffffff, AX")
 	e.op("VPBROADCASTQ AX, %s", zMask)
-	for k := 0; k < x8Limbs-1; k++ {
-		e.op("VPSRLQ $52, %s, %s", tz(x8Limbs, k), zTmp)
-		e.op("VPADDQ %s, %s, %s", zTmp, tz(x8Limbs, k+1), tz(x8Limbs, k+1))
-		e.op("VPANDQ %s, %s, %s", zMask, tz(x8Limbs, k), tz(x8Limbs, k))
-		e.op("VMOVDQU64 %s, %d(%s)", tz(x8Limbs, k), 64*k, zPtr)
+	for k := 0; k < a.n-1; k++ {
+		e.op("VPSRLQ $52, %s, %s", a.t(a.n, k), zTmp)
+		e.op("VPADDQ %s, %s, %s", zTmp, a.t(a.n, k+1), a.t(a.n, k+1))
+		e.op("VPANDQ %s, %s, %s", zMask, a.t(a.n, k), a.t(a.n, k))
+		e.op("VMOVDQU64 %s, %d(%s)", a.t(a.n, k), 64*k, zPtr)
 	}
-	e.op("VMOVDQU64 %s, %d(%s)", tz(x8Limbs, x8Limbs-1), 64*(x8Limbs-1), zPtr)
+	e.op("VMOVDQU64 %s, %d(%s)", a.t(a.n, a.n-1), 64*(a.n-1), zPtr)
 	e.op("VZEROUPPER")
 	e.op("RET")
 }
@@ -306,13 +365,92 @@ func (e *emitter) selectX8() {
 		e.op("VMOVDQU64 %s, K1, %s", zTmp, r)
 	}
 	e.op("VPADDQ %s, %s, %s", zMask, zQ, zQ)
-	e.op("ADDQ $%d, %s", 64*x8Limbs, x8XPtr)
+	e.op("ADDQ $%d, %s", 64*len(zy), x8XPtr)
 	e.op("DECQ BX")
 	e.op("JNZ entry")
 
 	e.op("MOVQ dst+0(FP), %s", zPtr)
 	for l, r := range zy {
 		e.op("VMOVDQU64 %s, %d(%s)", r, 64*l, zPtr)
+	}
+	e.op("VZEROUPPER")
+	e.op("RET")
+}
+
+// words1024 is the number of 64-bit words in a 1024-bit value.
+// spreadX8w and packX8w keep the destination in DI, the source in SI and
+// the modulus in CX; Z0 and Z1 hold a limb or word in the making, Z2 the
+// borrow.
+const words1024 = 16
+
+// spreadX8w cuts eight 1024-bit values, src[j][l] word j of lane l, into
+// ammX8w's twenty 52-bit limbs. Limb i is bits 52i to 52i+51: the top of
+// word 52i/64 and, unless it fits there, the bottom of the next. src has
+// a seventeenth row, zero, for limb 19's next word.
+func (e *emitter) spreadX8w() {
+	e.WriteString("// func spreadX8w(dst *[20][8]uint64, src *[17][8]uint64)\n")
+	e.WriteString("TEXT ·spreadX8w(SB), NOSPLIT, $0-16\n")
+	e.op("MOVQ dst+0(FP), %s", zPtr)
+	e.op("MOVQ src+8(FP), %s", x8XPtr)
+	e.op("MOVQ $0xfffffffffffff, AX")
+	e.op("VPBROADCASTQ AX, %s", zMask)
+	for i := 0; i < ammX8w.n; i++ {
+		j, s := 52*i/64, 52*i%64
+		e.op("VPSRLQ $%d, %d(%s), Z0", s, 64*j, x8XPtr)
+		if s > 64-52 {
+			e.op("VPSLLQ $%d, %d(%s), Z1", 64-s, 64*(j+1), x8XPtr)
+			e.op("VPORQ Z1, Z0, Z0")
+		}
+		e.op("VPANDQ %s, Z0, Z0", zMask)
+		e.op("VMOVDQU64 Z0, %d(%s)", 64*i, zPtr)
+	}
+	e.op("VZEROUPPER")
+	e.op("RET")
+}
+
+// packX8w is spreadX8w's inverse for results below 2m: it first takes
+// every lane of src to src mod m, computing src - m with a borrow chain
+// and, in the lanes where that does not borrow, writing it over src, then
+// joins the limbs into sixteen words. Word k is bits 64k to 64k+63:
+// limb 64k/52 shifted down and the next one or two shifted up.
+func (e *emitter) packX8w() {
+	n := ammX8w.n
+	e.WriteString("// func packX8w(dst *[17][8]uint64, src *[20][8]uint64, m *[20]uint64)\n")
+	e.WriteString("TEXT ·packX8w(SB), NOSPLIT, $0-24\n")
+	e.op("MOVQ dst+0(FP), %s", zPtr)
+	e.op("MOVQ src+8(FP), %s", x8XPtr)
+	e.op("MOVQ m+16(FP), %s", x8MPtr)
+	e.op("MOVQ $0xfffffffffffff, AX")
+	e.op("VPBROADCASTQ AX, %s", zMask)
+	// diff leaves limb i of src - m in Z0 and its borrow in Z2.
+	diff := func(i int) {
+		e.op("VMOVDQU64 %d(%s), Z0", 64*i, x8XPtr)
+		e.op("VPSUBQ.BCST %d(%s), Z0, Z0", 8*i, x8MPtr)
+		e.op("VPSUBQ Z2, Z0, Z0")
+		e.op("VPSRLQ $63, Z0, Z2")
+	}
+	e.WriteString("\n\t// K1 = the lanes where src - m does not borrow.\n")
+	e.op("VPXORQ Z2, Z2, Z2")
+	for i := 0; i < n; i++ {
+		diff(i)
+	}
+	e.op("VPTESTNMQ Z2, Z2, K1")
+	e.WriteString("\n\t// src = src - m in those lanes.\n")
+	e.op("VPXORQ Z2, Z2, Z2")
+	for i := 0; i < n; i++ {
+		diff(i)
+		e.op("VPANDQ %s, Z0, Z0", zMask)
+		e.op("VMOVDQU64 Z0, K1, %d(%s)", 64*i, x8XPtr)
+	}
+	e.WriteString("\n\t// dst = the limbs joined into words.\n")
+	for k := 0; k < words1024; k++ {
+		i, o := 64*k/52, 64*k%52
+		e.op("VPSRLQ $%d, %d(%s), Z0", o, 64*i, x8XPtr)
+		for next := i + 1; 52*(next-i)-o < 64 && next < n; next++ {
+			e.op("VPSLLQ $%d, %d(%s), Z1", 52*(next-i)-o, 64*next, x8XPtr)
+			e.op("VPORQ Z1, Z0, Z0")
+		}
+		e.op("VMOVDQU64 Z0, %d(%s)", 64*k, zPtr)
 	}
 	e.op("VZEROUPPER")
 	e.op("RET")
@@ -381,9 +519,15 @@ func generate() []byte {
 	e.WriteString("\n")
 	e.montMul1024()
 	e.WriteString("\n")
-	e.ammX8()
+	e.amm(ammX8)
+	e.WriteString("\n")
+	e.amm(ammX8w)
 	e.WriteString("\n")
 	e.selectX8()
+	e.WriteString("\n")
+	e.spreadX8w()
+	e.WriteString("\n")
+	e.packX8w()
 	return e.Bytes()
 }
 

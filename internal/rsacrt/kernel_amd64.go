@@ -21,6 +21,26 @@ func montMul1024(z, x, y, m *[16]uint64, k0 uint64)
 //go:noescape
 func ammX8(z, x, y, m *vec, k0 *[lanes]uint64)
 
+// ammX8w is ammX8 for twenty limbs and one modulus: each lane l of z
+// becomes x·y·2⁻¹⁰⁴⁰ mod m, almost, a value below 2m for x, y < 2m, for
+// an odd m < 2¹⁰³⁸ in 52-bit limbs and k0 = -m⁻¹ mod 2⁵². z may alias x
+// or y. It needs AVX512F and AVX512IFMA.
+//
+//go:noescape
+func ammX8w(z, x, y *wideVec, m *[limbs1040]uint64, k0 uint64)
+
+// spreadX8w cuts src, eight values below 2¹⁰²⁴ with src[j][l] word j of
+// lane l and row 16 zero, into ammX8w's limbs.
+//
+//go:noescape
+func spreadX8w(dst *wideVec, src *wideWords)
+
+// packX8w takes every lane of src, below 2m, to src mod m in place, and
+// writes it to rows 0-15 of dst as words, spreadX8w's layout.
+//
+//go:noescape
+func packX8w(dst *wideWords, src *wideVec, m *[limbs1040]uint64)
+
 // selectX8 sets each lane l of dst to that lane of table[idx[l]], reading
 // every entry in full whatever the digits are.
 //
@@ -33,8 +53,8 @@ func xgetbv() (eax, edx uint32)
 
 // useKernel reports whether New and NewPublic may prepare keys for
 // montMul512 and montMul1024: CPUID leaf 7 must report BMI2 (EBX bit 8)
-// and ADX (EBX bit 19). useIFMA reports whether New may prepare them for
-// ammX8: leaf 7 must report AVX512F (EBX bit 16) and AVX512IFMA (EBX bit
+// and ADX (EBX bit 19). useIFMA reports whether New and NewPublic may
+// prepare them for ammX8 and ammX8w: leaf 7 must report AVX512F (EBX bit 16) and AVX512IFMA (EBX bit
 // 21), and the OS must save the opmask and zmm state (OSXSAVE, leaf 1 ECX
 // bit 27, and XCR0 bits 1, 2 and 5-7).
 var useKernel, useIFMA = func() (mulx, ifma bool) {

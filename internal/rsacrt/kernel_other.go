@@ -18,6 +18,18 @@ func ammX8(z, x, y, m *vec, k0 *[lanes]uint64) {
 	panic("rsacrt: no Montgomery kernel on this architecture")
 }
 
+func ammX8w(z, x, y *wideVec, m *[limbs1040]uint64, k0 uint64) {
+	panic("rsacrt: no Montgomery kernel on this architecture")
+}
+
 func selectX8(dst *vec, table *[1 << window]vec, idx *[lanes]uint64) {
+	panic("rsacrt: no Montgomery kernel on this architecture")
+}
+
+func spreadX8w(dst *wideVec, src *wideWords) {
+	panic("rsacrt: no Montgomery kernel on this architecture")
+}
+
+func packX8w(dst *wideWords, src *wideVec, m *[limbs1040]uint64) {
 	panic("rsacrt: no Montgomery kernel on this architecture")
 }

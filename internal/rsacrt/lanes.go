@@ -2,6 +2,7 @@ package rsacrt
 
 import (
 	"math/big"
+	"sync"
 	"unsafe"
 )
 
@@ -35,6 +36,11 @@ type laneScratch struct {
 	table         [1 << window]vec
 	acc, entry, x vec
 }
+
+// laneScratchPool keeps laneScratch between calls: the key manager runs
+// an ExpBatch for every four evaluations, and a fresh 12 KB scratch for
+// each was a measurable share of its cost.
+var laneScratchPool = sync.Pool{New: func() any { return aligned64[laneScratch]() }}
 
 // aligned64 returns a new zeroed T at a 64-byte boundary, so every row
 // of a vec in it is one cache line and no kernel load straddles two. T

@@ -9,9 +9,10 @@
 // runs on a hand-written Montgomery kernel in montmul_amd64.s, emitted by
 // gen.go: ammX8 when the CPU has AVX-512 IFMA, which runs eight halves,
 // four evaluations, at once (lanes.go); otherwise montMul512 when it has
-// BMI2 and ADX. The public side runs on a 1024-bit kernel (montMul1024,
-// same file) on BMI2 and ADX. Every other key, and every other CPU,
-// takes math/big.
+// BMI2 and ADX. The public side runs a batch's elements eight at a time
+// on ammX8w when the CPU has AVX-512 IFMA, and single elements, or every
+// element when it has only BMI2 and ADX, on montMul1024 (same file).
+// Every other key, and every other CPU, takes math/big.
 //
 // Timing. The exponents d mod (p-1) and d mod (q-1) are the key
 // manager's root secret; blinding the input hides the fingerprint from
@@ -87,7 +88,8 @@ func (k *Key) ExpBatch(xs []*big.Int) []*big.Int {
 	pre := &priv.Precomputed
 	p, q := priv.Primes[0], priv.Primes[1]
 	if k.lanes != nil {
-		w := aligned64[laneScratch]()
+		w := laneScratchPool.Get().(*laneScratch)
+		defer laneScratchPool.Put(w)
 		for lo := 0; lo < len(xs); lo += perVec {
 			w.x = vec{} // lanes past the batch's end hold 0
 			group := xs[lo:min(lo+perVec, len(xs))]

@@ -262,14 +262,39 @@ func TestPublicKernelOnlyForOdd1024BitModuli(t *testing.T) {
 	}
 }
 
-// TestLimbsRoundTrip checks the big.Int ↔ limb conversion on this
-// platform's word size, including values with leading zero limbs.
+// TestLimbsRoundTrip checks the big.Int ↔ limb conversions on this
+// platform's word size, including values with leading zero limbs: 64-bit
+// limbs, and on an IFMA CPU ammX8w's lanes, in every lane.
 func TestLimbsRoundTrip(t *testing.T) {
-	for _, v := range append(testModuli(), big.NewInt(0), big.NewInt(1), new(big.Int).Lsh(big.NewInt(0xabcdef), 500)) {
+	values := append(testModuli(), big.NewInt(0), big.NewInt(1), new(big.Int).Lsh(big.NewInt(0xabcdef), 500))
+	for _, v := range values {
 		var w wide
 		setLimbs(w[:], v)
 		if got := limbsInt(w[:]); got.Cmp(v) != 0 {
 			t.Fatalf("limbs round trip of %x gave %x", v, got)
+		}
+	}
+	if !useIFMA {
+		return
+	}
+	var top [limbs1040]uint64 // 2¹⁰⁴⁰-1: packX8w subtracts nothing below it
+	for i := range top {
+		top[i] = mask52
+	}
+	for r := range values {
+		var xs []*big.Int
+		for l := 0; l < lanes; l++ {
+			xs = append(xs, values[(r+l)%len(values)])
+		}
+		var words wideWords
+		var limbs wideVec
+		words.set(xs)
+		spreadX8w(&limbs, &words)
+		packX8w(&words, &limbs, &top)
+		for l, got := range words.ints(lanes) {
+			if got.Cmp(xs[l]) != 0 {
+				t.Fatalf("lane %d round trip of %x gave %x", l, xs[l], got)
+			}
 		}
 	}
 }
@@ -387,5 +412,20 @@ func BenchmarkExpBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(xs) {
 		k.ExpBatch(xs[:min(len(xs), b.N-i)])
+	}
+}
+
+// BenchmarkPublicExpBatch is BenchmarkPublicExp in a batch of 1024, the
+// client's batch size; ns/op is per element.
+func BenchmarkPublicExpBatch(b *testing.B) {
+	priv, x := benchKey(b)
+	pub := NewPublic(priv.N, big.NewInt(int64(priv.E)))
+	xs := make([]*big.Int, 1024)
+	for i := range xs {
+		xs[i] = new(big.Int).Add(x, big.NewInt(int64(i)))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(xs) {
+		pub.ExpBatch(xs[:min(len(xs), b.N-i)])
 	}
 }
