@@ -22,16 +22,13 @@ vet-bench:
 	$(GO) -C bench test -run TestManifest ./...
 
 # vet-reed runs the project's own static-analysis suite (tools/reed-vet):
-# key-material hygiene, context-first APIs, lock-scope discipline, metric
-# naming, retry-path error classification, buffer-pool lifecycle, and
-# secret zeroization. See DESIGN.md
-# "Static analysis". Exits non-zero on any diagnostic. The suite then
-# self-hosts: the analyzers run over their own module too, so the tool
-# is held to the invariants it enforces. Set VET_SARIF=<repo-relative path> to also write a SARIF
-# 2.1.0 log for the main-module run (CI uploads it as an artifact).
-VET_SARIF ?=
+# six analyzers: key-material hygiene, context-first APIs, lock-scope
+# discipline, metric naming, retry-path error classification, and secret
+# zeroization. See DESIGN.md "Static analysis". Exits non-zero on any
+# diagnostic. The suite then self-hosts: the analyzers run over their
+# own module too, so the tool is held to the invariants it enforces.
 vet-reed:
-	cd tools/reed-vet && $(GO) run . -dir ../.. $(if $(VET_SARIF),-sarif ../../$(VET_SARIF)) ./...
+	cd tools/reed-vet && $(GO) run . -dir ../.. ./...
 	cd tools/reed-vet && $(GO) run . -dir . ./...
 
 # vet-reed-test runs the analyzer suite's own tests: golden-file fixture

@@ -26,9 +26,14 @@ func startDeployment(t *testing.T) (dataAddrs string, keyAddr, kmAddr string) {
 	go func() { _ = km.Serve(kmLn) }()
 	t.Cleanup(km.Shutdown)
 
+	// Two data servers, then the key-store server.
 	var addrs []string
-	for i := 0; i < 2; i++ {
-		srv, err := reed.NewStorageServer(reed.NewMemoryBackend())
+	for i := 0; i < 3; i++ {
+		backend, err := reed.OpenBackend(context.Background(), "mem://")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := reed.OpenStorageServer(context.Background(), backend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,18 +46,7 @@ func startDeployment(t *testing.T) (dataAddrs string, keyAddr, kmAddr string) {
 		addrs = append(addrs, ln.Addr().String())
 	}
 
-	keySrv, err := reed.NewStorageServer(reed.NewMemoryBackend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = keySrv.Serve(keyLn) }()
-	t.Cleanup(func() { _ = keySrv.Shutdown() })
-
-	return addrs[0] + "," + addrs[1], keyLn.Addr().String(), kmLn.Addr().String()
+	return addrs[0] + "," + addrs[1], addrs[2], kmLn.Addr().String()
 }
 
 // TestCLIWorkflow drives the complete CLI surface: provisioning, upload,

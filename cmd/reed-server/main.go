@@ -12,10 +12,9 @@
 //	reed-server -listen :9000 -backend http://10.0.0.5:9100/reed
 //
 // The default backend (mem://) lives in memory and vanishes on exit
-// (useful for experiments). -dir DIR remains as a deprecated alias for
-// -backend disk://DIR. On startup the server recovers its dedup index
-// from the last checkpoint plus the write-ahead log, so a kill -9 loses
-// no acknowledged data on a durable backend.
+// (useful for experiments). On startup the server recovers its dedup
+// index from the last checkpoint plus the write-ahead log, so a kill -9
+// loses no acknowledged data on a durable backend.
 package main
 
 import (
@@ -40,24 +39,14 @@ func main() {
 
 func run() error {
 	var (
-		listen     = flag.String("listen", ":9000", "address to listen on")
-		backendDSN = flag.String("backend", "", "backend DSN: mem://, disk:///path, or http://host/bucket (default mem://)")
-		dir        = flag.String("dir", "", "storage directory (deprecated alias for -backend disk://DIR)")
-		adminAddr  = flag.String("admin", "", "admin HTTP address for /metrics, /healthz, /debug/pprof (e.g. 127.0.0.1:9090; empty = disabled)")
+		listen    = flag.String("listen", ":9000", "address to listen on")
+		dsn       = flag.String("backend", "mem://", "backend DSN: mem://, disk:///path, or http://host/bucket")
+		adminAddr = flag.String("admin", "", "admin HTTP address for /metrics, /healthz, /debug/pprof (e.g. 127.0.0.1:9090; empty = disabled)")
 	)
 	flag.Parse()
 	ctx := context.Background()
 
-	dsn := *backendDSN
-	switch {
-	case dsn != "" && *dir != "":
-		return fmt.Errorf("-backend and -dir are mutually exclusive")
-	case dsn == "" && *dir != "":
-		dsn = "disk://" + *dir
-	case dsn == "":
-		dsn = "mem://"
-	}
-	backend, err := reed.OpenBackend(ctx, dsn)
+	backend, err := reed.OpenBackend(ctx, *dsn)
 	if err != nil {
 		return err
 	}
@@ -71,7 +60,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	log.Printf("storage server listening on %s (backend=%s)", ln.Addr(), dsn)
+	log.Printf("storage server listening on %s (backend=%s)", ln.Addr(), *dsn)
 
 	if *adminAddr != "" {
 		adm, err := reed.StartAdmin(*adminAddr, reg.Snapshot, nil)

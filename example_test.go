@@ -28,12 +28,14 @@ func Example() {
 	go func() { _ = km.Serve(kmLn) }()
 	defer km.Shutdown()
 
-	dataSrv, _ := reed.NewStorageServer(reed.NewMemoryBackend())
+	dataBackend, _ := reed.OpenBackend(ctx, "mem://")
+	dataSrv, _ := reed.OpenStorageServer(ctx, dataBackend)
 	dataLn, _ := net.Listen("tcp", "127.0.0.1:0")
 	go func() { _ = dataSrv.Serve(dataLn) }()
 	defer dataSrv.Shutdown()
 
-	keySrv, _ := reed.NewStorageServer(reed.NewMemoryBackend())
+	keyBackend, _ := reed.OpenBackend(ctx, "mem://")
+	keySrv, _ := reed.OpenStorageServer(ctx, keyBackend)
 	keyLn, _ := net.Listen("tcp", "127.0.0.1:0")
 	go func() { _ = keySrv.Serve(keyLn) }()
 	defer keySrv.Shutdown()

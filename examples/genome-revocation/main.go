@@ -175,8 +175,15 @@ func startDeployment() (dataAddrs []string, keyAddr, kmAddr string, authority *r
 	}
 	shutdowns = append(shutdowns, km.Shutdown)
 
-	for i := 0; i < 2; i++ {
-		srv, err := reed.NewStorageServer(reed.NewMemoryBackend())
+	// Two data servers, then the key-store server.
+	ctx := context.Background()
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		backend, err := reed.OpenBackend(ctx, "mem://")
+		if err != nil {
+			return nil, "", "", nil, shutdown, err
+		}
+		srv, err := reed.OpenStorageServer(ctx, backend)
 		if err != nil {
 			return nil, "", "", nil, shutdown, err
 		}
@@ -185,18 +192,9 @@ func startDeployment() (dataAddrs []string, keyAddr, kmAddr string, authority *r
 			return nil, "", "", nil, shutdown, err
 		}
 		shutdowns = append(shutdowns, func() { _ = srv.Shutdown() })
-		dataAddrs = append(dataAddrs, addr)
+		addrs = append(addrs, addr)
 	}
-
-	keySrv, err := reed.NewStorageServer(reed.NewMemoryBackend())
-	if err != nil {
-		return nil, "", "", nil, shutdown, err
-	}
-	keyAddr, err = serve(func(ln net.Listener) error { return keySrv.Serve(ln) })
-	if err != nil {
-		return nil, "", "", nil, shutdown, err
-	}
-	shutdowns = append(shutdowns, func() { _ = keySrv.Shutdown() })
+	dataAddrs, keyAddr = addrs[:2], addrs[2]
 
 	authority, err = reed.NewAuthority()
 	if err != nil {

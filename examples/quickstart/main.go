@@ -42,9 +42,15 @@ func run() error {
 	defer km.Shutdown()
 	fmt.Println("key manager:     ", kmAddr)
 
-	var dataAddrs []string
-	for i := 0; i < 2; i++ {
-		srv, err := reed.NewStorageServer(reed.NewMemoryBackend())
+	// Three in-memory storage servers: two hold data, the third holds
+	// key states (the key store).
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		backend, err := reed.OpenBackend(ctx, "mem://")
+		if err != nil {
+			return err
+		}
+		srv, err := reed.OpenStorageServer(ctx, backend)
 		if err != nil {
 			return err
 		}
@@ -53,19 +59,10 @@ func run() error {
 			return err
 		}
 		defer srv.Shutdown()
-		dataAddrs = append(dataAddrs, addr)
-		fmt.Printf("data server %d:    %s\n", i, addr)
+		addrs = append(addrs, addr)
 	}
-
-	keySrv, err := reed.NewStorageServer(reed.NewMemoryBackend())
-	if err != nil {
-		return err
-	}
-	keyAddr, err := serve(func(ln net.Listener) error { return keySrv.Serve(ln) })
-	if err != nil {
-		return err
-	}
-	defer keySrv.Shutdown()
+	dataAddrs, keyAddr := addrs[:2], addrs[2]
+	fmt.Println("data servers:    ", dataAddrs)
 	fmt.Println("key-store server:", keyAddr)
 
 	// --- Access control: the authority issues per-user credentials. ---

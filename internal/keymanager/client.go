@@ -288,13 +288,7 @@ func (c *Client) generateBatch(ctx context.Context, fps []fingerprint.Fingerprin
 		return err
 	}
 
-	// Encode the batch into a pooled buffer: the request frame is
-	// written before call returns, so the buffer can go straight back.
-	buf := proto.GetBuffer()
-	enc := proto.AppendBlobList((*buf)[:0], blinded)
-	*buf = enc
-	payload, err := c.call(ctx, proto.MsgKeyGenReq, enc)
-	proto.PutBuffer(buf)
+	payload, err := c.call(ctx, proto.MsgKeyGenReq, proto.EncodeBlobList(blinded))
 	if err != nil {
 		return fmt.Errorf("keymanager: keygen rpc: %w", err)
 	}

@@ -1,24 +1,17 @@
-// Zero-copy frame assembly and pooled scratch buffers.
+// Frame assembly without copying the payload.
 //
 // WriteFrame's two-Write shape is fine for a buffered writer, but the
 // mux hot path wants a single syscall per small frame and no per-frame
-// allocations in steady state. The helpers here let callers assemble
-// [header][payload] into a pooled buffer (small frames) or hand the
-// header and payload to a vectored write (large frames) without ever
-// copying the payload.
-//
-// Buffer-pool ownership rule (see DESIGN.md): a pooled buffer belongs
-// to the goroutine that called GetBuffer until it calls PutBuffer,
-// and must not be retained — directly or via sub-slices — after
-// PutBuffer returns. Anything that escapes the call (a decoded message,
-// a response payload) must be copied out first.
+// allocations in steady state. The helpers here let a caller assemble
+// [header][payload] into a buffer it owns (AppendFrame, for small
+// frames) or hand the header and the payload to a vectored write
+// (WriteFrameVectored, for large ones) without copying the payload.
 package proto
 
 import (
 	"encoding/binary"
 	"io"
 	"net"
-	"sync"
 )
 
 // FrameHeaderSize is the number of bytes preceding a frame's payload on
@@ -41,7 +34,7 @@ func PutFrameHeader(buf []byte, t MsgType, id uint64, payloadLen int) error {
 
 // AppendFrame appends one complete frame to dst and returns the
 // extended slice. When dst already has capacity this performs no
-// allocation, so a pooled buffer can batch header+payload into a single
+// allocation, so a reused buffer can batch header+payload into a single
 // Write call.
 func AppendFrame(dst []byte, t MsgType, id uint64, payload []byte) ([]byte, error) {
 	if len(payload)+frameOverhead > MaxFrameSize {
@@ -71,22 +64,10 @@ func WriteFrameVectored(w io.Writer, t MsgType, id uint64, payload ...[]byte) er
 	return nil
 }
 
-// AppendBlobList is EncodeBlobList appending into a caller-supplied
-// buffer: same wire format, zero allocations when dst has capacity.
-func AppendBlobList(dst []byte, items [][]byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(items)))
-	for _, it := range items {
-		dst = binary.AppendUvarint(dst, uint64(len(it)))
-		dst = append(dst, it...)
-	}
-	return dst
-}
-
 // BlobListParts is EncodeBlobList as a gather list for WriteFrame or
 // WriteFrameVectored: the same bytes, with every item referenced rather
 // than copied. The count and the length prefixes live in one small
-// fresh buffer, so no part is pooled; the items must not change until
-// the parts are written.
+// fresh buffer; the items must not change until the parts are written.
 func BlobListParts(items [][]byte) net.Buffers {
 	prefixes := make([]byte, 0, binary.MaxVarintLen32*(len(items)+1))
 	prefixes = binary.AppendUvarint(prefixes, uint64(len(items)))
@@ -101,51 +82,4 @@ func BlobListParts(items [][]byte) net.Buffers {
 		start = len(prefixes)
 	}
 	return parts
-}
-
-// BlobListSize returns the encoded size of a blob list, for presizing
-// the destination buffer ahead of AppendBlobList.
-func BlobListSize(items [][]byte) int {
-	size := uvarintLen(uint64(len(items)))
-	for _, it := range items {
-		size += uvarintLen(uint64(len(it))) + len(it)
-	}
-	return size
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// maxPooledBuffer caps the capacity PutBuffer will recycle. Anything
-// larger is dropped so one giant frame cannot pin megabytes in the pool
-// for the life of the process.
-const maxPooledBuffer = 1 << 20
-
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// GetBuffer returns a pooled scratch buffer with len 0. The caller owns
-// it until PutBuffer; see the package comment for the ownership rule.
-func GetBuffer() *[]byte {
-	return bufPool.Get().(*[]byte)
-}
-
-// PutBuffer returns a buffer to the pool. The caller must not use b —
-// or any slice derived from it — afterwards.
-func PutBuffer(b *[]byte) {
-	if b == nil || cap(*b) > maxPooledBuffer {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
 }

@@ -71,35 +71,9 @@ func TestFrameSizeLimits(t *testing.T) {
 	}
 }
 
-func TestAppendBlobListMatchesEncodeBlobList(t *testing.T) {
-	cases := [][][]byte{
-		nil,
-		{[]byte("a")},
-		{[]byte("one"), nil, bytes.Repeat([]byte("z"), 300)},
-	}
-	for i, items := range cases {
-		want := EncodeBlobList(items)
-		got := AppendBlobList(nil, items)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("case %d: AppendBlobList differs from EncodeBlobList", i)
-		}
-		if size := BlobListSize(items); size != len(want) {
-			t.Fatalf("case %d: BlobListSize = %d, want %d", i, size, len(want))
-		}
-		decoded, err := DecodeBlobList(got, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(decoded) != len(items) {
-			t.Fatalf("case %d: decoded %d items, want %d", i, len(decoded), len(items))
-		}
-	}
-}
-
 // TestFrameAssemblyZeroAlloc locks in the steady-state allocation
 // behavior of the hot frame paths: assembling a frame into a
-// presized buffer and encoding an OPRF blob batch into a presized
-// buffer must not allocate.
+// presized buffer and encoding a frame header must not allocate.
 func TestFrameAssemblyZeroAlloc(t *testing.T) {
 	payload := bytes.Repeat([]byte("p"), 4096)
 	scratch := make([]byte, 0, FrameHeaderSize+len(payload))
@@ -120,36 +94,4 @@ func TestFrameAssemblyZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("PutFrameHeader allocates %v per run, want 0", n)
 	}
-
-	// OPRF batch encode: 256 blinded elements of modulus size.
-	items := make([][]byte, 256)
-	for i := range items {
-		items[i] = bytes.Repeat([]byte{byte(i)}, 128)
-	}
-	blobScratch := make([]byte, 0, BlobListSize(items))
-	if n := testing.AllocsPerRun(100, func() {
-		out := AppendBlobList(blobScratch[:0], items)
-		if len(out) == 0 {
-			t.Fatal("encode failed")
-		}
-	}); n != 0 {
-		t.Fatalf("AppendBlobList allocates %v per run, want 0", n)
-	}
-}
-
-// TestPooledBufferReuse checks GetBuffer/PutBuffer recycling and the
-// oversized-buffer drop.
-func TestPooledBufferReuse(t *testing.T) {
-	b := GetBuffer()
-	*b = append((*b)[:0], 1, 2, 3)
-	PutBuffer(b)
-	b2 := GetBuffer()
-	if len(*b2) != 0 {
-		t.Fatal("pooled buffer not reset to zero length")
-	}
-	PutBuffer(b2)
-
-	huge := make([]byte, 0, maxPooledBuffer*2)
-	PutBuffer(&huge) // must not pin; nothing to assert beyond not panicking
-	PutBuffer(nil)
 }

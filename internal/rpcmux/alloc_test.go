@@ -21,13 +21,13 @@ func (discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestWriteFrameZeroAlloc asserts the mux's small-frame write path does
-// not allocate in steady state: the assembly buffer comes from the pool
+// not allocate in steady state: the assembly buffer is the Conn's wbuf
 // and the header/payload coalesce into one Write.
 func TestWriteFrameZeroAlloc(t *testing.T) {
 	c := &Conn{conn: discardConn{}, smallFrame: 64 << 10}
 	payload := bytes.Repeat([]byte("q"), 8<<10)
 
-	// Warm the pool so the measured runs hit the steady state.
+	// Grow wbuf so the measured runs hit the steady state.
 	for i := 0; i < 4; i++ {
 		if err := c.writeFrame(proto.MsgPutChunksReq, uint64(i), payload); err != nil {
 			t.Fatal(err)
@@ -43,20 +43,38 @@ func TestWriteFrameZeroAlloc(t *testing.T) {
 }
 
 // TestWriteFrameLargeUsesVectoredPath checks large frames bypass the
-// pooled copy and still produce a well-formed frame.
+// small-frame copy and still produce a well-formed frame, and that
+// reusing wbuf across small frames leaks no byte of one frame into the
+// next: a long small frame then a short one, and a frame of exactly
+// smallFrame bytes then one a byte over, all on one Conn.
 func TestWriteFrameLargeUsesVectoredPath(t *testing.T) {
+	const smallFrame = 64 << 10
 	var sink bytes.Buffer
-	payload := bytes.Repeat([]byte("L"), 256<<10)
-	c := &Conn{conn: captureConn{w: &sink}, smallFrame: 64 << 10}
-	if err := c.writeFrame(proto.MsgGetChunksResp, 9, payload); err != nil {
-		t.Fatal(err)
+	c := &Conn{conn: captureConn{w: &sink}, smallFrame: smallFrame}
+	payloads := [][]byte{
+		bytes.Repeat([]byte("L"), 256<<10),
+		bytes.Repeat([]byte("l"), 40<<10),
+		[]byte("short"),
+		bytes.Repeat([]byte("e"), smallFrame-proto.FrameHeaderSize),
+		bytes.Repeat([]byte("o"), smallFrame-proto.FrameHeaderSize+1),
+		[]byte("s"),
 	}
-	typ, id, body, err := proto.ReadFrame(&sink)
-	if err != nil {
-		t.Fatal(err)
+	for i, p := range payloads {
+		if err := c.writeFrame(proto.MsgGetChunksResp, uint64(i), p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if typ != proto.MsgGetChunksResp || id != 9 || !bytes.Equal(body, payload) {
-		t.Fatal("vectored frame round trip mismatch")
+	for i, p := range payloads {
+		typ, id, body, err := proto.ReadFrame(&sink)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if typ != proto.MsgGetChunksResp || id != uint64(i) || !bytes.Equal(body, p) {
+			t.Fatalf("frame %d (%d-byte payload): round trip mismatch", i, len(p))
+		}
+	}
+	if sink.Len() != 0 {
+		t.Fatalf("%d trailing bytes after the last frame", sink.Len())
 	}
 }
 

@@ -61,11 +61,12 @@ type Conn struct {
 	br   *bufio.Reader
 
 	// wmu serializes frame writes; a frame must hit the socket intact.
-	// Frames up to smallFrame bytes are assembled header+payload in a
-	// pooled buffer and written with one syscall; larger frames go out
-	// as a vectored write so the payload is never copied.
+	// Frames up to smallFrame bytes are assembled header+payload in wbuf
+	// and written with one syscall; larger frames go out as a vectored
+	// write so the payload is never copied.
 	wmu        sync.Mutex
 	smallFrame int
+	wbuf       []byte // guarded by wmu
 	nextID     uint64 // guarded by wmu; IDs start at 1
 
 	// mu guards the demux state below.
@@ -82,9 +83,9 @@ type Conn struct {
 
 // New wraps conn in a multiplexer and starts its reader goroutine.
 // readBuf is the bufio reader capacity; writeBuf is the small-frame
-// threshold — frames up to that total size are coalesced into a pooled
-// buffer for a single write, larger ones use a vectored write. Zero
-// means a 64 KiB default for both.
+// threshold — frames up to that total size are coalesced into the
+// Conn's write buffer for a single write, larger ones use a vectored
+// write. Zero means a 64 KiB default for both.
 func New(conn net.Conn, readBuf, writeBuf int) *Conn {
 	if readBuf <= 0 {
 		readBuf = 64 << 10
@@ -103,19 +104,19 @@ func New(conn net.Conn, readBuf, writeBuf int) *Conn {
 	return c
 }
 
-// writeFrame sends one frame under wmu, picking the small-frame
-// (pooled single write) or large-frame (vectored write) path.
+// writeFrame sends one frame; the caller holds wmu. It picks the
+// small-frame (one write from wbuf) or large-frame (vectored write)
+// path.
 func (c *Conn) writeFrame(typ proto.MsgType, id uint64, payload []byte) error {
 	if len(payload)+proto.FrameHeaderSize > c.smallFrame {
 		return proto.WriteFrameVectored(c.conn, typ, id, payload)
 	}
-	buf := proto.GetBuffer()
-	assembled, err := proto.AppendFrame((*buf)[:0], typ, id, payload)
-	if err == nil {
-		*buf = assembled
-		_, err = c.conn.Write(assembled)
+	frame, err := proto.AppendFrame(c.wbuf[:0], typ, id, payload)
+	if err != nil {
+		return err
 	}
-	proto.PutBuffer(buf)
+	c.wbuf = frame
+	_, err = c.conn.Write(frame)
 	return err
 }
 

@@ -23,7 +23,7 @@
 //
 // A deployment consists of:
 //
-//   - storage servers (NewStorageServer) — deduplicate trimmed packages
+//   - storage servers (OpenStorageServer) — deduplicate trimmed packages
 //     into 4 MB containers and hold recipes, stub files, and key states;
 //     the paper runs four data servers plus one key-store server;
 //   - a key manager (NewKeyManagerServer) — serves MLE keys through an
@@ -364,35 +364,12 @@ func OpenBackend(ctx context.Context, dsn string, opts ...BackendOption) (Backen
 	}
 }
 
-// NewMemoryBackend returns an in-memory Backend (tests, benchmarks,
-// ephemeral deployments).
-//
-// Deprecated: use OpenBackend(ctx, "mem://").
-func NewMemoryBackend() Backend {
-	return store.NewMemory()
-}
-
-// NewDiskBackend returns a Backend persisting blobs under dir.
-//
-// Deprecated: use OpenBackend(ctx, "disk://"+dir).
-func NewDiskBackend(dir string) (Backend, error) {
-	return store.NewDisk(dir)
-}
-
 // OpenStorageServer builds a storage server over a backend. ctx bounds
 // startup — including crash recovery of the dedup index (snapshot load,
 // WAL replay, container scrub) — not the server's lifetime. Call Serve
 // with a net.Listener to start it, Shutdown to stop.
 func OpenStorageServer(ctx context.Context, backend Backend, opts ...StorageServerOption) (*StorageServer, error) {
 	return server.New(ctx, backend, opts...)
-}
-
-// NewStorageServer builds a storage server over a backend.
-//
-// Deprecated: use OpenStorageServer, which takes a context bounding
-// startup recovery.
-func NewStorageServer(backend Backend, opts ...StorageServerOption) (*StorageServer, error) {
-	return server.New(context.Background(), backend, opts...)
 }
 
 // NewKeyManagerServer builds a key manager with a fresh OPRF key of the

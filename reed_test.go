@@ -2,6 +2,7 @@ package reed_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"net"
@@ -28,8 +29,14 @@ func startDeployment(t *testing.T) (dataAddrs []string, keyAddr, kmAddr string, 
 	go func() { _ = km.Serve(kmLn) }()
 	t.Cleanup(km.Shutdown)
 
-	for i := 0; i < 2; i++ {
-		srv, err := reed.NewStorageServer(reed.NewMemoryBackend())
+	// Two data servers, then the key-store server.
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		backend, err := reed.OpenBackend(context.Background(), "mem://")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := reed.OpenStorageServer(context.Background(), backend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,25 +46,14 @@ func startDeployment(t *testing.T) (dataAddrs []string, keyAddr, kmAddr string, 
 		}
 		go func() { _ = srv.Serve(ln) }()
 		t.Cleanup(func() { _ = srv.Shutdown() })
-		dataAddrs = append(dataAddrs, ln.Addr().String())
+		addrs = append(addrs, ln.Addr().String())
 	}
-
-	keySrv, err := reed.NewStorageServer(reed.NewMemoryBackend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = keySrv.Serve(keyLn) }()
-	t.Cleanup(func() { _ = keySrv.Shutdown() })
 
 	authority, err = reed.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dataAddrs, keyLn.Addr().String(), kmLn.Addr().String(), authority
+	return addrs[:2], addrs[2], kmLn.Addr().String(), authority
 }
 
 func newPublicClient(t *testing.T, user string, dataAddrs []string, keyAddr, kmAddr string, authority *reed.Authority) *reed.Client {

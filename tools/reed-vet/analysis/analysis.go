@@ -40,10 +40,9 @@ type Pass struct {
 	// Facts is the analyzer's cross-package fact store for this run.
 	// The runner visits packages in dependency order (imports first),
 	// so a pass over internal/rpcmux can read facts that the pass over
-	// internal/proto exported — the mechanism behind the
-	// interprocedural analyzers (bufpool's and zeroize's per-function
-	// summaries). Nil only when a Pass is built by hand outside the
-	// runner.
+	// internal/proto exported — the mechanism behind zeroize's
+	// interprocedural per-function summaries. Nil only when a Pass is
+	// built by hand outside the runner.
 	Facts *Facts
 }
 

@@ -3,7 +3,6 @@ package analyzers
 
 import (
 	"reedvet/analysis"
-	"reedvet/analyzers/bufpool"
 	"reedvet/analyzers/ctxrule"
 	"reedvet/analyzers/errclass"
 	"reedvet/analyzers/keyhygiene"
@@ -20,7 +19,6 @@ func All() []*analysis.Analyzer {
 		lockguard.Analyzer,
 		metricname.Analyzer,
 		errclass.Analyzer,
-		bufpool.Analyzer,
 		zeroize.Analyzer,
 	}
 }

@@ -1,20 +1,19 @@
 // Package flow is the lightweight interprocedural dataflow layer under
-// the v2 analyzers (bufpool, zeroize). It has three parts:
+// the zeroize analyzer. It has three parts:
 //
 //   - Index: the package's call graph substrate — a map from function
 //     objects to their declarations, so analyzers can walk into callees.
 //   - Summarizer: memoized bottom-up computation of per-function
-//     transfer summaries ("does this helper Put its buffer parameter?",
-//     "does this helper wipe its key parameter?"), with cycle cut-off.
+//     transfer summaries ("does this helper wipe its key parameter?"),
+//     with cycle cut-off.
 //   - Walker: a generic all-paths traversal of one function body that
 //     threads analyzer-defined state through every statement in source
 //     order, forking at branches and reporting each path's terminal
 //     state. It is the engine behind "on every return path" invariants.
 //
 // The walker enumerates paths rather than solving a join lattice:
-// REED's functions are small, and per-path states make "exactly one
-// PutBuffer on all paths" or "Wipe before every return" direct to
-// express. A path budget bounds the worst case; when it is exhausted
+// REED's functions are small, and per-path states make "Wipe before
+// every return" direct to express. A path budget bounds the worst case; when it is exhausted
 // the walk stops early, under-approximating (no false positives).
 package flow
 

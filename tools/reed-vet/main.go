@@ -1,26 +1,21 @@
 // Command reed-vet runs REED's project-specific static-analysis suite
-// over a Go module: seven analyzers enforcing the invariants the
+// over a Go module: six analyzers enforcing the invariants the
 // compiler cannot see (key hygiene, context discipline, lock
-// discipline, metric naming, error classification, buffer-pool
-// lifecycle, secret zeroization).
+// discipline, metric naming, error classification, secret
+// zeroization).
 // See DESIGN.md "Static analysis" for the catalog.
 //
 // Usage:
 //
-//	reed-vet [-dir DIR] [-only a,b] [-sarif FILE] [patterns ...]
+//	reed-vet [-dir DIR] [-only a,b] [patterns ...]
 //
 // Patterns default to ./... relative to -dir (default "."). Exits 1
-// if any diagnostic is reported, 2 on operational errors. With -sarif,
-// the diagnostics are additionally written to FILE as a SARIF 2.1.0
-// log with repo-root-relative URIs ("-" writes to stdout); the log is
-// written even when the run is clean, so CI can upload it
-// unconditionally.
+// if any diagnostic is reported, 2 on operational errors.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -28,14 +23,12 @@ import (
 	"reedvet/analyzers"
 	"reedvet/load"
 	"reedvet/runner"
-	"reedvet/sarif"
 )
 
 func main() {
 	dir := flag.String("dir", ".", "module directory to analyze")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
 	flag.Parse()
 
 	suite := analyzers.All()
@@ -67,32 +60,11 @@ func main() {
 		fmt.Println(d.String())
 	}
 
-	if *sarifOut != "" {
-		if err := writeSarif(*sarifOut, *dir, res); err != nil {
-			fmt.Fprintln(os.Stderr, "reed-vet: sarif:", err)
-			os.Exit(2)
-		}
-	}
-
 	reportIgnores(res.Ignores)
 	if len(res.Diags) > 0 {
 		fmt.Fprintf(os.Stderr, "reed-vet: %d diagnostic(s) in %d package(s)\n", len(res.Diags), res.Packages)
 		os.Exit(1)
 	}
-}
-
-// writeSarif renders the run as SARIF rooted at the analyzed module.
-func writeSarif(path, root string, res *runner.Result) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return sarif.Write(w, root, analyzers.All(), res.Diags)
 }
 
 // reportIgnores prints the active-ignore census: how many structured

@@ -28,12 +28,12 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry pins the suite composition: exactly the seven
+// TestAnalyzerRegistry pins the suite composition: exactly the six
 // documented analyzers, resolvable by name.
 func TestAnalyzerRegistry(t *testing.T) {
 	wantNames := []string{
 		"keyhygiene", "ctxrule", "lockguard", "metricname", "errclass",
-		"bufpool", "zeroize",
+		"zeroize",
 	}
 	all := analyzers.All()
 	if len(all) != len(wantNames) {
