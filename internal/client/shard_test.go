@@ -9,6 +9,7 @@ import (
 	"repro/internal/keyreg"
 	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/packfile"
 	"repro/internal/policy"
 	"repro/internal/testenv"
 )
@@ -284,5 +285,46 @@ func TestChaosShardedUploadSurvivesShardCut(t *testing.T) {
 		if h.Down {
 			t.Fatalf("shard %s still marked down after recovery", h.Addr)
 		}
+	}
+}
+
+// TestShardedColdUploadWriteCensus is the write-amplification account
+// of a 32 MB cold upload to a fresh 4-shard cluster, read from the
+// shards' write-census counters: each unique chunk byte reaches its
+// container about once (plus the packfile index), the WAL carries
+// metadata only, and no shard checkpoints.
+func TestShardedColdUploadWriteCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("32 MB upload")
+	}
+	sc := startSharded(t, 4)
+	c := shardUser(t, sc, "alice")
+	const size = 32 << 20
+	data := randomFile(t, size, 2024)
+	if _, err := c.Upload(ctx, "/census", bytes.NewReader(data), policy.OrOfUsers([]string{"alice"})); err != nil {
+		t.Fatal(err)
+	}
+	var container, walBytes, commits, seals, checkpoints, unique, chunks float64
+	for _, srv := range sc.Shards() {
+		snap := srv.MetricsSnapshot()
+		container += float64(snap.Counters["dedup_container_write_bytes"])
+		walBytes += float64(snap.Counters["dedup_wal_write_bytes"])
+		commits += float64(snap.Counters["dedup_commits_total"])
+		seals += float64(snap.Counters["dedup_seals_total"])
+		checkpoints += float64(snap.Counters["dedup_checkpoints_total"])
+		unique += snap.Gauges["dedup_physical_bytes"]
+		chunks += snap.Gauges["dedup_unique_chunk_count"]
+	}
+	index := chunks*packfile.EntrySize + (seals+4)*(packfile.HeaderSize+packfile.FooterSize)
+	t.Logf("census: %.0f user bytes, %.0f unique chunk bytes in %.0f chunks; container writes %.0f (%.3f× unique), WAL %.0f (%.4f× user), %.0f commits, %.0f seals, %.0f checkpoints",
+		float64(size), unique, chunks, container, container/unique, walBytes, walBytes/size, commits, seals, checkpoints)
+	if container > 1.05*unique+index {
+		t.Errorf("container writes %.0f > 1.05 × %.0f unique bytes + %.0f index", container, unique, index)
+	}
+	if walBytes > 0.02*size {
+		t.Errorf("WAL writes %.0f > 2%% of %d user bytes", walBytes, size)
+	}
+	if checkpoints != 0 {
+		t.Errorf("%.0f checkpoints during a 32 MB upload, want none", checkpoints)
 	}
 }

@@ -2,34 +2,43 @@
 // the fingerprint index plus the 4 MB container packing REED's servers
 // use before writing to the storage backend (Section V-B, "Batching").
 //
-// Each unique trimmed package is appended to the current in-memory
-// container; full containers are sealed and written to the backend as one
-// packfile blob (see internal/packfile), amortizing backend I/O. The
-// index maps each fingerprint to its container and offset. Duplicate
-// puts touch only the index.
+// Each unique trimmed package is appended to the open container, whose
+// blob in the backend is a packfile (see internal/packfile) in the
+// making: the header, then the chunk bytes back to back. Sealing a full
+// container appends the packfile index and footer to that same blob, so
+// every chunk byte is written to the backend once. The index maps each
+// fingerprint to its container and offset. Duplicate puts touch only
+// the index.
 //
 // # Durability
 //
 // The store is a wal.State: every index, refcount and container
-// mutation is one record handed to a wal.Journal under the store lock,
-// and Commit makes the buffered records durable as one segment — the
-// storage server's dispatch commits after every handler that dirtied
-// the store and before it forms the reply, so an acknowledged upload
-// survives kill -9. New-chunk records carry the chunk bytes themselves
-// (data journaling), because the open container exists only in memory
-// until it is sealed. Buffering, segment writes, the checkpoint
-// snapshot's envelope, log truncation and the snapshot-then-replay
-// order of recovery are the journal's; this package supplies the record
-// and snapshot body encodings (recovery.go) and, after the journal has
-// rebuilt the index, sweeps orphaned container blobs and scrubs every
-// sealed container's packfile index against it. See DESIGN.md §9.
+// mutation is one record handed to a wal.Journal under the store lock.
+// Records carry fingerprints and locations, never chunk bytes: the open
+// container's blob is the only durable copy of a new chunk. Commit is
+// the store's one commit point and runs in a fixed order: first the
+// open container's uncommitted tail is written to its blob
+// (store.Backend.WriteAt, durable on return), then the buffered records
+// as one WAL segment. A record therefore only ever becomes durable after
+// the bytes it names, and no write touches bytes below the committed
+// length. The storage server's dispatch commits after every handler
+// that dirtied the store and before it forms the reply, so an
+// acknowledged upload survives kill -9. Buffering, segment writes, the
+// checkpoint snapshot's envelope, log truncation and the
+// snapshot-then-replay order of recovery are the journal's; this
+// package supplies the record and snapshot body encodings (recovery.go)
+// and, after the journal has rebuilt the index, reads back the open
+// container's committed prefix, sweeps orphaned container blobs and
+// scrubs every sealed container's packfile index. See DESIGN.md §9.
 package dedup
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"hash/crc32"
+	"slices"
 	"sync"
 
 	"repro/internal/fingerprint"
@@ -83,7 +92,7 @@ func (s Stats) SavingsRatio() float64 {
 //
 // Two locks split the hot paths so concurrent server handlers
 // parallelize. s.mu guards the mutable dedup state (index, refs, open
-// container, accounting, journal); cacheMu guards the sealed-container
+// container, accounting, journal, write census); cacheMu guards the sealed-container
 // read cache and the singleflight table. Get never holds s.mu across a
 // backend container fetch — it snapshots the chunk's location under s.mu,
 // fetches the (immutable) sealed container under cacheMu/singleflight,
@@ -95,12 +104,31 @@ type Store struct {
 	backend       store.Backend
 	containerSize int
 
-	index     map[fingerprint.Fingerprint]Location
-	refs      map[fingerprint.Fingerprint]uint32
-	current   []byte
-	currentID uint64
-	openDead  uint64
-	stats     Stats
+	index map[fingerprint.Fingerprint]Location
+	refs  map[fingerprint.Fingerprint]uint32
+
+	// The open container, currentID. current is its blob image: the
+	// packfile header, then every chunk appended since it opened, dead
+	// ones included (openDead bytes). Its first committed bytes are
+	// durable in the blob; the rest reach it at the next commit point.
+	// committed is 0 while the blob does not exist. openEntries lists
+	// the appended chunks in offset order with their checksums, so
+	// sealing indexes the live ones without scanning the whole index.
+	current     []byte
+	committed   int
+	openEntries []packfile.Entry
+	currentID   uint64
+	openDead    uint64
+	stats       Stats
+
+	// legacy and metaLog are set while Open replays: the open
+	// container's bytes came from a version-3 snapshot or data-carrying
+	// records (legacy), or the snapshot or log is the metadata-only
+	// format (metaLog). One recovery never mixes the two.
+	legacy, metaLog bool
+
+	// census counts backend writes for WriteCensus.
+	census WriteCensus
 
 	// containers tracks live/dead bytes per sealed container for
 	// compaction decisions.
@@ -133,10 +161,23 @@ type fetchCall struct {
 	err  error
 }
 
+// WriteCensus counts what a store has written to its backend since
+// Open: the write-amplification account of the durable write path.
+type WriteCensus struct {
+	// ContainerBytes counts container blob bytes: open-container tails,
+	// and the index and footer each seal appends.
+	ContainerBytes uint64
+	// WALBytes and Commits count WAL segments and their bytes.
+	WALBytes, Commits uint64
+	// Seals and Checkpoints count sealed containers and snapshots.
+	Seals, Checkpoints uint64
+}
+
 // Open loads a dedup store over the backend, recovering any persisted
 // state: checkpoint snapshot, then WAL replay (torn tail tolerated on
-// the final segment only), then an orphaned-container sweep and a
-// packfile-index scrub of every sealed container.
+// the final segment only), then a read-back of the open container's
+// committed prefix, an orphaned-container sweep and a packfile-index
+// scrub of every sealed container.
 func Open(ctx context.Context, backend store.Backend, containerSize int) (*Store, error) {
 	if containerSize <= 0 {
 		containerSize = DefaultContainerSize
@@ -146,7 +187,7 @@ func Open(ctx context.Context, backend store.Backend, containerSize int) (*Store
 		containerSize: containerSize,
 		index:         make(map[fingerprint.Fingerprint]Location),
 		refs:          make(map[fingerprint.Fingerprint]uint32),
-		current:       make([]byte, 0, containerSize),
+		current:       packfile.AppendHeader(make([]byte, 0, packfile.HeaderSize+containerSize)),
 		readCache:     make(map[uint64][]byte),
 		inflight:      make(map[uint64]*fetchCall),
 		containers:    make(map[uint64]containerInfo),
@@ -154,6 +195,9 @@ func Open(ctx context.Context, backend store.Backend, containerSize int) (*Store
 	// Nothing below takes s.mu: the store is not shared until Open returns.
 	var err error
 	if s.journal, err = wal.OpenJournal(ctx, backend, journalSpec(containerSize), (*state)(s)); err != nil {
+		return nil, err
+	}
+	if err := s.loadOpen(ctx); err != nil {
 		return nil, err
 	}
 	if err := s.sweepOrphans(ctx); err != nil {
@@ -192,21 +236,33 @@ func (s *Store) Put(ctx context.Context, fp fingerprint.Fingerprint, data []byte
 		s.applyRef(fp)
 		s.journal.Record(encodeFPRec(recRef, fp))
 	} else {
-		if len(s.current)+len(data) > s.containerSize && len(s.current) > 0 {
-			if err := s.sealLocked(ctx); err != nil {
-				return false, err
-			}
+		if err := s.makeRoomLocked(ctx, len(data)); err != nil {
+			return false, err
 		}
-		loc := Location{
-			Container: s.currentID,
-			Offset:    uint32(len(s.current)),
-			Length:    uint32(len(data)),
-		}
+		loc := s.nextLocation(len(data))
 		s.applyPut(fp, loc, data)
-		s.journal.Record(encodeChunkRec(recPut, fp, loc, data))
+		s.journal.Record(encodeLocRec(recPut, fp, loc))
 	}
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return dup, s.journal.AutoCommit(ctx)
+	return dup, s.autoCommitLocked(ctx)
+}
+
+// makeRoomLocked seals the open container if n more bytes would
+// overflow it. A chunk larger than a whole container still gets one to
+// itself.
+func (s *Store) makeRoomLocked(ctx context.Context, n int) error {
+	if body := s.openBodyLen(); body > 0 && body+n > s.containerSize {
+		return s.sealLocked(ctx)
+	}
+	return nil
+}
+
+// openBodyLen is the open container's body length, dead bytes included.
+func (s *Store) openBodyLen() int { return len(s.current) - packfile.HeaderSize }
+
+// nextLocation is where an n-byte chunk appended now would live.
+func (s *Store) nextLocation(n int) Location {
+	return Location{Container: s.currentID, Offset: uint32(s.openBodyLen()), Length: uint32(n)}
 }
 
 // Ref adds one reference to an already-stored chunk without carrying
@@ -226,7 +282,7 @@ func (s *Store) Ref(ctx context.Context, fp fingerprint.Fingerprint) (bool, erro
 	s.applyRef(fp)
 	s.journal.Record(encodeFPRec(recRef, fp))
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return true, s.journal.AutoCommit(ctx)
+	return true, s.autoCommitLocked(ctx)
 }
 
 // applyRef applies a duplicate-put to in-memory state; shared by the
@@ -243,24 +299,91 @@ func (s *Store) applyRef(fp fingerprint.Fingerprint) {
 // container.
 func (s *Store) applyPut(fp fingerprint.Fingerprint, loc Location, data []byte) {
 	s.stats.TotalPuts++
-	s.stats.LogicalBytes += uint64(len(data))
-	s.current = append(s.current, data...)
-	s.index[fp] = loc
+	s.stats.LogicalBytes += uint64(loc.Length)
+	s.appendOpen(fp, loc, data)
 	s.refs[fp] = 1
-	s.stats.PhysicalBytes += uint64(len(data))
+	s.stats.PhysicalBytes += uint64(loc.Length)
+}
+
+// appendOpen appends a chunk at loc, the tail of the open container,
+// and points the index at it. Replay of a metadata-only record passes
+// nil data: the bytes are in the open container's blob, and loadOpen
+// reads them back once replay is done.
+func (s *Store) appendOpen(fp fingerprint.Fingerprint, loc Location, data []byte) {
+	if data == nil {
+		s.current = append(s.current, make([]byte, loc.Length)...)
+	} else {
+		s.current = append(s.current, data...)
+	}
+	s.openEntries = append(s.openEntries, packfile.Entry{
+		FP: fp, Offset: uint64(loc.Offset), Length: loc.Length, CRC: crc32.ChecksumIEEE(data),
+	})
+	s.index[fp] = loc
 }
 
 // Commit makes every journaled mutation since the previous Commit
-// durable by writing one WAL segment (and, past the checkpoint
-// threshold, folding the log into a fresh snapshot). The server calls
-// this before acknowledging a chunk batch; until then the mutations
-// exist only in memory and an unlucky crash forgets them — which is
-// correct, because the client has not been told they landed.
+// durable (see commitLocked). The server calls this before
+// acknowledging a chunk batch; until then the mutations exist only in
+// memory and an unlucky crash forgets them — which is correct, because
+// the client has not been told they landed.
 func (s *Store) Commit(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
+	return s.commitLocked(ctx)
+}
+
+// writeOpenLocked writes the open container's uncommitted tail to its
+// blob: the first half of the commit point. The blob is created by the
+// first write, header included; nothing below committed is rewritten.
+func (s *Store) writeOpenLocked(ctx context.Context) error {
+	if s.committed == len(s.current) || s.openBodyLen() == 0 {
+		return nil
+	}
+	return s.writeTailLocked(ctx, s.current)
+}
+
+// writeTailLocked writes image[committed:] to the open container's
+// blob, where image is the open container's blob image, possibly with
+// more bytes appended (seal's index and footer).
+func (s *Store) writeTailLocked(ctx context.Context, image []byte) error {
+	tail := image[s.committed:]
+	if err := s.backend.WriteAt(ctx, store.NSContainers, containerName(s.currentID), int64(s.committed), tail); err != nil {
+		return fmt.Errorf("dedup: write container %d: %w", s.currentID, err)
+	}
+	s.census.ContainerBytes += uint64(len(tail))
+	s.committed = len(image)
+	return nil
+}
+
+// syncLocked is the store's commit point: the open container's tail,
+// then one WAL segment holding every buffered record. Records are
+// journaled only for bytes already durable. It never checkpoints.
+func (s *Store) syncLocked(ctx context.Context) error {
+	if err := s.writeOpenLocked(ctx); err != nil {
+		return err
+	}
+	return s.journal.Sync(ctx)
+}
+
+// commitLocked is syncLocked, then a checkpoint once the log has grown
+// past the journal's threshold. The snapshot records the open
+// container's length, which the write above just made durable.
+func (s *Store) commitLocked(ctx context.Context) error {
+	if err := s.writeOpenLocked(ctx); err != nil {
+		return err
+	}
 	return s.journal.Commit(ctx)
+}
+
+// autoCommitLocked commits once the buffered records plus the open
+// container's uncommitted bytes pass the journal's auto-commit
+// threshold, bounding the loss window of callers that never Commit.
+func (s *Store) autoCommitLocked(ctx context.Context) error {
+	if !s.journal.CommitDue(len(s.current) - max(s.committed, packfile.HeaderSize)) {
+		return nil
+	}
+	return s.commitLocked(ctx)
 }
 
 // ContainerCount returns how many containers currently hold data: the
@@ -269,7 +392,7 @@ func (s *Store) ContainerCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.containers)
-	if len(s.current) > 0 {
+	if s.openBodyLen() > 0 {
 		n++
 	}
 	return n
@@ -337,15 +460,10 @@ func (s *Store) Get(ctx context.Context, fp fingerprint.Fingerprint) ([]byte, er
 		if loc.Container == s.currentID {
 			// Open container: copy while s.mu pins it (the open buffer
 			// keeps growing, so aliasing it would race appends).
-			end := int(loc.Offset) + int(loc.Length)
-			if end > len(s.current) {
-				s.mu.Unlock()
-				return nil, fmt.Errorf("dedup: corrupt location for %s", fp.Short())
-			}
-			out := make([]byte, loc.Length)
-			copy(out, s.current[loc.Offset:end])
+			out, err := sliceChunk(s.current[packfile.HeaderSize:], fp, loc)
+			out = bytes.Clone(out)
 			s.mu.Unlock()
-			return out, nil
+			return out, err
 		}
 		s.mu.Unlock()
 
@@ -447,7 +565,7 @@ func (s *Store) sealedContainer(ctx context.Context, id uint64) ([]byte, error) 
 	s.inflight[id] = call
 	s.cacheMu.Unlock()
 
-	body, err := s.fetchContainer(ctx, id)
+	_, body, err := s.fetchContainer(ctx, id)
 	call.body, call.err = body, err
 
 	s.cacheMu.Lock()
@@ -461,17 +579,17 @@ func (s *Store) sealedContainer(ctx context.Context, id uint64) ([]byte, error) 
 }
 
 // fetchContainer reads and fully verifies one sealed container
-// packfile, returning its body.
-func (s *Store) fetchContainer(ctx context.Context, id uint64) ([]byte, error) {
+// packfile, returning its index and body.
+func (s *Store) fetchContainer(ctx context.Context, id uint64) ([]packfile.Entry, []byte, error) {
 	blob, err := s.backend.Get(ctx, store.NSContainers, containerName(id))
 	if err != nil {
-		return nil, fmt.Errorf("dedup: load container %d: %w", id, err)
+		return nil, nil, fmt.Errorf("dedup: load container %d: %w", id, err)
 	}
-	_, body, err := packfile.Decode(blob)
+	entries, body, err := packfile.Decode(blob)
 	if err != nil {
-		return nil, fmt.Errorf("dedup: container %d: %w", id, err)
+		return nil, nil, fmt.Errorf("dedup: container %d: %w", id, err)
 	}
-	return body, nil
+	return entries, body, nil
 }
 
 // cacheInsertLocked adds a container body to the read cache (caller
@@ -506,66 +624,64 @@ func (s *Store) cacheInvalidate(id uint64) {
 	}
 }
 
-// openEntriesLocked returns the open container's index entries sorted
-// by offset — the canonical iteration order for sealing and
-// compaction, chosen because it is deterministic: WAL replay re-runs
-// these rearrangements and must land on byte-identical state.
-func (s *Store) openEntriesLocked() []struct {
-	fp  fingerprint.Fingerprint
-	loc Location
-} {
-	var entries []struct {
-		fp  fingerprint.Fingerprint
-		loc Location
-	}
-	for fp, loc := range s.index {
-		if loc.Container == s.currentID {
-			entries = append(entries, struct {
-				fp  fingerprint.Fingerprint
-				loc Location
-			}{fp, loc})
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].loc.Offset < entries[j].loc.Offset })
-	return entries
+// liveOpenEntries drops the open container's dead entries — chunks
+// freed since they were appended, or freed and put again further on —
+// and returns the live ones, in offset order. The result shares
+// openEntries' array.
+func (s *Store) liveOpenEntries() []packfile.Entry {
+	s.openEntries = slices.DeleteFunc(s.openEntries, func(e packfile.Entry) bool {
+		return s.index[e.FP] != Location{Container: s.currentID, Offset: uint32(e.Offset), Length: e.Length}
+	})
+	return s.openEntries
 }
 
-// sealLocked writes the open container to the backend as a packfile and
-// starts a new one. Dead space in the open container is squeezed out
-// first so sealed containers start fully live. The container blob is
-// written before the SEAL record is journaled, so replay never points
-// at a container the backend does not hold.
+// sealLocked seals the open container in place and opens the next one.
+// One WriteAt appends the uncommitted tail, the packfile index of the
+// live chunks and the footer to the open blob — the same bytes
+// packfile.Writer would produce, with any dead chunks left as gaps —
+// and only then is SEAL journaled, so replay never seals a container
+// the backend does not hold. Dead bytes stay in the sealed container
+// and count as its dead space; a container sealed at least
+// compactionThreshold dead is compacted straight away, which is also
+// how a half-dead open container is squeezed.
 func (s *Store) sealLocked(ctx context.Context) error {
-	if s.openDead > 0 {
-		s.compactOpenLocked()
-	}
-	if len(s.current) == 0 {
+	size := s.openBodyLen()
+	if size == 0 {
 		return nil
 	}
-	w := packfile.NewWriter(len(s.current))
-	for _, e := range s.openEntriesLocked() {
-		off := w.Add(e.fp, s.current[e.loc.Offset:e.loc.Offset+e.loc.Length])
-		if off != uint64(e.loc.Offset) {
-			return fmt.Errorf("dedup: seal container %d: offset drift at %s (%d != %d)",
-				s.currentID, e.fp.Short(), off, e.loc.Offset)
-		}
+	id, live := s.currentID, uint64(size)-s.openDead
+	entries := s.liveOpenEntries()
+	image := packfile.AppendIndex(s.current, entries)
+	if err := s.writeTailLocked(ctx, image); err != nil {
+		return fmt.Errorf("dedup: seal: %w", err)
 	}
-	name := containerName(s.currentID)
-	if err := s.backend.Put(ctx, store.NSContainers, name, w.Finish()); err != nil {
-		return fmt.Errorf("dedup: seal container: %w", err)
+	s.current = image[:len(s.current)] // keep a buffer the index grew
+	s.census.Seals++
+	s.journal.Record(encodeSealRec(id, live))
+
+	info := containerInfo{Live: live, Dead: s.openDead}
+	var body []byte
+	if info.compactable() {
+		// The next appends reuse these arrays; compaction reads copies.
+		entries = slices.Clone(entries)
+		body = bytes.Clone(s.current[packfile.HeaderSize:])
 	}
-	s.journal.Record(encodeSealRec(s.currentID, uint64(len(s.current))))
-	s.applySeal(s.currentID, uint64(len(s.current)))
-	return nil
+	s.applySeal(id, live)
+	if body == nil {
+		return nil
+	}
+	return s.compactLocked(ctx, id, entries, body)
 }
 
 // applySeal applies a seal to in-memory state; shared by the live path
-// and WAL replay. The open container must already be squeezed (no dead
-// space) and live bytes long.
+// and WAL replay. live is the open container's live byte count; the
+// rest of its body is dead space.
 func (s *Store) applySeal(id, live uint64) {
-	s.containers[id] = containerInfo{Live: live}
+	s.containers[id] = containerInfo{Live: live, Dead: uint64(s.openBodyLen()) - live}
 	s.currentID++
-	s.current = s.current[:0]
+	s.current = s.current[:packfile.HeaderSize]
+	s.committed = 0
+	s.openEntries = s.openEntries[:0]
 	s.openDead = 0
 }
 
@@ -573,15 +689,28 @@ func (s *Store) applySeal(id, live uint64) {
 // all state is in the snapshot and the WAL is empty. Unlike Commit
 // this forces out the partially filled open container; it is the
 // clean-shutdown path, also used by tests and the rekey flow to make
-// storage accounting visible.
+// storage accounting visible. A seal that compacts moves live chunks
+// into a fresh open container, so Flush seals until none is left.
 func (s *Store) Flush(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.sealLocked(ctx); err != nil {
-		return err
+	for s.openBodyLen() > 0 {
+		if err := s.sealLocked(ctx); err != nil {
+			return err
+		}
 	}
 	//reed-vet:ignore lockguard — checkpointing must see a quiescent index; the write belongs in this critical section.
 	return s.journal.Checkpoint(ctx)
+}
+
+// WriteCensus returns what the store has written to its backend since
+// Open.
+func (s *Store) WriteCensus() WriteCensus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, j := s.census, s.journal.Census()
+	c.WALBytes, c.Commits, c.Checkpoints = j.SegmentBytes, j.Segments, j.Checkpoints
+	return c
 }
 
 // Close flushes and releases the store.

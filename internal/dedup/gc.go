@@ -3,9 +3,9 @@ package dedup
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/fingerprint"
+	"repro/internal/packfile"
 	"repro/internal/store"
 )
 
@@ -20,14 +20,19 @@ import (
 // layer then reclaims the physical bytes once no file references the
 // trimmed packages.
 //
-// Dead space accumulates inside sealed containers; when a container's
-// dead fraction crosses compactionThreshold its live chunks are
-// rewritten into the open container and the old blob is deleted. Every
-// move is journaled (with the chunk bytes, since the destination is
-// the memory-only open container) and the WAL is committed before the
-// old blob is deleted, so a crash at any point either replays to the
-// pre-compaction state (old blob still present) or to the
-// post-compaction state (old blob swept as an orphan on recovery).
+// Dead space accumulates inside containers. Chunks freed while their
+// container is still open leave gaps that sealing keeps (the open
+// container's committed bytes are never rewritten), so they count as
+// the sealed container's dead space; chunks freed later add to it. When
+// a container's dead fraction reaches compactionThreshold its live
+// chunks are moved into the open container and the old blob is
+// deleted. Each move is journaled as a MOVE record naming the chunk's
+// new location, and the commit point — the open container's tail, then
+// the WAL — runs before the old blob is deleted, so a crash at any
+// point either replays to the pre-compaction state (old blob still
+// present) or to the post-compaction state (old blob swept as an orphan
+// on recovery). An open container whose dead bytes reach half its
+// capacity is sealed, and so compacted, at once.
 
 // compactionThreshold is the dead fraction beyond which a sealed
 // container is rewritten.
@@ -37,6 +42,13 @@ const compactionThreshold = 0.5
 type containerInfo struct {
 	Live uint64
 	Dead uint64
+}
+
+// compactable reports whether the container's dead fraction has
+// reached compactionThreshold.
+func (info containerInfo) compactable() bool {
+	total := info.Live + info.Dead
+	return total > 0 && float64(info.Dead)/float64(total) >= compactionThreshold
 }
 
 // Deref drops one reference from the chunk. When the last reference
@@ -58,11 +70,10 @@ func (s *Store) Deref(ctx context.Context, fp fingerprint.Fingerprint) (uint32, 
 }
 
 // derefLocked implements Deref; with replay set it is also how a DEREF
-// record is re-applied. Replay makes the same in-memory transitions —
-// including the deterministic open-container squeeze — but never
-// journals and never compacts sealed containers: a live compaction's
-// effects are expressed by the MOVE/SEAL/DROP records that follow the
-// DEREF in the log.
+// record is re-applied. Replay makes the same accounting transitions
+// but never journals, never seals and never compacts: a live seal's or
+// compaction's effects are expressed by the SEAL/MOVE/DROP records that
+// follow the DEREF in the log.
 func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint, replay bool) (uint32, error) {
 	loc, ok := s.index[fp]
 	if !ok {
@@ -85,11 +96,16 @@ func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint, rep
 	s.stats.FreedBytes += uint64(loc.Length)
 
 	if loc.Container == s.currentID {
-		// Dead space in the open container is reclaimed by an in-place
-		// rewrite once enough accumulates (it is already in memory).
 		s.openDead += uint64(loc.Length)
-		if s.openDead*2 >= uint64(s.containerSize) {
-			s.compactOpenLocked()
+		if s.openDead*2 < uint64(s.containerSize) {
+			return 0, nil
+		}
+		switch {
+		case !replay:
+			// Half the capacity is dead: seal, which compacts.
+			return 0, s.sealLocked(ctx)
+		case s.legacy:
+			s.squeezeLegacyOpen()
 		}
 		return 0, nil
 	}
@@ -98,9 +114,8 @@ func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint, rep
 	info.Live -= uint64(loc.Length)
 	info.Dead += uint64(loc.Length)
 	s.containers[loc.Container] = info
-	if total := info.Live + info.Dead; total > 0 && !replay &&
-		float64(info.Dead)/float64(total) >= compactionThreshold {
-		if err := s.compactLocked(ctx, loc.Container); err != nil {
+	if !replay && info.compactable() {
+		if err := s.compactLocked(ctx, loc.Container, nil, nil); err != nil {
 			return 0, err
 		}
 	}
@@ -114,93 +129,51 @@ func (s *Store) Refs(fp fingerprint.Fingerprint) uint32 {
 	return s.refs[fp]
 }
 
-// compactOpenLocked rewrites the open container, dropping dead bytes.
-// Chunks are repacked in offset order so the rewrite is deterministic:
-// WAL replay re-runs this squeeze and must reproduce the exact byte
-// layout the live run had.
-func (s *Store) compactOpenLocked() {
-	live := make([]byte, 0, len(s.current))
-	for _, e := range s.openEntriesLocked() {
-		data := s.current[e.loc.Offset : e.loc.Offset+e.loc.Length]
-		s.index[e.fp] = Location{
-			Container: s.currentID,
-			Offset:    uint32(len(live)),
-			Length:    e.loc.Length,
-		}
-		live = append(live, data...)
-	}
-	s.current = append(s.current[:0], live...)
-	s.openDead = 0
-}
-
-// compactLocked rewrites a sealed container's live chunks into the open
-// container and deletes the old blob. Caller holds s.mu; compaction is
-// rare enough that keeping it while reading the backend is fine, and a
-// cache miss here skips the singleflight table so a concurrent Get's
-// fetch never ends up waited on from under s.mu.
+// compactLocked moves a sealed container's live chunks into the open
+// container and deletes its blob. entries and body are the container's
+// packfile index and body; seal passes the ones it just wrote, and nil
+// fetches them. A live chunk is an entry whose index location still
+// names this container — the packfile index lists every chunk sealed
+// into it, so no scan of the whole index is needed. Caller holds s.mu;
+// compaction is rare enough that keeping it while reading the backend
+// is fine, and a cache miss here skips the singleflight table so a
+// concurrent Get's fetch never ends up waited on from under s.mu.
 //
 // Durability order matters: every move and the container drop are
 // journaled and committed *before* the old blob is deleted. Replay of
-// a committed compaction rebuilds the moved chunks from the MOVE
-// records' payloads and the orphan sweep removes the stale blob; a
-// crash before the commit leaves the old blob in place and the index
-// still pointing at it.
-func (s *Store) compactLocked(ctx context.Context, id uint64) error {
-	s.cacheMu.Lock()
-	body, cached := s.readCache[id]
-	s.cacheMu.Unlock()
-	if !cached {
+// a committed compaction re-points the moved chunks at the open
+// container, whose blob the commit point wrote first, and the orphan
+// sweep removes the stale blob; a crash before the commit leaves the
+// old blob in place and the index still pointing at it.
+func (s *Store) compactLocked(ctx context.Context, id uint64, entries []packfile.Entry, body []byte) error {
+	if body == nil {
 		var err error
-		body, err = s.fetchContainer(ctx, id)
-		if err != nil {
+		if entries, body, err = s.containerContents(ctx, id); err != nil {
 			return fmt.Errorf("dedup: compact: %w", err)
 		}
-	} else {
-		// Copy out: the cache entry is shared with concurrent readers and
-		// the invalidation below drops it.
-		body = append([]byte(nil), body...)
 	}
-
-	// Collect the container's live chunks sorted by offset; map order
-	// would re-pack them differently on every run, and the MOVE records
-	// must describe one canonical layout.
-	type moved struct {
-		fp  fingerprint.Fingerprint
-		loc Location
-	}
-	var liveChunks []moved
-	for fp, loc := range s.index {
-		if loc.Container == id {
-			liveChunks = append(liveChunks, moved{fp, loc})
+	for _, e := range entries {
+		if s.index[e.FP] != (Location{Container: id, Offset: uint32(e.Offset), Length: e.Length}) {
+			continue // freed, or freed and stored again elsewhere
 		}
-	}
-	sort.Slice(liveChunks, func(i, j int) bool { return liveChunks[i].loc.Offset < liveChunks[j].loc.Offset })
-
-	for _, m := range liveChunks {
-		data := body[m.loc.Offset : m.loc.Offset+m.loc.Length]
-		// Seal the open container first if this chunk would overflow
-		// it (sealLocked advances currentID, keeping locations valid).
-		if len(s.current)+len(data) > s.containerSize && len(s.current) > 0 {
-			if err := s.sealLocked(ctx); err != nil {
-				return err
-			}
+		data := body[e.Offset : e.Offset+uint64(e.Length)]
+		// Sealing the open container advances currentID, so take the
+		// new location after making room.
+		if err := s.makeRoomLocked(ctx, len(data)); err != nil {
+			return err
 		}
-		newLoc := Location{
-			Container: s.currentID,
-			Offset:    uint32(len(s.current)),
-			Length:    m.loc.Length,
-		}
-		s.journal.Record(encodeChunkRec(recMove, m.fp, newLoc, data))
-		s.applyMove(m.fp, newLoc, data)
+		loc := s.nextLocation(len(data))
+		s.journal.Record(encodeLocRec(recMove, e.FP, loc))
+		s.applyMove(e.FP, loc, data)
 	}
 
 	s.journal.Record(encodeDropRec(id))
 	s.applyDrop(id)
 	s.cacheInvalidate(id)
 
-	// The WAL must hold the committed moves before the only other copy
-	// of those chunks disappears.
-	if err := s.journal.Sync(ctx); err != nil {
+	// The moved chunks' new home and the records naming it must be
+	// durable before the only other copy of those chunks disappears.
+	if err := s.syncLocked(ctx); err != nil {
 		return err
 	}
 	if err := s.backend.Delete(ctx, store.NSContainers, containerName(id)); err != nil {
@@ -209,13 +182,26 @@ func (s *Store) compactLocked(ctx context.Context, id uint64) error {
 	return nil
 }
 
+// containerContents returns a sealed container's packfile index and
+// body: from the read cache plus a ranged index read when cached, else
+// from one verified fetch.
+func (s *Store) containerContents(ctx context.Context, id uint64) ([]packfile.Entry, []byte, error) {
+	s.cacheMu.Lock()
+	body, cached := s.readCache[id]
+	s.cacheMu.Unlock()
+	if cached {
+		entries, err := packfile.ReadIndex(ctx, s.backend, store.NSContainers, containerName(id))
+		return entries, body, err
+	}
+	return s.fetchContainer(ctx, id)
+}
+
 // applyMove applies a compaction move to in-memory state; shared by the
 // live path and WAL replay. loc must address the tail of the open
 // container. Refcounts and put/free statistics are untouched — the
 // chunk merely changed address.
 func (s *Store) applyMove(fp fingerprint.Fingerprint, loc Location, data []byte) {
-	s.index[fp] = loc
-	s.current = append(s.current, data...)
+	s.appendOpen(fp, loc, data)
 }
 
 // applyDrop applies a container drop to in-memory state; shared by the

@@ -5,36 +5,52 @@ package dedup
 // Every mutation of the dedup state is expressed as one WAL record;
 // recovery is "snapshot + replay": the journal (wal.OpenJournal) loads
 // the last checkpoint snapshot and re-applies the records journaled
-// after it, then the store verifies the result against the containers
-// actually present in the backend. For replay
-// to land on byte-identical state, every in-memory rearrangement is
-// either deterministic (the open-container squeeze repacks in offset
-// order) or explicitly journaled (compaction MOVE records carry the
-// chunk bytes, since their destination — the open container — exists
-// only in memory).
+// after it, then the store reads the open container's committed bytes
+// back from its blob and verifies the result against the containers
+// actually present in the backend. Records carry no chunk bytes: the
+// snapshot records the open container's committed length, each PUT and
+// MOVE extends it, and the bytes are the blob's.
 //
 // Record kinds:
 //
-//	PUT   fp, location, data   new chunk appended to the open container
-//	REF   fp                   duplicate put (refcount + stats only)
-//	DEREF fp                   one reference dropped
-//	SEAL  id, liveBytes        open container id written to the backend
-//	MOVE  fp, location, data   compaction moved a chunk into the open container
-//	DROP  id                   compacted container id left the container map
+//	PUT   fp, location   new chunk appended to the open container
+//	REF   fp             duplicate put (refcount + stats only)
+//	DEREF fp             one reference dropped
+//	SEAL  id, liveBytes  open container id sealed in place
+//	MOVE  fp, location   compaction moved a chunk into the open container
+//	DROP  id             compacted container id left the container map
 //
 // Orderings that recovery relies on:
 //
-//   - a container blob is Put to the backend before its SEAL record is
+//   - the commit point writes the open container's tail before the WAL
+//     segment whose PUT/MOVE records name it, so a durable record never
+//     points past the blob's durable bytes (a blob that is shorter
+//     anyway fails Open loudly);
+//   - bytes past the committed length — a torn tail, or the index and
+//     footer of a seal whose SEAL record was lost — are never read, and
+//     the next commit overwrites them;
+//   - a container is sealed in place before its SEAL record is
 //     journaled, so replay never seals a container the backend lacks;
-//   - compaction journals and *commits* its MOVE/DROP records before
-//     deleting the old container blob, so the only copy of a moved
-//     chunk is never exclusively in a lost buffer;
+//   - compaction commits its MOVE/DROP records before deleting the old
+//     container blob, so a moved chunk always has a durable home;
 //   - the checkpoint snapshot is one atomic backend Put, and the WAL
 //     is truncated only after it lands (wal.Journal.Checkpoint).
+//
+// Stores written before snapshot version 4 still open. Their snapshot
+// carries the open container's bytes and their PUT/MOVE records carry
+// the chunk's, the open container lived only in memory, and replay
+// repeated the in-memory squeeze that dropped its dead bytes. Open
+// replays all of that, writes the open container's bytes to its blob
+// and checkpoints, so the old encodings are never replayed twice.
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"hash/crc32"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/binenc"
@@ -54,9 +70,14 @@ const (
 	recDrop  = 6
 )
 
-// snapshotVersion guards the checkpoint encoding. Version 3 replaced
-// the pre-WAL index blob (version 2); older snapshots are not readable.
-const snapshotVersion = 3
+// snapshotVersion guards the checkpoint encoding. Version 4 records
+// the open container's committed length where version 3 embedded its
+// bytes; both decode. Version 3 replaced the pre-WAL index blob
+// (version 2), which is not readable.
+const (
+	snapshotVersion       = 4
+	oldestSnapshotVersion = 3
+)
 
 // journalSpec is the dedup store's journal: segments "w…" in NSWAL,
 // snapshot "dedup-index". Checkpoint cadence: a few containers' worth
@@ -68,6 +89,7 @@ func journalSpec(containerSize int) wal.Spec {
 		Prefix:          "w",
 		Blob:            "dedup-index",
 		Version:         snapshotVersion,
+		OldestVersion:   oldestSnapshotVersion,
 		CheckpointEvery: int64(containerSize) * 4,
 	}
 }
@@ -77,11 +99,12 @@ func journalSpec(containerSize int) wal.Spec {
 // exported surface because they assume s.mu is held.
 type state Store
 
-func encodeChunkRec(kind uint8, fp fingerprint.Fingerprint, loc Location, data []byte) []byte {
-	w := binenc.NewWriter(1 + fingerprint.Size + 16 + 5 + len(data))
+// encodeLocRec encodes a PUT or MOVE record: the chunk and its new
+// location, not its bytes.
+func encodeLocRec(kind uint8, fp fingerprint.Fingerprint, loc Location) []byte {
+	w := binenc.NewWriter(1 + fingerprint.Size + 16)
 	w.Uint8(kind)
 	writeEntry(w, fp, loc)
-	w.WriteBytes(data)
 	return w.Bytes()
 }
 
@@ -133,14 +156,24 @@ func (st *state) Apply(ctx context.Context, rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("dedup: replay: %w", err)
 		}
-		data, err := r.ReadBytes()
-		if err != nil {
-			return fmt.Errorf("dedup: replay: %w", err)
+		// A record with bytes left is the data-carrying format stores
+		// wrote before snapshot version 4.
+		var data []byte
+		if !r.Done() {
+			if data, err = r.ReadBytes(); err != nil {
+				return fmt.Errorf("dedup: replay: %w", err)
+			}
+			if int(loc.Length) != len(data) {
+				return fmt.Errorf("dedup: replay: record for %s carries %d bytes, location says %d",
+					fp.Short(), len(data), loc.Length)
+			}
 		}
-		if loc.Container != s.currentID || int(loc.Offset) != len(s.current) ||
-			int(loc.Length) != len(data) {
+		if err := s.replayFormat(data != nil); err != nil {
+			return err
+		}
+		if loc.Container != s.currentID || int(loc.Offset) != s.openBodyLen() {
 			return fmt.Errorf("dedup: replay: record for %s does not extend the open container (%+v, open %d/%d)",
-				fp.Short(), loc, s.currentID, len(s.current))
+				fp.Short(), loc, s.currentID, s.openBodyLen())
 		}
 		if kind == recPut {
 			if _, exists := s.index[fp]; exists {
@@ -178,12 +211,13 @@ func (st *state) Apply(ctx context.Context, rec []byte) error {
 		if id != s.currentID {
 			return fmt.Errorf("dedup: replay: SEAL of container %d but open container is %d", id, s.currentID)
 		}
-		// Mirror sealLocked: squeeze dead space before measuring.
-		if s.openDead > 0 {
-			s.compactOpenLocked()
+		// Stores before version 4 squeezed the open container's dead
+		// space out before sealing it.
+		if s.legacy && s.openDead > 0 {
+			s.squeezeLegacyOpen()
 		}
-		if uint64(len(s.current)) != live {
-			return fmt.Errorf("dedup: replay: SEAL of %d live bytes but open container has %d", live, len(s.current))
+		if have := uint64(s.openBodyLen()) - s.openDead; have != live {
+			return fmt.Errorf("dedup: replay: SEAL of %d live bytes but open container has %d", live, have)
 		}
 		s.applySeal(id, live)
 	case recDrop:
@@ -200,6 +234,81 @@ func (st *state) Apply(ctx context.Context, rec []byte) error {
 	}
 	if !r.Done() {
 		return fmt.Errorf("dedup: replay: trailing bytes in record kind %d", kind)
+	}
+	return nil
+}
+
+// replayFormat notes whether the record being replayed carries chunk
+// bytes, and rejects a recovery that mixes the pre-version-4 format
+// with the current one: Open converts an old store before it journals
+// anything, so a mixture means the log is not one store's history.
+func (s *Store) replayFormat(legacy bool) error {
+	if legacy && s.metaLog || !legacy && s.legacy {
+		return fmt.Errorf("dedup: replay: log mixes data-carrying and metadata-only records")
+	}
+	s.legacy, s.metaLog = legacy, !legacy
+	return nil
+}
+
+// squeezeLegacyOpen repeats the squeeze stores before snapshot version
+// 4 applied to their in-memory open container, and journaled only
+// implicitly: the live chunks repacked in offset order, dead bytes
+// dropped. Only replay of such a store calls it; the open container's
+// bytes are then all in memory.
+func (s *Store) squeezeLegacyOpen() {
+	live := s.liveOpenEntries()
+	body := make([]byte, 0, s.openBodyLen())
+	for i := range live {
+		e := &live[i]
+		start := packfile.HeaderSize + e.Offset
+		e.Offset = uint64(len(body))
+		s.index[e.FP] = Location{Container: s.currentID, Offset: uint32(e.Offset), Length: e.Length}
+		body = append(body, s.current[start:start+uint64(e.Length)]...)
+	}
+	s.current = append(s.current[:packfile.HeaderSize], body...)
+	s.openDead = 0
+}
+
+// loadOpen finishes recovery of the open container once replay is
+// done. A store in the current format has its bytes in the blob: the
+// committed prefix is read back with one ranged read, and a blob
+// shorter than the journal says fails Open. A store written before
+// snapshot version 4 had them in its snapshot and records: they are
+// written to the blob and a version-4 checkpoint is taken. Either way
+// every live open chunk is checked against its fingerprint, and its
+// checksum is taken for the packfile index that seal writes.
+func (s *Store) loadOpen(ctx context.Context) error {
+	entries := s.liveOpenEntries()
+	if s.legacy {
+		if err := s.writeOpenLocked(ctx); err != nil {
+			return err
+		}
+		if err := s.journal.Checkpoint(ctx); err != nil {
+			return err
+		}
+		s.legacy = false
+	} else if s.openBodyLen() > 0 {
+		name := containerName(s.currentID)
+		blob, err := s.backend.GetRange(ctx, store.NSContainers, name, 0, int64(len(s.current)))
+		if err != nil {
+			return fmt.Errorf("dedup: open container %d does not hold the %d bytes the journal committed: %w",
+				s.currentID, s.openBodyLen(), err)
+		}
+		if !bytes.Equal(blob[:packfile.HeaderSize], s.current[:packfile.HeaderSize]) {
+			return fmt.Errorf("dedup: open container %d: %w: bad header", s.currentID, packfile.ErrCorrupt)
+		}
+		copy(s.current, blob)
+		s.committed = len(s.current)
+	}
+	s.metaLog = false
+	for i := range entries {
+		e := &entries[i]
+		data := s.current[packfile.HeaderSize+e.Offset:][:e.Length]
+		if fingerprint.New(data) != e.FP {
+			return fmt.Errorf("dedup: open container %d: chunk %s at %d fails verification",
+				s.currentID, e.FP.Short(), e.Offset)
+		}
+		e.CRC = crc32.ChecksumIEEE(data)
 	}
 	return nil
 }
@@ -240,9 +349,12 @@ func readEntry(r *binenc.Reader) (fingerprint.Fingerprint, Location, error) {
 }
 
 // sweepOrphans deletes container blobs the recovered state does
-// not own: a container sealed-but-not-committed before the crash, or
-// one whose committed compaction did not get to delete it. Either way
-// the recovered index holds no locations in it.
+// not own: one opened or sealed past the recovered open container
+// before the crash, one whose committed compaction did not get to
+// delete it, or a stale blob under the open container's name while it
+// holds nothing. The recovered index holds no locations in any of
+// them. The open container's blob, bytes past the committed length
+// and all, is kept: the next commit point overwrites the excess.
 func (s *Store) sweepOrphans(ctx context.Context) error {
 	names, err := s.backend.List(ctx, store.NSContainers)
 	if err != nil {
@@ -253,7 +365,7 @@ func (s *Store) sweepOrphans(ctx context.Context) error {
 		if !ok {
 			return fmt.Errorf("dedup: foreign blob %q in container namespace", name)
 		}
-		if _, live := s.containers[id]; !live {
+		if _, live := s.containers[id]; !live && (id != s.currentID || s.openBodyLen() == 0) {
 			if err := s.backend.Delete(ctx, store.NSContainers, name); err != nil {
 				return fmt.Errorf("dedup: sweep orphan container %d: %w", id, err)
 			}
@@ -271,7 +383,7 @@ func (s *Store) scrub(ctx context.Context) error {
 	byContainer := make(map[uint64]map[fingerprint.Fingerprint]Location)
 	for fp, loc := range s.index {
 		if loc.Container == s.currentID {
-			continue // open container: in memory, nothing to scrub
+			continue // open container: verified by loadOpen
 		}
 		m := byContainer[loc.Container]
 		if m == nil {
@@ -360,11 +472,14 @@ func (st *state) EncodeSnapshot(w *binenc.Writer) {
 		w.Uint64(info.Dead)
 	}
 
-	w.WriteBytes(s.current)
+	// The commit point that triggered the checkpoint wrote the whole
+	// open container first, so its length is the committed length.
+	w.Uint64(uint64(s.openBodyLen()))
 }
 
-// DecodeSnapshot restores the state EncodeSnapshot wrote.
-func (st *state) DecodeSnapshot(r *binenc.Reader) error {
+// DecodeSnapshot restores the state EncodeSnapshot wrote, or a version
+// 3 snapshot, whose open container bytes it keeps for loadOpen.
+func (st *state) DecodeSnapshot(r *binenc.Reader, version uint8) error {
 	s := (*Store)(st)
 	if err := readUint64s(r, s.snapshotScalars()...); err != nil {
 		return err
@@ -401,10 +516,37 @@ func (st *state) DecodeSnapshot(r *binenc.Reader) error {
 		s.containers[id] = info
 	}
 
-	open, err := r.ReadBytes()
-	if err != nil {
-		return err
+	s.current = s.current[:packfile.HeaderSize]
+	s.openEntries = s.openEntries[:0]
+	if version == 3 {
+		open, err := r.ReadBytes()
+		if err != nil {
+			return err
+		}
+		s.current = append(s.current, open...)
+		s.legacy = true
+	} else {
+		committed, err := r.Uint64()
+		if err != nil {
+			return err
+		}
+		if committed > math.MaxUint32 {
+			return fmt.Errorf("open container length %d", committed)
+		}
+		s.current = append(s.current, make([]byte, committed)...)
+		s.metaLog = true
 	}
-	s.current = append(s.current[:0], open...)
+	// The open container's chunks, in offset order, as appends would
+	// have listed them. Checksums are loadOpen's to fill in.
+	for fp, loc := range s.index {
+		if loc.Container != s.currentID {
+			continue
+		}
+		if uint64(loc.Offset)+uint64(loc.Length) > uint64(s.openBodyLen()) {
+			return fmt.Errorf("chunk %s lies past the open container's %d bytes", fp.Short(), s.openBodyLen())
+		}
+		s.openEntries = append(s.openEntries, packfile.Entry{FP: fp, Offset: uint64(loc.Offset), Length: loc.Length})
+	}
+	slices.SortFunc(s.openEntries, func(a, b packfile.Entry) int { return cmp.Compare(a.Offset, b.Offset) })
 	return nil
 }

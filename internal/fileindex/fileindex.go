@@ -258,7 +258,7 @@ func (st *state) EncodeSnapshot(w *binenc.Writer) {
 // DecodeSnapshot replaces the entries with the ones EncodeSnapshot
 // wrote. With wal.DecodeSnapshot around it, it is the other fuzzed
 // decode boundary.
-func (st *state) DecodeSnapshot(r *binenc.Reader) error {
+func (st *state) DecodeSnapshot(r *binenc.Reader, _ uint8) error {
 	count, err := r.Uvarint()
 	if err != nil {
 		return err

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/fingerprint"
 	"repro/internal/store"
@@ -85,9 +86,12 @@ type Writer struct {
 
 // NewWriter returns a Writer; bodyHint pre-sizes the buffer.
 func NewWriter(bodyHint int) *Writer {
-	buf := make([]byte, 0, HeaderSize+bodyHint)
-	buf = append(buf, headerMagic[:]...)
-	return &Writer{buf: buf}
+	return &Writer{buf: AppendHeader(make([]byte, 0, HeaderSize+bodyHint))}
+}
+
+// AppendHeader appends the HeaderSize bytes every packfile opens with.
+func AppendHeader(buf []byte) []byte {
+	return append(buf, headerMagic[:]...)
 }
 
 // Add appends one chunk and returns its body-relative offset.
@@ -109,22 +113,32 @@ func (w *Writer) Count() int { return len(w.entries) }
 // Finish appends the index and footer and returns the complete blob.
 // The Writer must not be reused afterwards.
 func (w *Writer) Finish() []byte {
-	indexOff := uint64(len(w.buf))
-	indexStart := len(w.buf)
-	for _, e := range w.entries {
-		w.buf = append(w.buf, e.FP[:]...)
-		w.buf = binary.BigEndian.AppendUint64(w.buf, e.Offset)
-		w.buf = binary.BigEndian.AppendUint32(w.buf, e.Length)
-		w.buf = binary.BigEndian.AppendUint32(w.buf, e.CRC)
-	}
-	indexCRC := crc32.ChecksumIEEE(w.buf[indexStart:])
-
-	w.buf = binary.BigEndian.AppendUint64(w.buf, indexOff)
-	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(len(w.entries)))
-	w.buf = binary.BigEndian.AppendUint32(w.buf, indexCRC)
-	w.buf = append(w.buf, Version, 0, 0, 0)
-	w.buf = append(w.buf, footerMagic[:]...)
+	w.buf = AppendIndex(w.buf, w.entries)
 	return w.buf
+}
+
+// AppendIndex appends the index section for entries and the footer to
+// buf, which must hold the packfile from its header on: the footer
+// records len(buf) as the index offset. Entries are written in the
+// order given, and the body between them may hold bytes no entry
+// names. Writer.Finish and a store that builds the body in place
+// share it, so both produce the same bytes.
+func AppendIndex(buf []byte, entries []Entry) []byte {
+	indexStart := len(buf)
+	buf = slices.Grow(buf, len(entries)*EntrySize+FooterSize)
+	for _, e := range entries {
+		buf = append(buf, e.FP[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, e.Offset)
+		buf = binary.BigEndian.AppendUint32(buf, e.Length)
+		buf = binary.BigEndian.AppendUint32(buf, e.CRC)
+	}
+	indexCRC := crc32.ChecksumIEEE(buf[indexStart:])
+
+	buf = binary.BigEndian.AppendUint64(buf, uint64(indexStart))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(entries)))
+	buf = binary.BigEndian.AppendUint32(buf, indexCRC)
+	buf = append(buf, Version, 0, 0, 0)
+	return append(buf, footerMagic[:]...)
 }
 
 // ParseFooter decodes the trailing FooterSize bytes of a packfile

@@ -430,7 +430,10 @@ func DecodeChallengeReq(b []byte) (fingerprint.Fingerprint, []byte, error) {
 	return fp, nonce, nil
 }
 
-// ChunkUpload is one chunk in a MsgPutChunksReq.
+// ChunkUpload is one chunk in a MsgPutChunksReq. A decoded upload's
+// Data aliases the request frame it was decoded from: the server's
+// handler reads it, dedup.Put copies new chunks into the open
+// container, and nothing retains it past the handler.
 type ChunkUpload struct {
 	FP   fingerprint.Fingerprint
 	Data []byte
@@ -451,7 +454,9 @@ func EncodePutChunksReq(chunks []ChunkUpload) []byte {
 	return w.Bytes()
 }
 
-// DecodePutChunksReq decodes a chunk upload batch.
+// DecodePutChunksReq decodes a chunk upload batch without copying the
+// chunks: each Data is a sub-slice of b (ReadFrame allocates every
+// frame body afresh, so b is the request's own).
 func DecodePutChunksReq(b []byte) ([]ChunkUpload, error) {
 	r := binenc.NewReader(b)
 	count, err := r.Uvarint()
@@ -471,11 +476,12 @@ func DecodePutChunksReq(b []byte) ([]ChunkUpload, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := r.ReadBytesCopy()
+		data, err := r.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("%w: chunk %d data: %v", ErrBadMessage, i, err)
 		}
-		chunks = append(chunks, ChunkUpload{FP: fp, Data: data})
+		// Capped, so an append to one chunk cannot run into the next.
+		chunks = append(chunks, ChunkUpload{FP: fp, Data: data[:len(data):len(data)]})
 	}
 	if !r.Done() {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadMessage)

@@ -170,6 +170,27 @@ func TestPutChunksRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutChunksDecodeAliasesFrame pins the zero-copy decode: each
+// chunk views the request bytes, capped at its own end.
+func TestPutChunksDecodeAliasesFrame(t *testing.T) {
+	payload := EncodePutChunksReq([]ChunkUpload{
+		{FP: fingerprint.New([]byte("a")), Data: []byte("first")},
+		{FP: fingerprint.New([]byte("b")), Data: []byte("second")},
+	})
+	got, err := DecodePutChunksReq(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(payload, []byte("first"))
+	payload[i] = 'F'
+	if string(got[0].Data) != "First" {
+		t.Fatalf("chunk 0 = %q: it does not alias the frame", got[0].Data)
+	}
+	if cap(got[0].Data) != len(got[0].Data) {
+		t.Fatalf("chunk 0 has capacity %d past its %d bytes", cap(got[0].Data), len(got[0].Data))
+	}
+}
+
 func TestPutChunksRespRoundTrip(t *testing.T) {
 	dups := []bool{true, false, true}
 	got, err := DecodePutChunksResp(EncodePutChunksResp(dups))

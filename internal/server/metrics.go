@@ -37,6 +37,14 @@ func (s *Server) initMetrics() {
 	s.reg.SetCounterFunc("dedup_gc_freed_chunks", func() uint64 { return s.chunks.Stats().FreedChunks })
 	s.reg.SetCounterFunc("dedup_gc_reclaimed_bytes", func() uint64 { return s.chunks.Stats().FreedBytes })
 	s.reg.SetCounterFunc("dedup_gc_compacted_containers", func() uint64 { return s.chunks.Stats().CompactedContainers })
+	// The write census: what the durable write path costs in backend
+	// writes. Container bytes are open-container tails plus each seal's
+	// index and footer; WAL bytes are segment bytes.
+	s.reg.SetCounterFunc("dedup_container_write_bytes", func() uint64 { return s.chunks.WriteCensus().ContainerBytes })
+	s.reg.SetCounterFunc("dedup_wal_write_bytes", func() uint64 { return s.chunks.WriteCensus().WALBytes })
+	s.reg.SetCounterFunc("dedup_commits_total", func() uint64 { return s.chunks.WriteCensus().Commits })
+	s.reg.SetCounterFunc("dedup_seals_total", func() uint64 { return s.chunks.WriteCensus().Seals })
+	s.reg.SetCounterFunc("dedup_checkpoints_total", func() uint64 { return s.chunks.WriteCensus().Checkpoints })
 	s.reg.SetGaugeFunc("dedup_logical_bytes", func() float64 { return float64(s.chunks.Stats().LogicalBytes) })
 	s.reg.SetGaugeFunc("dedup_physical_bytes", func() float64 { return float64(s.chunks.Stats().PhysicalBytes) })
 	s.reg.SetGaugeFunc("dedup_savings_ratio", func() float64 { return s.chunks.Stats().SavingsRatio() })

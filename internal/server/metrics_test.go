@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fingerprint"
 	"repro/internal/metrics"
+	"repro/internal/packfile"
 	"repro/internal/proto"
 	"repro/internal/store"
 )
@@ -92,5 +93,52 @@ func TestInstrumentedDispatchCounts(t *testing.T) {
 	}
 	if got := snap.Gauges["dedup_container_count"]; got < 1 {
 		t.Fatalf("dedup_container_count = %v, want >= 1", got)
+	}
+}
+
+// TestWriteCensusCounters: the write census is registered, and a cold
+// upload batch shows each chunk byte written to its container once
+// (plus the header), a metadata-only WAL segment per commit, and no
+// checkpoint.
+func TestWriteCensusCounters(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, err := New(ctx, store.NewMemory(), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunkBytes uint64
+	for batch := 0; batch < 4; batch++ {
+		var chunks []proto.ChunkUpload
+		for i := 0; i < 16; i++ {
+			data := make([]byte, 8<<10)
+			for j := range data {
+				data[j] = byte(batch*131 + i*7 + j*13 + j>>8)
+			}
+			chunks = append(chunks, proto.ChunkUpload{FP: fingerprint.New(data), Data: data})
+			chunkBytes += uint64(len(data))
+		}
+		if typ, _ := srv.dispatchTimed(ctx, proto.MsgPutChunksReq, proto.EncodePutChunksReq(chunks)); typ != proto.MsgPutChunksResp {
+			t.Fatalf("batch %d returned %v", batch, typ)
+		}
+	}
+	c := srv.MetricsSnapshot().Counters
+	if got, want := c["dedup_container_write_bytes"], chunkBytes+packfile.HeaderSize; got != want {
+		t.Errorf("dedup_container_write_bytes = %d, want %d", got, want)
+	}
+	if got := c["dedup_commits_total"]; got != 4 {
+		t.Errorf("dedup_commits_total = %d, want 4", got)
+	}
+	if got := c["dedup_wal_write_bytes"]; got == 0 || got*50 > chunkBytes {
+		t.Errorf("dedup_wal_write_bytes = %d, want metadata only (under 2%% of %d)", got, chunkBytes)
+	}
+	if c["dedup_seals_total"] != 0 || c["dedup_checkpoints_total"] != 0 {
+		t.Errorf("seals = %d, checkpoints = %d; want none", c["dedup_seals_total"], c["dedup_checkpoints_total"])
+	}
+	if err := srv.chunks.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c = srv.MetricsSnapshot().Counters
+	if c["dedup_seals_total"] != 1 || c["dedup_checkpoints_total"] != 1 {
+		t.Errorf("after Flush: seals = %d, checkpoints = %d; want 1 and 1", c["dedup_seals_total"], c["dedup_checkpoints_total"])
 	}
 }

@@ -21,9 +21,11 @@ const diskStripes = 64
 // Durability: Put writes to a temp file, fsyncs it, renames it into
 // place, and fsyncs the parent directory, so a published blob survives
 // both process kill and power loss — the dedup WAL's crash-recovery
-// guarantee rests on exactly this. WithNoSync trades the per-Put fsyncs
-// for speed (benchmarks, throwaway runs); Close still flushes every
-// directory so the name set, at least, is durable on a clean shutdown.
+// guarantee rests on exactly this. WriteAt, the in-place exception for
+// single-writer blobs, fdatasyncs the file instead. WithNoSync trades
+// the per-write fsyncs for speed (benchmarks, throwaway runs); Close
+// still flushes every directory so the name set, at least, is durable
+// on a clean shutdown.
 //
 // Locking is striped per (namespace, name): operations on different
 // blobs proceed in parallel (the server's concurrent handlers convoy
@@ -48,7 +50,7 @@ var _ Backend = (*Disk)(nil)
 // DiskOption configures a Disk backend.
 type DiskOption func(*Disk)
 
-// WithNoSync disables the fsync calls in Put. Blobs are still published
+// WithNoSync disables the fsync calls in Put and WriteAt. Blobs are still published
 // atomically via rename, but survive only process crashes, not power
 // loss. Intended for benchmarks and tests; durability-sensitive callers
 // (the storage server's default path) must not use it.
@@ -259,6 +261,64 @@ func (d *Disk) GetRange(ctx context.Context, ns, name string, off, n int64) ([]b
 		return nil, fmt.Errorf("store: read range: %w", err)
 	}
 	return buf, nil
+}
+
+// WriteAt implements Backend in place: pwrite, ftruncate and
+// fdatasync on the blob's file, plus a directory fsync when the call
+// creates it, so a commit costs the bytes it adds rather than a
+// rewrite of the blob. List may name the file while a WriteAt is under
+// way; WriteAt's callers own their blobs and nothing reads them by
+// name meanwhile.
+func (d *Disk) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	dir, err := d.ensureDir(ns)
+	if err != nil {
+		return err
+	}
+	mu := d.stripe(ns, name)
+	mu.Lock()
+	defer mu.Unlock()
+	path := d.path(ns, name)
+	created := false
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if errors.Is(err, os.ErrNotExist) && off == 0 {
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+		created = true
+	}
+	if errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("%w: %s/%s", ErrNotFound, ns, name)
+	}
+	if err != nil {
+		return fmt.Errorf("store: open: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: stat: %w", err)
+	}
+	if err := checkWriteAt(ns, name, off, fi.Size(), true); err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(data, off); err != nil {
+		return fmt.Errorf("store: write: %w", err)
+	}
+	if end := off + int64(len(data)); end < fi.Size() {
+		if err := f.Truncate(end); err != nil {
+			return fmt.Errorf("store: truncate: %w", err)
+		}
+	}
+	if d.nosync {
+		return nil
+	}
+	if err := datasync(f); err != nil {
+		return fmt.Errorf("store: fdatasync: %w", err)
+	}
+	if created {
+		return syncDir(dir)
+	}
+	return nil
 }
 
 // Has implements Backend.

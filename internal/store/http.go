@@ -188,6 +188,24 @@ func (h *HTTP) GetRange(ctx context.Context, ns, name string, off, n int64) ([]b
 	}
 }
 
+// WriteAt implements Backend. The object protocol has no partial
+// write, so WriteAt reads the blob's first off bytes, splices data on
+// and Puts the result back: correct, but O(blob) per call, where Disk
+// pays only for the bytes written.
+func (h *HTTP) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
+	if off == 0 {
+		return h.Put(ctx, ns, name, data)
+	}
+	if off < 0 {
+		return checkWriteAt(ns, name, off, 0, true)
+	}
+	prefix, err := h.GetRange(ctx, ns, name, 0, off)
+	if err != nil {
+		return err
+	}
+	return h.Put(ctx, ns, name, append(prefix, data...))
+}
+
 // Has implements Backend.
 func (h *HTTP) Has(ctx context.Context, ns, name string) (bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodHead, h.blobURL(ns, name), nil)

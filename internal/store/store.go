@@ -24,6 +24,19 @@
 //     like an HTTP suffix range); a negative length means "to the end".
 //     Ranges extending past either edge of the blob fail with ErrRange
 //     rather than being silently clamped.
+//
+// WriteAt is the one exception to Put's atomicity: it rewrites a blob's
+// tail in place, for single-writer blobs that nothing reads by name
+// until the writer is done (the dedup store's open container, which it
+// extends at every commit and seals in place). Its cost differs by
+// backend:
+//
+//   - Memory splices the bytes into the stored blob;
+//   - Disk issues pwrite, ftruncate and fdatasync on the file (plus a
+//     directory fsync when the call creates it), so a commit costs the
+//     bytes it adds, not the blob;
+//   - HTTP has no partial-write verb, so it reads the blob, splices and
+//     Puts it back: correct, but O(blob) per call.
 package store
 
 import (
@@ -76,6 +89,14 @@ type Backend interface {
 	GetRange(ctx context.Context, ns, name string, off, n int64) ([]byte, error)
 	// Has reports whether (ns, name) exists.
 	Has(ctx context.Context, ns, name string) (bool, error)
+	// WriteAt writes data at byte off of (ns, name) and drops every
+	// byte past off+len(data); it returns once the bytes are durable.
+	// off == 0 creates the blob if it is missing; otherwise a missing
+	// blob is ErrNotFound and an off beyond the blob's length is
+	// ErrRange. Unlike Put it is not atomic against readers: it is for
+	// single-writer blobs that nothing reads by name until the writer
+	// is done.
+	WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error
 	// Delete removes (ns, name); deleting a missing blob is not an
 	// error.
 	Delete(ctx context.Context, ns, name string) error
@@ -167,6 +188,40 @@ func (m *Memory) GetRange(ctx context.Context, ns, name string, off, n int64) ([
 		return nil, fmt.Errorf("%s/%s: %w", ns, name, err)
 	}
 	return append([]byte(nil), blob[start:end]...), nil
+}
+
+// WriteAt implements Backend by splicing data into the stored blob.
+func (m *Memory) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	nsMap, ok := m.data[ns]
+	if !ok {
+		nsMap = make(map[string][]byte)
+		m.data[ns] = nsMap
+	}
+	blob, ok := nsMap[name]
+	if err := checkWriteAt(ns, name, off, int64(len(blob)), ok); err != nil {
+		return err
+	}
+	// In place: Put stores a copy and Get and GetRange return copies,
+	// so no caller shares the stored array.
+	nsMap[name] = append(blob[:off], data...)
+	return nil
+}
+
+// checkWriteAt implements WriteAt's bounds contract for a blob of size
+// bytes (exists false: missing).
+func checkWriteAt(ns, name string, off, size int64, exists bool) error {
+	switch {
+	case !exists && off != 0:
+		return fmt.Errorf("%w: %s/%s", ErrNotFound, ns, name)
+	case off < 0 || off > size:
+		return fmt.Errorf("%s/%s: %w: write at %d of %d bytes", ns, name, ErrRange, off, size)
+	}
+	return nil
 }
 
 // Has implements Backend.

@@ -136,6 +136,56 @@ func TestGetRangeOutOfBounds(t *testing.T) {
 	}
 }
 
+// TestWriteAt pins WriteAt's contract on every backend: off 0 creates,
+// a write extends or truncates past its end, the bytes below off are
+// kept, and an off past the end (or on a missing blob) fails.
+func TestWriteAt(t *testing.T) {
+	for name, b := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			defer b.Close()
+			steps := []struct {
+				off  int64
+				data string
+				want string
+			}{
+				{0, "header", "header"},              // creates
+				{6, "abc", "headerabc"},              // appends
+				{9, "defgh", "headerabcdefgh"},       // appends again
+				{9, "XY", "headerabcXY"},             // rewrites the tail, drops the rest
+				{11, "", "headerabcXY"},              // empty write at the end: no change
+				{3, "", "hea"},                       // empty write truncates
+				{0, "fresh", "fresh"},                // off 0 replaces the whole blob
+				{5, "0123456789", "fresh0123456789"}, // and it keeps growing
+			}
+			for i, st := range steps {
+				if err := b.WriteAt(ctx, NSContainers, "open", st.off, []byte(st.data)); err != nil {
+					t.Fatalf("step %d: WriteAt(%d, %q): %v", i, st.off, st.data, err)
+				}
+				got, err := b.Get(ctx, NSContainers, "open")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != st.want {
+					t.Fatalf("step %d: blob = %q, want %q", i, got, st.want)
+				}
+			}
+			if err := b.WriteAt(ctx, NSContainers, "open", 16, []byte("x")); !errors.Is(err, ErrRange) {
+				t.Fatalf("WriteAt past the end = %v, want ErrRange", err)
+			}
+			if err := b.WriteAt(ctx, NSContainers, "missing", 1, []byte("x")); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("WriteAt at 1 of a missing blob = %v, want ErrNotFound", err)
+			}
+			if ok, _ := b.Has(ctx, NSContainers, "missing"); ok {
+				t.Fatal("a failed WriteAt created the blob")
+			}
+			names, err := b.List(ctx, NSContainers)
+			if err != nil || len(names) != 1 || names[0] != "open" {
+				t.Fatalf("List = %v, %v; want [open]", names, err)
+			}
+		})
+	}
+}
+
 func TestHas(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {

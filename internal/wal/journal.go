@@ -26,9 +26,10 @@ type State interface {
 	Apply(ctx context.Context, rec []byte) error
 	// EncodeSnapshot writes the complete state, deterministically.
 	EncodeSnapshot(w *binenc.Writer)
-	// DecodeSnapshot replaces the state with one EncodeSnapshot wrote.
+	// DecodeSnapshot replaces the state with one EncodeSnapshot wrote
+	// under the given snapshot version (see Spec.OldestVersion).
 	// Trailing bytes are the Journal's to reject.
-	DecodeSnapshot(r *binenc.Reader) error
+	DecodeSnapshot(r *binenc.Reader, version uint8) error
 }
 
 // Spec is what differs between one journaled state and another.
@@ -40,8 +41,11 @@ type Spec struct {
 	Namespace, Prefix string
 	// Blob names the checkpoint snapshot in store.NSMeta.
 	Blob string
-	// Version guards the snapshot encoding.
-	Version uint8
+	// Version guards the snapshot encoding: checkpoints are written at
+	// Version, and snapshots from OldestVersion (0: Version alone)
+	// through Version decode, so an owner can keep reading a store an
+	// older encoding wrote.
+	Version, OldestVersion uint8
 	// CheckpointEvery is how many journaled bytes make the next Commit
 	// fold the log into a fresh snapshot.
 	CheckpointEvery int64
@@ -68,6 +72,16 @@ type Journal struct {
 	// snapLen is the size of the last snapshot read or written: the
 	// capacity hint for encoding the next one.
 	snapLen int
+	census  Census
+}
+
+// Census counts what a Journal has written since it was opened.
+type Census struct {
+	// Segments and SegmentBytes count WAL segments and their bytes,
+	// trailers included.
+	Segments, SegmentBytes uint64
+	// Checkpoints counts snapshot blobs written.
+	Checkpoints uint64
 }
 
 // OpenJournal recovers state from the backend — load the snapshot, open
@@ -120,13 +134,17 @@ func DecodeSnapshot(spec Spec, blob []byte, state State) (walFrom uint64, err er
 	if err != nil {
 		return 0, fmt.Errorf("%s: parse snapshot: %w", spec.Owner, err)
 	}
-	if version != spec.Version {
+	oldest := spec.OldestVersion
+	if oldest == 0 {
+		oldest = spec.Version
+	}
+	if version < oldest || version > spec.Version {
 		return 0, fmt.Errorf("%s: unsupported snapshot version %d (want %d)", spec.Owner, version, spec.Version)
 	}
 	if walFrom, err = r.Uint64(); err != nil {
 		return 0, fmt.Errorf("%s: parse snapshot: %w", spec.Owner, err)
 	}
-	if err := state.DecodeSnapshot(r); err != nil {
+	if err := state.DecodeSnapshot(r, version); err != nil {
 		return 0, fmt.Errorf("%s: parse snapshot: %w", spec.Owner, err)
 	}
 	if !r.Done() {
@@ -147,11 +165,22 @@ func (j *Journal) Record(payload []byte) {
 // AutoCommit commits once the buffered records pass autoCommitBytes.
 // Owners call it at the end of every mutating operation.
 func (j *Journal) AutoCommit(ctx context.Context) error {
-	if len(j.pending) < autoCommitBytes {
+	if !j.CommitDue(0) {
 		return nil
 	}
 	return j.Commit(ctx)
 }
+
+// CommitDue reports whether the buffered records plus extra bytes the
+// owner holds uncommitted elsewhere have reached autoCommitBytes: the
+// test behind AutoCommit, for an owner whose commit point writes more
+// than the log.
+func (j *Journal) CommitDue(extra int) bool {
+	return len(j.pending)+extra >= autoCommitBytes
+}
+
+// Census returns what the journal has written since it was opened.
+func (j *Journal) Census() Census { return j.census }
 
 // Commit makes every record buffered so far durable as one segment and,
 // once the log has grown past the spec's threshold, checkpoints.
@@ -176,6 +205,8 @@ func (j *Journal) Sync(ctx context.Context) error {
 		return fmt.Errorf("%s: commit: %w", j.spec.Owner, err)
 	}
 	j.walBytes += int64(len(j.pending))
+	j.census.Segments++
+	j.census.SegmentBytes += uint64(len(j.pending) + segmentTrailer)
 	j.pending = j.pending[:0]
 	return nil
 }
@@ -198,6 +229,7 @@ func (j *Journal) Checkpoint(ctx context.Context) error {
 	}
 	j.snapLen = len(blob)
 	j.walBytes = 0
+	j.census.Checkpoints++
 	if err := j.log.TruncateBefore(ctx, j.log.Next()); err != nil {
 		return fmt.Errorf("%s: truncate wal: %w", j.spec.Owner, err)
 	}

@@ -30,7 +30,7 @@ func (l *lines) EncodeSnapshot(w *binenc.Writer) {
 	}
 }
 
-func (l *lines) DecodeSnapshot(r *binenc.Reader) error {
+func (l *lines) DecodeSnapshot(r *binenc.Reader, _ uint8) error {
 	n, err := r.Uvarint()
 	if err != nil {
 		return err
