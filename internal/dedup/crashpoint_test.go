@@ -10,8 +10,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,20 +28,36 @@ var errInjected = errors.New("injected fault")
 // would leave things.
 type faultBackend struct {
 	store.Backend
-	mu         sync.Mutex
-	failWAL    bool // Put of a WAL segment
-	failDelete bool // Delete of a container
+	mu     sync.Mutex
+	faults faults
 }
 
-func (f *faultBackend) arm(wal, del bool) {
+// faults names the writes a faultBackend fails.
+type faults struct {
+	container string // WriteAt of this container blob
+	wal       bool   // Put of a WAL segment
+	delete    bool   // Delete of a container
+}
+
+func (f *faultBackend) arm(fs faults) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.failWAL, f.failDelete = wal, del
+	f.faults = fs
+}
+
+func (f *faultBackend) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
+	f.mu.Lock()
+	fail := f.faults.container == name && ns == store.NSContainers
+	f.mu.Unlock()
+	if fail {
+		return errInjected
+	}
+	return f.Backend.WriteAt(ctx, ns, name, off, data)
 }
 
 func (f *faultBackend) Put(ctx context.Context, ns, name string, data []byte) error {
 	f.mu.Lock()
-	fail := f.failWAL && ns == store.NSWAL
+	fail := f.faults.wal && ns == store.NSWAL
 	f.mu.Unlock()
 	if fail {
 		return errInjected
@@ -49,7 +67,7 @@ func (f *faultBackend) Put(ctx context.Context, ns, name string, data []byte) er
 
 func (f *faultBackend) Delete(ctx context.Context, ns, name string) error {
 	f.mu.Lock()
-	fail := f.failDelete && ns == store.NSContainers
+	fail := f.faults.delete && ns == store.NSContainers
 	f.mu.Unlock()
 	if fail {
 		return errInjected
@@ -116,38 +134,58 @@ func recoverAndCheck(t *testing.T, backend store.Backend, containerSize int, wan
 	verifyChunks(t, s2, append(want.fps, fp), append(want.datas, data))
 }
 
-// TestCrashAfterContainerWriteBeforeWAL: the commit point wrote the
-// open container's tail but not the WAL segment. The tail's chunks are
-// lost cleanly, and the next Put overwrites them.
-func TestCrashAfterContainerWriteBeforeWAL(t *testing.T) {
-	backend := &faultBackend{Backend: store.NewMemory()}
-	s, err := Open(ctx, backend, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want crashState
-	for i := 0; i < 4; i++ {
-		want.put(t, s, 100+i, 1000)
-	}
-	if err := s.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want.stats = s.Stats()
+// TestCrashAtCommitPoint stops a Commit at each of its two writes. A
+// failed container write must leave the WAL untouched (the records
+// would name bytes that never landed); after a failed WAL write the
+// container holds the tail but nothing names it. Either way the tail's
+// chunks are lost cleanly, and the next Put overwrites them.
+func TestCrashAtCommitPoint(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		faults  faults
+		blobLen int // the open container's blob after the failed Commit
+	}{
+		{"before the container write", faults{container: containerName(0)}, packfile.HeaderSize + 4000},
+		{"after the container write, before the WAL", faults{wal: true}, packfile.HeaderSize + 7000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := &faultBackend{Backend: store.NewMemory()}
+			s, err := Open(ctx, backend, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want crashState
+			for i := 0; i < 4; i++ {
+				want.put(t, s, 100+i, 1000)
+			}
+			if err := s.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			want.stats = s.Stats()
+			segs, err := backend.List(ctx, store.NSWAL)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var lost crashState
-	for i := 0; i < 3; i++ {
-		lost.put(t, s, 200+i, 1000)
+			var lost crashState
+			for i := 0; i < 3; i++ {
+				lost.put(t, s, 200+i, 1000)
+			}
+			backend.arm(tc.faults)
+			if err := s.Commit(ctx); !errors.Is(err, errInjected) {
+				t.Fatalf("Commit = %v, want the injected fault", err)
+			}
+			backend.arm(faults{})
+			blob, err := backend.Get(ctx, store.NSContainers, containerName(0))
+			if err != nil || len(blob) != tc.blobLen {
+				t.Fatalf("open container blob is %d bytes, %v; want %d", len(blob), err, tc.blobLen)
+			}
+			if after, _ := backend.List(ctx, store.NSWAL); !slices.Equal(after, segs) {
+				t.Fatalf("WAL segments %v after the failed Commit, want %v", after, segs)
+			}
+			recoverAndCheck(t, backend, 1<<20, want, lost.fps)
+		})
 	}
-	backend.arm(true, false)
-	if err := s.Commit(ctx); !errors.Is(err, errInjected) {
-		t.Fatalf("Commit = %v, want the injected WAL fault", err)
-	}
-	blob, err := backend.Get(ctx, store.NSContainers, containerName(0))
-	if err != nil || len(blob) != packfile.HeaderSize+7000 {
-		t.Fatalf("open container blob is %d bytes, %v; want the uncommitted tail written", len(blob), err)
-	}
-	backend.arm(false, false)
-	recoverAndCheck(t, backend, 1<<20, want, lost.fps)
 }
 
 // TestTornUncommittedTail: a crash mid-write left the open container's
@@ -206,17 +244,19 @@ func TestCrashAfterSealBeforeSEALJournaled(t *testing.T) {
 
 // TestCrashDuringOpenContainerCompaction: a deref left the open
 // container half dead, so it was sealed and its live chunks moved into
-// a fresh open container. A crash before the moves' WAL segment
-// recovers the state before the deref; a crash after it but before the
-// old blob's deletion recovers the state after, and sweeps the blob.
+// a fresh open container. A crash before the moves' container write or
+// WAL segment recovers the state before the deref; a crash after both
+// but before the old blob's deletion recovers the state after, and
+// sweeps the blob.
 func TestCrashDuringOpenContainerCompaction(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
-		failWAL       bool
+		faults        faults
 		wantCompacted bool
 	}{
-		{"before the WAL segment", true, false},
-		{"before the old blob's deletion", false, true},
+		{"before the container write", faults{container: containerName(1)}, false},
+		{"before the WAL segment", faults{wal: true}, false},
+		{"before the old blob's deletion", faults{delete: true}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			backend := &faultBackend{Backend: store.NewMemory()}
@@ -241,7 +281,7 @@ func TestCrashDuringOpenContainerCompaction(t *testing.T) {
 			if _, err := s.Deref(ctx, all.fps[1]); err != nil {
 				t.Fatal(err)
 			}
-			backend.arm(tc.failWAL, !tc.failWAL)
+			backend.arm(tc.faults)
 			if _, err := s.Deref(ctx, all.fps[2]); !errors.Is(err, errInjected) {
 				t.Fatalf("Deref = %v, want the injected fault", err)
 			}
@@ -249,7 +289,7 @@ func TestCrashDuringOpenContainerCompaction(t *testing.T) {
 			if after.stats.CompactedContainers != 1 {
 				t.Fatalf("CompactedContainers = %d, want the open container compacted", after.stats.CompactedContainers)
 			}
-			backend.arm(false, false)
+			backend.arm(faults{})
 
 			want := before
 			if tc.wantCompacted {
@@ -340,36 +380,66 @@ func TestVersion3StoreConvertsOnOpen(t *testing.T) {
 	}
 }
 
-// TestWriteCensus: a cold run writes each chunk byte to its container
-// once, plus the packfile index, and puts no chunk bytes in the WAL.
-func TestWriteCensus(t *testing.T) {
-	s, _ := newStore(t, 64<<10)
-	var unique uint64
-	for i := 0; i < 40; i++ {
-		data, fp := chunk(700+i, 4000)
-		if _, err := s.Put(ctx, fp, data); err != nil {
-			t.Fatal(err)
-		}
-		unique += uint64(len(data))
-		if i%5 == 4 {
+// TestAutoCommitCountsContainerBytes: a caller that never commits still
+// gets its chunks committed once the open container's uncommitted bytes
+// pass the journal's auto-commit threshold, although their metadata
+// records alone are far below it.
+func TestAutoCommitCountsContainerBytes(t *testing.T) {
+	backend := store.NewMemory()
+	s, err := Open(ctx, backend, DefaultContainerSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st crashState
+	for i := 0; i < 24; i++ { // 1.5 MiB of chunks, about 1.4 KB of records
+		st.put(t, s, 800+i, 64<<10)
+	}
+	if c := s.WriteCensus(); c.Commits != 1 || c.ContainerBytes < 1<<20 {
+		t.Fatalf("census = %+v, want one auto-commit of at least 1 MiB", c)
+	}
+	s2, err := Open(ctx, backend, DefaultContainerSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s2.UniqueChunks(); n < 16 {
+		t.Fatalf("recovered %d chunks, want the 16 or more the auto-commit covered", n)
+	}
+	verifyChunks(t, s2, st.fps[:s2.UniqueChunks()], st.datas)
+}
+
+// TestRecoveryOverHTTPBackend runs commits, seals, compaction and a
+// crash over the HTTP backend, whose WriteAt is a read-modify-write Put.
+func TestRecoveryOverHTTPBackend(t *testing.T) {
+	srv := httptest.NewServer(store.NewObjectHandler(store.NewMemory()))
+	t.Cleanup(srv.Close)
+	backend, err := store.NewHTTP(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(ctx, backend, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st crashState
+	for i := 0; i < 20; i++ {
+		st.put(t, s, 900+i, 700)
+		if i%3 == 2 {
 			if err := s.Commit(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	c := s.WriteCensus()
-	seals := c.Seals
-	index := seals*packfile.FooterSize + 40*packfile.EntrySize + (seals+1)*packfile.HeaderSize
-	if c.ContainerBytes > unique+index {
-		t.Fatalf("container bytes %d > unique %d + index %d", c.ContainerBytes, unique, index)
+	for _, fp := range st.fps[:12] {
+		if _, err := s.Deref(ctx, fp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if c.ContainerBytes < unique {
-		t.Fatalf("container bytes %d < unique chunk bytes %d", c.ContainerBytes, unique)
+	if err := s.Commit(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if c.WALBytes*50 > unique {
-		t.Fatalf("WAL bytes %d are more than 2%% of %d chunk bytes", c.WALBytes, unique)
+	if s.Stats().CompactedContainers == 0 {
+		t.Fatal("setup failed to trigger compaction")
 	}
-	if c.Commits != 8 || c.Seals != 2 || c.Checkpoints != 0 {
-		t.Fatalf("census = %+v, want 8 commits, 2 seals, no checkpoint", c)
-	}
+	want := crashState{fps: st.fps[12:], datas: st.datas[12:], stats: s.Stats()}
+	recoverAndCheck(t, backend, 4096, want, st.fps[:12])
 }

@@ -92,8 +92,8 @@ func (s Stats) SavingsRatio() float64 {
 //
 // Two locks split the hot paths so concurrent server handlers
 // parallelize. s.mu guards the mutable dedup state (index, refs, open
-// container, accounting, journal, write census); cacheMu guards the sealed-container
-// read cache and the singleflight table. Get never holds s.mu across a
+// container, accounting, journal, write census); cacheMu guards the
+// sealed-container read cache and the singleflight table. Get never holds s.mu across a
 // backend container fetch — it snapshots the chunk's location under s.mu,
 // fetches the (immutable) sealed container under cacheMu/singleflight,
 // and retries from the index if a concurrent compaction deleted the

@@ -273,21 +273,12 @@ func (s *Store) squeezeLegacyOpen() {
 // done. A store in the current format has its bytes in the blob: the
 // committed prefix is read back with one ranged read, and a blob
 // shorter than the journal says fails Open. A store written before
-// snapshot version 4 had them in its snapshot and records: they are
-// written to the blob and a version-4 checkpoint is taken. Either way
-// every live open chunk is checked against its fingerprint, and its
-// checksum is taken for the packfile index that seal writes.
+// snapshot version 4 had them in its snapshot and records. Every live
+// open chunk is then checked against its fingerprint, and its checksum
+// taken for the packfile index that seal writes. Last, an old store's
+// bytes are written to the blob and a version-4 checkpoint is taken.
 func (s *Store) loadOpen(ctx context.Context) error {
-	entries := s.liveOpenEntries()
-	if s.legacy {
-		if err := s.writeOpenLocked(ctx); err != nil {
-			return err
-		}
-		if err := s.journal.Checkpoint(ctx); err != nil {
-			return err
-		}
-		s.legacy = false
-	} else if s.openBodyLen() > 0 {
+	if !s.legacy && s.openBodyLen() > 0 {
 		name := containerName(s.currentID)
 		blob, err := s.backend.GetRange(ctx, store.NSContainers, name, 0, int64(len(s.current)))
 		if err != nil {
@@ -300,7 +291,7 @@ func (s *Store) loadOpen(ctx context.Context) error {
 		copy(s.current, blob)
 		s.committed = len(s.current)
 	}
-	s.metaLog = false
+	entries := s.liveOpenEntries()
 	for i := range entries {
 		e := &entries[i]
 		data := s.current[packfile.HeaderSize+e.Offset:][:e.Length]
@@ -310,7 +301,15 @@ func (s *Store) loadOpen(ctx context.Context) error {
 		}
 		e.CRC = crc32.ChecksumIEEE(data)
 	}
-	return nil
+	s.metaLog = false
+	if !s.legacy {
+		return nil
+	}
+	s.legacy = false
+	if err := s.writeOpenLocked(ctx); err != nil {
+		return err
+	}
+	return s.journal.Checkpoint(ctx)
 }
 
 func readFP(r *binenc.Reader) (fingerprint.Fingerprint, error) {

@@ -293,7 +293,19 @@ func (d *Disk) WriteAt(ctx context.Context, ns, name string, off int64, data []b
 	if err != nil {
 		return fmt.Errorf("store: open: %w", err)
 	}
-	defer f.Close()
+	err = d.writeAtFile(f, ns, name, off, data)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("store: close: %w", cerr)
+	}
+	if err != nil || d.nosync || !created {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// writeAtFile is WriteAt's work on the open file: bounds check, write,
+// truncate past the end, fdatasync.
+func (d *Disk) writeAtFile(f *os.File, ns, name string, off int64, data []byte) error {
 	fi, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: stat: %w", err)
@@ -314,9 +326,6 @@ func (d *Disk) WriteAt(ctx context.Context, ns, name string, off int64, data []b
 	}
 	if err := datasync(f); err != nil {
 		return fmt.Errorf("store: fdatasync: %w", err)
-	}
-	if created {
-		return syncDir(dir)
 	}
 	return nil
 }

@@ -205,6 +205,11 @@ func TestJournalRejectsBadSnapshotAndBadRecord(t *testing.T) {
 	if _, err := OpenJournal(ctx, b, otherVersion, new(lines)); err == nil {
 		t.Error("opened a snapshot of another version")
 	}
+	otherVersion.OldestVersion = linesSpec.Version
+	if _, err := OpenJournal(ctx, b, otherVersion, new(lines)); err != nil {
+		t.Errorf("a spec reading versions %d to %d refused a version-%d snapshot: %v",
+			otherVersion.OldestVersion, otherVersion.Version, linesSpec.Version, err)
+	}
 	for name, blob := range map[string][]byte{
 		"short":    good[:4],
 		"bit flip": append(bytes.Clone(good[:len(good)-1]), good[len(good)-1]^1),

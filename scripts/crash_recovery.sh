@@ -12,7 +12,10 @@
 #     bit-identical after recovery;
 #   - every acknowledged upload downloads byte-identical;
 #   - a second SIGKILL in the middle of an upload still leaves the
-#     server functional: old files download, new uploads land.
+#     server functional: old files download, new uploads land;
+#   - a file acknowledged while its chunks sit only in the data
+#     server's open container (no seal during its upload) downloads
+#     byte-identical after a SIGKILL of that server alone.
 #
 # Needs: go, curl, python3.
 set -eu
@@ -79,6 +82,14 @@ for k in ("dedup_total_puts", "dedup_deduped_puts",
           "dedup_gc_freed_chunks", "dedup_gc_reclaimed_bytes"):
     print(f"{k}={c.get(k)!r}")
 '
+}
+
+# counter prints one counter from a server's admin metrics.
+counter() { # admin-addr name
+    curl -fsS "http://$1/metrics" | python3 -c '
+import json, sys
+print(json.load(sys.stdin).get("counters", {}).get(sys.argv[1], 0))
+' "$2"
 }
 
 client() { # subcommand [args...]
@@ -163,6 +174,21 @@ if [ "$UPLOAD_OK" = 1 ]; then
     client download -path "/file-d" -out "$OUT/file-d"
     cmp "$CORPUS/file-d" "$OUT/file-d" || { echo "acked file-d differs after crash" >&2; exit 1; }
 fi
+
+echo "phase C: kill -9 the data server with acked data only in its open container..."
+seals_before=$(counter "$DATA_ADMIN" dedup_seals_total)
+head -c 200000 /dev/urandom >"$CORPUS/file-f"
+client upload -file "$CORPUS/file-f" -as "/file-f" -policy alice
+seals_after=$(counter "$DATA_ADMIN" dedup_seals_total)
+[ "$seals_before" = "$seals_after" ] \
+    || { echo "a container sealed during the small upload; file-f is not only in the open container" >&2; exit 1; }
+kill -9 "$DATA_PID"
+wait "$DATA_PID" 2>/dev/null || true
+"$BIN/reed-server" -listen "$DATA_ADDR" -backend "disk://$DATA_DIR" -admin "$DATA_ADMIN" &
+DATA_PID=$!
+wait_healthz "$DATA_ADMIN"
+client download -path "/file-f" -out "$OUT/file-f"
+cmp "$CORPUS/file-f" "$OUT/file-f" || { echo "file-f differs after kill -9 with only an open container" >&2; exit 1; }
 
 echo "checking the recovered server accepts new work..."
 head -c 100000 /dev/urandom >"$CORPUS/file-e"
