@@ -37,6 +37,16 @@ type faults struct {
 	container string // WriteAt of this container blob
 	wal       bool   // Put of a WAL segment
 	delete    bool   // Delete of a container
+	passes    int    // armed WAL Puts and Deletes that succeed first
+}
+
+// fire reports whether an armed write fails now; the caller holds f.mu.
+func (f *faultBackend) fire(armed bool) bool {
+	if armed && f.faults.passes > 0 {
+		f.faults.passes--
+		return false
+	}
+	return armed
 }
 
 func (f *faultBackend) arm(fs faults) {
@@ -57,7 +67,7 @@ func (f *faultBackend) WriteAt(ctx context.Context, ns, name string, off int64, 
 
 func (f *faultBackend) Put(ctx context.Context, ns, name string, data []byte) error {
 	f.mu.Lock()
-	fail := f.faults.wal && ns == store.NSWAL
+	fail := f.fire(f.faults.wal && ns == store.NSWAL)
 	f.mu.Unlock()
 	if fail {
 		return errInjected
@@ -67,7 +77,7 @@ func (f *faultBackend) Put(ctx context.Context, ns, name string, data []byte) er
 
 func (f *faultBackend) Delete(ctx context.Context, ns, name string) error {
 	f.mu.Lock()
-	fail := f.faults.delete && ns == store.NSContainers
+	fail := f.fire(f.faults.delete && ns == store.NSContainers)
 	f.mu.Unlock()
 	if fail {
 		return errInjected
@@ -303,6 +313,105 @@ func TestCrashDuringOpenContainerCompaction(t *testing.T) {
 	}
 }
 
+// TestDerefAutoCommitStagesOpenTail: a chunk sits uncommitted in the
+// open container while a run of Derefs grows the buffered records past
+// the auto-commit threshold. The auto-commit is a commit point like any
+// other, so it must write the container's tail before the WAL segment
+// whose PUT names it; otherwise the log outlives the blob and the store
+// never opens again.
+func TestDerefAutoCommitStagesOpenTail(t *testing.T) {
+	backend := store.NewMemory()
+	s, err := Open(ctx, backend, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st crashState
+	st.put(t, s, 650, 100)
+	const refs = 1 << 16 // enough DEREF records to pass 1 MiB
+	for i := 0; i < refs; i++ {
+		if _, err := s.Ref(ctx, st.fps[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st.put(t, s, 651, 1000) // uncommitted: only in the open container
+	commits := s.WriteCensus().Commits
+	for i := 0; s.WriteCensus().Commits == commits; i++ {
+		if i == refs {
+			t.Fatal("the Derefs never auto-committed")
+		}
+		if _, err := s.Deref(ctx, st.fps[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.stats = s.Stats()
+	recoverAndCheck(t, backend, 1<<20, st, nil)
+}
+
+// TestCrashDuringCompactionThatSealsHalfDeadOpen: compacting a sealed
+// container moves a small live chunk into a half-dead open container,
+// then a larger one that does not fit, so the open container is sealed
+// and is due for compaction itself. That second compaction must wait
+// until the first is durable: run inside it, its commit point would
+// make the first one's moves durable without its DROP, leaving the
+// first container's live-byte accounting above what the index holds in
+// it, which Open's scrub refuses. A crash at each of the four writes
+// that follow must recover, with every live chunk intact.
+func TestCrashDuringCompactionThatSealsHalfDeadOpen(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults faults
+	}{
+		{"first WAL segment", faults{wal: true}},
+		{"second WAL segment", faults{wal: true, passes: 1}},
+		{"first delete", faults{delete: true}},
+		{"second delete", faults{delete: true, passes: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := &faultBackend{Backend: store.NewMemory()}
+			s, err := Open(ctx, backend, 8192)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Container 0: a1 a2 a3 a4, sealed by p1's put. Container
+			// 1: p1..p7, four of them dead (43 %: still open).
+			var a, p crashState
+			for i, size := range []int{2000, 2000, 500, 3000} {
+				a.put(t, s, 700+i, size)
+			}
+			for i := 0; i < 7; i++ {
+				p.put(t, s, 710+i, 1000)
+			}
+			for _, fp := range p.fps[:4] {
+				if _, err := s.Deref(ctx, fp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Deref(ctx, a.fps[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// a2's deref takes container 0 to 53 % dead: a3 moves into
+			// container 1, a4 does not fit and seals it.
+			backend.arm(tc.faults)
+			if _, err := s.Deref(ctx, a.fps[1]); !errors.Is(err, errInjected) {
+				t.Fatalf("Deref = %v, want the injected fault", err)
+			}
+			backend.arm(faults{})
+
+			r, err := Open(ctx, backend, 8192)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			verifyChunks(t, r, append(a.fps[2:], p.fps[4:]...), append(a.datas[2:], p.datas[4:]...))
+		})
+	}
+}
+
 // TestOpenFailsOnShortOpenContainer: a blob shorter than the journal's
 // committed length means committed bytes are gone; Open must refuse.
 func TestOpenFailsOnShortOpenContainer(t *testing.T) {
@@ -408,7 +517,8 @@ func TestAutoCommitCountsContainerBytes(t *testing.T) {
 }
 
 // TestRecoveryOverHTTPBackend runs commits, seals, compaction and a
-// crash over the HTTP backend, whose WriteAt is a read-modify-write Put.
+// crash over the HTTP backend, whose WriteAt is a read-modify-write Put
+// spliced onto its copy of the blob it last wrote.
 func TestRecoveryOverHTTPBackend(t *testing.T) {
 	srv := httptest.NewServer(store.NewObjectHandler(store.NewMemory()))
 	t.Cleanup(srv.Close)

@@ -131,8 +131,9 @@ type Store struct {
 	census WriteCensus
 
 	// containers tracks live/dead bytes per sealed container for
-	// compaction decisions.
-	containers map[uint64]containerInfo
+	// compaction decisions; compactions queues the ones due (gc.go).
+	containers  map[uint64]containerInfo
+	compactions []compaction
 
 	// journal makes the state above durable (see recovery.go). It is
 	// nil while Open replays: replay paths never journal.
@@ -244,17 +245,30 @@ func (s *Store) Put(ctx context.Context, fp fingerprint.Fingerprint, data []byte
 		s.journal.Record(encodeLocRec(recPut, fp, loc))
 	}
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return dup, s.autoCommitLocked(ctx)
+	return dup, s.journal.AutoCommit(ctx)
 }
 
-// makeRoomLocked seals the open container if n more bytes would
-// overflow it. A chunk larger than a whole container still gets one to
-// itself.
+// makeRoomLocked seals the open container while n more bytes would
+// overflow it, running the compaction a seal may queue; its moves can
+// fill the next open container, hence the loop. A chunk larger than a
+// whole container still gets one to itself.
 func (s *Store) makeRoomLocked(ctx context.Context, n int) error {
-	if body := s.openBodyLen(); body > 0 && body+n > s.containerSize {
-		return s.sealLocked(ctx)
+	for s.overflows(n) {
+		if err := s.sealLocked(ctx); err != nil {
+			return err
+		}
+		if err := s.compactQueuedLocked(ctx); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// overflows reports whether appending n bytes to a nonempty open
+// container would take it past the container size.
+func (s *Store) overflows(n int) bool {
+	body := s.openBodyLen()
+	return body > 0 && body+n > s.containerSize
 }
 
 // openBodyLen is the open container's body length, dead bytes included.
@@ -282,7 +296,7 @@ func (s *Store) Ref(ctx context.Context, fp fingerprint.Fingerprint) (bool, erro
 	s.applyRef(fp)
 	s.journal.Record(encodeFPRec(recRef, fp))
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return true, s.autoCommitLocked(ctx)
+	return true, s.journal.AutoCommit(ctx)
 }
 
 // applyRef applies a duplicate-put to in-memory state; shared by the
@@ -322,7 +336,9 @@ func (s *Store) appendOpen(fp fingerprint.Fingerprint, loc Location, data []byte
 }
 
 // Commit makes every journaled mutation since the previous Commit
-// durable (see commitLocked). The server calls this before
+// durable: the journal stages the open container's tail (state.Stage),
+// writes one WAL segment, and checkpoints once the log has grown past
+// its threshold. The server calls this before
 // acknowledging a chunk batch; until then the mutations exist only in
 // memory and an unlucky crash forgets them — which is correct, because
 // the client has not been told they landed.
@@ -330,17 +346,7 @@ func (s *Store) Commit(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//reed-vet:ignore lockguard — WAL commit order must match application order; the write belongs in this critical section.
-	return s.commitLocked(ctx)
-}
-
-// writeOpenLocked writes the open container's uncommitted tail to its
-// blob: the first half of the commit point. The blob is created by the
-// first write, header included; nothing below committed is rewritten.
-func (s *Store) writeOpenLocked(ctx context.Context) error {
-	if s.committed == len(s.current) || s.openBodyLen() == 0 {
-		return nil
-	}
-	return s.writeTailLocked(ctx, s.current)
+	return s.journal.Commit(ctx)
 }
 
 // writeTailLocked writes image[committed:] to the open container's
@@ -354,36 +360,6 @@ func (s *Store) writeTailLocked(ctx context.Context, image []byte) error {
 	s.census.ContainerBytes += uint64(len(tail))
 	s.committed = len(image)
 	return nil
-}
-
-// syncLocked is the store's commit point: the open container's tail,
-// then one WAL segment holding every buffered record. Records are
-// journaled only for bytes already durable. It never checkpoints.
-func (s *Store) syncLocked(ctx context.Context) error {
-	if err := s.writeOpenLocked(ctx); err != nil {
-		return err
-	}
-	return s.journal.Sync(ctx)
-}
-
-// commitLocked is syncLocked, then a checkpoint once the log has grown
-// past the journal's threshold. The snapshot records the open
-// container's length, which the write above just made durable.
-func (s *Store) commitLocked(ctx context.Context) error {
-	if err := s.writeOpenLocked(ctx); err != nil {
-		return err
-	}
-	return s.journal.Commit(ctx)
-}
-
-// autoCommitLocked commits once the buffered records plus the open
-// container's uncommitted bytes pass the journal's auto-commit
-// threshold, bounding the loss window of callers that never Commit.
-func (s *Store) autoCommitLocked(ctx context.Context) error {
-	if !s.journal.CommitDue(len(s.current) - max(s.committed, packfile.HeaderSize)) {
-		return nil
-	}
-	return s.commitLocked(ctx)
 }
 
 // ContainerCount returns how many containers currently hold data: the
@@ -642,8 +618,9 @@ func (s *Store) liveOpenEntries() []packfile.Entry {
 // and only then is SEAL journaled, so replay never seals a container
 // the backend does not hold. Dead bytes stay in the sealed container
 // and count as its dead space; a container sealed at least
-// compactionThreshold dead is compacted straight away, which is also
-// how a half-dead open container is squeezed.
+// compactionThreshold dead is queued for compaction, which is also how
+// a half-dead open container is squeezed. The caller runs the queue
+// (compactQueuedLocked) once nothing else is half done.
 func (s *Store) sealLocked(ctx context.Context) error {
 	size := s.openBodyLen()
 	if size == 0 {
@@ -659,18 +636,14 @@ func (s *Store) sealLocked(ctx context.Context) error {
 	s.census.Seals++
 	s.journal.Record(encodeSealRec(id, live))
 
-	info := containerInfo{Live: live, Dead: s.openDead}
-	var body []byte
-	if info.compactable() {
+	if info := (containerInfo{Live: live, Dead: s.openDead}); info.compactable() {
 		// The next appends reuse these arrays; compaction reads copies.
-		entries = slices.Clone(entries)
-		body = bytes.Clone(s.current[packfile.HeaderSize:])
+		s.compactions = append(s.compactions, compaction{
+			id: id, entries: slices.Clone(entries), body: bytes.Clone(s.current[packfile.HeaderSize:]),
+		})
 	}
 	s.applySeal(id, live)
-	if body == nil {
-		return nil
-	}
-	return s.compactLocked(ctx, id, entries, body)
+	return nil
 }
 
 // applySeal applies a seal to in-memory state; shared by the live path
@@ -696,6 +669,9 @@ func (s *Store) Flush(ctx context.Context) error {
 	defer s.mu.Unlock()
 	for s.openBodyLen() > 0 {
 		if err := s.sealLocked(ctx); err != nil {
+			return err
+		}
+		if err := s.compactQueuedLocked(ctx); err != nil {
 			return err
 		}
 	}

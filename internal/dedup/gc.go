@@ -3,6 +3,7 @@ package dedup
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/fingerprint"
 	"repro/internal/packfile"
@@ -102,8 +103,12 @@ func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint, rep
 		}
 		switch {
 		case !replay:
-			// Half the capacity is dead: seal, which compacts.
-			return 0, s.sealLocked(ctx)
+			// Half the capacity is dead: seal, which queues the
+			// container for compaction.
+			if err := s.sealLocked(ctx); err != nil {
+				return 0, err
+			}
+			return 0, s.compactQueuedLocked(ctx)
 		case s.legacy:
 			s.squeezeLegacyOpen()
 		}
@@ -115,9 +120,8 @@ func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint, rep
 	info.Dead += uint64(loc.Length)
 	s.containers[loc.Container] = info
 	if !replay && info.compactable() {
-		if err := s.compactLocked(ctx, loc.Container, nil, nil); err != nil {
-			return 0, err
-		}
+		s.compactions = append(s.compactions, compaction{id: loc.Container})
+		return 0, s.compactQueuedLocked(ctx)
 	}
 	return 0, nil
 }
@@ -129,12 +133,39 @@ func (s *Store) Refs(fp fingerprint.Fingerprint) uint32 {
 	return s.refs[fp]
 }
 
+// compaction is a sealed container due for compaction. entries and
+// body are its packfile index and body when seal has them at hand; nil
+// fetches them.
+type compaction struct {
+	id      uint64
+	entries []packfile.Entry
+	body    []byte
+}
+
+// compactQueuedLocked runs every queued compaction, one after another.
+// A compaction never runs another from inside: a move that fills the
+// open container seals it, and a seal only queues. Were the nested one
+// to run at once, its commit point would make the outer compaction's
+// moves durable without the outer DROP, and a crash there would
+// recover live-byte accounting for the outer container that the index
+// no longer matches, which Open's scrub refuses.
+func (s *Store) compactQueuedLocked(ctx context.Context) error {
+	for len(s.compactions) > 0 {
+		c := s.compactions[0]
+		s.compactions = slices.Delete(s.compactions, 0, 1) // drops the body
+		if err := s.compactLocked(ctx, c.id, c.entries, c.body); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // compactLocked moves a sealed container's live chunks into the open
 // container and deletes its blob. entries and body are the container's
-// packfile index and body; seal passes the ones it just wrote, and nil
-// fetches them. A live chunk is an entry whose index location still
-// names this container — the packfile index lists every chunk sealed
-// into it, so no scan of the whole index is needed. Caller holds s.mu;
+// packfile index and body, or nil to fetch them. A live chunk is an
+// entry whose index location still names this container — the packfile
+// index lists every chunk sealed into it, so no scan of the whole index
+// is needed. Caller holds s.mu;
 // compaction is rare enough that keeping it while reading the backend
 // is fine, and a cache miss here skips the singleflight table so a
 // concurrent Get's fetch never ends up waited on from under s.mu.
@@ -146,6 +177,9 @@ func (s *Store) Refs(fp fingerprint.Fingerprint) uint32 {
 // sweep removes the stale blob; a crash before the commit leaves the
 // old blob in place and the index still pointing at it.
 func (s *Store) compactLocked(ctx context.Context, id uint64, entries []packfile.Entry, body []byte) error {
+	if _, ok := s.containers[id]; !ok {
+		return nil // queued twice after a failed compaction; done already
+	}
 	if body == nil {
 		var err error
 		if entries, body, err = s.containerContents(ctx, id); err != nil {
@@ -158,9 +192,12 @@ func (s *Store) compactLocked(ctx context.Context, id uint64, entries []packfile
 		}
 		data := body[e.Offset : e.Offset+uint64(e.Length)]
 		// Sealing the open container advances currentID, so take the
-		// new location after making room.
-		if err := s.makeRoomLocked(ctx, len(data)); err != nil {
-			return err
+		// new location after sealing. The seal's own compaction, if
+		// any, waits in the queue until this one is durable.
+		if s.overflows(len(data)) {
+			if err := s.sealLocked(ctx); err != nil {
+				return err
+			}
 		}
 		loc := s.nextLocation(len(data))
 		s.journal.Record(encodeLocRec(recMove, e.FP, loc))
@@ -173,7 +210,7 @@ func (s *Store) compactLocked(ctx context.Context, id uint64, entries []packfile
 
 	// The moved chunks' new home and the records naming it must be
 	// durable before the only other copy of those chunks disappears.
-	if err := s.syncLocked(ctx); err != nil {
+	if err := s.journal.Sync(ctx); err != nil {
 		return err
 	}
 	if err := s.backend.Delete(ctx, store.NSContainers, containerName(id)); err != nil {

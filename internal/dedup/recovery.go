@@ -94,10 +94,29 @@ func journalSpec(containerSize int) wal.Spec {
 	}
 }
 
-// state is *Store as the journal sees it: the three wal.State methods
-// (Apply, EncodeSnapshot, DecodeSnapshot below), kept off Store's
-// exported surface because they assume s.mu is held.
+// state is *Store as the journal sees it: the wal.State methods
+// (Apply, EncodeSnapshot, DecodeSnapshot, Unstaged and Stage below),
+// kept off Store's exported surface because they assume s.mu is held.
 type state Store
+
+// Unstaged is the open container's uncommitted byte count.
+func (st *state) Unstaged() int {
+	s := (*Store)(st)
+	return len(s.current) - max(s.committed, packfile.HeaderSize)
+}
+
+// Stage writes the open container's uncommitted tail to its blob: the
+// first half of the store's commit point, which the journal runs before
+// every WAL segment and snapshot, so PUT and MOVE records only ever
+// become durable after the bytes they name. The blob is created by the
+// first write, header included; nothing below committed is rewritten.
+func (st *state) Stage(ctx context.Context) error {
+	s := (*Store)(st)
+	if s.committed == len(s.current) || s.openBodyLen() == 0 {
+		return nil
+	}
+	return s.writeTailLocked(ctx, s.current)
+}
 
 // encodeLocRec encodes a PUT or MOVE record: the chunk and its new
 // location, not its bytes.
@@ -306,9 +325,6 @@ func (s *Store) loadOpen(ctx context.Context) error {
 		return nil
 	}
 	s.legacy = false
-	if err := s.writeOpenLocked(ctx); err != nil {
-		return err
-	}
 	return s.journal.Checkpoint(ctx)
 }
 

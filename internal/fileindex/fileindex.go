@@ -219,7 +219,7 @@ func (ix *Index) Len() int {
 	return len(ix.entries)
 }
 
-// state is *Index as the journal sees it: the three wal.State methods,
+// state is *Index as the journal sees it: the wal.State methods,
 // kept off Index's exported surface because they assume ix.mu is held
 // (or that Open has not yet published the index).
 type state Index
@@ -277,3 +277,8 @@ func (st *state) DecodeSnapshot(r *binenc.Reader, _ uint8) error {
 	st.entries = entries
 	return nil
 }
+
+// Unstaged and Stage: a registration record carries the whole entry,
+// so nothing lives outside the log.
+func (st *state) Unstaged() int                 { return 0 }
+func (st *state) Stage(_ context.Context) error { return nil }

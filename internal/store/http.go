@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // HTTP is a Backend over an S3-style HTTP object server: one URL per
@@ -22,6 +23,13 @@ import (
 type HTTP struct {
 	base   string
 	client *http.Client
+
+	// last is the blob WriteAt wrote most recently, so the next
+	// WriteAt to it splices onto this copy instead of reading the
+	// prefix back: WriteAt's blobs have one writer (see Backend).
+	lastMu           sync.Mutex
+	lastNS, lastName string
+	last             []byte
 }
 
 var _ Backend = (*HTTP)(nil)
@@ -71,6 +79,20 @@ func (h *HTTP) do(req *http.Request, okStatus ...int) (*http.Response, error) {
 // a conforming server (NewObjectHandler over Memory or Disk) publishes
 // the blob atomically.
 func (h *HTTP) Put(ctx context.Context, ns, name string, data []byte) error {
+	h.forget(ns, name)
+	return h.put(ctx, ns, name, data)
+}
+
+// forget drops WriteAt's copy of a blob another call replaced.
+func (h *HTTP) forget(ns, name string) {
+	h.lastMu.Lock()
+	defer h.lastMu.Unlock()
+	if ns == h.lastNS && name == h.lastName {
+		h.last = nil
+	}
+}
+
+func (h *HTTP) put(ctx context.Context, ns, name string, data []byte) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, h.blobURL(ns, name), bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("store: build request: %w", err)
@@ -189,21 +211,36 @@ func (h *HTTP) GetRange(ctx context.Context, ns, name string, off, n int64) ([]b
 }
 
 // WriteAt implements Backend. The object protocol has no partial
-// write, so WriteAt reads the blob's first off bytes, splices data on
-// and Puts the result back: correct, but O(blob) per call, where Disk
-// pays only for the bytes written.
+// write, so WriteAt splices data onto the blob's first off bytes and
+// Puts the result back: correct, but O(blob) per call, where Disk pays
+// only for the bytes written. The prefix comes from the copy of the
+// blob the previous WriteAt wrote, and is read back with GetRange only
+// when that copy is of another blob or too short.
 func (h *HTTP) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
-	if off == 0 {
-		return h.Put(ctx, ns, name, data)
-	}
 	if off < 0 {
 		return checkWriteAt(ns, name, off, 0, true)
 	}
-	prefix, err := h.GetRange(ctx, ns, name, 0, off)
-	if err != nil {
+	h.lastMu.Lock()
+	defer h.lastMu.Unlock()
+	var prefix []byte
+	switch {
+	case off == 0:
+		prefix = h.last[:0]
+	case ns == h.lastNS && name == h.lastName && off <= int64(len(h.last)):
+		prefix = h.last[:off]
+	default:
+		var err error
+		if prefix, err = h.GetRange(ctx, ns, name, 0, off); err != nil {
+			return err
+		}
+	}
+	blob := append(prefix, data...)
+	h.last = nil // the splice above may have overwritten it
+	if err := h.put(ctx, ns, name, blob); err != nil {
 		return err
 	}
-	return h.Put(ctx, ns, name, append(prefix, data...))
+	h.lastNS, h.lastName, h.last = ns, name, blob
+	return nil
 }
 
 // Has implements Backend.
@@ -229,6 +266,7 @@ func (h *HTTP) Has(ctx context.Context, ns, name string) (bool, error) {
 
 // Delete implements Backend; deleting a missing blob is not an error.
 func (h *HTTP) Delete(ctx context.Context, ns, name string) error {
+	h.forget(ns, name)
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, h.blobURL(ns, name), nil)
 	if err != nil {
 		return fmt.Errorf("store: build request: %w", err)

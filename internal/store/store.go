@@ -35,8 +35,10 @@
 //   - Disk issues pwrite, ftruncate and fdatasync on the file (plus a
 //     directory fsync when the call creates it), so a commit costs the
 //     bytes it adds, not the blob;
-//   - HTTP has no partial-write verb, so it reads the blob, splices and
-//     Puts it back: correct, but O(blob) per call.
+//   - HTTP has no partial-write verb, so it splices onto the blob's
+//     prefix and Puts it back: correct, but O(blob) per call. The
+//     prefix comes from its copy of the blob it last wrote, so only
+//     the Put crosses the wire.
 package store
 
 import (

@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -470,6 +472,69 @@ func TestHTTPBackendOverDisk(t *testing.T) {
 	got, err := disk.Get(ctx, NSContainers, "c1")
 	if err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("disk read-through = %d bytes, %v", len(got), err)
+	}
+}
+
+// TestHTTPWriteAtPrefixCopy covers the copy of the last written blob
+// that HTTP.WriteAt splices onto: a Put or Delete through the backend
+// and a failed WriteAt must each discard it, so the next WriteAt reads
+// the blob's real prefix back.
+func TestHTTPWriteAtPrefixCopy(t *testing.T) {
+	var failPuts atomic.Bool
+	objects := NewObjectHandler(NewMemory())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && failPuts.Load() {
+			http.Error(w, "injected", http.StatusInternalServerError)
+			return
+		}
+		objects.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	h, err := NewHTTP(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	writeAt := func(name string, off int64, data string) error {
+		return h.WriteAt(ctx, NSContainers, name, off, []byte(data))
+	}
+	want := func(name, content string) {
+		t.Helper()
+		got, err := h.Get(ctx, NSContainers, name)
+		if err != nil || string(got) != content {
+			t.Fatalf("%s = %q, %v; want %q", name, got, err, content)
+		}
+	}
+
+	if err := writeAt("a", 0, "0123456789"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Put(ctx, NSContainers, "a", []byte("ABCDEFGHIJ")); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeAt("a", 5, "x"); err != nil {
+		t.Fatal(err)
+	}
+	want("a", "ABCDEx")
+
+	if err := writeAt("b", 0, "hello"); err != nil {
+		t.Fatal(err)
+	}
+	failPuts.Store(true)
+	if err := writeAt("b", 2, "XY"); err == nil {
+		t.Fatal("WriteAt succeeded through a failing Put")
+	}
+	failPuts.Store(false)
+	if err := writeAt("b", 5, "!"); err != nil {
+		t.Fatal(err)
+	}
+	want("b", "hello!")
+
+	if err := h.Delete(ctx, NSContainers, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeAt("b", 2, "z"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("WriteAt into a deleted blob = %v, want ErrNotFound", err)
 	}
 }
 

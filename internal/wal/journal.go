@@ -17,9 +17,9 @@ import (
 // Commit (the experiment drivers).
 const autoCommitBytes = 1 << 20
 
-// State is the in-memory state a Journal keeps durable. All three
-// methods run with whatever lock guards the state already held (or, at
-// Open, before the state is shared).
+// State is the in-memory state a Journal keeps durable. Every method
+// runs with whatever lock guards the state already held (or, at Open,
+// before the state is shared).
 type State interface {
 	// Apply re-applies one journaled record during recovery. It must
 	// reject a record that does not fit the state rebuilt so far.
@@ -30,6 +30,16 @@ type State interface {
 	// under the given snapshot version (see Spec.OldestVersion).
 	// Trailing bytes are the Journal's to reject.
 	DecodeSnapshot(r *binenc.Reader, version uint8) error
+	// Unstaged is how many bytes the state keeps outside the log that
+	// buffered records name and that are not durable yet. AutoCommit
+	// counts them toward its threshold.
+	Unstaged() int
+	// Stage makes those bytes durable. The journal calls it before it
+	// writes every segment and before every snapshot, so no record or
+	// snapshot becomes durable before the bytes it names: this is the
+	// first half of the one commit point every durable write goes
+	// through. A state whose records carry everything returns nil.
+	Stage(ctx context.Context) error
 }
 
 // Spec is what differs between one journaled state and another.
@@ -162,21 +172,14 @@ func (j *Journal) Record(payload []byte) {
 	j.pending = AppendRecord(j.pending, payload)
 }
 
-// AutoCommit commits once the buffered records pass autoCommitBytes.
-// Owners call it at the end of every mutating operation.
+// AutoCommit commits once the buffered records plus the state's
+// unstaged bytes pass autoCommitBytes. Owners call it at the end of
+// every mutating operation.
 func (j *Journal) AutoCommit(ctx context.Context) error {
-	if !j.CommitDue(0) {
+	if len(j.pending)+j.state.Unstaged() < autoCommitBytes {
 		return nil
 	}
 	return j.Commit(ctx)
-}
-
-// CommitDue reports whether the buffered records plus extra bytes the
-// owner holds uncommitted elsewhere have reached autoCommitBytes: the
-// test behind AutoCommit, for an owner whose commit point writes more
-// than the log.
-func (j *Journal) CommitDue(extra int) bool {
-	return len(j.pending)+extra >= autoCommitBytes
 }
 
 // Census returns what the journal has written since it was opened.
@@ -194,10 +197,13 @@ func (j *Journal) Commit(ctx context.Context) error {
 	return nil
 }
 
-// Sync writes the buffered records as one segment and never
-// checkpoints. On failure the buffer is kept, so a retry re-attempts
-// the same segment.
+// Sync stages the state, then writes the buffered records as one
+// segment; it never checkpoints. On failure the buffer is kept, so a
+// retry re-attempts the same segment.
 func (j *Journal) Sync(ctx context.Context) error {
+	if err := j.state.Stage(ctx); err != nil {
+		return err
+	}
 	if len(j.pending) == 0 {
 		return nil
 	}

@@ -46,6 +46,9 @@ func (l *lines) DecodeSnapshot(r *binenc.Reader, _ uint8) error {
 	return nil
 }
 
+func (l *lines) Unstaged() int                 { return 0 }
+func (l *lines) Stage(_ context.Context) error { return nil }
+
 var linesSpec = Spec{
 	Owner: "lines", Namespace: store.NSWAL, Prefix: "w",
 	Blob: "lines-snapshot", Version: 7, CheckpointEvery: 64,
@@ -136,6 +139,63 @@ func TestJournalLifecycle(t *testing.T) {
 	_, got := openLines(t, b)
 	if want := []string(*state2); len(*got) != 4 || (*got)[3] != want[3] {
 		t.Fatalf("recovered %v, want %v", *got, want)
+	}
+}
+
+// staged is lines that also keep bytes outside the log: unstaged of
+// them, made durable by Stage, which fails while fail is set.
+type staged struct {
+	lines
+	unstaged, stages int
+	fail             bool
+}
+
+var errStage = errors.New("stage failed")
+
+func (s *staged) Unstaged() int { return s.unstaged }
+
+func (s *staged) Stage(_ context.Context) error {
+	if s.fail {
+		return errStage
+	}
+	s.stages++
+	s.unstaged = 0
+	return nil
+}
+
+// TestJournalStagesBeforeEverySegment: every path that writes a segment
+// or a snapshot stages first, a failed stage writes nothing, and
+// AutoCommit counts unstaged bytes toward its bound.
+func TestJournalStagesBeforeEverySegment(t *testing.T) {
+	b := store.NewMemory()
+	st := new(staged)
+	j, err := OpenJournal(ctx, b, linesSpec, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Record([]byte("a"))
+	st.fail = true
+	if err := j.Commit(ctx); !errors.Is(err, errStage) {
+		t.Fatalf("Commit = %v, want the stage failure", err)
+	}
+	if got := segments(t, b); len(got) != 0 {
+		t.Fatalf("a failed stage still wrote segments %v", got)
+	}
+	st.fail = false
+	if err := j.Sync(ctx); err != nil || st.stages != 1 || len(segments(t, b)) != 1 {
+		t.Fatalf("Sync = %v: %d stages, segments %v", err, st.stages, segments(t, b))
+	}
+
+	j.Record([]byte("b"))
+	st.unstaged = autoCommitBytes - 1
+	if err := j.AutoCommit(ctx); err != nil || st.stages != 2 || len(segments(t, b)) != 2 {
+		t.Fatalf("AutoCommit = %v: %d stages, segments %v; want the unstaged bytes to force a commit",
+			err, st.stages, segments(t, b))
+	}
+
+	st.unstaged = 1 // nothing buffered, but the snapshot may name it
+	if err := j.Checkpoint(ctx); err != nil || st.stages != 3 {
+		t.Fatalf("Checkpoint = %v after %d stages, want 3", err, st.stages)
 	}
 }
 
