@@ -61,7 +61,7 @@ func (s State) Key() [KeySize]byte {
 	h.Write(v[:])
 	h.Write(s.Value)
 	var out [KeySize]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0]) // into out itself: no heap copy of the key
 	return out
 }
 

@@ -152,6 +152,11 @@ func TestKeyDerivation(t *testing.T) {
 	if altered.Key() == k1 {
 		t.Fatal("key ignores the version")
 	}
+	// The file key lives only in the array Key returns: no heap copy of
+	// it is left for the garbage collector to keep.
+	if n := testing.AllocsPerRun(100, func() { s.Key() }); n != 0 {
+		t.Fatalf("Key allocates %v per call, want 0", n)
+	}
 }
 
 func TestStateMarshalRoundTrip(t *testing.T) {
