@@ -667,13 +667,11 @@ func (c *Client) openStubs(ctx context.Context, name string, rec *recipe.Recipe,
 			return nil, fmt.Errorf("client: unwind key state: %w", err)
 		}
 	}
-	fileKey := state.Key() //reed:secret — transient file-key copy
-	defer core.Wipe(fileKey[:])
 	blob, err := c.router.GetBlob(ctx, store.NSStubs, name)
 	if err != nil {
 		return nil, fmt.Errorf("%w: stub file: %w", ErrNotFound, err)
 	}
-	return openStubFile(blob, fileKey[:], name, c.cfg.StubSize, len(rec.Chunks))
+	return openStubFile(blob, state, name, c.cfg.StubSize, len(rec.Chunks))
 }
 
 // publishFile writes a new file's metadata under rec.Path: the stubs
@@ -688,9 +686,7 @@ func (c *Client) openStubs(ctx context.Context, name string, rec *recipe.Recipe,
 func (c *Client) publishFile(ctx context.Context, rec *recipe.Recipe, stubs [][]byte, pol *policy.Node) error {
 	state := c.cfg.Owner.Current()
 	rec.KeyVersion = state.Version
-	fileKey := state.Key() //reed:secret — transient file-key copy
-	defer core.Wipe(fileKey[:])
-	stubFile, err := c.sealStubs(stubs, fileKey[:], rec.Path)
+	stubFile, err := c.sealStubs(stubs, state, rec.Path)
 	if err != nil {
 		return err
 	}
@@ -794,16 +790,16 @@ func (c *Client) parallelEach(ctx context.Context, n int, fn func(int) error) er
 }
 
 // sealStubs checks every stub's size and encrypts the concatenated
-// stubs with AES-256-GCM under the file key, binding the file path as
-// associated data.
-func (c *Client) sealStubs(stubs [][]byte, fileKey []byte, path string) ([]byte, error) {
+// stubs with AES-256-GCM under state's file key, binding the file path
+// as associated data.
+func (c *Client) sealStubs(stubs [][]byte, state keyreg.State, path string) ([]byte, error) {
 	for i, s := range stubs {
 		if len(s) != c.cfg.StubSize {
 			return nil, fmt.Errorf("client: chunk %d stub size %d, want %d", i, len(s), c.cfg.StubSize)
 		}
 	}
 	plain := bytes.Join(stubs, nil)
-	aead, err := stubAEAD(fileKey)
+	aead, err := stubAEAD(state)
 	if err != nil {
 		return nil, err
 	}
@@ -815,9 +811,10 @@ func (c *Client) sealStubs(stubs [][]byte, fileKey []byte, path string) ([]byte,
 	return append(nonce, ct...), nil
 }
 
-// openStubFile decrypts a stub file and splits it into per-chunk stubs.
-func openStubFile(blob, fileKey []byte, path string, stubSize, chunkCount int) ([][]byte, error) {
-	aead, err := stubAEAD(fileKey)
+// openStubFile decrypts a stub file under state's file key and splits it
+// into per-chunk stubs.
+func openStubFile(blob []byte, state keyreg.State, path string, stubSize, chunkCount int) ([][]byte, error) {
+	aead, err := stubAEAD(state)
 	if err != nil {
 		return nil, err
 	}
@@ -838,8 +835,14 @@ func openStubFile(blob, fileKey []byte, path string, stubSize, chunkCount int) (
 	return stubs, nil
 }
 
-func stubAEAD(fileKey []byte) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(fileKey)
+// stubAEAD returns the stub-file cipher keyed by state's file key. It is
+// the one place a file key exists outside package keyreg, and it wipes
+// the key before returning: the cipher keeps only its expanded round
+// keys.
+func stubAEAD(state keyreg.State) (cipher.AEAD, error) {
+	fileKey := state.Key() //reed:secret — the file key
+	defer core.Wipe(fileKey[:])
+	block, err := aes.NewCipher(fileKey[:])
 	if err != nil {
 		return nil, fmt.Errorf("client: stub cipher: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/keyreg"
 	"repro/internal/policy"
 	"repro/internal/store"
@@ -117,9 +116,7 @@ func (c *Client) reencryptStubs(ctx context.Context, name string, oldState keyre
 	if err != nil {
 		return 0, err
 	}
-	newKey := newState.Key() //reed:secret — transient file-key copy
-	defer core.Wipe(newKey[:])
-	reStubFile, err := c.sealStubs(stubs, newKey[:], name)
+	reStubFile, err := c.sealStubs(stubs, newState, name)
 	if err != nil {
 		return 0, err
 	}
