@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"math/big"
 	"testing"
+	"unsafe"
 )
 
 // testKey is a 1024-bit RSA key built from two committed primes, the
@@ -260,4 +261,25 @@ func FuzzPublicExpBatchMatchesBig(f *testing.F) {
 			checkPublicBatch(t, NewPublic(n, e), xs, ys)
 		}
 	})
+}
+
+// TestScratchPoolsWipe fills a scratch from each pool with ones, hands
+// it back, and requires it to read all zero: a pooled scratch carries no
+// residue of the exponents and moduli of the call that used it.
+func TestScratchPoolsWipe(t *testing.T) {
+	checkWipe(t, &laneScratches)
+	checkWipe(t, &wideScratches)
+}
+
+func checkWipe[T any](t *testing.T, pool *scratchPool[T]) {
+	t.Helper()
+	s := pool.get()
+	b := unsafe.Slice((*byte)(unsafe.Pointer(s)), unsafe.Sizeof(*s))
+	for i := range b {
+		b[i] = 0xff
+	}
+	pool.put(s)
+	if !bytes.Equal(b, make([]byte, len(b))) {
+		t.Errorf("%T scratch holds nonzero bytes after put", *s)
+	}
 }

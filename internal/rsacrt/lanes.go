@@ -37,10 +37,10 @@ type laneScratch struct {
 	acc, entry, x vec
 }
 
-// laneScratchPool keeps laneScratch between calls: the key manager runs
+// laneScratches keeps laneScratch between calls: the key manager runs
 // an ExpBatch for every four evaluations, and a fresh 12 KB scratch for
 // each was a measurable share of its cost.
-var laneScratchPool = sync.Pool{New: func() any { return aligned64[laneScratch]() }}
+var laneScratches scratchPool[laneScratch]
 
 // aligned64 returns a new zeroed T at a 64-byte boundary, so every row
 // of a vec in it is one cache line and no kernel load straddles two. T
@@ -48,6 +48,23 @@ var laneScratchPool = sync.Pool{New: func() any { return aligned64[laneScratch](
 func aligned64[T any]() *T {
 	buf := make([]byte, unsafe.Sizeof(*new(T))+63)
 	return (*T)(unsafe.Pointer(&buf[-uintptr(unsafe.Pointer(&buf[0]))&63]))
+}
+
+// scratchPool pools aligned64 scratches. A scratch holds residues of
+// the exponents and moduli it worked with, so put zeroes it before
+// pooling it: nothing a call computed outlives the call.
+type scratchPool[T any] struct{ p sync.Pool }
+
+func (s *scratchPool[T]) get() *T {
+	if t, ok := s.p.Get().(*T); ok {
+		return t
+	}
+	return aligned64[T]()
+}
+
+func (s *scratchPool[T]) put(t *T) {
+	*t = *new(T)
+	s.p.Put(t)
 }
 
 func newLaneKey(p, q, dp, dq *big.Int) *laneKey {

@@ -3,7 +3,6 @@ package rsacrt
 import (
 	"math/big"
 	"math/bits"
-	"sync"
 )
 
 // Public is an RSA public key (N, e) for the client's public-exponent
@@ -75,8 +74,8 @@ func (p *Public) batch(n int, one func(i int) *big.Int, kernel func(w *wideScrat
 			continue
 		}
 		if w == nil {
-			w = wideScratchPool.Get().(*wideScratch)
-			defer wideScratchPool.Put(w)
+			w = wideScratches.get()
+			defer wideScratches.put(w)
 		}
 		kernel(w, lo, hi)
 		packX8w(&w.words, &w.x, &p.mont.x8.m)
@@ -235,11 +234,11 @@ type wideScratch struct {
 	words     wideWords
 }
 
-// wideScratchPool keeps wideScratch between batches: the client calls
+// wideScratches keeps wideScratch between batches: the client calls
 // ExpBatch and MulBatch for every eight elements of a finalize part and
 // every step of the batch inversion, and a fresh 5 KB scratch for each
 // was a measurable share of their cost.
-var wideScratchPool = sync.Pool{New: func() any { return aligned64[wideScratch]() }}
+var wideScratches scratchPool[wideScratch]
 
 func newLaneModulus(n *big.Int) *laneModulus {
 	ln := aligned64[laneModulus]()

@@ -88,8 +88,8 @@ func (k *Key) ExpBatch(xs []*big.Int) []*big.Int {
 	pre := &priv.Precomputed
 	p, q := priv.Primes[0], priv.Primes[1]
 	if k.lanes != nil {
-		w := laneScratchPool.Get().(*laneScratch)
-		defer laneScratchPool.Put(w)
+		w := laneScratches.get()
+		defer laneScratches.put(w)
 		for lo := 0; lo < len(xs); lo += perVec {
 			w.x = vec{} // lanes past the batch's end hold 0
 			group := xs[lo:min(lo+perVec, len(xs))]
