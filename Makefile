@@ -6,9 +6,9 @@ STATICCHECK_VERSION ?= 2023.1.7
 
 .PHONY: check vet vet-bench vet-reed vet-reed-test fuzz-smoke tools staticcheck build test race chaos crash-recovery fmt-check vuln cover bench-smoke bench-mux bench-json bench-ratchet admin-smoke loc clean
 
-# check is the CI gate: vet, project-specific static analysis, build
-# everything, race-enabled tests.
-check: vet vet-reed build race vet-bench
+# check is the CI gate: vet, project-specific static analysis and its
+# own tests, build everything, race-enabled tests.
+check: vet vet-reed vet-reed-test build race vet-bench
 
 vet:
 	$(GO) vet ./...
@@ -22,11 +22,13 @@ vet-bench:
 	$(GO) -C bench test -run TestManifest ./...
 
 # vet-reed runs the project's own static-analysis suite (tools/reed-vet):
-# six analyzers: key-material hygiene, context-first APIs, lock-scope
-# discipline, metric naming, retry-path error classification, and secret
-# zeroization. See DESIGN.md "Static analysis". Exits non-zero on any
-# diagnostic. The suite then self-hosts: the analyzers run over their
-# own module too, so the tool is held to the invariants it enforces.
+# five analyzers: key-material hygiene (including the rule that a
+# //reed:secret local is wiped by a deferred core.Wipe on the next
+# line), context-first APIs, lock-scope discipline, metric naming, and
+# retry-path error classification. See DESIGN.md "Static analysis".
+# Exits non-zero on any diagnostic. The suite then self-hosts: the
+# analyzers run over their own module too, so the tool is held to the
+# invariants it enforces.
 vet-reed:
 	cd tools/reed-vet && $(GO) run . -dir ../.. ./...
 	cd tools/reed-vet && $(GO) run . -dir . ./...

@@ -100,7 +100,7 @@ func (c *Cache) Put(fp fingerprint.Fingerprint, key []byte) {
 		e, _ := el.Value.(*entry)
 		c.used -= c.cost(e)
 		if subtle.ConstantTimeCompare(e.key, key) != 1 {
-			core.Wipe(e.stub) //reed:secret — stub of a replaced MLE key
+			core.Wipe(e.stub) // stub of a replaced MLE key
 			e.stub = nil
 		}
 		e.key = append(e.key[:0], key...)
@@ -174,8 +174,8 @@ func (c *Cache) evictLocked() {
 		c.order.Remove(back)
 		delete(c.entries, e.fp)
 		c.used -= c.cost(e)
-		core.Wipe(e.key)  //reed:secret — evicted MLE key
-		core.Wipe(e.stub) //reed:secret — and the stub computed under it
+		core.Wipe(e.key)  // evicted MLE key
+		core.Wipe(e.stub) // and the stub computed under it
 	}
 }
 
@@ -201,8 +201,8 @@ func (c *Cache) Clear() {
 	defer c.mu.Unlock()
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		e, _ := el.Value.(*entry)
-		core.Wipe(e.key)  //reed:secret — dropped MLE key
-		core.Wipe(e.stub) //reed:secret — and the stub computed under it
+		core.Wipe(e.key)  // dropped MLE key
+		core.Wipe(e.stub) // and the stub computed under it
 	}
 	c.order.Init()
 	c.entries = make(map[fingerprint.Fingerprint]*list.Element)

@@ -37,33 +37,6 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
-	// Facts is the analyzer's cross-package fact store for this run.
-	// The runner visits packages in dependency order (imports first),
-	// so a pass over internal/rpcmux can read facts that the pass over
-	// internal/proto exported — the mechanism behind zeroize's
-	// interprocedural per-function summaries. Nil only when a Pass is
-	// built by hand outside the runner.
-	Facts *Facts
-}
-
-// Facts is a per-analyzer, per-run key/value store for summaries that
-// must cross package boundaries. Keys are analyzer-chosen strings;
-// values are whatever summary type the analyzer defines. A store is
-// private to one analyzer: two analyzers never see each other's facts.
-type Facts struct {
-	m map[string]any
-}
-
-// NewFacts returns an empty fact store.
-func NewFacts() *Facts { return &Facts{m: make(map[string]any)} }
-
-// Put records a fact under key, replacing any previous value.
-func (f *Facts) Put(key string, v any) { f.m[key] = v }
-
-// Get returns the fact stored under key.
-func (f *Facts) Get(key string) (any, bool) {
-	v, ok := f.m[key]
-	return v, ok
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.

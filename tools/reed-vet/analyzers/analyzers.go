@@ -8,7 +8,6 @@ import (
 	"reedvet/analyzers/keyhygiene"
 	"reedvet/analyzers/lockguard"
 	"reedvet/analyzers/metricname"
-	"reedvet/analyzers/zeroize"
 )
 
 // All returns every analyzer in the suite, in reporting order.
@@ -19,7 +18,6 @@ func All() []*analysis.Analyzer {
 		lockguard.Analyzer,
 		metricname.Analyzer,
 		errclass.Analyzer,
-		zeroize.Analyzer,
 	}
 }
 

@@ -11,13 +11,18 @@
 //     crash reports, admin endpoints, and client output);
 //   - secrets must be compared in constant time via crypto/subtle,
 //     never with bytes.Equal or ==/!= (early-exit comparison leaks a
-//     byte-position timing oracle, the classic MAC-forgery enabler).
+//     byte-position timing oracle, the classic MAC-forgery enabler);
+//   - a local declared on a "//reed:secret" marker line must be
+//     followed, as the next statement of its block, by
+//     `defer core.Wipe(v[:])` (`defer Wipe(v[:])` inside package core),
+//     so the transient copy is zeroed on every return path.
 //
 // A value is considered secret when its identifier names key material
 // (mleKey, fileKey, hashKey, …; or the bare names key/stub/secret
 // inside the key-handling packages), when its type is a known secret
 // type (mle.Key, oprf.ServerKey, rsacrt.Key, abe.PrivateKey), or when its
-// declaration carries a "//reed:secret" marker comment.
+// declaration carries a "//reed:secret" marker comment, trailing it or
+// alone on the line above.
 package keyhygiene
 
 import (
@@ -33,7 +38,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "keyhygiene",
-	Doc:  "key material must not be formatted, logged, stringified, or compared non-constant-time",
+	Doc:  "key material must not be formatted, logged, stringified, or compared non-constant-time; //reed:secret locals must be wiped by the next statement",
 	Run:  run,
 }
 
@@ -52,8 +57,7 @@ var bareSecretNames = map[string]bool{
 var sensitivePkgs = []string{
 	"internal/aont", "internal/mle", "internal/core", "internal/keycache",
 	"internal/keymanager", "internal/oprf", "internal/client",
-	"internal/keyreg", "internal/abe", "internal/shamir", "internal/baseline",
-	"internal/rsacrt",
+	"internal/keyreg", "internal/abe", "internal/shamir", "internal/rsacrt",
 }
 
 // secretTypes are named types whose values are always secret.
@@ -74,26 +78,39 @@ var fmtPkgs = map[string]bool{"fmt": true, "log": true, "log/slog": true}
 type checker struct {
 	pass      *analysis.Pass
 	sensitive bool
-	// marked holds file:line positions carrying the secret marker;
-	// declarations on the marker's line or the line below are secret.
-	marked map[string]map[int]bool
+	// marked holds the file:line positions a secret marker applies to:
+	// its own line, or the line below when it stands alone.
+	marked map[fileLine]bool
+}
+
+type fileLine struct {
+	file string
+	line int
 }
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
 		pass:      pass,
 		sensitive: astq.PathMatches(pass.Pkg.Path(), sensitivePkgs...),
-		marked:    map[string]map[int]bool{},
+		marked:    map[fileLine]bool{},
 	}
 	for _, f := range pass.Files {
+		code := map[int]bool{} // lines on which some code starts
+		ast.Inspect(f, func(n ast.Node) bool {
+			if _, comment := n.(*ast.CommentGroup); n == nil || comment {
+				return false
+			}
+			code[pass.Position(n.Pos()).Line] = true
+			return true
+		})
 		for _, cg := range f.Comments {
 			for _, cm := range cg.List {
 				if strings.HasPrefix(cm.Text, secretMarker) {
 					p := pass.Position(cm.Pos())
-					if c.marked[p.Filename] == nil {
-						c.marked[p.Filename] = map[int]bool{}
+					if !code[p.Line] {
+						p.Line++
 					}
-					c.marked[p.Filename][p.Line] = true
+					c.marked[fileLine{p.Filename, p.Line}] = true
 				}
 			}
 		}
@@ -112,8 +129,82 @@ func (c *checker) check(n ast.Node) bool {
 		c.checkCompare(n)
 	case *ast.FuncDecl:
 		c.checkStringer(n)
+	case *ast.BlockStmt:
+		c.checkWipes(n.List)
+	case *ast.CaseClause:
+		c.checkWipes(n.Body)
+	case *ast.CommClause:
+		c.checkWipes(n.Body)
+	case *ast.IfStmt: // a local declared in a header has no next statement
+		c.checkWipes([]ast.Stmt{n.Init})
+	case *ast.SwitchStmt:
+		c.checkWipes([]ast.Stmt{n.Init})
+	case *ast.ForStmt:
+		c.checkWipes([]ast.Stmt{n.Init})
 	}
 	return true
+}
+
+// checkWipes flags every marked local in list whose next statement is
+// not a deferred core.Wipe of all of it.
+func (c *checker) checkWipes(list []ast.Stmt) {
+	for i, st := range list {
+		for _, v := range c.markedLocals(st) {
+			if i+1 == len(list) || !c.defersWipe(list[i+1], v) {
+				c.pass.Reportf(st.Pos(), "secret %s declared on a %s line must be wiped by `defer core.Wipe(%s[:])` as the next statement", v.Name(), secretMarker, v.Name())
+			}
+		}
+	}
+}
+
+// markedLocals returns the locals st declares on a marker line.
+func (c *checker) markedLocals(st ast.Stmt) []*types.Var {
+	if st == nil || !c.markedAt(st.Pos()) {
+		return nil
+	}
+	var ids []*ast.Ident
+	switch st := st.(type) {
+	case *ast.AssignStmt:
+		for _, e := range st.Lhs { // only a := puts its names in Defs
+			if id, ok := e.(*ast.Ident); ok {
+				ids = append(ids, id)
+			}
+		}
+	case *ast.DeclStmt:
+		for _, sp := range st.Decl.(*ast.GenDecl).Specs {
+			if vs, ok := sp.(*ast.ValueSpec); ok {
+				ids = append(ids, vs.Names...)
+			}
+		}
+	}
+	var out []*types.Var
+	for _, id := range ids {
+		if v, ok := c.pass.TypesInfo.Defs[id].(*types.Var); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// defersWipe reports whether st is `defer core.Wipe(v)` or
+// `defer core.Wipe(v[:])`.
+func (c *checker) defersWipe(st ast.Stmt, v *types.Var) bool {
+	d, ok := st.(*ast.DeferStmt)
+	if !ok || !astq.IsPkgFunc(c.pass.TypesInfo, d.Call, "internal/core", "Wipe") || len(d.Call.Args) != 1 {
+		return false
+	}
+	arg := ast.Unparen(d.Call.Args[0])
+	if sl, ok := arg.(*ast.SliceExpr); ok && sl.Low == nil && sl.High == nil {
+		arg = ast.Unparen(sl.X)
+	}
+	id, ok := arg.(*ast.Ident)
+	return ok && c.pass.TypesInfo.Uses[id] == v
+}
+
+// markedAt reports whether a secret marker applies to pos's line.
+func (c *checker) markedAt(pos token.Pos) bool {
+	p := c.pass.Position(pos)
+	return c.marked[fileLine{p.Filename, p.Line}]
 }
 
 // checkCall flags bytes.Equal on secrets, secrets passed to
@@ -233,11 +324,8 @@ func (c *checker) isSecret(e ast.Expr) (string, bool) {
 	if c.sensitive && bareSecretNames[id.Name] {
 		return id.Name, true
 	}
-	if v.Pos().IsValid() {
-		p := c.pass.Position(v.Pos())
-		if lines := c.marked[p.Filename]; lines != nil && (lines[p.Line] || lines[p.Line-1]) {
-			return id.Name, true
-		}
+	if v.Pos().IsValid() && c.markedAt(v.Pos()) {
+		return id.Name, true
 	}
 	return "", false
 }

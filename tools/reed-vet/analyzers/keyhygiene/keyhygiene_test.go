@@ -8,5 +8,5 @@ import (
 )
 
 func TestFixtures(t *testing.T) {
-	analysistest.Run(t, "../../testdata/fix", []string{"./internal/mle"}, keyhygiene.Analyzer)
+	analysistest.Run(t, "../../testdata/fix", []string{"./internal/mle", "./wipe/..."}, keyhygiene.Analyzer)
 }

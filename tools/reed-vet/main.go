@@ -1,8 +1,7 @@
 // Command reed-vet runs REED's project-specific static-analysis suite
-// over a Go module: six analyzers enforcing the invariants the
-// compiler cannot see (key hygiene, context discipline, lock
-// discipline, metric naming, error classification, secret
-// zeroization).
+// over a Go module: five analyzers enforcing the invariants the
+// compiler cannot see (key hygiene and secret wiping, context
+// discipline, lock discipline, metric naming, error classification).
 // See DESIGN.md "Static analysis" for the catalog.
 //
 // Usage:

@@ -28,13 +28,10 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry pins the suite composition: exactly the six
+// TestAnalyzerRegistry pins the suite composition: exactly the five
 // documented analyzers, resolvable by name.
 func TestAnalyzerRegistry(t *testing.T) {
-	wantNames := []string{
-		"keyhygiene", "ctxrule", "lockguard", "metricname", "errclass",
-		"zeroize",
-	}
+	wantNames := []string{"keyhygiene", "ctxrule", "lockguard", "metricname", "errclass"}
 	all := analyzers.All()
 	if len(all) != len(wantNames) {
 		t.Fatalf("suite has %d analyzers, want %d", len(all), len(wantNames))

@@ -53,18 +53,16 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagn
 	return res.Diags, nil
 }
 
-// RunAll applies every analyzer to every package in dependency order
-// (imports before importers, so analyzers can pass facts from a
-// package to its dependents) and returns the surviving diagnostics
-// plus the per-analyzer ignore census. Packages with type errors abort
-// the run: analyzing half-typed code yields nonsense.
+// RunAll applies every analyzer to every package and returns the
+// surviving diagnostics plus the per-analyzer ignore census. Packages
+// with type errors abort the run: analyzing half-typed code yields
+// nonsense.
 //
 // knownNames is the full analyzer registry used to validate ignore
 // directives; a directive may legitimately name an analyzer that is
 // not part of this run (e.g. under -only). Nil derives the set from
 // the analyzers actually running.
 func RunAll(pkgs []*load.Package, analyzers []*analysis.Analyzer, knownNames []string) (*Result, error) {
-	pkgs = topoSort(pkgs)
 	res := &Result{Ignores: make(map[string]int), Packages: len(pkgs)}
 
 	if knownNames == nil {
@@ -75,11 +73,6 @@ func RunAll(pkgs []*load.Package, analyzers []*analysis.Analyzer, knownNames []s
 	known := make(map[string]bool, len(knownNames))
 	for _, n := range knownNames {
 		known[n] = true
-	}
-
-	facts := make(map[*analysis.Analyzer]*analysis.Facts, len(analyzers))
-	for _, a := range analyzers {
-		facts[a] = analysis.NewFacts()
 	}
 
 	for _, pkg := range pkgs {
@@ -98,7 +91,6 @@ func RunAll(pkgs []*load.Package, analyzers []*analysis.Analyzer, knownNames []s
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Facts:     facts[a],
 			}
 			name := a.Name
 			pass.Report = func(d analysis.Diagnostic) {
@@ -177,39 +169,4 @@ func directives(pkg *load.Package, known map[string]bool) ([]directive, []analys
 		}
 	}
 	return out, bad
-}
-
-// topoSort orders target packages so that every package follows its
-// in-target-set imports. Dependency order is what lets an analyzer
-// export facts from internal/proto and consume them in internal/server
-// within a single run. Ties (and packages outside the target set)
-// resolve by the loader's deterministic import-path order.
-func topoSort(pkgs []*load.Package) []*load.Package {
-	byPath := make(map[string]*load.Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	out := make([]*load.Package, 0, len(pkgs))
-	state := make(map[string]int, len(pkgs)) // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *load.Package)
-	visit = func(p *load.Package) {
-		switch state[p.ImportPath] {
-		case 1, 2:
-			return // import cycles are impossible in valid Go; 1 only recurs on bad input
-		}
-		state[p.ImportPath] = 1
-		if p.Types != nil {
-			for _, imp := range p.Types.Imports() {
-				if dep, ok := byPath[imp.Path()]; ok {
-					visit(dep)
-				}
-			}
-		}
-		state[p.ImportPath] = 2
-		out = append(out, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-	return out
 }
