@@ -56,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/binenc"
 	"repro/internal/policy"
@@ -71,9 +72,16 @@ var (
 	ErrCorrupt = errors.New("abe: corrupt ciphertext")
 )
 
-// Authority issues attribute keys. It holds the master secret.
+// Authority issues attribute keys. It holds the master secret and a
+// table of the public keys it has derived: y_a never changes for a
+// given master, so each is computed once (one X25519 base-point
+// multiplication) and served from the table after that.
 type Authority struct {
 	master []byte
+	// public maps an attribute to its *ecdh.PublicKey. A sync.Map
+	// suits a table that is written once per attribute and read on
+	// every policy encryption, by any number of goroutines.
+	public sync.Map
 }
 
 // NewAuthority creates an authority with a fresh master secret. If
@@ -105,13 +113,25 @@ func (a *Authority) attributeScalar(attr string) *ecdh.PrivateKey {
 }
 
 // PublicKeys bundles the public keys y_a = X25519(x_a, 9) for a set of
-// attributes.
+// attributes, deriving each into the authority's table the first time
+// it is asked for. It is safe for concurrent use.
 func (a *Authority) PublicKeys(attrs []string) PublicKeys {
 	pk := PublicKeys{Keys: make(map[string]*ecdh.PublicKey, len(attrs))}
 	for _, attr := range attrs {
-		pk.Keys[attr] = a.attributeScalar(attr).PublicKey()
+		pk.Keys[attr] = a.publicKey(attr)
 	}
 	return pk
+}
+
+// publicKey returns y_a from the table, deriving and storing it on a
+// miss. Two goroutines missing at once both derive the same key; the
+// first store wins and both return it.
+func (a *Authority) publicKey(attr string) *ecdh.PublicKey {
+	if y, ok := a.public.Load(attr); ok {
+		return y.(*ecdh.PublicKey)
+	}
+	y, _ := a.public.LoadOrStore(attr, a.attributeScalar(attr).PublicKey())
+	return y.(*ecdh.PublicKey)
 }
 
 // IssueKey returns the private access key for a user holding the given

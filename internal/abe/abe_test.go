@@ -392,3 +392,81 @@ func BenchmarkDecryptOr500(b *testing.B) {
 		}
 	}
 }
+
+// TestAuthorityPublicKeysStable checks the authority's key table: every
+// call, first or repeated, from one goroutine or many at once, returns
+// exactly the public key of the scalar IssueKey derives for that
+// attribute. Run it under -race to check the table's synchronization.
+func TestAuthorityPublicKeysStable(t *testing.T) {
+	auth := newTestAuthority(t)
+	attrs := make([]string, 40)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("user-%03d", i)
+	}
+	want := make(map[string][]byte, len(attrs))
+	for a, x := range auth.IssueKey("all", attrs).Scalars {
+		want[a] = x.PublicKey().Bytes()
+	}
+	check := func(pk PublicKeys) error {
+		if len(pk.Keys) != len(attrs) {
+			return fmt.Errorf("%d keys, want %d", len(pk.Keys), len(attrs))
+		}
+		for _, a := range attrs {
+			if y := pk.Keys[a]; y == nil || !bytes.Equal(y.Bytes(), want[a]) {
+				return fmt.Errorf("public key for %q differs from IssueKey's", a)
+			}
+		}
+		return nil
+	}
+
+	// Many goroutines race for the first derivation of every attribute,
+	// each starting at a different one.
+	const goroutines = 8
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			order := make([]string, len(attrs))
+			for i := range attrs {
+				order[i] = attrs[(i+5*g)%len(attrs)]
+			}
+			errs <- check(auth.PublicKeys(order))
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := check(auth.PublicKeys(attrs)); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	// A published bundle serves the same bytes.
+	bundle, err := UnmarshalPublicKeys(auth.PublicKeys(attrs).Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := check(bundle.PublicKeys(attrs)); err != nil {
+		t.Fatalf("published bundle: %v", err)
+	}
+}
+
+// BenchmarkAuthorityPublicKeys80 resolves the public keys of an
+// 80-leaf policy, the size of a lazy rekey's policy in the repository
+// benchmark, from an authority that has served them before.
+func BenchmarkAuthorityPublicKeys80(b *testing.B) {
+	auth := newTestAuthority(b)
+	attrs := make([]string, 80)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("user-%04d", i)
+	}
+	auth.PublicKeys(attrs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pk := auth.PublicKeys(attrs); len(pk.Keys) != len(attrs) {
+			b.Fatal("short bundle")
+		}
+	}
+}
