@@ -39,6 +39,7 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -604,6 +605,12 @@ func (c *Client) fetchKeyState(ctx context.Context, path string) (keyreg.State, 
 	if err != nil {
 		return keyreg.State{}, keyreg.Public{}, fmt.Errorf("%w: key state: %w", ErrNotFound, err)
 	}
+	return c.openKeyState(blob)
+}
+
+// openKeyState decrypts a stored key-state blob: the policy-sealed
+// state and the owner's public derivation key beside it.
+func (c *Client) openKeyState(blob []byte) (keyreg.State, keyreg.Public, error) {
 	r := binenc.NewReader(blob)
 	ctBytes, err := r.ReadBytes()
 	if err != nil {
@@ -655,23 +662,97 @@ func (c *Client) getRecipe(ctx context.Context, name string) (*recipe.Recipe, er
 	return recipe.Unmarshal(blob)
 }
 
-// openStubs fetches and opens the stub file of the file rec describes.
-// state is the file's stored key state and pub the public derivation key
-// beside it. After a lazy revocation the stored state is newer than the
-// one that sealed the stubs; key regression lets any authorized user
-// unwind to rec.KeyVersion.
-func (c *Client) openStubs(ctx context.Context, name string, rec *recipe.Recipe, state keyreg.State, pub keyreg.Public) ([][]byte, error) {
-	if state.Version != rec.KeyVersion {
-		var err error
-		if state, err = keyreg.Unwind(pub, state, rec.KeyVersion); err != nil {
-			return nil, fmt.Errorf("client: unwind key state: %w", err)
+// fileMeta is one file's metadata as a reader sees it, every piece
+// checked: the stored key state with the owner's public derivation key
+// beside it, the recipe, and the stubs with the key version the stub
+// file was sealed under.
+type fileMeta struct {
+	state       keyreg.State
+	pub         keyreg.Public
+	rec         *recipe.Recipe
+	stubs       [][]byte
+	stubVersion uint64
+}
+
+// readFile reads the metadata of the file stored under name. It fetches
+// the key state, the recipe and the stub file concurrently, so the
+// three reads cost one round trip, then checks them in a fixed order: a
+// missing key state or recipe, then check on the decoded recipe (nil
+// for none), then the key state's decryption, then the stub file. So
+// check runs before any ABE decryption, and nothing is written.
+func (c *Client) readFile(ctx context.Context, name string, check func(*recipe.Recipe) error) (*fileMeta, error) {
+	var (
+		wg                         sync.WaitGroup
+		keyBlob, recBlob, stubBlob []byte
+		keyErr, recErr, stubErr    error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		keyBlob, keyErr = c.getBlob(ctx, c.keyConn, store.NSKeyStates, name)
+	}()
+	go func() {
+		defer wg.Done()
+		recBlob, recErr = c.router.GetBlob(ctx, store.NSRecipes, name)
+	}()
+	stubBlob, stubErr = c.router.GetBlob(ctx, store.NSStubs, name)
+	wg.Wait()
+
+	if keyErr != nil {
+		return nil, fmt.Errorf("%w: key state: %w", ErrNotFound, keyErr)
+	}
+	if recErr != nil {
+		return nil, fmt.Errorf("%w: recipe: %w", ErrNotFound, recErr)
+	}
+	rec, err := recipe.Unmarshal(recBlob)
+	if err != nil {
+		return nil, err
+	}
+	if check != nil {
+		if err := check(rec); err != nil {
+			return nil, err
 		}
 	}
-	blob, err := c.router.GetBlob(ctx, store.NSStubs, name)
-	if err != nil {
-		return nil, fmt.Errorf("%w: stub file: %w", ErrNotFound, err)
+	m := &fileMeta{rec: rec}
+	if m.state, m.pub, err = c.openKeyState(keyBlob); err != nil {
+		return nil, err
 	}
-	return openStubFile(blob, state, name, c.cfg.StubSize, len(rec.Chunks))
+	if stubErr != nil {
+		return nil, fmt.Errorf("%w: stub file: %w", ErrNotFound, stubErr)
+	}
+	if m.stubs, m.stubVersion, err = c.openStubs(stubBlob, name, rec, m.state, m.pub); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// openStubs opens the stub file blob of the file rec describes. state is
+// the file's stored key state and pub the public derivation key beside
+// it. The stub file may be sealed under an older state than the stored
+// one — a lazy revocation leaves it alone, and an interrupted active one
+// may not have replaced it yet — and key regression lets any authorized
+// user unwind to the version the file names: a v2 header's, or
+// rec.KeyVersion for a v1 file. A version newer than the stored state
+// cannot be derived from it and fails closed. It returns the stubs and
+// that version.
+func (c *Client) openStubs(blob []byte, name string, rec *recipe.Recipe, state keyreg.State, pub keyreg.Public) ([][]byte, uint64, error) {
+	f, err := parseStubFile(blob, c.cfg.StubSize, len(rec.Chunks), rec.KeyVersion)
+	if err != nil {
+		return nil, 0, err
+	}
+	if f.version > state.Version {
+		return nil, 0, fmt.Errorf("client: stub file sealed under key version %d, newer than the stored key state's %d", f.version, state.Version)
+	}
+	if f.version != state.Version {
+		if state, err = keyreg.Unwind(pub, state, f.version); err != nil {
+			return nil, 0, fmt.Errorf("client: unwind key state: %w", err)
+		}
+	}
+	stubs, err := f.open(state, name, c.cfg.StubSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	return stubs, f.version, nil
 }
 
 // publishFile writes a new file's metadata under rec.Path: the stubs
@@ -789,50 +870,94 @@ func (c *Client) parallelEach(ctx context.Context, n int, fn func(int) error) er
 	return firstErr
 }
 
-// sealStubs checks every stub's size and encrypts the concatenated
-// stubs with AES-256-GCM under state's file key, binding the file path
-// as associated data.
+// Stub file formats. A v1 file is nonce ‖ AES-256-GCM(stubs) with the
+// file path as associated data, and names no key version: it opens
+// under the recipe's KeyVersion. A v2 file puts a 9-byte header in
+// front — the format byte 2, then the key version it is sealed under,
+// big-endian — and binds the header into the associated data ahead of
+// the path. The recipe fixes the stub count, so the two formats have
+// different exact lengths and a blob's length alone says which it is.
+const (
+	stubFileV2     = 2
+	stubHeaderSize = 9
+	stubNonceSize  = 12
+	stubTagSize    = 16
+)
+
+// stubFile is a parsed, not yet authenticated, stub file.
+type stubFile struct {
+	version uint64 // the key version it names
+	header  []byte // nil for v1
+	sealed  []byte // nonce ‖ ciphertext ‖ tag
+}
+
+// parseStubFile frames a stub file holding chunkCount stubs of stubSize
+// bytes each. recVersion, the recipe's KeyVersion, is the version of a
+// v1 file.
+func parseStubFile(blob []byte, stubSize, chunkCount int, recVersion uint64) (stubFile, error) {
+	v1 := stubNonceSize + stubTagSize + stubSize*chunkCount
+	switch len(blob) {
+	case v1:
+		return stubFile{version: recVersion, sealed: blob}, nil
+	case stubHeaderSize + v1:
+		if blob[0] != stubFileV2 {
+			return stubFile{}, fmt.Errorf("client: stub file format %d not supported", blob[0])
+		}
+		return stubFile{
+			version: binary.BigEndian.Uint64(blob[1:stubHeaderSize]),
+			header:  blob[:stubHeaderSize],
+			sealed:  blob[stubHeaderSize:],
+		}, nil
+	}
+	return stubFile{}, fmt.Errorf("client: stub file is %d bytes, want %d (v1) or %d (v2) for %d stubs", len(blob), v1, stubHeaderSize+v1, chunkCount)
+}
+
+// open authenticates and decrypts the stub file under state, which must
+// be at f.version, and splits it into per-chunk stubs.
+func (f stubFile) open(state keyreg.State, path string, stubSize int) ([][]byte, error) {
+	aead, err := stubAEAD(state)
+	if err != nil {
+		return nil, err
+	}
+	aad := append(f.header[:len(f.header):len(f.header)], path...)
+	plain, err := aead.Open(nil, f.sealed[:stubNonceSize], f.sealed[stubNonceSize:], aad)
+	if err != nil {
+		return nil, fmt.Errorf("client: stub file authentication failed: %w", err)
+	}
+	stubs := make([][]byte, len(plain)/stubSize)
+	for i := range stubs {
+		stubs[i] = plain[i*stubSize : (i+1)*stubSize]
+	}
+	return stubs, nil
+}
+
+// sealStubs checks every stub's size and seals them into a v2 stub file
+// under state: header ‖ nonce ‖ AES-256-GCM(stubs), with the header and
+// the file path as associated data.
 func (c *Client) sealStubs(stubs [][]byte, state keyreg.State, path string) ([]byte, error) {
 	for i, s := range stubs {
 		if len(s) != c.cfg.StubSize {
 			return nil, fmt.Errorf("client: chunk %d stub size %d, want %d", i, len(s), c.cfg.StubSize)
 		}
 	}
-	plain := bytes.Join(stubs, nil)
 	aead, err := stubAEAD(state)
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, aead.NonceSize())
+	const prefix = stubHeaderSize + stubNonceSize
+	out := make([]byte, prefix, prefix+len(stubs)*c.cfg.StubSize+stubTagSize)
+	out[0] = stubFileV2
+	binary.BigEndian.PutUint64(out[1:stubHeaderSize], state.Version)
+	nonce := out[stubHeaderSize:prefix]
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("client: stub nonce: %w", err)
 	}
-	ct := aead.Seal(nil, nonce, plain, []byte(path))
-	return append(nonce, ct...), nil
-}
-
-// openStubFile decrypts a stub file under state's file key and splits it
-// into per-chunk stubs.
-func openStubFile(blob []byte, state keyreg.State, path string, stubSize, chunkCount int) ([][]byte, error) {
-	aead, err := stubAEAD(state)
-	if err != nil {
-		return nil, err
+	for _, s := range stubs {
+		out = append(out, s...)
 	}
-	if len(blob) < aead.NonceSize() {
-		return nil, errors.New("client: stub file too short")
-	}
-	plain, err := aead.Open(nil, blob[:aead.NonceSize()], blob[aead.NonceSize():], []byte(path))
-	if err != nil {
-		return nil, fmt.Errorf("client: stub file authentication failed: %w", err)
-	}
-	if len(plain) != stubSize*chunkCount {
-		return nil, fmt.Errorf("client: stub file holds %d bytes, want %d", len(plain), stubSize*chunkCount)
-	}
-	stubs := make([][]byte, chunkCount)
-	for i := range stubs {
-		stubs[i] = plain[i*stubSize : (i+1)*stubSize]
-	}
-	return stubs, nil
+	aad := append(out[:stubHeaderSize:stubHeaderSize], path...)
+	// Seal in place: the ciphertext overwrites the stubs just copied in.
+	return aead.Seal(out[:prefix], nonce, out[prefix:], aad), nil
 }
 
 // stubAEAD returns the stub-file cipher keyed by state's file key. It is

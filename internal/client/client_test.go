@@ -277,6 +277,38 @@ func TestMultipleRekeys(t *testing.T) {
 	}
 }
 
+// TestDownloadReportsStubKeyVersion checks DownloadResult.KeyVersion
+// against the version the stub file is sealed under: the new version
+// after an active rekey, which no longer rewrites the recipe, and the
+// old one after a lazy rekey, which leaves the stub file alone.
+func TestDownloadReportsStubKeyVersion(t *testing.T) {
+	cluster := startCluster(t)
+	alice := newUser(t, cluster, "alice", core.SchemeBasic)
+	data := randomFile(t, 32<<10, 9)
+	pol := policy.OrOfUsers([]string{"alice"})
+	if _, err := alice.Upload(ctx, "/versions", bytes.NewReader(data), pol); err != nil {
+		t.Fatal(err)
+	}
+	for _, active := range []bool{true, false} {
+		res, err := alice.Rekey(ctx, "/versions", pol, active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.NewVersion
+		if !active {
+			want = res.OldVersion
+		}
+		var buf bytes.Buffer
+		dl, err := alice.DownloadTo(ctx, "/versions", &buf)
+		if err != nil || !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("download after rekey (active %v): %v", active, err)
+		}
+		if dl.KeyVersion != want {
+			t.Errorf("after a rekey (active %v) Download reports key version %d, want %d", active, dl.KeyVersion, want)
+		}
+	}
+}
+
 func TestDownloadMissingFile(t *testing.T) {
 	cluster := startCluster(t)
 	c := newUser(t, cluster, "alice", core.SchemeBasic)

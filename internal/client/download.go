@@ -20,7 +20,8 @@ type DownloadResult struct {
 	// LogicalBytes is the plaintext size in bytes written out.
 	LogicalBytes int64
 	// KeyVersion is the key-state version the stub file was sealed
-	// under.
+	// under, and opened under: a v2 stub file's header version, or the
+	// recipe's KeyVersion for a v1 file.
 	KeyVersion uint64
 	// Retry reports the fault recovery this download needed. Every RPC
 	// a download issues is a read, so recovery is entirely transparent
@@ -66,28 +67,23 @@ func (c *Client) Download(ctx context.Context, path string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// downloadStream fetches the file's metadata, then pipelines windowed
+// downloadStream reads the file's metadata (readFile), then pipelines windowed
 // chunk prefetch against decryption, writing plaintext in recipe order
 // to the writer open returns. open runs after the recipe is known so
 // callers can size their sink.
 func (c *Client) downloadStream(ctx context.Context, name string, open func(*recipe.Recipe) (io.Writer, error)) (*DownloadResult, error) {
 	start := time.Now()
 	retryBefore := c.retrySnapshot()
-	state, derivPub, err := c.fetchKeyState(ctx, name)
+	meta, err := c.readFile(ctx, name, func(rec *recipe.Recipe) error {
+		if rec.Scheme != uint8(c.cfg.Scheme) {
+			return fmt.Errorf("client: file uses scheme %d, client configured for %v", rec.Scheme, c.cfg.Scheme)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rec, err := c.getRecipe(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Scheme != uint8(c.cfg.Scheme) {
-		return nil, fmt.Errorf("client: file uses scheme %d, client configured for %v", rec.Scheme, c.cfg.Scheme)
-	}
-	stubs, err := c.openStubs(ctx, name, rec, state, derivPub)
-	if err != nil {
-		return nil, err
-	}
+	rec, stubs := meta.rec, meta.stubs
 
 	w, err := open(rec)
 	if err != nil {
@@ -190,7 +186,7 @@ func (c *Client) downloadStream(ctx context.Context, name string, open func(*rec
 	return &DownloadResult{
 		Chunks:       len(rec.Chunks),
 		LogicalBytes: total,
-		KeyVersion:   rec.KeyVersion,
+		KeyVersion:   meta.stubVersion,
 		Retry:        c.retryDelta(retryBefore),
 		Elapsed:      time.Since(start),
 	}, nil

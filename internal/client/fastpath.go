@@ -9,6 +9,7 @@ import (
 	"repro/internal/fileindex"
 	"repro/internal/fingerprint"
 	"repro/internal/policy"
+	"repro/internal/recipe"
 )
 
 // The whole-file half of the two-phase upload protocol. Before
@@ -83,32 +84,26 @@ func (c *Client) cloneFromRecipe(ctx context.Context, name string, key fileindex
 	start := time.Now()
 	retryBefore := c.retrySnapshot()
 
-	rec, err := c.getRecipe(ctx, srcName)
+	// Ground-truth check, before any ABE decryption: the recipe must
+	// describe exactly the bytes we are about to not upload. A mismatch
+	// means the index entry went stale (the source was overwritten since
+	// registration). Then the authorization gate: recovering the source
+	// file key requires CP-ABE-decrypting its key state — the same
+	// capability the policy grants a downloader, so a client that cannot
+	// open the source cannot clone it.
+	src, err := c.readFile(ctx, srcName, func(rec *recipe.Recipe) error {
+		if rec.FileHash != key.Hash || rec.Size != key.Size {
+			return fmt.Errorf("index entry for %q is stale", srcName)
+		}
+		if rec.Scheme != uint8(c.cfg.Scheme) {
+			return fmt.Errorf("source uses scheme %d, client scheme %d", rec.Scheme, c.cfg.Scheme)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("client: clone: %w", err)
 	}
-	// Ground-truth check: the recipe must describe exactly the bytes we
-	// are about to not upload. A mismatch means the index entry went
-	// stale (the source was overwritten since registration).
-	if rec.FileHash != key.Hash || rec.Size != key.Size {
-		return nil, fmt.Errorf("client: clone: index entry for %q is stale", srcName)
-	}
-	if rec.Scheme != uint8(c.cfg.Scheme) {
-		return nil, fmt.Errorf("client: clone: source uses scheme %d, client scheme %d", rec.Scheme, c.cfg.Scheme)
-	}
-
-	// Authorization gate: recovering the source file key requires
-	// CP-ABE-decrypting its key state — the same capability the policy
-	// grants a downloader. A client that cannot open the source cannot
-	// clone it.
-	srcState, srcPub, err := c.fetchKeyState(ctx, srcName)
-	if err != nil {
-		return nil, fmt.Errorf("client: clone: %w", err)
-	}
-	stubs, err := c.openStubs(ctx, srcName, rec, srcState, srcPub)
-	if err != nil {
-		return nil, fmt.Errorf("client: clone: %w", err)
-	}
+	rec, stubs := src.rec, src.stubs
 
 	// Take one fresh reference on every chunk — duplicates within the
 	// recipe included, each occurrence needs its own — before any

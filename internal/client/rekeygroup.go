@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/keyreg"
@@ -40,11 +41,22 @@ func (c *Client) RekeyGroup(ctx context.Context, paths []string, newPol *policy.
 
 // rekey is Rekey and RekeyGroup. It checks everything it can before the
 // first write: the arguments, that no file is named twice (a repeat
-// would fail only after its first occurrence was rewritten), and that
-// every file's key state decrypts. Then it winds the chain once, seals
-// the new state under newPol once, and replaces each file's key state,
-// re-sealing its stub file too under active revocation. It also returns
-// each file's key-state version before the rekey.
+// would fail only after its first occurrence was rewritten), that every
+// file's key state decrypts and, under active revocation, that every
+// stub file opens. Then it winds the chain once and seals the new state
+// under newPol once, re-sealing the stub files meanwhile under active
+// revocation. It also returns each file's key-state version before the
+// rekey.
+//
+// Active revocation writes each file twice, in order: the key state,
+// then — once every key state is acknowledged — the stub file, sealed
+// under the new state with that version in its header. The recipe is not
+// rewritten. A crash before a key-state put leaves the file as it was; a
+// crash after it leaves a stub file under an older version than the
+// stored state, which every authorized reader unwinds to, exactly as
+// after a lazy revocation. So the file stays readable under the old or
+// the new key state at every point, and a retried rekey completes the
+// revocation.
 func (c *Client) rekey(ctx context.Context, paths []string, newPol *policy.Node, active bool) (*GroupRekeyResult, []uint64, error) {
 	start := time.Now()
 	if c.cfg.Owner == nil {
@@ -66,66 +78,84 @@ func (c *Client) rekey(ctx context.Context, paths []string, newPol *policy.Node,
 		seen[names[i]] = true
 	}
 
-	oldStates := make([]keyreg.State, len(names))
-	derivPubs := make([]keyreg.Public, len(names))
+	files := make([]*fileMeta, len(names))
 	oldVersions := make([]uint64, len(names))
 	for i, name := range names {
 		var err error
-		if oldStates[i], derivPubs[i], err = c.fetchKeyState(ctx, name); err != nil {
+		if active {
+			files[i], err = c.readFile(ctx, name, nil)
+		} else {
+			files[i] = new(fileMeta)
+			files[i].state, files[i].pub, err = c.fetchKeyState(ctx, name)
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("client: rekey %q: %w", paths[i], err)
 		}
-		oldVersions[i] = oldStates[i].Version
+		oldVersions[i] = files[i].state.Version
 	}
 
+	// The stub files are re-sealed while the key state is sealed and
+	// put, and written only after.
 	newState := c.cfg.Owner.Wind()
-	stateBlob, err := c.sealKeyState(newState, newPol)
+	var (
+		wg        sync.WaitGroup
+		stubFiles [][]byte
+		sealErr   error
+	)
+	if active {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stubFiles, sealErr = c.resealStubs(files, names, newState)
+		}()
+	}
+	err := c.putKeyStates(ctx, paths, names, newState, newPol)
+	wg.Wait()
 	if err != nil {
 		return nil, nil, err
 	}
+	if sealErr != nil {
+		return nil, nil, sealErr
+	}
+
 	result := &GroupRekeyResult{
 		Files:             len(names),
 		NewVersion:        newState.Version,
 		PolicyEncryptions: 1,
 	}
-	for i, name := range names {
-		if err := c.putBlob(ctx, c.keyConn, store.NSKeyStates, name, stateBlob); err != nil {
-			return nil, nil, fmt.Errorf("client: rekey %q: upload key state: %w", paths[i], err)
+	for i, stubFile := range stubFiles {
+		if err := c.router.PutBlob(ctx, store.NSStubs, names[i], stubFile); err != nil {
+			return nil, nil, fmt.Errorf("client: rekey %q: upload stub file: %w", paths[i], err)
 		}
-		if !active {
-			continue
-		}
-		stubBytes, err := c.reencryptStubs(ctx, name, oldStates[i], derivPubs[i], newState)
-		if err != nil {
-			return nil, nil, fmt.Errorf("client: rekey %q: %w", paths[i], err)
-		}
-		result.StubBytes += int64(stubBytes)
+		result.StubBytes += int64(len(stubFile))
 	}
 	result.Elapsed = time.Since(start)
 	return result, oldVersions, nil
 }
 
-// reencryptStubs re-seals a file's stub file under the new state's file
-// key and bumps the recipe's key version to match. It returns the
-// re-encrypted stub file size.
-func (c *Client) reencryptStubs(ctx context.Context, name string, oldState keyreg.State, derivPub keyreg.Public, newState keyreg.State) (int, error) {
-	rec, err := c.getRecipe(ctx, name)
+// putKeyStates seals state under pol once and stores it as the key
+// state of every named file.
+func (c *Client) putKeyStates(ctx context.Context, paths, names []string, state keyreg.State, pol *policy.Node) error {
+	blob, err := c.sealKeyState(state, pol)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	stubs, err := c.openStubs(ctx, name, rec, oldState, derivPub)
-	if err != nil {
-		return 0, err
+	for i, name := range names {
+		if err := c.putBlob(ctx, c.keyConn, store.NSKeyStates, name, blob); err != nil {
+			return fmt.Errorf("client: rekey %q: upload key state: %w", paths[i], err)
+		}
 	}
-	reStubFile, err := c.sealStubs(stubs, newState, name)
-	if err != nil {
-		return 0, err
+	return nil
+}
+
+// resealStubs seals each file's stubs under state, for the file's name.
+func (c *Client) resealStubs(files []*fileMeta, names []string, state keyreg.State) ([][]byte, error) {
+	out := make([][]byte, len(files))
+	for i, f := range files {
+		var err error
+		if out[i], err = c.sealStubs(f.stubs, state, names[i]); err != nil {
+			return nil, err
+		}
 	}
-	if err := c.router.PutBlob(ctx, store.NSStubs, name, reStubFile); err != nil {
-		return 0, fmt.Errorf("client: re-upload stub file: %w", err)
-	}
-	rec.KeyVersion = newState.Version
-	if err := c.router.PutBlob(ctx, store.NSRecipes, name, rec.Marshal()); err != nil {
-		return 0, fmt.Errorf("client: re-upload recipe: %w", err)
-	}
-	return len(reStubFile), nil
+	return out, nil
 }

@@ -46,8 +46,10 @@ type Recipe struct {
 	// Scheme is the chunk encryption scheme (core.Scheme numeric
 	// value).
 	Scheme uint8
-	// KeyVersion is the key-regression version of the file key that
-	// encrypts this file's stub file.
+	// KeyVersion is the key-regression version the file was published
+	// under. Rekeys do not rewrite the recipe, so it is only the version
+	// a v1 stub file (which names none) is sealed under; a v2 stub
+	// file's header names its own version, and that is authoritative.
 	KeyVersion uint64
 	// FileHash is the linear SHA-256 of the whole plaintext file. The
 	// two-phase upload's clone path verifies a whole-file index hit

@@ -256,7 +256,14 @@ type TB interface {
 // or failed mid-way leaks neither the goroutine nor the listener.
 func StartServer(tb TB) (*server.Server, string) {
 	tb.Helper()
-	srv, err := server.New(context.Background(), store.NewMemory(), server.WithMetrics(metrics.NewRegistry()))
+	return StartServerOn(tb, store.NewMemory())
+}
+
+// StartServerOn is StartServer over the given backend, for tests that
+// wrap one to inject faults.
+func StartServerOn(tb TB, backend store.Backend) (*server.Server, string) {
+	tb.Helper()
+	srv, err := server.New(context.Background(), backend, server.WithMetrics(metrics.NewRegistry()))
 	if err != nil {
 		tb.Fatalf("testenv: start server: %v", err)
 	}
