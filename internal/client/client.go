@@ -663,12 +663,10 @@ func (c *Client) getRecipe(ctx context.Context, name string) (*recipe.Recipe, er
 }
 
 // fileMeta is one file's metadata as a reader sees it, every piece
-// checked: the stored key state with the owner's public derivation key
-// beside it, the recipe, and the stubs with the key version the stub
-// file was sealed under.
+// checked: the stored key state, the recipe, and the stubs with the key
+// version the stub file was sealed under.
 type fileMeta struct {
 	state       keyreg.State
-	pub         keyreg.Public
 	rec         *recipe.Recipe
 	stubs       [][]byte
 	stubVersion uint64
@@ -713,14 +711,15 @@ func (c *Client) readFile(ctx context.Context, name string, check func(*recipe.R
 			return nil, err
 		}
 	}
-	m := &fileMeta{rec: rec}
-	if m.state, m.pub, err = c.openKeyState(keyBlob); err != nil {
+	state, pub, err := c.openKeyState(keyBlob)
+	if err != nil {
 		return nil, err
 	}
 	if stubErr != nil {
 		return nil, fmt.Errorf("%w: stub file: %w", ErrNotFound, stubErr)
 	}
-	if m.stubs, m.stubVersion, err = c.openStubs(stubBlob, name, rec, m.state, m.pub); err != nil {
+	m := &fileMeta{state: state, rec: rec}
+	if m.stubs, m.stubVersion, err = c.openStubs(stubBlob, name, rec, state, pub); err != nil {
 		return nil, err
 	}
 	return m, nil

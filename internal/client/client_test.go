@@ -222,9 +222,13 @@ func TestLazyRevocation(t *testing.T) {
 
 	// Alice can still read (stub is under the old version; key
 	// regression unwinds).
-	got, err := alice.Download(ctx, "/doc")
-	if err != nil || !bytes.Equal(got, data) {
+	var got bytes.Buffer
+	dl, err := alice.DownloadTo(ctx, "/doc", &got)
+	if err != nil || !bytes.Equal(got.Bytes(), data) {
 		t.Fatalf("alice download after lazy rekey: %v", err)
+	}
+	if dl.KeyVersion != res.OldVersion {
+		t.Errorf("download reports key version %d, want the stub file's %d", dl.KeyVersion, res.OldVersion)
 	}
 	// Bob cannot decrypt the new key state.
 	if _, err := bob.Download(ctx, "/doc"); err == nil {
@@ -248,9 +252,15 @@ func TestActiveRevocation(t *testing.T) {
 	if res.StubBytes == 0 {
 		t.Fatal("active revocation did not re-encrypt stubs")
 	}
-	got, err := alice.Download(ctx, "/doc2")
-	if err != nil || !bytes.Equal(got, data) {
+	var got bytes.Buffer
+	dl, err := alice.DownloadTo(ctx, "/doc2", &got)
+	if err != nil || !bytes.Equal(got.Bytes(), data) {
 		t.Fatalf("alice download after active rekey: %v", err)
+	}
+	// The recipe still names the publish-time version; the re-sealed
+	// stub file's header names the new one.
+	if dl.KeyVersion != res.NewVersion {
+		t.Errorf("download reports key version %d, want the new %d", dl.KeyVersion, res.NewVersion)
 	}
 	if _, err := bob.Download(ctx, "/doc2"); err == nil {
 		t.Fatal("revoked user still downloads after active revocation")
@@ -273,38 +283,6 @@ func TestMultipleRekeys(t *testing.T) {
 		got, err := alice.Download(ctx, "/multi")
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("download after rekey %d: %v", i, err)
-		}
-	}
-}
-
-// TestDownloadReportsStubKeyVersion checks DownloadResult.KeyVersion
-// against the version the stub file is sealed under: the new version
-// after an active rekey, which no longer rewrites the recipe, and the
-// old one after a lazy rekey, which leaves the stub file alone.
-func TestDownloadReportsStubKeyVersion(t *testing.T) {
-	cluster := startCluster(t)
-	alice := newUser(t, cluster, "alice", core.SchemeBasic)
-	data := randomFile(t, 32<<10, 9)
-	pol := policy.OrOfUsers([]string{"alice"})
-	if _, err := alice.Upload(ctx, "/versions", bytes.NewReader(data), pol); err != nil {
-		t.Fatal(err)
-	}
-	for _, active := range []bool{true, false} {
-		res, err := alice.Rekey(ctx, "/versions", pol, active)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := res.NewVersion
-		if !active {
-			want = res.OldVersion
-		}
-		var buf bytes.Buffer
-		dl, err := alice.DownloadTo(ctx, "/versions", &buf)
-		if err != nil || !bytes.Equal(buf.Bytes(), data) {
-			t.Fatalf("download after rekey (active %v): %v", active, err)
-		}
-		if dl.KeyVersion != want {
-			t.Errorf("after a rekey (active %v) Download reports key version %d, want %d", active, dl.KeyVersion, want)
 		}
 	}
 }

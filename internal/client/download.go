@@ -67,10 +67,10 @@ func (c *Client) Download(ctx context.Context, path string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// downloadStream reads the file's metadata (readFile), then pipelines windowed
-// chunk prefetch against decryption, writing plaintext in recipe order
-// to the writer open returns. open runs after the recipe is known so
-// callers can size their sink.
+// downloadStream reads the file's metadata (readFile), then pipelines
+// windowed chunk prefetch against decryption, writing plaintext in
+// recipe order to the writer open returns. open runs after the recipe
+// is known so callers can size their sink.
 func (c *Client) downloadStream(ctx context.Context, name string, open func(*recipe.Recipe) (io.Writer, error)) (*DownloadResult, error) {
 	start := time.Now()
 	retryBefore := c.retrySnapshot()

@@ -86,7 +86,7 @@ func (c *Client) rekey(ctx context.Context, paths []string, newPol *policy.Node,
 			files[i], err = c.readFile(ctx, name, nil)
 		} else {
 			files[i] = new(fileMeta)
-			files[i].state, files[i].pub, err = c.fetchKeyState(ctx, name)
+			files[i].state, _, err = c.fetchKeyState(ctx, name)
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("client: rekey %q: %w", paths[i], err)
@@ -106,7 +106,12 @@ func (c *Client) rekey(ctx context.Context, paths []string, newPol *policy.Node,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stubFiles, sealErr = c.resealStubs(files, names, newState)
+			stubFiles = make([][]byte, len(files))
+			for i, f := range files {
+				if stubFiles[i], sealErr = c.sealStubs(f.stubs, newState, names[i]); sealErr != nil {
+					return
+				}
+			}
 		}()
 	}
 	err := c.putKeyStates(ctx, paths, names, newState, newPol)
@@ -146,16 +151,4 @@ func (c *Client) putKeyStates(ctx context.Context, paths, names []string, state 
 		}
 	}
 	return nil
-}
-
-// resealStubs seals each file's stubs under state, for the file's name.
-func (c *Client) resealStubs(files []*fileMeta, names []string, state keyreg.State) ([][]byte, error) {
-	out := make([][]byte, len(files))
-	for i, f := range files {
-		var err error
-		if out[i], err = c.sealStubs(f.stubs, state, names[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
