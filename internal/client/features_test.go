@@ -74,6 +74,10 @@ func TestPathObfuscationHidesNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, srv := range cluster.DataServers {
+		// A checkpoint moves the journaled blobs into their namespaces.
+		if err := srv.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
 		for _, ns := range []string{store.NSRecipes, store.NSStubs} {
 			names, err := srv.Backend().List(ctx, ns)
 			if err != nil {

@@ -150,6 +150,10 @@ func waitGoroutines(t *testing.T, baseline int) {
 func assertNoFileMetadata(t *testing.T, cluster *testenv.Cluster) {
 	t.Helper()
 	for i, srv := range cluster.DataServers {
+		// A checkpoint moves the journaled blobs into their namespaces.
+		if err := srv.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
 		for _, ns := range []string{store.NSRecipes, store.NSStubs} {
 			names, err := srv.Backend().List(ctx, ns)
 			if err != nil {

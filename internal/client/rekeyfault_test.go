@@ -15,8 +15,8 @@ import (
 	"repro/internal/testenv"
 )
 
-// putFaults counts the blob puts every backend sharing it receives and,
-// once armed, fails one of them.
+// putFaults counts the blob writes every backend sharing it commits
+// and, once armed, fails one of them.
 type putFaults struct {
 	mu    sync.Mutex
 	fail  int // the put to fail, counting from 1 after arming; 0 is disarmed
@@ -49,28 +49,29 @@ func (f *putFaults) hit() bool {
 	return f.puts == f.fail
 }
 
-// faultyBackend fails the put its putFaults picks. It counts only the
-// file-metadata namespaces, so a background write of the dedup store's
-// own state cannot shift the count.
+// faultyBackend fails the write its putFaults picks. A blob put is
+// durable, and acknowledged, once the server's blob journal has appended
+// it to its log, so that append is the write to fail: it counts only
+// appends to the blob journal's log, so a write of the dedup store's or
+// the file index's own state cannot shift the count.
 type faultyBackend struct {
 	store.Backend
 	faults *putFaults
 }
 
-func (b faultyBackend) Put(ctx context.Context, ns, name string, data []byte) error {
-	switch ns {
-	case store.NSKeyStates, store.NSRecipes, store.NSStubs:
-		if b.faults.hit() {
-			return errors.New("injected put fault")
-		}
+func (b faultyBackend) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
+	if ns == store.NSBlobWAL && b.faults.hit() {
+		return errors.New("injected blob journal fault")
 	}
-	return b.Backend.Put(ctx, ns, name, data)
+	return b.Backend.WriteAt(ctx, ns, name, off, data)
 }
 
 // TestActiveRekeyFaultAtEveryWrite interrupts an active rekey — of one
 // file, and of three files as a group — at each of its durable writes
-// in turn: the k-th blob put on the data shard or the key store fails,
-// for every k the rekey issues. After each failure the owner and a user
+// in turn: the k-th blob journal append on the data shard or the key
+// store fails, for every k the rekey issues. The put it carried stays
+// in the server's memory, to land with the next commit or be lost in a
+// crash, so readers see it; the checks below hold either way. After each failure the owner and a user
 // the new policy keeps must still download every file byte-identical,
 // a retried rekey must succeed, and the user it revokes must then fail.
 func TestActiveRekeyFaultAtEveryWrite(t *testing.T) {
@@ -134,10 +135,11 @@ func TestActiveRekeyFaultAtEveryWrite(t *testing.T) {
 					if err != nil {
 						t.Fatalf("unfaulted rekey: %v", err)
 					}
-					if k == 1 {
-						t.Fatal("the rekey issued no puts")
+					// Two durable writes per file: its key state, then its
+					// stub file.
+					if k-1 != 2*files {
+						t.Fatalf("an active rekey of %d file(s) made %d durable writes, want %d", files, k-1, 2*files)
 					}
-					t.Logf("an active rekey of %d file(s) issues %d puts", files, k-1)
 					return
 				}
 				if err == nil {

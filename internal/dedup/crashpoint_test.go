@@ -1,7 +1,7 @@
 package dedup
 
 // Crash-point tests for the commit point: the open container's tail is
-// written to its blob, then the WAL segment naming it. Each test stops
+// written to its blob, then the WAL batch naming it. Each test stops
 // a store between two of those writes (a backend fault stands in for
 // kill -9 at that instant), abandons it, and checks the recovered store
 // holds exactly the last committed state and appends at its end.
@@ -35,9 +35,9 @@ type faultBackend struct {
 // faults names the writes a faultBackend fails.
 type faults struct {
 	container string // WriteAt of this container blob
-	wal       bool   // Put of a WAL segment
+	wal       bool   // WriteAt of a WAL segment: a batch append
 	delete    bool   // Delete of a container
-	passes    int    // armed WAL Puts and Deletes that succeed first
+	passes    int    // armed WAL appends and Deletes that succeed first
 }
 
 // fire reports whether an armed write fails now; the caller holds f.mu.
@@ -57,22 +57,12 @@ func (f *faultBackend) arm(fs faults) {
 
 func (f *faultBackend) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
 	f.mu.Lock()
-	fail := f.faults.container == name && ns == store.NSContainers
+	fail := f.faults.container == name && ns == store.NSContainers || f.fire(f.faults.wal && ns == store.NSWAL)
 	f.mu.Unlock()
 	if fail {
 		return errInjected
 	}
 	return f.Backend.WriteAt(ctx, ns, name, off, data)
-}
-
-func (f *faultBackend) Put(ctx context.Context, ns, name string, data []byte) error {
-	f.mu.Lock()
-	fail := f.fire(f.faults.wal && ns == store.NSWAL)
-	f.mu.Unlock()
-	if fail {
-		return errInjected
-	}
-	return f.Backend.Put(ctx, ns, name, data)
 }
 
 func (f *faultBackend) Delete(ctx context.Context, ns, name string) error {

@@ -19,11 +19,11 @@
 // the store's one commit point and runs in a fixed order: first the
 // open container's uncommitted tail is written to its blob
 // (store.Backend.WriteAt, durable on return), then the buffered records
-// as one WAL segment. A record therefore only ever becomes durable after
+// as one WAL batch. A record therefore only ever becomes durable after
 // the bytes it names, and no write touches bytes below the committed
 // length. The storage server's dispatch commits after every handler
 // that dirtied the store and before it forms the reply, so an
-// acknowledged upload survives kill -9. Buffering, segment writes, the
+// acknowledged upload survives kill -9. Buffering, batch writes, the
 // checkpoint snapshot's envelope, log truncation and the
 // snapshot-then-replay order of recovery are the journal's; this
 // package supplies the record and snapshot body encodings (recovery.go)
@@ -42,6 +42,7 @@ import (
 	"sync"
 
 	"repro/internal/fingerprint"
+	"repro/internal/metrics"
 	"repro/internal/packfile"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -168,15 +169,15 @@ type WriteCensus struct {
 	// ContainerBytes counts container blob bytes: open-container tails,
 	// and the index and footer each seal appends.
 	ContainerBytes uint64
-	// WALBytes and Commits count WAL segments and their bytes.
+	// WALBytes and Commits count WAL batches and their bytes.
 	WALBytes, Commits uint64
 	// Seals and Checkpoints count sealed containers and snapshots.
 	Seals, Checkpoints uint64
 }
 
 // Open loads a dedup store over the backend, recovering any persisted
-// state: checkpoint snapshot, then WAL replay (torn tail tolerated on
-// the final segment only), then a read-back of the open container's
+// state: checkpoint snapshot, then WAL replay (a torn last batch of the
+// final segment tolerated), then a read-back of the open container's
 // committed prefix, an orphaned-container sweep and a packfile-index
 // scrub of every sealed container.
 func Open(ctx context.Context, backend store.Backend, containerSize int) (*Store, error) {
@@ -337,7 +338,7 @@ func (s *Store) appendOpen(fp fingerprint.Fingerprint, loc Location, data []byte
 
 // Commit makes every journaled mutation since the previous Commit
 // durable: the journal stages the open container's tail (state.Stage),
-// writes one WAL segment, and checkpoints once the log has grown past
+// appends one WAL batch, and checkpoints once the log has grown past
 // its threshold. The server calls this before
 // acknowledging a chunk batch; until then the mutations exist only in
 // memory and an unlucky crash forgets them — which is correct, because
@@ -679,13 +680,20 @@ func (s *Store) Flush(ctx context.Context) error {
 	return s.journal.Checkpoint(ctx)
 }
 
+// ObserveJournal times the store's WAL commits and checkpoints.
+func (s *Store) ObserveJournal(commit, checkpoint *metrics.Histogram) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.journal.Observe(commit, checkpoint)
+}
+
 // WriteCensus returns what the store has written to its backend since
 // Open.
 func (s *Store) WriteCensus() WriteCensus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, j := s.census, s.journal.Census()
-	c.WALBytes, c.Commits, c.Checkpoints = j.SegmentBytes, j.Segments, j.Checkpoints
+	c.WALBytes, c.Commits, c.Checkpoints = j.CommitBytes, j.Commits, j.Checkpoints
 	return c
 }
 

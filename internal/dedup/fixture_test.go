@@ -13,7 +13,7 @@ import (
 	"repro/internal/wal"
 )
 
-var update = flag.Bool("update", false, "rewrite the version-4 checkpoint/WAL/container fixtures in testdata/ (an at-rest format break)")
+var update = flag.Bool("update", false, "rewrite the version-4 checkpoint, in-place WAL and container fixtures in testdata/ (an at-rest format break)")
 
 // The fixture store packs 24-byte chunks into 64-byte containers, so
 // two chunks fill a container and a commit checkpoints after 256
@@ -35,15 +35,28 @@ var fixtureBlobs = []struct{ file, ns, name string }{
 	{"container_1.bin", store.NSContainers, "c0000000000000001"},
 }
 
-// fixtureBlobsV4 is the same history in the current format: a
-// version-4 checkpoint, the metadata-only WAL tail after it, the sealed
-// container (byte-identical to the version-3 one) and the open
-// container's blob, which now holds the open container's bytes.
+// fixtureBlobsV4 is the same history at snapshot version 4: the
+// checkpoint, the metadata-only WAL tail after it as a sealed segment
+// of the log's older layout, the sealed container (byte-identical to
+// the version-3 one) and the open container's blob, which now holds the
+// open container's bytes. Stores stopped writing sealed segments when
+// the log began to append in place; the files stay to prove such a
+// store still opens.
 var fixtureBlobsV4 = []struct{ file, ns, name string }{
 	{"checkpoint_v4.bin", store.NSMeta, "dedup-index"},
 	{"wal_tail_v4.bin", store.NSWAL, "w0000000000000001"},
 	{"container_1.bin", store.NSContainers, "c0000000000000001"},
 	{"open_container_2.bin", store.NSContainers, "c0000000000000002"},
+}
+
+// fixtureBlobsInPlace is the same history in the current format: the
+// version-4 blobs, with the WAL tail as one batch of an in-place
+// segment.
+var fixtureBlobsInPlace = []struct{ file, ns, name string }{
+	fixtureBlobsV4[0],
+	{"wal_tail_inplace.bin", store.NSWAL, "w0000000000000001"},
+	fixtureBlobsV4[2],
+	fixtureBlobsV4[3],
 }
 
 func fixtureChunk(letter byte) ([]byte, fingerprint.Fingerprint) {
@@ -91,13 +104,14 @@ func runFixtureScript(t *testing.T) store.Backend {
 }
 
 // TestFixturesKnownAnswer: the scripted history must leave exactly the
-// committed version-4 bytes in the backend, and nothing else — so
+// committed bytes of the current format in the backend, and nothing
+// else — so
 // neither the checkpoint encoding, a record encoding, the packfile
 // layout nor the points at which the store writes can move unnoticed.
 func TestFixturesKnownAnswer(t *testing.T) {
 	backend := runFixtureScript(t)
 	want := make(map[string][]string)
-	for _, fx := range fixtureBlobsV4 {
+	for _, fx := range fixtureBlobsInPlace {
 		want[fx.ns] = append(want[fx.ns], fx.name)
 	}
 	for ns, wantNames := range want {
@@ -109,7 +123,7 @@ func TestFixturesKnownAnswer(t *testing.T) {
 			t.Fatalf("namespace %s holds %v, want only %v", ns, names, wantNames)
 		}
 	}
-	for _, fx := range fixtureBlobsV4 {
+	for _, fx := range fixtureBlobsInPlace {
 		got, err := backend.Get(ctx, fx.ns, fx.name)
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +161,7 @@ func TestFixturesKeepOpening(t *testing.T) {
 		if fx.ns != store.NSWAL {
 			continue
 		}
-		recs, err := wal.DecodeRecords(blob)
+		recs, _, err := wal.DecodeSegment(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,13 +210,23 @@ func TestFixturesKeepOpening(t *testing.T) {
 	}
 }
 
-// TestFixturesV4KeepOpening opens the committed version-4 blobs: the
-// tail must hold every record kind, none carrying chunk bytes, and the
-// store must recover the scripted end state with the open container's
-// chunks read from its blob.
+// TestFixturesV4KeepOpening opens the committed version-4 blobs, with
+// the WAL tail in either segment layout: the tail must hold every
+// record kind, none carrying chunk bytes, and the store must recover
+// the scripted end state with the open container's chunks read from
+// its blob.
 func TestFixturesV4KeepOpening(t *testing.T) {
+	for name, blobs := range map[string][]struct{ file, ns, name string }{
+		"sealed segment":   fixtureBlobsV4,
+		"in-place segment": fixtureBlobsInPlace,
+	} {
+		t.Run(name, func(t *testing.T) { checkV4Fixtures(t, blobs) })
+	}
+}
+
+func checkV4Fixtures(t *testing.T, blobs []struct{ file, ns, name string }) {
 	backend := store.NewMemory()
-	for _, fx := range fixtureBlobsV4 {
+	for _, fx := range blobs {
 		blob, err := os.ReadFile(filepath.Join("testdata", fx.file))
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +237,7 @@ func TestFixturesV4KeepOpening(t *testing.T) {
 		if fx.ns != store.NSWAL {
 			continue
 		}
-		recs, err := wal.DecodeRecords(blob)
+		recs, _, err := wal.DecodeSegment(blob)
 		if err != nil {
 			t.Fatal(err)
 		}

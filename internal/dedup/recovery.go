@@ -23,7 +23,7 @@ package dedup
 // Orderings that recovery relies on:
 //
 //   - the commit point writes the open container's tail before the WAL
-//     segment whose PUT/MOVE records name it, so a durable record never
+//     batch whose PUT/MOVE records name it, so a durable record never
 //     points past the blob's durable bytes (a blob that is shorter
 //     anyway fails Open loudly);
 //   - bytes past the committed length — a torn tail, or the index and
@@ -107,7 +107,7 @@ func (st *state) Unstaged() int {
 
 // Stage writes the open container's uncommitted tail to its blob: the
 // first half of the store's commit point, which the journal runs before
-// every WAL segment and snapshot, so PUT and MOVE records only ever
+// every WAL batch and snapshot, so PUT and MOVE records only ever
 // become durable after the bytes they name. The blob is created by the
 // first write, header included; nothing below committed is rewritten.
 func (st *state) Stage(ctx context.Context) error {
@@ -117,6 +117,9 @@ func (st *state) Stage(ctx context.Context) error {
 	}
 	return s.writeTailLocked(ctx, s.current)
 }
+
+// Fold has nothing to write: the snapshot carries the whole index.
+func (st *state) Fold(context.Context) error { return nil }
 
 // encodeLocRec encodes a PUT or MOVE record: the chunk and its new
 // location, not its bytes.

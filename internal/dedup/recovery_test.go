@@ -267,10 +267,10 @@ func TestKillRecoveryAfterCompaction(t *testing.T) {
 }
 
 // TestTornFinalSegmentEveryByteBoundary cuts the final WAL segment at
-// every byte boundary before recovery. The segment holds the last
-// commit batch; at any cut short of the full length that batch is
-// discarded whole, and recovery must land on exactly the previous
-// committed state.
+// every byte boundary before recovery. The segment holds two commit
+// batches; at any cut short of a batch's end that batch is discarded
+// whole, and recovery must land on exactly the committed state before
+// it.
 func TestTornFinalSegmentEveryByteBoundary(t *testing.T) {
 	backend := store.NewMemory()
 	s1, err := Open(ctx, backend, 1<<20)
@@ -279,7 +279,9 @@ func TestTornFinalSegmentEveryByteBoundary(t *testing.T) {
 	}
 	var fps []fingerprint.Fingerprint
 	var datas [][]byte
-	for batch := 0; batch < 2; batch++ { // one WAL segment per commit
+	var batchEnds []int
+	const last = "w0000000000000000"
+	for batch := 0; batch < 2; batch++ { // one WAL batch per commit
 		for i := 0; i < 3; i++ {
 			data, fp := chunk(1100+batch*10+i, 300)
 			if _, err := s1.Put(ctx, fp, data); err != nil {
@@ -291,16 +293,15 @@ func TestTornFinalSegmentEveryByteBoundary(t *testing.T) {
 		if err := s1.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
+		seg, err := backend.Get(ctx, store.NSWAL, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchEnds = append(batchEnds, len(seg))
 	}
-
-	segs, err := backend.List(ctx, store.NSWAL)
-	if err != nil {
-		t.Fatal(err)
+	if segs, err := backend.List(ctx, store.NSWAL); err != nil || len(segs) != 1 {
+		t.Fatalf("expected one WAL segment, got %v, %v", segs, err)
 	}
-	if len(segs) != 2 {
-		t.Fatalf("expected 2 WAL segments, got %v", segs)
-	}
-	last := segs[len(segs)-1]
 	full, err := backend.Get(ctx, store.NSWAL, last)
 	if err != nil {
 		t.Fatal(err)
@@ -315,9 +316,11 @@ func TestTornFinalSegmentEveryByteBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
-		wantChunks := 3 // first batch always survives
-		if cut == len(full) {
-			wantChunks = 6
+		wantChunks := 0
+		for _, end := range batchEnds {
+			if cut >= end {
+				wantChunks += 3
+			}
 		}
 		if got := s2.UniqueChunks(); got != wantChunks {
 			t.Fatalf("cut %d: recovered %d chunks, want %d", cut, got, wantChunks)

@@ -19,7 +19,7 @@
 //
 // Same contract and same machinery as the dedup index (internal/dedup,
 // DESIGN.md §9): the index is a wal.State — one record kind, one
-// registration — behind a wal.Journal, which owns buffering, segment
+// registration — behind a wal.Journal, which owns buffering, batch
 // writes, the checkpoint snapshot and recovery. The server's dispatch
 // commits the journal after a RegisterFile handler and before it forms
 // the reply, so an acknowledged registration survives kill -9. The WAL
@@ -37,6 +37,7 @@ import (
 	"sync"
 
 	"repro/internal/binenc"
+	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -159,7 +160,7 @@ type Index struct {
 }
 
 // Open recovers the index from the backend: snapshot, then WAL replay
-// (torn final segment tolerated — its registrations were never
+// (a torn last batch tolerated — its registrations were never
 // acknowledged).
 func Open(ctx context.Context, backend store.Backend) (*Index, error) {
 	ix := &Index{entries: make(map[Key]string)}
@@ -196,7 +197,7 @@ func (ix *Index) Register(ctx context.Context, key Key, name string) error {
 }
 
 // Commit makes every registration journaled so far durable by writing
-// one WAL segment (and, past the checkpoint threshold, folding the log
+// one WAL batch (and, past the checkpoint threshold, folding the log
 // into a snapshot). The server calls it before acknowledging a
 // registration RPC.
 func (ix *Index) Commit(ctx context.Context) error {
@@ -210,6 +211,13 @@ func (ix *Index) Flush(ctx context.Context) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return ix.journal.Checkpoint(ctx)
+}
+
+// ObserveJournal times the index's WAL commits and checkpoints.
+func (ix *Index) ObserveJournal(commit, checkpoint *metrics.Histogram) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.journal.Observe(commit, checkpoint)
 }
 
 // Len reports how many whole-file entries the index holds.
@@ -278,7 +286,9 @@ func (st *state) DecodeSnapshot(r *binenc.Reader, _ uint8) error {
 	return nil
 }
 
-// Unstaged and Stage: a registration record carries the whole entry,
-// so nothing lives outside the log.
+// Unstaged, Stage and Fold: a registration record carries the whole
+// entry and the snapshot all of them, so nothing lives outside the log
+// or only in it.
 func (st *state) Unstaged() int                 { return 0 }
 func (st *state) Stage(_ context.Context) error { return nil }
+func (st *state) Fold(_ context.Context) error  { return nil }

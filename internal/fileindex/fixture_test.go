@@ -10,14 +10,24 @@ import (
 	"repro/internal/store"
 )
 
-var update = flag.Bool("update", false, "rewrite the snapshot/WAL fixtures in testdata/ (an at-rest format break)")
+var update = flag.Bool("update", false, "rewrite the snapshot and in-place WAL fixtures in testdata/ (an at-rest format break)")
 
 // fixtureBlobs maps each committed file to the backend blob it is a
 // byte copy of: a version-1 snapshot of two entries and the WAL segment
-// of the one registration journaled after it.
+// of the one registration journaled after it, in the log's older
+// sealed-segment layout. Stores stopped writing that layout when the
+// log began to append in place; the file stays to prove such a store
+// still opens.
 var fixtureBlobs = []struct{ file, ns, name string }{
 	{"snapshot_v1.bin", store.NSMeta, "file-index"},
 	{"wal_register.bin", store.NSFileWAL, "f0000000000000001"},
+}
+
+// fixtureBlobsInPlace is the same history in the current format: the
+// registration is one batch of an in-place segment.
+var fixtureBlobsInPlace = []struct{ file, ns, name string }{
+	fixtureBlobs[0],
+	{"wal_register_inplace.bin", store.NSFileWAL, "f0000000000000001"},
 }
 
 // fixtureEntries is the end state: seeds 1 and 2 are in the snapshot
@@ -54,7 +64,7 @@ func TestFixturesKnownAnswer(t *testing.T) {
 	if err := ix.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, fx := range fixtureBlobs {
+	for _, fx := range fixtureBlobsInPlace {
 		names, err := backend.List(ctx, fx.ns)
 		if err != nil {
 			t.Fatal(err)
@@ -83,11 +93,21 @@ func TestFixturesKnownAnswer(t *testing.T) {
 	}
 }
 
-// TestFixturesKeepOpening reads only the committed bytes: an index
-// opened over them must hold all three entries.
+// TestFixturesKeepOpening reads only the committed bytes, with the WAL
+// segment in either layout: an index opened over them must hold all
+// three entries.
 func TestFixturesKeepOpening(t *testing.T) {
+	for name, blobs := range map[string][]struct{ file, ns, name string }{
+		"sealed segment":   fixtureBlobs,
+		"in-place segment": fixtureBlobsInPlace,
+	} {
+		t.Run(name, func(t *testing.T) { checkFixtures(t, blobs) })
+	}
+}
+
+func checkFixtures(t *testing.T, blobs []struct{ file, ns, name string }) {
 	backend := store.NewMemory()
-	for _, fx := range fixtureBlobs {
+	for _, fx := range blobs {
 		blob, err := os.ReadFile(filepath.Join("testdata", fx.file))
 		if err != nil {
 			t.Fatal(err)

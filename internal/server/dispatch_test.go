@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/fileindex"
@@ -33,25 +35,40 @@ func TestAckIsDurable(t *testing.T) {
 	put := proto.EncodePutChunksReq(chunks)
 	list := proto.EncodeGetChunksReq(fps)
 	key := fileindex.Key{Hash: [fileindex.HashSize]byte{1}, Size: 42}
+	stub := []byte("stub file bytes")
+	blob := proto.EncodeBlobReq(store.NSStubs, "durable", stub)
+	storedStub := func(s *Server) ([]byte, error) { return s.getBlob(ctx, blob) }
 
-	cases := []struct {
-		name    string
-		setup   bool // acknowledged PutChunks first, so there is something to ref or deref
+	type request struct {
 		typ     proto.MsgType
 		payload []byte
-		landed  func(*Server) bool
+	}
+	putChunks := &request{proto.MsgPutChunksReq, put}
+	cases := []struct {
+		name   string
+		setup  *request // acknowledged first, so there is something to ref, deref or delete
+		req    request
+		landed func(*Server) bool
 	}{
-		{"PutChunks", false, proto.MsgPutChunksReq, put, func(s *Server) bool {
+		{"PutChunks", nil, *putChunks, func(s *Server) bool {
 			return s.HasChunk(fps[0]) && s.HasChunk(fps[1]) && s.HasChunk(fps[2])
 		}},
-		{"RefChunks", true, proto.MsgRefChunksReq, list, func(s *Server) bool {
+		{"RefChunks", putChunks, request{proto.MsgRefChunksReq, list}, func(s *Server) bool {
 			return s.Stats().DedupedPuts == uint64(len(fps))
 		}},
-		{"DerefChunks", true, proto.MsgDerefChunksReq, list, func(s *Server) bool {
+		{"DerefChunks", putChunks, request{proto.MsgDerefChunksReq, list}, func(s *Server) bool {
 			return s.Stats().TotalPuts == uint64(len(fps)) && !s.HasChunk(fps[0])
 		}},
-		{"RegisterFile", false, proto.MsgRegisterFileReq, proto.EncodeRegisterFileReq(key, "recipes/durable"), func(s *Server) bool {
+		{"RegisterFile", nil, request{proto.MsgRegisterFileReq, proto.EncodeRegisterFileReq(key, "recipes/durable")}, func(s *Server) bool {
 			return s.FileIndexLen() == 1
+		}},
+		{"PutBlob", nil, request{proto.MsgPutBlobReq, blob}, func(s *Server) bool {
+			got, err := storedStub(s)
+			return err == nil && bytes.Equal(got, stub)
+		}},
+		{"DeleteBlob", &request{proto.MsgPutBlobReq, blob}, request{proto.MsgDeleteBlobReq, blob}, func(s *Server) bool {
+			_, err := storedStub(s)
+			return errors.Is(err, store.ErrNotFound)
 		}},
 	}
 	for _, tc := range cases {
@@ -61,10 +78,10 @@ func TestAckIsDurable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.setup {
-				mustDispatch(t, srv, proto.MsgPutChunksReq, put)
+			if tc.setup != nil {
+				mustDispatch(t, srv, tc.setup.typ, tc.setup.payload)
 			}
-			mustDispatch(t, srv, tc.typ, tc.payload)
+			mustDispatch(t, srv, tc.req.typ, tc.req.payload)
 
 			reopened, err := New(ctx, backend)
 			if err != nil {
@@ -79,7 +96,7 @@ func TestAckIsDurable(t *testing.T) {
 
 // TestHandlerTable checks the server's table against proto's: every
 // request type is served unless it is the key manager's, nothing else
-// is, exactly the four mutating handlers declare a journal, and a type
+// is, exactly the six mutating handlers declare a journal, and a type
 // without a handler still gets a MsgError answer, not silence.
 func TestHandlerTable(t *testing.T) {
 	keyManager := map[proto.MsgType]bool{proto.MsgKMParamsReq: true, proto.MsgKeyGenReq: true}
@@ -88,6 +105,8 @@ func TestHandlerTable(t *testing.T) {
 		proto.MsgRefChunksReq:    chunksJournal,
 		proto.MsgDerefChunksReq:  chunksJournal,
 		proto.MsgRegisterFileReq: filesJournal,
+		proto.MsgPutBlobReq:      blobsJournal,
+		proto.MsgDeleteBlobReq:   blobsJournal,
 	}
 	srv, err := New(ctx, store.NewMemory())
 	if err != nil {

@@ -29,6 +29,11 @@ func (s *Server) initMetrics() {
 	s.ops = metrics.NewOpSet(s.reg, "dispatch", proto.OpNames())
 	s.connsGauge = s.reg.Gauge("server_connections")
 	s.inflightReqs = s.reg.Gauge("dispatch_inflight")
+	for id, j := range s.journals[1:] {
+		name := journalNames[id+1]
+		j.ObserveJournal(s.reg.Histogram("journal_commit_latency", "journal", name),
+			s.reg.Histogram("journal_checkpoint_latency", "journal", name))
+	}
 
 	// Dedup accounting is already maintained under the store's own lock;
 	// snapshot-time functions expose it without a second copy to drift.

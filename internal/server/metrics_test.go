@@ -1,8 +1,10 @@
 package server
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/fileindex"
 	"repro/internal/fingerprint"
 	"repro/internal/metrics"
 	"repro/internal/packfile"
@@ -140,5 +142,46 @@ func TestWriteCensusCounters(t *testing.T) {
 	c = srv.MetricsSnapshot().Counters
 	if c["dedup_seals_total"] != 1 || c["dedup_checkpoints_total"] != 1 {
 		t.Errorf("after Flush: seals = %d, checkpoints = %d; want 1 and 1", c["dedup_seals_total"], c["dedup_checkpoints_total"])
+	}
+}
+
+// TestJournalLatencyHistograms: each journal times its commits and its
+// checkpoints under its own label, and no blob name or blob byte reaches
+// a metric name.
+func TestJournalLatencyHistograms(t *testing.T) {
+	srv, err := New(ctx, store.NewMemory(), WithMetrics(metrics.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("journal-latency-probe")
+	const blobName, blobBytes = "secret-recipe-name", "secret-blob-bytes"
+	for _, req := range []struct {
+		typ     proto.MsgType
+		payload []byte
+	}{
+		{proto.MsgPutChunksReq, proto.EncodePutChunksReq([]proto.ChunkUpload{{FP: fingerprint.New(data), Data: data}})},
+		{proto.MsgRegisterFileReq, proto.EncodeRegisterFileReq(fileindex.Key{Size: 1}, "recipes/"+blobName)},
+		{proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSRecipes, blobName, []byte(blobBytes))},
+	} {
+		if typ, resp := srv.dispatchTimed(ctx, req.typ, req.payload); typ != req.typ.Response() {
+			t.Fatalf("%v answered %v: %s", req.typ, typ, resp)
+		}
+	}
+	if err := srv.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.MetricsSnapshot()
+	for _, journal := range []string{"chunks", "files", "blobs"} {
+		commit := snap.Histograms[metrics.Label("journal_commit_latency", "journal", journal)]
+		checkpoint := snap.Histograms[metrics.Label("journal_checkpoint_latency", "journal", journal)]
+		// Flush's checkpoint commits once more where it has records to
+		// write (the dedup store's SEAL).
+		if commit.Count == 0 || checkpoint.Count != 1 {
+			t.Errorf("journal %s: %d commits and %d checkpoints timed, want some and 1", journal, commit.Count, checkpoint.Count)
+		}
+	}
+	text := snap.Text()
+	if strings.Contains(text, blobName) || strings.Contains(text, blobBytes) {
+		t.Errorf("a blob's name or bytes reached the metrics:\n%s", text)
 	}
 }

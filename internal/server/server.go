@@ -7,7 +7,7 @@
 //   - the chunk plane: batched puts of trimmed packages (deduplicated
 //     into 4 MB containers via internal/dedup) and batched gets;
 //   - the blob plane: file recipes, encrypted stub files, and encrypted
-//     key states, stored verbatim.
+//     key states, stored verbatim and journaled (blobs.go).
 //
 // The paper deploys four data-store servers plus one key-store server;
 // both roles run this same server type, differing only in which planes
@@ -50,6 +50,8 @@ type Server struct {
 	// files is the whole-file fingerprint index behind the two-phase
 	// upload's CheckFile/RegisterFile RPCs (see internal/fileindex).
 	files *fileindex.Index
+	// blobs is the blob plane: recipes, stub files and key states.
+	blobs *blobs
 	// journals lists the WAL-backed stores by journalID (slot noJournal
 	// is nil): what dispatch commits and Flush checkpoints.
 	journals [numJournals]journal
@@ -97,8 +99,8 @@ func (o workersOption) applyServer(s *Server) { s.workers = int(o) }
 func WithWorkers(n int) Option { return workersOption(n) }
 
 // New returns a server over the given backend. The context governs
-// construction only — it bounds the dedup store's crash recovery
-// (snapshot load, WAL replay, container scrub), which can take real
+// construction only — it bounds crash recovery (snapshot loads, WAL
+// replays, the dedup store's container scrub), which can take real
 // time on a large store.
 func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, error) {
 	chunks, err := dedup.Open(ctx, backend, dedup.DefaultContainerSize)
@@ -109,11 +111,16 @@ func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, e
 	if err != nil {
 		return nil, fmt.Errorf("server: open file index: %w", err)
 	}
+	blobs, err := openBlobs(ctx, backend)
+	if err != nil {
+		return nil, fmt.Errorf("server: open blob journal: %w", err)
+	}
 	s := &Server{
 		backend:   backend,
 		chunks:    chunks,
 		files:     files,
-		journals:  [numJournals]journal{chunksJournal: chunks, filesJournal: files},
+		blobs:     blobs,
+		journals:  [numJournals]journal{chunksJournal: chunks, filesJournal: files, blobsJournal: blobs},
 		workers:   DefaultWorkers,
 		conns:     make(map[net.Conn]struct{}),
 		stubSizes: make(map[string]int),
@@ -310,14 +317,20 @@ const (
 	noJournal journalID = iota
 	chunksJournal
 	filesJournal
+	blobsJournal
 	numJournals
 )
 
+// journalNames labels each journal's metrics.
+var journalNames = [numJournals]string{chunksJournal: "chunks", filesJournal: "files", blobsJournal: "blobs"}
+
 // journal is what the server needs of a WAL-backed store: Commit makes
-// the mutations journaled so far durable, Flush also checkpoints.
+// the mutations journaled so far durable, Flush also checkpoints, and
+// ObserveJournal times both.
 type journal interface {
 	Commit(ctx context.Context) error
 	Flush(ctx context.Context) error
+	ObserveJournal(commit, checkpoint *metrics.Histogram)
 }
 
 // handlers is the one per-MsgType table of what the server serves: the
@@ -334,12 +347,12 @@ var handlers = [...]struct {
 }{
 	proto.MsgPutChunksReq:    {flat((*Server).putChunks), chunksJournal},
 	proto.MsgGetChunksReq:    {run: (*Server).getChunks},
-	proto.MsgPutBlobReq:      {run: flat((*Server).putBlob)},
+	proto.MsgPutBlobReq:      {flat((*Server).putBlob), blobsJournal},
 	proto.MsgGetBlobReq:      {run: flat((*Server).getBlob)},
 	proto.MsgStatsReq:        {run: flat((*Server).stats)},
 	proto.MsgListBlobsReq:    {run: flat((*Server).listBlobs)},
 	proto.MsgDerefChunksReq:  {flat((*Server).derefChunks), chunksJournal},
-	proto.MsgDeleteBlobReq:   {run: flat((*Server).deleteBlob)},
+	proto.MsgDeleteBlobReq:   {flat((*Server).deleteBlob), blobsJournal},
 	proto.MsgChallengeReq:    {run: flat((*Server).challenge)},
 	proto.MsgMetricsReq:      {run: flat((*Server).metricsResp)},
 	proto.MsgCheckFileReq:    {run: flat((*Server).checkFile)},
@@ -361,9 +374,8 @@ func flat(run func(*Server, context.Context, []byte) ([]byte, error)) func(*Serv
 // has committed, so whatever the client is told landed survives kill -9
 // — and a handler that failed midway commits nothing here, its records
 // ride along with the next commit, which is harmless because nobody was
-// told they landed. (Blob handlers write through to the backend, whose
-// Put is itself durable, and dirty no journal.) It is also the only
-// place a response type is chosen and an error becomes MsgError.
+// told they landed. It is also the only place a response type is chosen
+// and an error becomes MsgError.
 func (s *Server) dispatch(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, net.Buffers) {
 	resp, err := s.handle(ctx, typ, payload)
 	if err != nil {
@@ -469,7 +481,7 @@ func (s *Server) putBlob(ctx context.Context, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.backend.Put(ctx, ns, name, data); err != nil {
+	if err := s.blobs.put(ctx, ns, name, data); err != nil {
 		return nil, err
 	}
 	if ns == store.NSStubs {
@@ -487,7 +499,7 @@ func (s *Server) getBlob(ctx context.Context, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.backend.Get(ctx, ns, name)
+	return s.blobs.get(ctx, ns, name)
 }
 
 func (s *Server) listBlobs(ctx context.Context, payload []byte) ([]byte, error) {
@@ -498,7 +510,7 @@ func (s *Server) listBlobs(ctx context.Context, payload []byte) ([]byte, error) 
 	if !allowedNamespaces[ns] {
 		return nil, errors.New("server: namespace not allowed: " + ns)
 	}
-	names, err := s.backend.List(ctx, ns)
+	names, err := s.blobs.list(ctx, ns)
 	if err != nil {
 		return nil, err
 	}
@@ -531,7 +543,7 @@ func (s *Server) deleteBlob(ctx context.Context, payload []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.backend.Delete(ctx, ns, name); err != nil {
+	if err := s.blobs.delete(ctx, ns, name); err != nil {
 		return nil, err
 	}
 	if ns == store.NSStubs {
@@ -635,9 +647,10 @@ func (s *Server) FileIndexLen() int {
 	return s.files.Len()
 }
 
-// Flush seals the open container and checkpoints the dedup and
-// whole-file indexes without stopping the server. Every journal is
-// flushed even if an earlier one fails.
+// Flush seals the open container, checkpoints the dedup and whole-file
+// indexes and writes every journaled blob to the backend, without
+// stopping the server. Every journal is flushed even if an earlier one
+// fails.
 func (s *Server) Flush(ctx context.Context) error {
 	var errs []error
 	for _, j := range s.journals[1:] {

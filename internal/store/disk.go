@@ -22,10 +22,11 @@ const diskStripes = 64
 // place, and fsyncs the parent directory, so a published blob survives
 // both process kill and power loss — the dedup WAL's crash-recovery
 // guarantee rests on exactly this. WriteAt, the in-place exception for
-// single-writer blobs, fdatasyncs the file instead. WithNoSync trades
-// the per-write fsyncs for speed (benchmarks, throwaway runs); Close
-// still flushes every directory so the name set, at least, is durable
-// on a clean shutdown.
+// single-writer blobs, fdatasyncs the file instead. Delete fsyncs the
+// parent directory after the unlink, so a deleted blob stays deleted
+// across power loss. WithNoSync trades the per-write fsyncs for speed
+// (benchmarks, throwaway runs); Close still flushes every directory so
+// the name set, at least, is durable on a clean shutdown.
 //
 // Locking is striped per (namespace, name): operations on different
 // blobs proceed in parallel (the server's concurrent handlers convoy
@@ -348,7 +349,8 @@ func (d *Disk) Has(ctx context.Context, ns, name string) (bool, error) {
 	return true, nil
 }
 
-// Delete implements Backend.
+// Delete implements Backend: unlink, then fsync the parent directory
+// so the unlink is durable on return, as Put's rename is.
 func (d *Disk) Delete(ctx context.Context, ns, name string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -357,10 +359,16 @@ func (d *Disk) Delete(ctx context.Context, ns, name string) error {
 	mu.Lock()
 	defer mu.Unlock()
 	err := os.Remove(d.path(ns, name))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
 		return fmt.Errorf("store: delete: %w", err)
 	}
-	return nil
+	if d.nosync {
+		return nil
+	}
+	return syncDir(filepath.Dir(d.path(ns, name)))
 }
 
 // List implements Backend. Lock-free: rename-published blobs mean the

@@ -27,9 +27,10 @@
 //
 // WriteAt is the one exception to Put's atomicity: it rewrites a blob's
 // tail in place, for single-writer blobs that nothing reads by name
-// until the writer is done (the dedup store's open container, which it
-// extends at every commit and seals in place). Its cost differs by
-// backend:
+// until the writer is done: the dedup store's open container, which it
+// extends at every commit and seals in place, and each write-ahead
+// log's active segment, which every commit appends one batch to. Its
+// cost differs by backend:
 //
 //   - Memory splices the bytes into the stored blob;
 //   - Disk issues pwrite, ftruncate and fdatasync on the file (plus a
@@ -38,7 +39,8 @@
 //   - HTTP has no partial-write verb, so it splices onto the blob's
 //     prefix and Puts it back: correct, but O(blob) per call. The
 //     prefix comes from its copy of the blob it last wrote, so only
-//     the Put crosses the wire.
+//     the Put crosses the wire. A log segment rolls at 1 MiB, which
+//     bounds what one commit costs here.
 package store
 
 import (
@@ -65,6 +67,11 @@ const (
 	// wal.Log treats any blob it does not own in its namespace as
 	// corruption. Server-internal like NSWAL.
 	NSFileWAL = "filewal"
+	// NSBlobWAL holds the blob plane's write-ahead log segments: the
+	// journaled puts and deletes of recipes, stub files and key states
+	// that the next checkpoint has not yet written to their own
+	// namespaces. Server-internal like NSWAL.
+	NSBlobWAL = "blobwal"
 )
 
 // ErrNotFound is returned when a blob does not exist.
@@ -99,8 +106,8 @@ type Backend interface {
 	// single-writer blobs that nothing reads by name until the writer
 	// is done.
 	WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error
-	// Delete removes (ns, name); deleting a missing blob is not an
-	// error.
+	// Delete removes (ns, name), durably on return; deleting a missing
+	// blob is not an error.
 	Delete(ctx context.Context, ns, name string) error
 	// List returns the names in ns, sorted.
 	List(ctx context.Context, ns string) ([]string, error)

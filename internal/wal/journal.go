@@ -6,13 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"time"
 
 	"repro/internal/binenc"
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
 // autoCommitBytes caps how many framed-but-uncommitted record bytes a
-// Journal buffers before AutoCommit forces a segment write, bounding
+// Journal buffers before AutoCommit forces a batch write, bounding
 // both memory and the worst-case loss window for callers that never
 // Commit (the experiment drivers).
 const autoCommitBytes = 1 << 20
@@ -35,11 +37,17 @@ type State interface {
 	// counts them toward its threshold.
 	Unstaged() int
 	// Stage makes those bytes durable. The journal calls it before it
-	// writes every segment and before every snapshot, so no record or
+	// writes every batch and before every snapshot, so no record or
 	// snapshot becomes durable before the bytes it names: this is the
 	// first half of the one commit point every durable write goes
 	// through. A state whose records carry everything returns nil.
 	Stage(ctx context.Context) error
+	// Fold writes what the state holds only in the log to its home
+	// outside it, durably, so the checkpoint may truncate the log. The
+	// journal calls it in every checkpoint, after the last batch and
+	// before the snapshot. A state whose snapshot carries everything
+	// returns nil.
+	Fold(ctx context.Context) error
 }
 
 // Spec is what differs between one journaled state and another.
@@ -62,7 +70,8 @@ type Spec struct {
 }
 
 // Journal is the one WAL + checkpoint lifecycle: it buffers records,
-// commits them as segments, folds the log into a snapshot blob
+// commits each buffer as one batch appended to the log, folds the log
+// into a snapshot blob
 //
 //	[version u8 | WAL position u64 | state body | CRC-32 u32]
 //
@@ -75,28 +84,31 @@ type Journal struct {
 	spec    Spec
 	state   State
 	log     *Log
-	// pending holds framed records not yet written as a segment;
-	// walBytes counts segment bytes since the last checkpoint.
+	// pending holds framed records not yet written as a batch;
+	// walBytes counts batch bytes since the last checkpoint.
 	pending  []byte
 	walBytes int64
 	// snapLen is the size of the last snapshot read or written: the
 	// capacity hint for encoding the next one.
 	snapLen int
 	census  Census
+	// commitTime and checkpointTime, nil until Observe, time each
+	// batch write and each checkpoint.
+	commitTime, checkpointTime *metrics.Histogram
 }
 
 // Census counts what a Journal has written since it was opened.
 type Census struct {
-	// Segments and SegmentBytes count WAL segments and their bytes,
-	// trailers included.
-	Segments, SegmentBytes uint64
+	// Commits and CommitBytes count the batches appended to the log and
+	// their bytes, batch headers included.
+	Commits, CommitBytes uint64
 	// Checkpoints counts snapshot blobs written.
 	Checkpoints uint64
 }
 
 // OpenJournal recovers state from the backend — load the snapshot, open
 // the log and advance it to the snapshot's position, replay the tail
-// (torn final segment tolerated: its records were never acknowledged)
+// (a torn last batch tolerated: its records were never acknowledged)
 // — and returns the journal that keeps it durable from here on.
 func OpenJournal(ctx context.Context, backend store.Backend, spec Spec, state State) (*Journal, error) {
 	j := &Journal{backend: backend, spec: spec, state: state}
@@ -185,7 +197,14 @@ func (j *Journal) AutoCommit(ctx context.Context) error {
 // Census returns what the journal has written since it was opened.
 func (j *Journal) Census() Census { return j.census }
 
-// Commit makes every record buffered so far durable as one segment and,
+// Observe times every later batch write (Stage and the append) into
+// commit and every later checkpoint into checkpoint. Nil histograms
+// observe nothing.
+func (j *Journal) Observe(commit, checkpoint *metrics.Histogram) {
+	j.commitTime, j.checkpointTime = commit, checkpoint
+}
+
+// Commit makes every record buffered so far durable as one batch and,
 // once the log has grown past the spec's threshold, checkpoints.
 func (j *Journal) Commit(ctx context.Context) error {
 	if err := j.Sync(ctx); err != nil {
@@ -197,10 +216,11 @@ func (j *Journal) Commit(ctx context.Context) error {
 	return nil
 }
 
-// Sync stages the state, then writes the buffered records as one
-// segment; it never checkpoints. On failure the buffer is kept, so a
-// retry re-attempts the same segment.
+// Sync stages the state, then appends the buffered records to the log
+// as one batch; it never checkpoints. On failure the buffer is kept, so
+// a retry re-attempts the same batch at the same offset.
 func (j *Journal) Sync(ctx context.Context) error {
+	start := time.Now()
 	if err := j.state.Stage(ctx); err != nil {
 		return err
 	}
@@ -211,23 +231,34 @@ func (j *Journal) Sync(ctx context.Context) error {
 		return fmt.Errorf("%s: commit: %w", j.spec.Owner, err)
 	}
 	j.walBytes += int64(len(j.pending))
-	j.census.Segments++
-	j.census.SegmentBytes += uint64(len(j.pending) + segmentTrailer)
+	j.census.Commits++
+	j.census.CommitBytes += uint64(len(j.pending) + frameHeader)
 	j.pending = j.pending[:0]
+	j.commitTime.Observe(time.Since(start))
 	return nil
 }
 
-// Checkpoint folds the state into one snapshot blob (a single atomic
-// backend Put), then truncates the log below the position the snapshot
-// records. A crash between the two leaves stale segments that the next
+// Checkpoint writes the last batch, folds what the state keeps only in
+// the log out of it, ends the active segment and writes the state as
+// one snapshot blob (a single atomic backend Put) that records the new
+// segment's number, then truncates the log below it. A crash between
+// the snapshot and the truncation leaves stale segments that the next
 // Open skips, because replay starts at the snapshot's position.
 func (j *Journal) Checkpoint(ctx context.Context) error {
+	start := time.Now()
 	if err := j.Sync(ctx); err != nil {
 		return err
 	}
+	if err := j.state.Fold(ctx); err != nil {
+		return fmt.Errorf("%s: fold: %w", j.spec.Owner, err)
+	}
+	pos, err := j.log.Roll(ctx)
+	if err != nil {
+		return fmt.Errorf("%s: %w", j.spec.Owner, err)
+	}
 	w := binenc.NewWriter(j.snapLen + 256)
 	w.Uint8(j.spec.Version)
-	w.Uint64(j.log.Next()) // replay position: records before this are folded in
+	w.Uint64(pos) // replay position: records before this are folded in
 	j.state.EncodeSnapshot(w)
 	blob := binary.BigEndian.AppendUint32(w.Bytes(), crc32.ChecksumIEEE(w.Bytes()))
 	if err := j.backend.Put(ctx, store.NSMeta, j.spec.Blob, blob); err != nil {
@@ -236,8 +267,9 @@ func (j *Journal) Checkpoint(ctx context.Context) error {
 	j.snapLen = len(blob)
 	j.walBytes = 0
 	j.census.Checkpoints++
-	if err := j.log.TruncateBefore(ctx, j.log.Next()); err != nil {
+	if err := j.log.TruncateBefore(ctx, pos); err != nil {
 		return fmt.Errorf("%s: truncate wal: %w", j.spec.Owner, err)
 	}
+	j.checkpointTime.Observe(time.Since(start))
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -48,6 +49,7 @@ func (l *lines) DecodeSnapshot(r *binenc.Reader, _ uint8) error {
 
 func (l *lines) Unstaged() int                 { return 0 }
 func (l *lines) Stage(_ context.Context) error { return nil }
+func (l *lines) Fold(_ context.Context) error  { return nil }
 
 var linesSpec = Spec{
 	Owner: "lines", Namespace: store.NSWAL, Prefix: "w",
@@ -91,7 +93,8 @@ func TestJournalLifecycle(t *testing.T) {
 		t.Fatalf("uncommitted record recovered: %v", *got)
 	}
 
-	// Committed below the checkpoint threshold: one segment, no snapshot.
+	// Committed below the checkpoint threshold: one batch in one
+	// segment, no snapshot.
 	if err := j.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestJournalLifecycle(t *testing.T) {
 		t.Fatalf("recovered %v from the WAL alone", *got)
 	}
 
-	// Sync writes a segment past the threshold but never checkpoints.
+	// Sync appends a batch past the threshold but never checkpoints.
 	add(j, state, strings.Repeat("x", 80))
 	if err := j.Sync(ctx); err != nil {
 		t.Fatal(err)
@@ -133,7 +136,7 @@ func TestJournalLifecycle(t *testing.T) {
 	if err := j2.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := segments(t, b); len(got) != 1 || got[0] != "w0000000000000003" {
+	if got := segments(t, b); len(got) != 1 || got[0] != "w0000000000000001" {
 		t.Fatalf("segments after reopen + commit = %v", got)
 	}
 	_, got := openLines(t, b)
@@ -163,7 +166,7 @@ func (s *staged) Stage(_ context.Context) error {
 	return nil
 }
 
-// TestJournalStagesBeforeEverySegment: every path that writes a segment
+// TestJournalStagesBeforeEverySegment: every path that writes a batch
 // or a snapshot stages first, a failed stage writes nothing, and
 // AutoCommit counts unstaged bytes toward its bound.
 func TestJournalStagesBeforeEverySegment(t *testing.T) {
@@ -182,15 +185,15 @@ func TestJournalStagesBeforeEverySegment(t *testing.T) {
 		t.Fatalf("a failed stage still wrote segments %v", got)
 	}
 	st.fail = false
-	if err := j.Sync(ctx); err != nil || st.stages != 1 || len(segments(t, b)) != 1 {
-		t.Fatalf("Sync = %v: %d stages, segments %v", err, st.stages, segments(t, b))
+	if err := j.Sync(ctx); err != nil || st.stages != 1 || j.Census().Commits != 1 {
+		t.Fatalf("Sync = %v: %d stages, census %+v", err, st.stages, j.Census())
 	}
 
 	j.Record([]byte("b"))
 	st.unstaged = autoCommitBytes - 1
-	if err := j.AutoCommit(ctx); err != nil || st.stages != 2 || len(segments(t, b)) != 2 {
-		t.Fatalf("AutoCommit = %v: %d stages, segments %v; want the unstaged bytes to force a commit",
-			err, st.stages, segments(t, b))
+	if err := j.AutoCommit(ctx); err != nil || st.stages != 2 || j.Census().Commits != 2 {
+		t.Fatalf("AutoCommit = %v: %d stages, census %+v; want the unstaged bytes to force a commit",
+			err, st.stages, j.Census())
 	}
 
 	st.unstaged = 1 // nothing buffered, but the snapshot may name it
@@ -218,25 +221,18 @@ func TestJournalAutoCommit(t *testing.T) {
 	}
 }
 
-// failingPuts fails every Put while armed.
-type failingPuts struct {
-	store.Backend
-	armed bool
-}
-
-func (f *failingPuts) Put(ctx context.Context, ns, name string, data []byte) error {
-	if f.armed {
-		return errors.New("injected put failure")
-	}
-	return f.Backend.Put(ctx, ns, name, data)
-}
-
-// TestJournalKeepsRecordsWhenCommitFails: a failed segment write loses
-// nothing; the retry writes the same records.
+// TestJournalKeepsRecordsWhenCommitFails: a batch write that fails
+// midway loses nothing; the retry writes the same records over the torn
+// bytes.
 func TestJournalKeepsRecordsWhenCommitFails(t *testing.T) {
-	b := &failingPuts{Backend: store.NewMemory(), armed: true}
+	b := &tearingWrites{Backend: store.NewMemory()}
 	j, state := openLines(t, b)
+	add(j, state, "first")
+	if err := j.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
 	add(j, state, "kept")
+	b.armed = true
 	if err := j.Commit(ctx); err == nil {
 		t.Fatal("Commit succeeded over a failing backend")
 	}
@@ -244,8 +240,64 @@ func TestJournalKeepsRecordsWhenCommitFails(t *testing.T) {
 	if err := j.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, got := openLines(t, b); len(*got) != 1 || (*got)[0] != "kept" {
+	if _, got := openLines(t, b); fmt.Sprint(*got) != "[first kept]" {
 		t.Fatalf("recovered %v", *got)
+	}
+}
+
+// folded is lines whose records also live outside the snapshot until
+// Fold writes them there; the order of calls is logged.
+type folded struct {
+	lines
+	calls []string
+	fail  bool
+}
+
+func (f *folded) Stage(_ context.Context) error {
+	f.calls = append(f.calls, "stage")
+	return nil
+}
+
+func (f *folded) Fold(_ context.Context) error {
+	if f.fail {
+		return errors.New("fold failed")
+	}
+	f.calls = append(f.calls, "fold")
+	return nil
+}
+
+func (f *folded) EncodeSnapshot(w *binenc.Writer) {
+	f.calls = append(f.calls, "snapshot")
+	f.lines.EncodeSnapshot(w)
+}
+
+// TestJournalFoldsBeforeTheSnapshot: a checkpoint folds after its last
+// batch and before the snapshot, and a failed fold writes no snapshot
+// and truncates nothing.
+func TestJournalFoldsBeforeTheSnapshot(t *testing.T) {
+	b := store.NewMemory()
+	st := &folded{fail: true}
+	j, err := OpenJournal(ctx, b, linesSpec, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.lines = append(st.lines, "x")
+	j.Record([]byte("x"))
+	if err := j.Checkpoint(ctx); err == nil {
+		t.Fatal("Checkpoint succeeded with a failing fold")
+	}
+	if ok, _ := b.Has(ctx, store.NSMeta, linesSpec.Blob); ok || len(segments(t, b)) != 1 {
+		t.Fatalf("a failed fold left snapshot %v, segments %v", ok, segments(t, b))
+	}
+	st.fail, st.calls = false, nil
+	if err := j.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(st.calls) != "[stage fold snapshot]" {
+		t.Fatalf("checkpoint calls = %v", st.calls)
+	}
+	if got := segments(t, b); len(got) != 0 {
+		t.Fatalf("segments after checkpoint = %v", got)
 	}
 }
 
