@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/binenc"
 	"repro/internal/metrics"
@@ -39,29 +40,48 @@ const (
 // blobKey addresses one blob of the blob plane.
 type blobKey struct{ ns, name string }
 
-// dirtyBlob is the last journaled write of one blob: its bytes, or a
-// delete.
+// dirtyBlob is one journaled write of a blob: its bytes, or a delete.
+// seq numbers the writes, so a fold can tell whether the blob changed
+// while it wrote it out.
 type dirtyBlob struct {
 	data    []byte
 	deleted bool
+	seq     uint64
+}
+
+// blobWrite is one write of one blob: a pending write, or one a fold
+// writes out.
+type blobWrite struct {
+	key  blobKey
+	blob dirtyBlob
 }
 
 // blobs is the blob plane — recipes, stub files and key states, stored
 // verbatim — as a wal.State. A put or delete is journaled like an index
 // mutation, so once dispatch has committed it, it is one log append and
-// one fdatasync old, not a temp file, a rename and two fsyncs. Each
-// checkpoint writes the journaled blobs to their own namespaces with
-// the backend's durable Put and Delete, then truncates the log; until
-// then dirty holds them, and reads look there before the backend. Blobs
-// overwritten several times between checkpoints reach the backend once.
+// one fdatasync old, not a temp file, a rename and two fsyncs. Reads see
+// a write only once its batch has been appended. Each checkpoint, which
+// a commit starts in the background, writes the journaled blobs to
+// their own namespaces with the backend's durable Put and Delete, then
+// truncates the log; until then dirty holds them, and reads look there
+// before the backend. Blobs overwritten several times between
+// checkpoints reach the backend once.
 type blobs struct {
 	backend store.Backend
-	// mu orders the journal: a write holds it from changing dirty
-	// through recording, and a commit or checkpoint for all its I/O.
+	// mu guards the fields below and orders the journal: a write holds
+	// it while it records, a commit for its append, a read for its
+	// lookup, a checkpoint for all but its fold's backend writes.
 	mu sync.Mutex
-	// dirtyMu guards dirty. A writer takes it inside mu and a reader
-	// alone, so a read never waits for a commit's fdatasync.
-	dirtyMu sync.RWMutex
+	// pending holds the writes recorded since the last append, in
+	// order, and seq numbers the last of them.
+	pending []blobWrite
+	seq     uint64
+	// folding is set from the moment a checkpoint is due or asked for
+	// until it ends; idle is broadcast when it clears. While it is set
+	// no other checkpoint starts.
+	folding bool
+	idle    sync.Cond
+	// dirty holds the last appended write of every blob the log holds.
 	dirty   map[blobKey]dirtyBlob
 	journal *wal.Journal
 }
@@ -71,6 +91,7 @@ type blobs struct {
 // are all in the backend already.
 func openBlobs(ctx context.Context, backend store.Backend) (*blobs, error) {
 	b := &blobs{backend: backend, dirty: make(map[blobKey]dirtyBlob)}
+	b.idle.L = &b.mu
 	var err error
 	if b.journal, err = wal.OpenJournal(ctx, backend, blobJournalSpec, (*blobState)(b)); err != nil {
 		return nil, err
@@ -93,8 +114,9 @@ func encodeBlobRecord(ns, name string, data []byte, deleted bool) []byte {
 }
 
 // decodeBlobRecord inverts encodeBlobRecord. The returned data aliases
-// rec. It refuses a namespace clients may not write, so no record can
-// make a checkpoint write outside the blob plane.
+// rec. It refuses a namespace clients may not write and a name the
+// backend cannot store, so no record can make a checkpoint write
+// outside the blob plane or fail on it.
 func decodeBlobRecord(rec []byte) (key blobKey, blob dirtyBlob, err error) {
 	r := binenc.NewReader(rec)
 	kind, err := r.Uint8()
@@ -110,6 +132,9 @@ func decodeBlobRecord(rec []byte) (key blobKey, blob dirtyBlob, err error) {
 	if key.name, err = r.ReadString(); err != nil {
 		return key, blob, fmt.Errorf("blobs: name: %w", err)
 	}
+	if err := store.CheckName(key.name); err != nil {
+		return key, blob, fmt.Errorf("blobs: record for %w", err)
+	}
 	switch kind {
 	case recBlobPut:
 		blob.data = rec[len(rec)-r.Remaining():]
@@ -124,10 +149,15 @@ func decodeBlobRecord(rec []byte) (key blobKey, blob dirtyBlob, err error) {
 	return key, blob, nil
 }
 
-// write journals a put or delete of (ns, name) and makes it visible to
-// reads. Like every journaled mutation it is durable only after the
-// next Commit, which dispatch runs before it replies.
-func (b *blobs) write(ctx context.Context, ns, name string, data []byte, deleted bool) error {
+// write journals a put or delete of (ns, name). It refuses a name the
+// backend cannot store: the write would be acknowledged at the next
+// commit, and only a checkpoint would find out. Like every journaled
+// mutation it is durable, and visible to reads, only after the next
+// Commit, which dispatch runs before it replies.
+func (b *blobs) write(ns, name string, data []byte, deleted bool) error {
+	if err := store.CheckName(name); err != nil {
+		return err
+	}
 	rec := encodeBlobRecord(ns, name, data, deleted)
 	blob := dirtyBlob{deleted: deleted}
 	if !deleted {
@@ -135,28 +165,28 @@ func (b *blobs) write(ctx context.Context, ns, name string, data []byte, deleted
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.dirtyMu.Lock()
-	b.dirty[blobKey{ns, name}] = blob
-	b.dirtyMu.Unlock()
+	b.seq++
+	blob.seq = b.seq
+	b.pending = append(b.pending, blobWrite{blobKey{ns, name}, blob})
 	b.journal.Record(rec)
-	return b.journal.AutoCommit(ctx)
+	return nil
 }
 
-func (b *blobs) put(ctx context.Context, ns, name string, data []byte) error {
-	return b.write(ctx, ns, name, data, false)
+func (b *blobs) put(ns, name string, data []byte) error {
+	return b.write(ns, name, data, false)
 }
 
-func (b *blobs) delete(ctx context.Context, ns, name string) error {
-	return b.write(ctx, ns, name, nil, true)
+func (b *blobs) delete(ns, name string) error {
+	return b.write(ns, name, nil, true)
 }
 
 // get returns the blob at (ns, name): the journaled write if the log
 // holds one, the backend's copy otherwise. A journaled blob's bytes are
 // never written again, so the caller may keep them.
 func (b *blobs) get(ctx context.Context, ns, name string) ([]byte, error) {
-	b.dirtyMu.RLock()
+	b.mu.Lock()
 	blob, ok := b.dirty[blobKey{ns, name}]
-	b.dirtyMu.RUnlock()
+	b.mu.Unlock()
 	switch {
 	case !ok:
 		return b.backend.Get(ctx, ns, name)
@@ -168,11 +198,11 @@ func (b *blobs) get(ctx context.Context, ns, name string) ([]byte, error) {
 }
 
 // list returns the names in ns, sorted: the backend's, with the
-// journaled writes applied. It holds dirtyMu across the backend's List,
-// so a checkpoint cannot forget a blob it has written in between.
+// journaled writes applied. It holds mu across the backend's List, so a
+// checkpoint cannot forget a blob it has written in between.
 func (b *blobs) list(ctx context.Context, ns string) ([]string, error) {
-	b.dirtyMu.RLock()
-	defer b.dirtyMu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	names, err := b.backend.List(ctx, ns)
 	if err != nil {
 		return nil, err
@@ -196,21 +226,77 @@ func (b *blobs) list(ctx context.Context, ns string) ([]string, error) {
 	return names, nil
 }
 
-// Commit makes every put and delete journaled so far durable: one
-// batch appended to the log (and, past the checkpoint threshold, the
-// flush to the backend).
+// appendPending appends the recorded writes to the log as one batch
+// and, once it has landed, makes them visible to reads. A failed append
+// keeps them pending, unseen, for the next one.
+func (b *blobs) appendPending(ctx context.Context) error {
+	if err := b.journal.Sync(ctx); err != nil {
+		return err
+	}
+	b.publish()
+	return nil
+}
+
+// publish moves the pending writes, which an append has just made
+// durable, into dirty.
+func (b *blobs) publish() {
+	for _, w := range b.pending {
+		b.dirty[w.key] = w.blob
+	}
+	clear(b.pending)
+	b.pending = b.pending[:0]
+}
+
+// Commit makes every write recorded so far durable, as one batch
+// appended to the log, and then visible. Once the log has grown past
+// the checkpoint threshold it starts a checkpoint in the background,
+// unless one is running already, so no reply waits for a fold. A
+// checkpoint that fails is retried by the next commit; Flush reports
+// its error. A commit that finds the log at twice the threshold while a
+// checkpoint runs waits for it, which bounds what the log and dirty
+// hold when writes outpace folds.
 func (b *blobs) Commit(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.journal.Commit(ctx)
+	for b.folding && b.journal.Backlog() >= 2*blobJournalSpec.CheckpointEvery {
+		b.idle.Wait()
+	}
+	if err := b.appendPending(ctx); err != nil {
+		return err
+	}
+	if !b.folding && b.journal.Backlog() >= blobJournalSpec.CheckpointEvery {
+		b.folding = true
+		go func() {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			// A failure is retried by the next commit.
+			_ = b.checkpoint(context.WithoutCancel(ctx))
+		}()
+	}
+	return nil
 }
 
-// Flush commits, writes every journaled blob to the backend and
-// truncates the log.
+// Flush writes every write recorded so far, and every journaled blob,
+// to the backend and truncates the log. It waits for a running
+// checkpoint first, since writes committed during that one's fold are
+// still in the log.
 func (b *blobs) Flush(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.journal.Checkpoint(ctx)
+	for b.folding {
+		b.idle.Wait()
+	}
+	b.folding = true
+	return b.checkpoint(ctx)
+}
+
+// checkpoint runs the checkpoint its caller set folding for, with mu
+// held, and clears folding.
+func (b *blobs) checkpoint(ctx context.Context) error {
+	err := b.journal.Checkpoint(ctx)
+	b.folding = false
+	b.idle.Broadcast()
+	return err
 }
 
 // ObserveJournal times the blob journal's commits and checkpoints.
@@ -221,8 +307,8 @@ func (b *blobs) ObserveJournal(commit, checkpoint *metrics.Histogram) {
 }
 
 // blobState is *blobs as the journal sees it: the wal.State methods,
-// which assume b.mu is held (or that openBlobs has not yet published
-// the plane), so dirty changes only under dirtyMu inside them.
+// which run with b.mu held (or before openBlobs has published the
+// plane).
 type blobState blobs
 
 // Apply re-applies one journaled put or delete.
@@ -235,7 +321,8 @@ func (st *blobState) Apply(_ context.Context, rec []byte) error {
 	return nil
 }
 
-// EncodeSnapshot writes nothing: Fold has just emptied dirty.
+// EncodeSnapshot writes nothing: Fold has written every blob the
+// snapshot's log position covers to the backend.
 func (st *blobState) EncodeSnapshot(*binenc.Writer) {}
 
 // DecodeSnapshot reads the empty body EncodeSnapshot wrote.
@@ -245,34 +332,68 @@ func (st *blobState) DecodeSnapshot(*binenc.Reader, uint8) error { return nil }
 func (st *blobState) Unstaged() int                 { return 0 }
 func (st *blobState) Stage(_ context.Context) error { return nil }
 
+// foldWorkers is how many blobs a fold writes at once. A durable Put
+// spends most of its time waiting for fsync, and concurrent fsyncs
+// share the file system's journal commits, so a fold keeps up with
+// writers that Put concurrently, as clients did before the journal.
+const foldWorkers = 8
+
 // Fold writes every journaled blob to its namespace, each with the
-// backend's durable Put or Delete, in name order, then forgets them. A
-// failure keeps dirty whole: the blobs already written match it, and
-// the log still holds them all.
+// backend's durable Put or Delete, then forgets those that no write has
+// changed since. It releases mu while it writes, so writes and commits
+// go on meanwhile; theirs land in the log's new segment, which this
+// checkpoint keeps. A failure keeps dirty whole, and the log still
+// holds it all, so replay converges on it whatever the backend holds.
 func (st *blobState) Fold(ctx context.Context) error {
-	keys := make([]blobKey, 0, len(st.dirty))
-	for key := range st.dirty {
-		keys = append(keys, key)
+	// The checkpoint's last batch has landed, with any pending writes.
+	(*blobs)(st).publish()
+	todo := make([]blobWrite, 0, len(st.dirty))
+	for key, blob := range st.dirty {
+		todo = append(todo, blobWrite{key, blob})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ns != keys[j].ns {
-			return keys[i].ns < keys[j].ns
-		}
-		return keys[i].name < keys[j].name
-	})
-	for _, key := range keys {
-		var err error
-		if blob := st.dirty[key]; blob.deleted {
-			err = st.backend.Delete(ctx, key.ns, key.name)
-		} else {
-			err = st.backend.Put(ctx, key.ns, key.name, blob.data)
-		}
-		if err != nil {
-			return err
+	st.mu.Unlock()
+	err := st.writeOut(ctx, todo)
+	st.mu.Lock()
+	if err != nil {
+		return err
+	}
+	for _, w := range todo {
+		if st.dirty[w.key].seq == w.blob.seq {
+			delete(st.dirty, w.key)
 		}
 	}
-	st.dirtyMu.Lock()
-	clear(st.dirty)
-	st.dirtyMu.Unlock()
 	return nil
+}
+
+// writeOut writes each blob of todo to the backend, foldWorkers at a
+// time; each names a different blob. It stops at the first failure.
+func (st *blobState) writeOut(ctx context.Context, todo []blobWrite) error {
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		errs   [foldWorkers]error
+	)
+	for worker := range min(foldWorkers, len(todo)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(todo)) && !failed.Load(); i = next.Add(1) - 1 {
+				w := todo[i]
+				var err error
+				if w.blob.deleted {
+					err = st.backend.Delete(ctx, w.key.ns, w.key.name)
+				} else {
+					err = st.backend.Put(ctx, w.key.ns, w.key.name, w.blob.data)
+				}
+				if err != nil {
+					errs[worker] = err
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs[:]...)
 }

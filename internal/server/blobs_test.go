@@ -11,6 +11,9 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -48,11 +51,14 @@ var errFold = errors.New("injected fold fault")
 // the first left of them: a crash in the middle of a checkpoint's fold.
 type foldFaults struct {
 	store.Backend
+	mu    sync.Mutex
 	armed bool
 	left  int
 }
 
 func (f *foldFaults) fire(ns string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if !f.armed || !allowedNamespaces[ns] {
 		return false
 	}
@@ -134,8 +140,9 @@ func checkBlobs(t *testing.T, b *blobs, keys []blobKey, want map[blobKey][]byte,
 }
 
 // runBlobSequence is the blob plane's crash model. The model keeps the
-// live state — what get and list must show, acknowledged or not — and
-// the durable state: a copy taken whenever the journal commits. A crash
+// live state — every write, acknowledged or not — and the durable
+// state: a copy taken whenever the journal commits, which is also what
+// get and list must show, as no write is visible before its commit. A crash
 // abandons the plane and opens a new one over the same backend, in one
 // of three ways:
 //
@@ -150,9 +157,10 @@ func checkBlobs(t *testing.T, b *blobs, keys []blobKey, want map[blobKey][]byte,
 //     reopened plane must hold everything committed.
 //
 // Every acknowledged write — delete included — must hold after every
-// crash. The stream stays far below the journal's checkpoint and roll
-// thresholds (300 steps, at most 2 KB per put), so no commit happens
-// that the model does not see.
+// crash. The stream stays far below the journal's checkpoint threshold
+// (300 steps, at most 2 KB per put), so every checkpoint is one the
+// model runs; a commit may start a new segment, and a tear then cuts
+// that one.
 func runBlobSequence(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -182,12 +190,12 @@ func runBlobSequence(t *testing.T, seed int64) {
 		case op < 4: // put, or overwrite a name already held
 			data := make([]byte, rng.Intn(2048))
 			rng.Read(data)
-			if err := b.put(ctx, key.ns, key.name, data); err != nil {
+			if err := b.put(key.ns, key.name, data); err != nil {
 				t.Fatalf("%s: put: %v", what, err)
 			}
 			live[key], uncommitted = data, true
 		case op < 6:
-			if err := b.delete(ctx, key.ns, key.name); err != nil {
+			if err := b.delete(key.ns, key.name); err != nil {
 				t.Fatalf("%s: delete: %v", what, err)
 			}
 			delete(live, key)
@@ -199,8 +207,8 @@ func runBlobSequence(t *testing.T, seed int64) {
 				t.Fatalf("%s: flush: %v", what, err)
 			}
 			durable, uncommitted = maps.Clone(live), false
-		case op < 11:
-			checkBlobs(t, b, keys, live, what)
+		case op < 11: // reads see exactly the committed writes
+			checkBlobs(t, b, keys, durable, what)
 		default:
 			switch {
 			case uncommitted && rng.Intn(2) == 0: // mid-append
@@ -327,19 +335,19 @@ func TestParentLayoutStoreReopens(t *testing.T) {
 // backend.
 type countingPuts struct {
 	store.Backend
-	writes int
+	writes atomic.Int64
 }
 
 func (c *countingPuts) Put(ctx context.Context, ns, name string, data []byte) error {
 	if allowedNamespaces[ns] {
-		c.writes++
+		c.writes.Add(1)
 	}
 	return c.Backend.Put(ctx, ns, name, data)
 }
 
 func (c *countingPuts) Delete(ctx context.Context, ns, name string) error {
 	if allowedNamespaces[ns] {
-		c.writes++
+		c.writes.Add(1)
 	}
 	return c.Backend.Delete(ctx, ns, name)
 }
@@ -358,14 +366,14 @@ func TestCheckpointWritesEachBlobOnce(t *testing.T) {
 		mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSKeyStates, "gone", []byte{byte(i)}))
 	}
 	mustDispatch(t, srv, proto.MsgDeleteBlobReq, proto.EncodeBlobReq(store.NSKeyStates, "gone", nil))
-	if backend.writes != 0 {
-		t.Fatalf("%d blob writes reached the backend before a checkpoint", backend.writes)
+	if n := backend.writes.Load(); n != 0 {
+		t.Fatalf("%d blob writes reached the backend before a checkpoint", n)
 	}
 	if err := srv.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if backend.writes != 2 {
-		t.Fatalf("the checkpoint wrote %d blobs, want 2", backend.writes)
+	if n := backend.writes.Load(); n != 2 {
+		t.Fatalf("the checkpoint wrote %d blobs, want 2", n)
 	}
 	if got, err := backend.Get(ctx, store.NSStubs, "rekeyed"); err != nil || !bytes.Equal(got, []byte{4}) {
 		t.Fatalf("stored stub file = %v, %v; want the last value", got, err)
@@ -442,5 +450,183 @@ func TestBlobReadsDuringCheckpoints(t *testing.T) {
 	close(stop)
 	if err := <-flushed; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBadBlobNamesRefused: a put or delete under a name the backend
+// cannot store — empty, or too long once escaped for a file name — is
+// refused before it is journaled. Were it acknowledged, every later
+// checkpoint would fail on it, and so would Shutdown, after restarts
+// too.
+func TestBadBlobNamesRefused(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Server {
+		t.Helper()
+		backend, err := store.NewDisk(dir, store.WithNoSync())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(ctx, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := open()
+	for _, name := range []string{"", strings.Repeat("/", 100)} {
+		for _, typ := range []proto.MsgType{proto.MsgPutBlobReq, proto.MsgDeleteBlobReq} {
+			if respType, _ := srv.dispatch(ctx, typ, proto.EncodeBlobReq(store.NSStubs, name, []byte("x"))); respType != proto.MsgError {
+				t.Fatalf("%v of a %d-byte name answered %v", typ, len(name), respType)
+			}
+		}
+	}
+	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSStubs, "good", []byte("x")))
+	if err := srv.Flush(ctx); err != nil {
+		t.Fatalf("checkpoint after refused names: %v", err)
+	}
+	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSStubs, "after", []byte("y")))
+	if err := srv.Shutdown(); err != nil {
+		t.Fatalf("shutdown after refused names: %v", err)
+	}
+	checkBlobs(t, open().blobs, []blobKey{{store.NSStubs, "good"}, {store.NSStubs, "after"}},
+		map[blobKey][]byte{{store.NSStubs, "good"}: []byte("x"), {store.NSStubs, "after"}: []byte("y")}, "reopened")
+}
+
+// failingAppends fails every append to the blob journal while fail is
+// set.
+type failingAppends struct {
+	store.Backend
+	fail atomic.Bool
+}
+
+func (f *failingAppends) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
+	if ns == store.NSBlobWAL && f.fail.Load() {
+		return errors.New("injected append fault")
+	}
+	return f.Backend.WriteAt(ctx, ns, name, off, data)
+}
+
+// TestFailedAppendStaysInvisible: a write whose append fails is never
+// shown to a reader, who could otherwise act on a blob that a crash can
+// still erase. It becomes visible with the next append that lands, as
+// part of that batch.
+func TestFailedAppendStaysInvisible(t *testing.T) {
+	backend := &failingAppends{Backend: store.NewMemory()}
+	srv, err := New(ctx, backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := blobKey{store.NSKeyStates, "old"}
+	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(old.ns, old.name, []byte("v1")))
+	backend.fail.Store(true)
+	for _, req := range []struct {
+		typ  proto.MsgType
+		key  blobKey
+		data []byte
+	}{
+		{proto.MsgPutBlobReq, blobKey{store.NSKeyStates, "new"}, []byte("unacknowledged")},
+		{proto.MsgPutBlobReq, old, []byte("v2")},
+		{proto.MsgDeleteBlobReq, old, nil},
+	} {
+		if respType, _ := srv.dispatch(ctx, req.typ, proto.EncodeBlobReq(req.key.ns, req.key.name, req.data)); respType != proto.MsgError {
+			t.Fatalf("%v answered %v through a failing append", req.typ, respType)
+		}
+	}
+	keys := []blobKey{old, {store.NSKeyStates, "new"}}
+	checkBlobs(t, srv.blobs, keys, map[blobKey][]byte{old: []byte("v1")}, "after failed appends")
+
+	backend.fail.Store(false)
+	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSKeyStates, "new", []byte("acknowledged")))
+	want := map[blobKey][]byte{{store.NSKeyStates, "new"}: []byte("acknowledged")}
+	checkBlobs(t, srv.blobs, keys, want, "after the next append")
+	checkBlobs(t, mustOpenBlobs(t, backend), keys, want, "reopened")
+}
+
+// gatedPuts holds every blob-plane Put until release is closed, and
+// reports on started when the first one arrives.
+type gatedPuts struct {
+	store.Backend
+	started chan struct{}
+	once    sync.Once
+	release chan struct{}
+}
+
+func (g *gatedPuts) Put(ctx context.Context, ns, name string, data []byte) error {
+	if allowedNamespaces[ns] {
+		g.once.Do(func() { close(g.started) })
+		<-g.release
+	}
+	return g.Backend.Put(ctx, ns, name, data)
+}
+
+// TestFoldLetsWritesThrough: the commit that takes the log past the
+// checkpoint threshold replies without waiting for the fold, and while
+// the fold writes the journaled blobs to the backend, puts and deletes
+// are still acknowledged and read back. A blob overwritten during the
+// fold keeps its new value in the journal; a crash after the checkpoint
+// replays it from the log's new segment.
+func TestFoldLetsWritesThrough(t *testing.T) {
+	backend := &gatedPuts{Backend: store.NewMemory(), started: make(chan struct{}), release: make(chan struct{})}
+	srv, err := New(ctx, backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := blobKey{store.NSStubs, "a"}, blobKey{store.NSStubs, "b"}, blobKey{store.NSStubs, "c"}
+	half := bytes.Repeat([]byte{1}, int(blobJournalSpec.CheckpointEvery/2))
+	filled := make(chan struct{})
+	go func() {
+		defer close(filled)
+		for _, key := range []blobKey{a, b} {
+			if respType, resp := srv.dispatch(ctx, proto.MsgPutBlobReq, proto.EncodeBlobReq(key.ns, key.name, half)); respType != proto.MsgPutBlobResp {
+				t.Errorf("put %s answered %v: %s", key.name, respType, resp)
+			}
+		}
+	}()
+	<-backend.started // the second commit started a checkpoint
+	select {
+	case <-filled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the commit that started the checkpoint waited for its fold")
+	}
+
+	acked := make(chan struct{})
+	go func() {
+		defer close(acked)
+		for _, req := range []struct {
+			typ  proto.MsgType
+			key  blobKey
+			data []byte
+		}{
+			{proto.MsgPutBlobReq, a, []byte("during")},
+			{proto.MsgDeleteBlobReq, b, nil},
+			{proto.MsgPutBlobReq, c, []byte("during")},
+		} {
+			if respType, resp := srv.dispatch(ctx, req.typ, proto.EncodeBlobReq(req.key.ns, req.key.name, req.data)); respType != req.typ.Response() {
+				t.Errorf("%v answered %v: %s", req.typ, respType, resp)
+			}
+		}
+	}()
+	select {
+	case <-acked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("writes waited for the checkpoint's fold")
+	}
+	want := map[blobKey][]byte{a: []byte("during"), c: []byte("during")}
+	keys := []blobKey{a, b, c}
+	checkBlobs(t, srv.blobs, keys, want, "during the fold")
+	close(backend.release)
+	srv.blobs.mu.Lock()
+	for srv.blobs.folding {
+		srv.blobs.idle.Wait()
+	}
+	srv.blobs.mu.Unlock()
+	checkBlobs(t, srv.blobs, keys, want, "after the checkpoint")
+	checkBlobs(t, mustOpenBlobs(t, backend), keys, want, "after a crash")
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	checkBlobs(t, mustOpenBlobs(t, backend), keys, want, "after shutdown")
+	if segs := segmentLens(t, backend); len(segs) != 0 {
+		t.Fatalf("segments after shutdown: %v", segs)
 	}
 }

@@ -481,7 +481,7 @@ func (s *Server) putBlob(ctx context.Context, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.blobs.put(ctx, ns, name, data); err != nil {
+	if err := s.blobs.put(ns, name, data); err != nil {
 		return nil, err
 	}
 	if ns == store.NSStubs {
@@ -543,7 +543,7 @@ func (s *Server) deleteBlob(ctx context.Context, payload []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.blobs.delete(ctx, ns, name); err != nil {
+	if err := s.blobs.delete(ns, name); err != nil {
 		return nil, err
 	}
 	if ns == store.NSStubs {

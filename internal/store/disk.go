@@ -89,20 +89,50 @@ func (d *Disk) stripe(ns, name string) *sync.RWMutex {
 	return &d.stripes[h&(diskStripes-1)]
 }
 
+// plain reports whether escape keeps c as it is; any other byte
+// becomes three.
+func plain(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_'
+}
+
 // escape makes a blob name filesystem-safe.
 func escape(name string) string {
 	var sb strings.Builder
 	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_':
+		if c := name[i]; plain(c) {
 			sb.WriteByte(c)
-		default:
+		} else {
 			fmt.Fprintf(&sb, "%%%02X", c)
 		}
 	}
 	return sb.String()
+}
+
+// maxFileName is the longest file name Disk can create: NAME_MAX on
+// Linux and on the other common file systems.
+const maxFileName = 255
+
+// CheckName returns an error unless every backend can store a blob
+// under name: Disk needs it non-empty, and its escaped form must fit
+// in one file name. A caller that acknowledges a write before the
+// backend sees it checks the name first, so the backend never refuses
+// a write that was already acknowledged.
+func CheckName(name string) error {
+	if name == "" {
+		return errors.New("store: empty blob name")
+	}
+	n := 0
+	for i := 0; i < len(name); i++ {
+		if plain(name[i]) {
+			n++
+		} else {
+			n += 3
+		}
+	}
+	if n > maxFileName {
+		return fmt.Errorf("store: blob name of %d bytes escapes to %d, over %d", len(name), n, maxFileName)
+	}
+	return nil
 }
 
 // unescape inverts escape.

@@ -24,12 +24,24 @@ type HTTP struct {
 	base   string
 	client *http.Client
 
-	// last is the blob WriteAt wrote most recently, so the next
-	// WriteAt to it splices onto this copy instead of reading the
-	// prefix back: WriteAt's blobs have one writer (see Backend).
-	lastMu           sync.Mutex
-	lastNS, lastName string
-	last             []byte
+	// tails holds, per namespace, the blob WriteAt wrote there most
+	// recently, so the next WriteAt to it splices onto this copy
+	// instead of reading the prefix back. WriteAt's blobs have one
+	// writer each (see Backend), and a namespace holds at most one blob
+	// being appended to at a time — the dedup store's open container,
+	// each write-ahead log's active segment — so one copy per namespace
+	// serves every append.
+	tailsMu sync.Mutex
+	tails   map[string]*tail
+}
+
+// tail is one namespace's entry in HTTP.tails. Its mutex is held
+// across the Put of a WriteAt, so appends to one namespace serialize
+// and appends to different ones do not.
+type tail struct {
+	mu   sync.Mutex
+	name string
+	data []byte
 }
 
 var _ Backend = (*HTTP)(nil)
@@ -83,12 +95,28 @@ func (h *HTTP) Put(ctx context.Context, ns, name string, data []byte) error {
 	return h.put(ctx, ns, name, data)
 }
 
+// tail returns ns's entry in h.tails, creating it on first use.
+func (h *HTTP) tail(ns string) *tail {
+	h.tailsMu.Lock()
+	defer h.tailsMu.Unlock()
+	t := h.tails[ns]
+	if t == nil {
+		if h.tails == nil {
+			h.tails = make(map[string]*tail)
+		}
+		t = new(tail)
+		h.tails[ns] = t
+	}
+	return t
+}
+
 // forget drops WriteAt's copy of a blob another call replaced.
 func (h *HTTP) forget(ns, name string) {
-	h.lastMu.Lock()
-	defer h.lastMu.Unlock()
-	if ns == h.lastNS && name == h.lastName {
-		h.last = nil
+	t := h.tail(ns)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.name == name {
+		t.data = nil
 	}
 }
 
@@ -214,20 +242,21 @@ func (h *HTTP) GetRange(ctx context.Context, ns, name string, off, n int64) ([]b
 // write, so WriteAt splices data onto the blob's first off bytes and
 // Puts the result back: correct, but O(blob) per call, where Disk pays
 // only for the bytes written. The prefix comes from the copy of the
-// blob the previous WriteAt wrote, and is read back with GetRange only
-// when that copy is of another blob or too short.
+// blob the previous WriteAt in ns wrote, and is read back with GetRange
+// only when that copy is of another blob or too short.
 func (h *HTTP) WriteAt(ctx context.Context, ns, name string, off int64, data []byte) error {
 	if off < 0 {
 		return checkWriteAt(ns, name, off, 0, true)
 	}
-	h.lastMu.Lock()
-	defer h.lastMu.Unlock()
+	t := h.tail(ns)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var prefix []byte
 	switch {
 	case off == 0:
-		prefix = h.last[:0]
-	case ns == h.lastNS && name == h.lastName && off <= int64(len(h.last)):
-		prefix = h.last[:off]
+		prefix = t.data[:0]
+	case name == t.name && off <= int64(len(t.data)):
+		prefix = t.data[:off]
 	default:
 		var err error
 		if prefix, err = h.GetRange(ctx, ns, name, 0, off); err != nil {
@@ -235,11 +264,11 @@ func (h *HTTP) WriteAt(ctx context.Context, ns, name string, off int64, data []b
 		}
 	}
 	blob := append(prefix, data...)
-	h.last = nil // the splice above may have overwritten it
+	t.data = nil // the splice above may have overwritten it
 	if err := h.put(ctx, ns, name, blob); err != nil {
 		return err
 	}
-	h.lastNS, h.lastName, h.last = ns, name, blob
+	t.name, t.data = name, blob
 	return nil
 }
 

@@ -38,9 +38,11 @@
 //     bytes it adds, not the blob;
 //   - HTTP has no partial-write verb, so it splices onto the blob's
 //     prefix and Puts it back: correct, but O(blob) per call. The
-//     prefix comes from its copy of the blob it last wrote, so only
-//     the Put crosses the wire. A log segment rolls at 1 MiB, which
-//     bounds what one commit costs here.
+//     prefix comes from its copy of the blob it last appended to in
+//     the same namespace, so only the Put crosses the wire. A log
+//     segment rolls by 1 MiB at the latest, and by 64 KiB under small
+//     commits, which bounds what one commit rewrites here besides its
+//     own batch.
 package store
 
 import (

@@ -679,3 +679,66 @@ func TestDiskConcurrentDisjointBlobs(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestHTTPWriteAtCopyPerNamespace: a server appends to one blob in each
+// of several namespaces at once (the open container and each log's
+// active segment). Interleaved appends keep one copy per namespace, so
+// none of them reads a prefix back.
+func TestHTTPWriteAtCopyPerNamespace(t *testing.T) {
+	var gets atomic.Int64
+	objects := NewObjectHandler(NewMemory())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			gets.Add(1)
+		}
+		objects.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	h, err := NewHTTP(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	blobs := []struct{ ns, name string }{{NSContainers, "open"}, {NSWAL, "w1"}, {NSFileWAL, "f1"}, {NSBlobWAL, "b1"}}
+	want := make([]string, len(blobs))
+	for round := 0; round < 3; round++ {
+		for i, b := range blobs {
+			data := fmt.Sprintf("<%d>", round)
+			if err := h.WriteAt(ctx, b.ns, b.name, int64(len(want[i])), []byte(data)); err != nil {
+				t.Fatal(err)
+			}
+			want[i] += data
+		}
+	}
+	if n := gets.Load(); n != 0 {
+		t.Fatalf("interleaved appends read %d prefixes back", n)
+	}
+	for i, b := range blobs {
+		if got, err := h.Get(ctx, b.ns, b.name); err != nil || string(got) != want[i] {
+			t.Fatalf("%s/%s = %q, %v; want %q", b.ns, b.name, got, err, want[i])
+		}
+	}
+}
+
+// TestCheckNameMatchesDisk: the longest name CheckName accepts is one
+// Disk can store, and CheckName refuses the names Disk cannot.
+func TestCheckNameMatchesDisk(t *testing.T) {
+	d, err := NewDisk(t.TempDir(), WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, name := range []string{strings.Repeat("a", maxFileName), strings.Repeat("/", maxFileName/3)} {
+		if err := CheckName(name); err != nil {
+			t.Fatalf("CheckName refused a %d-byte name: %v", len(name), err)
+		}
+		if err := d.Put(ctx, NSStubs, name, []byte("x")); err != nil {
+			t.Fatalf("Disk refused a name CheckName accepts: %v", err)
+		}
+	}
+	for _, name := range []string{"", strings.Repeat("a", maxFileName+1), strings.Repeat("/", maxFileName/3+1)} {
+		if CheckName(name) == nil {
+			t.Errorf("CheckName accepted a %d-byte name", len(name))
+		}
+	}
+}

@@ -45,8 +45,13 @@ type State interface {
 	// Fold writes what the state holds only in the log to its home
 	// outside it, durably, so the checkpoint may truncate the log. The
 	// journal calls it in every checkpoint, after the last batch and
-	// before the snapshot. A state whose snapshot carries everything
-	// returns nil.
+	// the roll to a new segment, before the snapshot. Fold may release
+	// the owner's lock while it writes if it holds it again when it
+	// returns: batches committed meanwhile land in the new segment,
+	// which the checkpoint keeps. Such an owner must not start another
+	// checkpoint until this one returns, and its snapshot must not
+	// depend on those batches. A state whose snapshot carries
+	// everything returns nil.
 	Fold(ctx context.Context) error
 }
 
@@ -216,6 +221,10 @@ func (j *Journal) Commit(ctx context.Context) error {
 	return nil
 }
 
+// Backlog is how many batch bytes the log has taken since the last
+// checkpoint, for an owner that checkpoints on its own schedule.
+func (j *Journal) Backlog() int64 { return j.walBytes }
+
 // Sync stages the state, then appends the buffered records to the log
 // as one batch; it never checkpoints. On failure the buffer is kept, so
 // a retry re-attempts the same batch at the same offset.
@@ -238,23 +247,27 @@ func (j *Journal) Sync(ctx context.Context) error {
 	return nil
 }
 
-// Checkpoint writes the last batch, folds what the state keeps only in
-// the log out of it, ends the active segment and writes the state as
-// one snapshot blob (a single atomic backend Put) that records the new
-// segment's number, then truncates the log below it. A crash between
-// the snapshot and the truncation leaves stale segments that the next
-// Open skips, because replay starts at the snapshot's position.
+// Checkpoint writes the last batch, ends the active segment, folds
+// what the state keeps only in the log out of it and writes the state
+// as one snapshot blob (a single atomic backend Put) that records the
+// new segment's number, then truncates the log below it. A crash
+// between the snapshot and the truncation leaves stale segments that
+// the next Open skips, because replay starts at the snapshot's
+// position.
 func (j *Journal) Checkpoint(ctx context.Context) error {
 	start := time.Now()
 	if err := j.Sync(ctx); err != nil {
 		return err
 	}
-	if err := j.state.Fold(ctx); err != nil {
-		return fmt.Errorf("%s: fold: %w", j.spec.Owner, err)
-	}
 	pos, err := j.log.Roll(ctx)
 	if err != nil {
 		return fmt.Errorf("%s: %w", j.spec.Owner, err)
+	}
+	// Batches a Fold that releases the owner's lock lets through count
+	// toward the next checkpoint.
+	folded := j.walBytes
+	if err := j.state.Fold(ctx); err != nil {
+		return fmt.Errorf("%s: fold: %w", j.spec.Owner, err)
 	}
 	w := binenc.NewWriter(j.snapLen + 256)
 	w.Uint8(j.spec.Version)
@@ -265,7 +278,7 @@ func (j *Journal) Checkpoint(ctx context.Context) error {
 		return fmt.Errorf("%s: write snapshot: %w", j.spec.Owner, err)
 	}
 	j.snapLen = len(blob)
-	j.walBytes = 0
+	j.walBytes -= folded
 	j.census.Checkpoints++
 	if err := j.log.TruncateBefore(ctx, pos); err != nil {
 		return fmt.Errorf("%s: truncate wal: %w", j.spec.Owner, err)

@@ -19,7 +19,7 @@
 // fdatasync. Segment names are the prefix plus a 16-hex-digit sequence
 // number, so a sorted List enumerates them in append order. The active
 // segment rolls to the next number at every checkpoint and once it
-// would pass rollBytes.
+// holds several times the incoming batch (see rollBatches).
 //
 // Recovery accepts exactly one kind of damage: a torn last batch of the
 // last segment, the one append a crash could have interrupted. It
@@ -67,12 +67,21 @@ const sealedTrailer = 8
 // a corrupt length prefix cannot drive a giant allocation.
 const maxRecordLen = 64 << 20
 
-// rollBytes is the size past which Append starts a new segment rather
-// than extend the active one. It bounds what one append costs on a
-// backend whose WriteAt rewrites the blob (store.HTTP), and matches the
-// journal's auto-commit bound. A batch larger than it gets a segment
-// of its own.
-const rollBytes = 1 << 20
+// Append starts a new segment once the active one holds rollBatches
+// times the incoming batch, bounded to [minRollBytes, maxRollBytes].
+// Both ends matter. On a backend whose WriteAt rewrites the blob
+// (store.HTTP) an append costs the active segment plus its batch, so
+// small commits, such as a rekey's key state, roll at 64 KiB and stay
+// writes of tens of kilobytes there. On Disk a new segment costs a file
+// creation and a directory fsync, several times an append's fdatasync,
+// so large commits, such as a 128 KB stub file, share a segment with
+// seven others. Either way an append rewrites at most 1 MiB besides its
+// batch. A segment also rolls at every checkpoint.
+const (
+	rollBatches  = 8
+	minRollBytes = 64 << 10
+	maxRollBytes = 1 << 20
+)
 
 // AppendRecord frames payload onto buf and returns the extended slice.
 func AppendRecord(buf, payload []byte) []byte {
@@ -246,12 +255,12 @@ func (l *Log) Advance(seq uint64) {
 
 // Append writes body (a run of records framed with AppendRecord) as one
 // batch at the end of the active segment, starting a new segment first
-// when the batch would take the active one past rollBytes. The batch is
+// once the active one is large enough (see rollBatches). The batch is
 // durable when Append returns — the backend's WriteAt is the commit
 // point. A failed Append leaves the log where it was, so retrying
 // writes at the same offset and overwrites whatever the failure left.
 func (l *Log) Append(ctx context.Context, body []byte) error {
-	if l.off > 0 && l.off+frameHeader+int64(len(body)) > rollBytes {
+	if l.off >= min(max(rollBatches*int64(frameHeader+len(body)), minRollBytes), maxRollBytes) {
 		if _, err := l.Roll(ctx); err != nil {
 			return err
 		}

@@ -126,31 +126,47 @@ func TestReplayFrom(t *testing.T) {
 	}
 }
 
-// TestAppendRollsPastRollBytes: a batch that would take the active
-// segment past rollBytes starts the next one, and replay crosses the
-// boundary in order.
-func TestAppendRollsPastRollBytes(t *testing.T) {
-	b := store.NewMemory()
-	l := openLog(t, b)
-	big := bytes.Repeat([]byte{7}, rollBytes/3)
-	for i := 0; i < 4; i++ {
-		mustAppend(t, l, append([]byte{byte(i)}, big...))
-	}
-	names, err := b.List(ctx, store.NSWAL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 {
-		t.Fatalf("segments = %v, want two", names)
-	}
-	got := replayAll(t, b)
-	if len(got) != 4 {
-		t.Fatalf("replayed %d records, want 4", len(got))
-	}
-	for i, rec := range got {
-		if rec[0] != byte(i) {
-			t.Fatalf("record %d is batch %d", i, rec[0])
-		}
+// TestAppendRolls: a segment rolls once it holds rollBatches times the
+// incoming batch, but not before minRollBytes and not after
+// maxRollBytes, and replay crosses the boundaries in order.
+func TestAppendRolls(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		size, batches int
+		want          int // segments
+	}{
+		// 64 KiB of 1 KiB batches fill the first segment.
+		{"small batches roll at minRollBytes", 1 << 10, 70, 2},
+		// Eight 64 KiB batches share a segment.
+		{"rollBatches per segment", 64 << 10, 17, 3},
+		// A third of maxRollBytes each: three per segment.
+		{"large batches roll at maxRollBytes", maxRollBytes / 3, 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := store.NewMemory()
+			l := openLog(t, b)
+			body := make([]byte, tc.size)
+			for i := 0; i < tc.batches; i++ {
+				body[0] = byte(i)
+				mustAppend(t, l, body)
+			}
+			names, err := b.List(ctx, store.NSWAL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != tc.want {
+				t.Fatalf("%d segments, want %d", len(names), tc.want)
+			}
+			got := replayAll(t, b)
+			if len(got) != tc.batches {
+				t.Fatalf("replayed %d records, want %d", len(got), tc.batches)
+			}
+			for i, rec := range got {
+				if rec[0] != byte(i) {
+					t.Fatalf("record %d is batch %d", i, rec[0])
+				}
+			}
+		})
 	}
 }
 
