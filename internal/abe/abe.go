@@ -43,6 +43,10 @@
 // matches what Experiment A.4 measures: encryption is one scalar
 // multiplication per leaf (linear in the number of authorized users),
 // decryption of an OR-of-identities policy is a single one (constant).
+//
+// Encrypt computes a ciphertext's agreements, which all share k, eight
+// at a time on an AVX-512 IFMA Montgomery ladder where the CPU has one
+// (x25519.go, gen.go), with the same bytes as crypto/ecdh.
 package abe
 
 import (
@@ -59,6 +63,7 @@ import (
 	"sync"
 
 	"repro/internal/binenc"
+	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/shamir"
 )
@@ -211,30 +216,47 @@ func Encrypt(pub PublicKeys, pol *policy.Node, plaintext []byte, randSrc io.Read
 		return nil, err
 	}
 
-	// One ephemeral key pair for the whole ciphertext. The seed is read
-	// here, not by ecdh's GenerateKey, which consumes a random number of
-	// bytes and would make a fixed randSrc irreproducible.
-	seed := make([]byte, 32)
-	if _, err := io.ReadFull(randSrc, seed); err != nil {
+	// One ephemeral scalar k for the whole ciphertext. It is read here,
+	// not by ecdh's GenerateKey, which consumes a random number of bytes
+	// and would make a fixed randSrc irreproducible.
+	k := make([]byte, 32) //reed:secret — the ephemeral scalar
+	defer core.Wipe(k)
+	if _, err := io.ReadFull(randSrc, k); err != nil {
 		return nil, fmt.Errorf("abe: ephemeral: %w", err)
 	}
-	k, err := ecdh.X25519().NewPrivateKey(seed)
+
+	// Every agreement at once: X25519(k, y_a) for each leaf up to the
+	// first without a public key, then c1 = X25519(k, 9).
+	leaves := pol.Leaves()
+	peers := make([]*ecdh.PublicKey, 0, len(leaves)+1)
+	for _, attr := range leaves {
+		y := pub.Keys[attr]
+		if y == nil {
+			break
+		}
+		peers = append(peers, y)
+	}
+	known := len(peers)
+	peers = append(peers, basePoint)
+	shared := make([]byte, 32*len(peers)) //reed:secret — the agreements
+	defer core.Wipe(shared)
+	if i, err := agree(shared, k, peers); err != nil {
+		if i == known {
+			return nil, fmt.Errorf("abe: ephemeral: %w", err)
+		}
+		return nil, fmt.Errorf("abe: public key for attribute %q: %w", leaves[i], err)
+	}
+	if known < len(leaves) {
+		return nil, fmt.Errorf("abe: missing public key for attribute %q", leaves[known])
+	}
+	c1, err := ecdh.X25519().NewPublicKey(shared[32*known:])
 	if err != nil {
 		return nil, fmt.Errorf("abe: ephemeral: %w", err)
 	}
-	c1 := k.PublicKey()
 
-	// Wrap each leaf share under X25519(k, y_a).
-	for i, attr := range pol.Leaves() {
-		y := pub.Keys[attr]
-		if y == nil {
-			return nil, fmt.Errorf("abe: missing public key for attribute %q", attr)
-		}
-		agreed, err := k.ECDH(y)
-		if err != nil {
-			return nil, fmt.Errorf("abe: public key for attribute %q: %w", attr, err)
-		}
-		mask := leafMask(agreed, i, c1, y)
+	// Wrap each leaf share under its agreement.
+	for i := range leaves {
+		mask := leafMask(shared[32*i:32*i+32], i, c1, peers[i])
 		for j := range wrapped[i] {
 			wrapped[i][j] ^= mask[j]
 		}

@@ -349,27 +349,33 @@ func TestEncryptionCostGrowsWithUsers(t *testing.T) {
 }
 
 // BenchmarkEncrypt seals under an OR-of-identities policy from an
-// already-resolved bundle; us/leaf is the per-authorized-user cost that
-// Experiment A.4's rekey delay is linear in.
+// already-resolved bundle, on each X25519 path; us/leaf is the
+// per-authorized-user cost that Experiment A.4's rekey delay is linear
+// in. A policy of n leaves makes n + 1 agreements (c1 is the last), so
+// leaves = 1, 2, 3 and 8 place the kernel's lane crossover,
+// kernelMinLanes, and 80 is the rekey_mix benchmark's policy.
 func BenchmarkEncrypt(b *testing.B) {
-	for _, n := range []int{1, 10, 100, 500} {
-		b.Run(fmt.Sprintf("leaves=%d", n), func(b *testing.B) {
-			auth := newTestAuthority(b)
-			users := make([]string, n)
-			for i := range users {
-				users[i] = fmt.Sprintf("user-%04d", i)
-			}
-			pol := policy.OrOfUsers(users)
-			pub := auth.PublicKeys(pol.Leaves())
-			payload := make([]byte, 256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Encrypt(pub, pol, payload, nil); err != nil {
-					b.Fatal(err)
+	for _, path := range Paths() {
+		for _, n := range []int{1, 2, 3, 8, 80, 500} {
+			b.Run(fmt.Sprintf("path=%s/leaves=%d", path, n), func(b *testing.B) {
+				ForcePath(b, path)
+				auth := newTestAuthority(b)
+				users := make([]string, n)
+				for i := range users {
+					users[i] = fmt.Sprintf("user-%04d", i)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(n), "us/leaf")
-		})
+				pol := policy.OrOfUsers(users)
+				pub := auth.PublicKeys(pol.Leaves())
+				payload := make([]byte, 256)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Encrypt(pub, pol, payload, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(n), "us/leaf")
+			})
+		}
 	}
 }
 

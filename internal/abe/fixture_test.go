@@ -39,9 +39,19 @@ func readFixture(t testing.TB, name string) []byte {
 
 // TestEncryptKnownAnswer pins the kernel: an authority and three
 // ciphertexts built from a fixed random stream must come out byte for
-// byte as the committed fixtures, so a change to the scalar PRF, the
-// leaf-mask inputs, the share tree or an encoding cannot pass unnoticed.
+// byte as the committed fixtures, on every X25519 path, so a change to
+// the scalar PRF, the leaf-mask inputs, the share tree, an encoding or
+// an agreement cannot pass unnoticed.
 func TestEncryptKnownAnswer(t *testing.T) {
+	for _, path := range Paths() {
+		t.Run(path, func(t *testing.T) {
+			ForcePath(t, path)
+			encryptKnownAnswer(t)
+		})
+	}
+}
+
+func encryptKnownAnswer(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(2016))
 	auth, err := NewAuthority(rnd)
 	if err != nil {
@@ -73,8 +83,17 @@ func TestEncryptKnownAnswer(t *testing.T) {
 
 // TestFixturesKeepDecoding reads only the committed bytes: the access
 // key must open every ciphertext, and a ciphertext sealed through the
-// committed bundle must open too.
+// committed bundle on each X25519 path must open too.
 func TestFixturesKeepDecoding(t *testing.T) {
+	for _, path := range Paths() {
+		t.Run(path, func(t *testing.T) {
+			ForcePath(t, path)
+			fixturesKeepDecoding(t)
+		})
+	}
+}
+
+func fixturesKeepDecoding(t *testing.T) {
 	key, err := UnmarshalPrivateKey(readFixture(t, "accesskey.bin"))
 	if err != nil {
 		t.Fatal(err)

@@ -461,27 +461,6 @@ func generate() []byte {
 	e.WriteString("// Code generated by gen.go; DO NOT EDIT.\n\n")
 	e.WriteString("#include \"textflag.h\"\n\n")
 
-	e.WriteString("// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)\n")
-	e.WriteString("TEXT ·cpuid(SB), NOSPLIT, $0-24\n")
-	e.op("MOVL eaxArg+0(FP), AX")
-	e.op("MOVL ecxArg+4(FP), CX")
-	e.op("CPUID")
-	e.op("MOVL AX, eax+8(FP)")
-	e.op("MOVL BX, ebx+12(FP)")
-	e.op("MOVL CX, ecx+16(FP)")
-	e.op("MOVL DX, edx+20(FP)")
-	e.op("RET")
-	e.WriteString("\n")
-
-	e.WriteString("// func xgetbv() (eax, edx uint32)\n")
-	e.WriteString("TEXT ·xgetbv(SB), NOSPLIT, $0-8\n")
-	e.op("MOVL $0, CX")
-	e.op("XGETBV")
-	e.op("MOVL AX, eax+0(FP)")
-	e.op("MOVL DX, edx+4(FP)")
-	e.op("RET")
-	e.WriteString("\n")
-
 	e.WriteString("// func montMul512(z, x, y, m *[8]uint64, k0 uint64)\n")
 	e.WriteString("TEXT ·montMul512(SB), NOSPLIT, $0-40\n")
 	for _, r := range acc {

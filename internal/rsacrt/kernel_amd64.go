@@ -1,5 +1,7 @@
 package rsacrt
 
+import "repro/internal/cpufeat"
+
 // montMul512 sets z = x·y·2⁻⁵¹² mod m for x, y < m, an odd 512-bit m and
 // k0 = -m⁻¹ mod 2⁶⁴. z may alias x or y. It needs BMI2 (MULX) and ADX
 // (ADCX, ADOX).
@@ -47,30 +49,8 @@ func packX8w(dst *wideWords, src *wideVec, m *[limbs1040]uint64)
 //go:noescape
 func selectX8(dst *vec, table *[1 << window]vec, idx *[lanes]uint64)
 
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
 // useKernel reports whether New and NewPublic may prepare keys for
-// montMul512 and montMul1024: CPUID leaf 7 must report BMI2 (EBX bit 8)
-// and ADX (EBX bit 19). useIFMA reports whether New and NewPublic may
-// prepare them for ammX8 and ammX8w: leaf 7 must report AVX512F (EBX bit 16) and AVX512IFMA (EBX bit
-// 21), and the OS must save the opmask and zmm state (OSXSAVE, leaf 1 ECX
-// bit 27, and XCR0 bits 1, 2 and 5-7).
-var useKernel, useIFMA = func() (mulx, ifma bool) {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false, false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	const bmi2, adx, avx512f, avx512ifma = 1 << 8, 1 << 19, 1 << 16, 1 << 21
-	mulx = ebx&bmi2 != 0 && ebx&adx != 0
-	if ebx&avx512f == 0 || ebx&avx512ifma == 0 {
-		return mulx, false
-	}
-	const osxsave, zmmState = 1 << 27, 0xe6
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 {
-		return mulx, false
-	}
-	xcr0, _ := xgetbv()
-	return mulx, xcr0&zmmState == zmmState
-}()
+// montMul512 and montMul1024, which need BMI2 and ADX; useIFMA whether
+// they may prepare them for ammX8 and ammX8w, which need AVX-512 IFMA.
+// Both come from the one CPU probe, cpufeat.
+var useKernel, useIFMA = cpufeat.MULX, cpufeat.IFMA

@@ -15,9 +15,10 @@ import (
 )
 
 // blobJournalSpec is the blob plane's journal: segments "b…" in
-// NSBlobWAL, snapshot "blob-journal". Its snapshot body is empty,
-// because a checkpoint first writes every journaled blob to the
-// backend; the snapshot only records where replay starts. 4 MiB of log
+// NSBlobWAL, snapshot "blob-journal". A checkpoint first writes every
+// journaled blob to the backend, so the snapshot holds no blob, only
+// where replay starts and, since version 2, the size of every stub
+// file (version 1 had an empty body). 4 MiB of log
 // keeps the blobs held in memory bounded while a checkpoint's flush
 // stays rare next to the commits it follows.
 var blobJournalSpec = wal.Spec{
@@ -25,7 +26,8 @@ var blobJournalSpec = wal.Spec{
 	Namespace:       store.NSBlobWAL,
 	Prefix:          "b",
 	Blob:            "blob-journal",
-	Version:         1,
+	Version:         2,
+	OldestVersion:   1,
 	CheckpointEvery: 4 << 20,
 }
 
@@ -84,19 +86,73 @@ type blobs struct {
 	// dirty holds the last appended write of every blob the log holds.
 	dirty   map[blobKey]dirtyBlob
 	journal *wal.Journal
+	// stubSizes maps every stub file reads can see to its size, and
+	// stubBytes is their sum: Stats' StubBytes. Writes count once they
+	// are published. The snapshot carries the sizes, so the sum
+	// survives a restart; sized records that the open snapshot did.
+	stubSizes map[string]int
+	stubBytes uint64
+	sized     bool
 }
 
 // openBlobs recovers the blob plane: snapshot, then log replay into
 // dirty. A store that predates the journal has neither, and its blobs
 // are all in the backend already.
 func openBlobs(ctx context.Context, backend store.Backend) (*blobs, error) {
-	b := &blobs{backend: backend, dirty: make(map[blobKey]dirtyBlob)}
+	b := &blobs{backend: backend, dirty: make(map[blobKey]dirtyBlob), stubSizes: make(map[string]int)}
 	b.idle.L = &b.mu
 	var err error
 	if b.journal, err = wal.OpenJournal(ctx, backend, blobJournalSpec, (*blobState)(b)); err != nil {
 		return nil, err
 	}
+	if !b.sized {
+		if err := b.sizeStubs(ctx); err != nil {
+			return nil, err
+		}
+	}
 	return b, nil
+}
+
+// sizeStubs counts the stub files of a store whose snapshot predates
+// their sizes, or that has none: one listing, and one read of each stub
+// file the log does not hold. Replay has counted those it does.
+func (b *blobs) sizeStubs(ctx context.Context) error {
+	names, err := b.backend.List(ctx, store.NSStubs)
+	if err != nil {
+		return fmt.Errorf("blobs: list stub files: %w", err)
+	}
+	for _, name := range names {
+		if _, ok := b.dirty[blobKey{store.NSStubs, name}]; ok {
+			continue
+		}
+		data, err := b.backend.Get(ctx, store.NSStubs, name)
+		if err != nil {
+			return fmt.Errorf("blobs: size stub file %s: %w", name, err)
+		}
+		b.account(blobKey{store.NSStubs, name}, dirtyBlob{data: data})
+	}
+	return nil
+}
+
+// account counts one visible write toward the stub-file sizes.
+func (b *blobs) account(key blobKey, blob dirtyBlob) {
+	if key.ns != store.NSStubs {
+		return
+	}
+	b.stubBytes -= uint64(b.stubSizes[key.name])
+	if blob.deleted {
+		delete(b.stubSizes, key.name)
+		return
+	}
+	b.stubSizes[key.name] = len(blob.data)
+	b.stubBytes += uint64(len(blob.data))
+}
+
+// stubFileBytes returns the total size of the stub files reads see.
+func (b *blobs) stubFileBytes() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stubBytes
 }
 
 // encodeBlobRecord frames one put (deleted false) or delete.
@@ -242,6 +298,7 @@ func (b *blobs) appendPending(ctx context.Context) error {
 func (b *blobs) publish() {
 	for _, w := range b.pending {
 		b.dirty[w.key] = w.blob
+		b.account(w.key, w.blob)
 	}
 	clear(b.pending)
 	b.pending = b.pending[:0]
@@ -318,15 +375,47 @@ func (st *blobState) Apply(_ context.Context, rec []byte) error {
 		return err
 	}
 	st.dirty[key] = blob
+	(*blobs)(st).account(key, blob)
 	return nil
 }
 
-// EncodeSnapshot writes nothing: Fold has written every blob the
-// snapshot's log position covers to the backend.
-func (st *blobState) EncodeSnapshot(*binenc.Writer) {}
+// EncodeSnapshot writes the stub-file sizes, and no blob: Fold has
+// written every blob the snapshot's log position covers to the backend.
+// The sizes may count writes past that position too, which replay then
+// sets again.
+func (st *blobState) EncodeSnapshot(w *binenc.Writer) {
+	w.Uvarint(uint64(len(st.stubSizes)))
+	for name, size := range st.stubSizes {
+		w.String(name)
+		w.Uvarint(uint64(size))
+	}
+}
 
-// DecodeSnapshot reads the empty body EncodeSnapshot wrote.
-func (st *blobState) DecodeSnapshot(*binenc.Reader, uint8) error { return nil }
+// DecodeSnapshot reads the stub-file sizes of a version 2 snapshot; a
+// version 1 body is empty, and openBlobs sizes that store's stub files.
+func (st *blobState) DecodeSnapshot(r *binenc.Reader, version uint8) error {
+	if version < 2 {
+		return nil
+	}
+	n, err := r.Uvarint()
+	if err != nil {
+		return fmt.Errorf("blobs: stub file count: %w", err)
+	}
+	for range n {
+		name, err := r.ReadString()
+		if err != nil {
+			return fmt.Errorf("blobs: stub file name: %w", err)
+		}
+		size, err := r.Uvarint()
+		if err != nil {
+			return fmt.Errorf("blobs: stub file size: %w", err)
+		}
+		st.stubSizes[name] = int(size)
+		st.stubBytes += size
+	}
+	st.sized = true
+	return nil
+}
 
 // Unstaged and Stage: a record carries the whole blob.
 func (st *blobState) Unstaged() int                 { return 0 }

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"math/rand"
 	"os"
@@ -110,9 +112,19 @@ func segmentLens(t *testing.T, backend store.Backend) map[string]int {
 	return lens
 }
 
-// checkBlobs fails unless get and list agree with want for every key.
+// checkBlobs fails unless get and list agree with want for every key,
+// and the stub-file total with the stub files in want.
 func checkBlobs(t *testing.T, b *blobs, keys []blobKey, want map[blobKey][]byte, what string) {
 	t.Helper()
+	var stubs uint64
+	for key, data := range want {
+		if key.ns == store.NSStubs {
+			stubs += uint64(len(data))
+		}
+	}
+	if got := b.stubFileBytes(); got != stubs {
+		t.Fatalf("%s: stub files total %d bytes, want %d", what, got, stubs)
+	}
 	wantNames := make(map[string][]string)
 	for _, key := range keys {
 		got, err := b.get(ctx, key.ns, key.name)
@@ -628,5 +640,53 @@ func TestFoldLetsWritesThrough(t *testing.T) {
 	checkBlobs(t, mustOpenBlobs(t, backend), keys, want, "after shutdown")
 	if segs := segmentLens(t, backend); len(segs) != 0 {
 		t.Fatalf("segments after shutdown: %v", segs)
+	}
+}
+
+// TestStubSizesFromVersion1Snapshot opens a store whose blob-journal
+// snapshot is version 1, which has no stub-file sizes: the plane must
+// count the stub files in the backend, and those its log still holds,
+// once at open.
+func TestStubSizesFromVersion1Snapshot(t *testing.T) {
+	backend := store.NewMemory()
+	b := mustOpenBlobs(t, backend)
+	for name, size := range map[string]int{"a": 100, "b": 30} {
+		if err := b.put(store.NSStubs, name, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.put(store.NSRecipes, "a", make([]byte, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the snapshot as version 1 wrote it: version, replay
+	// position, an empty body, CRC-32.
+	snap, err := backend.Get(ctx, store.NSMeta, blobJournalSpec.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte{1}, snap[1:9]...)
+	v1 = binary.BigEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	if err := backend.Put(ctx, store.NSMeta, blobJournalSpec.Blob, v1); err != nil {
+		t.Fatal(err)
+	}
+	b = mustOpenBlobs(t, backend)
+	if got := b.stubFileBytes(); got != 130 {
+		t.Fatalf("after a version 1 snapshot: stub files total %d bytes, want 130", got)
+	}
+	// One more write stays in the log only.
+	if err := b.put(store.NSStubs, "b", make([]byte, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.Put(ctx, store.NSMeta, blobJournalSpec.Blob, v1); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustOpenBlobs(t, backend).stubFileBytes(); got != 105 {
+		t.Fatalf("after a version 1 snapshot and a logged overwrite: stub files total %d bytes, want 105", got)
 	}
 }

@@ -57,11 +57,7 @@ func (s *Server) initMetrics() {
 	s.reg.SetGaugeFunc("dedup_unique_chunk_count", func() float64 { return float64(s.chunks.UniqueChunks()) })
 	s.reg.SetGaugeFunc("dedup_ref_inflation", func() float64 { return float64(s.chunks.RefInflation()) })
 	s.reg.SetGaugeFunc("fileindex_entry_count", func() float64 { return float64(s.files.Len()) })
-	s.reg.SetGaugeFunc("blob_stub_bytes", func() float64 {
-		s.stubMu.Lock()
-		defer s.stubMu.Unlock()
-		return float64(s.stubBytes)
-	})
+	s.reg.SetGaugeFunc("blob_stub_bytes", func() float64 { return float64(s.blobs.stubFileBytes()) })
 }
 
 // Metrics returns the server's registry (nil when uninstrumented).

@@ -69,13 +69,6 @@ type Server struct {
 	wg       sync.WaitGroup
 	shutdown bool
 
-	// stubMu guards stub-size accounting separately from the
-	// connection-tracking mutex so blob handlers never contend with
-	// accept/shutdown bookkeeping.
-	stubMu    sync.Mutex
-	stubSizes map[string]int // stub blob name -> current size
-	stubBytes uint64
-
 	// Observability (see metrics.go); all nil when uninstrumented.
 	reg          *metrics.Registry
 	ops          *metrics.OpSet
@@ -116,14 +109,13 @@ func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, e
 		return nil, fmt.Errorf("server: open blob journal: %w", err)
 	}
 	s := &Server{
-		backend:   backend,
-		chunks:    chunks,
-		files:     files,
-		blobs:     blobs,
-		journals:  [numJournals]journal{chunksJournal: chunks, filesJournal: files, blobsJournal: blobs},
-		workers:   DefaultWorkers,
-		conns:     make(map[net.Conn]struct{}),
-		stubSizes: make(map[string]int),
+		backend:  backend,
+		chunks:   chunks,
+		files:    files,
+		blobs:    blobs,
+		journals: [numJournals]journal{chunksJournal: chunks, filesJournal: files, blobsJournal: blobs},
+		workers:  DefaultWorkers,
+		conns:    make(map[net.Conn]struct{}),
 	}
 	//reed-vet:ignore ctxrule — the server's lifecycle root, canceled by Shutdown.
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
@@ -204,15 +196,12 @@ func (s *Server) Shutdown() error {
 // Stats returns the server's dedup statistics.
 func (s *Server) Stats() proto.Stats {
 	d := s.chunks.Stats()
-	s.stubMu.Lock()
-	stub := s.stubBytes
-	s.stubMu.Unlock()
 	return proto.Stats{
 		TotalPuts:     d.TotalPuts,
 		DedupedPuts:   d.DedupedPuts,
 		LogicalBytes:  d.LogicalBytes,
 		PhysicalBytes: d.PhysicalBytes,
-		StubBytes:     stub,
+		StubBytes:     s.blobs.stubFileBytes(),
 	}
 }
 
@@ -481,17 +470,7 @@ func (s *Server) putBlob(ctx context.Context, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.blobs.put(ns, name, data); err != nil {
-		return nil, err
-	}
-	if ns == store.NSStubs {
-		s.stubMu.Lock()
-		s.stubBytes -= uint64(s.stubSizes[name])
-		s.stubSizes[name] = len(data)
-		s.stubBytes += uint64(len(data))
-		s.stubMu.Unlock()
-	}
-	return nil, nil
+	return nil, s.blobs.put(ns, name, data)
 }
 
 func (s *Server) getBlob(ctx context.Context, payload []byte) ([]byte, error) {
@@ -543,16 +522,7 @@ func (s *Server) deleteBlob(ctx context.Context, payload []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.blobs.delete(ns, name); err != nil {
-		return nil, err
-	}
-	if ns == store.NSStubs {
-		s.stubMu.Lock()
-		s.stubBytes -= uint64(s.stubSizes[name])
-		delete(s.stubSizes, name)
-		s.stubMu.Unlock()
-	}
-	return nil, nil
+	return nil, s.blobs.delete(ns, name)
 }
 
 // challenge answers a remote-data-checking probe: H(nonce || chunk).

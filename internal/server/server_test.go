@@ -216,6 +216,50 @@ func TestStubByteAccounting(t *testing.T) {
 	}
 }
 
+// TestStubBytesSurviveRestart reopens a disk store after a clean
+// shutdown and after a crash: the stub-file total must be what it was
+// before, after writes and after a delete.
+func TestStubBytesSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Server {
+		t.Helper()
+		backend, err := store.NewDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(ctx, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	check := func(srv *Server, want uint64, what string) {
+		t.Helper()
+		if got := srv.Stats().StubBytes; got != want {
+			t.Fatalf("%s: StubBytes = %d, want %d", what, got, want)
+		}
+	}
+	srv := open()
+	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSStubs, "f1", make([]byte, 100)))
+	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSStubs, "f2", make([]byte, 50)))
+	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSRecipes, "f1", make([]byte, 70)))
+	check(srv, 150, "written")
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	srv = open()
+	check(srv, 150, "after a restart")
+	mustDispatch(t, srv, proto.MsgDeleteBlobReq, proto.EncodeBlobReq(store.NSStubs, "f1", nil))
+	check(srv, 50, "deleted")
+	srv = open() // a crash: the delete is in the log only
+	check(srv, 50, "after a crash")
+	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSStubs, "f2", make([]byte, 20)))
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	check(open(), 20, "overwritten, after a restart")
+}
+
 func TestEmptyBatches(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialTest(t, addr)

@@ -195,9 +195,18 @@ type Log struct {
 	torn bool
 }
 
-// segmentName formats the blob name for sequence number seq.
+// segmentName formats the blob name for sequence number seq: the
+// prefix, then seq as 16 hex digits. Every Append names its segment, so
+// this avoids fmt, whose printer pool makes the allocations of a commit
+// vary from call to call.
 func (l *Log) segmentName(seq uint64) string {
-	return fmt.Sprintf("%s%016x", l.prefix, seq)
+	const digits = "0123456789abcdef"
+	var buf [64]byte
+	b := append(buf[:0], l.prefix...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[seq>>shift&15])
+	}
+	return string(b)
 }
 
 // parseSegmentName inverts segmentName.
