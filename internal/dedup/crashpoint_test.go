@@ -11,8 +11,6 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -425,57 +423,6 @@ func TestOpenFailsOnShortOpenContainer(t *testing.T) {
 	}
 	if _, err := Open(ctx, backend, 1<<20); err == nil {
 		t.Fatal("recovery accepted an open container shorter than its committed length")
-	}
-}
-
-// TestVersion3StoreConvertsOnOpen: opening the committed version-3
-// fixtures writes the open container's bytes to its blob and leaves a
-// version-4 checkpoint and an empty WAL, which reopen to the same state.
-func TestVersion3StoreConvertsOnOpen(t *testing.T) {
-	backend := store.NewMemory()
-	for _, fx := range fixtureBlobs {
-		blob, err := os.ReadFile(filepath.Join("testdata", fx.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := backend.Put(ctx, fx.ns, fx.name, blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := Open(ctx, backend, fixtureContainerSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.Stats()
-	snap, err := backend.Get(ctx, store.NSMeta, "dedup-index")
-	if err != nil || snap[0] != snapshotVersion {
-		t.Fatalf("checkpoint after Open: version %d, %v; want %d", snap[0], err, snapshotVersion)
-	}
-	if segs, _ := backend.List(ctx, store.NSWAL); len(segs) != 0 {
-		t.Fatalf("WAL after conversion holds %v", segs)
-	}
-	open, err := backend.Get(ctx, store.NSContainers, containerName(2))
-	if err != nil {
-		t.Fatalf("open container blob after conversion: %v", err)
-	}
-	e, _ := fixtureChunk('e')
-	b, _ := fixtureChunk('b')
-	if wantOpen := append(packfile.AppendHeader(nil), append(e, b...)...); !bytes.Equal(open, wantOpen) {
-		t.Fatalf("open container blob = %x, want %x", open, wantOpen)
-	}
-
-	s2, err := Open(ctx, backend, fixtureContainerSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Stats(); got != want {
-		t.Fatalf("stats after reopen = %+v, want %+v", got, want)
-	}
-	for _, letter := range []byte("bcde") {
-		data, fp := fixtureChunk(letter)
-		if got, err := s2.Get(ctx, fp); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("Get %c = %q, %v", letter, got, err)
-		}
 	}
 }
 

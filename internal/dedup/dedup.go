@@ -122,12 +122,6 @@ type Store struct {
 	openDead    uint64
 	stats       Stats
 
-	// legacy and metaLog are set while Open replays: the open
-	// container's bytes came from a version-3 snapshot or data-carrying
-	// records (legacy), or the snapshot or log is the metadata-only
-	// format (metaLog). One recovery never mixes the two.
-	legacy, metaLog bool
-
 	// census counts backend writes for WriteCensus.
 	census WriteCensus
 
@@ -321,9 +315,9 @@ func (s *Store) applyPut(fp fingerprint.Fingerprint, loc Location, data []byte) 
 }
 
 // appendOpen appends a chunk at loc, the tail of the open container,
-// and points the index at it. Replay of a metadata-only record passes
-// nil data: the bytes are in the open container's blob, and loadOpen
-// reads them back once replay is done.
+// and points the index at it. Replay passes nil data: the bytes are in
+// the open container's blob, and loadOpen reads them back once replay
+// is done.
 func (s *Store) appendOpen(fp fingerprint.Fingerprint, loc Location, data []byte) {
 	if data == nil {
 		s.current = append(s.current, make([]byte, loc.Length)...)

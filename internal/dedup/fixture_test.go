@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -28,7 +29,7 @@ const (
 // container, the one WAL segment journaled after it, and the only
 // sealed container alive at that point. Stores stopped writing this
 // format at snapshot version 4; the files stay to prove such a store
-// still opens.
+// fails closed.
 var fixtureBlobs = []struct{ file, ns, name string }{
 	{"checkpoint_v3.bin", store.NSMeta, "dedup-index"},
 	{"wal_tail.bin", store.NSWAL, "w0000000000000001"},
@@ -41,7 +42,7 @@ var fixtureBlobs = []struct{ file, ns, name string }{
 // the version-3 one) and the open container's blob, which now holds the
 // open container's bytes. Stores stopped writing sealed segments when
 // the log began to append in place; the files stay to prove such a
-// store still opens.
+// store fails closed.
 var fixtureBlobsV4 = []struct{ file, ns, name string }{
 	{"checkpoint_v4.bin", store.NSMeta, "dedup-index"},
 	{"wal_tail_v4.bin", store.NSWAL, "w0000000000000001"},
@@ -145,86 +146,9 @@ func TestFixturesKnownAnswer(t *testing.T) {
 	}
 }
 
-// TestFixturesKeepOpening reads only the committed bytes: the tail must
-// hold every record kind, and a store opened over the three blobs must
-// recover the scripted end state.
-func TestFixturesKeepOpening(t *testing.T) {
-	backend := store.NewMemory()
-	for _, fx := range fixtureBlobs {
-		blob, err := os.ReadFile(filepath.Join("testdata", fx.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := backend.Put(ctx, fx.ns, fx.name, blob); err != nil {
-			t.Fatal(err)
-		}
-		if fx.ns != store.NSWAL {
-			continue
-		}
-		recs, _, err := wal.DecodeSegment(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var kinds []byte
-		for _, rec := range recs {
-			kinds = append(kinds, rec[0])
-		}
-		want := []byte{recSeal, recPut, recRef, recDeref, recDeref, recMove, recDrop}
-		if !bytes.Equal(kinds, want) {
-			t.Fatalf("tail record kinds = %v, want %v", kinds, want)
-		}
-	}
-
-	s, err := Open(ctx, backend, fixtureContainerSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, a := fixtureChunk('a')
-	if s.Has(a) {
-		t.Error("freed chunk a is back")
-	}
-	for _, letter := range []byte("bcde") {
-		data, fp := fixtureChunk(letter)
-		got, err := s.Get(ctx, fp)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Errorf("Get %c = %q, %v", letter, got, err)
-		}
-		if refs := s.Refs(fp); refs != 1 {
-			t.Errorf("Refs %c = %d, want 1", letter, refs)
-		}
-	}
-	wantStats := Stats{
-		TotalPuts: 6, DedupedPuts: 1,
-		LogicalBytes: 6 * fixtureChunkSize, PhysicalBytes: 4 * fixtureChunkSize,
-		FreedChunks: 1, FreedBytes: fixtureChunkSize, CompactedContainers: 1,
-	}
-	if got := s.Stats(); got != wantStats {
-		t.Errorf("Stats = %+v, want %+v", got, wantStats)
-	}
-	// Sealed container 1 (c, d) plus the open container 2 (e, b).
-	if n := s.ContainerCount(); n != 2 {
-		t.Errorf("ContainerCount = %d, want 2", n)
-	}
-	if err := s.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFixturesV4KeepOpening opens the committed version-4 blobs, with
-// the WAL tail in either segment layout: the tail must hold every
-// record kind, none carrying chunk bytes, and the store must recover
-// the scripted end state with the open container's chunks read from
-// its blob.
-func TestFixturesV4KeepOpening(t *testing.T) {
-	for name, blobs := range map[string][]struct{ file, ns, name string }{
-		"sealed segment":   fixtureBlobsV4,
-		"in-place segment": fixtureBlobsInPlace,
-	} {
-		t.Run(name, func(t *testing.T) { checkV4Fixtures(t, blobs) })
-	}
-}
-
-func checkV4Fixtures(t *testing.T, blobs []struct{ file, ns, name string }) {
+// putFixtures copies the committed files of blobs into a fresh backend.
+func putFixtures(t *testing.T, blobs []struct{ file, ns, name string }) store.Backend {
+	t.Helper()
 	backend := store.NewMemory()
 	for _, fx := range blobs {
 		blob, err := os.ReadFile(filepath.Join("testdata", fx.file))
@@ -234,8 +158,71 @@ func checkV4Fixtures(t *testing.T, blobs []struct{ file, ns, name string }) {
 		if err := backend.Put(ctx, fx.ns, fx.name, blob); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return backend
+}
+
+// TestRetiredLayoutsFailClosed reads only the committed bytes of the
+// retired layouts — a version-3 checkpoint with its data-carrying WAL
+// tail, and a version-4 one whose tail is a sealed segment — and
+// requires Open to refuse each with wal.ErrRetiredLayout and to leave
+// every blob as it was, so the upgrade step the error names still
+// finds the store intact.
+func TestRetiredLayoutsFailClosed(t *testing.T) {
+	for name, blobs := range map[string][]struct{ file, ns, name string }{
+		"version-3 checkpoint": fixtureBlobs,
+		"sealed WAL tail":      fixtureBlobsV4,
+	} {
+		t.Run(name, func(t *testing.T) {
+			backend := putFixtures(t, blobs)
+			_, err := Open(ctx, backend, fixtureContainerSize)
+			if !errors.Is(err, wal.ErrRetiredLayout) {
+				t.Fatalf("Open = %v, want wal.ErrRetiredLayout", err)
+			}
+			for _, ns := range []string{store.NSMeta, store.NSWAL, store.NSContainers} {
+				names, err := backend.List(ctx, ns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []string
+				for _, fx := range blobs {
+					if fx.ns == ns {
+						want = append(want, fx.name)
+					}
+				}
+				if !slices.Equal(names, want) {
+					t.Errorf("namespace %s holds %v after the failed Open, want %v", ns, names, want)
+				}
+			}
+			for _, fx := range blobs {
+				got, err := backend.Get(ctx, fx.ns, fx.name)
+				want, _ := os.ReadFile(filepath.Join("testdata", fx.file))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s changed by the failed Open (%v)", fx.file, err)
+				}
+			}
+		})
+	}
+}
+
+// TestFixturesV4KeepOpening opens the committed version-4 blobs with
+// the WAL tail as an in-place segment: the tail must hold every record
+// kind, none carrying chunk bytes, and the store must recover the
+// scripted end state with the open container's chunks read from its
+// blob.
+func TestFixturesV4KeepOpening(t *testing.T) {
+	t.Run("in-place segment", func(t *testing.T) { checkV4Fixtures(t, fixtureBlobsInPlace) })
+}
+
+func checkV4Fixtures(t *testing.T, blobs []struct{ file, ns, name string }) {
+	backend := putFixtures(t, blobs)
+	for _, fx := range blobs {
 		if fx.ns != store.NSWAL {
 			continue
+		}
+		blob, err := backend.Get(ctx, fx.ns, fx.name)
+		if err != nil {
+			t.Fatal(err)
 		}
 		recs, _, err := wal.DecodeSegment(blob)
 		if err != nil {

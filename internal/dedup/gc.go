@@ -98,21 +98,15 @@ func (s *Store) derefLocked(ctx context.Context, fp fingerprint.Fingerprint, rep
 
 	if loc.Container == s.currentID {
 		s.openDead += uint64(loc.Length)
-		if s.openDead*2 < uint64(s.containerSize) {
+		if replay || s.openDead*2 < uint64(s.containerSize) {
 			return 0, nil
 		}
-		switch {
-		case !replay:
-			// Half the capacity is dead: seal, which queues the
-			// container for compaction.
-			if err := s.sealLocked(ctx); err != nil {
-				return 0, err
-			}
-			return 0, s.compactQueuedLocked(ctx)
-		case s.legacy:
-			s.squeezeLegacyOpen()
+		// Half the capacity is dead: seal, which queues the container
+		// for compaction.
+		if err := s.sealLocked(ctx); err != nil {
+			return 0, err
 		}
-		return 0, nil
+		return 0, s.compactQueuedLocked(ctx)
 	}
 
 	info := s.containers[loc.Container]

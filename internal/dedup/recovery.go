@@ -36,12 +36,9 @@ package dedup
 //   - the checkpoint snapshot is one atomic backend Put, and the WAL
 //     is truncated only after it lands (wal.Journal.Checkpoint).
 //
-// Stores written before snapshot version 4 still open. Their snapshot
-// carries the open container's bytes and their PUT/MOVE records carry
-// the chunk's, the open container lived only in memory, and replay
-// repeated the in-memory squeeze that dropped its dead bytes. Open
-// replays all of that, writes the open container's bytes to its blob
-// and checkpoints, so the old encodings are never replayed twice.
+// Stores written before snapshot version 4, whose snapshot and records
+// carried chunk bytes, are a retired layout: Open refuses them with
+// wal.ErrRetiredLayout, which names the upgrade step.
 
 import (
 	"bytes"
@@ -72,12 +69,8 @@ const (
 
 // snapshotVersion guards the checkpoint encoding. Version 4 records
 // the open container's committed length where version 3 embedded its
-// bytes; both decode. Version 3 replaced the pre-WAL index blob
-// (version 2), which is not readable.
-const (
-	snapshotVersion       = 4
-	oldestSnapshotVersion = 3
-)
+// bytes.
+const snapshotVersion = 4
 
 // journalSpec is the dedup store's journal: segments "w…" in NSWAL,
 // snapshot "dedup-index". Checkpoint cadence: a few containers' worth
@@ -89,7 +82,6 @@ func journalSpec(containerSize int) wal.Spec {
 		Prefix:          "w",
 		Blob:            "dedup-index",
 		Version:         snapshotVersion,
-		OldestVersion:   oldestSnapshotVersion,
 		CheckpointEvery: int64(containerSize) * 4,
 	}
 }
@@ -178,21 +170,6 @@ func (st *state) Apply(ctx context.Context, rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("dedup: replay: %w", err)
 		}
-		// A record with bytes left is the data-carrying format stores
-		// wrote before snapshot version 4.
-		var data []byte
-		if !r.Done() {
-			if data, err = r.ReadBytes(); err != nil {
-				return fmt.Errorf("dedup: replay: %w", err)
-			}
-			if int(loc.Length) != len(data) {
-				return fmt.Errorf("dedup: replay: record for %s carries %d bytes, location says %d",
-					fp.Short(), len(data), loc.Length)
-			}
-		}
-		if err := s.replayFormat(data != nil); err != nil {
-			return err
-		}
 		if loc.Container != s.currentID || int(loc.Offset) != s.openBodyLen() {
 			return fmt.Errorf("dedup: replay: record for %s does not extend the open container (%+v, open %d/%d)",
 				fp.Short(), loc, s.currentID, s.openBodyLen())
@@ -201,12 +178,12 @@ func (st *state) Apply(ctx context.Context, rec []byte) error {
 			if _, exists := s.index[fp]; exists {
 				return fmt.Errorf("dedup: replay: duplicate PUT for %s", fp.Short())
 			}
-			s.applyPut(fp, loc, data)
+			s.applyPut(fp, loc, nil)
 		} else {
 			if _, exists := s.index[fp]; !exists {
 				return fmt.Errorf("dedup: replay: MOVE of unknown chunk %s", fp.Short())
 			}
-			s.applyMove(fp, loc, data)
+			s.applyMove(fp, loc, nil)
 		}
 	case recRef:
 		fp, err := readFP(r)
@@ -233,11 +210,6 @@ func (st *state) Apply(ctx context.Context, rec []byte) error {
 		if id != s.currentID {
 			return fmt.Errorf("dedup: replay: SEAL of container %d but open container is %d", id, s.currentID)
 		}
-		// Stores before version 4 squeezed the open container's dead
-		// space out before sealing it.
-		if s.legacy && s.openDead > 0 {
-			s.squeezeLegacyOpen()
-		}
 		if have := uint64(s.openBodyLen()) - s.openDead; have != live {
 			return fmt.Errorf("dedup: replay: SEAL of %d live bytes but open container has %d", live, have)
 		}
@@ -260,47 +232,13 @@ func (st *state) Apply(ctx context.Context, rec []byte) error {
 	return nil
 }
 
-// replayFormat notes whether the record being replayed carries chunk
-// bytes, and rejects a recovery that mixes the pre-version-4 format
-// with the current one: Open converts an old store before it journals
-// anything, so a mixture means the log is not one store's history.
-func (s *Store) replayFormat(legacy bool) error {
-	if legacy && s.metaLog || !legacy && s.legacy {
-		return fmt.Errorf("dedup: replay: log mixes data-carrying and metadata-only records")
-	}
-	s.legacy, s.metaLog = legacy, !legacy
-	return nil
-}
-
-// squeezeLegacyOpen repeats the squeeze stores before snapshot version
-// 4 applied to their in-memory open container, and journaled only
-// implicitly: the live chunks repacked in offset order, dead bytes
-// dropped. Only replay of such a store calls it; the open container's
-// bytes are then all in memory.
-func (s *Store) squeezeLegacyOpen() {
-	live := s.liveOpenEntries()
-	body := make([]byte, 0, s.openBodyLen())
-	for i := range live {
-		e := &live[i]
-		start := packfile.HeaderSize + e.Offset
-		e.Offset = uint64(len(body))
-		s.index[e.FP] = Location{Container: s.currentID, Offset: uint32(e.Offset), Length: e.Length}
-		body = append(body, s.current[start:start+uint64(e.Length)]...)
-	}
-	s.current = append(s.current[:packfile.HeaderSize], body...)
-	s.openDead = 0
-}
-
 // loadOpen finishes recovery of the open container once replay is
-// done. A store in the current format has its bytes in the blob: the
-// committed prefix is read back with one ranged read, and a blob
-// shorter than the journal says fails Open. A store written before
-// snapshot version 4 had them in its snapshot and records. Every live
+// done: its committed prefix is read back from the blob with one ranged
+// read, and a blob shorter than the journal says fails Open. Every live
 // open chunk is then checked against its fingerprint, and its checksum
-// taken for the packfile index that seal writes. Last, an old store's
-// bytes are written to the blob and a version-4 checkpoint is taken.
+// taken for the packfile index that seal writes.
 func (s *Store) loadOpen(ctx context.Context) error {
-	if !s.legacy && s.openBodyLen() > 0 {
+	if s.openBodyLen() > 0 {
 		name := containerName(s.currentID)
 		blob, err := s.backend.GetRange(ctx, store.NSContainers, name, 0, int64(len(s.current)))
 		if err != nil {
@@ -323,12 +261,7 @@ func (s *Store) loadOpen(ctx context.Context) error {
 		}
 		e.CRC = crc32.ChecksumIEEE(data)
 	}
-	s.metaLog = false
-	if !s.legacy {
-		return nil
-	}
-	s.legacy = false
-	return s.journal.Checkpoint(ctx)
+	return nil
 }
 
 func readFP(r *binenc.Reader) (fingerprint.Fingerprint, error) {
@@ -495,9 +428,9 @@ func (st *state) EncodeSnapshot(w *binenc.Writer) {
 	w.Uint64(uint64(s.openBodyLen()))
 }
 
-// DecodeSnapshot restores the state EncodeSnapshot wrote, or a version
-// 3 snapshot, whose open container bytes it keeps for loadOpen.
-func (st *state) DecodeSnapshot(r *binenc.Reader, version uint8) error {
+// DecodeSnapshot restores the state EncodeSnapshot wrote. The open
+// container's bytes are loadOpen's to read.
+func (st *state) DecodeSnapshot(r *binenc.Reader) error {
 	s := (*Store)(st)
 	if err := readUint64s(r, s.snapshotScalars()...); err != nil {
 		return err
@@ -534,26 +467,15 @@ func (st *state) DecodeSnapshot(r *binenc.Reader, version uint8) error {
 		s.containers[id] = info
 	}
 
-	s.current = s.current[:packfile.HeaderSize]
-	s.openEntries = s.openEntries[:0]
-	if version == 3 {
-		open, err := r.ReadBytes()
-		if err != nil {
-			return err
-		}
-		s.current = append(s.current, open...)
-		s.legacy = true
-	} else {
-		committed, err := r.Uint64()
-		if err != nil {
-			return err
-		}
-		if committed > math.MaxUint32 {
-			return fmt.Errorf("open container length %d", committed)
-		}
-		s.current = append(s.current, make([]byte, committed)...)
-		s.metaLog = true
+	committed, err := r.Uint64()
+	if err != nil {
+		return err
 	}
+	if committed > math.MaxUint32 {
+		return fmt.Errorf("open container length %d", committed)
+	}
+	s.current = append(s.current[:packfile.HeaderSize], make([]byte, committed)...)
+	s.openEntries = s.openEntries[:0]
 	// The open container's chunks, in offset order, as appends would
 	// have listed them. Checksums are loadOpen's to fill in.
 	for fp, loc := range s.index {

@@ -2,22 +2,25 @@ package fileindex
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 var update = flag.Bool("update", false, "rewrite the snapshot and in-place WAL fixtures in testdata/ (an at-rest format break)")
 
 // fixtureBlobs maps each committed file to the backend blob it is a
 // byte copy of: a version-1 snapshot of two entries and the WAL segment
-// of the one registration journaled after it, in the log's older
+// of the one registration journaled after it, in the log's retired
 // sealed-segment layout. Stores stopped writing that layout when the
 // log began to append in place; the file stays to prove such a store
-// still opens.
+// fails closed.
 var fixtureBlobs = []struct{ file, ns, name string }{
 	{"snapshot_v1.bin", store.NSMeta, "file-index"},
 	{"wal_register.bin", store.NSFileWAL, "f0000000000000001"},
@@ -93,19 +96,9 @@ func TestFixturesKnownAnswer(t *testing.T) {
 	}
 }
 
-// TestFixturesKeepOpening reads only the committed bytes, with the WAL
-// segment in either layout: an index opened over them must hold all
-// three entries.
-func TestFixturesKeepOpening(t *testing.T) {
-	for name, blobs := range map[string][]struct{ file, ns, name string }{
-		"sealed segment":   fixtureBlobs,
-		"in-place segment": fixtureBlobsInPlace,
-	} {
-		t.Run(name, func(t *testing.T) { checkFixtures(t, blobs) })
-	}
-}
-
-func checkFixtures(t *testing.T, blobs []struct{ file, ns, name string }) {
+// putFixtures copies the committed files of blobs into a fresh backend.
+func putFixtures(t *testing.T, blobs []struct{ file, ns, name string }) store.Backend {
+	t.Helper()
 	backend := store.NewMemory()
 	for _, fx := range blobs {
 		blob, err := os.ReadFile(filepath.Join("testdata", fx.file))
@@ -116,16 +109,45 @@ func checkFixtures(t *testing.T, blobs []struct{ file, ns, name string }) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := Open(ctx, backend)
-	if err != nil {
-		t.Fatal(err)
+	return backend
+}
+
+// TestFixturesKeepOpening reads only the committed bytes of the current
+// layout: an index opened over them must hold all three entries.
+func TestFixturesKeepOpening(t *testing.T) {
+	t.Run("in-place segment", func(t *testing.T) {
+		ix, err := Open(ctx, putFixtures(t, fixtureBlobsInPlace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.Len() != len(fixtureEntries) {
+			t.Errorf("Len = %d, want %d", ix.Len(), len(fixtureEntries))
+		}
+		for _, e := range fixtureEntries {
+			if name, ok := ix.Lookup(testKey(e.seed)); !ok || name != e.name {
+				t.Errorf("Lookup seed %d = %q, %v; want %q", e.seed, name, ok, e.name)
+			}
+		}
+	})
+}
+
+// TestSealedSegmentFixtureFailsClosed: over the committed WAL segment
+// of the retired sealed layout, Open must fail with
+// wal.ErrRetiredLayout and leave both blobs byte for byte as they were.
+func TestSealedSegmentFixtureFailsClosed(t *testing.T) {
+	backend := putFixtures(t, fixtureBlobs)
+	if _, err := Open(ctx, backend); !errors.Is(err, wal.ErrRetiredLayout) {
+		t.Fatalf("Open = %v, want wal.ErrRetiredLayout", err)
 	}
-	if ix.Len() != len(fixtureEntries) {
-		t.Errorf("Len = %d, want %d", ix.Len(), len(fixtureEntries))
-	}
-	for _, e := range fixtureEntries {
-		if name, ok := ix.Lookup(testKey(e.seed)); !ok || name != e.name {
-			t.Errorf("Lookup seed %d = %q, %v; want %q", e.seed, name, ok, e.name)
+	for _, fx := range fixtureBlobs {
+		names, err := backend.List(ctx, fx.ns)
+		if err != nil || !slices.Equal(names, []string{fx.name}) {
+			t.Errorf("namespace %s holds %v (%v), want only %s", fx.ns, names, err, fx.name)
+		}
+		got, err := backend.Get(ctx, fx.ns, fx.name)
+		want, _ := os.ReadFile(filepath.Join("testdata", fx.file))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed by the failed Open (%v)", fx.file, err)
 		}
 	}
 }

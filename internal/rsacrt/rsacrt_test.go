@@ -358,8 +358,19 @@ func benchKey(b *testing.B) (*rsa.PrivateKey, *big.Int) {
 }
 
 // BenchmarkExp is one RSA-1024 private operation, the key manager's
-// per-chunk work; BenchmarkExpFallback is the same on math/big.
+// per-chunk work; BenchmarkExpMULX is the same on montMul512 and
+// BenchmarkExpFallback on math/big.
 func BenchmarkExp(b *testing.B) {
+	priv, x := benchKey(b)
+	k := New(priv)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Exp(x)
+	}
+}
+
+func BenchmarkExpMULX(b *testing.B) {
+	forceMULX(b)
 	priv, x := benchKey(b)
 	k := New(priv)
 	b.ResetTimer()
@@ -379,9 +390,20 @@ func BenchmarkExpFallback(b *testing.B) {
 }
 
 // BenchmarkPublicExp is one 1024-bit public-exponent operation (e =
-// 65537), the client's rᵉ or sᵉ per chunk; BenchmarkPublicExpFallback is
-// the same on math/big.
+// 65537), the client's rᵉ or sᵉ per chunk; BenchmarkPublicExpMULX is
+// the same on montMul1024 alone and BenchmarkPublicExpFallback on
+// math/big.
 func BenchmarkPublicExp(b *testing.B) {
+	priv, x := benchKey(b)
+	pub := NewPublic(priv.N, big.NewInt(int64(priv.E)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pub.Exp(x)
+	}
+}
+
+func BenchmarkPublicExpMULX(b *testing.B) {
+	forceMULX(b)
 	priv, x := benchKey(b)
 	pub := NewPublic(priv.N, big.NewInt(int64(priv.E)))
 	b.ResetTimer()

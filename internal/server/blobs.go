@@ -17,17 +17,16 @@ import (
 // blobJournalSpec is the blob plane's journal: segments "b…" in
 // NSBlobWAL, snapshot "blob-journal". A checkpoint first writes every
 // journaled blob to the backend, so the snapshot holds no blob, only
-// where replay starts and, since version 2, the size of every stub
-// file (version 1 had an empty body). 4 MiB of log
-// keeps the blobs held in memory bounded while a checkpoint's flush
-// stays rare next to the commits it follows.
+// where replay starts and the size of every stub file (version 1 had
+// no sizes and is a retired layout). 4 MiB of log keeps the blobs held
+// in memory bounded while a checkpoint's flush stays rare next to the
+// commits it follows.
 var blobJournalSpec = wal.Spec{
 	Owner:           "blobs",
 	Namespace:       store.NSBlobWAL,
 	Prefix:          "b",
 	Blob:            "blob-journal",
 	Version:         2,
-	OldestVersion:   1,
 	CheckpointEvery: 4 << 20,
 }
 
@@ -89,15 +88,19 @@ type blobs struct {
 	// stubSizes maps every stub file reads can see to its size, and
 	// stubBytes is their sum: Stats' StubBytes. Writes count once they
 	// are published. The snapshot carries the sizes, so the sum
-	// survives a restart; sized records that the open snapshot did.
+	// survives a restart.
 	stubSizes map[string]int
 	stubBytes uint64
-	sized     bool
+	// snapshotted records that recovery found a snapshot.
+	snapshotted bool
 }
 
 // openBlobs recovers the blob plane: snapshot, then log replay into
-// dirty. A store that predates the journal has neither, and its blobs
-// are all in the backend already.
+// dirty. A store from before the journal, whose blobs were published in
+// their namespaces directly, has neither a snapshot nor a log record
+// yet holds blobs. That is a retired layout; no current-format state
+// looks like it, since a fold writes blobs out only while the log still
+// holds their records and the log is truncated only after the snapshot.
 func openBlobs(ctx context.Context, backend store.Backend) (*blobs, error) {
 	b := &blobs{backend: backend, dirty: make(map[blobKey]dirtyBlob), stubSizes: make(map[string]int)}
 	b.idle.L = &b.mu
@@ -105,33 +108,19 @@ func openBlobs(ctx context.Context, backend store.Backend) (*blobs, error) {
 	if b.journal, err = wal.OpenJournal(ctx, backend, blobJournalSpec, (*blobState)(b)); err != nil {
 		return nil, err
 	}
-	if !b.sized {
-		if err := b.sizeStubs(ctx); err != nil {
-			return nil, err
+	if b.snapshotted || len(b.dirty) > 0 {
+		return b, nil
+	}
+	for ns := range allowedNamespaces {
+		names, err := backend.List(ctx, ns)
+		if err != nil {
+			return nil, fmt.Errorf("blobs: list %s: %w", ns, err)
+		}
+		if len(names) > 0 {
+			return nil, fmt.Errorf("blobs: namespace %s holds blobs but there is no blob journal: %w", ns, wal.ErrRetiredLayout)
 		}
 	}
 	return b, nil
-}
-
-// sizeStubs counts the stub files of a store whose snapshot predates
-// their sizes, or that has none: one listing, and one read of each stub
-// file the log does not hold. Replay has counted those it does.
-func (b *blobs) sizeStubs(ctx context.Context) error {
-	names, err := b.backend.List(ctx, store.NSStubs)
-	if err != nil {
-		return fmt.Errorf("blobs: list stub files: %w", err)
-	}
-	for _, name := range names {
-		if _, ok := b.dirty[blobKey{store.NSStubs, name}]; ok {
-			continue
-		}
-		data, err := b.backend.Get(ctx, store.NSStubs, name)
-		if err != nil {
-			return fmt.Errorf("blobs: size stub file %s: %w", name, err)
-		}
-		b.account(blobKey{store.NSStubs, name}, dirtyBlob{data: data})
-	}
-	return nil
 }
 
 // account counts one visible write toward the stub-file sizes.
@@ -153,6 +142,14 @@ func (b *blobs) stubFileBytes() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.stubBytes
+}
+
+// backlog returns how many batch bytes the log has taken since the last
+// checkpoint: what the next fold has to catch up on.
+func (b *blobs) backlog() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.journal.Backlog()
 }
 
 // encodeBlobRecord frames one put (deleted false) or delete.
@@ -391,12 +388,8 @@ func (st *blobState) EncodeSnapshot(w *binenc.Writer) {
 	}
 }
 
-// DecodeSnapshot reads the stub-file sizes of a version 2 snapshot; a
-// version 1 body is empty, and openBlobs sizes that store's stub files.
-func (st *blobState) DecodeSnapshot(r *binenc.Reader, version uint8) error {
-	if version < 2 {
-		return nil
-	}
+// DecodeSnapshot reads the stub-file sizes.
+func (st *blobState) DecodeSnapshot(r *binenc.Reader) error {
 	n, err := r.Uvarint()
 	if err != nil {
 		return fmt.Errorf("blobs: stub file count: %w", err)
@@ -413,7 +406,7 @@ func (st *blobState) DecodeSnapshot(r *binenc.Reader, version uint8) error {
 		st.stubSizes[name] = int(size)
 		st.stubBytes += size
 	}
-	st.sized = true
+	st.snapshotted = true
 	return nil
 }
 

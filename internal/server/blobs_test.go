@@ -9,8 +9,6 @@ import (
 	"hash/crc32"
 	"maps"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -22,6 +20,7 @@ import (
 
 	"repro/internal/proto"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // TestBlobCrashModel drives the blob plane with random put, overwrite,
@@ -270,77 +269,98 @@ func runBlobSequence(t *testing.T, seed int64) {
 	checkBlobs(t, mustOpenBlobs(t, backend.Backend), keys, live, fmt.Sprintf("seed %d at the end", seed))
 }
 
-// TestParentLayoutStoreReopens opens a disk store in the layout written
-// before the blob plane was journaled — blobs published by rename in
-// their own namespaces, the file index's log as sealed segments — and
-// checks the server serves every blob and keeps working on top of it.
-func TestParentLayoutStoreReopens(t *testing.T) {
-	dir := t.TempDir()
-	backend, err := store.NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
+// backendBlobs returns every blob a storage server keeps in backend.
+func backendBlobs(t *testing.T, backend store.Backend) map[blobKey][]byte {
+	t.Helper()
+	all := make(map[blobKey][]byte)
+	for _, ns := range []string{store.NSContainers, store.NSRecipes, store.NSStubs, store.NSKeyStates,
+		store.NSMeta, store.NSWAL, store.NSFileWAL, store.NSBlobWAL} {
+		names, err := backend.List(ctx, ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if all[blobKey{ns, name}], err = backend.Get(ctx, ns, name); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	want := map[blobKey][]byte{
+	return all
+}
+
+// TestRetiredBlobLayoutsFailClosed writes a disk store in each layout of
+// the blob plane this build no longer reads — blobs published in their
+// namespaces before the journal existed, and a version-1 journal
+// snapshot, which has no stub-file sizes, with a write still in the log
+// — and requires New to refuse it with wal.ErrRetiredLayout and to
+// leave every blob byte for byte as it was, so the upgrade step the
+// error names still finds the store intact.
+func TestRetiredBlobLayoutsFailClosed(t *testing.T) {
+	published := map[blobKey][]byte{
 		{store.NSRecipes, "file-a"}:   []byte("recipe a"),
 		{store.NSStubs, "file-a"}:     []byte("stub file a"),
 		{store.NSKeyStates, "file-a"}: []byte("key state a"),
 		{store.NSRecipes, "file-b"}:   []byte("recipe b"),
 	}
-	for key, data := range want {
-		if err := backend.Put(ctx, key.ns, key.name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, fx := range []struct{ file, ns, name string }{
-		{"snapshot_v1.bin", store.NSMeta, "file-index"},
-		{"wal_register.bin", store.NSFileWAL, "f0000000000000001"},
+	for name, write := range map[string]func(t *testing.T, backend store.Backend){
+		"pre-journal store": func(t *testing.T, backend store.Backend) {
+			for key, data := range published {
+				if err := backend.Put(ctx, key.ns, key.name, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"version-1 snapshot": func(t *testing.T, backend store.Backend) {
+			b := mustOpenBlobs(t, backend)
+			for key, data := range published {
+				if err := b.put(key.ns, key.name, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// Rewrite the snapshot as version 1 wrote it: version,
+			// replay position, an empty body, CRC-32.
+			snap, err := backend.Get(ctx, store.NSMeta, blobJournalSpec.Blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 := append([]byte{1}, snap[1:9]...)
+			v1 = binary.BigEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+			if err := backend.Put(ctx, store.NSMeta, blobJournalSpec.Blob, v1); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.put(store.NSStubs, "file-a", []byte("stub file a, rekeyed")); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+		},
 	} {
-		blob, err := os.ReadFile(filepath.Join("..", "fileindex", "testdata", fx.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := backend.Put(ctx, fx.ns, fx.name, blob); err != nil {
-			t.Fatal(err)
-		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			backend, err := store.NewDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(t, backend)
+			if err := backend.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if backend, err = store.NewDisk(dir); err != nil {
+				t.Fatal(err)
+			}
+			before := backendBlobs(t, backend)
+			if _, err := New(ctx, backend); !errors.Is(err, wal.ErrRetiredLayout) {
+				t.Fatalf("New = %v, want wal.ErrRetiredLayout", err)
+			}
+			if after := backendBlobs(t, backend); !maps.EqualFunc(after, before, bytes.Equal) {
+				t.Fatalf("the failed open changed the store: %d blobs before, %d after", len(before), len(after))
+			}
+		})
 	}
-	if err := backend.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reopen := func() *Server {
-		t.Helper()
-		backend, err := store.NewDisk(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := New(ctx, backend)
-		if err != nil {
-			t.Fatalf("opening the older layout: %v", err)
-		}
-		return srv
-	}
-	var keys []blobKey
-	for key := range want {
-		keys = append(keys, key)
-	}
-	srv := reopen()
-	checkBlobs(t, srv.blobs, keys, want, "older layout")
-	if n := srv.FileIndexLen(); n != 3 {
-		t.Fatalf("file index holds %d entries, want 3", n)
-	}
-
-	// New writes journal on top of it and survive a crash, then a
-	// checkpoint.
-	mustDispatch(t, srv, proto.MsgDeleteBlobReq, proto.EncodeBlobReq(store.NSRecipes, "file-b", nil))
-	mustDispatch(t, srv, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSStubs, "file-a", []byte("stub file a, rekeyed")))
-	delete(want, blobKey{store.NSRecipes, "file-b"})
-	want[blobKey{store.NSStubs, "file-a"}] = []byte("stub file a, rekeyed")
-	srv = reopen()
-	checkBlobs(t, srv.blobs, keys, want, "after a crash")
-	if err := srv.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	checkBlobs(t, reopen().blobs, keys, want, "after a checkpoint")
 }
 
 // countingPuts counts the blob-plane Puts and Deletes that reach the
@@ -640,53 +660,5 @@ func TestFoldLetsWritesThrough(t *testing.T) {
 	checkBlobs(t, mustOpenBlobs(t, backend), keys, want, "after shutdown")
 	if segs := segmentLens(t, backend); len(segs) != 0 {
 		t.Fatalf("segments after shutdown: %v", segs)
-	}
-}
-
-// TestStubSizesFromVersion1Snapshot opens a store whose blob-journal
-// snapshot is version 1, which has no stub-file sizes: the plane must
-// count the stub files in the backend, and those its log still holds,
-// once at open.
-func TestStubSizesFromVersion1Snapshot(t *testing.T) {
-	backend := store.NewMemory()
-	b := mustOpenBlobs(t, backend)
-	for name, size := range map[string]int{"a": 100, "b": 30} {
-		if err := b.put(store.NSStubs, name, make([]byte, size)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.put(store.NSRecipes, "a", make([]byte, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the snapshot as version 1 wrote it: version, replay
-	// position, an empty body, CRC-32.
-	snap, err := backend.Get(ctx, store.NSMeta, blobJournalSpec.Blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := append([]byte{1}, snap[1:9]...)
-	v1 = binary.BigEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
-	if err := backend.Put(ctx, store.NSMeta, blobJournalSpec.Blob, v1); err != nil {
-		t.Fatal(err)
-	}
-	b = mustOpenBlobs(t, backend)
-	if got := b.stubFileBytes(); got != 130 {
-		t.Fatalf("after a version 1 snapshot: stub files total %d bytes, want 130", got)
-	}
-	// One more write stays in the log only.
-	if err := b.put(store.NSStubs, "b", make([]byte, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := backend.Put(ctx, store.NSMeta, blobJournalSpec.Blob, v1); err != nil {
-		t.Fatal(err)
-	}
-	if got := mustOpenBlobs(t, backend).stubFileBytes(); got != 105 {
-		t.Fatalf("after a version 1 snapshot and a logged overwrite: stub files total %d bytes, want 105", got)
 	}
 }

@@ -58,6 +58,7 @@ func (s *Server) initMetrics() {
 	s.reg.SetGaugeFunc("dedup_ref_inflation", func() float64 { return float64(s.chunks.RefInflation()) })
 	s.reg.SetGaugeFunc("fileindex_entry_count", func() float64 { return float64(s.files.Len()) })
 	s.reg.SetGaugeFunc("blob_stub_bytes", func() float64 { return float64(s.blobs.stubFileBytes()) })
+	s.reg.SetGaugeFunc("blob_journal_backlog_bytes", func() float64 { return float64(s.blobs.backlog()) })
 }
 
 // Metrics returns the server's registry (nil when uninstrumented).

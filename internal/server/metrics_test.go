@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,5 +184,37 @@ func TestJournalLatencyHistograms(t *testing.T) {
 	text := snap.Text()
 	if strings.Contains(text, blobName) || strings.Contains(text, blobBytes) {
 		t.Errorf("a blob's name or bytes reached the metrics:\n%s", text)
+	}
+}
+
+// TestBlobJournalBacklogGauge: blob_journal_backlog_bytes grows with
+// every committed blob put and returns to 0 once Flush has folded the
+// log.
+func TestBlobJournalBacklogGauge(t *testing.T) {
+	srv, err := New(ctx, store.NewMemory(), WithMetrics(metrics.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	backlog := func() float64 { return srv.MetricsSnapshot().Gauges["blob_journal_backlog_bytes"] }
+	if got := backlog(); got != 0 {
+		t.Fatalf("blob_journal_backlog_bytes = %v on a fresh server, want 0", got)
+	}
+	var last float64
+	for i := range 3 {
+		name := fmt.Sprintf("recipe-%d", i)
+		if typ, resp := srv.dispatchTimed(ctx, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSRecipes, name, make([]byte, 1000))); typ != proto.MsgPutBlobResp {
+			t.Fatalf("put %d answered %v: %s", i, typ, resp)
+		}
+		got := backlog()
+		if got < last+1000 {
+			t.Fatalf("after put %d: blob_journal_backlog_bytes = %v, want at least %v", i, got, last+1000)
+		}
+		last = got
+	}
+	if err := srv.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := backlog(); got != 0 {
+		t.Fatalf("blob_journal_backlog_bytes = %v after Flush, want 0", got)
 	}
 }

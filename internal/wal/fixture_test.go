@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -13,9 +14,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the in-place segment fixture in testdata/ (an at-rest format break)")
 
 // fixtureRecords is the content of testdata/segment.bin: one sealed
-// segment of the older layout holding an empty record, a short one and
-// one with every byte value, so the length prefix, both CRCs and the
-// trailer are all pinned. It is also the first batch of
+// segment of the retired layout holding an empty record, a short one
+// and one with every byte value. It is also the first batch of
 // testdata/active_segment.bin.
 func fixtureRecords() [][]byte {
 	all := make([]byte, 256)
@@ -117,12 +117,29 @@ func checkRecords(t *testing.T, file string, got, want [][]byte) {
 	}
 }
 
-// TestSegmentFixtureKeepsReplaying reads only the committed bytes of
-// the older layout: a log opened over them must sit after the segment
-// and replay its records unchanged.
-func TestSegmentFixtureKeepsReplaying(t *testing.T) {
-	got, _ := replayFixture(t, sealedFixture)
-	checkRecords(t, sealedFixture, got, fixtureRecords())
+// TestSegmentFixtureFailsClosed reads only the committed bytes of the
+// retired sealed layout: as the last segment, replay must refuse it
+// with ErrRetiredLayout, not heal it as a torn first append, and leave
+// it byte for byte as it was.
+func TestSegmentFixtureFailsClosed(t *testing.T) {
+	seg, err := os.ReadFile(filepath.Join("testdata", sealedFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := store.NewMemory()
+	if err := b.Put(ctx, store.NSWAL, fixtureSegment, seg); err != nil {
+		t.Fatal(err)
+	}
+	err = openLog(t, b).Replay(ctx, 0, func([]byte) error {
+		t.Error("replayed a record")
+		return nil
+	})
+	if !errors.Is(err, ErrRetiredLayout) || errors.Is(err, ErrTorn) {
+		t.Errorf("Replay = %v, want ErrRetiredLayout", err)
+	}
+	if got, err := b.Get(ctx, store.NSWAL, fixtureSegment); err != nil || !bytes.Equal(got, seg) {
+		t.Errorf("%s changed by the failed replay (%v)", sealedFixture, err)
+	}
 }
 
 // TestActiveSegmentFixtureKeepsReplaying reads only the committed bytes

@@ -28,10 +28,9 @@ type State interface {
 	Apply(ctx context.Context, rec []byte) error
 	// EncodeSnapshot writes the complete state, deterministically.
 	EncodeSnapshot(w *binenc.Writer)
-	// DecodeSnapshot replaces the state with one EncodeSnapshot wrote
-	// under the given snapshot version (see Spec.OldestVersion).
+	// DecodeSnapshot replaces the state with one EncodeSnapshot wrote.
 	// Trailing bytes are the Journal's to reject.
-	DecodeSnapshot(r *binenc.Reader, version uint8) error
+	DecodeSnapshot(r *binenc.Reader) error
 	// Unstaged is how many bytes the state keeps outside the log that
 	// buffered records name and that are not durable yet. AutoCommit
 	// counts them toward its threshold.
@@ -64,11 +63,9 @@ type Spec struct {
 	Namespace, Prefix string
 	// Blob names the checkpoint snapshot in store.NSMeta.
 	Blob string
-	// Version guards the snapshot encoding: checkpoints are written at
-	// Version, and snapshots from OldestVersion (0: Version alone)
-	// through Version decode, so an owner can keep reading a store an
-	// older encoding wrote.
-	Version, OldestVersion uint8
+	// Version guards the snapshot encoding: checkpoints are written and
+	// read at Version alone. An older snapshot is a retired layout.
+	Version uint8
 	// CheckpointEvery is how many journaled bytes make the next Commit
 	// fold the log into a fresh snapshot.
 	CheckpointEvery int64
@@ -161,17 +158,16 @@ func DecodeSnapshot(spec Spec, blob []byte, state State) (walFrom uint64, err er
 	if err != nil {
 		return 0, fmt.Errorf("%s: parse snapshot: %w", spec.Owner, err)
 	}
-	oldest := spec.OldestVersion
-	if oldest == 0 {
-		oldest = spec.Version
-	}
-	if version < oldest || version > spec.Version {
+	switch {
+	case version < spec.Version:
+		return 0, fmt.Errorf("%s: snapshot version %d (want %d): %w", spec.Owner, version, spec.Version, ErrRetiredLayout)
+	case version > spec.Version:
 		return 0, fmt.Errorf("%s: unsupported snapshot version %d (want %d)", spec.Owner, version, spec.Version)
 	}
 	if walFrom, err = r.Uint64(); err != nil {
 		return 0, fmt.Errorf("%s: parse snapshot: %w", spec.Owner, err)
 	}
-	if err := state.DecodeSnapshot(r, version); err != nil {
+	if err := state.DecodeSnapshot(r); err != nil {
 		return 0, fmt.Errorf("%s: parse snapshot: %w", spec.Owner, err)
 	}
 	if !r.Done() {

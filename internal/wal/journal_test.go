@@ -31,7 +31,7 @@ func (l *lines) EncodeSnapshot(w *binenc.Writer) {
 	}
 }
 
-func (l *lines) DecodeSnapshot(r *binenc.Reader, _ uint8) error {
+func (l *lines) DecodeSnapshot(r *binenc.Reader) error {
 	n, err := r.Uvarint()
 	if err != nil {
 		return err
@@ -312,15 +312,17 @@ func TestJournalRejectsBadSnapshotAndBadRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherVersion := linesSpec
-	otherVersion.Version++
-	if _, err := OpenJournal(ctx, b, otherVersion, new(lines)); err == nil {
-		t.Error("opened a snapshot of another version")
+	// A snapshot older than the spec is a retired layout and names the
+	// upgrade step; a newer one is not.
+	newer := linesSpec
+	newer.Version++
+	if _, err := OpenJournal(ctx, b, newer, new(lines)); !errors.Is(err, ErrRetiredLayout) {
+		t.Errorf("opening an older snapshot = %v, want ErrRetiredLayout", err)
 	}
-	otherVersion.OldestVersion = linesSpec.Version
-	if _, err := OpenJournal(ctx, b, otherVersion, new(lines)); err != nil {
-		t.Errorf("a spec reading versions %d to %d refused a version-%d snapshot: %v",
-			otherVersion.OldestVersion, otherVersion.Version, linesSpec.Version, err)
+	older := linesSpec
+	older.Version--
+	if _, err := OpenJournal(ctx, b, older, new(lines)); err == nil || errors.Is(err, ErrRetiredLayout) {
+		t.Errorf("opening a newer snapshot = %v, want an unsupported version", err)
 	}
 	for name, blob := range map[string][]byte{
 		"short":    good[:4],

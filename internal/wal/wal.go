@@ -29,10 +29,11 @@
 // numbers, is real corruption and fails the replay loudly rather than
 // silently dropping acknowledged writes.
 //
-// Segments written before the in-place layout hold one sealed batch
+// Segments written before the in-place layout held one sealed batch
 // each — the records followed by [body length u32 | CRC-32 u32] over
-// everything before the CRC — and have no magic. They still replay;
-// the log never appends to one.
+// everything before the CRC — and no magic. That layout is retired: an
+// intact one fails replay with ErrRetiredLayout, which names the
+// upgrade step (DESIGN §9).
 package wal
 
 import (
@@ -50,18 +51,22 @@ import (
 // the state a crash mid-append could leave behind.
 var ErrTorn = errors.New("wal: torn segment")
 
+// ErrRetiredLayout reports bytes at rest in a layout this build no
+// longer reads: a sealed segment, or a snapshot older than its spec's
+// version. The one way forward is the upgrade step it names, which
+// rewrites every journal of a storage server in the current layout.
+var ErrRetiredLayout = errors.New("retired at-rest layout: run reed-server from build 3a97d9a, the last that reads it, " +
+	"on this store once and stop it with SIGTERM, which checkpoints every journal in the current layout")
+
 // frameHeader is the header of every frame, record or batch: payload
 // length + CRC-32.
 const frameHeader = 8
 
 // segmentMagic opens every segment in the in-place layout. Its first
-// byte cannot open a sealed segment of the older layout, which starts
+// byte cannot open a sealed segment of the retired layout, which starts
 // with a record length of at most maxRecordLen or an empty body's zero
 // length.
 const segmentMagic = "\xffWAL"
-
-// sealedTrailer ends a segment of the older layout: body length + CRC-32.
-const sealedTrailer = 8
 
 // maxRecordLen bounds a single record (matches binenc's sanity cap) so
 // a corrupt length prefix cannot drive a giant allocation.
@@ -114,43 +119,39 @@ func decodeFrames(body []byte) ([][]byte, error) {
 	return recs, nil
 }
 
-// decodeSealed decodes a segment of the older layout, all or nothing: a
-// segment whose trailer does not match yields no records and ErrTorn.
-func decodeSealed(seg []byte) ([][]byte, error) {
-	if len(seg) < sealedTrailer {
-		return nil, fmt.Errorf("%w: %d bytes, shorter than the trailer", ErrTorn, len(seg))
-	}
-	body := seg[:len(seg)-sealedTrailer]
-	bodyLen := binary.BigEndian.Uint32(seg[len(seg)-8:])
-	sum := binary.BigEndian.Uint32(seg[len(seg)-4:])
-	if uint64(bodyLen) != uint64(len(body)) {
-		return nil, fmt.Errorf("%w: trailer claims %d body bytes, have %d", ErrTorn, bodyLen, len(body))
-	}
-	if crc32.ChecksumIEEE(seg[:len(seg)-4]) != sum {
-		return nil, fmt.Errorf("%w: segment checksum mismatch", ErrTorn)
-	}
-	return decodeFrames(body)
+// intactSealed reports whether seg is an intact segment of the retired
+// layout: its trailer's length and CRC-32 match the bytes before them.
+func intactSealed(seg []byte) bool {
+	n := len(seg) - frameHeader
+	return n >= 0 && uint64(binary.BigEndian.Uint32(seg[n:])) == uint64(n) &&
+		crc32.ChecksumIEEE(seg[:n+4]) == binary.BigEndian.Uint32(seg[n+4:])
 }
 
-// DecodeSegment splits a segment, of either layout, into the records of
-// its whole batches, in order, and returns how many leading bytes those
-// batches and the magic span. An error wrapping ErrTorn means the
-// segment ends in a torn batch: recs and valid still describe the whole
-// batches before it. A batch is torn when its header is cut short,
-// claims less than one record header or more bytes than the segment
-// holds, or fails its checksum as the segment's last bytes. A batch
-// that fails its checksum with bytes after it is corruption, since a
-// later append was made after it returned; so is a malformed record
-// inside a batch whose checksum holds. Those, and any damage in a
-// segment of the older layout other than a tear, are errors that do
-// not wrap ErrTorn. A torn segment of the older layout has no whole
-// batch: valid is 0.
+// DecodeSegment splits a segment into the records of its whole batches,
+// in order, and returns how many leading bytes those batches and the
+// magic span. An error wrapping ErrTorn means the segment ends in a torn
+// batch: recs and valid still describe the whole batches before it. A
+// batch is torn when its header is cut short, claims less than one
+// record header or more bytes than the segment holds, or fails its
+// checksum as the segment's last bytes. A segment that does not start
+// with the magic holds no records: an empty one decodes without an
+// error (Replay, which knows which segment is last, decides whether it
+// is torn); an intact sealed segment fails with ErrRetiredLayout;
+// anything else is a torn first append, with valid 0. So decoding the
+// valid bytes of a torn segment yields its records and no error. A
+// batch that fails its checksum with bytes after
+// it is corruption, since a later append was made after it returned; so
+// is a malformed record inside a batch whose checksum holds. Those are
+// errors that do not wrap ErrTorn.
 func DecodeSegment(seg []byte) (recs [][]byte, valid int, err error) {
-	if !bytes.HasPrefix(seg, []byte(segmentMagic)) {
-		if recs, err = decodeSealed(seg); err != nil {
-			return nil, 0, err
-		}
-		return recs, len(seg), nil
+	switch {
+	case len(seg) == 0:
+		return nil, 0, nil
+	case bytes.HasPrefix(seg, []byte(segmentMagic)):
+	case intactSealed(seg):
+		return nil, 0, fmt.Errorf("wal: sealed segment of %d bytes: %w", len(seg), ErrRetiredLayout)
+	default:
+		return nil, 0, fmt.Errorf("%w: %d bytes without the segment magic", ErrTorn, len(seg))
 	}
 	for p := len(segmentMagic); p < len(seg); {
 		rest := seg[p:]
@@ -317,7 +318,8 @@ func (l *Log) Roll(ctx context.Context) (uint64, error) {
 // nothing — is discarded whole, and the segment is healed by truncating
 // it to its whole batches, so the next recovery does not mistake the
 // tear for mid-log corruption once later segments exist. Any other
-// damage fails the replay.
+// damage, or a segment of the retired layout, fails the replay before
+// anything is healed.
 func (l *Log) Replay(ctx context.Context, from uint64, fn func(rec []byte) error) error {
 	for seq := from; seq < l.seq; seq++ {
 		name := l.segmentName(seq)
@@ -326,9 +328,14 @@ func (l *Log) Replay(ctx context.Context, from uint64, fn func(rec []byte) error
 			return fmt.Errorf("wal: segment %d missing during replay: %w", seq, err)
 		}
 		recs, valid, derr := DecodeSegment(seg)
+		if derr == nil && len(seg) == 0 {
+			// Every segment the log appended to holds the magic: an
+			// empty one is a first append torn before it.
+			derr = fmt.Errorf("%w: empty segment", ErrTorn)
+		}
 		if derr != nil {
 			if seq != l.seq-1 || !errors.Is(derr, ErrTorn) {
-				return fmt.Errorf("wal: segment %d corrupt during replay: %w", seq, derr)
+				return fmt.Errorf("wal: replay segment %d: %w", seq, derr)
 			}
 			// A segment without a whole batch becomes an empty segment
 			// of the current layout.
