@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fingerprint"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 var ctx = context.Background()
@@ -377,30 +378,13 @@ func TestConcurrentMixedOpsWithCompaction(t *testing.T) {
 	}
 }
 
-// countingBackend counts backend Gets per blob to observe cache and
-// singleflight behavior.
-type countingBackend struct {
-	store.Backend
-	mu   sync.Mutex
-	gets map[string]int
-}
-
-func (c *countingBackend) Get(ctx context.Context, ns, name string) ([]byte, error) {
-	c.mu.Lock()
-	if c.gets == nil {
-		c.gets = make(map[string]int)
-	}
-	c.gets[ns+"/"+name]++
-	c.mu.Unlock()
-	return c.Backend.Get(ctx, ns, name)
-}
-
 // TestSealedContainerFetchedOnce: concurrent Gets of chunks in one
 // sealed container trigger exactly one backend read — followers either
 // join the in-flight fetch or hit the cache.
 func TestSealedContainerFetchedOnce(t *testing.T) {
-	backend := &countingBackend{Backend: store.NewMemory()}
-	s, err := Open(ctx, backend, 8192)
+	faults := storetest.New()
+	fetches := faults.Add(&storetest.Rule{Ops: storetest.Get, NS: []string{store.NSContainers}, Name: containerName(0)})
+	s, err := Open(ctx, faults.View("server"), 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,10 +415,7 @@ func TestSealedContainerFetchedOnce(t *testing.T) {
 	}
 	wg.Wait()
 
-	backend.mu.Lock()
-	count := backend.gets["containers/"+containerName(0)]
-	backend.mu.Unlock()
-	if count != 1 {
+	if count := fetches.Hits(); count != 1 {
 		t.Fatalf("container fetched %d times, want 1", count)
 	}
 }

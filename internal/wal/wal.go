@@ -133,14 +133,17 @@ func intactSealed(seg []byte) bool {
 // batch: recs and valid still describe the whole batches before it. A
 // batch is torn when its header is cut short, claims less than one
 // record header or more bytes than the segment holds, or fails its
-// checksum as the segment's last bytes. A segment that does not start
+// checksum as the segment's last bytes or with only zeros after it: an
+// append the crash cut after its file grew, whose length field did not
+// all land. A later append cannot follow it there, since a batch's
+// length is never zero. A segment that does not start
 // with the magic holds no records: an empty one decodes without an
 // error (Replay, which knows which segment is last, decides whether it
 // is torn); an intact sealed segment fails with ErrRetiredLayout;
 // anything else is a torn first append, with valid 0. So decoding the
 // valid bytes of a torn segment yields its records and no error. A
-// batch that fails its checksum with bytes after
-// it is corruption, since a later append was made after it returned; so
+// batch that fails its checksum with a nonzero byte after it is
+// corruption, since a later append was made after it returned; so
 // is a malformed record inside a batch whose checksum holds. Those are
 // errors that do not wrap ErrTorn.
 func DecodeSegment(seg []byte) (recs [][]byte, valid int, err error) {
@@ -165,7 +168,7 @@ func DecodeSegment(seg []byte) (recs [][]byte, valid int, err error) {
 		}
 		body := rest[frameHeader:end]
 		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(rest[4:8]) {
-			if end == uint64(len(rest)) {
+			if len(bytes.TrimLeft(rest[end:], "\x00")) == 0 {
 				return recs, p, fmt.Errorf("%w: last batch at %d fails its checksum", ErrTorn, p)
 			}
 			return nil, 0, fmt.Errorf("wal: batch at %d fails its checksum with %d bytes after it", p, uint64(len(rest))-end)
