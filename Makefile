@@ -75,9 +75,12 @@ race:
 
 # chaos runs the fault-injection suite twice under the race detector:
 # scripted connection cuts (internal/netem) fire at deterministic byte
-# offsets while uploads/downloads run, exercising reconnect and retry.
-# -count=2 proves the seeded faults are reproducible, not flaky; the
-# nightly workflow raises CHAOS_COUNT to 4. The second command stresses
+# offsets while uploads/downloads run, exercising reconnect and retry,
+# and the storage crash tests (Crash, Torn, Cut: the dedup store, blob
+# plane, WAL and file index on storetest's fault backend, power cuts
+# included) replay their crash points and models. -count=2 proves the
+# seeded faults are reproducible, not flaky; the nightly workflow
+# raises CHAOS_COUNT to 4. The second command stresses
 # the Serve/Shutdown ordering: whether Shutdown or the Serve goroutine
 # reaches the server's mutex first is the scheduler's choice, so only
 # many repetitions visit both orders (Tier-1 once failed 6 % of runs
@@ -87,7 +90,7 @@ race:
 # it that way.
 CHAOS_COUNT ?= 2
 chaos:
-	$(GO) test -race -run 'Chaos|Fault' -count=$(CHAOS_COUNT) ./...
+	$(GO) test -race -run 'Chaos|Fault|Crash|Torn|Cut' -count=$(CHAOS_COUNT) ./...
 	$(GO) test -race -run 'TestServe.*Shutdown' -count=500 ./internal/server ./internal/keymanager
 	$(GO) test -race -run 'TestAblations$$|TestFig5bShape$$|TestFig6Shape$$|TestFig7cShape$$' -count=20 ./internal/experiments
 

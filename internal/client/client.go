@@ -106,13 +106,6 @@ type Config struct {
 	// the fingerprint space, so every client configured with the same
 	// shard set — in any order — routes each chunk to the same shard.
 	DataServers []string
-	// RingVirtualNodes overrides the placement ring's per-shard
-	// virtual-node count (default ring.DefaultVirtualNodes). All
-	// clients of one cluster must agree on it.
-	RingVirtualNodes int
-	// RingSeed keys the placement ring's hash (default 0). All clients
-	// of one cluster must agree on it.
-	RingSeed uint64
 	// KeyStoreServer is the key-store server address.
 	KeyStoreServer string
 	// KeyManager is the key manager address.
@@ -322,8 +315,6 @@ func New(ctx context.Context, cfg Config) (*Client, error) {
 		Retry:        cfg.Retry,
 		CallTimeout:  cfg.CallTimeout,
 		BatchBytes:   cfg.UploadBuffer,
-		VirtualNodes: cfg.RingVirtualNodes,
-		RingSeed:     cfg.RingSeed,
 		OnBatchRetry: c.retriedBatches.Inc,
 	})
 	if err != nil {

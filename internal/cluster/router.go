@@ -67,10 +67,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// BatchBytes caps one PutChunks batch's payload (default 4 MB).
 	BatchBytes int
-	// VirtualNodes and RingSeed configure the placement ring; zero
-	// values use the ring package defaults.
-	VirtualNodes int
-	RingSeed     uint64
 	// OnBatchRetry, when set, is called once per re-sent chunk batch
 	// (the client wires its RetryStats counter here).
 	OnBatchRetry func()
@@ -97,10 +93,10 @@ type Router struct {
 }
 
 // Dial connects to every shard; ctx bounds the dials, not the router's
-// lifetime. Placement is fixed here: the same shard list (in any order),
-// virtual-node count and seed give every client the same mapping.
+// lifetime. Placement is fixed here: the same shard list, in any order,
+// gives every client the same mapping.
 func Dial(ctx context.Context, cfg Config) (*Router, error) {
-	rg, err := ring.New(cfg.Shards, ring.WithVirtualNodes(cfg.VirtualNodes), ring.WithSeed(cfg.RingSeed))
+	rg, err := ring.New(cfg.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}

@@ -19,10 +19,6 @@ import (
 	"repro/internal/rpcmux"
 )
 
-// ErrConnClosed is returned for calls on a connection torn down by Close
-// or by a context cancellation that interrupted an in-flight frame.
-var ErrConnClosed = rpcmux.ErrClosed
-
 // Dialer opens a connection to an address; injectable so benchmarks can
 // route through internal/netem's emulated link.
 type Dialer func(addr string) (net.Conn, error)

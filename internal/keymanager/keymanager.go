@@ -45,7 +45,6 @@ type Server struct {
 	params   []byte // marshaled public params
 	rate     float64
 	burst    float64
-	workers  int
 	limiters sync.Map // remote host -> *ratelimit.Limiter
 
 	// baseCtx is the server's lifecycle context: rate-limit waits and
@@ -87,15 +86,6 @@ func WithRateLimit(rate, burst float64) ServerOption {
 	return rateLimitOption{rate: rate, burst: burst}
 }
 
-type workersOption int
-
-func (o workersOption) applyServer(s *Server) { s.workers = int(o) }
-
-// WithWorkers sets the per-connection handler pool size (default
-// DefaultWorkers): how many key-generation batches from one connection
-// may evaluate concurrently.
-func WithWorkers(n int) ServerOption { return workersOption(n) }
-
 type metricsOption struct{ reg *metrics.Registry }
 
 func (o metricsOption) applyServer(s *Server) { s.reg = o.reg }
@@ -108,18 +98,14 @@ func WithMetrics(reg *metrics.Registry) ServerOption { return metricsOption{reg}
 // NewServer returns a key manager serving the given OPRF key.
 func NewServer(key *oprf.ServerKey, opts ...ServerOption) *Server {
 	s := &Server{
-		key:     key,
-		params:  key.PublicParams().Marshal(),
-		workers: DefaultWorkers,
-		conns:   make(map[net.Conn]struct{}),
+		key:    key,
+		params: key.PublicParams().Marshal(),
+		conns:  make(map[net.Conn]struct{}),
 	}
 	//reed-vet:ignore ctxrule — the server's lifecycle root, canceled by Shutdown.
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	for _, o := range opts {
 		o.applyServer(s)
-	}
-	if s.workers < 1 {
-		s.workers = 1
 	}
 	if s.reg != nil {
 		s.ops = metrics.NewOpSet(s.reg, "dispatch", proto.OpNames())
@@ -214,7 +200,7 @@ type outFrame struct {
 }
 
 // handleConn serves one connection with concurrent dispatch: the read
-// loop keeps draining frames while up to s.workers key-generation
+// loop keeps draining frames while up to DefaultWorkers key-generation
 // batches evaluate, and responses return tagged with their request IDs
 // (possibly out of order). See server.Server.handleConn for the shape;
 // the two stay deliberately parallel.
@@ -232,7 +218,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 256<<10)
 	bw := bufio.NewWriterSize(conn, 256<<10)
 
-	respCh := make(chan outFrame, s.workers)
+	respCh := make(chan outFrame, DefaultWorkers)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -250,7 +236,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}()
 
-	sem := make(chan struct{}, s.workers)
+	sem := make(chan struct{}, DefaultWorkers)
 	var handlers sync.WaitGroup
 	for {
 		typ, id, payload, err := proto.ReadFrame(br)

@@ -8,12 +8,10 @@
 // recovering server. Sleeps are context-aware, so a cancelled operation
 // never waits out its backoff.
 //
-// Two mechanisms bound retry amplification:
-//
-//   - Policy.MaxAttempts caps attempts per operation;
-//   - an optional shared Budget caps retries per unit time across all
-//     operations on one client, so a hard-down server costs each caller
-//     at most its budget share instead of attempts × call sites.
+// Policy.MaxAttempts bounds retry amplification: a hard-down server
+// costs each operation at most that many attempts. One layer up, the
+// cluster router refuses the requests the transport may not replay to
+// a shard with three transport failures in a row (cluster.ErrShardDown).
 //
 // Errors wrapped with Permanent are never retried: they mark
 // application-level failures (a remote error response, a non-idempotent
@@ -24,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -34,10 +31,6 @@ const (
 	DefaultMaxDelay     = 500 * time.Millisecond
 	DefaultMaxAttempts  = 4
 )
-
-// ErrBudgetExhausted is wrapped into the returned error when a retry was
-// warranted but the shared budget had no tokens left.
-var ErrBudgetExhausted = errors.New("retry: budget exhausted")
 
 // Policy configures one retry loop. The zero value is usable: it
 // retries up to DefaultMaxAttempts total attempts with full-jitter
@@ -52,10 +45,6 @@ type Policy struct {
 	// Zero means DefaultMaxAttempts; 1 disables retries; negative is
 	// treated as 1.
 	MaxAttempts int
-	// Budget, when non-nil, is consulted before every retry (never the
-	// first attempt); retries beyond the budget fail with the last error
-	// wrapped alongside ErrBudgetExhausted.
-	Budget *Budget
 	// Seed, when non-zero, makes the jitter sequence deterministic
 	// (chaos tests pin it so failures replay exactly).
 	Seed int64
@@ -105,9 +94,8 @@ func IsPermanent(err error) bool {
 
 // Do runs op under the policy: it retries transient failures with
 // full-jitter backoff until op succeeds, returns a Permanent error, the
-// context is cancelled, the attempt cap is reached, or the budget runs
-// dry. The returned error is op's last error (unwrapped from Permanent),
-// possibly annotated with ErrBudgetExhausted.
+// context is cancelled, or the attempt cap is reached. The returned
+// error is op's last error (unwrapped from Permanent).
 func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
 	p = p.withDefaults()
 	var rng *rand.Rand
@@ -134,9 +122,6 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 		lastErr = err
 		if attempt >= p.MaxAttempts {
 			return lastErr
-		}
-		if p.Budget != nil && !p.Budget.Take() {
-			return errors.Join(ErrBudgetExhausted, lastErr)
 		}
 		delay := jitter(rng, backoffCeiling(p, attempt))
 		if p.OnRetry != nil {
@@ -188,46 +173,4 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// Budget is a token bucket shared across retry loops: each retry spends
-// one token, and tokens refill at a fixed rate up to the burst cap. It
-// bounds the total retry rate of a client no matter how many concurrent
-// operations hit a down server. The zero value is invalid; use
-// NewBudget.
-type Budget struct {
-	mu     sync.Mutex
-	tokens float64
-	burst  float64
-	rate   float64 // tokens per second
-	last   time.Time
-}
-
-// NewBudget returns a budget holding burst tokens that refills at rate
-// tokens per second. Non-positive values are clamped to 1.
-func NewBudget(burst, rate float64) *Budget {
-	if burst < 1 {
-		burst = 1
-	}
-	if rate <= 0 {
-		rate = 1
-	}
-	return &Budget{tokens: burst, burst: burst, rate: rate, last: time.Now()}
-}
-
-// Take spends one retry token, reporting false when the budget is dry.
-func (b *Budget) Take() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }

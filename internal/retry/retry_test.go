@@ -112,40 +112,6 @@ func TestDoCancelledBeforeFirstAttempt(t *testing.T) {
 	}
 }
 
-func TestBudgetExhaustion(t *testing.T) {
-	// One token, negligible refill: the first retry spends it, the
-	// second is denied.
-	b := NewBudget(1, 0.000001)
-	p := fastPolicy()
-	p.MaxAttempts = 10
-	p.Budget = b
-	calls := 0
-	err := Do(context.Background(), p, func(context.Context) error {
-		calls++
-		return errors.New("transient")
-	})
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	if calls != 2 {
-		t.Fatalf("op ran %d times, want 2 (first attempt + one budgeted retry)", calls)
-	}
-}
-
-func TestBudgetRefills(t *testing.T) {
-	b := NewBudget(1, 1000) // refills a token every millisecond
-	if !b.Take() {
-		t.Fatal("fresh budget denied a token")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !b.Take() {
-		if time.Now().After(deadline) {
-			t.Fatal("budget never refilled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestBackoffCeilingCapsAndSeededJitterDeterministic(t *testing.T) {
 	p := Policy{InitialDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}.withDefaults()
 	want := []time.Duration{

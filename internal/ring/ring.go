@@ -7,8 +7,8 @@
 // Properties the rest of the system builds on:
 //
 //   - total and deterministic: every fingerprint has exactly one owner
-//     for a fixed member set, seed, and virtual-node count, computable
-//     by any client without coordination;
+//     for a fixed member set, computable by any client without
+//     coordination (testdata/ pins it);
 //   - order-insensitive: points are hashed from member addresses, not
 //     slice indices, so two clients configured with the same shards in
 //     different order place every chunk identically;
@@ -30,10 +30,11 @@ import (
 	"repro/internal/fingerprint"
 )
 
-// DefaultVirtualNodes balances construction cost (members × vnodes
+// VirtualNodes balances construction cost (members × VirtualNodes
 // hashes, once) against placement uniformity: 512 points per member
 // keeps ownership within a few percent of fair for small clusters.
-const DefaultVirtualNodes = 512
+// Every client of a cluster must agree on it, so it is not a setting.
+const VirtualNodes = 512
 
 // ErrNoMembers is returned when constructing a ring with no members.
 var ErrNoMembers = errors.New("ring: no members")
@@ -49,44 +50,15 @@ type point struct {
 type Ring struct {
 	members []string
 	points  []point
-	vnodes  int
-	seed    uint64
-}
-
-// Option configures ring construction.
-type Option func(*Ring)
-
-// WithVirtualNodes sets the number of points each member contributes
-// (default DefaultVirtualNodes). Higher is more uniform; construction
-// and memory grow linearly.
-func WithVirtualNodes(n int) Option {
-	return func(r *Ring) {
-		if n > 0 {
-			r.vnodes = n
-		}
-	}
-}
-
-// WithSeed keys the point-hash function. Rings built with different
-// seeds place chunks differently; every client of one cluster must use
-// the same seed (the default zero seed is fine and canonical).
-func WithSeed(seed uint64) Option {
-	return func(r *Ring) { r.seed = seed }
 }
 
 // New builds a ring over the given members (shard addresses). Members
 // must be non-empty and unique; their order does not affect placement.
-func New(members []string, opts ...Option) (*Ring, error) {
+func New(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, ErrNoMembers
 	}
-	r := &Ring{
-		members: append([]string(nil), members...),
-		vnodes:  DefaultVirtualNodes,
-	}
-	for _, opt := range opts {
-		opt(r)
-	}
+	r := &Ring{members: append([]string(nil), members...)}
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
 		if m == "" {
@@ -98,11 +70,12 @@ func New(members []string, opts ...Option) (*Ring, error) {
 		seen[m] = true
 	}
 
-	r.points = make([]point, 0, len(members)*r.vnodes)
+	r.points = make([]point, 0, len(members)*VirtualNodes)
+	// The point hash's input starts with eight zero bytes, once a seed
+	// that no deployment ever set; they stay, or every placement moves.
 	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], r.seed)
 	for mi, m := range members {
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < VirtualNodes; v++ {
 			h := sha256.New()
 			binary.BigEndian.PutUint64(buf[8:], uint64(v))
 			h.Write(buf[:])
@@ -138,9 +111,6 @@ func (r *Ring) N() int { return len(r.members) }
 func (r *Ring) Members() []string {
 	return append([]string(nil), r.members...)
 }
-
-// VirtualNodes returns the per-member point count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
 
 // locate returns the index (into members) owning a circle position: the
 // first point at or after pos, wrapping to the first point.

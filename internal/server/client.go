@@ -18,12 +18,6 @@ import (
 // emulation).
 type Dialer func(addr string) (net.Conn, error)
 
-// ErrConnClosed is returned for calls on a connection that was torn
-// down, either by Close or by a context cancellation that interrupted an
-// in-flight frame (after which the stream is desynchronized and cannot
-// be reused).
-var ErrConnClosed = rpcmux.ErrClosed
-
 // Client is the client side of one storage-server connection. Requests
 // multiplex over the connection: concurrent calls are tagged with
 // request IDs and their round trips overlap (internal/rpcmux), so a

@@ -55,7 +55,6 @@ type Server struct {
 	// journals lists the WAL-backed stores by journalID (slot noJournal
 	// is nil): what dispatch commits and Flush checkpoints.
 	journals [numJournals]journal
-	workers  int
 
 	// baseCtx is the lifecycle root for request handling: it parents
 	// every dispatched request and is canceled by Shutdown once the
@@ -81,16 +80,6 @@ type Option interface {
 	applyServer(*Server)
 }
 
-type workersOption int
-
-func (o workersOption) applyServer(s *Server) { s.workers = int(o) }
-
-// WithWorkers sets the per-connection handler pool size (default
-// DefaultWorkers). One connection executes at most this many requests
-// concurrently; further frames queue in the socket, which is the
-// protocol's backpressure.
-func WithWorkers(n int) Option { return workersOption(n) }
-
 // New returns a server over the given backend. The context governs
 // construction only — it bounds crash recovery (snapshot loads, WAL
 // replays, the dedup store's container scrub), which can take real
@@ -114,16 +103,12 @@ func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, e
 		files:    files,
 		blobs:    blobs,
 		journals: [numJournals]journal{chunksJournal: chunks, filesJournal: files, blobsJournal: blobs},
-		workers:  DefaultWorkers,
 		conns:    make(map[net.Conn]struct{}),
 	}
 	//reed-vet:ignore ctxrule — the server's lifecycle root, canceled by Shutdown.
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	for _, o := range opts {
 		o.applyServer(s)
-	}
-	if s.workers < 1 {
-		s.workers = 1
 	}
 	s.initMetrics()
 	return s, nil
@@ -236,7 +221,7 @@ func writeReply(bw *bufio.Writer, conn io.Writer, f outFrame) error {
 }
 
 // handleConn serves one connection with concurrent dispatch: the read
-// loop keeps draining request frames while up to s.workers handlers for
+// loop keeps draining request frames while up to DefaultWorkers handlers for
 // earlier frames run; each response is written back tagged with its
 // request's ID by a dedicated writer goroutine, so responses may return
 // out of order. A full pool blocks the read loop (backpressure), and a
@@ -256,7 +241,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, connBuf)
 	bw := bufio.NewWriterSize(conn, connBuf)
 
-	respCh := make(chan outFrame, s.workers)
+	respCh := make(chan outFrame, DefaultWorkers)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -276,7 +261,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}()
 
-	sem := make(chan struct{}, s.workers)
+	sem := make(chan struct{}, DefaultWorkers)
 	var handlers sync.WaitGroup
 	for {
 		typ, id, payload, err := proto.ReadFrame(br)
