@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fingerprint"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 // TestRandomOpSequenceInvariants drives the store with random
@@ -57,8 +58,12 @@ func cloneModel(m map[fingerprint.Fingerprint]modelChunk) map[fingerprint.Finger
 //
 // The model also keeps the durable state: a copy taken at every Commit
 // and Flush, and at every Deref whose compaction committed the log
-// itself (a Put that compacts commits before it journals the put). A crash abandons the store and opens a new one over the same
-// backend; the new store must match that copy on every Get, Refs and
+// itself (a Put that compacts commits before it journals the put). A
+// crash cuts the power to the store's backend, half the time while a
+// commit writes the open container's tail (if it has one to write):
+// that write lands torn, as storetest.Faulty.Cut leaves a write in
+// flight, and the commit's log batch never does. A new store opened on
+// what the cut left must match the durable copy on every Get, Refs and
 // Stats field. The stream stays far below autoCommitBytes (300 steps,
 // at most 1.7 KB per put), so no commit happens that the model does not
 // see.
@@ -66,8 +71,8 @@ func runOpSequence(t *testing.T, seed int64) {
 	t.Helper()
 	const containerSize = 4096 // small containers: plenty of sealing/compaction
 	rng := rand.New(rand.NewSource(seed))
-	backend := store.NewMemory()
-	s, err := Open(ctx, backend, containerSize)
+	faults := storetest.New()
+	s, err := Open(ctx, faults.View("server"), containerSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +206,15 @@ func runOpSequence(t *testing.T, seed int64) {
 			}
 			commit()
 
-		default: // crash: abandon the store, recover from the backend
-			crashBackend(t, rng, s, backend)
-			if s, err = Open(ctx, backend, containerSize); err != nil {
+		default: // crash: cut the power, recover from what it left
+			if rng.Intn(2) == 0 {
+				at := &storetest.Rule{Ops: storetest.WriteAt, NS: []string{store.NSContainers}}
+				if lost, _ := faults.CutAt(rng, at, func() error { return s.Commit(ctx) }, "server"); lost < 0 {
+					commit() // there was no tail to write, and the commit landed
+				}
+			}
+			faults.Cut(rng, "server")
+			if s, err = Open(ctx, faults.View("server"), containerSize); err != nil {
 				t.Fatalf("seed %d step %d: recovery: %v", seed, step, err)
 			}
 			model = cloneModel(durable)
@@ -214,22 +225,4 @@ func runOpSequence(t *testing.T, seed int64) {
 		}
 	}
 	checkAll(300)
-}
-
-// crashBackend leaves the backend as kill -9 would after s is
-// abandoned. Half the time that is the backend as it stands; the other
-// half the crash tore a commit point's container write: the open
-// container's blob ends at a random length at or above its committed
-// length, inside the tail the store had not yet committed.
-func crashBackend(t *testing.T, rng *rand.Rand, s *Store, backend *store.Memory) {
-	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rng.Intn(2) == 0 || s.openBodyLen() == 0 {
-		return
-	}
-	torn := s.current[:s.committed+rng.Intn(len(s.current)-s.committed+1)]
-	if err := backend.Put(ctx, store.NSContainers, containerName(s.currentID), torn); err != nil {
-		t.Fatal(err)
-	}
 }

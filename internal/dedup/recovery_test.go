@@ -12,31 +12,8 @@ import (
 
 	"repro/internal/fingerprint"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
-
-// cloneBackend copies the dedup-relevant namespaces into a fresh
-// Memory backend, so a test can corrupt the copy while keeping the
-// original as its reference.
-func cloneBackend(t *testing.T, b store.Backend) *store.Memory {
-	t.Helper()
-	out := store.NewMemory()
-	for _, ns := range []string{store.NSContainers, store.NSMeta, store.NSWAL} {
-		names, err := b.List(ctx, ns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range names {
-			blob, err := b.Get(ctx, ns, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := out.Put(ctx, ns, name, blob); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return out
-}
 
 // verifyChunks asserts every fingerprint reads back its original bytes.
 func verifyChunks(t *testing.T, s *Store, fps []fingerprint.Fingerprint, datas [][]byte) {
@@ -308,7 +285,7 @@ func TestTornFinalSegmentEveryByteBoundary(t *testing.T) {
 	}
 
 	for cut := 0; cut <= len(full); cut++ {
-		torn := cloneBackend(t, backend)
+		torn := storetest.Copy(backend, store.NSContainers, store.NSMeta, store.NSWAL)
 		if err := torn.Put(ctx, store.NSWAL, last, full[:cut]); err != nil {
 			t.Fatal(err)
 		}

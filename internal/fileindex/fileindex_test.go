@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/wal"
 )
 
@@ -29,27 +30,6 @@ func decodeSnapshot(blob []byte) (map[Key]string, error) {
 	var ix Index
 	_, err := wal.DecodeSnapshot(journalSpec, blob, (*state)(&ix))
 	return ix.entries, err
-}
-
-func cloneBackend(t *testing.T, b store.Backend) *store.Memory {
-	t.Helper()
-	out := store.NewMemory()
-	for _, ns := range []string{store.NSMeta, store.NSFileWAL} {
-		names, err := b.List(ctx, ns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range names {
-			blob, err := b.Get(ctx, ns, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := out.Put(ctx, ns, name, blob); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return out
 }
 
 func TestRegisterLookup(t *testing.T) {
@@ -195,7 +175,7 @@ func TestTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut <= len(full); cut++ {
-		torn := cloneBackend(t, backend)
+		torn := storetest.Copy(backend, store.NSMeta, store.NSFileWAL)
 		if err := torn.Put(ctx, store.NSFileWAL, last, full[:cut]); err != nil {
 			t.Fatal(err)
 		}
