@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fingerprint"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/wal"
 )
 
@@ -30,10 +31,10 @@ const (
 // sealed container alive at that point. Stores stopped writing this
 // format at snapshot version 4; the files stay to prove such a store
 // fails closed.
-var fixtureBlobs = []struct{ file, ns, name string }{
-	{"checkpoint_v3.bin", store.NSMeta, "dedup-index"},
-	{"wal_tail.bin", store.NSWAL, "w0000000000000001"},
-	{"container_1.bin", store.NSContainers, "c0000000000000001"},
+var fixtureBlobs = []storetest.Fixture{
+	{File: "checkpoint_v3.bin", NS: store.NSMeta, Name: "dedup-index"},
+	{File: "wal_tail.bin", NS: store.NSWAL, Name: "w0000000000000001"},
+	{File: "container_1.bin", NS: store.NSContainers, Name: "c0000000000000001"},
 }
 
 // fixtureBlobsV4 is the same history at snapshot version 4: the
@@ -43,19 +44,19 @@ var fixtureBlobs = []struct{ file, ns, name string }{
 // open container's bytes. Stores stopped writing sealed segments when
 // the log began to append in place; the files stay to prove such a
 // store fails closed.
-var fixtureBlobsV4 = []struct{ file, ns, name string }{
-	{"checkpoint_v4.bin", store.NSMeta, "dedup-index"},
-	{"wal_tail_v4.bin", store.NSWAL, "w0000000000000001"},
-	{"container_1.bin", store.NSContainers, "c0000000000000001"},
-	{"open_container_2.bin", store.NSContainers, "c0000000000000002"},
+var fixtureBlobsV4 = []storetest.Fixture{
+	{File: "checkpoint_v4.bin", NS: store.NSMeta, Name: "dedup-index"},
+	{File: "wal_tail_v4.bin", NS: store.NSWAL, Name: "w0000000000000001"},
+	{File: "container_1.bin", NS: store.NSContainers, Name: "c0000000000000001"},
+	{File: "open_container_2.bin", NS: store.NSContainers, Name: "c0000000000000002"},
 }
 
 // fixtureBlobsInPlace is the same history in the current format: the
 // version-4 blobs, with the WAL tail as one batch of an in-place
 // segment.
-var fixtureBlobsInPlace = []struct{ file, ns, name string }{
+var fixtureBlobsInPlace = []storetest.Fixture{
 	fixtureBlobsV4[0],
-	{"wal_tail_inplace.bin", store.NSWAL, "w0000000000000001"},
+	{File: "wal_tail_inplace.bin", NS: store.NSWAL, Name: "w0000000000000001"},
 	fixtureBlobsV4[2],
 	fixtureBlobsV4[3],
 }
@@ -113,7 +114,7 @@ func TestFixturesKnownAnswer(t *testing.T) {
 	backend := runFixtureScript(t)
 	want := make(map[string][]string)
 	for _, fx := range fixtureBlobsInPlace {
-		want[fx.ns] = append(want[fx.ns], fx.name)
+		want[fx.NS] = append(want[fx.NS], fx.Name)
 	}
 	for ns, wantNames := range want {
 		names, err := backend.List(ctx, ns)
@@ -125,11 +126,11 @@ func TestFixturesKnownAnswer(t *testing.T) {
 		}
 	}
 	for _, fx := range fixtureBlobsInPlace {
-		got, err := backend.Get(ctx, fx.ns, fx.name)
+		got, err := backend.Get(ctx, fx.NS, fx.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", fx.file)
+		path := filepath.Join("testdata", fx.File)
 		if *update {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)
@@ -141,25 +142,9 @@ func TestFixturesKnownAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: scripted state differs from the committed fixture", fx.file)
+			t.Errorf("%s: scripted state differs from the committed fixture", fx.File)
 		}
 	}
-}
-
-// putFixtures copies the committed files of blobs into a fresh backend.
-func putFixtures(t *testing.T, blobs []struct{ file, ns, name string }) store.Backend {
-	t.Helper()
-	backend := store.NewMemory()
-	for _, fx := range blobs {
-		blob, err := os.ReadFile(filepath.Join("testdata", fx.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := backend.Put(ctx, fx.ns, fx.name, blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return backend
 }
 
 // TestRetiredLayoutsFailClosed reads only the committed bytes of the
@@ -169,12 +154,12 @@ func putFixtures(t *testing.T, blobs []struct{ file, ns, name string }) store.Ba
 // every blob as it was, so the upgrade step the error names still
 // finds the store intact.
 func TestRetiredLayoutsFailClosed(t *testing.T) {
-	for name, blobs := range map[string][]struct{ file, ns, name string }{
+	for name, blobs := range map[string][]storetest.Fixture{
 		"version-3 checkpoint": fixtureBlobs,
 		"sealed WAL tail":      fixtureBlobsV4,
 	} {
 		t.Run(name, func(t *testing.T) {
-			backend := putFixtures(t, blobs)
+			backend := storetest.Load(t, blobs...)
 			_, err := Open(ctx, backend, fixtureContainerSize)
 			if !errors.Is(err, wal.ErrRetiredLayout) {
 				t.Fatalf("Open = %v, want wal.ErrRetiredLayout", err)
@@ -186,8 +171,8 @@ func TestRetiredLayoutsFailClosed(t *testing.T) {
 				}
 				var want []string
 				for _, fx := range blobs {
-					if fx.ns == ns {
-						want = append(want, fx.name)
+					if fx.NS == ns {
+						want = append(want, fx.Name)
 					}
 				}
 				if !slices.Equal(names, want) {
@@ -195,10 +180,10 @@ func TestRetiredLayoutsFailClosed(t *testing.T) {
 				}
 			}
 			for _, fx := range blobs {
-				got, err := backend.Get(ctx, fx.ns, fx.name)
-				want, _ := os.ReadFile(filepath.Join("testdata", fx.file))
+				got, err := backend.Get(ctx, fx.NS, fx.Name)
+				want, _ := os.ReadFile(filepath.Join("testdata", fx.File))
 				if err != nil || !bytes.Equal(got, want) {
-					t.Errorf("%s changed by the failed Open (%v)", fx.file, err)
+					t.Errorf("%s changed by the failed Open (%v)", fx.File, err)
 				}
 			}
 		})
@@ -214,13 +199,13 @@ func TestFixturesV4KeepOpening(t *testing.T) {
 	t.Run("in-place segment", func(t *testing.T) { checkV4Fixtures(t, fixtureBlobsInPlace) })
 }
 
-func checkV4Fixtures(t *testing.T, blobs []struct{ file, ns, name string }) {
-	backend := putFixtures(t, blobs)
+func checkV4Fixtures(t *testing.T, blobs []storetest.Fixture) {
+	backend := storetest.Load(t, blobs...)
 	for _, fx := range blobs {
-		if fx.ns != store.NSWAL {
+		if fx.NS != store.NSWAL {
 			continue
 		}
-		blob, err := backend.Get(ctx, fx.ns, fx.name)
+		blob, err := backend.Get(ctx, fx.NS, fx.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

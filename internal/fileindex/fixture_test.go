@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/wal"
 )
 
@@ -21,16 +22,16 @@ var update = flag.Bool("update", false, "rewrite the snapshot and in-place WAL f
 // sealed-segment layout. Stores stopped writing that layout when the
 // log began to append in place; the file stays to prove such a store
 // fails closed.
-var fixtureBlobs = []struct{ file, ns, name string }{
-	{"snapshot_v1.bin", store.NSMeta, "file-index"},
-	{"wal_register.bin", store.NSFileWAL, "f0000000000000001"},
+var fixtureBlobs = []storetest.Fixture{
+	{File: "snapshot_v1.bin", NS: store.NSMeta, Name: "file-index"},
+	{File: "wal_register.bin", NS: store.NSFileWAL, Name: "f0000000000000001"},
 }
 
 // fixtureBlobsInPlace is the same history in the current format: the
 // registration is one batch of an in-place segment.
-var fixtureBlobsInPlace = []struct{ file, ns, name string }{
+var fixtureBlobsInPlace = []storetest.Fixture{
 	fixtureBlobs[0],
-	{"wal_register_inplace.bin", store.NSFileWAL, "f0000000000000001"},
+	{File: "wal_register_inplace.bin", NS: store.NSFileWAL, Name: "f0000000000000001"},
 }
 
 // fixtureEntries is the end state: seeds 1 and 2 are in the snapshot
@@ -68,18 +69,18 @@ func TestFixturesKnownAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fx := range fixtureBlobsInPlace {
-		names, err := backend.List(ctx, fx.ns)
+		names, err := backend.List(ctx, fx.NS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(names) != 1 || names[0] != fx.name {
-			t.Fatalf("namespace %s holds %v, want only %s", fx.ns, names, fx.name)
+		if len(names) != 1 || names[0] != fx.Name {
+			t.Fatalf("namespace %s holds %v, want only %s", fx.NS, names, fx.Name)
 		}
-		got, err := backend.Get(ctx, fx.ns, fx.name)
+		got, err := backend.Get(ctx, fx.NS, fx.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", fx.file)
+		path := filepath.Join("testdata", fx.File)
 		if *update {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)
@@ -91,32 +92,16 @@ func TestFixturesKnownAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: scripted state differs from the committed fixture", fx.file)
+			t.Errorf("%s: scripted state differs from the committed fixture", fx.File)
 		}
 	}
-}
-
-// putFixtures copies the committed files of blobs into a fresh backend.
-func putFixtures(t *testing.T, blobs []struct{ file, ns, name string }) store.Backend {
-	t.Helper()
-	backend := store.NewMemory()
-	for _, fx := range blobs {
-		blob, err := os.ReadFile(filepath.Join("testdata", fx.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := backend.Put(ctx, fx.ns, fx.name, blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return backend
 }
 
 // TestFixturesKeepOpening reads only the committed bytes of the current
 // layout: an index opened over them must hold all three entries.
 func TestFixturesKeepOpening(t *testing.T) {
 	t.Run("in-place segment", func(t *testing.T) {
-		ix, err := Open(ctx, putFixtures(t, fixtureBlobsInPlace))
+		ix, err := Open(ctx, storetest.Load(t, fixtureBlobsInPlace...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,19 +120,19 @@ func TestFixturesKeepOpening(t *testing.T) {
 // of the retired sealed layout, Open must fail with
 // wal.ErrRetiredLayout and leave both blobs byte for byte as they were.
 func TestSealedSegmentFixtureFailsClosed(t *testing.T) {
-	backend := putFixtures(t, fixtureBlobs)
+	backend := storetest.Load(t, fixtureBlobs...)
 	if _, err := Open(ctx, backend); !errors.Is(err, wal.ErrRetiredLayout) {
 		t.Fatalf("Open = %v, want wal.ErrRetiredLayout", err)
 	}
 	for _, fx := range fixtureBlobs {
-		names, err := backend.List(ctx, fx.ns)
-		if err != nil || !slices.Equal(names, []string{fx.name}) {
-			t.Errorf("namespace %s holds %v (%v), want only %s", fx.ns, names, err, fx.name)
+		names, err := backend.List(ctx, fx.NS)
+		if err != nil || !slices.Equal(names, []string{fx.Name}) {
+			t.Errorf("namespace %s holds %v (%v), want only %s", fx.NS, names, err, fx.Name)
 		}
-		got, err := backend.Get(ctx, fx.ns, fx.name)
-		want, _ := os.ReadFile(filepath.Join("testdata", fx.file))
+		got, err := backend.Get(ctx, fx.NS, fx.Name)
+		want, _ := os.ReadFile(filepath.Join("testdata", fx.File))
 		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s changed by the failed Open (%v)", fx.file, err)
+			t.Errorf("%s changed by the failed Open (%v)", fx.File, err)
 		}
 	}
 }

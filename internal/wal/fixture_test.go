@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 var update = flag.Bool("update", false, "rewrite the in-place segment fixture in testdata/ (an at-rest format break)")
@@ -83,14 +84,7 @@ func TestSegmentKnownAnswer(t *testing.T) {
 // the records it replays and the backend it healed.
 func replayFixture(t *testing.T, file string) ([][]byte, store.Backend) {
 	t.Helper()
-	seg, err := os.ReadFile(filepath.Join("testdata", file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := store.NewMemory()
-	if err := b.Put(ctx, store.NSWAL, fixtureSegment, seg); err != nil {
-		t.Fatal(err)
-	}
+	b := storetest.Load(t, storetest.Fixture{File: file, NS: store.NSWAL, Name: fixtureSegment})
 	l := openLog(t, b)
 	if pos := mustRoll(t, l); pos != 1 {
 		t.Fatalf("%s: the log appends to segment %d, want 1", file, pos)
@@ -122,22 +116,16 @@ func checkRecords(t *testing.T, file string, got, want [][]byte) {
 // with ErrRetiredLayout, not heal it as a torn first append, and leave
 // it byte for byte as it was.
 func TestSegmentFixtureFailsClosed(t *testing.T) {
-	seg, err := os.ReadFile(filepath.Join("testdata", sealedFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := store.NewMemory()
-	if err := b.Put(ctx, store.NSWAL, fixtureSegment, seg); err != nil {
-		t.Fatal(err)
-	}
-	err = openLog(t, b).Replay(ctx, 0, func([]byte) error {
+	b := storetest.Load(t, storetest.Fixture{File: sealedFixture, NS: store.NSWAL, Name: fixtureSegment})
+	err := openLog(t, b).Replay(ctx, 0, func([]byte) error {
 		t.Error("replayed a record")
 		return nil
 	})
 	if !errors.Is(err, ErrRetiredLayout) || errors.Is(err, ErrTorn) {
 		t.Errorf("Replay = %v, want ErrRetiredLayout", err)
 	}
-	if got, err := b.Get(ctx, store.NSWAL, fixtureSegment); err != nil || !bytes.Equal(got, seg) {
+	want, _ := os.ReadFile(filepath.Join("testdata", sealedFixture))
+	if got, err := b.Get(ctx, store.NSWAL, fixtureSegment); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("%s changed by the failed replay (%v)", sealedFixture, err)
 	}
 }
