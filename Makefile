@@ -4,7 +4,7 @@ GO ?= go
 # install the same thing.
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: check vet vet-bench vet-reed vet-reed-test fuzz-smoke tools staticcheck build test race chaos crash-recovery fmt-check vuln cover bench-smoke bench-mux bench-json bench-ratchet admin-smoke loc clean
+.PHONY: check vet vet-bench vet-reed vet-reed-test fuzz-smoke tools staticcheck build test race chaos crash-recovery fmt-check vuln cover bench-smoke bench-mux admin-smoke loc clean
 
 # check is the CI gate: vet, project-specific static analysis and its
 # own tests, build everything, race-enabled tests.
@@ -128,37 +128,10 @@ bench-smoke:
 
 # bench-mux measures request pipelining over one connection with an
 # emulated 2 ms propagation delay: inflight=1 is the lockstep baseline,
-# inflight>=8 should beat it by well over 2x.
+# inflight>=8 should beat it by well over 2x. It prints the curve; the
+# Tier-1 TestMuxedGetsPipelineOneConnection is what fails on lockstep.
 bench-mux:
 	$(GO) test -run NONE -bench=BenchmarkMuxedGets -benchtime=3x ./internal/server/
-
-# bench-json runs the pipeline, mux, shard, OPRF-keygen, warm-upload
-# and rekey-delay (Figure 8a/8b) benchmarks
-# and archives machine-readable results (cmd/reed-benchjson), for
-# diffing runs across commits or machines. The committed BENCH_*.json
-# files are the ratchet baselines — refresh them here intentionally,
-# never by accident. Each suite runs -count=3 and keeps the best value
-# per metric (-bestof), so a baseline is never inflated by one noisy
-# repeat.
-bench-json:
-	$(GO) test -run NONE -bench=BenchmarkStreamingUpload -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/reed-benchjson -bestof -o BENCH_pipeline.json
-	$(GO) test -run NONE -bench=BenchmarkMuxedGets -benchtime=3x -count=3 ./internal/server/ \
-		| $(GO) run ./cmd/reed-benchjson -bestof -o BENCH_mux.json
-	$(GO) test -run NONE -bench=BenchmarkShardedPut -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/reed-benchjson -bestof -o BENCH_shard.json
-	$(GO) test -run NONE -bench=BenchmarkKeygenPerChunk -benchtime=1000x -count=3 ./internal/oprf/ \
-		| $(GO) run ./cmd/reed-benchjson -bestof -o BENCH_oprf.json
-	$(GO) test -run NONE -bench=BenchmarkWarmUpload -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/reed-benchjson -bestof -o BENCH_warm.json
-	$(GO) test -run NONE -bench='BenchmarkFig8(aRekeyUsers|bRekeyRatio)' -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/reed-benchjson -bestof -o BENCH_rekey.json
-
-# bench-ratchet re-runs the archived benchmarks and fails if any
-# direction-classified metric regresses more than 15% against the
-# committed BENCH_*.json baselines (override with TOLERANCE=0.30).
-bench-ratchet:
-	@sh scripts/bench_ratchet.sh
 
 # admin-smoke boots a real reed-server with the admin endpoint enabled
 # and checks /metrics (valid JSON), /metrics?format=text, and /healthz

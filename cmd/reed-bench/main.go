@@ -35,7 +35,7 @@ func main() {
 
 func run() error {
 	var (
-		runSel    = flag.String("run", "all", "experiment: all, fig5a, fig5b, fig6, fig7, fig7c, fig8a, fig8b, fig8c, fig9, fig10, stream, shard, warm, ablations")
+		runSel    = flag.String("run", "all", "experiment: all, fig5a, fig5b, fig6, fig7, fig7c, fig8a, fig8b, fig8c, fig9, fig10, shard, ablations")
 		fileMB    = flag.Int("file-mb", 64, "file size in MB standing in for the paper's 2 GB")
 		servers   = flag.Int("servers", 4, "number of data-store servers")
 		link      = flag.Bool("link", true, "emulate the paper's 1 Gb/s LAN (~116 MB/s effective)")
@@ -78,9 +78,7 @@ func run() error {
 		{"fig8c", runFig8c},
 		{"fig9", runFig9},
 		{"fig10", runFig10},
-		{"stream", runStream},
 		{"shard", runShard},
-		{"warm", runWarm},
 		{"ablations", runAblations},
 	}
 	var ran int
@@ -176,24 +174,6 @@ func runFig7c(o experiments.Options, _ experiments.TraceOptions) error {
 	return nil
 }
 
-func runStream(o experiments.Options, _ experiments.TraceOptions) error {
-	header("Streaming pipeline: cold upload speed, segment pipeline vs sequential")
-	points, err := experiments.StreamingUpload(o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-12s %-10s %-14s %-14s %-10s %s\n",
-		"scheme", "segment", "pipelined", "sequential", "speedup", "peak buffered")
-	for _, p := range points {
-		fmt.Printf("%-12s %-10s %-14s %-14s %-10s %.1f MB\n",
-			p.Scheme, fmt.Sprintf("%d MB", p.SegmentMB),
-			fmt.Sprintf("%.1f MB/s", p.PipelinedMBps),
-			fmt.Sprintf("%.1f MB/s", p.SequentialMBps),
-			fmt.Sprintf("%.2fx", p.Speedup), p.PeakBufferedMB)
-	}
-	return nil
-}
-
 func runShard(o experiments.Options, _ experiments.TraceOptions) error {
 	header("Shard saturation: aggregate PUT speed vs shard count (3 clients, per-shard ports)")
 	// The per-shard ingress port must be the bottleneck; the gigabit
@@ -206,21 +186,6 @@ func runShard(o experiments.Options, _ experiments.TraceOptions) error {
 	fmt.Printf("%-10s %-10s %s\n", "shards", "clients", "aggregate")
 	for _, p := range points {
 		fmt.Printf("%-10d %-10d %.1f MB/s\n", p.Shards, p.Clients, p.AggregateMBps)
-	}
-	return nil
-}
-
-func runWarm(o experiments.Options, _ experiments.TraceOptions) error {
-	header("Two-phase upload: cold vs warm re-upload (whole-file fast path)")
-	points, err := experiments.WarmUpload(o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %-12s %-14s %s\n", "phase", "upload", "wire bytes", "whole-file hit")
-	for _, p := range points {
-		fmt.Printf("%-8s %-12s %-14s %v\n", p.Phase,
-			fmt.Sprintf("%.1f MB/s", p.UploadMBps),
-			fmt.Sprintf("%.1f MB", float64(p.WireBytes)/(1<<20)), p.WholeFileHit)
 	}
 	return nil
 }

@@ -2,18 +2,44 @@ package client
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/proto"
 )
 
+// chunkPlane is what a client's registry shows of its chunk traffic:
+// trimmed bytes sent, and HasChunks and PutChunks calls over all shards.
+type chunkPlane struct{ wireBytes, hasCalls, putCalls uint64 }
+
+func chunkPlaneCounters(reg *metrics.Registry) chunkPlane {
+	snap := reg.Snapshot()
+	calls := func(op proto.MsgType) (n uint64) {
+		prefix := strings.TrimSuffix(metrics.Label("rpc_total", "op", proto.OpNames()[op]), "}") + ","
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, prefix) {
+				n += v
+			}
+		}
+		return n
+	}
+	return chunkPlane{
+		wireBytes: snap.Counters["upload_wire_bytes"],
+		hasCalls:  calls(proto.MsgHasChunksReq),
+		putCalls:  calls(proto.MsgPutChunksReq),
+	}
+}
+
 // TestWholeFileFastPath: re-uploading identical bytes under the same
-// policy must take the clone path — no chunk data on the wire — and
-// both files must download bit-identically.
+// policy must take the clone path — no chunk data on the wire, and no
+// chunk lookup either — and both files must download bit-identically.
 func TestWholeFileFastPath(t *testing.T) {
 	cluster := startCluster(t)
-	c := newUser(t, cluster, "alice", core.SchemeEnhanced)
+	reg := metrics.NewRegistry()
+	c := knownUser(t, cluster, "alice", func(cfg *Config) { cfg.Metrics = reg })
 	data := randomFile(t, 256<<10, 71)
 	pol := policy.OrOfUsers([]string{"alice"})
 
@@ -24,9 +50,18 @@ func TestWholeFileFastPath(t *testing.T) {
 	if cold.WholeFileHit {
 		t.Fatal("first upload of unique data reported a whole-file hit")
 	}
+	afterCold := chunkPlaneCounters(reg)
+	if afterCold.wireBytes == 0 || afterCold.hasCalls == 0 || afterCold.putCalls == 0 {
+		t.Fatalf("cold upload left chunk-plane counters at %+v, want all nonzero", afterCold)
+	}
 	warm, err := c.Upload(ctx, "/fp/clone", bytes.NewReader(data), pol)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The negative lookup alone would also keep every byte off the
+	// wire, so the lookup and put calls must not move either.
+	if afterWarm := chunkPlaneCounters(reg); afterWarm != afterCold {
+		t.Fatalf("warm upload moved chunk-plane counters: %+v, want %+v", afterWarm, afterCold)
 	}
 	if !warm.WholeFileHit {
 		t.Fatal("identical re-upload did not take the fast path")

@@ -13,6 +13,11 @@
 // The paper's testbed network (1 Gb/s switch, ~116 MB/s effective) is
 // emulated with internal/netem so network-bound plateaus appear at the
 // paper's level regardless of host speed.
+//
+// These runs print a figure's curve; none of them is a baseline. A
+// throughput number is compared across commits only by the repository
+// benchmark (bench/, declared in BENCHMARK.json), which measures
+// upload, key generation and rekey delay on the durable deployment.
 package experiments
 
 import (
@@ -27,7 +32,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/keyreg"
-	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/oprf"
 	"repro/internal/policy"
@@ -125,11 +129,7 @@ type clientParams struct {
 	cache    bool
 	workers  int
 	stubSize int
-	segBytes int  // pipeline segment budget (0 = default 64 MB)
 	ownLink  bool // give this client its own emulated NIC
-	// metrics instruments the client (the warm-upload experiment reads
-	// wire-byte counters off the registry).
-	metrics *metrics.Registry
 }
 
 func newClient(cluster *testenv.Cluster, o Options, p clientParams) (*client.Client, error) {
@@ -147,11 +147,9 @@ func newClient(cluster *testenv.Cluster, o Options, p clientParams) (*client.Cli
 		KeyGenBatch:    p.batch,
 		Workers:        p.workers,
 		StubSize:       p.stubSize,
-		SegmentBytes:   p.segBytes,
 		PrivateKey:     cluster.Authority.IssueKey(p.user, []string{p.user}),
 		Directory:      cluster.Authority,
 		Owner:          owner,
-		Metrics:        p.metrics,
 	}
 	if !p.cache {
 		cfg.CacheCapacity = -1

@@ -250,8 +250,9 @@ func TestBlindBatchRejectsBadParams(t *testing.T) {
 // 8 KiB chunk as the client and key manager run it, in batches of 1 024
 // (the client's default batch size): BlindBatch, EvaluateBatch,
 // FinalizeBatch. It reports MB/s of chunk data keyed. This is the
-// paper's Exp#1 bottleneck (12-14 MB/s on their testbed); the committed
-// BENCH_oprf baseline ratchets it.
+// paper's Exp#1 bottleneck (12-14 MB/s on their testbed). Across
+// commits the same cost is compared through the repository benchmark's
+// oprf.*_us_per_chunk and keymanager.generate_us_per_chunk lines.
 func BenchmarkKeygenPerChunk(b *testing.B) {
 	k := serverKey(b)
 	p := k.PublicParams()
