@@ -153,8 +153,7 @@ func TransformWithKeyInto(pkg, msg, key []byte) error {
 // already laid out: pkg[:len(pkg)-TailSize] holds the message and is
 // masked in place; the final TailSize bytes are overwritten with the
 // tail. This is the allocation-free core of the transform — callers
-// that can stage the message directly in the package buffer (the
-// upload pipeline builds [chunk || canary] that way) skip every
+// that can stage the message directly in the package buffer skip every
 // intermediate copy.
 func TransformInPlace(pkg, key []byte) error {
 	if len(pkg) < TailSize {
@@ -185,9 +184,9 @@ func Revert(pkg []byte) (msg, key []byte, err error) {
 	return msg, k[:], nil
 }
 
-// RevertParts is the one revert: it inverts the transform for a package
-// given as two parts, a || b, without joining them. b ends with the
-// TailSize-byte tail t, and the head C runs from a on into b. The key is
+// RevertParts inverts the transform for a package given as two parts,
+// a || b, without joining them. b ends with the TailSize-byte tail t,
+// and the head C runs from a on into b. The key is
 // K = t XOR H(C), and the message C XOR G(K) is written as ApplyMaskParts
 // writes it: its first len(first) bytes to first, the rest to rest. C is
 // hashed before any byte is written, so first may alias a to revert in

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -127,19 +128,28 @@ func (c *Client) downloadStream(ctx context.Context, name string, open func(*rec
 	for fw := range fetched {
 		n := fw.hi - fw.lo
 		plain := make([][]byte, n)
-		err := c.parallelEach(pctx, n, func(i int) error {
-			idx := fw.lo + i
-			// Each trimmed package is this window's own slice of a reply
-			// frame, distinct from every other even when the recipe repeats
-			// a chunk, so the chunk is reverted over it in place.
-			chunk, err := c.codec.Open(fw.trimmed[i][:0], core.Package{Trimmed: fw.trimmed[i], Stub: stubs[idx]})
-			if err != nil {
-				return fmt.Errorf("chunk %d: %w", idx, err)
+		err := c.batches(pctx, n, func(lo, hi int) error {
+			pkgs := make([]core.Package, hi-lo)
+			for i := lo; i < hi; i++ {
+				// Each trimmed package is this window's own slice of a
+				// reply frame, distinct from every other even when the
+				// recipe repeats a chunk, so the chunk is reverted over
+				// it in place.
+				pkgs[i-lo] = core.Package{Trimmed: fw.trimmed[i], Stub: stubs[fw.lo+i]}
+				plain[i] = fw.trimmed[i][:0]
 			}
-			if uint32(len(chunk)) != rec.Chunks[idx].Size {
-				return fmt.Errorf("chunk %d: size %d, recipe says %d", idx, len(chunk), rec.Chunks[idx].Size)
+			if err := c.codec.OpenBatch(plain[lo:hi], pkgs); err != nil {
+				var ce *core.ChunkError
+				if errors.As(err, &ce) {
+					return fmt.Errorf("chunk %d: %w", fw.lo+lo+ce.Index, ce.Err)
+				}
+				return err
 			}
-			plain[i] = chunk
+			for i := lo; i < hi; i++ {
+				if idx := fw.lo + i; uint32(len(plain[i])) != rec.Chunks[idx].Size {
+					return fmt.Errorf("chunk %d: size %d, recipe says %d", idx, len(plain[i]), rec.Chunks[idx].Size)
+				}
+			}
 			return nil
 		})
 		if err != nil {

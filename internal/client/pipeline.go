@@ -361,10 +361,12 @@ func (c *Client) upload(ctx context.Context, path string, src chunkSource, pol *
 	// per-segment latency observation covers everything from the
 	// segment's first byte to its handoff — including source reads and
 	// gate waits, which is what an operator watching a slow upload needs
-	// to see. The stage also folds every chunk into a linear SHA-256 of
-	// the whole file (chunks arrive in file order on this one
-	// goroutine); the finalizer reads it after wg.Wait, stamping the
-	// recipe's FileHash and registering the whole-file index entry.
+	// to see. Fingerprints are taken batchChunks at a time as chunks
+	// arrive, and for the rest at the cut. The stage also folds every
+	// chunk into a linear SHA-256 of the whole file (chunks arrive in
+	// file order on this one goroutine); the finalizer reads it after
+	// wg.Wait, stamping the recipe's FileHash and registering the
+	// whole-file index entry.
 	lin := sha256.New()
 	wg.Add(1)
 	go func() {
@@ -372,6 +374,7 @@ func (c *Client) upload(ctx context.Context, path string, src chunkSource, pol *
 		defer close(chunked)
 		seg := &segment{}
 		segStart := time.Now()
+		hashed := 0 // seg.chunks[:hashed] have their fpPlain
 		for {
 			var rr readResult
 			var ok bool
@@ -396,22 +399,25 @@ func (c *Client) upload(ctx context.Context, path string, src chunkSource, pol *
 				fail.fail(err)
 				return
 			}
-			seg.chunks = append(seg.chunks, encChunk{
-				data:    data,
-				size:    len(data),
-				fpPlain: fingerprint.New(data),
-			})
+			seg.chunks = append(seg.chunks, encChunk{data: data, size: len(data)})
 			seg.bytes += int64(len(data))
+			if len(seg.chunks)-hashed == batchChunks {
+				fingerprintChunks(seg.chunks[hashed:])
+				hashed = len(seg.chunks)
+			}
 			if seg.bytes >= unit {
+				fingerprintChunks(seg.chunks[hashed:])
 				c.stageChunk.Observe(time.Since(segStart))
 				if !sendSeg(pctx, chunked, seg) {
 					return
 				}
 				seg = &segment{index: seg.index + 1}
 				segStart = time.Now()
+				hashed = 0
 			}
 		}
 		if len(seg.chunks) > 0 {
+			fingerprintChunks(seg.chunks[hashed:])
 			c.stageChunk.Observe(time.Since(segStart))
 			sendSeg(pctx, chunked, seg)
 		}
@@ -443,31 +449,27 @@ func (c *Client) upload(ctx context.Context, path string, src chunkSource, pol *
 		}
 	}()
 
-	// Stage 3: CAONT-encrypt on the worker pool. The ciphertext is
-	// force-charged and the plaintext released right after, so the gate
-	// tracks live bytes without the stage ever blocking on itself. A
-	// chunk this client has encrypted before (knownResult) skips the
-	// transform: it leaves the stage with its trimmed package's name and
-	// its stub from the cache, and with its plaintext and key still held
-	// and charged, in case the cluster turns out not to store it
-	// (uploadSegment).
+	// Stage 3: CAONT-encrypt on the worker pool, batchChunks at a time.
+	// The ciphertext is force-charged and the plaintext released right
+	// after, so the gate tracks live bytes without the stage ever
+	// blocking on itself. A chunk this client has encrypted before
+	// (knownResult) skips the transform: it leaves the stage with its
+	// trimmed package's name and its stub from the cache, and with its
+	// plaintext and key still held and charged, in case the cluster
+	// turns out not to store it (uploadSegment).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(encrypted)
 		for seg := range keyed {
 			stageStart := time.Now()
-			err := c.parallelEach(pctx, len(seg.chunks), func(i int) error {
-				ch := &seg.chunks[i]
-				if c.knownResult(ch) {
-					return nil
+			var todo []*encChunk
+			for i := range seg.chunks {
+				if ch := &seg.chunks[i]; !c.knownResult(ch) {
+					todo = append(todo, ch)
 				}
-				if err := c.encryptChunk(gate, ch); err != nil {
-					return fmt.Errorf("chunk %d: %w", i, err)
-				}
-				return nil
-			})
-			if err != nil {
+			}
+			if err := c.encryptChunks(pctx, gate, todo); err != nil {
 				fail.fail(err)
 				return
 			}
@@ -597,23 +599,74 @@ func (c *Client) knownResult(ch *encChunk) bool {
 	return ok
 }
 
-// encryptChunk runs the CAONT transform on ch and moves the gate's
-// charge from its plaintext to its trimmed package. The result is
-// remembered beside the chunk's MLE key for knownResult.
-func (c *Client) encryptChunk(gate *byteGate, ch *encChunk) error {
-	pkg, err := c.codec.Encrypt(ch.data, ch.key)
-	if err != nil {
+// batchChunks is how many chunks the upload and download paths hand to
+// one batch call (fingerprint.SumBatch, core's EncryptBatch and
+// OpenBatch): enough to keep the hash kernel's sixteen lanes full, few
+// enough that a segment still spreads over the worker pool.
+const batchChunks = 64
+
+// fingerprintChunks sets the plaintext fingerprint of every chunk, in
+// one batch.
+func fingerprintChunks(chunks []encChunk) {
+	data := make([][]byte, len(chunks))
+	for i := range chunks {
+		data[i] = chunks[i].data
+	}
+	fps := make([]fingerprint.Fingerprint, len(chunks))
+	fingerprint.SumBatch(fps, data, nil)
+	for i := range chunks {
+		chunks[i].fpPlain = fps[i]
+	}
+}
+
+// batches cuts n items into the fewest runs of at most batchChunks,
+// as even as they divide, and calls fn with each run's [lo, hi) on the
+// worker pool.
+func (c *Client) batches(ctx context.Context, n int, fn func(lo, hi int) error) error {
+	k := (n + batchChunks - 1) / batchChunks
+	return c.parallelEach(ctx, k, func(b int) error {
+		return fn(b*n/k, (b+1)*n/k)
+	})
+}
+
+// encryptChunks runs encryptBatch over chunks in batches on the worker
+// pool.
+func (c *Client) encryptChunks(ctx context.Context, gate *byteGate, chunks []*encChunk) error {
+	return c.batches(ctx, len(chunks), func(lo, hi int) error {
+		return c.encryptBatch(gate, chunks[lo:hi])
+	})
+}
+
+// encryptBatch runs the CAONT transform on chunks, names their trimmed
+// packages, and moves the gate's charge from their plaintext to their
+// trimmed packages. Each result is remembered beside the chunk's MLE key
+// for knownResult.
+func (c *Client) encryptBatch(gate *byteGate, chunks []*encChunk) error {
+	data, keys := make([][]byte, len(chunks)), make([][]byte, len(chunks))
+	for i, ch := range chunks {
+		data[i], keys[i] = ch.data, ch.key
+	}
+	pkgs := make([]core.Package, len(chunks))
+	if err := c.codec.EncryptBatch(pkgs, data, keys); err != nil {
 		return err
 	}
-	ch.pkg = pkg
-	ch.fpTrim = fingerprint.New(pkg.Trimmed)
-	if c.keepsResults() {
-		c.cache.PutResult(ch.fpPlain, ch.fpTrim, pkg.Stub)
+	for i := range pkgs {
+		data[i] = pkgs[i].Trimmed
 	}
-	gate.force(int64(len(pkg.Trimmed)))
-	ch.data = nil
-	ch.key = nil
-	gate.release(int64(ch.size))
+	fps := make([]fingerprint.Fingerprint, len(chunks))
+	fingerprint.SumBatch(fps, data, nil)
+	var charged, released int64
+	for i, ch := range chunks {
+		ch.pkg, ch.fpTrim = pkgs[i], fps[i]
+		if c.keepsResults() {
+			c.cache.PutResult(ch.fpPlain, ch.fpTrim, ch.pkg.Stub)
+		}
+		charged += int64(len(ch.pkg.Trimmed))
+		released += int64(ch.size)
+		ch.data, ch.key = nil, nil
+	}
+	gate.force(charged)
+	gate.release(released)
 	return nil
 }
 
@@ -648,18 +701,17 @@ func (c *Client) uploadSegment(ctx context.Context, gate *byteGate, seg *segment
 			late = append(late, ch)
 		}
 	}
-	err := c.parallelEach(ctx, len(late), func(i int) error {
-		cached := late[i].fpTrim
-		if err := c.encryptChunk(gate, late[i]); err != nil {
-			return err
-		}
-		if late[i].fpTrim != cached {
-			return errors.New("client: cached encryption result does not match the chunk")
-		}
-		return nil
-	})
-	if err != nil {
+	cached := make([]fingerprint.Fingerprint, len(late))
+	for i, ch := range late {
+		cached[i] = ch.fpTrim
+	}
+	if err := c.encryptChunks(ctx, gate, late); err != nil {
 		return segStats{}, err
+	}
+	for i, ch := range late {
+		if ch.fpTrim != cached[i] {
+			return segStats{}, errors.New("client: cached encryption result does not match the chunk")
+		}
 	}
 	ups := make([]proto.ChunkUpload, 0, len(seg.chunks)-st.skipped)
 	var sent int64

@@ -39,23 +39,27 @@
 //
 // Reverting never rejoins the two parts. Every step of either revert —
 // hash, self-XOR, CTR keystream — runs over the trimmed package and then
-// on into the stub (the basic scheme's revert is aont.RevertParts; the
-// enhanced one is built from aont.SelfXORParts and aont.ApplyMaskParts),
-// and the chunk is 64 bytes shorter than the package, so Open can write
-// it over the trimmed package it is reading: a restore reverts each chunk
-// inside the reply frame that carried it.
+// on into the stub (fingerprint.SumBatch takes the stub's part as a
+// suffix; aont.SelfXORParts and aont.ApplyMaskParts run across the
+// boundary), and the chunk is 64 bytes shorter than the package, so Open
+// can write it over the trimmed package it is reading: a restore reverts
+// each chunk inside the reply frame that carried it.
+//
+// Both schemes work on batches (EncryptBatch, OpenBatch): a batch's
+// hashes are one fingerprint.SumBatch, which hashes sixteen chunks at a
+// time where the CPU allows. Encrypt and Open are the batch of one.
 package core
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/sha256"
 	"crypto/subtle"
 	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/aont"
+	"repro/internal/fingerprint"
 )
 
 const (
@@ -165,30 +169,73 @@ func (c *Codec) StubSize() int { return c.stubSize }
 const PackageOverhead = KeySize + aont.TailSize
 
 // Encrypt transforms chunk under mleKey into a trimmed package and stub.
-// The chunk must be non-empty and the MLE key exactly KeySize bytes.
+// The chunk must be non-empty and the MLE key exactly KeySize bytes. It
+// is EncryptBatch of one chunk.
 func (c *Codec) Encrypt(chunk, mleKey []byte) (Package, error) {
-	if len(chunk) == 0 {
-		return Package{}, errors.New("core: empty chunk")
+	var p [1]Package
+	if err := c.EncryptBatch(p[:], [][]byte{chunk}, [][]byte{mleKey}); err != nil {
+		return Package{}, unbatch(err)
 	}
-	if len(mleKey) != KeySize {
-		return Package{}, fmt.Errorf("core: MLE key length %d, want %d", len(mleKey), KeySize)
+	return p[0], nil
+}
+
+// EncryptBatch transforms chunks[i] under mleKeys[i] into pkgs[i], for
+// every i, as Encrypt does each, byte for byte: the scheme's hash runs
+// over every chunk of the batch in one fingerprint.SumBatch, the other
+// steps chunk by chunk. An error is a *ChunkError naming the first chunk
+// that failed; pkgs is then unspecified.
+func (c *Codec) EncryptBatch(pkgs []Package, chunks, mleKeys [][]byte) error {
+	if len(pkgs) != len(chunks) || len(mleKeys) != len(chunks) {
+		return errors.New("core: batch slices differ in length")
 	}
-	var (
-		pkg []byte
-		err error
-	)
+	for i, chunk := range chunks {
+		if len(chunk) == 0 {
+			return &ChunkError{i, errors.New("core: empty chunk")}
+		}
+		if len(mleKeys[i]) != KeySize {
+			return &ChunkError{i, fmt.Errorf("core: MLE key length %d, want %d", len(mleKeys[i]), KeySize)}
+		}
+		if n := len(chunk) + PackageOverhead; n < c.stubSize {
+			return &ChunkError{i, fmt.Errorf("core: package size %d below stub size %d", n, c.stubSize)}
+		}
+	}
+	full := make([][]byte, len(chunks))
+	var err error
 	switch c.scheme {
 	case SchemeBasic:
-		pkg, err = encryptBasic(chunk, mleKey)
+		err = sealBasic(full, chunks, mleKeys)
 	case SchemeEnhanced:
-		pkg, err = encryptEnhanced(chunk, mleKey)
+		err = sealEnhanced(full, chunks, mleKeys)
 	default:
-		return Package{}, ErrBadScheme
+		return ErrBadScheme
 	}
 	if err != nil {
-		return Package{}, err
+		return err
 	}
-	return c.split(pkg)
+	for i, pkg := range full {
+		cut := len(pkg) - c.stubSize
+		pkgs[i] = Package{Trimmed: pkg[:cut], Stub: pkg[cut:]}
+	}
+	return nil
+}
+
+// ChunkError names the chunk of a batch that failed and why.
+type ChunkError struct {
+	Index int
+	Err   error
+}
+
+func (e *ChunkError) Error() string { return fmt.Sprintf("chunk %d: %v", e.Index, e.Err) }
+
+func (e *ChunkError) Unwrap() error { return e.Err }
+
+// unbatch turns a batch-of-one error back into the chunk's own error.
+func unbatch(err error) error {
+	var ce *ChunkError
+	if errors.As(err, &ce) {
+		return ce.Err
+	}
+	return err
 }
 
 // Decrypt reverts a package back to the chunk, verifying integrity, into
@@ -208,126 +255,183 @@ func (c *Codec) Decrypt(p Package) ([]byte, error) {
 // that cannot fit there is appended to a new buffer instead). Any other
 // dst must not overlap p in its remaining capacity. p.Stub is only read,
 // unless it lies in that capacity. On error the bytes of dst up to its
-// capacity are unspecified.
+// capacity are unspecified. It is OpenBatch of one package.
 //
 // The package is reverted as its two parts, trimmed package and stub,
 // without rejoining them: the stub's last aont.TailSize bytes are the
 // package tail, and the head before it runs on from p.Trimmed into the
 // stub. A stub shorter than the tail is not a package of either scheme.
 func (c *Codec) Open(dst []byte, p Package) ([]byte, error) {
-	n := len(p.Trimmed) + len(p.Stub) - PackageOverhead
-	if len(p.Stub) < aont.TailSize || n < 0 {
-		return nil, ErrIntegrity
+	dsts := [1][]byte{dst}
+	if err := c.OpenBatch(dsts[:], []Package{p}); err != nil {
+		return nil, unbatch(err)
 	}
-	ret := slices.Grow(dst, n)[:len(dst)+n]
-	var err error
+	return dsts[0], nil
+}
+
+// OpenBatch reverts pkgs[i] as Open(dsts[i], pkgs[i]) does, for every i,
+// and stores the extended slice in dsts[i]: each dsts[i] has Open's dst
+// contract, and must not overlap any other package of the batch in its
+// remaining capacity either. The integrity hashes run over every package
+// in one fingerprint.SumBatch, the other steps package by package. An
+// error is a *ChunkError naming the first package that failed (wrapping
+// ErrIntegrity for a tampered one); the bytes of every dsts[i] up to its
+// capacity are then unspecified.
+func (c *Codec) OpenBatch(dsts [][]byte, pkgs []Package) error {
+	if len(dsts) != len(pkgs) {
+		return errors.New("core: batch slices differ in length")
+	}
+	outs := make([][]byte, len(pkgs))
+	for i, p := range pkgs {
+		n := len(p.Trimmed) + len(p.Stub) - PackageOverhead
+		if len(p.Stub) < aont.TailSize || n < 0 {
+			return &ChunkError{i, ErrIntegrity}
+		}
+		d := dsts[i]
+		dsts[i] = slices.Grow(d, n)[:len(d)+n]
+		outs[i] = dsts[i][len(d):]
+	}
 	switch c.scheme {
 	case SchemeBasic:
-		err = openBasic(ret[len(dst):], p.Trimmed, p.Stub)
+		return openBasic(outs, pkgs)
 	case SchemeEnhanced:
-		err = openEnhanced(ret[len(dst):], p.Trimmed, p.Stub)
+		return openEnhanced(outs, pkgs)
 	default:
-		err = ErrBadScheme
+		return ErrBadScheme
 	}
-	if err != nil {
-		return nil, err
-	}
-	return ret, nil
 }
 
-// split separates a full package into trimmed package and stub.
-func (c *Codec) split(pkg []byte) (Package, error) {
-	if len(pkg) < c.stubSize {
-		return Package{}, fmt.Errorf("core: package size %d below stub size %d", len(pkg), c.stubSize)
-	}
-	cut := len(pkg) - c.stubSize
-	return Package{Trimmed: pkg[:cut], Stub: pkg[cut:]}, nil
+// stubParts splits a package's stub into the head, which runs on from
+// the trimmed package, and the tail t.
+func stubParts(p Package) (head, tail []byte) {
+	cut := len(p.Stub) - aont.TailSize
+	return p.Stub[:cut], p.Stub[cut:]
 }
 
-// encryptBasic implements Figure 2 with a single buffer: the package is
-// laid out as [M || canary || tail] up front and transformed in place,
-// so the only copies are the chunk into the head and one AES-CTR pass.
-func encryptBasic(chunk, mleKey []byte) ([]byte, error) {
-	pkg := make([]byte, len(chunk)+CanarySize+aont.TailSize)
-	copy(pkg, chunk) // the canary bytes stay zero
-	if err := aont.TransformInPlace(pkg, mleKey); err != nil {
-		return nil, fmt.Errorf("core: basic transform: %w", err)
+// wipeSums wipes hash keys with Wipe.
+func wipeSums(sums []fingerprint.Fingerprint) {
+	for i := range sums {
+		Wipe(sums[i][:])
 	}
-	return pkg, nil
 }
 
-// openBasic reverts Figure 2 into out and checks the canary: the CAONT
-// revert of the package trimmed || stub, with M going to out and the
-// canary beside it.
-func openBasic(out, trimmed, stub []byte) error {
-	key := [KeySize]byte{} //reed:secret — the recovered MLE key; the canary checks it
-	defer Wipe(key[:])
-	var canary [CanarySize]byte
-	key, err := aont.RevertParts(out, canary[:], trimmed, stub)
-	if err != nil {
-		return fmt.Errorf("core: basic revert: %w", err)
+// sealBasic implements Figure 2, each package laid out as [M || canary ||
+// tail] up front and transformed in place, so the only copies are the
+// chunk into the head and one AES-CTR pass: C = (M || c) XOR G(K_M),
+// then one SumBatch over every C, then t = K_M XOR H(C).
+func sealBasic(pkgs, chunks, mleKeys [][]byte) error {
+	heads := make([][]byte, len(chunks))
+	for i, chunk := range chunks {
+		pkg := make([]byte, len(chunk)+CanarySize+aont.TailSize)
+		copy(pkg, chunk) // the canary bytes stay zero
+		heads[i] = pkg[:len(chunk)+CanarySize]
+		if err := aont.ApplyMask(mleKeys[i], heads[i]); err != nil {
+			return &ChunkError{i, fmt.Errorf("core: basic transform: %w", err)}
+		}
+		pkgs[i] = pkg
 	}
-	if canary != [CanarySize]byte{} {
-		return ErrIntegrity
+	hc := make([]fingerprint.Fingerprint, len(chunks))
+	fingerprint.SumBatch(hc, heads, nil)
+	for i, head := range heads {
+		subtle.XORBytes(pkgs[i][len(head):], mleKeys[i], hc[i][:])
 	}
 	return nil
 }
 
-// encryptEnhanced implements Figure 3, staging X = C1 || K_M directly in
-// the package buffer so masking happens in place and nothing is copied
-// twice.
-func encryptEnhanced(chunk, mleKey []byte) ([]byte, error) {
-	pkg := make([]byte, len(chunk)+KeySize+aont.TailSize)
-	x := pkg[:len(chunk)+KeySize]
-
-	// C1 = E(K_M, M): deterministic MLE encryption, straight into the
-	// package head.
-	if err := mleEncrypt(x[:len(chunk)], chunk, mleKey); err != nil {
-		return nil, err
+// openBasic reverts Figure 2 into outs and checks each canary: the CAONT
+// revert of the package trimmed || stub, with M going to out and the
+// canary beside it. K_M = t XOR H(C), and every C is hashed, in one
+// SumBatch, before any out (possibly the trimmed package itself) is
+// written.
+func openBasic(outs [][]byte, pkgs []Package) error {
+	trimmed, heads := make([][]byte, len(pkgs)), make([][]byte, len(pkgs))
+	for i, p := range pkgs {
+		trimmed[i] = p.Trimmed
+		heads[i], _ = stubParts(p)
 	}
-	copy(x[len(chunk):], mleKey)
-
-	// h = H(X); C2 = X XOR G(h), in place.
-	h := sha256.Sum256(x)
-	if err := aont.ApplyMask(h[:], x); err != nil {
-		return nil, fmt.Errorf("core: enhanced mask: %w", err)
+	keys := make([]fingerprint.Fingerprint, len(pkgs)) // the recovered MLE keys
+	defer wipeSums(keys)
+	fingerprint.SumBatch(keys, trimmed, heads)
+	for i, p := range pkgs {
+		head, tail := stubParts(p)
+		key := keys[i][:]
+		subtle.XORBytes(key, key, tail)
+		var canary [CanarySize]byte
+		if err := aont.ApplyMaskParts(key, outs[i], canary[:], p.Trimmed, head); err != nil {
+			return &ChunkError{i, fmt.Errorf("core: basic revert: %w", err)}
+		}
+		if canary != [CanarySize]byte{} {
+			return &ChunkError{i, ErrIntegrity}
+		}
 	}
-
-	// t = SelfXOR(C2) XOR h.
-	tail := aont.SelfXOR(x)
-	for i := range tail {
-		tail[i] ^= h[i]
-	}
-	copy(pkg[len(x):], tail[:])
-	return pkg, nil
+	return nil
 }
 
-// openEnhanced reverts Figure 3 into out and checks H(C1 || K_M) == h.
-// The package is trimmed || stub: its head C2 runs on into the stub, whose
-// last aont.TailSize bytes are the tail t.
-func openEnhanced(out, trimmed, stub []byte) error {
-	stubHead, tail := stub[:len(stub)-aont.TailSize], stub[len(stub)-aont.TailSize:]
-	// h = SelfXOR(C2) XOR t, folded before out (possibly trimmed itself)
-	// is overwritten.
-	h := aont.SelfXORParts(trimmed, stubHead)
-	subtle.XORBytes(h[:], h[:], tail)
-
-	// C1 || K_M = C2 XOR G(h): C1 fills out, K_M lands beside it.
-	key := [KeySize]byte{} //reed:secret — the recovered MLE key
-	defer Wipe(key[:])
-	if err := aont.ApplyMaskParts(h[:], out, key[:], trimmed, stubHead); err != nil {
-		return fmt.Errorf("core: enhanced unmask: %w", err)
+// sealEnhanced implements Figure 3, staging X = C1 || K_M directly in
+// each package buffer so masking happens in place and nothing is copied
+// twice. Every h = H(X) comes from one SumBatch.
+func sealEnhanced(pkgs, chunks, mleKeys [][]byte) error {
+	xs := make([][]byte, len(chunks))
+	for i, chunk := range chunks {
+		pkg := make([]byte, len(chunk)+KeySize+aont.TailSize)
+		x := pkg[:len(chunk)+KeySize]
+		// C1 = E(K_M, M): deterministic MLE encryption, straight into
+		// the package head.
+		if err := mleEncrypt(x[:len(chunk)], chunk, mleKeys[i]); err != nil {
+			return &ChunkError{i, err}
+		}
+		copy(x[len(chunk):], mleKeys[i])
+		pkgs[i], xs[i] = pkg, x
 	}
-
-	// Integrity: H(C1 || K_M) must equal h.
-	d := sha256.New()
-	d.Write(out)
-	d.Write(key[:])
-	if subtle.ConstantTimeCompare(d.Sum(nil), h[:]) != 1 {
-		return ErrIntegrity
+	hs := make([]fingerprint.Fingerprint, len(chunks)) // the hash keys h
+	defer wipeSums(hs)
+	fingerprint.SumBatch(hs, xs, nil)
+	for i, x := range xs {
+		// C2 = X XOR G(h), in place; t = SelfXOR(C2) XOR h.
+		if err := aont.ApplyMask(hs[i][:], x); err != nil {
+			return &ChunkError{i, fmt.Errorf("core: enhanced mask: %w", err)}
+		}
+		tail := aont.SelfXOR(x)
+		subtle.XORBytes(pkgs[i][len(x):], tail[:], hs[i][:])
 	}
-	// CTR is an involution and supports dst == src: decrypt in place.
-	return mleEncrypt(out, out, key[:])
+	return nil
+}
+
+// openEnhanced reverts Figure 3 into outs and checks H(C1 || K_M) == h.
+// Each package is trimmed || stub: its head C2 runs on into the stub,
+// whose last aont.TailSize bytes are the tail t. The checks of the whole
+// batch are one SumBatch, with each K_M as its C1's suffix.
+func openEnhanced(outs [][]byte, pkgs []Package) error {
+	hs := make([]fingerprint.Fingerprint, len(pkgs)) // the recovered hash keys h
+	defer wipeSums(hs)
+	keys := make([]byte, len(pkgs)*KeySize) //reed:secret — the recovered MLE keys
+	defer Wipe(keys)
+	suffixes := make([][]byte, len(pkgs))
+	for i, p := range pkgs {
+		head, tail := stubParts(p)
+		// h = SelfXOR(C2) XOR t, folded before out (possibly trimmed
+		// itself) is overwritten.
+		hs[i] = aont.SelfXORParts(p.Trimmed, head)
+		subtle.XORBytes(hs[i][:], hs[i][:], tail)
+		// C1 || K_M = C2 XOR G(h): C1 fills out, K_M lands beside it.
+		suffixes[i] = keys[i*KeySize : (i+1)*KeySize]
+		if err := aont.ApplyMaskParts(hs[i][:], outs[i], suffixes[i], p.Trimmed, head); err != nil {
+			return &ChunkError{i, fmt.Errorf("core: enhanced unmask: %w", err)}
+		}
+	}
+	sums := make([]fingerprint.Fingerprint, len(pkgs))
+	defer wipeSums(sums)
+	fingerprint.SumBatch(sums, outs, suffixes)
+	for i, out := range outs {
+		if subtle.ConstantTimeCompare(sums[i][:], hs[i][:]) != 1 {
+			return &ChunkError{i, ErrIntegrity}
+		}
+		// CTR is an involution and supports dst == src: decrypt in place.
+		if err := mleEncrypt(out, out, suffixes[i]); err != nil {
+			return &ChunkError{i, err}
+		}
+	}
+	return nil
 }
 
 // mleEncrypt performs deterministic symmetric encryption keyed by the MLE

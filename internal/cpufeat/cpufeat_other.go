@@ -2,6 +2,6 @@
 
 package cpufeat
 
-// MULX and IFMA are false: every kernel that reads them is amd64
-// assembly.
-var MULX, IFMA = false, false
+// MULX, IFMA and AVX512BW are false: every kernel that reads them is
+// amd64 assembly.
+var MULX, IFMA, AVX512BW = false, false, false

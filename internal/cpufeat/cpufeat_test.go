@@ -30,11 +30,14 @@ func TestProbeMatchesProcCPUInfo(t *testing.T) {
 	if len(flags) == 0 {
 		t.Skip("no flags line in /proc/cpuinfo")
 	}
-	t.Logf("MULX %v, IFMA %v", MULX, IFMA)
+	t.Logf("MULX %v, IFMA %v, AVX512BW %v", MULX, IFMA, AVX512BW)
 	if want := flags["bmi2"] && flags["adx"]; MULX != want {
 		t.Errorf("MULX = %v, /proc/cpuinfo says %v", MULX, want)
 	}
 	if want := flags["avx512f"] && flags["avx512ifma"]; IFMA != want {
 		t.Errorf("IFMA = %v, /proc/cpuinfo says %v", IFMA, want)
+	}
+	if want := flags["avx512f"] && flags["avx512bw"]; AVX512BW != want {
+		t.Errorf("AVX512BW = %v, /proc/cpuinfo says %v", AVX512BW, want)
 	}
 }

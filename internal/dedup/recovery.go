@@ -235,8 +235,8 @@ func (st *state) Apply(ctx context.Context, rec []byte) error {
 // loadOpen finishes recovery of the open container once replay is
 // done: its committed prefix is read back from the blob with one ranged
 // read, and a blob shorter than the journal says fails Open. Every live
-// open chunk is then checked against its fingerprint, and its checksum
-// taken for the packfile index that seal writes.
+// open chunk is then checked against its fingerprint, all in one batch,
+// and its checksum taken for the packfile index that seal writes.
 func (s *Store) loadOpen(ctx context.Context) error {
 	if s.openBodyLen() > 0 {
 		name := containerName(s.currentID)
@@ -252,14 +252,19 @@ func (s *Store) loadOpen(ctx context.Context) error {
 		s.committed = len(s.current)
 	}
 	entries := s.liveOpenEntries()
+	data := make([][]byte, len(entries))
+	for i, e := range entries {
+		data[i] = s.current[packfile.HeaderSize+e.Offset:][:e.Length]
+	}
+	sums := make([]fingerprint.Fingerprint, len(entries))
+	fingerprint.SumBatch(sums, data, nil)
 	for i := range entries {
 		e := &entries[i]
-		data := s.current[packfile.HeaderSize+e.Offset:][:e.Length]
-		if fingerprint.New(data) != e.FP {
+		if sums[i] != e.FP {
 			return fmt.Errorf("dedup: open container %d: chunk %s at %d fails verification",
 				s.currentID, e.FP.Short(), e.Offset)
 		}
-		e.CRC = crc32.ChecksumIEEE(data)
+		e.CRC = crc32.ChecksumIEEE(data[i])
 	}
 	return nil
 }

@@ -18,9 +18,11 @@ const Size = sha256.Size
 // Fingerprint identifies a chunk by the SHA-256 digest of its content.
 type Fingerprint [Size]byte
 
-// New computes the fingerprint of data.
+// New computes the fingerprint of data: SumBatch of one message.
 func New(data []byte) Fingerprint {
-	return Fingerprint(sha256.Sum256(data))
+	var fp [1]Fingerprint
+	SumBatch(fp[:], [][]byte{data}, nil)
+	return fp[0]
 }
 
 // FromSlice converts a raw byte slice into a Fingerprint. It returns an

@@ -380,17 +380,25 @@ func (s *Server) putChunks(ctx context.Context, payload []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	dups := make([]bool, len(chunks))
+	// Verify every claimed fingerprint, in one batch, before storing
+	// any chunk. Deduplication stores one copy per fingerprint across
+	// all users, so accepting an unverified (fingerprint, data) pair
+	// would let a malicious client poison chunks that other users'
+	// recipes reference. (The paper's honest-but-curious model doesn't
+	// require this check; a deployed system does.)
+	data := make([][]byte, len(chunks))
 	for i, c := range chunks {
-		// Verify the claimed fingerprint. Deduplication stores one copy
-		// per fingerprint across all users, so accepting an unverified
-		// (fingerprint, data) pair would let a malicious client poison
-		// chunks that other users' recipes reference. (The paper's
-		// honest-but-curious model doesn't require this check; a
-		// deployed system does.)
-		if fingerprint.New(c.Data) != c.FP {
+		data[i] = c.Data
+	}
+	sums := make([]fingerprint.Fingerprint, len(chunks))
+	fingerprint.SumBatch(sums, data, nil)
+	for i, c := range chunks {
+		if sums[i] != c.FP {
 			return nil, fmt.Errorf("put chunk %d: fingerprint mismatch (possible poisoning attempt)", i)
 		}
+	}
+	dups := make([]bool, len(chunks))
+	for i, c := range chunks {
 		if dups[i], err = s.chunks.Put(ctx, c.FP, c.Data); err != nil {
 			return nil, fmt.Errorf("put chunk %d: %w", i, err)
 		}
