@@ -15,8 +15,9 @@
 //
 // This package provides the shared machinery — the mask generator, the
 // package/tail layout, and the self-XOR tail used by REED's enhanced
-// scheme — plus standalone AONT/CAONT transforms. REED's basic and
-// enhanced chunk encryption schemes build on these in internal/core.
+// scheme — plus standalone AONT/CAONT transforms, each also over a batch
+// of packages whose hashes are one fingerprint.SumBatch. REED's basic
+// and enhanced chunk encryption schemes build on these in internal/core.
 package aont
 
 import (
@@ -29,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/fingerprint"
 )
 
 const (
@@ -153,19 +156,49 @@ func TransformWithKeyInto(pkg, msg, key []byte) error {
 // already laid out: pkg[:len(pkg)-TailSize] holds the message and is
 // masked in place; the final TailSize bytes are overwritten with the
 // tail. This is the allocation-free core of the transform — callers
-// that can stage the message directly in the package buffer skip every
-// intermediate copy.
+// that can stage the message directly in the package buffer (the basic
+// scheme builds [chunk || canary] that way) skip every intermediate
+// copy. It is TransformBatch of one package.
 func TransformInPlace(pkg, key []byte) error {
-	if len(pkg) < TailSize {
-		return ErrPackageTooShort
+	_, err := TransformBatch([][]byte{pkg}, [][]byte{key})
+	return err
+}
+
+// TransformBatch applies TransformInPlace to pkgs[i] under keys[i], for
+// every i, byte for byte: every head is masked, then the hashes H(C) of
+// the whole batch are one fingerprint.SumBatch, which hashes sixteen
+// heads at a time where the CPU allows. On error it returns the index
+// of the package that failed, and the packages are unspecified.
+func TransformBatch(pkgs, keys [][]byte) (int, error) {
+	if len(keys) != len(pkgs) {
+		return 0, errors.New("aont: batch slices differ in length")
 	}
-	head := pkg[:len(pkg)-TailSize]
-	if err := ApplyMask(key, head); err != nil {
-		return err
+	var headsBuf [1][]byte
+	var hcBuf [1]fingerprint.Fingerprint
+	heads, hc := batchScratch(headsBuf[:], len(pkgs)), batchScratch(hcBuf[:], len(pkgs))
+	for i, pkg := range pkgs {
+		if len(pkg) < TailSize {
+			return i, ErrPackageTooShort
+		}
+		heads[i] = pkg[:len(pkg)-TailSize]
+		if err := ApplyMask(keys[i], heads[i]); err != nil {
+			return i, err
+		}
 	}
-	hc := sha256.Sum256(head)
-	subtle.XORBytes(pkg[len(head):], key, hc[:])
-	return nil
+	fingerprint.SumBatch(hc, heads, nil)
+	for i, head := range heads {
+		subtle.XORBytes(pkgs[i][len(head):], keys[i], hc[i][:])
+	}
+	return 0, nil
+}
+
+// batchScratch returns n zero values, in buf when they fit, so that a
+// batch of one allocates nothing.
+func batchScratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // Revert inverts Transform/TransformWithKey into a fresh buffer, leaving
@@ -184,24 +217,50 @@ func Revert(pkg []byte) (msg, key []byte, err error) {
 	return msg, k[:], nil
 }
 
-// RevertParts inverts the transform for a package given as two parts,
-// a || b, without joining them. b ends with the TailSize-byte tail t,
-// and the head C runs from a on into b. The key is
+// RevertParts is the one revert: it inverts the transform for a package
+// given as two parts, a || b, without joining them. b ends with the
+// TailSize-byte tail t, and the head C runs from a on into b. The key is
 // K = t XOR H(C), and the message C XOR G(K) is written as ApplyMaskParts
 // writes it: its first len(first) bytes to first, the rest to rest. C is
 // hashed before any byte is written, so first may alias a to revert in
-// place. Like Revert, it only checks the package shape.
+// place. Like Revert, it only checks the package shape. It is
+// RevertBatch of one package.
 func RevertParts(first, rest, a, b []byte) (key [KeySize]byte, err error) {
-	if len(b) < TailSize {
-		return key, ErrPackageTooShort
+	_, err = RevertBatch(key[:], [][]byte{first}, [][]byte{rest}, [][]byte{a}, [][]byte{b})
+	return key, err
+}
+
+// RevertBatch reverts, for every i, the package as[i] || bs[i] as
+// RevertParts does, writing its message to firsts[i] and rests[i] and
+// its key to keys[i*KeySize:(i+1)*KeySize]. The heads of the whole
+// batch are hashed in one fingerprint.SumBatch before any message byte
+// is written, so each firsts[i] may alias its as[i]; no other part may
+// overlap another package's. On error it returns the index of the
+// package that failed, and the messages and keys are unspecified.
+func RevertBatch(keys []byte, firsts, rests, as, bs [][]byte) (int, error) {
+	n := len(as)
+	if len(keys) != n*KeySize || len(firsts) != n || len(rests) != n || len(bs) != n {
+		return 0, errors.New("aont: batch slices differ in length")
 	}
-	head, tail := b[:len(b)-TailSize], b[len(b)-TailSize:]
-	d := sha256.New()
-	d.Write(a)
-	d.Write(head)
-	d.Sum(key[:0])
-	subtle.XORBytes(key[:], key[:], tail)
-	return key, ApplyMaskParts(key[:], first, rest, a, head)
+	var headsBuf [1][]byte
+	var sumsBuf [1]fingerprint.Fingerprint
+	heads, sums := batchScratch(headsBuf[:], n), batchScratch(sumsBuf[:], n)
+	defer clear(sums)
+	for i, b := range bs {
+		if len(b) < TailSize {
+			return i, ErrPackageTooShort
+		}
+		heads[i] = b[:len(b)-TailSize]
+	}
+	fingerprint.SumBatch(sums, as, heads)
+	for i, head := range heads {
+		key := keys[i*KeySize : (i+1)*KeySize]
+		subtle.XORBytes(key, sums[i][:], bs[i][len(head):])
+		if err := ApplyMaskParts(key, firsts[i], rests[i], as[i], head); err != nil {
+			return i, err
+		}
+	}
+	return 0, nil
 }
 
 // ConvergentKey derives the deterministic CAONT key for msg: H(msg).

@@ -463,13 +463,13 @@ func (c *Client) upload(ctx context.Context, path string, src chunkSource, pol *
 		defer close(encrypted)
 		for seg := range keyed {
 			stageStart := time.Now()
-			var todo []*encChunk
+			var todo []int
 			for i := range seg.chunks {
-				if ch := &seg.chunks[i]; !c.knownResult(ch) {
-					todo = append(todo, ch)
+				if !c.knownResult(&seg.chunks[i]) {
+					todo = append(todo, i)
 				}
 			}
-			if err := c.encryptChunks(pctx, gate, todo); err != nil {
+			if err := c.encryptChunks(pctx, gate, seg, todo); err != nil {
 				fail.fail(err)
 				return
 			}
@@ -619,35 +619,43 @@ func fingerprintChunks(chunks []encChunk) {
 	}
 }
 
-// batches cuts n items into the fewest runs of at most batchChunks,
-// as even as they divide, and calls fn with each run's [lo, hi) on the
-// worker pool.
+// batches cuts n items into runs as even as they divide, and calls fn
+// with each run's [lo, hi) on the worker pool: the fewest runs of at
+// most batchChunks, unless more runs of at least fingerprint.MinBatch
+// items would keep more of the pool's workers busy.
 func (c *Client) batches(ctx context.Context, n int, fn func(lo, hi int) error) error {
-	k := (n + batchChunks - 1) / batchChunks
+	k := max((n+batchChunks-1)/batchChunks, min(c.cfg.Workers, n/fingerprint.MinBatch))
 	return c.parallelEach(ctx, k, func(b int) error {
 		return fn(b*n/k, (b+1)*n/k)
 	})
 }
 
-// encryptChunks runs encryptBatch over chunks in batches on the worker
-// pool.
-func (c *Client) encryptChunks(ctx context.Context, gate *byteGate, chunks []*encChunk) error {
-	return c.batches(ctx, len(chunks), func(lo, hi int) error {
-		return c.encryptBatch(gate, chunks[lo:hi])
+// encryptChunks runs encryptBatch over the chunks of seg at positions
+// todo, in batches on the worker pool.
+func (c *Client) encryptChunks(ctx context.Context, gate *byteGate, seg *segment, todo []int) error {
+	return c.batches(ctx, len(todo), func(lo, hi int) error {
+		return c.encryptBatch(gate, seg, todo[lo:hi])
 	})
 }
 
-// encryptBatch runs the CAONT transform on chunks, names their trimmed
-// packages, and moves the gate's charge from their plaintext to their
-// trimmed packages. Each result is remembered beside the chunk's MLE key
-// for knownResult.
-func (c *Client) encryptBatch(gate *byteGate, chunks []*encChunk) error {
-	data, keys := make([][]byte, len(chunks)), make([][]byte, len(chunks))
-	for i, ch := range chunks {
-		data[i], keys[i] = ch.data, ch.key
+// encryptBatch runs the CAONT transform on the chunks of seg at
+// positions todo, names their trimmed packages, and moves the gate's
+// charge from their plaintext to their trimmed packages. Each result is
+// remembered beside the chunk's MLE key for knownResult. An error names
+// the failing chunk by its position in seg.
+func (c *Client) encryptBatch(gate *byteGate, seg *segment, todo []int) error {
+	chunks := make([]*encChunk, len(todo))
+	data, keys := make([][]byte, len(todo)), make([][]byte, len(todo))
+	for i, idx := range todo {
+		chunks[i] = &seg.chunks[idx]
+		data[i], keys[i] = chunks[i].data, chunks[i].key
 	}
 	pkgs := make([]core.Package, len(chunks))
 	if err := c.codec.EncryptBatch(pkgs, data, keys); err != nil {
+		var ce *core.ChunkError
+		if errors.As(err, &ce) {
+			return fmt.Errorf("chunk %d: %w", todo[ce.Index], ce.Err)
+		}
 		return err
 	}
 	for i := range pkgs {
@@ -695,21 +703,21 @@ func (c *Client) uploadSegment(ctx context.Context, gate *byteGate, seg *segment
 	if err := ctx.Err(); err != nil {
 		return segStats{}, err
 	}
-	var late []*encChunk
+	var late []int
 	for i := range seg.chunks {
-		if ch := &seg.chunks[i]; !skip[i] && ch.data != nil {
-			late = append(late, ch)
+		if !skip[i] && seg.chunks[i].data != nil {
+			late = append(late, i)
 		}
 	}
 	cached := make([]fingerprint.Fingerprint, len(late))
-	for i, ch := range late {
-		cached[i] = ch.fpTrim
+	for i, idx := range late {
+		cached[i] = seg.chunks[idx].fpTrim
 	}
-	if err := c.encryptChunks(ctx, gate, late); err != nil {
+	if err := c.encryptChunks(ctx, gate, seg, late); err != nil {
 		return segStats{}, err
 	}
-	for i, ch := range late {
-		if ch.fpTrim != cached[i] {
+	for i, idx := range late {
+		if seg.chunks[idx].fpTrim != cached[i] {
 			return segStats{}, errors.New("client: cached encryption result does not match the chunk")
 		}
 	}

@@ -5,11 +5,13 @@ import (
 	"context"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fingerprint"
 	"repro/internal/keyreg"
 	"repro/internal/policy"
 	"repro/internal/store"
@@ -320,4 +322,64 @@ func TestUploadCancelledBeforeStart(t *testing.T) {
 		t.Fatal("upload with pre-cancelled context succeeded")
 	}
 	assertNoFileMetadata(t, cluster)
+}
+
+// TestBatchesSpreadOverWorkers: batches covers every item once, keeps
+// each run within batchChunks, and spreads a small job over the pool's
+// workers in runs of at least fingerprint.MinBatch.
+func TestBatchesSpreadOverWorkers(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		c := &Client{cfg: Config{Workers: workers}}
+		for _, n := range []int{0, 1, 7, 8, 15, 16, 63, 64, 65, 200, 1000} {
+			var mu sync.Mutex
+			seen, runs, smallest := make([]int, n), 0, n
+			err := c.batches(context.Background(), n, func(lo, hi int) error {
+				mu.Lock()
+				defer mu.Unlock()
+				for i := lo; i < hi; i++ {
+					seen[i]++
+				}
+				runs++
+				smallest = min(smallest, hi-lo)
+				if hi-lo > batchChunks {
+					t.Errorf("workers=%d n=%d: run of %d items", workers, n, hi-lo)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range seen {
+				if k != 1 {
+					t.Fatalf("workers=%d n=%d: item %d visited %d times", workers, n, i, k)
+				}
+			}
+			if want := min(workers, n/fingerprint.MinBatch); runs < want {
+				t.Errorf("workers=%d n=%d: %d runs, want at least %d", workers, n, runs, want)
+			}
+			if runs > 1 && smallest < fingerprint.MinBatch {
+				t.Errorf("workers=%d n=%d: a run of %d items, below %d", workers, n, smallest, fingerprint.MinBatch)
+			}
+		}
+	}
+}
+
+// TestEncryptErrorNamesSegmentChunk: an encrypt failure names the chunk
+// by its position in the segment, not in the batch that failed.
+func TestEncryptErrorNamesSegmentChunk(t *testing.T) {
+	codec, err := core.New(core.SchemeEnhanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{cfg: Config{Workers: 2}, codec: codec}
+	seg := &segment{chunks: make([]encChunk, 40)}
+	for i := range seg.chunks {
+		seg.chunks[i] = encChunk{data: []byte{byte(i)}, size: 1, key: make([]byte, core.KeySize)}
+	}
+	seg.chunks[37].key = seg.chunks[37].key[:core.KeySize-1]
+	todo := []int{3, 9, 20, 37, 39}
+	err = c.encryptChunks(context.Background(), newByteGate(1<<20), seg, todo)
+	if err == nil || !strings.HasPrefix(err.Error(), "chunk 37: ") {
+		t.Fatalf("encrypt with a bad key at segment chunk 37: %v", err)
+	}
 }

@@ -39,15 +39,17 @@
 //
 // Reverting never rejoins the two parts. Every step of either revert —
 // hash, self-XOR, CTR keystream — runs over the trimmed package and then
-// on into the stub (fingerprint.SumBatch takes the stub's part as a
-// suffix; aont.SelfXORParts and aont.ApplyMaskParts run across the
-// boundary), and the chunk is 64 bytes shorter than the package, so Open
-// can write it over the trimmed package it is reading: a restore reverts
-// each chunk inside the reply frame that carried it.
+// on into the stub (the basic scheme's revert is aont.RevertBatch;
+// fingerprint.SumBatch takes the stub's part as a suffix, and
+// aont.SelfXORParts and aont.ApplyMaskParts run across the boundary),
+// and the chunk is 64 bytes shorter than the package, so Open can write
+// it over the trimmed package it is reading: a restore reverts each
+// chunk inside the reply frame that carried it.
 //
 // Both schemes work on batches (EncryptBatch, OpenBatch): a batch's
-// hashes are one fingerprint.SumBatch, which hashes sixteen chunks at a
-// time where the CPU allows. Encrypt and Open are the batch of one.
+// hashes are one fingerprint.SumBatch (for the basic scheme, inside
+// aont.TransformBatch and aont.RevertBatch), which hashes sixteen chunks
+// at a time where the CPU allows. Encrypt and Open are the batch of one.
 package core
 
 import (
@@ -301,13 +303,6 @@ func (c *Codec) OpenBatch(dsts [][]byte, pkgs []Package) error {
 	}
 }
 
-// stubParts splits a package's stub into the head, which runs on from
-// the trimmed package, and the tail t.
-func stubParts(p Package) (head, tail []byte) {
-	cut := len(p.Stub) - aont.TailSize
-	return p.Stub[:cut], p.Stub[cut:]
-}
-
 // wipeSums wipes hash keys with Wipe.
 func wipeSums(sums []fingerprint.Fingerprint) {
 	for i := range sums {
@@ -315,52 +310,38 @@ func wipeSums(sums []fingerprint.Fingerprint) {
 	}
 }
 
-// sealBasic implements Figure 2, each package laid out as [M || canary ||
-// tail] up front and transformed in place, so the only copies are the
-// chunk into the head and one AES-CTR pass: C = (M || c) XOR G(K_M),
-// then one SumBatch over every C, then t = K_M XOR H(C).
+// sealBasic implements Figure 2 with aont.TransformBatch, each package
+// laid out as [M || canary || tail] up front and transformed in place,
+// so the only copies are the chunk into the head and one AES-CTR pass:
+// C = (M || c) XOR G(K_M), t = K_M XOR H(C).
 func sealBasic(pkgs, chunks, mleKeys [][]byte) error {
-	heads := make([][]byte, len(chunks))
 	for i, chunk := range chunks {
-		pkg := make([]byte, len(chunk)+CanarySize+aont.TailSize)
-		copy(pkg, chunk) // the canary bytes stay zero
-		heads[i] = pkg[:len(chunk)+CanarySize]
-		if err := aont.ApplyMask(mleKeys[i], heads[i]); err != nil {
-			return &ChunkError{i, fmt.Errorf("core: basic transform: %w", err)}
-		}
-		pkgs[i] = pkg
+		pkgs[i] = make([]byte, len(chunk)+CanarySize+aont.TailSize)
+		copy(pkgs[i], chunk) // the canary bytes stay zero
 	}
-	hc := make([]fingerprint.Fingerprint, len(chunks))
-	fingerprint.SumBatch(hc, heads, nil)
-	for i, head := range heads {
-		subtle.XORBytes(pkgs[i][len(head):], mleKeys[i], hc[i][:])
+	if i, err := aont.TransformBatch(pkgs, mleKeys); err != nil {
+		return &ChunkError{i, fmt.Errorf("core: basic transform: %w", err)}
 	}
 	return nil
 }
 
-// openBasic reverts Figure 2 into outs and checks each canary: the CAONT
-// revert of the package trimmed || stub, with M going to out and the
-// canary beside it. K_M = t XOR H(C), and every C is hashed, in one
-// SumBatch, before any out (possibly the trimmed package itself) is
-// written.
+// openBasic reverts Figure 2 into outs with aont.RevertBatch and checks
+// each canary: the CAONT revert of the package trimmed || stub, with M
+// going to out and the canary beside it.
 func openBasic(outs [][]byte, pkgs []Package) error {
-	trimmed, heads := make([][]byte, len(pkgs)), make([][]byte, len(pkgs))
+	keys := make([]byte, len(pkgs)*KeySize) //reed:secret — the recovered MLE keys; the canaries check them
+	defer Wipe(keys)
+	canaries := make([]byte, len(pkgs)*CanarySize)
+	trimmed, stubs, rests := make([][]byte, len(pkgs)), make([][]byte, len(pkgs)), make([][]byte, len(pkgs))
 	for i, p := range pkgs {
-		trimmed[i] = p.Trimmed
-		heads[i], _ = stubParts(p)
+		trimmed[i], stubs[i] = p.Trimmed, p.Stub
+		rests[i] = canaries[i*CanarySize : (i+1)*CanarySize]
 	}
-	keys := make([]fingerprint.Fingerprint, len(pkgs)) // the recovered MLE keys
-	defer wipeSums(keys)
-	fingerprint.SumBatch(keys, trimmed, heads)
-	for i, p := range pkgs {
-		head, tail := stubParts(p)
-		key := keys[i][:]
-		subtle.XORBytes(key, key, tail)
-		var canary [CanarySize]byte
-		if err := aont.ApplyMaskParts(key, outs[i], canary[:], p.Trimmed, head); err != nil {
-			return &ChunkError{i, fmt.Errorf("core: basic revert: %w", err)}
-		}
-		if canary != [CanarySize]byte{} {
+	if i, err := aont.RevertBatch(keys, outs, rests, trimmed, stubs); err != nil {
+		return &ChunkError{i, fmt.Errorf("core: basic revert: %w", err)}
+	}
+	for i, canary := range rests {
+		if [CanarySize]byte(canary) != [CanarySize]byte{} {
 			return &ChunkError{i, ErrIntegrity}
 		}
 	}
@@ -408,7 +389,8 @@ func openEnhanced(outs [][]byte, pkgs []Package) error {
 	defer Wipe(keys)
 	suffixes := make([][]byte, len(pkgs))
 	for i, p := range pkgs {
-		head, tail := stubParts(p)
+		cut := len(p.Stub) - aont.TailSize
+		head, tail := p.Stub[:cut], p.Stub[cut:]
 		// h = SelfXOR(C2) XOR t, folded before out (possibly trimmed
 		// itself) is overwritten.
 		hs[i] = aont.SelfXORParts(p.Trimmed, head)

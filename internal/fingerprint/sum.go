@@ -15,6 +15,11 @@ import (
 // fewer lanes than it are still busy, go to crypto/sha256.
 const minLanes = 8
 
+// MinBatch is the smallest batch SumBatch hands to its kernel: a caller
+// that spreads messages over several batches keeps each at least this
+// large, or it is hashed one message at a time.
+const MinBatch = minLanes
+
 // SumBatch sets sums[i] to the SHA-256 digest of msgs[i] followed by
 // suffixes[i], for every i; suffixes is nil when no message has one.
 // It is New for many messages at once, byte for byte: on a CPU with
