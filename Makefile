@@ -81,17 +81,18 @@ race:
 # included) replay their crash points and models. -count=2 proves the
 # seeded faults are reproducible, not flaky; the nightly workflow
 # raises CHAOS_COUNT to 4. The second command stresses
-# the Serve/Shutdown ordering: whether Shutdown or the Serve goroutine
-# reaches the server's mutex first is the scheduler's choice, so only
-# many repetitions visit both orders (Tier-1 once failed 6 % of runs
-# here). The third repeats the experiment tests that used to assert
+# the Serve/Shutdown ordering of both daemons (rpcmux's TestServeShutdown
+# table: the storage server and the key manager serve through
+# rpcmux.Server): whether Shutdown or the Serve goroutine reaches the
+# server's mutex first is the scheduler's choice, so only many
+# repetitions visit both orders (Tier-1 once failed 6 % of runs here). The third repeats the experiment tests that used to assert
 # wall-clock orderings and failed about one -race run in ten on a shared
 # two-core box; they assert on counters now, and twenty repetitions keep
 # it that way.
 CHAOS_COUNT ?= 2
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Torn|Cut' -count=$(CHAOS_COUNT) ./...
-	$(GO) test -race -run 'TestServe.*Shutdown' -count=500 ./internal/server ./internal/keymanager
+	$(GO) test -race -run 'TestServe.*Shutdown' -count=500 ./internal/rpcmux
 	$(GO) test -race -run 'TestAblations$$|TestFig5bShape$$|TestFig6Shape$$|TestFig7cShape$$' -count=20 ./internal/experiments
 
 # crash-recovery boots a real deployment on disk backends, uploads a

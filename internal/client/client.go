@@ -62,6 +62,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/recipe"
 	"repro/internal/retry"
+	"repro/internal/rpcmux"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -164,7 +165,7 @@ type Config struct {
 
 	// Dialer overrides connection establishment (e.g. to route through
 	// internal/netem). Nil uses plain TCP.
-	Dialer server.Dialer
+	Dialer rpcmux.Dialer
 
 	// Retry bounds fault recovery on every connection: reconnect
 	// backoff, transparent re-issue of idempotent RPCs, and the upload
@@ -288,12 +289,10 @@ func New(ctx context.Context, cfg Config) (*Client, error) {
 		keymanager.WithBatchSize(cfg.KeyGenBatch),
 		keymanager.WithRetryPolicy(cfg.Retry),
 		keymanager.WithCallTimeout(cfg.CallTimeout),
+		keymanager.WithDialer(cfg.Dialer),
 	}
 	if cache != nil {
 		kmOpts = append(kmOpts, keymanager.WithCache(cache))
-	}
-	if cfg.Dialer != nil {
-		kmOpts = append(kmOpts, keymanager.WithDialer(keymanager.Dialer(cfg.Dialer)))
 	}
 	km, err := keymanager.Dial(ctx, cfg.KeyManager, kmOpts...)
 	if err != nil {

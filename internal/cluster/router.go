@@ -59,7 +59,7 @@ type Config struct {
 	// space Stats, Health, and error messages report in.
 	Shards []string
 	// Dialer overrides connection establishment (nil uses plain TCP).
-	Dialer server.Dialer
+	Dialer rpcmux.Dialer
 	// Retry bounds reconnection backoff on every shard connection and
 	// the router-owned chunk-batch re-sends.
 	Retry retry.Policy

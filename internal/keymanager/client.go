@@ -19,15 +19,11 @@ import (
 	"repro/internal/rpcmux"
 )
 
-// Dialer opens a connection to an address; injectable so benchmarks can
-// route through internal/netem's emulated link.
-type Dialer func(addr string) (net.Conn, error)
-
-// TLSDialer returns a Dialer that connects over TLS with the given
+// TLSDialer returns a dialer that connects over TLS with the given
 // configuration, securing the client–key-manager channel as the paper's
 // threat model assumes. Serve the key manager through
 // tls.NewListener(ln, serverConfig) on the other side.
-func TLSDialer(cfg *tls.Config) Dialer {
+func TLSDialer(cfg *tls.Config) rpcmux.Dialer {
 	return func(addr string) (net.Conn, error) {
 		host, _, err := net.SplitHostPort(addr)
 		if err != nil {
@@ -68,7 +64,7 @@ type ClientOption interface {
 type clientConfig struct {
 	batchSize   int
 	cache       *keycache.Cache
-	dialer      Dialer
+	dialer      rpcmux.Dialer
 	retry       retry.Policy
 	callTimeout time.Duration
 }
@@ -89,13 +85,13 @@ func (o cacheOption) applyClient(c *clientConfig) { c.cache = o.cache }
 // WithCache attaches an MLE key cache consulted before the network.
 func WithCache(cache *keycache.Cache) ClientOption { return cacheOption{cache: cache} }
 
-type dialerOption struct{ d Dialer }
+type dialerOption struct{ d rpcmux.Dialer }
 
 func (o dialerOption) applyClient(c *clientConfig) { c.dialer = o.d }
 
 // WithDialer overrides how the client connects (e.g. a bandwidth-
 // throttled link).
-func WithDialer(d Dialer) ClientOption { return dialerOption{d: d} }
+func WithDialer(d rpcmux.Dialer) ClientOption { return dialerOption{d: d} }
 
 type retryOption struct{ p retry.Policy }
 
@@ -125,25 +121,12 @@ func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, erro
 	if cfg.batchSize <= 0 {
 		return nil, errors.New("keymanager: batch size must be positive")
 	}
-	// Redials happen long after the dialing context has expired, so the
-	// redial path always uses the context-free Dialer form.
-	dial := cfg.dialer
-	if dial == nil {
-		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	var conn net.Conn
-	var err error
-	if cfg.dialer != nil {
-		conn, err = cfg.dialer(addr)
-	} else {
-		conn, err = (&net.Dialer{}).DialContext(ctx, "tcp", addr)
-	}
+	mux, err := rpcmux.Dial(ctx, addr, cfg.dialer, connBuf, cfg.retry)
 	if err != nil {
-		return nil, fmt.Errorf("keymanager: dial: %w", err)
+		return nil, fmt.Errorf("keymanager: %w", err)
 	}
-	redial := func() (net.Conn, error) { return dial(addr) }
 	c := &Client{
-		mux:         rpcmux.NewRedialer(conn, redial, 256<<10, 256<<10, cfg.retry),
+		mux:         mux,
 		batchSize:   cfg.batchSize,
 		cache:       cfg.cache,
 		callTimeout: cfg.callTimeout,

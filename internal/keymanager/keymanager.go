@@ -11,19 +11,18 @@
 package keymanager
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/oprf"
 	"repro/internal/proto"
 	"repro/internal/ratelimit"
+	"repro/internal/rpcmux"
 )
 
 // DefaultBatchSize is the default key-generation batch. The paper uses
@@ -36,8 +35,11 @@ const DefaultBatchSize = 1024
 // maxBatch bounds a single key-generation request.
 const maxBatch = 1 << 16
 
-// DefaultWorkers is the per-connection handler pool size.
-const DefaultWorkers = 4
+// connWorkers is the per-connection handler pool size.
+const connWorkers = 4
+
+// connBuf sizes each connection's read and write buffers, on both ends.
+const connBuf = 256 << 10
 
 // Server is the key manager process.
 type Server struct {
@@ -47,26 +49,21 @@ type Server struct {
 	burst    float64
 	limiters sync.Map // remote host -> *ratelimit.Limiter
 
+	// mux accepts connections and runs dispatch for their requests.
+	mux *rpcmux.Server
+
 	// baseCtx is the server's lifecycle context: rate-limit waits and
 	// other blocking work inside request handlers select on it so
 	// Shutdown can interrupt them instead of waiting out the limiter.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	shutdown bool
-
+	mu          sync.Mutex
 	evaluations uint64
 
-	// Observability (see WithMetrics); all nil when uninstrumented.
-	reg          *metrics.Registry
-	ops          *metrics.OpSet
-	connsGauge   *metrics.Gauge
-	inflightReqs *metrics.Gauge
-	rateDrops    *metrics.Counter
+	// Observability (see WithMetrics); nil when uninstrumented.
+	reg       *metrics.Registry
+	rateDrops *metrics.Counter
 }
 
 // ServerOption configures a Server.
@@ -100,7 +97,6 @@ func NewServer(key *oprf.ServerKey, opts ...ServerOption) *Server {
 	s := &Server{
 		key:    key,
 		params: key.PublicParams().Marshal(),
-		conns:  make(map[net.Conn]struct{}),
 	}
 	//reed-vet:ignore ctxrule — the server's lifecycle root, canceled by Shutdown.
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
@@ -108,73 +104,26 @@ func NewServer(key *oprf.ServerKey, opts ...ServerOption) *Server {
 		o.applyServer(s)
 	}
 	if s.reg != nil {
-		s.ops = metrics.NewOpSet(s.reg, "dispatch", proto.OpNames())
-		s.connsGauge = s.reg.Gauge("km_connections")
-		s.inflightReqs = s.reg.Gauge("dispatch_inflight")
 		s.rateDrops = s.reg.Counter("oprf_ratelimit_drops")
 		s.reg.SetCounterFunc("oprf_evaluations", s.Evaluations)
 	}
+	s.mux = rpcmux.NewServer(connWorkers, connBuf, s.reg, s.reg.Gauge("km_connections"), s.handlerFor)
 	return s
 }
 
 // Serve accepts connections on ln until Shutdown. It always returns a
 // non-nil error; after Shutdown the error is net.ErrClosed.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.shutdown {
-		// Shutdown ran before this loop stored ln, so it never saw the
-		// listener: close it here and report the same clean stop.
-		s.mu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			// Shutdown closes the listener out from under Accept;
-			// normalize the raw closed-connection error to net.ErrClosed
-			// so callers can test for a clean stop.
-			s.mu.Lock()
-			down := s.shutdown
-			s.mu.Unlock()
-			if down {
-				return net.ErrClosed
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.shutdown {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
-	}
+	return s.mux.Serve(s.baseCtx, ln)
 }
 
 // Shutdown stops accepting, closes active connections, and waits for
-// handlers to drain.
+// handlers to drain. It cancels the lifecycle context first, so a
+// handler blocked in the rate limiter returns instead of holding the
+// drain up.
 func (s *Server) Shutdown() {
 	s.cancelBase()
-	s.mu.Lock()
-	s.shutdown = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.mux.Shutdown()
 }
 
 // Evaluations returns the number of OPRF evaluations served (for tests
@@ -192,88 +141,17 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // uninstrumented.
 func (s *Server) MetricsSnapshot() metrics.Snapshot { return s.reg.Snapshot() }
 
-// outFrame is one response queued for a connection's writer goroutine.
-type outFrame struct {
-	typ     proto.MsgType
-	id      uint64
-	payload []byte
-}
-
-// handleConn serves one connection with concurrent dispatch: the read
-// loop keeps draining frames while up to DefaultWorkers key-generation
-// batches evaluate, and responses return tagged with their request IDs
-// (possibly out of order). See server.Server.handleConn for the shape;
-// the two stay deliberately parallel.
-func (s *Server) handleConn(conn net.Conn) {
-	s.connsGauge.Inc()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.connsGauge.Dec()
-	}()
-
+// handlerFor binds a connection's requests to the rate limiter of its
+// remote host.
+func (s *Server) handlerFor(conn net.Conn) rpcmux.Handler {
 	limiter := s.limiterFor(conn)
-	br := bufio.NewReaderSize(conn, 256<<10)
-	bw := bufio.NewWriterSize(conn, 256<<10)
-
-	respCh := make(chan outFrame, DefaultWorkers)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		var werr error
-		for f := range respCh {
-			if werr != nil {
-				continue // drain so handlers never block on a dead writer
-			}
-			if werr = proto.WriteFrame(bw, f.typ, f.id, f.payload); werr == nil && len(respCh) == 0 {
-				werr = bw.Flush()
-			}
-			if werr != nil {
-				conn.Close() // unblock the read loop
-			}
-		}
-	}()
-
-	sem := make(chan struct{}, DefaultWorkers)
-	var handlers sync.WaitGroup
-	for {
-		typ, id, payload, err := proto.ReadFrame(br)
-		if err != nil {
-			break // EOF or broken conn: drop silently
-		}
-		sem <- struct{}{} // backpressure: pool full ⇒ stop reading
-		handlers.Add(1)
-		go func() {
-			defer func() {
-				<-sem
-				handlers.Done()
-			}()
-			respType, respPayload := s.dispatchTimed(typ, payload, limiter)
-			respCh <- outFrame{typ: respType, id: id, payload: respPayload}
-		}()
+	return func(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, net.Buffers) {
+		respType, resp := s.dispatch(ctx, typ, payload, limiter)
+		return respType, net.Buffers{resp}
 	}
-	handlers.Wait()
-	close(respCh)
-	<-writerDone
 }
 
-// dispatchTimed wraps dispatch with per-op accounting; a plain tail
-// call when uninstrumented.
-func (s *Server) dispatchTimed(typ proto.MsgType, payload []byte, limiter *ratelimit.Limiter) (proto.MsgType, []byte) {
-	if s.ops == nil {
-		return s.dispatch(typ, payload, limiter)
-	}
-	s.inflightReqs.Inc()
-	start := time.Now()
-	respType, respPayload := s.dispatch(typ, payload, limiter)
-	s.inflightReqs.Dec()
-	s.ops.Observe(int(typ), time.Since(start), respType == proto.MsgError)
-	return respType, respPayload
-}
-
-func (s *Server) dispatch(typ proto.MsgType, payload []byte, limiter *ratelimit.Limiter) (proto.MsgType, []byte) {
+func (s *Server) dispatch(ctx context.Context, typ proto.MsgType, payload []byte, limiter *ratelimit.Limiter) (proto.MsgType, []byte) {
 	switch typ {
 	case proto.MsgKMParamsReq:
 		return proto.MsgKMParamsResp, s.params
@@ -291,7 +169,7 @@ func (s *Server) dispatch(typ proto.MsgType, payload []byte, limiter *ratelimit.
 			return proto.MsgError, proto.EncodeError(err.Error())
 		}
 		if limiter != nil {
-			if err := limiter.Wait(s.baseCtx, float64(len(blinded))); err != nil {
+			if err := limiter.Wait(ctx, float64(len(blinded))); err != nil {
 				s.rateDrops.Inc()
 				return proto.MsgError, proto.EncodeError("rate limited: " + err.Error())
 			}

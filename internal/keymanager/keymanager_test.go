@@ -14,7 +14,9 @@ import (
 
 	"repro/internal/fingerprint"
 	"repro/internal/keycache"
+	"repro/internal/metrics"
 	"repro/internal/oprf"
+	"repro/internal/retry"
 )
 
 // ctx is the default context test call sites run under.
@@ -271,49 +273,55 @@ func TestShutdownClosesConnections(t *testing.T) {
 	}
 }
 
-// TestServeReturnsErrClosedAfterShutdown mirrors the storage server's
-// contract: a Serve loop stopped by Shutdown reports net.ErrClosed.
-func TestServeReturnsErrClosedAfterShutdown(t *testing.T) {
-	srv := NewServer(serverKey(t))
+// TestShutdownInterruptsRateLimitedHandler pins the key manager's
+// Shutdown order: it cancels the handlers' context before it drains the
+// connections, so a request waiting in the rate limiter fails at once
+// instead of holding Shutdown up until the limiter would admit it
+// (100 s here).
+func TestShutdownInterruptsRateLimitedHandler(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv := NewServer(serverKey(t), WithRateLimit(0.01, 1), WithMetrics(reg))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	go func() { _ = srv.Serve(ln) }()
+	client, err := Dial(ctx, ln.Addr().String(), WithRetryPolicy(retry.Policy{MaxAttempts: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
-
-	srv.Shutdown()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+	defer client.Close()
+	if _, err := client.GenerateKeys(ctx, fps(1)); err != nil {
+		t.Fatalf("first request, inside the burst: %v", err)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := client.GenerateKeys(ctx, fps(1))
+		blocked <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); reg.Snapshot().Gauges["dispatch_inflight"] != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never reached the rate limiter")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after Shutdown")
 	}
-}
 
-// TestServeAfterShutdownClosesListener: a Serve that starts after
-// Shutdown closes the listener it was handed and reports the same clean
-// stop.
-func TestServeAfterShutdownClosesListener(t *testing.T) {
-	srv := NewServer(serverKey(t))
-	srv.Shutdown()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	shut := make(chan struct{})
+	go func() {
+		srv.Shutdown()
+		close(shut)
+	}()
+	select {
+	case <-shut:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Shutdown did not return within 2 s: a handler blocked in the rate limiter held up the drain")
 	}
-	if err := srv.Serve(ln); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
-	}
-	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("listener still open after Serve returned: Accept error = %v", err)
+	select {
+	case err := <-blocked:
+		if err == nil {
+			t.Fatal("the rate-limited request succeeded across Shutdown")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the rate-limited request did not return after Shutdown")
 	}
 }
 

@@ -14,8 +14,7 @@
 //     different order place every chunk identically;
 //   - stable under growth: adding a member moves only the keys that
 //     land on its new points (~1/N of the space), which is what makes
-//     live rebalancing feasible in a later change — Successors exposes
-//     the clockwise ownership order a migration plan needs.
+//     live rebalancing feasible in a later change.
 //
 // The ring is immutable after construction and safe for concurrent use.
 package ring
@@ -135,28 +134,4 @@ func (r *Ring) Owner(fp fingerprint.Fingerprint) int {
 func (r *Ring) OwnerKey(key []byte) int {
 	sum := sha256.Sum256(key)
 	return r.locate(binary.BigEndian.Uint64(sum[:8]))
-}
-
-// Successors returns up to n distinct member indices in clockwise
-// ownership order starting at fp's owner. Index 0 is the owner; the
-// rest are the members a rebalance or replication plan would spill to.
-func (r *Ring) Successors(fp fingerprint.Fingerprint, n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	pos := binary.BigEndian.Uint64(fp[:8])
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= pos })
-	out := make([]int, 0, n)
-	seen := make(map[int]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		m := r.points[(start+i)%len(r.points)].member
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 package ring
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -149,82 +151,11 @@ func TestGrowthMovesBoundedKeys(t *testing.T) {
 	t.Logf("growth 3->4 members moved %d/%d keys", moved, n)
 }
 
-func TestSuccessors(t *testing.T) {
-	members := []string{"s0:1", "s1:1", "s2:1", "s3:1"}
-	r, err := New(members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range randomFPs(100, 17) {
-		succ := r.Successors(fp, len(members))
-		if len(succ) != len(members) {
-			t.Fatalf("Successors returned %d members, want %d", len(succ), len(members))
-		}
-		if succ[0] != r.Owner(fp) {
-			t.Fatalf("Successors[0] = %d, Owner = %d", succ[0], r.Owner(fp))
-		}
-		seen := make(map[int]bool)
-		for _, m := range succ {
-			if seen[m] {
-				t.Fatalf("duplicate member %d in successors", m)
-			}
-			seen[m] = true
-		}
-	}
-	if got := r.Successors(randomFPs(1, 1)[0], 0); got != nil {
-		t.Fatalf("Successors(_, 0) = %v, want nil", got)
-	}
-}
-
-// Asking for more replicas than the ring has members must clamp to the
-// membership, not pad or duplicate: a replication plan over a 3-node
-// ring with replica factor 5 simply uses all 3 nodes.
-func TestSuccessorsFewerMembersThanReplicas(t *testing.T) {
-	members := []string{"s0:1", "s1:1", "s2:1"}
-	r, err := New(members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range randomFPs(50, 29) {
-		succ := r.Successors(fp, len(members)+2)
-		if len(succ) != len(members) {
-			t.Fatalf("Successors(n=%d) returned %d members, want all %d",
-				len(members)+2, len(succ), len(members))
-		}
-		seen := make(map[int]bool)
-		for _, m := range succ {
-			if m < 0 || m >= len(members) {
-				t.Fatalf("successor index %d out of range", m)
-			}
-			if seen[m] {
-				t.Fatalf("duplicate member %d in clamped successors", m)
-			}
-			seen[m] = true
-		}
-	}
-}
-
-// A single-node ring has exactly one successor chain: [0], regardless
-// of the requested depth.
-func TestSuccessorsSingleNode(t *testing.T) {
-	r, err := New([]string{"only:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range randomFPs(20, 31) {
-		for _, n := range []int{1, 2, 8} {
-			succ := r.Successors(fp, n)
-			if len(succ) != 1 || succ[0] != 0 {
-				t.Fatalf("Successors(n=%d) = %v, want [0]", n, succ)
-			}
-		}
-	}
-}
-
-// Removing a fingerprint's owner must promote its first surviving
-// successor to owner: the property a replica-spill plan relies on when
-// a shard goes away. Indices differ between the two rings, so the
-// comparison goes through member addresses.
+// Removing a fingerprint's owner must promote its successor — the
+// first other member clockwise from the owner's point — to owner: only
+// the removed member's keys move, and each to a well-defined heir.
+// Indices differ between the two rings, so the comparison goes through
+// member addresses.
 func TestSuccessorsOwnerRemoval(t *testing.T) {
 	members := []string{"s0:1", "s1:1", "s2:1", "s3:1", "s4:1"}
 	r, err := New(members)
@@ -232,9 +163,14 @@ func TestSuccessorsOwnerRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fp := range randomFPs(100, 37) {
-		succ := r.Successors(fp, len(members))
-		ownerAddr := members[succ[0]]
-		heirAddr := members[succ[1]]
+		owner := r.Owner(fp)
+		pos := binary.BigEndian.Uint64(fp[:8])
+		i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= pos })
+		heir := owner
+		for ; heir == owner; i++ {
+			heir = r.points[i%len(r.points)].member
+		}
+		ownerAddr, heirAddr := members[owner], members[heir]
 
 		var survivors []string
 		for _, m := range members {

@@ -14,8 +14,31 @@ import (
 	"repro/internal/retry"
 )
 
-// DialFunc opens a transport connection to the redialer's peer.
-type DialFunc func() (net.Conn, error)
+// Dialer opens a connection to an address. Clients inject one to route
+// through an emulated link (internal/netem), a traced connection or TLS;
+// nil means plain TCP.
+type Dialer func(addr string) (net.Conn, error)
+
+// Dial connects to addr and returns a Redialer over the connection, with
+// buf as both buffer sizes of New. ctx bounds the first dial only: the
+// redials that replace the connection after a fault run long after it
+// has expired, so they use the context-free Dialer form. A nil dialer
+// dials plain TCP, the first time under ctx. The policy is Redialer's.
+func Dial(ctx context.Context, addr string, dialer Dialer, buf int, policy retry.Policy) (*Redialer, error) {
+	var conn net.Conn
+	var err error
+	if dialer != nil {
+		conn, err = dialer(addr)
+	} else {
+		conn, err = (&net.Dialer{}).DialContext(ctx, "tcp", addr)
+		dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dial %s: %w", addr, err)
+	}
+	redial := func() (net.Conn, error) { return dialer(addr) }
+	return newRedialer(conn, redial, buf, policy), nil
+}
 
 // Redialer keeps one multiplexed connection alive across transport
 // faults. A Call that fails at the connection level (peer reset, dead
@@ -34,10 +57,9 @@ type DialFunc func() (net.Conn, error)
 // replacement dials that succeeded, Retries counts calls re-issued
 // after a transport failure.
 type Redialer struct {
-	dial     DialFunc
-	readBuf  int
-	writeBuf int
-	policy   retry.Policy
+	dial   func() (net.Conn, error)
+	buf    int
+	policy retry.Policy
 
 	mu     sync.Mutex
 	conn   *Conn
@@ -63,22 +85,21 @@ type Instruments struct {
 	Inflight *metrics.Gauge
 }
 
-// NewRedialer wraps an already-established connection (the eager first
+// newRedialer wraps an already-established connection (the eager first
 // dial stays with the caller so dial errors surface at construction
-// time) and the dial function used to replace it after faults. The
-// buffer sizes match New; the policy bounds reconnect/retry backoff and
-// is used with its zero-value defaults if unset.
-func NewRedialer(conn net.Conn, dial DialFunc, readBuf, writeBuf int, policy retry.Policy) *Redialer {
+// time) and the dial function used to replace it after faults. buf is
+// both buffer sizes of New; the policy bounds reconnect/retry backoff
+// and is used with its zero-value defaults if unset.
+func newRedialer(conn net.Conn, dial func() (net.Conn, error), buf int, policy retry.Policy) *Redialer {
 	r := &Redialer{
 		dial:       dial,
-		readBuf:    readBuf,
-		writeBuf:   writeBuf,
+		buf:        buf,
 		policy:     policy,
 		reconnects: metrics.NewCounter(),
 		retries:    metrics.NewCounter(),
 	}
 	if conn != nil {
-		r.conn = New(conn, readBuf, writeBuf)
+		r.conn = New(conn, buf, buf)
 	}
 	return r
 }
@@ -125,7 +146,7 @@ func (r *Redialer) acquire() (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpcmux: redial: %w", err)
 	}
-	r.conn = New(raw, r.readBuf, r.writeBuf)
+	r.conn = New(raw, r.buf, r.buf)
 	r.reconnects.Inc()
 	return r.conn, nil
 }

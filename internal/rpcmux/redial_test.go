@@ -131,7 +131,7 @@ func newTestRedialer(t *testing.T, s *echoServer) *Redialer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRedialer(first, dial, 0, 0, testPolicy())
+	r := newRedialer(first, dial, 0, testPolicy())
 	t.Cleanup(func() { _ = r.Close() })
 	return r
 }
@@ -240,7 +240,7 @@ func TestRedialerRetriesDialFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRedialer(first, dial, 0, 0, testPolicy())
+	r := newRedialer(first, dial, 0, testPolicy())
 	defer r.Close()
 
 	got, err := r.Call(context.Background(), proto.MsgStatsReq, []byte("x"))
@@ -263,7 +263,7 @@ func TestRedialerGivesUpAfterAttemptCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRedialer(first, dial, 0, 0, testPolicy())
+	r := newRedialer(first, dial, 0, testPolicy())
 	defer r.Close()
 
 	start := time.Now()

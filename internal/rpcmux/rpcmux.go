@@ -1,14 +1,20 @@
 // Package rpcmux multiplexes many in-flight RPCs over one framed
-// connection.
+// connection. It holds both ends of the protocol that clients speak to
+// the storage servers and the key manager.
 //
 // The wire protocol tags every frame with an 8-byte request ID
-// (internal/proto), so responses may return in any order. A Conn owns
-// the connection: callers issue Call concurrently, each call is
-// assigned a fresh ID and written to the socket, and a single reader
-// goroutine demultiplexes response frames back to the waiting callers.
-// This converts the paper's many-connections-per-client parallelism
-// (Section V-B) into pipelining on a single connection: with N calls in
-// flight, N network round trips overlap.
+// (internal/proto), so responses may return in any order. On the client
+// end a Conn owns the connection: callers issue Call concurrently, each
+// call is assigned a fresh ID and written to the socket, and a single
+// reader goroutine demultiplexes response frames back to the waiting
+// callers. This converts the paper's many-connections-per-client
+// parallelism (Section V-B) into pipelining on a single connection:
+// with N calls in flight, N network round trips overlap. Dial opens a
+// Redialer, which replaces a Conn that a transport fault killed.
+//
+// On the server end a Server accepts connections and runs each
+// request frame through the daemon's Handler on a bounded per-connection
+// pool, writing each reply back under its request's ID (server.go).
 //
 // Cancellation follows the GuardConn discipline from internal/proto:
 //

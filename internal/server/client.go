@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 
 	"repro/internal/fileindex"
 	"repro/internal/fingerprint"
@@ -13,10 +12,6 @@ import (
 	"repro/internal/retry"
 	"repro/internal/rpcmux"
 )
-
-// Dialer opens a connection to an address (injectable for link
-// emulation).
-type Dialer func(addr string) (net.Conn, error)
 
 // Client is the client side of one storage-server connection. Requests
 // multiplex over the connection: concurrent calls are tagged with
@@ -48,25 +43,12 @@ type Client struct {
 // initial connection attempt only. A nil dialer uses plain TCP. The
 // retry policy governs reconnection backoff after mid-session faults; a
 // zero policy uses the retry package defaults.
-func DialStore(ctx context.Context, addr string, dialer Dialer, policy retry.Policy) (*Client, error) {
-	// Redials run long after the dialing context has expired, so the
-	// redial closure uses the context-free Dialer form.
-	redialer := dialer
-	if redialer == nil {
-		redialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	var conn net.Conn
-	var err error
-	if dialer != nil {
-		conn, err = dialer(addr)
-	} else {
-		conn, err = (&net.Dialer{}).DialContext(ctx, "tcp", addr)
-	}
+func DialStore(ctx context.Context, addr string, dialer rpcmux.Dialer, policy retry.Policy) (*Client, error) {
+	mux, err := rpcmux.Dial(ctx, addr, dialer, connBuf, policy)
 	if err != nil {
-		return nil, fmt.Errorf("server client: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("server client: %w", err)
 	}
-	redial := func() (net.Conn, error) { return redialer(addr) }
-	return &Client{mux: rpcmux.NewRedialer(conn, redial, 1<<20, 1<<20, policy)}, nil
+	return &Client{mux: mux}, nil
 }
 
 // Close closes the connection.

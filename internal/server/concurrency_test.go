@@ -16,65 +16,6 @@ import (
 	"repro/internal/store"
 )
 
-// TestServeReturnsErrClosedAfterShutdown: a Serve loop stopped by
-// Shutdown reports the normalized net.ErrClosed, so callers can
-// distinguish a clean stop from a real accept failure.
-func TestServeReturnsErrClosedAfterShutdown(t *testing.T) {
-	srv, err := New(ctx, store.NewMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	// Prove the loop is live before shutting it down.
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-
-	if err := srv.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("Serve returned %v, want net.ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after Shutdown")
-	}
-}
-
-// TestServeAfterShutdownClosesListener is the ordering the test above
-// hits only when Shutdown wins the race to the server's mutex: Serve is
-// handed a listener the shutdown never saw, and must close it and report
-// the same clean stop.
-func TestServeAfterShutdownClosesListener(t *testing.T) {
-	srv, err := New(ctx, store.NewMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Serve(ln); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
-	}
-	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("listener still open after Serve returned: Accept error = %v", err)
-	}
-}
-
 // TestOneConnectionMixedPlanes drives every RPC plane — chunk puts and
 // gets, blob puts/gets/deletes, listing, stats — from many goroutines
 // over a single multiplexed connection. Every response must match its

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"math/rand"
 	"sync"
@@ -37,10 +36,10 @@ func fpsOf(chunks []proto.ChunkUpload) []fingerprint.Fingerprint {
 
 // TestGetChunksReplyBytes pins the gathered GetChunks reply to the wire
 // bytes of the contiguous encoding, WriteFrame(EncodeBlobList(...)), on
-// both sides of the write buffer: a reply that fits goes through the
-// buffer, a larger one is one vectored write straight to the
-// connection. The chunks come from a sealed container and from the open
-// one.
+// both sides of the connection's write buffer: rpcmux sends a reply that
+// fits through the buffer and a larger one as one vectored write
+// straight to the connection (TestWriteReplyPaths). The chunks come from
+// a sealed container and from the open one.
 func TestGetChunksReplyBytes(t *testing.T) {
 	srv, err := New(ctx, store.NewMemory())
 	if err != nil {
@@ -72,22 +71,14 @@ func TestGetChunksReplyBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var buffered, direct bytes.Buffer
-			bw := bufio.NewWriterSize(&buffered, connBuf)
-			if err := writeReply(bw, &direct, outFrame{typ: typ, id: 77, payload: parts}); err != nil {
+			var got bytes.Buffer
+			if err := proto.WriteFrame(&got, typ, 77, parts...); err != nil {
 				t.Fatal(err)
 			}
-			if err := bw.Flush(); err != nil {
-				t.Fatal(err)
+			if fits := got.Len() <= connBuf; fits != tc.buffered {
+				t.Fatalf("reply of %d bytes is on the wrong side of the %d-byte write buffer", got.Len(), connBuf)
 			}
-			got, other := buffered.Bytes(), direct.Len()
-			if !tc.buffered {
-				got, other = direct.Bytes(), buffered.Len()
-			}
-			if other != 0 {
-				t.Fatalf("reply of %d bytes took the wrong path (buffered = %v)", want.Len(), !tc.buffered)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatal("gathered reply differs from WriteFrame(EncodeBlobList(...))")
 			}
 		})

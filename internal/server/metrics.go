@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"net"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/proto"
@@ -20,15 +18,13 @@ func (o metricsOption) applyServer(s *Server) { s.reg = o.reg }
 // registry leaves the server uninstrumented at zero cost.
 func WithMetrics(reg *metrics.Registry) Option { return metricsOption{reg} }
 
-// initMetrics builds the instruments once at construction so the
-// per-request path never touches the registry's maps.
+// initMetrics registers the journal latencies and the dedup store's
+// snapshot-time views; the per-request dispatch instruments are
+// rpcmux.Server's.
 func (s *Server) initMetrics() {
 	if s.reg == nil {
 		return
 	}
-	s.ops = metrics.NewOpSet(s.reg, "dispatch", proto.OpNames())
-	s.connsGauge = s.reg.Gauge("server_connections")
-	s.inflightReqs = s.reg.Gauge("dispatch_inflight")
 	for id, j := range s.journals[1:] {
 		name := journalNames[id+1]
 		j.ObserveJournal(s.reg.Histogram("journal_commit_latency", "journal", name),
@@ -67,21 +63,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // MetricsSnapshot captures the server's registry; empty when
 // uninstrumented.
 func (s *Server) MetricsSnapshot() metrics.Snapshot { return s.reg.Snapshot() }
-
-// dispatchTimed wraps dispatch with per-op accounting. With no registry
-// attached it is a plain tail call — instrumentation must cost nothing
-// when disabled.
-func (s *Server) dispatchTimed(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, net.Buffers) {
-	if s.ops == nil {
-		return s.dispatch(ctx, typ, payload)
-	}
-	s.inflightReqs.Inc()
-	start := time.Now()
-	respType, respPayload := s.dispatch(ctx, typ, payload)
-	s.inflightReqs.Dec()
-	s.ops.Observe(int(typ), time.Since(start), respType == proto.MsgError)
-	return respType, respPayload
-}
 
 // metricsResp serves MsgMetricsReq: the registry snapshot as JSON (an
 // empty snapshot when uninstrumented, so the RPC always succeeds).

@@ -13,66 +13,21 @@ import (
 	"repro/internal/store"
 )
 
-// TestNilRegistryAddsNoAllocations pins the "disabled means free"
-// contract: on an uninstrumented server the timed dispatch wrapper must
-// add zero allocations to the PutChunks hot path over calling dispatch
-// directly.
-func TestNilRegistryAddsNoAllocations(t *testing.T) {
-	// Each dispatch commits a WAL segment, so a server's allocation
-	// profile drifts as segments accumulate in the backend. Measuring
-	// direct and timed dispatch on two identically-prepared servers
-	// keeps the comparison stationary.
-	newProbe := func() *Server {
-		srv, err := New(ctx, store.NewMemory())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if srv.reg != nil || srv.ops != nil {
-			t.Fatal("server without WithMetrics must stay uninstrumented")
-		}
-		return srv
-	}
-	data := []byte("metrics-alloc-probe")
-	payload := proto.EncodePutChunksReq([]proto.ChunkUpload{
-		{FP: fingerprint.New(data), Data: data},
-	})
-	directSrv, timedSrv := newProbe(), newProbe()
-	// Warm up so both measurements see the steady dedup-hit path, not
-	// the first-insert path.
-	if typ, _ := directSrv.dispatch(ctx, proto.MsgPutChunksReq, payload); typ != proto.MsgPutChunksResp {
-		t.Fatalf("warmup dispatch returned %v", typ)
-	}
-	if typ, _ := timedSrv.dispatchTimed(ctx, proto.MsgPutChunksReq, payload); typ != proto.MsgPutChunksResp {
-		t.Fatalf("warmup dispatchTimed returned %v", typ)
-	}
-
-	direct := testing.AllocsPerRun(200, func() {
-		directSrv.dispatch(ctx, proto.MsgPutChunksReq, payload)
-	})
-	timed := testing.AllocsPerRun(200, func() {
-		timedSrv.dispatchTimed(ctx, proto.MsgPutChunksReq, payload)
-	})
-	if timed > direct {
-		t.Fatalf("dispatchTimed allocates %.1f/op vs dispatch %.1f/op; nil registry must add zero", timed, direct)
-	}
-}
-
-// TestInstrumentedDispatchCounts sanity-checks the other side of the
-// contract: with a registry attached, PutChunks dispatches show up in
-// the per-op families and the dedup gauges reflect the store.
+// TestInstrumentedDispatchCounts: with a registry attached, PutChunks
+// requests served over a connection show up in the per-op dispatch
+// families, the connection in server_connections, and the dedup gauges
+// reflect the store.
 func TestInstrumentedDispatchCounts(t *testing.T) {
 	reg := metrics.NewRegistry()
 	srv, err := New(ctx, store.NewMemory(), WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := dialTest(t, serveTest(t, srv))
 	data := []byte("instrumented-dispatch-probe")
-	payload := proto.EncodePutChunksReq([]proto.ChunkUpload{
-		{FP: fingerprint.New(data), Data: data},
-	})
 	for i := 0; i < 3; i++ {
-		if typ, _ := srv.dispatchTimed(ctx, proto.MsgPutChunksReq, payload); typ != proto.MsgPutChunksResp {
-			t.Fatalf("dispatch %d returned %v", i, typ)
+		if _, err := c.PutChunks(ctx, []proto.ChunkUpload{{FP: fingerprint.New(data), Data: data}}); err != nil {
+			t.Fatalf("put %d: %v", i, err)
 		}
 	}
 
@@ -84,6 +39,9 @@ func TestInstrumentedDispatchCounts(t *testing.T) {
 	lat := metrics.Label("dispatch_latency", "op", "PutChunks")
 	if h, ok := snap.Histograms[lat]; !ok || h.Count != 3 {
 		t.Fatalf("%s count = %v, want 3 observations", lat, h.Count)
+	}
+	if got := snap.Gauges["server_connections"]; got != 1 {
+		t.Fatalf("server_connections = %v, want 1", got)
 	}
 	if got := snap.Counters["dedup_total_puts"]; got != 3 {
 		t.Fatalf("dedup_total_puts = %d, want 3", got)
@@ -120,7 +78,7 @@ func TestWriteCensusCounters(t *testing.T) {
 			chunks = append(chunks, proto.ChunkUpload{FP: fingerprint.New(data), Data: data})
 			chunkBytes += uint64(len(data))
 		}
-		if typ, _ := srv.dispatchTimed(ctx, proto.MsgPutChunksReq, proto.EncodePutChunksReq(chunks)); typ != proto.MsgPutChunksResp {
+		if typ, _ := srv.dispatch(ctx, proto.MsgPutChunksReq, proto.EncodePutChunksReq(chunks)); typ != proto.MsgPutChunksResp {
 			t.Fatalf("batch %d returned %v", batch, typ)
 		}
 	}
@@ -164,7 +122,7 @@ func TestJournalLatencyHistograms(t *testing.T) {
 		{proto.MsgRegisterFileReq, proto.EncodeRegisterFileReq(fileindex.Key{Size: 1}, "recipes/"+blobName)},
 		{proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSRecipes, blobName, []byte(blobBytes))},
 	} {
-		if typ, resp := srv.dispatchTimed(ctx, req.typ, req.payload); typ != req.typ.Response() {
+		if typ, resp := srv.dispatch(ctx, req.typ, req.payload); typ != req.typ.Response() {
 			t.Fatalf("%v answered %v: %s", req.typ, typ, resp)
 		}
 	}
@@ -202,7 +160,7 @@ func TestBlobJournalBacklogGauge(t *testing.T) {
 	var last float64
 	for i := range 3 {
 		name := fmt.Sprintf("recipe-%d", i)
-		if typ, resp := srv.dispatchTimed(ctx, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSRecipes, name, make([]byte, 1000))); typ != proto.MsgPutBlobResp {
+		if typ, resp := srv.dispatch(ctx, proto.MsgPutBlobReq, proto.EncodeBlobReq(store.NSRecipes, name, make([]byte, 1000))); typ != proto.MsgPutBlobResp {
 			t.Fatalf("put %d answered %v: %s", i, typ, resp)
 		}
 		got := backlog()

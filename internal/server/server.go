@@ -15,13 +15,10 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/dedup"
@@ -29,6 +26,7 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/metrics"
 	"repro/internal/proto"
+	"repro/internal/rpcmux"
 	"repro/internal/store"
 )
 
@@ -39,9 +37,12 @@ var allowedNamespaces = map[string]bool{
 	store.NSKeyStates: true,
 }
 
-// DefaultWorkers is the per-connection handler pool size: how many
+// connWorkers is the per-connection handler pool size: how many
 // request frames from one connection may execute concurrently.
-const DefaultWorkers = 8
+const connWorkers = 8
+
+// connBuf sizes each connection's read and write buffers.
+const connBuf = 1 << 20
 
 // Server is one REED storage server.
 type Server struct {
@@ -56,23 +57,18 @@ type Server struct {
 	// is nil): what dispatch commits and Flush checkpoints.
 	journals [numJournals]journal
 
+	// mux accepts connections and runs dispatch for their requests.
+	mux *rpcmux.Server
+
 	// baseCtx is the lifecycle root for request handling: it parents
 	// every dispatched request and is canceled by Shutdown once the
 	// final flush has completed.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	shutdown bool
-
-	// Observability (see metrics.go); all nil when uninstrumented.
-	reg          *metrics.Registry
-	ops          *metrics.OpSet
-	connsGauge   *metrics.Gauge
-	inflightReqs *metrics.Gauge
+	// reg is the server's metrics registry (see metrics.go); nil when
+	// uninstrumented.
+	reg *metrics.Registry
 }
 
 // Option configures a Server.
@@ -103,7 +99,6 @@ func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, e
 		files:    files,
 		blobs:    blobs,
 		journals: [numJournals]journal{chunksJournal: chunks, filesJournal: files, blobsJournal: blobs},
-		conns:    make(map[net.Conn]struct{}),
 	}
 	//reed-vet:ignore ctxrule — the server's lifecycle root, canceled by Shutdown.
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
@@ -111,68 +106,23 @@ func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, e
 		o.applyServer(s)
 	}
 	s.initMetrics()
+	s.mux = rpcmux.NewServer(connWorkers, connBuf, s.reg, s.reg.Gauge("server_connections"),
+		func(net.Conn) rpcmux.Handler { return s.dispatch })
 	return s, nil
 }
 
 // Serve accepts connections until Shutdown. It always returns a
 // non-nil error; after a clean Shutdown the error is net.ErrClosed.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.shutdown {
-		// Shutdown ran before this loop stored ln, so it never saw the
-		// listener: close it here and report the same clean stop.
-		s.mu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			// Shutdown closes the listener out from under Accept, which
-			// surfaces as a raw "use of closed network connection";
-			// normalize that to net.ErrClosed so callers can test for a
-			// clean stop.
-			s.mu.Lock()
-			down := s.shutdown
-			s.mu.Unlock()
-			if down {
-				return net.ErrClosed
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.shutdown {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
-	}
+	return s.mux.Serve(s.baseCtx, ln)
 }
 
-// Shutdown stops the server and flushes its journals. The final
-// flush runs under the lifecycle context, which is canceled only after
+// Shutdown stops the server and flushes its journals. It drains the
+// connections first, so every in-flight request commits, and runs the
+// final flush under the lifecycle context, which is canceled only after
 // the flush finishes (or fails).
 func (s *Server) Shutdown() error {
-	s.mu.Lock()
-	s.shutdown = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.mux.Shutdown()
 	err := s.Flush(s.baseCtx)
 	s.cancelBase()
 	return err
@@ -188,100 +138,6 @@ func (s *Server) Stats() proto.Stats {
 		PhysicalBytes: d.PhysicalBytes,
 		StubBytes:     s.blobs.stubFileBytes(),
 	}
-}
-
-// connBuf sizes each connection's read and write buffers.
-const connBuf = 1 << 20
-
-// outFrame is one response queued for a connection's writer goroutine;
-// its payload is the concatenation of the parts.
-type outFrame struct {
-	typ     proto.MsgType
-	id      uint64
-	payload net.Buffers
-}
-
-// writeReply writes one response frame. A frame that fits the write
-// buffer is copied into it, to be flushed together with the replies
-// queued behind it; a larger one — in practice a GetChunks reply — is
-// sent after whatever is buffered as one vectored write of its parts, so
-// chunk bytes go from the store to the socket without a copy.
-func writeReply(bw *bufio.Writer, conn io.Writer, f outFrame) error {
-	size := proto.FrameHeaderSize
-	for _, p := range f.payload {
-		size += len(p)
-	}
-	if size <= bw.Size() {
-		return proto.WriteFrame(bw, f.typ, f.id, f.payload...)
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return proto.WriteFrameVectored(conn, f.typ, f.id, f.payload...)
-}
-
-// handleConn serves one connection with concurrent dispatch: the read
-// loop keeps draining request frames while up to DefaultWorkers handlers for
-// earlier frames run; each response is written back tagged with its
-// request's ID by a dedicated writer goroutine, so responses may return
-// out of order. A full pool blocks the read loop (backpressure), and a
-// closed connection — peer disconnect or Shutdown — unwinds cleanly:
-// in-flight handlers finish, their responses are drained, and only then
-// does the connection retire.
-func (s *Server) handleConn(conn net.Conn) {
-	s.connsGauge.Inc()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.connsGauge.Dec()
-	}()
-
-	br := bufio.NewReaderSize(conn, connBuf)
-	bw := bufio.NewWriterSize(conn, connBuf)
-
-	respCh := make(chan outFrame, DefaultWorkers)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		var werr error
-		for f := range respCh {
-			if werr != nil {
-				continue // drain so handlers never block on a dead writer
-			}
-			if werr = writeReply(bw, conn, f); werr == nil && len(respCh) == 0 {
-				// Flush only when no more responses are queued,
-				// coalescing bursts into one syscall.
-				werr = bw.Flush()
-			}
-			if werr != nil {
-				conn.Close() // unblock the read loop
-			}
-		}
-	}()
-
-	sem := make(chan struct{}, DefaultWorkers)
-	var handlers sync.WaitGroup
-	for {
-		typ, id, payload, err := proto.ReadFrame(br)
-		if err != nil {
-			break
-		}
-		sem <- struct{}{} // backpressure: pool full ⇒ stop reading
-		handlers.Add(1)
-		go func() {
-			defer func() {
-				<-sem
-				handlers.Done()
-			}()
-			respType, respPayload := s.dispatchTimed(s.baseCtx, typ, payload)
-			respCh <- outFrame{typ: respType, id: id, payload: respPayload}
-		}()
-	}
-	handlers.Wait()
-	close(respCh)
-	<-writerDone
 }
 
 // journalID names a WAL-backed store a handler may dirty.
